@@ -39,9 +39,7 @@ from benchmarks.conftest import make_mapper
 
 def _build(mapper, layer, order):
     order = tuple((LoopDim(d), f) for d, f in order)
-    temporal = mapper.allocate(layer, order)
-    assert temporal is not None
-    return Mapping(layer, mapper.spatial, temporal)
+    return Mapping(layer, mapper.spatial, mapper.allocate(layer, order))
 
 
 @pytest.fixture(scope="module")

@@ -31,10 +31,7 @@ from repro.workload.operand import Operand
 def build_mapping(mapper, layer, order):
     """Allocate an explicit loop order (inner first) onto the machine."""
     order = tuple((LoopDim(d), f) for d, f in order)
-    temporal = mapper.allocate(layer, order)
-    if temporal is None:
-        raise RuntimeError("order does not fit the memory hierarchy")
-    return Mapping(layer, mapper.spatial, temporal)
+    return Mapping(layer, mapper.spatial, mapper.allocate(layer, order))
 
 
 def main() -> None:

@@ -54,8 +54,9 @@ from repro.core.step3 import StallIntegration, integrate_stall_entries
 from repro.core.windows import union_length_params
 from repro.hardware.accelerator import Accelerator
 from repro.hardware.port import EndpointKind
-from repro.workload.dims import ALL_DIMS, LoopDim
-from repro.workload.layer import LayerSpec, LayerType
+from repro.mapping.footprint import extent_elements
+from repro.workload.dims import ALL_DIMS
+from repro.workload.layer import LayerSpec
 from repro.workload.operand import Operand
 
 
@@ -897,37 +898,9 @@ class _Lowered:
         return np.minimum(ext, self.size_vec)
 
     def _elements_from_extents(self, operand: Operand, ext: np.ndarray) -> np.ndarray:
-        """Vector form of :func:`repro.mapping.footprint.tile_elements`."""
-        layer = self.layer
-        depthwise = layer.layer_type is LayerType.DEPTHWISE
-        d = _DIM_INDEX
-        if operand is Operand.W:
-            channels = 1 if depthwise else ext[:, d[LoopDim.C]]
-            return (
-                ext[:, d[LoopDim.K]]
-                * channels
-                * ext[:, d[LoopDim.FX]]
-                * ext[:, d[LoopDim.FY]]
-            )
-        if operand is Operand.O:
-            return (
-                ext[:, d[LoopDim.B]]
-                * ext[:, d[LoopDim.K]]
-                * ext[:, d[LoopDim.OX]]
-                * ext[:, d[LoopDim.OY]]
-            )
-        ix = (
-            (ext[:, d[LoopDim.OX]] - 1) * layer.stride_x
-            + (ext[:, d[LoopDim.FX]] - 1) * layer.dilation_x
-            + 1
-        )
-        iy = (
-            (ext[:, d[LoopDim.OY]] - 1) * layer.stride_y
-            + (ext[:, d[LoopDim.FY]] - 1) * layer.dilation_y
-            + 1
-        )
-        channels = ext[:, d[LoopDim.K]] if depthwise else ext[:, d[LoopDim.C]]
-        return ext[:, d[LoopDim.B]] * channels * ix * iy
+        """Per-lane :func:`repro.mapping.footprint.extent_elements`."""
+        columns = {dim: ext[:, i] for i, dim in enumerate(ALL_DIMS)}
+        return extent_elements(self.layer, operand, columns)
 
     def footprint_elements(self, operand: Operand, hi: np.ndarray) -> np.ndarray:
         return self._elements_from_extents(operand, self._extents_at(hi))

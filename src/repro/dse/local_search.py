@@ -83,10 +83,6 @@ class LocalSearchMapper:
         if funnel is not None:
             funnel.admit()
         temporal = self.mapper.allocate(layer, order)
-        if temporal is None:
-            if funnel is not None:
-                funnel.discard("allocation-overflow")
-            return None
         try:
             mapping = Mapping(layer, self.mapper.spatial, temporal)
             return self.mapper.evaluate(mapping)
@@ -106,11 +102,6 @@ class LocalSearchMapper:
             if funnel is not None:
                 funnel.admit()
             temporal = self.mapper.allocate(layer, order)
-            if temporal is None:
-                if funnel is not None:
-                    funnel.discard("allocation-overflow")
-                mappings.append(None)
-                continue
             try:
                 mappings.append(Mapping(layer, self.mapper.spatial, temporal))
             except MappingError:
@@ -163,7 +154,7 @@ class LocalSearchMapper:
     def climb(
         self, layer: LayerSpec, start: Order
     ) -> Optional[LocalSearchOutcome]:
-        """Hill-climb from one order; None if the start cannot allocate.
+        """Hill-climb from one order; None if the start is not a valid mapping.
 
         Per round the whole neighborhood is evaluated as one engine batch
         and the first improving neighbor *in generation order* is
@@ -234,7 +225,7 @@ class LocalSearchMapper:
                 seeds.append((result.objective, order))
         if not seeds:
             raise MappingError(
-                f"no allocatable order for {layer.describe()} on "
+                f"no valid mapping order for {layer.describe()} on "
                 f"{self.mapper.accelerator.name}"
             )
         seeds.sort(key=lambda s: s[0])

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import random
 from typing import Dict, Iterator, List, Mapping as TMapping, Optional, Tuple, Union
 
@@ -38,7 +39,7 @@ from repro.dse.factorize import (
 from repro.energy.energy_model import EnergyReport
 from repro.engine import EvaluationEngine
 from repro.hardware.accelerator import Accelerator
-from repro.mapping.footprint import spatial_replication, tile_elements
+from repro.mapping.footprint import extent_elements, spatial_replication
 from repro.mapping.loop import Loop
 from repro.mapping.mapping import Mapping, MappingError
 from repro.mapping.spatial import SpatialMapping
@@ -125,6 +126,7 @@ class TemporalMapper:
                 accelerator=accelerator, options=self.config.model_options
             )
         self.engine = engine
+        self._plan = None
 
     # ------------------------------------------------------------------ #
     # Loop-order space
@@ -213,56 +215,76 @@ class TemporalMapper:
 
     def allocate(
         self, layer: LayerSpec, order: Tuple[Tuple[LoopDim, int], ...]
-    ) -> Optional[TemporalMapping]:
+    ) -> TemporalMapping:
         """Greedy bottom-up level allocation of one loop order.
 
-        Returns ``None`` when the order cannot fit (the full tile of some
-        operand exceeds its outermost level).
+        Walks the order once, innermost first, keeping each dimension's
+        clamped extent up to the current loop. After every loop each
+        operand's tile is measured, and while it overflows the operand's
+        current level a cut is placed before that loop and allocation moves
+        one level up. The outermost level is the operand's data home
+        (backed by off-chip memory) and accepts any footprint, so every
+        order allocates.
         """
         loops = tuple(Loop(dim, size) for dim, size in order)
-        cuts: Dict[Operand, Tuple[int, ...]] = {}
+        factors, bounds, limits = self._allocation_plan(layer)
+        temporal = dict.fromkeys(factors, 1)
+        ext = {dim: min(factors[dim], bounds[dim]) for dim in factors}
+        cuts: Dict[Operand, List[int]] = {operand: [] for operand in Operand}
+        climbing = [operand for operand in Operand if len(limits[operand]) > 1]
+        for index, loop in enumerate(loops):
+            if not climbing:
+                break
+            dim = loop.dim
+            temporal[dim] *= loop.size
+            ext[dim] = min(temporal[dim] * factors[dim], bounds[dim])
+            moved = False
+            for operand in climbing:
+                cut, limit = cuts[operand], limits[operand]
+                elements = extent_elements(layer, operand, ext)
+                while elements > limit[len(cut)]:
+                    cut.append(index)
+                    moved = True
+            if moved:
+                climbing = [op for op in climbing if len(cuts[op]) < len(limits[op]) - 1]
+        for operand, cut in cuts.items():
+            cut.extend([len(loops)] * (len(limits[operand]) - 1 - len(cut)))
+        return TemporalMapping(loops, {op: tuple(cut) for op, cut in cuts.items()})
+
+    def _allocation_plan(self, layer: LayerSpec):
+        """Per-layer constants of :meth:`allocate`, cached for the last layer.
+
+        Per dimension its spatial factor and layer bound; per operand, the
+        most elements each level of its chain holds. Outputs count at
+        accumulator width (conservative for in-flight partial sums); a
+        level split into per-lane instances stores one copy per broadcast
+        lane; the outermost level holds any tile.
+        """
+        cached = self._plan
+        if cached is not None and cached[0] is layer:
+            return cached[1]
+        factors = {dim: self.spatial.factor(dim) for dim in ALL_DIMS}
+        bounds = {dim: layer.size(dim) for dim in ALL_DIMS}
+        limits: Dict[Operand, Tuple[float, ...]] = {}
         for operand in Operand:
-            cut = self._allocate_operand(layer, operand, loops)
-            if cut is None:
-                return None
-            cuts[operand] = cut
-        return TemporalMapping(loops, cuts)
-
-    def _allocate_operand(
-        self, layer: LayerSpec, operand: Operand, loops: Tuple[Loop, ...]
-    ) -> Optional[Tuple[int, ...]]:
-        chain = self.accelerator.hierarchy.levels(operand)
-        depth = len(chain)
-        cut: List[int] = []
-        level = 0
-        for index in range(1, len(loops) + 1):
-            prefix = loops[:index]
-            # The outermost level is the operand's data home (backed by
-            # off-chip memory) and accepts any footprint.
-            while level < depth - 1 and not self._fits(layer, operand, prefix, chain[level]):
-                cut.append(index - 1)
-                level += 1
-        while len(cut) < depth - 1:
-            cut.append(len(loops))
-        return tuple(cut)
-
-    def _fits(
-        self, layer: LayerSpec, operand: Operand, prefix: Tuple[Loop, ...], level
-    ) -> bool:
-        elements = tile_elements(layer, operand, prefix, self.spatial)
-        # Conservative: in-flight outputs are counted at accumulator width.
-        partial = operand is Operand.O
-        bits = elements * layer.precision.of(operand, partial=partial)
-        if level.instance.instances > 1:
-            bits *= spatial_replication(layer, operand, self.spatial)
-        return bits <= level.capacity_for(operand)
+            bits = layer.precision.of(operand, partial=operand is Operand.O)
+            replicated = bits * spatial_replication(layer, operand, self.spatial)
+            chain = self.accelerator.hierarchy.levels(operand)
+            limits[operand] = tuple(
+                level.capacity_for(operand)
+                // (replicated if level.instance.instances > 1 else bits)
+                for level in chain[:-1]
+            ) + (math.inf,)
+        plan = (factors, bounds, limits)
+        self._plan = (layer, plan)
+        return plan
 
     # ------------------------------------------------------------------ #
     # Search
     # ------------------------------------------------------------------ #
 
     def mappings(self, layer: LayerSpec) -> Iterator[Mapping]:
-        """All allocatable mappings of ``layer`` (within the search budget).
+        """All valid mappings of ``layer`` (within the search budget).
 
         Beyond exact duplicates, model-equivalent allocations are emitted
         once: two mappings whose loop orders differ only by permuting
@@ -281,10 +303,6 @@ class TemporalMapper:
             if funnel is not None:
                 funnel.admit()
             temporal = self.allocate(layer, order)
-            if temporal is None:
-                if funnel is not None:
-                    funnel.discard("allocation-overflow")
-                continue
             key = (temporal.loops, tuple(sorted(
                 (op.value, temporal.cuts[op]) for op in Operand
             )))

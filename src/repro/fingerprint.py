@@ -29,36 +29,69 @@ import dataclasses
 import enum
 import hashlib
 import json
-from typing import Any, Sequence
+from typing import Any, Callable, Dict, Sequence
+
+
+#: Types whose values are their own payload (exact types, not subclasses).
+_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+#: Per type: the function encoding its instances (see :func:`_encoder_for`).
+_ENCODERS: Dict[type, Callable[[Any], Any]] = {}
 
 
 def canonical_payload(obj: Any) -> Any:
     """Recursively convert ``obj`` into a JSON-serializable canonical form."""
-    if isinstance(obj, enum.Enum):
-        # Before the dataclass branch: str-based enums are not dataclasses,
-        # but IntEnum-style members could otherwise take a wrong path.
-        return [type(obj).__name__, obj.value]
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        excluded = getattr(type(obj), "__fingerprint_exclude__", ())
-        fields = [
-            [f.name, canonical_payload(getattr(obj, f.name))]
-            for f in dataclasses.fields(obj)
-            if f.name not in excluded
-        ]
-        return [type(obj).__name__, fields]
-    if isinstance(obj, (set, frozenset)):
-        return sorted((canonical_payload(v) for v in obj), key=_ordering)
-    if isinstance(obj, dict):
-        items = [
-            [canonical_payload(k), canonical_payload(v)] for k, v in obj.items()
-        ]
-        items.sort(key=lambda kv: _ordering(kv[0]))
-        return items
-    if isinstance(obj, (list, tuple)):
-        return [canonical_payload(v) for v in obj]
-    if obj is None or isinstance(obj, (bool, int, float, str)):
+    cls = type(obj)
+    # Exact builtin types first: they are neither enums nor dataclasses.
+    if cls in _SCALAR_TYPES:
         return obj
-    return repr(obj)
+    if cls is tuple or cls is list:
+        return [canonical_payload(v) for v in obj]
+    encode = _ENCODERS.get(cls)
+    if encode is None:
+        encode = _ENCODERS[cls] = _encoder_for(cls)
+    return encode(obj)
+
+
+def _encoder_for(cls: type) -> Callable[[Any], Any]:
+    """How instances of ``cls`` are encoded, decided once per type."""
+    # Enums before dataclasses: str-based enums are not dataclasses, but
+    # IntEnum-style members could otherwise take a wrong path.
+    if issubclass(cls, enum.Enum):
+        members: Dict[Any, list] = {}
+
+        def encode_member(member):
+            payload = members.get(member)
+            if payload is None:
+                payload = members[member] = [cls.__name__, member.value]
+            return payload
+
+        return encode_member
+    # ``cls`` is the type of a value: a dataclass *class* passed as a value
+    # has a metaclass here, which is never a dataclass.
+    if dataclasses.is_dataclass(cls):
+        excluded = getattr(cls, "__fingerprint_exclude__", ())
+        names = tuple(
+            f.name for f in dataclasses.fields(cls) if f.name not in excluded
+        )
+        return lambda obj: [
+            cls.__name__,
+            [[name, canonical_payload(getattr(obj, name))] for name in names],
+        ]
+    if issubclass(cls, (set, frozenset)):
+        return lambda obj: sorted((canonical_payload(v) for v in obj), key=_ordering)
+    if issubclass(cls, dict):
+        return _dict_payload
+    if issubclass(cls, (list, tuple)):
+        return lambda obj: [canonical_payload(v) for v in obj]
+    if issubclass(cls, (bool, int, float, str)):
+        return lambda obj: obj
+    return repr
+
+
+def _dict_payload(obj: dict) -> list:
+    items = [[canonical_payload(k), canonical_payload(v)] for k, v in obj.items()]
+    items.sort(key=lambda kv: _ordering(kv[0]))
+    return items
 
 
 def _ordering(payload: Any) -> str:

@@ -11,7 +11,7 @@ of a plain product.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Tuple
+from typing import Iterable, Mapping as TMapping, Tuple
 
 from repro.mapping.loop import Loop
 from repro.mapping.spatial import SpatialMapping
@@ -39,19 +39,33 @@ def tile_elements(
     interest; the spatial unrolling is included wholesale since it is below
     every memory level.
     """
-    ext = {dim: _dim_extent(loops, spatial, dim) for dim in LoopDim}
     # Clamp to the layer bounds: ceil-induced padding never stores real data.
-    for dim in LoopDim:
-        ext[dim] = min(ext[dim], layer.size(dim))
+    ext = {
+        dim: min(_dim_extent(loops, spatial, dim), layer.size(dim))
+        for dim in LoopDim
+    }
+    return extent_elements(layer, operand, ext)
 
+
+def extent_elements(
+    layer: LayerSpec, operand: Operand, ext: TMapping[LoopDim, int]
+) -> int:
+    """``Mem_DATA`` in elements of ``operand`` for per-dim extents ``ext``.
+
+    ``ext`` maps every dimension to its iteration count (temporal x
+    spatial, clamped to the layer bounds, so at least 1): ints, or NumPy
+    arrays of one count per lane in the batch core. W and O tiles are
+    products of their relevant extents; the input tile follows the
+    sliding window of :meth:`LayerSpec.input_extent_x`.
+    """
     if operand is Operand.W:
         channels = ext[LoopDim.C] if layer.layer_type is not LayerType.DEPTHWISE else 1
         return ext[LoopDim.K] * channels * ext[LoopDim.FX] * ext[LoopDim.FY]
     if operand is Operand.O:
         return ext[LoopDim.B] * ext[LoopDim.K] * ext[LoopDim.OX] * ext[LoopDim.OY]
     # Input: sliding window in x and y.
-    ix = layer.input_extent_x(ext[LoopDim.OX], ext[LoopDim.FX])
-    iy = layer.input_extent_y(ext[LoopDim.OY], ext[LoopDim.FY])
+    ix = (ext[LoopDim.OX] - 1) * layer.stride_x + (ext[LoopDim.FX] - 1) * layer.dilation_x + 1
+    iy = (ext[LoopDim.OY] - 1) * layer.stride_y + (ext[LoopDim.FY] - 1) * layer.dilation_y + 1
     if layer.layer_type is LayerType.DEPTHWISE:
         channels = ext[LoopDim.K]
     else:

@@ -147,17 +147,9 @@ class LayerSpec:
 
     def operand_elements(self, operand: Operand) -> int:
         """Total number of elements of ``operand`` touched by the layer."""
-        d = self.dims
-        if operand is Operand.W:
-            channels = d[LoopDim.C] if self.layer_type is not LayerType.DEPTHWISE else 1
-            return d[LoopDim.K] * channels * d[LoopDim.FX] * d[LoopDim.FY]
-        if operand is Operand.O:
-            return d[LoopDim.B] * d[LoopDim.K] * d[LoopDim.OX] * d[LoopDim.OY]
-        # Input: sliding-window extents in x/y.
-        ix = self.input_extent_x(d[LoopDim.OX], d[LoopDim.FX])
-        iy = self.input_extent_y(d[LoopDim.OY], d[LoopDim.FY])
-        channels = d[LoopDim.C] if self.layer_type is not LayerType.DEPTHWISE else d[LoopDim.K]
-        return d[LoopDim.B] * channels * ix * iy
+        from repro.mapping.footprint import extent_elements
+
+        return extent_elements(self, operand, self.dims)
 
     def operand_bits(self, operand: Operand) -> int:
         """Total data size of ``operand`` in bits (final output precision)."""

@@ -52,8 +52,6 @@ def test_dedup_only_drops_model_equivalent_mappings(case_preset):
     seen = set()
     for order in mapper.orders(layer):
         temporal = mapper.allocate(layer, order)
-        if temporal is None:
-            continue
         exact = (temporal.loops, tuple(sorted(
             (op.value, temporal.cuts[op]) for op in temporal.cuts
         )))
@@ -86,8 +84,6 @@ def test_dedup_preserves_best_objective(case_preset, small_layer):
     best_raw = None
     for order in mapper.orders(small_layer):
         temporal = mapper.allocate(small_layer, order)
-        if temporal is None:
-            continue
         try:
             mapping = Mapping(small_layer, mapper.spatial, temporal)
         except MappingError:

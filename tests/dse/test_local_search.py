@@ -54,7 +54,7 @@ def test_unmappable_layer_raises():
 
 def test_climb_on_invalid_start_returns_none(base_mapper):
     layer = dense_layer(32, 64, 240)
-    # An order for a DIFFERENT layer cannot allocate (wrong factor product
+    # An order for a DIFFERENT layer is no valid mapping (wrong factor product
     # is caught at Mapping construction inside evaluate).
     wrong = tuple(base_mapper.loop_multiset(dense_layer(16, 16, 16)))
     search = LocalSearchMapper(base_mapper, LocalSearchConfig(max_steps=10))

@@ -1,6 +1,8 @@
 """Fingerprint stability: equal objects agree, any mutation disagrees."""
 
 import dataclasses
+import json
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +16,13 @@ from repro.hardware.serde import (
     preset_from_json,
     preset_to_json,
 )
+from repro.mapping.loop import Loop
+from repro.mapping.mapping import Mapping
+from repro.mapping.spatial import SpatialMapping
+from repro.mapping.temporal import TemporalMapping
+from repro.workload.dims import LoopDim
 from repro.workload.generator import dense_layer
+from repro.workload.operand import Operand
 
 
 @pytest.fixture
@@ -130,6 +138,51 @@ def test_set_order_is_canonicalized():
 def test_fingerprint_is_memoized(preset):
     acc = preset.accelerator
     assert acc.fingerprint() is acc.fingerprint()
+
+
+# --------------------------------------------------------------------- #
+# Pinned digests
+# --------------------------------------------------------------------- #
+# The engine cache, the ledger's identity columns, ResultStore warm starts
+# and benchmarks/baseline_ledger.jsonl all key on these digests, so a
+# change to the canonical encoding must be deliberate and show up here.
+
+CASE_STUDY_FP = "aa1e2f5c128a79124ca6bafbb9a1580a2e0e49d35b9ceeb77335f2da801b8c69"
+CASE_STUDY_PRESET_FP = "de4e188e56ddf8ce72251d9403c6713019477544d69169b2e9a9ca1e9326d093"
+DEFAULT_OPTIONS_FP = "56df8463148583c1d14dd9b81fa4c55c2cf1bd47f5d6e594104a508d7e07f85a"
+CASE1_MAPPING_B_FP = "abbf77bd0009c4154a94375cd8e536e562e1bd9c90562100922ff82d9aa9e306"
+
+BASELINE_LEDGER = Path(__file__).resolve().parents[2] / "benchmarks" / "baseline_ledger.jsonl"
+
+
+def test_pinned_machine_and_options_digests(preset):
+    assert preset.accelerator.fingerprint() == CASE_STUDY_FP
+    assert preset_fingerprint(preset) == CASE_STUDY_PRESET_FP
+    assert stable_fingerprint(ModelOptions()) == DEFAULT_OPTIONS_FP
+
+
+def test_pinned_case1_mapping_digest(preset):
+    """Case 1 Mapping B: all C loops innermost, cuts given explicitly."""
+    order = (
+        [(LoopDim.C, f) for f in (2, 2, 2, 3, 5, 5)]
+        + [(LoopDim.K, 2)] * 3
+        + [(LoopDim.B, 2)] * 3
+    )
+    temporal = TemporalMapping(
+        tuple(Loop(dim, size) for dim, size in order),
+        {Operand.W: (0, 5), Operand.I: (0, 5), Operand.O: (6,)},
+    )
+    mapping = Mapping(
+        dense_layer(64, 128, 1200), SpatialMapping(preset.spatial_unrolling), temporal
+    )
+    assert mapping.fingerprint() == CASE1_MAPPING_B_FP
+
+
+def test_baseline_ledger_identity_matches_preset(preset):
+    """The committed regression baseline still names this machine."""
+    (row,) = [json.loads(line) for line in BASELINE_LEDGER.read_text().splitlines()]
+    assert row["accelerator_fp"] == preset.accelerator.fingerprint()
+    assert row["options_fp"] == stable_fingerprint(ModelOptions())
 
 
 # --------------------------------------------------------------------- #

@@ -56,6 +56,22 @@ def test_conv_input_sliding_window():
     assert tile_elements(layer, Operand.I, loops, spatial) == 6
 
 
+def test_input_window_with_stride_and_dilation():
+    """The tile window matches ``LayerSpec.input_extent_x`` / ``_y``."""
+    layer = LayerSpec(
+        LayerType.CONV2D,
+        {LoopDim.C: 3, LoopDim.OX: 6, LoopDim.OY: 5, LoopDim.FX: 3, LoopDim.FY: 3},
+        stride_x=2, stride_y=3, dilation_x=2, dilation_y=3,
+    )
+    spatial = SpatialMapping({LoopDim.C: 3})
+    loops = (Loop(LoopDim.OX, 3), Loop(LoopDim.FX, 3), Loop(LoopDim.OY, 5), Loop(LoopDim.FY, 2))
+    window = layer.input_extent_x(3, 3) * layer.input_extent_y(5, 2)
+    assert window == (2 * 2 + 2 * 2 + 1) * (4 * 3 + 1 * 3 + 1)
+    assert tile_elements(layer, Operand.I, loops, spatial) == 3 * window
+    full = layer.input_extent_x(6, 3) * layer.input_extent_y(5, 3)
+    assert layer.operand_elements(Operand.I) == 3 * full
+
+
 def test_depthwise_input_channels_follow_k():
     layer = LayerSpec(
         LayerType.DEPTHWISE,
