@@ -1,26 +1,17 @@
-"""Engine cache and executor benchmarks.
+"""Engine cache benchmark.
 
-Two claims from the evaluation-engine design are measured here:
-
-1. **Cache**: a network sweep with repeated layer shapes (the common case
-   — residual stacks, repeated blocks) runs >= 2x faster through a cached
-   engine than through the same engine with caching disabled, with
-   identical results. Repeats hit at two levels: per-mapping latency
-   reports, and whole memoized search outcomes (both live in the same
-   LRU, keyed by canonical fingerprints).
-2. **Executor**: the process backend produces byte-identical reports and
-   identical mapper rankings; on multi-core hosts it also speeds up a
-   cold (cache-disabled) search. The timing half is skipped on
-   single-core runners where fan-out cannot win.
+A network sweep with repeated layer shapes (the common case — residual
+stacks, repeated blocks) runs >= 2x faster through a cached engine than
+through the same engine with caching disabled, with identical results.
+Repeats hit at two levels: per-mapping latency reports, and whole
+memoized search outcomes (both live in the same LRU, keyed by canonical
+fingerprints).
 """
 
-import os
 import time
 
-import pytest
-
 from repro.analysis.network import NetworkEvaluator
-from repro.dse.mapper import MapperConfig, TemporalMapper
+from repro.dse.mapper import MapperConfig
 from repro.engine import EvaluationEngine
 from repro.hardware.presets import case_study_accelerator
 from repro.workload.generator import dense_layer
@@ -72,45 +63,3 @@ def test_cache_hits_report_in_stats():
     assert stats.requests == stats.cache_hits + stats.cache_misses
     assert 0.0 < stats.hit_rate < 1.0
     assert stats.phase_seconds  # at least one phase timed
-
-
-@pytest.fixture(scope="module")
-def search_setup():
-    preset = case_study_accelerator()
-    layer = dense_layer(64, 128, 1200)
-    config = MapperConfig(max_enumerated=400, samples=600)
-    return preset, layer, config
-
-
-def _cold_search(preset, layer, config, engine):
-    mapper = TemporalMapper(
-        preset.accelerator, preset.spatial_unrolling, config, engine=engine
-    )
-    t0 = time.perf_counter()
-    results = mapper.search(layer)
-    return time.perf_counter() - t0, results
-
-
-def test_parallel_backend_matches_serial(search_setup):
-    preset, layer, config = search_setup
-    serial_s, serial = _cold_search(
-        preset, layer, config, EvaluationEngine(preset.accelerator, use_cache=False)
-    )
-    with EvaluationEngine(
-        preset.accelerator, use_cache=False, executor="process", chunk_size=64
-    ) as engine:
-        engine.evaluate_many([serial[0].mapping] * 2)  # warm the pool
-        parallel_s, parallel = _cold_search(preset, layer, config, engine)
-    print(f"\nMapper search ({len(serial)} results kept): "
-          f"serial {serial_s * 1e3:.0f} ms, "
-          f"process pool {parallel_s * 1e3:.0f} ms "
-          f"({serial_s / parallel_s:.2f}x, {os.cpu_count()} cpus)")
-    assert [r.objective for r in serial] == [r.objective for r in parallel]
-    assert [r.mapping.fingerprint() for r in serial] == [
-        r.mapping.fingerprint() for r in parallel
-    ]
-    if (os.cpu_count() or 1) < 2:
-        pytest.skip("single-core host: process fan-out cannot beat serial")
-    assert parallel_s < serial_s * 1.2, (
-        "process backend slower than serial despite multiple cores"
-    )

@@ -61,7 +61,7 @@ def _feasible_corpus(count):
     """(accelerator, mapping) pairs that evaluate cleanly, grouped by fp."""
     corpus = []
     for case in sample_cases(seed=23, count=count * 2):
-        engine = EvaluationEngine(case.accelerator, executor="serial")
+        engine = EvaluationEngine(case.accelerator)
         try:
             engine.evaluate(case.mapping)
         except MappingError:
@@ -82,7 +82,7 @@ def test_serve_throughput_coalescing_and_warm_start(tmp_path, capsys):
     # ---- in-process reference timing (cold engine per accelerator) ----
     t0 = time.perf_counter()
     for fp, group in by_accel.items():
-        engine = EvaluationEngine(group[0].accelerator, executor="serial")
+        engine = EvaluationEngine(group[0].accelerator)
         for case in group:
             engine.evaluate(case.mapping)
     local_s = time.perf_counter() - t0

@@ -34,9 +34,8 @@ def main() -> None:
     print()
 
     # 3. Engine + mapping: one cached evaluation path for the whole run.
-    #    The mapper routes every candidate through the engine's LRU cache;
-    #    a process-pool variant is one argument away
-    #    (EvaluationEngine.from_preset(preset, workers=4)).
+    #    The mapper routes every candidate through the engine's LRU cache,
+    #    and cache misses run in vectorized chunks in this process.
     engine = EvaluationEngine.from_preset(preset)
     mapper = TemporalMapper(
         accelerator, preset.spatial_unrolling,

@@ -10,7 +10,7 @@ machinery (:class:`~repro.engine.EvaluationEngine`,
 * :func:`search` — the ranked temporal-mapping candidates of a layer;
 * :func:`evaluate_network` — a whole network, layer by layer.
 
-Since PR 7 the verbs are built around the
+The verbs are built around the
 :class:`~repro.engine.Evaluator` protocol: *where* evaluation happens is
 entirely the ``engine=`` argument, which accepts
 
@@ -18,7 +18,7 @@ entirely the ``engine=`` argument, which accepts
   :class:`~repro.engine.EvaluationEngine`, a
   :class:`~repro.serve.RemoteEngine`, or your own implementation;
 * a :class:`~repro.hardware.presets.Preset` or bare
-  :class:`~repro.hardware.accelerator.Accelerator` (a throwaway serial
+  :class:`~repro.hardware.accelerator.Accelerator` (a throwaway
   engine is built and closed after the call);
 * a preset name (``"case-study"``, ``"inhouse"``) — the default is
   ``"case-study"``;
@@ -46,15 +46,10 @@ Observability composes through the ambient context::
     with use_tracer(tracer):
         api.evaluate("64,128,1200")
     print(len(tracer.records), "spans")
-
-The pre-PR 7 accelerator-first call shapes
-(``evaluate("case-study", "64,128,1200")``) keep working through a thin
-shim that emits one :class:`DeprecationWarning` per process.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.core.report import LatencyReport
@@ -67,7 +62,7 @@ from repro.hardware.presets import (
     inhouse_accelerator,
 )
 from repro.mapping.mapping import Mapping
-from repro.workload.generator import dense_layer
+from repro.workload.generator import parse_dense_layer
 from repro.workload.layer import LayerSpec
 
 EngineLike = Union[Evaluator, Preset, Accelerator, str]
@@ -90,13 +85,15 @@ DEFAULT_ENGINE = "case-study"
 # Input coercion
 # --------------------------------------------------------------------- #
 
-def _as_engine(engine: EngineLike) -> Tuple[Evaluator, bool]:
+def _as_engine(engine: Optional[EngineLike]) -> Tuple[Evaluator, bool]:
     """Coerce ``engine=`` to an Evaluator; the bool says the verb owns it.
 
-    Owned engines (built or connected here) are closed when the verb
+    ``None`` means :data:`DEFAULT_ENGINE`. Owned engines (built or connected here) are closed when the verb
     returns; engines the caller passed in stay open — their cache and
     stats are the point of passing them.
     """
+    if engine is None:
+        engine = DEFAULT_ENGINE
     if isinstance(engine, str):
         if engine.startswith(_URL_SCHEMES):
             from repro.serve.client import RemoteEngine
@@ -130,80 +127,7 @@ def _as_engine(engine: EngineLike) -> Tuple[Evaluator, bool]:
 
 def _as_layer(layer: LayerLike) -> LayerSpec:
     """Accept a LayerSpec, a ``"B,K,C"`` string, or a (B, K, C) tuple."""
-    if isinstance(layer, LayerSpec):
-        return layer
-    if isinstance(layer, str):
-        parts = [int(p) for p in layer.split(",")]
-    else:
-        parts = [int(p) for p in layer]
-    if len(parts) != 3:
-        raise ValueError(f"layer shorthand must be B,K,C — got {layer!r}")
-    return dense_layer(*parts)
-
-
-# --------------------------------------------------------------------- #
-# Legacy accelerator-first shapes (pre-PR 7): detection + one warning
-# --------------------------------------------------------------------- #
-
-_legacy_warned = False
-
-
-def _is_engine_like(value) -> bool:
-    """Could ``value`` have been the old positional ``accelerator``?"""
-    if isinstance(value, (Preset, Accelerator)):
-        return True
-    return isinstance(value, str) and (
-        value in _PRESET_NAMES or value.startswith(_URL_SCHEMES)
-    )
-
-
-def _warn_legacy(verb: str) -> None:
-    global _legacy_warned
-    if not _legacy_warned:
-        warnings.warn(
-            f"api.{verb}(accelerator, layer, ...) is deprecated; the layer "
-            f"comes first now and the machine is the engine= argument: "
-            f"{verb}(layer, engine=accelerator). The old shape keeps "
-            "working but will be removed.",
-            DeprecationWarning,
-            stacklevel=4,
-        )
-        _legacy_warned = True
-
-
-def _resolve(
-    engine: Optional[EngineLike], legacy_accelerator=None
-) -> Tuple[Evaluator, bool, Accelerator, dict]:
-    """The verb's engine plus the mapper geometry (machine + unrolling).
-
-    In the modern shape the engine *is* the geometry; in the legacy
-    shape the positional accelerator defines the geometry while an
-    explicitly passed ``engine=`` keeps supplying cache and execution,
-    exactly as before the redesign.
-    """
-    if legacy_accelerator is not None:
-        if isinstance(legacy_accelerator, Preset):
-            preset = legacy_accelerator
-        elif isinstance(legacy_accelerator, Accelerator):
-            preset = Preset(accelerator=legacy_accelerator, spatial_unrolling={})
-        else:  # a preset name (URLs are never legacy accelerators)
-            preset = _PRESET_NAMES[legacy_accelerator]()
-        if engine is None:
-            return (
-                EvaluationEngine.from_preset(preset),
-                True,
-                preset.accelerator,
-                dict(preset.spatial_unrolling),
-            )
-        engine_obj, owned = _as_engine(engine)
-        return engine_obj, owned, preset.accelerator, dict(preset.spatial_unrolling)
-    engine_obj, owned = _as_engine(engine if engine is not None else DEFAULT_ENGINE)
-    return (
-        engine_obj,
-        owned,
-        engine_obj.accelerator,
-        dict(engine_obj.spatial_unrolling),
-    )
+    return layer if isinstance(layer, LayerSpec) else parse_dense_layer(layer)
 
 
 # --------------------------------------------------------------------- #
@@ -213,7 +137,7 @@ def _resolve(
 def evaluate(
     layer: LayerLike,
     mapping: Optional[Mapping] = None,
-    *args,
+    *,
     engine: Optional[EngineLike] = None,
     config: Optional[MapperConfig] = None,
     validate: bool = True,
@@ -227,30 +151,17 @@ def evaluate(
     long-lived ``engine`` (or a service URL) to share a cache across
     calls. ``engine=None`` means the ``"case-study"`` preset.
     """
-    legacy_accelerator = None
-    if _is_engine_like(layer) and isinstance(mapping, (LayerSpec, str, tuple, list)):
-        # Legacy shape: evaluate(accelerator, layer[, mapping]).
-        _warn_legacy("evaluate")
-        legacy_accelerator, layer = layer, mapping
-        mapping = args[0] if args else None
-        args = args[1:]
-    if args:
-        raise TypeError(
-            f"evaluate() takes at most 2 positional arguments "
-            f"({2 + len(args)} given)"
-        )
     if mapping is not None and not isinstance(mapping, Mapping):
-        # A second positional that is neither a Mapping nor layer-like:
-        # most plausibly a legacy call with a bad accelerator argument —
-        # coercing it raises the specific error.
-        _as_engine(layer)
         raise TypeError(f"mapping must be a Mapping, not {type(mapping).__name__}")
-    engine_obj, owned, accelerator, spatial = _resolve(engine, legacy_accelerator)
+    engine_obj, owned = _as_engine(engine)
     try:
         if mapping is not None:
             return engine_obj.evaluate(mapping, validate=validate)
         mapper = TemporalMapper(
-            accelerator, spatial, config or MapperConfig(), engine=engine_obj
+            engine_obj.accelerator,
+            engine_obj.spatial_unrolling,
+            config or MapperConfig(),
+            engine=engine_obj,
         )
         return mapper.best_mapping(_as_layer(layer)).report
     finally:
@@ -260,30 +171,19 @@ def evaluate(
 
 def search(
     layer: LayerLike,
-    *args,
+    *,
     engine: Optional[EngineLike] = None,
     config: Optional[MapperConfig] = None,
     top: Optional[int] = None,
 ) -> List[MappingSearchResult]:
     """Ranked temporal-mapping candidates of ``layer``, best first."""
-    legacy_accelerator = None
-    if (
-        args
-        and _is_engine_like(layer)
-        and isinstance(args[0], (LayerSpec, str, tuple, list))
-    ):
-        # Legacy shape: search(accelerator, layer).
-        _warn_legacy("search")
-        legacy_accelerator, layer = layer, args[0]
-        args = args[1:]
-    if args:
-        raise TypeError(
-            f"search() takes 1 positional argument ({1 + len(args)} given)"
-        )
-    engine_obj, owned, accelerator, spatial = _resolve(engine, legacy_accelerator)
+    engine_obj, owned = _as_engine(engine)
     try:
         mapper = TemporalMapper(
-            accelerator, spatial, config or MapperConfig(), engine=engine_obj
+            engine_obj.accelerator,
+            engine_obj.spatial_unrolling,
+            config or MapperConfig(),
+            engine=engine_obj,
         )
         results = mapper.search(_as_layer(layer))
         return results[:top] if top is not None else results
@@ -294,7 +194,7 @@ def search(
 
 def evaluate_network(
     layers: Sequence[LayerLike],
-    *args,
+    *,
     engine: Optional[EngineLike] = None,
     config: Optional[MapperConfig] = None,
     apply_im2col: bool = True,
@@ -303,21 +203,13 @@ def evaluate_network(
     """Evaluate ``layers`` back to back; returns a ``NetworkResult``."""
     from repro.analysis.network import NetworkEvaluator
 
-    legacy_accelerator = None
-    if args and _is_engine_like(layers):
-        # Legacy shape: evaluate_network(accelerator, layers).
-        _warn_legacy("evaluate_network")
-        legacy_accelerator, layers = layers, args[0]
-        args = args[1:]
-    if args:
-        raise TypeError(
-            f"evaluate_network() takes 1 positional argument "
-            f"({1 + len(args)} given)"
-        )
-    engine_obj, owned, accelerator, spatial = _resolve(engine, legacy_accelerator)
+    engine_obj, owned = _as_engine(engine)
     try:
         evaluator = NetworkEvaluator(
-            Preset(accelerator=accelerator, spatial_unrolling=spatial),
+            Preset(
+                accelerator=engine_obj.accelerator,
+                spatial_unrolling=engine_obj.spatial_unrolling,
+            ),
             mapper_config=config,
             apply_im2col=apply_im2col,
             with_energy=with_energy,

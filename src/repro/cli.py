@@ -15,7 +15,7 @@ Examples::
     repro-latency evaluate --layer 64,128,1200 --engine serve://127.0.0.1:7421
 
 Every subcommand shares one option set (chip selection, mapper budget,
-engine workers, observability) declared once on a parent parser;
+engine, observability) declared once on a parent parser;
 :func:`build_engine_from_args` turns the parsed options into the
 :class:`~repro.engine.Evaluator` all flows evaluate through — an
 in-process :class:`~repro.engine.EvaluationEngine`, or (with
@@ -66,16 +66,16 @@ from repro.observability import (
 from repro.observability.progress import console_subscriber
 from repro.simulator.engine import CycleSimulator
 from repro.simulator.result import accuracy
-from repro.workload.generator import dense_layer
+from repro.workload.generator import parse_dense_layer
 from repro.workload.im2col import im2col
 from repro.workload.networks import validation_layers
 
 
 def _parse_layer(text: str):
-    parts = [int(p) for p in text.split(",")]
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("layer must be B,K,C (e.g. 64,128,1200)")
-    return dense_layer(*parts)
+    try:
+        return parse_dense_layer(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _preset(args: argparse.Namespace):
@@ -91,9 +91,8 @@ def _preset(args: argparse.Namespace):
 def build_engine_from_args(preset, args: argparse.Namespace):
     """The engine every CLI flow evaluates through (one place, not nine).
 
-    Honors ``--workers`` (process fan-out) and ``--engine URL`` (a
-    :class:`~repro.serve.RemoteEngine` connected to a running
-    ``repro-latency serve`` daemon; the URL wins over ``--workers``).
+    Honors ``--engine URL`` (a :class:`~repro.serve.RemoteEngine`
+    connected to a running ``repro-latency serve`` daemon).
     Subcommand handlers must route all evaluations through the returned
     engine so ``--stats``/``--metrics`` see the whole run.
     """
@@ -102,7 +101,7 @@ def build_engine_from_args(preset, args: argparse.Namespace):
         from repro.serve.client import RemoteEngine
 
         return RemoteEngine(url)
-    return EvaluationEngine.from_preset(preset, workers=args.workers)
+    return EvaluationEngine.from_preset(preset)
 
 
 def _mapper(preset, args: argparse.Namespace) -> TemporalMapper:
@@ -423,15 +422,6 @@ def _cmd_arch_search(args: argparse.Namespace) -> int:
         ),
     )
     search = ArchSearch(config)
-    if args.workers:
-        # Seed the engine lineage from the first design point so the
-        # whole sweep shares one process pool (derive() keeps it).
-        first = next(search.design_points(), None)
-        if first is not None:
-            search.engine = EvaluationEngine.from_preset(
-                first[3], config.mapper_config.model_options,
-                workers=args.workers,
-            )
     print(f"arch-search: {search.space_size()} design point(s) "
           f"({len(scales)} array(s) x {len(pool)} memory config(s) x "
           f"{len(config.gb_bandwidths)} bandwidth(s))")
@@ -663,15 +653,11 @@ def _common_options() -> argparse.ArgumentParser:
     search.add_argument("--limit", type=int, default=6,
                         help="layer-count limit (validate / network)")
     engine = common.add_argument_group("engine")
-    engine.add_argument("--workers", type=int, default=0,
-                        help="evaluate mapper batches on this many worker "
-                             "processes (0 = in-process serial)")
     engine.add_argument("--engine", default=None, metavar="URL",
                         help="evaluate against a running 'repro-latency "
                              "serve' daemon instead of in-process "
                              "(serve://host:port or unix:///path.sock; "
-                             "overrides --workers, and the search runs "
-                             "on the served machine)")
+                             "the search runs on the served machine)")
     obs = common.add_argument_group("observability")
     obs.add_argument("--stats", action="store_true",
                      help="print engine statistics (evaluations, cache "
@@ -978,9 +964,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     ``--events FILE`` installs a :class:`ProgressEmitter` streaming to a
     JSONL sink (plus notable-event console lines, and metrics-registry
     mirroring under ``--metrics``). A ``KeyboardInterrupt`` anywhere in a
-    subcommand exits 130 after the flows have checkpointed: workers
-    drained, partial ledger rows plus a ``kind="interrupted"`` row
-    flushed, and a ``RunInterrupted`` event on the stream.
+    subcommand exits 130 after the flows have checkpointed: partial
+    ledger rows plus a ``kind="interrupted"`` row flushed, and a
+    ``RunInterrupted`` event on the stream.
     """
     args = build_parser().parse_args(argv)
     want_trace = getattr(args, "trace", False) or getattr(args, "trace_out", None)

@@ -78,12 +78,10 @@ class ArchSearch:
     """Run the Case-study-3 sweep for one layer.
 
     All design points evaluate through one :class:`EvaluationEngine`
-    lineage (per-machine engines derived from a shared cache, stats and
-    executor), so revisited (machine, mapping) pairs are free and
+    lineage (per-machine engines derived from a shared cache and stats),
+    so revisited (machine, mapping) pairs are free and
     ``search.engine.stats`` summarizes the whole sweep. Pass ``engine``
-    to pool evaluations with an outer flow, or e.g.
-    ``EvaluationEngine(..., executor="process")`` to fan mapper batches
-    out to worker processes.
+    to pool evaluations with an outer flow.
     """
 
     def __init__(

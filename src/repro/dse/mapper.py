@@ -173,8 +173,7 @@ class TemporalMapper:
         yield from itertools.islice(multiset_permutations(atoms), prefix)
         # Random samples come from fixed-size chunks, each with its own RNG
         # stream derived from (seed, chunk index) — not from one shared
-        # stream — so the sampled set is a pure function of the config and
-        # identical under the serial and parallel evaluation backends
+        # stream — so the sampled set is a pure function of the config
         # (duplicates across chunks are deduplicated by mappings()).
         to_sample = remaining - prefix
         chunk = self.config.sample_chunk

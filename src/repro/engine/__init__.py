@@ -1,4 +1,4 @@
-"""The evaluation engine: caching, batch fan-out and instrumentation.
+"""The evaluation engine: caching, batch evaluation and instrumentation.
 
 All user-facing flows route their model evaluations through
 :class:`EvaluationEngine` (the mapper, architecture search, sensitivity
@@ -10,7 +10,6 @@ story and ``docs/API.md`` ("Evaluation engine") for usage.
 from repro.engine.cache import EvaluationCache
 from repro.engine.evaluation import Evaluation, EvaluationEngine
 from repro.engine.evaluator import Evaluator
-from repro.engine.executors import ProcessBackend, SerialBackend, make_backend
 from repro.observability.stats import EngineStats
 
 __all__ = [
@@ -19,7 +18,4 @@ __all__ = [
     "EvaluationEngine",
     "Evaluator",
     "EngineStats",
-    "ProcessBackend",
-    "SerialBackend",
-    "make_backend",
 ]

@@ -65,8 +65,8 @@ class PartialResultCache:
     """Memo for sub-evaluation intermediates (MUW unions, ...) with counters.
 
     Values are pure functions of their keys, so sharing one instance
-    across engines, accelerators and worker processes is always sound —
-    the key must encode *every* input of the computation (the batch
+    across engines and accelerators is always sound — the key must
+    encode *every* input of the computation (the batch
     evaluator uses ``("muw", window_params, horizon)``). ``hits`` and
     ``misses`` feed :class:`~repro.observability.stats.EngineStats` and
     the ``CacheStats`` progress event.

@@ -11,22 +11,21 @@ kernel deliberately does not have:
   mapping, options), so repeated design points — repeated layer shapes in
   a network, revisited loop orders in a hill climb, shared mappings across
   a sweep — are evaluated once;
-* **batch fan-out** (:meth:`evaluate_many`) over a pluggable executor
-  (serial or process-pool), with chunking that keeps results byte-identical
-  to serial evaluation;
+* **batch evaluation** (:meth:`evaluate_many`): cache misses run in
+  chunks through the vectorized batch core, in list order and in the
+  calling process;
 * an :class:`~repro.observability.stats.EngineStats` **instrumentation
   surface** (evaluations run, hits/misses, wall time per phase), plus
   **observability hooks**: spans on the ambient
-  :class:`~repro.observability.Tracer` (worker-produced span records are
-  merged order-preserving after a process-pool batch), counters /
+  :class:`~repro.observability.Tracer` (each chunk's span records are
+  merged in chunk order, one export track per chunk), counters /
   histograms on the ambient :class:`~repro.observability.MetricsRegistry`,
   and one durable :class:`~repro.observability.RunRecord` per evaluation
-  on the ambient :class:`~repro.observability.RunLedger` (kernel wall
-  times are measured where the kernel ran, even in pool workers).
+  on the ambient :class:`~repro.observability.RunLedger`.
   All default to no-ops and cost nothing when disabled.
 
 Engines are cheap; :meth:`derive` builds one for another machine or
-options while *sharing* the cache, stats and executor — the idiom for
+options while *sharing* the cache and stats — the idiom for
 architecture sweeps where every design point is a different accelerator.
 :meth:`from_preset` is the one canonical constructor shorthand (CLI,
 examples and :mod:`repro.api` all use it).
@@ -36,14 +35,14 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Iterable, List, Optional, Union
+from typing import Iterable, List, Optional
 
 from repro.core.model import LatencyModel
 from repro.core.report import LatencyReport
 from repro.core.step1 import ModelOptions
 from repro.energy.energy_model import EnergyModel, EnergyReport
 from repro.engine.cache import EvaluationCache
-from repro.engine.executors import Backend, ChunkPayload, make_backend
+from repro.engine import executors
 from repro.fingerprint import stable_fingerprint
 from repro.hardware.accelerator import Accelerator
 from repro.mapping.mapping import Mapping
@@ -92,22 +91,13 @@ class EvaluationEngine:
     use_cache:
         Disable to force every evaluation through the kernel (benchmarks
         and ablations; the cache object is still attached but unused).
-    executor:
-        ``"serial"`` (default), ``"process"``, or a backend instance from
-        :mod:`repro.engine.executors` to share a process pool.
-    max_workers:
-        Worker count for the ``"process"`` executor.
     stats:
         A shared :class:`EngineStats`; one is created when omitted.
     chunk_size:
-        Mappings per executor chunk in :meth:`evaluate_many`.
-    batch:
-        ``"auto"`` (default) or ``True`` routes :meth:`evaluate_many`
-        chunks through the vectorized
-        :class:`~repro.core.batch.BatchEvaluator` (bit-for-bit identical
-        numbers, roughly an order of magnitude faster); ``False`` forces
-        the scalar per-mapping kernel. Traced batches always run scalar —
-        the batch core emits no spans.
+        Mappings per chunk in :meth:`evaluate_many`. Untraced chunks run
+        through the vectorized :class:`~repro.core.batch.BatchEvaluator`
+        (bit-for-bit the scalar kernel's numbers); traced chunks run the
+        scalar kernel, because the batch core emits no spans.
 
     Examples
     --------
@@ -124,19 +114,12 @@ class EvaluationEngine:
         cache: Optional[EvaluationCache] = None,
         cache_size: int = 65536,
         use_cache: bool = True,
-        executor: Union[str, Backend] = "serial",
-        max_workers: Optional[int] = None,
         stats: Optional[EngineStats] = None,
         chunk_size: int = 32,
-        batch: Union[bool, str] = "auto",
         spatial_unrolling: Optional[dict] = None,
     ) -> None:
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        if batch not in (True, False, "auto"):
-            raise ValueError(
-                f"batch must be True, False or 'auto', got {batch!r}"
-            )
         self.accelerator = accelerator
         self.options = options or ModelOptions()
         #: The machine's native dataflow (empty = purely temporal). Part
@@ -144,11 +127,9 @@ class EvaluationEngine:
         #: callers holding only an evaluator can still seed a mapper.
         self.spatial_unrolling = dict(spatial_unrolling or {})
         self.use_cache = use_cache
-        self.batch = batch
         self.cache = cache if cache is not None else EvaluationCache(cache_size)
         self.stats = stats if stats is not None else EngineStats()
         self.chunk_size = chunk_size
-        self._backend = make_backend(executor, max_workers)
         self._model = LatencyModel(accelerator, self.options)
         self._energy_model = EnergyModel(accelerator)
         self._accel_fp = accelerator.fingerprint()
@@ -163,26 +144,18 @@ class EvaluationEngine:
         cls,
         preset,
         options: Optional[ModelOptions] = None,
-        *,
-        workers: int = 0,
         **kwargs,
     ) -> "EvaluationEngine":
         """The canonical engine for a preset (or bare accelerator).
 
-        Centralizes the construction boilerplate every entry point used
-        to repeat: ``workers > 0`` selects the process-pool executor with
-        that many workers, ``workers == 0`` the in-process serial one.
-        Extra keyword arguments pass through to the constructor
+        Carries the preset's native spatial unrolling onto the engine.
+        Keyword arguments pass through to the constructor
         (``use_cache=``, ``cache=``, ``chunk_size=``, ...).
 
         ``preset`` may be a :class:`~repro.hardware.presets.Preset` or a
         bare :class:`~repro.hardware.accelerator.Accelerator`.
         """
         accelerator = getattr(preset, "accelerator", preset)
-        if "executor" not in kwargs:
-            kwargs["executor"] = "process" if workers else "serial"
-        if workers and "max_workers" not in kwargs:
-            kwargs["max_workers"] = workers
         if "spatial_unrolling" not in kwargs:
             kwargs["spatial_unrolling"] = getattr(preset, "spatial_unrolling", None)
         return cls(accelerator, options, **kwargs)
@@ -193,7 +166,7 @@ class EvaluationEngine:
         options: Optional[ModelOptions] = None,
     ) -> "EvaluationEngine":
         """An engine for another machine/options sharing this engine's
-        cache, stats and executor backend.
+        cache and stats.
 
         Fingerprinted cache keys keep entries from different machines
         apart, so a whole architecture or sensitivity sweep can pool its
@@ -204,10 +177,8 @@ class EvaluationEngine:
             options if options is not None else self.options,
             cache=self.cache,
             use_cache=self.use_cache,
-            executor=self._backend,
             stats=self.stats,
             chunk_size=self.chunk_size,
-            batch=self.batch,
             # The native dataflow belongs to the machine: it travels with
             # an unchanged accelerator but not onto a different one.
             spatial_unrolling=(
@@ -218,19 +189,14 @@ class EvaluationEngine:
         )
 
     def close(self) -> None:
-        """Shut down the executor backend (no-op for the serial backend)."""
-        self._backend.close()
+        """No-op: the engine holds no resources; the ``Evaluator``
+        protocol requires ``close``."""
 
     def __enter__(self) -> "EvaluationEngine":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    @property
-    def parallel(self) -> bool:
-        """Whether batches fan out to worker processes."""
-        return self._backend.name == "process"
 
     @property
     def accelerator_fingerprint(self) -> str:
@@ -381,22 +347,22 @@ class EvaluationEngine:
     ) -> List[Optional[Evaluation]]:
         """Evaluate a batch of mappings, preserving order.
 
-        Cache hits are answered immediately; misses are chunked onto the
-        executor backend. The result list is parallel to the input:
+        Cache hits are answered immediately; misses are evaluated in
+        chunks of ``chunk_size``. The result list is parallel to the input:
         entry ``i`` is an :class:`Evaluation`, or ``None`` when mapping
         ``i`` raised :class:`MappingError` (infeasible under ``validate``
         or inconsistent with the machine's memory depth).
 
         When a tracer is ambient, every chunk's spans (mapping candidates
-        with their full step1/2/3 anatomy) are collected — in the worker
-        for the process backend — and merged under this batch's span in
-        chunk order, each chunk on its own export track.
+        with their full step1/2/3 anatomy) are collected and merged under
+        this batch's span in chunk order, each chunk on its own export
+        track.
 
         When a progress emitter is ambient, the batch accrues into the
         caller's open ``unit="evals"`` run (a mapper search) or opens its
         own ``engine.batch`` run, emitting a heartbeat + chunk event as
-        each chunk's :class:`~repro.engine.executors.ChunkTiming` arrives
-        from the worker. Ledger rows are flushed **per chunk** — so a
+        each chunk's :class:`~repro.engine.executors.ChunkTiming` arrives.
+        Ledger rows are flushed **per chunk** — so a
         Ctrl-C mid-batch still leaves every completed evaluation plus one
         ``kind="interrupted"`` checkpoint row before the interrupt
         propagates to the caller.
@@ -478,24 +444,19 @@ class EvaluationEngine:
                 pending[at : at + self.chunk_size]
                 for at in range(0, len(pending), self.chunk_size)
             ]
-            use_batch = self.batch in (True, "auto") and not tracer.enabled
-            payloads: List[ChunkPayload] = [
-                (
-                    self.accelerator,
-                    self.options,
-                    tuple(mappings[i] for i in chunk),
-                    validate,
-                    with_energy,
-                    tracer.enabled,
-                    use_batch,
-                )
-                for chunk in chunks
-            ]
             t0 = time.perf_counter() if metrics.enabled else 0.0
             try:
-                for chunk_index, (chunk, (outcomes, records, timing)) in enumerate(
-                    zip(chunks, self._backend.map_chunks(payloads))
-                ):
+                for chunk_index, chunk in enumerate(chunks):
+                    # Looked up on the module at call time, so wrappers
+                    # installed on executors.evaluate_chunk see every chunk.
+                    outcomes, records, timing = executors.evaluate_chunk(
+                        self.accelerator,
+                        self.options,
+                        tuple(mappings[i] for i in chunk),
+                        validate,
+                        with_energy,
+                        tracer.enabled,
+                    )
                     tracer.merge(records, track=chunk_index + 1)
                     for i, outcome in zip(chunk, outcomes):
                         if outcome is None:
@@ -520,9 +481,9 @@ class EvaluationEngine:
                     if ledger_rows:
                         ledger.append_many(ledger_rows)
                         ledger_rows = []
-                    self.stats.batched_evaluations += getattr(timing, "batched", 0)
-                    self.stats.partial_hits += getattr(timing, "partial_hits", 0)
-                    self.stats.partial_misses += getattr(timing, "partial_misses", 0)
+                    self.stats.batched_evaluations += timing.batched
+                    self.stats.partial_hits += timing.partial_hits
+                    self.stats.partial_misses += timing.partial_misses
                     if run is not None:
                         run.advance(
                             len(chunk),
@@ -561,13 +522,11 @@ class EvaluationEngine:
     ) -> None:
         """Checkpoint a Ctrl-C'd batch before the interrupt propagates.
 
-        Drains the executor (cancelling chunks not yet started), flushes
-        any unflushed evaluation rows plus one ``kind="interrupted"``
-        marker, and closes the progress run — but only a run this batch
+        Flushes any unflushed evaluation rows plus one
+        ``kind="interrupted"`` marker, and closes the progress run — but only a run this batch
         opened itself; an enclosing search owns its run's lifecycle and
         will emit its own :class:`RunInterrupted`.
         """
-        self._backend.close(cancel=True)
         if ledger.enabled:
             ledger.append_many(ledger_rows)
             ledger.append(record_interruption(

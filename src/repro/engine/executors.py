@@ -1,31 +1,22 @@
-"""Batch-evaluation backends: in-process serial and process-pool fan-out.
+"""Chunk evaluation: the unit of work behind ``EvaluationEngine.evaluate_many``.
 
-The engine splits a batch of mappings into chunks and hands each chunk to
-a backend as a self-contained payload ``(accelerator, options, mappings,
-validate, with_energy, trace)`` — optionally extended with a seventh
-``use_batch`` flag that routes the chunk through the vectorized
-:class:`~repro.core.batch.BatchEvaluator` (older 6-tuples keep working).
-Chunks are dispatched and reassembled in list order, so the serial and
-parallel backends produce byte-identical result sequences — worker
-scheduling can never reorder or change the numbers.
+The engine splits a batch of mappings into chunks and runs each chunk, in
+list order and in the calling process, through :func:`evaluate_chunk`.
+An untraced chunk goes through the vectorized
+:class:`~repro.core.batch.BatchEvaluator`; a traced one runs the scalar
+kernel per mapping, because the batch core emits no spans.
 
-Tracing survives the fan-out: when the payload's ``trace`` flag is set,
-:func:`evaluate_chunk` runs under a chunk-local
-:class:`~repro.observability.Tracer` and returns its serializable span
-records alongside the results. The engine merges them back — in chunk
-order — under its batch span, so a process-pool run reconstructs the same
-span tree a serial run builds in place (modulo timestamps). Both backends
-take the same path, which is what makes that equality structural rather
-than coincidental.
+Tracing runs under a chunk-local :class:`~repro.observability.Tracer`:
+:func:`evaluate_chunk` returns its span records alongside the results
+and the engine merges them back, in chunk order, under its batch span,
+each chunk on its own export track.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple
 
 from repro.core.batch import BatchEvaluator, BatchLoweringError
 from repro.core.model import LatencyModel
@@ -39,23 +30,14 @@ from repro.observability.progress import worker_id
 from repro.observability.span import SpanRecord
 from repro.observability.tracer import Tracer, use_tracer
 
-#: One chunk of work shipped to a backend (picklable end to end). A
-#: seventh ``use_batch: bool`` element may follow; it is optional so
-#: pre-batching payload producers stay valid.
-ChunkPayload = Tuple[
-    Accelerator, ModelOptions, Tuple[Mapping, ...], bool, bool, bool
-]
-
 #: MUW-union memo shared by every batched chunk this process evaluates.
 #: Keys encode all inputs of the memoized computation, so one cache per
-#: worker process is sound across accelerators, options and layers — and
-#: it is exactly what makes re-evaluating a perturbed mapping cheap: a
+#: process is sound across accelerators, options and layers — and it is
+#: exactly what makes re-evaluating a perturbed mapping cheap: a
 #: hill-climb neighbor reuses most of its parent's window unions.
 _PARTIAL_CACHE = PartialResultCache()
 #: Per-mapping outcome: (latency report, optional energy report, kernel
-#: wall seconds — measured where the kernel ran, so process-pool runs
-#: ledger honest per-evaluation times), or None when the mapping raised
-#: MappingError.
+#: wall seconds), or None when the mapping raised MappingError.
 ChunkOutcomes = List[
     Optional[Tuple[LatencyReport, Optional[EnergyReport], float]]
 ]
@@ -63,69 +45,58 @@ ChunkOutcomes = List[
 
 @dataclasses.dataclass(frozen=True)
 class ChunkTiming:
-    """Per-chunk liveness/timing a worker ships home with its results.
-
-    This rides the same pickled return channel as the outcomes — the
-    parent process stays the sole writer of the progress stream and the
-    ledger, so no cross-process queue or lock is needed.
-    """
+    """Per-chunk liveness/timing returned with the chunk's results; the
+    engine turns it into progress events and engine stats."""
 
     worker: str          # "pid:<pid>" of the process that ran the chunk
-    wall_s: float        # chunk wall time, measured where it ran
+    wall_s: float        # chunk wall time
     evaluated: int       # mappings that produced a report
     errors: int          # mappings that raised MappingError
     batched: int = 0     # evaluations served by the vectorized batch core
-    partial_hits: int = 0    # MUW-memo hits this chunk (worker-local cache)
+    partial_hits: int = 0    # MUW-memo hits this chunk
     partial_misses: int = 0  # MUW-memo misses this chunk
 
 
-#: What a backend returns per chunk: the outcomes, the chunk-local span
-#: records (empty unless the payload requested tracing), and the chunk's
-#: timing/heartbeat.
+#: What :func:`evaluate_chunk` returns: the outcomes, the chunk-local span
+#: records (empty unless tracing was requested), and the chunk's timing.
 ChunkResult = Tuple[ChunkOutcomes, List[SpanRecord], ChunkTiming]
 
 
-def evaluate_chunk(payload: ChunkPayload) -> ChunkResult:
-    """Evaluate one chunk of mappings; the unit of work a backend runs.
-
-    Module-level (not a closure) so process pools can pickle it.
-    """
-    accelerator, options, mappings, validate, with_energy, trace = payload[:6]
-    use_batch = bool(payload[6]) if len(payload) > 6 else False
+def evaluate_chunk(
+    accelerator: Accelerator,
+    options: ModelOptions,
+    mappings: Tuple[Mapping, ...],
+    validate: bool,
+    with_energy: bool,
+    trace: bool,
+) -> ChunkResult:
+    """Evaluate one chunk of mappings, batched unless ``trace`` is set."""
     model = LatencyModel(accelerator, options)
     energy_model = EnergyModel(accelerator) if with_energy else None
-    out: ChunkOutcomes = []
-    batched = 0
-    tracer = Tracer() if trace else None
     chunk_t0 = time.perf_counter()
     hits0, misses0 = _PARTIAL_CACHE.hits, _PARTIAL_CACHE.misses
-
-    def run() -> None:
-        for mapping in mappings:
-            t0 = time.perf_counter()
-            try:
-                report = model.evaluate(mapping, validate=validate)
-            except MappingError:
-                out.append(None)
-                continue
-            energy = energy_model.evaluate(mapping) if energy_model else None
-            out.append((report, energy, time.perf_counter() - t0))
-
-    if tracer is None and use_batch:
+    records: List[SpanRecord] = []
+    if trace:
+        out: ChunkOutcomes = []
+        batched = 0
+        tracer = Tracer()
+        with use_tracer(tracer):
+            for mapping in mappings:
+                t0 = time.perf_counter()
+                try:
+                    report = model.evaluate(mapping, validate=validate)
+                except MappingError:
+                    out.append(None)
+                    continue
+                energy = energy_model.evaluate(mapping) if energy_model else None
+                out.append((report, energy, time.perf_counter() - t0))
+        records = tracer.records
+    else:
         # The batch core produces bit-for-bit the numbers of the scalar
-        # loop above (a registered verify property); it does not emit
-        # spans, so traced chunks keep the scalar path.
+        # loop above (a registered verify property).
         out, batched = _run_batched(
             model, accelerator, options, mappings, validate, energy_model
         )
-        records: List[SpanRecord] = []
-    elif tracer is None:
-        run()
-        records = []
-    else:
-        with use_tracer(tracer):
-            run()
-        records = tracer.records
     errors = sum(1 for outcome in out if outcome is None)
     timing = ChunkTiming(
         worker=worker_id(),
@@ -203,76 +174,3 @@ def _run_batched(
         energy = energy_model.evaluate(mappings[i]) if energy_model else None
         out[i] = (report, energy, time.perf_counter() - t0)
     return out, batched
-
-
-class SerialBackend:
-    """Evaluate chunks in the calling process, one after the other.
-
-    ``map_chunks`` yields per chunk (it does not collect the batch), so
-    the engine's progress/ledger checkpoints land as each chunk
-    completes rather than after the whole batch.
-    """
-
-    name = "serial"
-
-    def map_chunks(self, payloads: Sequence[ChunkPayload]) -> Iterator[ChunkResult]:
-        return (evaluate_chunk(p) for p in payloads)
-
-    def close(self, cancel: bool = False) -> None:
-        pass
-
-
-class ProcessBackend:
-    """Fan chunks out to a lazily created :class:`ProcessPoolExecutor`.
-
-    The pool is created on first use and reused across batches (worker
-    start-up dominates otherwise). ``map_chunks`` returns the pool's
-    ordered result iterator — all chunks are submitted up front, results
-    stream back in submission order as workers finish them — so numbers
-    are identical to the serial backend's while progress events and
-    ledger checkpoints stay live.
-    """
-
-    name = "process"
-
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        self.max_workers = max_workers or min(8, os.cpu_count() or 1)
-        self._pool: Optional[ProcessPoolExecutor] = None
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
-        return self._pool
-
-    def map_chunks(self, payloads: Sequence[ChunkPayload]) -> Iterator[ChunkResult]:
-        payloads = list(payloads)
-        if len(payloads) <= 1:
-            # Not worth shipping to a worker; also keeps tiny batches exact
-            # on platforms where pool start-up is expensive.
-            return (evaluate_chunk(p) for p in payloads)
-        return self._ensure_pool().map(evaluate_chunk, payloads)
-
-    def close(self, cancel: bool = False) -> None:
-        """Shut the pool down; ``cancel`` drops chunks not yet started
-        (the SIGINT drain — running chunks still finish)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=cancel)
-            self._pool = None
-
-
-Backend = Union[SerialBackend, ProcessBackend]
-
-
-def make_backend(
-    executor: Union[str, Backend], max_workers: Optional[int] = None
-) -> Backend:
-    """Resolve an ``executor`` spec: ``"serial"``, ``"process"``, or an instance."""
-    if isinstance(executor, str):
-        if executor == "serial":
-            return SerialBackend()
-        if executor == "process":
-            return ProcessBackend(max_workers)
-        raise ValueError(
-            f"unknown executor {executor!r} (expected 'serial' or 'process')"
-        )
-    return executor

@@ -6,11 +6,10 @@ Zero-dependency substrate with four pieces (see ``docs/OBSERVABILITY.md``):
 * :class:`Tracer` — hierarchical spans over the evaluation tree
   (network -> layer -> mapping candidate -> step1/2/3 -> per-DTL) carrying
   wall time *and* model-domain attributes (SS_u, MUW parameters, the
-  Eq. (1)/(2) combine decision, scenario classification). Spans survive
-  process-pool fan-out: workers ship serializable
-  :class:`~repro.observability.span.SpanRecord` lists home and the engine
-  merges them order-preserving, so serial and parallel runs produce the
-  same tree modulo timestamps.
+  Eq. (1)/(2) combine decision, scenario classification). Each batch
+  chunk records into a chunk-local tracer whose serializable
+  :class:`~repro.observability.span.SpanRecord` list the engine merges
+  order-preserving, one export track per chunk.
 * :class:`MetricsRegistry` — counters / gauges / histograms (cache hit
   ratio, evaluations per second, mapper samples, per-phase latency
   percentiles) with JSON and Prometheus-text exporters.

@@ -12,9 +12,8 @@ best design so far?" through a typed event stream:
 * :class:`ChunkCompleted` reports a unit of work done — the engine emits
   one per executor chunk, carrying the worker that ran it, its wall
   time, cumulative progress and a rolling evals/sec + ETA estimate;
-* :class:`Heartbeat` marks a worker as alive (workers piggyback their
-  identity and per-chunk timing on the ChunkOutcome channel back to the
-  parent process, which is the sole writer of the stream);
+* :class:`Heartbeat` marks a worker as alive (each chunk's timing
+  carries the identity of the process that ran it);
 * :class:`BestSoFar` announces an improved incumbent objective;
 * :class:`CacheStats` snapshots the engine cache hit rate;
 * :class:`WorkerStalled` is a derived warning — a worker silent past a

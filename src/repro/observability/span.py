@@ -2,10 +2,10 @@
 
 A :class:`SpanRecord` is one timed, attributed node of the evaluation
 tree (network -> layer -> mapping candidate -> step1/2/3 -> per-DTL).
-Records are plain mutable dataclasses so they pickle cheaply across
-process-pool workers; the hierarchy lives in ``parent_id`` links rather
-than object nesting, which is what makes order-preserving merges of
-worker-produced records possible (:meth:`repro.observability.Tracer.merge`).
+Records are plain mutable dataclasses that serialize cheaply (the serve
+daemon ships them to its clients); the hierarchy lives in ``parent_id``
+links rather than object nesting, which is what makes order-preserving
+merges of foreign records possible (:meth:`repro.observability.Tracer.merge`).
 
 Wall-clock fields (``start_us`` / ``duration_us``) are microseconds from
 ``time.perf_counter`` — meaningful within one process only. Everything a
@@ -105,7 +105,7 @@ def tree_shape(records: Sequence[SpanRecord]) -> Tuple:
 
     Two runs are "the same trace modulo timestamps" iff their shapes are
     equal: same names, same attributes, same child order. This is the
-    equality the serial-vs-process-pool tests assert.
+    equality the trace-shape tests assert.
     """
 
     def shape(node: SpanNode) -> Tuple:

@@ -10,10 +10,10 @@ Design rules:
   shared no-op span. No record, no dict, no timestamps are allocated.
   Attribute-heavy instrumentation must guard on ``tracer.enabled``.
 * **Spans are flat records, not nested objects.** The tree lives in
-  parent links (:mod:`repro.observability.span`), so worker processes can
-  ship their records home and :meth:`Tracer.merge` grafts them — in chunk
-  order — under the caller's current span. Serial and process-pool runs
-  therefore produce the *same tree modulo timestamps* by construction.
+  parent links (:mod:`repro.observability.span`), so chunk-local tracers
+  and the serve daemon can hand their records over and
+  :meth:`Tracer.merge` grafts them — in order — under the caller's
+  current span.
 * **Activation is scoped.** ``with use_tracer(tracer): ...`` installs a
   tracer for the dynamic extent of a block (and the contextvar keeps
   concurrent asyncio/thread users isolated).
@@ -147,14 +147,15 @@ class Tracer:
     # -- cross-process merge -------------------------------------------- #
 
     def merge(self, records: Sequence[SpanRecord], track: int = 0) -> None:
-        """Graft foreign (worker-produced) records under the current span.
+        """Graft foreign (chunk- or daemon-produced) records under the
+        current span.
 
         Ids are remapped into this tracer's sequence and the subtree is
         re-rooted at the currently open span; record order — and with it
         sibling order — is preserved, so merging chunk results in chunk
-        order yields the same tree the serial backend builds in place.
+        order yields the same tree as recording them in place.
         Timestamps are shifted so the grafted subtree starts where the
-        merge happens (worker clocks are not comparable to ours);
+        merge happens (foreign clocks are not comparable to ours);
         ``track`` labels the subtree's export lane.
         """
         if not records:

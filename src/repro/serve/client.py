@@ -314,11 +314,6 @@ class RemoteEngine:
             self._options_fp = stable_fingerprint(self.options)
         return self._options_fp
 
-    @property
-    def parallel(self) -> bool:
-        """Remote batches are sharded server-side, not forked client-side."""
-        return False
-
     def derive(
         self,
         accelerator: Optional[Accelerator] = None,

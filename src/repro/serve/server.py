@@ -913,7 +913,6 @@ class EvaluationServer:
                 item.options,
                 cache=self._caches[shard],
                 stats=self.engine_stats,
-                executor="serial",
             )
             self._engines[shard][key] = engine
         return engine

@@ -3,13 +3,15 @@
 Case study 2 (Fig. 7) varies the Dense layer dimensions B/K/C between 8 and
 512 on a fixed accelerator and inspects the latency breakdown.
 :func:`bkc_sweep` regenerates the swept layer list; :func:`dense_layer` is
-the one-liner used throughout examples and tests.
+the one-liner used throughout examples and tests, and
+:func:`parse_dense_layer` reads its ``B,K,C`` shorthand.
 """
 
 from __future__ import annotations
 
+import operator
 import random
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.workload.dims import LoopDim
 from repro.workload.layer import LayerSpec, LayerType, Precision
@@ -29,6 +31,26 @@ def dense_layer(
         precision=precision or Precision(),
         name=name or f"dense({b},{k},{c})",
     )
+
+
+def parse_dense_layer(spec: Union[str, Sequence[int]]) -> LayerSpec:
+    """The Dense layer of a ``"B,K,C"`` string or a ``(B, K, C)`` sequence.
+
+    Raises :class:`ValueError`, naming the ``B,K,C`` form, unless there
+    are exactly three integer parts (floats such as ``64.7`` and words
+    are rejected, never truncated).
+    """
+    try:
+        parts = spec.split(",") if isinstance(spec, str) else list(spec)
+        bounds = [int(p) if isinstance(p, str) else operator.index(p) for p in parts]
+    except (TypeError, ValueError):
+        bounds = []
+    if len(bounds) != 3:
+        raise ValueError(
+            f"layer must be three integers B,K,C (e.g. 64,128,1200), "
+            f"got {spec!r}"
+        )
+    return dense_layer(*bounds)
 
 
 def bkc_sweep(

@@ -47,6 +47,14 @@ def test_sampled_space_respects_budget(case_mapper, case1_layer):
     assert len(orders) >= 24  # at least the seeds
 
 
+def test_sampled_orders_deterministic(case_preset):
+    big = dense_layer(64, 128, 1200)
+    config = MapperConfig(max_enumerated=20, samples=60, seed=3)
+    mapper_a = TemporalMapper(case_preset.accelerator, case_preset.spatial_unrolling, config)
+    mapper_b = TemporalMapper(case_preset.accelerator, case_preset.spatial_unrolling, config)
+    assert list(mapper_a.orders(big)) == list(mapper_b.orders(big))
+
+
 def test_seed_orders_contain_stationarity_corners(case_mapper, case1_layer):
     atoms = case_mapper.loop_multiset(case1_layer)
     seeds = list(case_mapper._seed_orders(case1_layer, atoms))

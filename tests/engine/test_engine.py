@@ -131,6 +131,34 @@ def test_evaluate_many_preserves_order_and_values(preset, mappings):
         assert outcome.report.total_cycles == model.evaluate(mapping).total_cycles
 
 
+def test_evaluate_many_runs_chunks_through_the_module_hooks(
+    preset, mappings, monkeypatch
+):
+    # Wrappers installed on the executors module by name (as a profiler
+    # would install them) must see every chunk of a cache-miss batch.
+    from repro.engine import executors
+
+    calls = {"evaluate_chunk": 0, "_run_batched": 0}
+
+    def counting(name):
+        original = getattr(executors, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(executors, name, wrapper)
+
+    counting("evaluate_chunk")
+    counting("_run_batched")
+    engine = EvaluationEngine(preset.accelerator, chunk_size=2)
+    outcomes = engine.evaluate_many(mappings)
+    chunks = -(-len(mappings) // 2)
+    assert chunks > 1
+    assert calls == {"evaluate_chunk": chunks, "_run_batched": chunks}
+    assert all(outcome is not None for outcome in outcomes)
+
+
 def test_evaluate_many_second_pass_is_all_hits(preset, mappings):
     engine = EvaluationEngine(preset.accelerator)
     engine.evaluate_many(mappings)

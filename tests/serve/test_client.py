@@ -62,7 +62,6 @@ def test_client_satisfies_the_evaluator_protocol(server):
     client = connect(server.url)
     assert isinstance(client, Evaluator)
     assert isinstance(client, RemoteEngine)
-    assert client.parallel is False
     assert client.accelerator is not None  # adopted from the hello handshake
     assert client.accelerator_fingerprint
     assert client.options_fingerprint
@@ -121,7 +120,7 @@ def test_evaluate_many_mixed_feasibility(server):
         by_accel.setdefault(case.accelerator.fingerprint(), []).append(case)
     fp, group = max(by_accel.items(), key=lambda kv: len(kv[1]))
     eng = client.derive(accelerator=group[0].accelerator)
-    local = EvaluationEngine(group[0].accelerator, executor="serial")
+    local = EvaluationEngine(group[0].accelerator)
     mappings = [c.mapping for c in group]
     got = eng.evaluate_many(mappings, validate=True)
     want = local.evaluate_many(mappings, validate=True)

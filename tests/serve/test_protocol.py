@@ -24,7 +24,7 @@ from repro.verify.generators import sample_cases
 
 def _feasible_case():
     for case in sample_cases(seed=3, count=10):
-        engine = EvaluationEngine(case.accelerator, executor="serial")
+        engine = EvaluationEngine(case.accelerator)
         try:
             return case, engine.evaluate(case.mapping)
         except Exception:
@@ -201,7 +201,7 @@ def test_report_roundtrip_is_exact_on_every_gated_metric():
 
 
 def test_energy_roundtrip_is_exact():
-    engine = EvaluationEngine(CASE.accelerator, executor="serial")
+    engine = EvaluationEngine(CASE.accelerator)
     energy = engine.evaluate_energy(CASE.mapping)
     data = json.loads(json.dumps(protocol.energy_to_dict(energy)))
     back = protocol.energy_from_dict(data)

@@ -87,7 +87,7 @@ def test_batch_parity_and_infeasible_none_slots(server):
     fp, group = max(by_accel.items(), key=lambda kv: len(kv[1]))
     accelerator = group[0].accelerator
     mappings = [case.mapping for case in group]
-    local = EvaluationEngine(accelerator, executor="serial")
+    local = EvaluationEngine(accelerator)
     client = connect(server.url)
     remote = client.derive(accelerator=accelerator)
     want = local.evaluate_many(mappings, validate=True)
@@ -292,7 +292,7 @@ def test_unix_socket_transport(make_server, tmp_path):
     assert handle.url.startswith("unix://")
     client = connect(handle.url)
     case = next(iter(sample_cases(seed=11, count=1)))
-    local = EvaluationEngine(case.accelerator, executor="serial")
+    local = EvaluationEngine(case.accelerator)
     got = client.derive(accelerator=case.accelerator).evaluate(case.mapping)
     _assert_parity(local.evaluate(case.mapping), got)
     client.close()

@@ -17,7 +17,7 @@ PARITY_FIELDS = (
 def _evaluated_cases(count=4, seed=5):
     out = []
     for case in sample_cases(seed=seed, count=count + 6):
-        engine = EvaluationEngine(case.accelerator, executor="serial")
+        engine = EvaluationEngine(case.accelerator)
         try:
             report = engine.evaluate(case.mapping)
         except Exception:

@@ -74,7 +74,7 @@ def test_stitched_kernel_subtree_matches_in_process_trace(server):
 
     local_tracer = Tracer()
     with use_tracer(local_tracer):
-        EvaluationEngine(case.accelerator, executor="serial").evaluate(
+        EvaluationEngine(case.accelerator).evaluate(
             case.mapping
         )
     local_roots = span_tree(local_tracer.records)

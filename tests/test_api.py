@@ -1,4 +1,4 @@
-"""The repro.api facade: layer-first verbs, engine= coercion, legacy shim."""
+"""The repro.api facade: layer-first verbs and engine= coercion."""
 
 import warnings
 
@@ -13,14 +13,6 @@ from repro.hardware.presets import case_study_accelerator
 from repro.workload.generator import dense_layer
 
 FAST = MapperConfig(max_enumerated=40, samples=30)
-
-
-@pytest.fixture(autouse=True)
-def _fresh_legacy_warning_state():
-    """Each test sees the one-per-process legacy warning as unfired."""
-    api._legacy_warned = False
-    yield
-    api._legacy_warned = False
 
 
 # --------------------------------------------------------------------- #
@@ -98,74 +90,25 @@ def test_bad_inputs_raise():
         api.evaluate("16,32,64", engine=42)
     with pytest.raises(ValueError, match="B,K,C"):
         api.evaluate("16,32", config=FAST)
+    with pytest.raises(ValueError, match="B,K,C"):
+        api.evaluate((16, 32), config=FAST)
+    with pytest.raises(ValueError, match="B,K,C"):
+        api.evaluate((64.7, 128, 1200), config=FAST)
+    with pytest.raises(ValueError, match="B,K,C"):
+        api.evaluate("1,2,x", config=FAST)
     with pytest.raises(TypeError, match="positional"):
         api.evaluate("16,32,64", None, "extra")
 
 
 # --------------------------------------------------------------------- #
-# Legacy accelerator-first shapes: still work, warn once per process
+# Accelerator-first call shapes are rejected
 # --------------------------------------------------------------------- #
 
-def test_legacy_shape_works_and_warns_once():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        report = api.evaluate("case-study", "16,32,64", config=FAST)
-        api.evaluate("case-study", "16,32,64", config=FAST)
-    assert report.total_cycles > 0
-    deprecations = [
-        w for w in caught if issubclass(w.category, DeprecationWarning)
-    ]
-    assert len(deprecations) == 1
-    assert "engine=" in str(deprecations[0].message)
-
-
-def test_legacy_matches_modern_shape():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        preset = case_study_accelerator()
-        old = api.evaluate(preset, "16,32,64", config=FAST)
-    new = api.evaluate("16,32,64", engine=preset, config=FAST)
-    assert old.total_cycles == new.total_cycles
-
-
-def test_legacy_search_and_network_shapes():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        results = api.search("case-study", "16,32,64", config=FAST, top=1)
-        net = api.evaluate_network("case-study", ["16,32,64"], config=FAST)
-    assert results and results[0].report.total_cycles > 0
-    assert net.total_cycles > 0
-    assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-
-
-def test_legacy_explicit_mapping_positional():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        preset = case_study_accelerator()
-        results = api.search(preset, "16,32,64", config=FAST, top=1)
-        report = api.evaluate(preset, "16,32,64", results[0].mapping)
-    assert report.total_cycles == results[0].report.total_cycles
-
-
-def test_legacy_engine_kwarg_still_supplies_cache():
-    # Pre-PR 7 idiom: positional accelerator for geometry, engine= for
-    # cache/stats sharing. Both must keep composing.
-    preset = case_study_accelerator()
-    engine = EvaluationEngine.from_preset(preset)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        api.evaluate(preset, "16,32,64", config=FAST, engine=engine)
-        assert engine.stats.evaluations > 0
-        before = engine.stats.evaluations
-        api.evaluate(preset, "16,32,64", config=FAST, engine=engine)
-    assert engine.stats.evaluations == before
-
-
-def test_legacy_bad_accelerator_raises_coercion_error():
-    with pytest.raises(ValueError, match="unknown engine"):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            api.evaluate("warp-drive", "16,32,64")
+def test_accelerator_first_shapes_raise_type_error():
+    with pytest.raises(TypeError):
+        api.evaluate("case-study", "64,128,1200")
+    with pytest.raises(TypeError):
+        api.search("case-study", "64,128,1200")
 
 
 # --------------------------------------------------------------------- #
@@ -184,13 +127,11 @@ def test_top_level_reexports():
         assert name in repro.__all__
 
 
-def test_from_preset_builds_serial_and_process_engines():
+def test_from_preset_builds_engines():
     preset = case_study_accelerator()
-    serial = EvaluationEngine.from_preset(preset)
-    assert serial.accelerator is preset.accelerator
-    assert not serial.parallel
-    with EvaluationEngine.from_preset(preset, workers=2) as parallel:
-        assert parallel.parallel
+    engine = EvaluationEngine.from_preset(preset)
+    assert engine.accelerator is preset.accelerator
+    assert engine.spatial_unrolling == preset.spatial_unrolling
     bare = EvaluationEngine.from_preset(preset.accelerator)
     assert bare.accelerator is preset.accelerator
 

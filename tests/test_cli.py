@@ -12,10 +12,13 @@ def test_parser_subcommands():
     assert args.layer.total_macs == 8 * 16 * 32
 
 
-def test_layer_parse_error():
+def test_layer_parse_error(capsys):
     parser = build_parser()
-    with pytest.raises(SystemExit):
-        parser.parse_args(["evaluate", "--layer", "8,16"])
+    for bad in ("8,16", "8,16.5,32", "8,x,32"):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["evaluate", "--layer", bad])
+        assert exc.value.code == 2
+        assert "B,K,C" in capsys.readouterr().err
 
 
 def test_evaluate_command_runs(capsys):
@@ -213,23 +216,20 @@ def test_common_flags_shared_across_subcommands():
         ("network", []),
     ):
         args = parser.parse_args(
-            [command, *extra, "--workers", "2", "--trace", "--metrics",
-             "--gb-bw", "256"]
+            [command, *extra, "--trace", "--metrics", "--gb-bw", "256"]
         )
-        assert args.workers == 2
         assert args.trace and args.metrics
         assert args.gb_bw == 256.0
         assert args.trace_out is None
 
 
-def test_build_engine_from_args_honors_workers():
+def test_build_engine_from_args_defaults_to_in_process_engine():
     from repro.cli import build_engine_from_args, _preset
+    from repro.engine import EvaluationEngine
 
     parser = build_parser()
     args = parser.parse_args(["evaluate", "--layer", "8,16,32"])
-    engine = build_engine_from_args(_preset(args), args)
-    assert not engine.parallel
-    args = parser.parse_args(["evaluate", "--layer", "8,16,32",
-                              "--workers", "2"])
-    with build_engine_from_args(_preset(args), args) as engine:
-        assert engine.parallel
+    preset = _preset(args)
+    engine = build_engine_from_args(preset, args)
+    assert isinstance(engine, EvaluationEngine)
+    assert engine.accelerator is preset.accelerator
