@@ -538,7 +538,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    """Boot the sharded evaluation daemon (see ``docs/SERVICE.md``).
+    """Boot the evaluation daemon (see ``docs/SERVICE.md``).
 
     Runs until SIGINT/SIGTERM or a client ``shutdown`` frame, then
     drains: queued requests get clean errors, in-flight evaluations
@@ -558,7 +558,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         socket_path=args.socket,
-        shards=args.shards,
         queue_depth=args.queue_depth,
         ledger=ledger if ledger.enabled else None,
         warm_start=tuple(args.warm_start or ()),
@@ -573,8 +572,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         admin = f", admin {server.admin.url}" if server.admin else ""
         print(
             f"serving {preset.accelerator.name} on {url} "
-            f"({config.shards} shard(s), "
-            f"{server.store.warm_rows} warm row(s){admin})",
+            f"({server.store.warm_rows} warm row(s){admin})",
             flush=True,
         )
 
@@ -794,7 +792,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve",
-        help="boot the sharded evaluation daemon: line-framed JSON over "
+        help="boot the evaluation daemon: line-framed JSON over "
              "TCP or a Unix socket, request coalescing, a persistent "
              "result store warm-started from prior ledgers; clients "
              "connect with --engine serve://host:port",
@@ -813,11 +811,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="TCP port (0 = ephemeral; see --ready-file)")
     serve.add_argument("--socket", default=None, metavar="PATH",
                        help="serve on a Unix socket instead of TCP")
-    serve.add_argument("--shards", type=int, default=2,
-                       help="engine shards (single-thread workers; "
-                            "requests route by mapping fingerprint)")
     serve.add_argument("--queue-depth", type=int, default=128,
-                       help="bounded per-shard queue length (backpressure)")
+                       help="bounded kernel queue length (backpressure)")
     serve.add_argument("--warm-start", action="append", default=None,
                        metavar="SNAPSHOT",
                        help="ledger snapshot (SQLite or JSONL) whose "

@@ -3,7 +3,7 @@
 The in-process tracer (:mod:`repro.observability.tracer`) dies at the
 socket: a :class:`~repro.serve.client.RemoteEngine` caller's trace used
 to end at "wrote request, read response", with the daemon's queue-wait /
-shard / kernel time invisible. This module is the bridge:
+kernel time invisible. This module is the bridge:
 
 * **Context propagation** — :func:`inject_trace` captures the ambient
   tracer's identity (``trace_id``, the currently open ``span_id``, a
@@ -19,11 +19,11 @@ shard / kernel time invisible. This module is the bridge:
   plain JSON (same tolerance rules). The server ships its finished
   request subtree back in the response; the client grafts it under its
   transport span with :meth:`~repro.observability.Tracer.merge`, so the
-  Chrome export shows client -> daemon -> shard in one timeline.
+  Chrome export shows client -> daemon -> kernel in one timeline.
 * **Server span assembly** — :func:`server_span_records` builds the
   per-request server subtree (``serve.request`` with queue-wait /
-  coalesce-wait / shard / store-write children, the kernel's own
-  stall-attribution spans re-rooted under the shard span) from the
+  coalesce-wait / kernel / store-write children, the kernel's own
+  stall-attribution spans re-rooted under the kernel span) from the
   phase timestamps the server collects anyway. Spans are assembled
   after the fact from timings rather than opened live because the
   request crosses the event loop, a queue, and an executor thread —
@@ -191,7 +191,7 @@ def server_span_records(
     context: TraceContext,
     start_us: float,
     end_us: float,
-    shard: Optional[int] = None,
+    evaluated: bool = False,
     queue_wait_us: float = 0.0,
     coalesce_wait_us: float = 0.0,
     kernel_us: float = 0.0,
@@ -209,13 +209,14 @@ def server_span_records(
     - ``serve.request`` — the whole server wall time, stamped with the
       propagated ``trace_id`` / client ``span_id`` and the provenance
       (``source``: evaluated / store / warm / coalesced).
-    - ``serve.queue_wait`` — admission to shard pickup (absent when the
+    - ``serve.queue_wait`` — admission to kernel pickup (absent when the
       request never queued: store/warm hits).
     - ``serve.coalesce_wait`` — time spent attached to another
       request's in-flight evaluation.
-    - ``serve.shard`` — executor occupancy on shard *k*; the kernel's
-      own ``engine.evaluate`` -> ``model.step*`` stall-attribution
-      subtree (PR 2) is re-rooted beneath it.
+    - ``serve.kernel`` — kernel-thread occupancy (present when
+      ``evaluated``: a kernel ran for this request); the kernel's own
+      ``engine.evaluate`` -> ``model.step*`` stall-attribution subtree
+      is re-rooted beneath it.
     - ``serve.store_write`` — result-store write-through.
     """
     root = SpanRecord(
@@ -254,20 +255,20 @@ def server_span_records(
         child("serve.queue_wait", queue_wait_us)
     if coalesce_wait_us > 0.0:
         child("serve.coalesce_wait", coalesce_wait_us)
-    if shard is not None:
-        shard_span = child("serve.shard", kernel_us, shard=shard)
+    if evaluated:
+        kernel_span = child("serve.kernel", kernel_us)
         if kernel_records:
             # Re-root the kernel's stall-attribution records under the
-            # shard span, keeping their own (positive) ids and links —
+            # kernel span, keeping their own (positive) ids and links —
             # the id spaces are disjoint by construction.
-            shard_id = shard_span.span_id
+            kernel_id = kernel_span.span_id
             base = min(r.start_us for r in kernel_records)
-            offset = shard_span.start_us - base
+            offset = kernel_span.start_us - base
             for r in kernel_records:
                 records.append(
                     SpanRecord(
                         span_id=r.span_id,
-                        parent_id=r.parent_id if r.parent_id is not None else shard_id,
+                        parent_id=r.parent_id if r.parent_id is not None else kernel_id,
                         name=r.name,
                         start_us=r.start_us + offset,
                         duration_us=r.duration_us,

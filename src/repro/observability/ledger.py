@@ -283,7 +283,6 @@ def record_slow_request(
     mapping_fp: str,
     options_fp: str = "",
     source: str = "evaluated",
-    shard: Optional[int] = None,
     total_ms: float = 0.0,
     queue_wait_ms: float = 0.0,
     kernel_ms: float = 0.0,
@@ -318,7 +317,6 @@ def record_slow_request(
             "coalesce_wait_ms": float(coalesce_wait_ms),
             "queue_depth": float(queue_depth),
             "threshold_ms": float(threshold_ms),
-            "shard": float(shard if shard is not None else -1),
         },
     )
 

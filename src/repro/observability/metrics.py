@@ -140,7 +140,7 @@ class MetricsRegistry:
     invocation); names are unique across kinds, and re-requesting a name
     returns the existing instrument so call sites need no coordination.
 
-    Instruments may carry Prometheus labels (``labels={"shard": "0"}``):
+    Instruments may carry Prometheus labels (``labels={"source": "store"}``):
     each distinct (name, labels) pair is its own series, and the text
     exporter groups a name's series under one ``# HELP``/``# TYPE``
     header. Unlabeled instruments export exactly as before.

@@ -498,7 +498,7 @@ class RunHandle:
 
         Unlike :meth:`advance` this marks the *beginning* of a unit of
         work: the server pings with the request's fingerprints before
-        handing a kernel to a shard thread, so a subsequent stall
+        handing a kernel to its worker thread, so a subsequent stall
         warning can name the exact request that wedged the worker.
         """
         self._emitter.emit(

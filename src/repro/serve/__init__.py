@@ -1,7 +1,8 @@
 """Evaluation-as-a-service: the daemon, its wire protocol, and the client.
 
-``repro-latency serve`` boots an :class:`EvaluationServer` (sharded
-asyncio daemon with a persistent, warm-startable result store);
+``repro-latency serve`` boots an :class:`EvaluationServer` (an
+asyncio daemon with one kernel worker and a persistent, warm-startable
+result store);
 :func:`connect` / :class:`RemoteEngine` give any process a blocking
 :class:`~repro.engine.Evaluator` backed by it. ``repro.api`` accepts
 ``engine="serve://host:port"`` / ``engine="unix:///path.sock"`` and

@@ -6,7 +6,7 @@ HTTP listener next to the protocol socket so the daemon is observable
 from the outside with nothing but ``curl`` or a Prometheus scraper:
 
 * ``GET /metrics`` — Prometheus text (version 0.0.4) from the server's
-  :class:`~repro.observability.metrics.MetricsRegistry`: per-shard
+  :class:`~repro.observability.metrics.MetricsRegistry`:
   ``repro_serve_request_seconds`` / ``repro_serve_queue_wait_seconds``
   histograms, provenance-labeled response counters, queue depth and
   high-water gauges, plus every ``stats_snapshot()`` counter as a
@@ -14,10 +14,10 @@ from the outside with nothing but ``curl`` or a Prometheus scraper:
 * ``GET /healthz`` — liveness: 200 ``ok`` while serving, 503
   ``draining`` once a drain started.
 * ``GET /readyz`` — readiness: identical today (the daemon binds its
-  socket only after the shards are up), split out so a load balancer
+  socket only after the kernel worker is up), split out so a load balancer
   can distinguish the two when warm-up phases appear.
 * ``GET /statusz`` — one JSON document: identity, uptime, protocol
-  revision, shard table (queued / high-water / engines), store
+  revision, kernel queue (queued / high-water / engines), store
   occupancy, the last-N slow requests, and flight-recorder state.
   ``/statusz?dump=1`` returns the flight ring itself as JSONL (and
   writes it to the configured ``--flight-out`` path, if any).

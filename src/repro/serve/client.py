@@ -18,8 +18,8 @@ entire architecture sweep against a single daemon.
 Design notes:
 
 * **Pipelining** — ``evaluate_many`` writes every request frame before
-  reading any response, then collects replies by id; the server shards
-  and coalesces, so responses arrive out of order and the id-keyed
+  reading any response, then collects replies by id; the server
+  coalesces, so responses arrive out of order and the id-keyed
   collection is what keeps the result list parallel to the input.
 * **Local cache** — the client keeps its own fingerprint-keyed
   :class:`~repro.engine.EvaluationCache` (same key scheme as the
@@ -111,7 +111,7 @@ class RemoteStats:
 
     @property
     def queue_highwater(self) -> int:
-        """Deepest any server shard queue has been this boot."""
+        """Deepest the server's queue has been this boot."""
         return int(self.server.get("queue_highwater", 0))
 
     @property

@@ -8,8 +8,8 @@ One message per ``\\n``-terminated line, each a JSON object carrying:
   surface are tolerated field-by-field.
 * ``"type"`` — the message type (one of the dataclasses below).
 * ``"id"`` — the request id; the matching response echoes it, so
-  responses may complete out of order (the server coalesces and shards,
-  so they do).
+  responses may complete out of order (the server answers store hits
+  while kernels run, and coalesces, so they do).
 
 The payload serde deliberately reuses the repo's canonical schemas —
 :mod:`repro.hardware.serde` for accelerators/presets,

@@ -1,19 +1,19 @@
 """The asyncio evaluation daemon behind ``repro-latency serve``.
 
-One process owns a pool of :class:`~repro.engine.EvaluationEngine`
-workers and serves the line-framed JSON protocol of
-:mod:`repro.serve.protocol` over TCP or a Unix socket. The moving parts:
+One process owns one kernel worker and serves the line-framed JSON
+protocol of :mod:`repro.serve.protocol` over TCP or a Unix socket. The
+moving parts:
 
-* **Sharding** — every request is routed by its mapping fingerprint
-  (``int(fp, 16) % shards``) to one shard: a bounded
-  :class:`asyncio.Queue` drained by a dedicated single-thread executor.
-  Identical design points always land on the same shard, so each
-  shard's engine cache stays hot for its slice of the space and the
-  kernel never runs concurrently for one fingerprint.
-* **Backpressure** — the per-shard queues are bounded; when a shard is
-  ``queue_depth`` deep, ``await queue.put`` suspends the connection
-  handler, which stops reading that client's socket — TCP flow control
-  does the rest. No unbounded buffering anywhere.
+* **One kernel worker** — every request that misses the store and is
+  not already in flight goes onto one bounded :class:`asyncio.Queue`,
+  drained by one worker task through a single-thread executor. Engines
+  are built lazily per (machine, options) pair and share one
+  :class:`~repro.engine.EvaluationCache`. The kernel never runs
+  concurrently; under the GIL, two worker threads measured no faster.
+* **Backpressure** — the queue is bounded; when it is ``queue_depth``
+  deep, ``await queue.put`` suspends the connection handler, which
+  stops reading that client's socket — TCP flow control does the rest.
+  No unbounded buffering anywhere.
 * **Coalescing** — requests carrying fingerprints already in flight
   attach to the owner's future instead of enqueuing a duplicate; the
   ``coalesced`` counter in the stats surface counts them (asserted by
@@ -24,12 +24,13 @@ workers and serves the line-framed JSON protocol of
   from the kernel; every kernel result is written through to the
   configured ledger so the *next* boot warm-starts from it.
 * **Health plane** — when a progress emitter is configured the daemon
-  opens one ``flow="serve"`` run and advances it per evaluation with
-  per-shard worker ids and periodic cache stats; ``repro-latency top
-  EVENTS --follow`` watches a live server exactly like any other flow.
+  opens one ``flow="serve"`` run and advances it per evaluation under
+  the worker id ``kernel``, with periodic cache stats; ``repro-latency
+  top EVENTS --follow`` watches a live server exactly like any other
+  flow.
 * **Drain** — SIGINT/SIGTERM (or a ``shutdown`` frame) stops intake,
   fails queued-but-unstarted requests with a clean ``ServerDraining``
-  error, lets in-flight kernels finish, writes one
+  error, lets the in-flight kernel finish, writes one
   ``kind="interrupted"`` ledger row recording how far the daemon got,
   and closes the progress run.
 * **Observability plane** — every request is timed per phase
@@ -41,13 +42,13 @@ workers and serves the line-framed JSON protocol of
   over ``--slow-ms`` write a ``kind="slow_request"`` ledger row and a
   progress-stream note; and ``--admin-port`` starts the HTTP admin
   listener (:mod:`repro.serve.admin`) serving ``/metrics`` (Prometheus
-  text with per-shard request histograms), ``/healthz``, ``/readyz``
-  and ``/statusz``.
+  text with request histograms), ``/healthz``, ``/readyz`` and
+  ``/statusz``.
 
-The daemon is single-loop asyncio; kernels run in shard threads via
+The daemon is single-loop asyncio; kernels run in the worker thread via
 ``run_in_executor``, which deliberately does *not* propagate context
-variables — shard engines therefore never double-write the ambient
-ledger, and all persistence goes through the store explicitly.
+variables — the kernel's engines therefore never double-write the
+ambient ledger, and all persistence goes through the store explicitly.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ import os
 import signal
 import time
 from collections import OrderedDict, deque
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.step1 import ModelOptions
@@ -101,8 +103,39 @@ from repro.serve.store import ResultStore
 from repro.workload.serde import layer_from_dict
 
 
+#: Entries kept by each bounded table: the accelerator and options
+#: payload memos and the engine table.
+_TABLE_SIZE = 128
+#: Last-N slow requests kept for ``/statusz``.
+_SLOW_LOG_SIZE = 32
+#: The progress-stream worker id of the kernel.
+_WORKER = "kernel"
+
+
 class ServerDraining(RuntimeError):
     """The daemon is shutting down; the request was not evaluated."""
+
+
+class _LruTable:
+    """A bounded least-recently-used table of values built on a miss."""
+
+    def __init__(self, maxsize: int = _TABLE_SIZE) -> None:
+        self.maxsize = maxsize
+        self._data: "OrderedDict[Any, Any]" = OrderedDict()
+
+    def get(self, key: Any, build: Callable[[], Any]) -> Any:
+        """The value for ``key`` (refreshing its recency), built on a miss."""
+        try:
+            self._data.move_to_end(key)
+        except KeyError:
+            value = self._data[key] = build()
+            if len(self._data) > self.maxsize:
+                self._data.popitem(last=False)
+            return value
+        return self._data[key]
+
+    def __len__(self) -> int:
+        return len(self._data)
 
 
 @dataclasses.dataclass
@@ -112,7 +145,7 @@ class ServerConfig:
     Exactly one of ``socket_path`` (Unix socket) or ``host``/``port``
     (TCP; ``port=0`` binds an ephemeral port, reported by
     :attr:`EvaluationServer.url`) selects the transport.
-    ``pre_evaluate_hook`` is a test seam: called in the shard thread
+    ``pre_evaluate_hook`` is a test seam: called in the kernel thread
     with the work item just before the kernel, it lets integration
     tests hold an evaluation open deterministically (to assert
     coalescing) without sleeping.
@@ -129,23 +162,17 @@ class ServerConfig:
     host: str = "127.0.0.1"
     port: int = 0
     socket_path: Optional[str] = None
-    shards: int = 2
     queue_depth: int = 128
     name: str = "repro-serve"
     ledger: Any = None                      # RunLedger (or None)
     warm_start: Tuple[str, ...] = ()        # prior ledger snapshots to index
     emitter: Any = None                     # ProgressEmitter (or None)
-    cache_size: int = 65536                 # per-shard engine cache capacity
     pre_evaluate_hook: Optional[Callable] = None
     admin_port: Optional[int] = None        # HTTP admin listener (None = off)
     slow_ms: Optional[float] = None         # slow-request threshold (None = off)
-    slow_log_size: int = 32                 # last-N slow requests kept for /statusz
-    flight_capacity: int = 512              # flight-recorder ring size
     flight_path: Optional[str] = None       # auto-dump target (None = no file dumps)
 
     def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards}")
         if self.queue_depth < 1:
             raise ValueError(f"queue_depth must be >= 1, got {self.queue_depth}")
 
@@ -187,12 +214,12 @@ class _WorkItem:
     label: str = ""             # "accel_fp[:8]/mapping_fp[:12]" for notes
     traced: bool = False        # collect the kernel's span records?
     t_enqueue: float = 0.0      # perf_counter at enqueue
-    queue_wait_us: float = 0.0  # written by the shard loop at pickup
+    queue_wait_us: float = 0.0  # written by the kernel loop at pickup
 
 
 @dataclasses.dataclass(frozen=True)
 class _Outcome:
-    """What a shard thread hands back for one kernel run."""
+    """What the kernel thread hands back for one kernel run."""
 
     report: Any
     energy: Any
@@ -205,7 +232,6 @@ class _Phases:
     """Per-request phase bookkeeping the response wrapper folds into
     metrics, the flight recorder, the slow log, and the span subtree."""
 
-    shard: Optional[int] = None
     queue_wait_us: float = 0.0
     coalesce_wait_us: float = 0.0
     kernel_us: float = 0.0
@@ -219,7 +245,7 @@ class _Phases:
 
 
 class EvaluationServer:
-    """The daemon: sockets in, sharded engines out. See the module docstring."""
+    """The daemon: sockets in, one kernel worker out. See the module docstring."""
 
     def __init__(self, config: ServerConfig) -> None:
         self.config = config
@@ -231,17 +257,22 @@ class EvaluationServer:
         self._own_accel = config.preset.accelerator
         self._own_accel_fp = self._own_accel.fingerprint()
         self._own_options_fp_cache: Optional[str] = None
-        # Per-shard machinery, built in start().
-        self._queues: List[asyncio.Queue] = []
-        self._shard_tasks: List[asyncio.Task] = []
-        self._executors: List[Any] = []
-        self._engines: List[Dict[Tuple[str, str], EvaluationEngine]] = []
-        self._caches: List[EvaluationCache] = []
+        # The kernel worker: one bounded queue drained by one task through
+        # one thread; engines per (accel_fp, options_fp) share one cache.
+        # The queue is built in start(), inside the serving event loop.
+        self._queue: Optional[asyncio.Queue] = None
+        self._queue_highwater = 0
+        self._executor = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-kernel"
+        )
+        self._worker: Optional[asyncio.Task] = None
+        self._engines = _LruTable()
+        self._cache = EvaluationCache()
         # Coalescing: key -> the owning request's future.
         self._inflight: Dict[Tuple, asyncio.Future] = {}
-        # Deserialized-accelerator memo (bounded): canonical JSON -> (accel, fp).
-        self._accel_memo: "OrderedDict[str, Tuple[Accelerator, str]]" = OrderedDict()
-        self._options_memo: "OrderedDict[str, Tuple[ModelOptions, str]]" = OrderedDict()
+        # Deserialized-payload memos: canonical JSON -> (object, fingerprint).
+        self._accel_memo = _LruTable()
+        self._options_memo = _LruTable()
         self._server: Optional[asyncio.AbstractServer] = None
         self._conn_writers: set = set()
         self._conn_tasks: set = set()
@@ -253,9 +284,8 @@ class EvaluationServer:
         # recorder, the last-N slow-request ring, and (when configured)
         # the HTTP admin listener built in start().
         self.metrics = MetricsRegistry()
-        self.flight = FlightRecorder(config.flight_capacity)
-        self._slow_log: "deque" = deque(maxlen=max(1, config.slow_log_size))
-        self._queue_highwater: List[int] = []
+        self.flight = FlightRecorder()
+        self._slow_log: "deque" = deque(maxlen=_SLOW_LOG_SIZE)
         self.admin = None           # repro.serve.admin.AdminServer (or None)
         self._error_dumped = False
 
@@ -264,26 +294,13 @@ class EvaluationServer:
     # ------------------------------------------------------------------ #
 
     async def start(self) -> None:
-        """Bind sockets, spin up shards, warm-start the store."""
-        from concurrent.futures import ThreadPoolExecutor
-
+        """Bind sockets, start the kernel worker, warm-start the store."""
         loop = asyncio.get_running_loop()
         self.loop = loop  # handed out for run_coroutine_threadsafe (tests, ops)
         self._stopped = asyncio.Event()
+        self._queue = asyncio.Queue(maxsize=self.config.queue_depth)
         warm = self.store.warm_start(self.config.warm_start)
-        self._queue_highwater = [0] * self.config.shards
-        for shard in range(self.config.shards):
-            self._queues.append(asyncio.Queue(maxsize=self.config.queue_depth))
-            self._executors.append(
-                ThreadPoolExecutor(
-                    max_workers=1, thread_name_prefix=f"repro-shard-{shard}"
-                )
-            )
-            self._engines.append({})
-            self._caches.append(EvaluationCache(self.config.cache_size))
-            self._shard_tasks.append(
-                loop.create_task(self._shard_loop(shard), name=f"shard-{shard}")
-            )
+        self._worker = loop.create_task(self._kernel_loop(), name="kernel")
         if self.config.socket_path:
             self._server = await asyncio.start_unix_server(
                 self._on_connection, path=self.config.socket_path
@@ -374,8 +391,7 @@ class EvaluationServer:
                 writer.close()
             if self._conn_tasks:
                 await asyncio.gather(*self._conn_tasks, return_exceptions=True)
-            for executor in self._executors:
-                executor.shutdown(wait=True)
+            self._executor.shutdown(wait=True)
             if self.admin is not None:
                 self.admin.close()
         return self._interrupted
@@ -397,10 +413,8 @@ class EvaluationServer:
             interrupted = reason != "shutdown"
         self._interrupted = interrupted
         self._fail_queued()
-        for queue in self._queues:
-            await queue.put(None)  # sentinel: shard exits after current work
-        if self._shard_tasks:
-            await asyncio.gather(*self._shard_tasks, return_exceptions=True)
+        await self._queue.put(None)  # sentinel: the worker exits after current work
+        await asyncio.gather(self._worker, return_exceptions=True)
         self._fail_queued()  # producers that slipped in behind the sentinel
         ledger = self.config.ledger
         if interrupted and ledger is not None and ledger.enabled:
@@ -421,21 +435,24 @@ class EvaluationServer:
             self.flight.dump(self.config.flight_path)
         self._stopped.set()
 
+    def _queued(self) -> int:
+        """Requests waiting for the kernel (0 before ``start()``)."""
+        return self._queue.qsize() if self._queue is not None else 0
+
     def _fail_queued(self) -> None:
         """Fail every queued-but-unstarted item with a clean drain error."""
-        for queue in self._queues:
-            while True:
-                try:
-                    item = queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if item is None:
-                    continue
-                self._finish_item(
-                    item, error=ServerDraining(
-                        "server is draining; the request was not evaluated"
-                    )
+        while True:
+            try:
+                item = self._queue.get_nowait()
+            except asyncio.QueueEmpty:
+                break
+            if item is None:
+                continue
+            self._finish_item(
+                item, error=ServerDraining(
+                    "server is draining; the request was not evaluated"
                 )
+            )
 
     # ------------------------------------------------------------------ #
     # Connections
@@ -539,7 +556,7 @@ class EvaluationServer:
         the observability plane (metrics, flight recorder, slow log, spans)."""
         self.stats.requests += 1
         context = extract_trace(msg.trace)
-        phases = _Phases(queued_at_arrival=sum(q.qsize() for q in self._queues))
+        phases = _Phases(queued_at_arrival=self._queued())
         t0 = time.perf_counter()
         response = await self._evaluate_request(msg, phases, context)
         wall_s = time.perf_counter() - t0
@@ -553,7 +570,7 @@ class EvaluationServer:
                 context=context,
                 start_us=t0 * 1e6,
                 end_us=(t0 + wall_s) * 1e6,
-                shard=phases.shard if phases.evaluated else None,
+                evaluated=phases.evaluated,
                 queue_wait_us=phases.queue_wait_us,
                 coalesce_wait_us=phases.coalesce_wait_us,
                 kernel_us=phases.kernel_us,
@@ -574,7 +591,7 @@ class EvaluationServer:
         phases: _Phases,
         context: Optional[TraceContext],
     ):
-        """The dispatch itself: store -> coalesce -> shard queue -> kernel."""
+        """The dispatch itself: store -> coalesce -> queue -> kernel."""
         if self._draining:
             return ErrorResponse(
                 id=msg.id, error="ServerDraining",
@@ -593,8 +610,6 @@ class EvaluationServer:
         phases.accel_fp = accel_fp
         phases.options_fp = options_fp
         phases.mapping_fp = mapping_fp
-        shard = int(mapping_fp[:12], 16) % self.config.shards
-        phases.shard = shard
         store_key = (accel_fp, options_fp, mapping_fp)
         if not msg.with_energy:
             hit = self.store.get(store_key)
@@ -636,13 +651,11 @@ class EvaluationServer:
             t_enqueue=time.perf_counter(),
         )
         try:
-            await self._queues[shard].put(item)  # backpressure point
+            await self._queue.put(item)  # backpressure point
         except BaseException:
             self._inflight.pop(inflight_key, None)
             raise
-        depth = self._queues[shard].qsize()
-        if depth > self._queue_highwater[shard]:
-            self._queue_highwater[shard] = depth
+        self._queue_highwater = max(self._queue_highwater, self._queue.qsize())
         try:
             outcome = await asyncio.shield(future)
         except BaseException as exc:
@@ -660,7 +673,7 @@ class EvaluationServer:
             phases.store_write_us = (time.perf_counter() - t_store) * 1e6
         if self._run is not None:
             self._run.advance(
-                1, wall_s=outcome.wall_s, worker=f"shard:{shard}",
+                1, wall_s=outcome.wall_s, worker=_WORKER,
             )
             if self.stats.evaluations % 32 == 0:
                 self._run.cache_stats(
@@ -717,22 +730,17 @@ class EvaluationServer:
                 "Evaluate responses by provenance.",
                 labels={"source": response.source},
             ).inc()
-        shard_label = {"shard": str(phases.shard if phases.shard is not None else -1)}
         metrics.histogram(
-            "repro_serve_request_seconds",
-            "Server-side evaluate wall time.",
-            labels=shard_label,
+            "repro_serve_request_seconds", "Server-side evaluate wall time.",
         ).observe(wall_s)
         if phases.evaluated:
             metrics.histogram(
                 "repro_serve_queue_wait_seconds",
-                "Admission-to-shard-pickup wait.",
-                labels=shard_label,
+                "Admission-to-kernel-pickup wait.",
             ).observe(phases.queue_wait_us / 1e6)
         entry: Dict[str, Any] = {
             "id": msg.id,
             "outcome": response.error if failed else response.source,
-            "shard": phases.shard,
             "wall_ms": round(wall_s * 1e3, 3),
             "queue_wait_ms": round(phases.queue_wait_us / 1e3, 3),
             "kernel_ms": round(phases.kernel_us / 1e3, 3),
@@ -771,7 +779,6 @@ class EvaluationServer:
                     mapping_fp=phases.mapping_fp,
                     options_fp=phases.options_fp,
                     source=response.source,
-                    shard=phases.shard,
                     total_ms=wall_s * 1e3,
                     queue_wait_ms=phases.queue_wait_us / 1e3,
                     kernel_ms=phases.kernel_us / 1e3,
@@ -782,7 +789,7 @@ class EvaluationServer:
                 ))
             if self._run is not None:
                 self._run.heartbeat(
-                    worker=f"shard:{phases.shard}",
+                    worker=_WORKER,
                     note=(
                         f"slow request {phases.mapping_fp[:12]} "
                         f"{wall_s * 1e3:.0f}ms (> {slow_ms:g}ms)"
@@ -794,17 +801,12 @@ class EvaluationServer:
     def _resolve_accelerator(self, data) -> Tuple[Accelerator, str]:
         if data is None:
             return self._own_accel, self._own_accel_fp
-        memo_key = json.dumps(data, sort_keys=True)
-        hit = self._accel_memo.get(memo_key)
-        if hit is not None:
-            self._accel_memo.move_to_end(memo_key)
-            return hit
-        accelerator = accelerator_from_dict(data)
-        entry = (accelerator, accelerator.fingerprint())
-        self._accel_memo[memo_key] = entry
-        while len(self._accel_memo) > 128:
-            self._accel_memo.popitem(last=False)
-        return entry
+
+        def build() -> Tuple[Accelerator, str]:
+            accelerator = accelerator_from_dict(data)
+            return accelerator, accelerator.fingerprint()
+
+        return self._accel_memo.get(json.dumps(data, sort_keys=True), build)
 
     def _resolve_options(self, data) -> Tuple[ModelOptions, str]:
         from repro.fingerprint import stable_fingerprint
@@ -813,41 +815,35 @@ class EvaluationServer:
             if self._own_options_fp_cache is None:
                 self._own_options_fp_cache = stable_fingerprint(self.config.options)
             return self.config.options, self._own_options_fp_cache
-        memo_key = json.dumps(data, sort_keys=True)
-        hit = self._options_memo.get(memo_key)
-        if hit is not None:
-            return hit
-        options = protocol.options_from_dict(data)
-        entry = (options, stable_fingerprint(options))
-        self._options_memo[memo_key] = entry
-        while len(self._options_memo) > 128:
-            self._options_memo.popitem(last=False)
-        return entry
+
+        def build() -> Tuple[ModelOptions, str]:
+            options = protocol.options_from_dict(data)
+            return options, stable_fingerprint(options)
+
+        return self._options_memo.get(json.dumps(data, sort_keys=True), build)
 
     # ------------------------------------------------------------------ #
-    # Shards
+    # The kernel worker
     # ------------------------------------------------------------------ #
 
-    async def _shard_loop(self, shard: int) -> None:
-        """Drain one shard's queue through its single-thread executor."""
+    async def _kernel_loop(self) -> None:
+        """Drain the queue through the single-thread kernel executor."""
         loop = asyncio.get_running_loop()
-        queue = self._queues[shard]
-        executor = self._executors[shard]
         while True:
-            item = await queue.get()
+            item = await self._queue.get()
             if item is None:
                 break
             item.queue_wait_us = (time.perf_counter() - item.t_enqueue) * 1e6
             if self._run is not None:
-                # Announce the kernel *before* it runs: if the shard
+                # Announce the kernel *before* it runs: if the kernel
                 # thread wedges, the stall warning names this request.
                 self._run.heartbeat(
-                    worker=f"shard:{shard}",
+                    worker=_WORKER,
                     note=f"evaluating {item.label} (kernel)",
                 )
             try:
                 outcome = await loop.run_in_executor(
-                    executor, self._evaluate_blocking, shard, item
+                    self._executor, self._evaluate_blocking, item
                 )
             except BaseException as exc:
                 self._finish_item(item, error=exc)
@@ -864,8 +860,8 @@ class EvaluationServer:
         else:
             item.future.set_result(outcome)
 
-    def _evaluate_blocking(self, shard: int, item: _WorkItem) -> _Outcome:
-        """The kernel call, in the shard's thread (no ambient context here).
+    def _evaluate_blocking(self, item: _WorkItem) -> _Outcome:
+        """The kernel call, in the kernel thread (no ambient context here).
 
         ``run_in_executor`` deliberately does not propagate contextvars,
         so a traced request installs its *own* kernel tracer here: the
@@ -873,7 +869,7 @@ class EvaluationServer:
         that travels back through the outcome and — remapped — across
         the wire.
         """
-        engine = self._engine_for(shard, item)
+        engine = self._engine_for(item)
         hook = self.config.pre_evaluate_hook
         if hook is not None:
             hook(item)
@@ -898,24 +894,20 @@ class EvaluationServer:
             kernel_records=kernel_records,
         )
 
-    def _engine_for(self, shard: int, item: _WorkItem) -> EvaluationEngine:
-        """The shard's engine for the item's (machine, options) pair.
+    def _engine_for(self, item: _WorkItem) -> EvaluationEngine:
+        """The engine for the item's (machine, options) pair.
 
-        Engines are created lazily per pair and share the shard's cache
-        plus the server-wide engine stats; only this shard's thread
-        touches the dict, so no lock is needed.
+        Engines are created lazily per pair and share the daemon's cache
+        plus the server-wide engine stats, so evicting one from the
+        bounded table loses no results. Only the kernel thread touches
+        the table, so no lock is needed.
         """
-        key = item.key[:2]  # (accel_fp, options_fp)
-        engine = self._engines[shard].get(key)
-        if engine is None:
-            engine = EvaluationEngine(
-                item.accelerator,
-                item.options,
-                cache=self._caches[shard],
-                stats=self.engine_stats,
-            )
-            self._engines[shard][key] = engine
-        return engine
+        return self._engines.get(item.key[:2], lambda: EvaluationEngine(
+            item.accelerator,
+            item.options,
+            cache=self._cache,
+            stats=self.engine_stats,
+        ))
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -927,11 +919,8 @@ class EvaluationServer:
         data["store_size"] = float(len(self.store))
         data["warm_rows"] = float(self.store.warm_rows)
         data["inflight"] = float(len(self._inflight))
-        data["queued"] = float(sum(q.qsize() for q in self._queues))
-        data["queue_highwater"] = float(
-            max(self._queue_highwater) if self._queue_highwater else 0
-        )
-        data["shards"] = float(self.config.shards)
+        data["queued"] = float(self._queued())
+        data["queue_highwater"] = float(self._queue_highwater)
         data["uptime_s"] = float(time.time() - self.started_ts) if self.started_ts else 0.0
         for key, value in self.engine_stats.snapshot().items():
             data[f"engine_{key}"] = value
@@ -942,25 +931,15 @@ class EvaluationServer:
 
         Called from the admin thread per scrape; the counter/histogram
         series accumulate on the request path, the gauges (snapshot
-        counters, per-shard queue depths) are refreshed here.
+        counters, among them the queue depth ``repro_serve_queued`` and
+        ``repro_serve_queue_highwater``) are refreshed here.
         """
         metrics = self.metrics
         metrics.ingest("repro_serve", self.stats_snapshot())
-        for shard, queue in enumerate(self._queues):
-            labels = {"shard": str(shard)}
-            metrics.gauge(
-                "repro_serve_queue_depth", "Requests queued per shard.",
-                labels=labels,
-            ).set(queue.qsize())
-            metrics.gauge(
-                "repro_serve_queue_highwater",
-                "Deepest the shard's queue has been this boot.",
-                labels=labels,
-            ).set(self._queue_highwater[shard])
         return metrics.to_prometheus()
 
     def status_payload(self) -> Dict[str, Any]:
-        """The ``/statusz`` JSON: identity, shard table, store, slow log."""
+        """The ``/statusz`` JSON: identity, queue, store, slow log."""
         return {
             "server": self.config.name,
             "url": self.url if self._server is not None else "",
@@ -971,15 +950,11 @@ class EvaluationServer:
             "protocol": f"{protocol.PROTOCOL_VERSION}.{protocol.PROTOCOL_MINOR}",
             "draining": self._draining,
             "stats": self.stats_snapshot(),
-            "shards": [
-                {
-                    "shard": shard,
-                    "queued": queue.qsize(),
-                    "highwater": self._queue_highwater[shard],
-                    "engines": len(self._engines[shard]),
-                }
-                for shard, queue in enumerate(self._queues)
-            ],
+            "queue": {
+                "queued": self._queued(),
+                "highwater": self._queue_highwater,
+                "engines": len(self._engines),
+            },
             "store": {
                 "size": len(self.store),
                 "warm_rows": self.store.warm_rows,

@@ -26,8 +26,8 @@ limiting-port attribution inside ``ss_comb`` keys, so warm reports carry
 batch-core reports too.
 
 Only latency results are stored; energy requests carry full access-count
-anatomy and always go through a shard engine (which caches them for the
-lifetime of the daemon).
+anatomy and always go through the kernel's engines (whose cache keeps
+them for the lifetime of the daemon).
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ class ResultStore:
     """Fingerprint-indexed latency results, persisted via the run ledger.
 
     Thread-safe for the server's mixed access pattern (lookups on the
-    event loop, warm-start on boot, puts from shard completions); the
+    event loop, warm-start on boot, puts from kernel completions); the
     index itself is a plain dict guarded by one lock — lookups are a
     hash probe, never a kernel.
     """
@@ -102,8 +102,6 @@ class ResultStore:
         #: prior ledger rather than evaluated this boot.
         self._index: Dict[StoreKey, Tuple[RunRecord, bool]] = {}
         self.warm_rows = 0      # indexable rows loaded at boot
-        self.warm_hits = 0      # requests answered from a warm row
-        self.store_hits = 0     # requests answered from a this-boot row
 
     def __len__(self) -> int:
         return len(self._index)
@@ -148,10 +146,6 @@ class ResultStore:
         if entry is None:
             return None
         record, warm = entry
-        if warm:
-            self.warm_hits += 1
-        else:
-            self.store_hits += 1
         return record_to_report(record), warm
 
     def put(

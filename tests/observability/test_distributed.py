@@ -112,7 +112,7 @@ def test_server_span_records_full_request_layout():
     ]
     records = server_span_records(
         context=_context(), start_us=1000.0, end_us=1200.0,
-        shard=1, queue_wait_us=50.0, kernel_us=80.0, store_write_us=10.0,
+        evaluated=True, queue_wait_us=50.0, kernel_us=80.0, store_write_us=10.0,
         kernel_records=kernel, source="evaluated", server="daemon-a",
     )
     roots = span_tree(records)
@@ -125,14 +125,13 @@ def test_server_span_records_full_request_layout():
     assert root.attributes["source"] == "evaluated"
     assert root.attributes["server"] == "daemon-a"
     assert [c.name for c in root.children] == [
-        "serve.queue_wait", "serve.shard", "serve.store_write",
+        "serve.queue_wait", "serve.kernel", "serve.store_write",
     ]
-    shard = root.children[1]
-    assert shard.attributes["shard"] == 1
-    # The kernel subtree is re-rooted beneath the shard span with its
+    kernel_span = root.children[1]
+    # The kernel subtree is re-rooted beneath the kernel span with its
     # own ids and internal links intact.
-    assert [c.name for c in shard.children] == ["engine.evaluate"]
-    assert [c.name for c in shard.children[0].children] == ["model.evaluate"]
+    assert [c.name for c in kernel_span.children] == ["engine.evaluate"]
+    assert [c.name for c in kernel_span.children[0].children] == ["model.evaluate"]
     # Server-added spans use negative ids: disjoint from kernel ids.
     server_ids = {r.span_id for r in records if r.name.startswith("serve.")}
     kernel_ids = {r.span_id for r in records if not r.name.startswith("serve.")}
@@ -162,7 +161,7 @@ def test_server_span_records_coalesced_follower():
 def test_server_span_records_survive_wire_roundtrip():
     records = server_span_records(
         context=_context(), start_us=0.0, end_us=10.0,
-        shard=0, kernel_us=5.0,
+        evaluated=True, kernel_us=5.0,
     )
     back = spans_from_wire(json.loads(json.dumps(spans_to_wire(records))))
     assert back == records

@@ -77,5 +77,5 @@ def make_server():
 
 @pytest.fixture
 def server(make_server) -> ServerThread:
-    """One default daemon (case-study preset, 2 shards, ephemeral port)."""
+    """One default daemon (case-study preset, ephemeral port)."""
     return make_server()

@@ -65,22 +65,12 @@ def test_metrics_serves_prometheus_text_with_request_series(make_server):
         if k.startswith("repro_serve_requests_total")
     )
     assert total >= answered
-    # Per-shard request histograms, with the le label composed after the
-    # shard label on the bucket series.
-    assert any(
-        k.startswith('repro_serve_request_seconds_bucket{shard="')
-        and 'le="+Inf"' in k
-        for k in samples
-    )
-    assert any(
-        k.startswith('repro_serve_request_seconds_count{shard="')
-        for k in samples
-    )
-    # Queue-depth gauges cover every shard.
-    shards = handle.server.config.shards
-    for shard in range(shards):
-        assert f'repro_serve_queue_depth{{shard="{shard}"}}' in samples
-        assert f'repro_serve_queue_highwater{{shard="{shard}"}}' in samples
+    # The request histogram, with le as the only label on its buckets.
+    assert 'repro_serve_request_seconds_bucket{le="+Inf"}' in samples
+    assert "repro_serve_request_seconds_count" in samples
+    # The queue depth and high-water gauges, exported from stats_snapshot().
+    assert "repro_serve_queued" in samples
+    assert "repro_serve_queue_highwater" in samples
     # stats_snapshot() counters are re-exported as gauges at scrape time.
     assert samples["repro_serve_evaluations"] >= 1
     # Scrapes are idempotent reads: a second one must not double anything.
@@ -115,7 +105,7 @@ def test_health_and_ready_flip_on_drain(make_server):
         started.set()
         assert gate.wait(timeout=30)
 
-    handle = make_server(admin_port=0, shards=1, pre_evaluate_hook=hook)
+    handle = make_server(admin_port=0, pre_evaluate_hook=hook)
     admin = handle.server.admin.url
     assert _get(admin, "/healthz")[:1] == (200,)
     assert _get(admin, "/readyz")[0] == 200
@@ -154,7 +144,7 @@ def test_health_and_ready_flip_on_drain(make_server):
 # /statusz + slow log
 # --------------------------------------------------------------------- #
 
-def test_statusz_reports_identity_shards_store_and_slow_log(
+def test_statusz_reports_identity_queue_store_and_slow_log(
     make_server, tmp_path
 ):
     ledger_path = str(tmp_path / "serve.sqlite")
@@ -169,7 +159,8 @@ def test_statusz_reports_identity_shards_store_and_slow_log(
     assert payload["uptime_s"] >= 0
     assert payload["protocol"].count(".") == 1  # "major.minor"
     assert payload["draining"] is False
-    assert len(payload["shards"]) == handle.server.config.shards
+    assert set(payload["queue"]) == {"queued", "highwater", "engines"}
+    assert payload["queue"]["engines"] >= 1
     assert payload["stats"]["requests"] >= answered
     assert payload["store"]["size"] >= answered
     assert payload["flight"]["size"] >= answered
@@ -180,7 +171,7 @@ def test_statusz_reports_identity_shards_store_and_slow_log(
     assert slow, "slow log must surface in /statusz"
     for entry in slow:
         for key in ("mapping_fp", "wall_ms", "queue_wait_ms", "kernel_ms",
-                    "queue_depth", "threshold_ms", "shard"):
+                    "queue_depth", "threshold_ms"):
             assert key in entry, key
     rows = [r for r in load_snapshot(ledger_path) if r.kind == "slow_request"]
     assert len(rows) >= answered

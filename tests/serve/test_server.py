@@ -5,7 +5,8 @@ bit-for-bit identical to the in-process engine on generated verify
 cases; concurrent duplicate requests run the kernel exactly once
 (coalescing); a restarted daemon answers from a prior ledger without
 re-evaluating (warm start); and a drain fails queued work cleanly while
-recording a ``kind="interrupted"`` ledger row.
+recording a ``kind="interrupted"`` ledger row. A full queue holds
+intake back, and the daemon's memos and engine table stay bounded.
 """
 
 import asyncio
@@ -15,12 +16,21 @@ import time
 
 import pytest
 
+from repro.core.step1 import ModelOptions
+from repro.dse.mapper import TemporalMapper
 from repro.engine import EvaluationEngine
 from repro.hardware.presets import case_study_accelerator
 from repro.mapping.mapping import MappingError
 from repro.observability.ledger import RunLedger, load_snapshot
-from repro.serve import RemoteEvaluationError, connect
+from repro.serve import (
+    EvaluationServer,
+    RemoteEvaluationError,
+    ServerConfig,
+    connect,
+)
+from repro.serve.protocol import options_to_dict
 from repro.verify.generators import sample_cases
+from repro.workload.generator import dense_layer
 
 PARITY_FIELDS = (
     "cc_ideal", "cc_spatial", "ss_overall", "preload", "offload",
@@ -155,6 +165,130 @@ def test_concurrent_duplicates_evaluate_exactly_once(make_server):
 
 
 # --------------------------------------------------------------------- #
+# Backpressure
+# --------------------------------------------------------------------- #
+
+def test_full_queue_suspends_intake_until_the_kernel_frees_it(make_server):
+    """queue_depth=1 with the kernel held: one request runs, one waits in
+    the queue, the third is held back at admission; all three are then
+    answered correctly."""
+    gate = threading.Event()
+    started = threading.Event()
+
+    def hook(item):
+        started.set()
+        assert gate.wait(timeout=30)
+
+    handle = make_server(queue_depth=1, pre_evaluate_hook=hook)
+    local_root = EvaluationEngine.from_preset(case_study_accelerator())
+    cases, wants = [], []
+    for case in sample_cases(seed=11, count=12):
+        try:
+            wants.append(
+                local_root.derive(accelerator=case.accelerator).evaluate(
+                    case.mapping
+                )
+            )
+        except MappingError:
+            continue
+        cases.append(case)
+        if len(cases) == 3:
+            break
+    assert len(cases) == 3
+    results = {}
+
+    def one_client(index):
+        client = connect(handle.url)
+        results[index] = client.derive(
+            accelerator=cases[index].accelerator
+        ).evaluate(cases[index].mapping)
+        client.close()
+
+    threads = [threading.Thread(target=one_client, args=(0,))]
+    threads[0].start()
+    assert started.wait(timeout=30)
+    threads += [threading.Thread(target=one_client, args=(i,)) for i in (1, 2)]
+    for t in threads[1:]:
+        t.start()
+    probe = connect(handle.url)
+    deadline = time.time() + 30
+    queued = []
+    while time.time() < deadline:
+        stats = probe.server_stats()
+        queued.append(stats["queued"])
+        if stats["inflight"] >= 3:
+            break
+        time.sleep(0.02)
+    stats = probe.server_stats()
+    assert stats["inflight"] == 3 and stats["queued"] == 1
+    gate.set()
+    for t in threads:
+        t.join(timeout=30)
+    final = probe.server_stats()
+    probe.close()
+    assert max(queued + [final["queued"]]) <= 1
+    assert final["queue_highwater"] == 1
+    assert final["evaluations"] == 3 and not final["errors"]
+    for index, want in enumerate(wants):
+        _assert_parity(want, results[index], context=f"request {index} ")
+
+
+def test_server_builds_no_loop_bound_object_before_start():
+    """The server is built outside the loop that serves it (the CLI and the
+    test fixture both call ``asyncio.run`` later); on Python 3.9 an
+    ``asyncio.Queue`` binds the current loop when it is built, so the queue
+    must be made in ``start()``."""
+    server = EvaluationServer(ServerConfig(preset=case_study_accelerator()))
+    loop_bound = (asyncio.Queue, asyncio.Event, asyncio.Future)
+    assert not [k for k, v in vars(server).items() if isinstance(v, loop_bound)]
+    assert server.stats_snapshot()["queued"] == 0.0
+    assert server.status_payload()["queue"]["queued"] == 0
+
+
+# --------------------------------------------------------------------- #
+# Bounded tables
+# --------------------------------------------------------------------- #
+
+def test_options_memo_evicts_the_least_recently_used_payload():
+    server = EvaluationServer(ServerConfig(preset=case_study_accelerator()))
+    server._options_memo.maxsize = 2
+    a, b, c = (
+        options_to_dict(ModelOptions(**kwargs))
+        for kwargs in ({}, {"combine_rule": "paper"}, {"served_rule": "paper"})
+    )
+    first_a = server._resolve_options(a)[0]
+    first_b = server._resolve_options(b)[0]
+    assert server._resolve_options(a)[0] is first_a  # a hit refreshes a
+    server._resolve_options(c)                       # ... so b is evicted
+    assert server._resolve_options(a)[0] is first_a
+    assert server._resolve_options(b)[0] is not first_b
+
+
+def test_architecture_sweep_keeps_the_engine_table_bounded(make_server):
+    """130 machines through one daemon: at most 128 engines are kept, and
+    a machine whose engine was evicted still evaluates correctly."""
+    handle = make_server()
+    preset = case_study_accelerator()
+    mapping = TemporalMapper(
+        preset.accelerator, preset.spatial_unrolling
+    ).best_mapping(dense_layer(8, 16, 32)).mapping
+    machines = [
+        case_study_accelerator(gb_read_bw=64.0 + i).accelerator
+        for i in range(130)
+    ]
+    client = connect(handle.url, use_cache=False)
+    for machine in machines:
+        client.derive(accelerator=machine).evaluate(mapping)
+    assert handle.server.status_payload()["queue"]["engines"] == 128
+    # Energy requests skip the store, so this one reaches the kernel with
+    # the first machine, whose engine the sweep evicted.
+    got = client.derive(accelerator=machines[0]).evaluate_energy(mapping)
+    client.close()
+    want = EvaluationEngine(machines[0]).evaluate_energy(mapping)
+    assert got.total_pj == want.total_pj
+
+
+# --------------------------------------------------------------------- #
 # Warm start
 # --------------------------------------------------------------------- #
 
@@ -207,7 +341,7 @@ def test_drain_fails_queued_work_cleanly_and_ledgers_interruption(
 
     ledger_path = str(tmp_path / "serve.sqlite")
     handle = make_server(
-        pre_evaluate_hook=hook, shards=1, ledger=RunLedger(ledger_path)
+        pre_evaluate_hook=hook, ledger=RunLedger(ledger_path)
     )
     cases = [
         case for case in sample_cases(seed=11, count=6)
@@ -235,7 +369,7 @@ def test_drain_fails_queued_work_cleanly_and_ledgers_interruption(
     t_holder = threading.Thread(target=holder)
     t_holder.start()
     assert started.wait(timeout=30)
-    # With one shard, these sit behind the held evaluation in the queue.
+    # These sit behind the held evaluation in the queue.
     t_queued = [threading.Thread(target=queued, args=(c,)) for c in cases[1:3]]
     for t in t_queued:
         t.start()

@@ -3,8 +3,8 @@
 The acceptance surface of the distributed-observability PR: one
 ``RemoteEngine.evaluate`` under an active tracer yields ONE span tree —
 client transport span, the server's request subtree grafted beneath it
-(queue wait, shard, store write), and the kernel's own stall-attribution
-spans beneath the shard — with parent/child links verified across the
+(queue wait, kernel, store write), and the kernel's own stall-attribution
+spans beneath the kernel span — with parent/child links verified across the
 wire, and with the kernel subtree bit-identical in shape to an
 in-process trace of the same mapping.
 """
@@ -60,11 +60,11 @@ def test_remote_evaluate_stitches_one_cross_process_tree(server):
     assert request.attributes["client_span_id"] == root.record.span_id
     assert request.attributes["source"] == "evaluated"
 
-    shard = request.find("serve.shard")
-    assert len(shard) == 1
-    # The kernel's own stall-attribution spans sit under the shard span.
-    assert shard[0].find("engine.evaluate")
-    assert shard[0].find("model.evaluate")
+    kernel = request.find("serve.kernel")
+    assert len(kernel) == 1
+    # The kernel's own stall-attribution spans sit under the kernel span.
+    assert kernel[0].find("engine.evaluate")
+    assert kernel[0].find("model.evaluate")
     assert request.find("serve.store_write"), "write-through must be spanned"
 
 
@@ -104,7 +104,7 @@ def test_repeat_request_is_a_store_hit_span(server):
     assert [r.name for r in roots] == ["remote.evaluate", "remote.evaluate"]
     second = roots[1].find("serve.request")[0]
     assert second.attributes["source"] == "store"
-    assert not second.find("serve.shard"), "store hits never touch a shard"
+    assert not second.find("serve.kernel"), "store hits never reach the kernel"
 
 
 def test_evaluate_many_stitches_one_batch_tree(server):
