@@ -30,7 +30,8 @@ read-back job.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+import math
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.hardware.accelerator import Accelerator
 from repro.hardware.hierarchy import MemoryLevel
@@ -44,8 +45,7 @@ from repro.workload.operand import Operand
 PortKey = Tuple[str, str]
 
 
-@dataclasses.dataclass(frozen=True)
-class TransferJob:
+class TransferJob(NamedTuple):
     """One tile transfer: gate, compute-blocking threshold, size, ports.
 
     ``bits`` is the logical tile size; ``bits_per_port`` optionally gives
@@ -53,6 +53,11 @@ class TransferJob:
     padding differs between source and destination (a wide-word memory
     reads whole bursts even for a narrow tile). When omitted, every port
     moves ``bits``.
+
+    ``seq`` is the job's index in its stream, and ``dep`` names the job
+    ``(stream, seq)`` that must complete before this one may start. A
+    named tuple: a layer lowers to thousands of jobs, and a tuple is
+    several times cheaper to build than a frozen dataclass.
     """
 
     stream: str
@@ -106,8 +111,6 @@ def _port_key_and_bw(level: MemoryLevel, operand: Operand, kind: EndpointKind) -
 
 def _pad_to_burst(bits: float, *levels: MemoryLevel) -> float:
     """Round a transfer up to the coarsest endpoint word size."""
-    import math
-
     burst = max((lvl.instance.min_burst_bits for lvl in levels), default=1)
     if burst <= 1:
         return bits
@@ -161,21 +164,26 @@ def _refill_streams(accelerator: Accelerator, mapping: Mapping) -> List[JobStrea
     streams: List[JobStream] = []
     for operand in (Operand.W, Operand.I):
         chain = accelerator.hierarchy.levels(operand)
+        periods = []
         for lvl in range(len(chain) - 1):
-            dst, src = chain[lvl], chain[lvl + 1]
             ext = loops_product(temporal.ir_run_above(operand, lvl, layer))
-            period = temporal.cycles_at_or_below(operand, lvl) * ext
+            periods.append(temporal.cycles_at_or_below(operand, lvl) * ext)
+        for lvl, period in enumerate(periods):
+            dst, src = chain[lvl], chain[lvl + 1]
             z_total = total_cc // period
             bits = float(mapping.footprint_bits(operand, lvl))
             top_ir = loops_product(temporal.top_ir_run(operand, lvl, layer))
             x_req = _x_req_of(dst, period, top_ir)
             src_key, __ = _port_key_and_bw(src, operand, EndpointKind.TL)
             dst_key, __ = _port_key_and_bw(dst, operand, EndpointKind.FH)
-            per_port = {
-                src_key: _pad_to_burst(bits, src),
-                dst_key: _pad_to_burst(bits, dst),
-            }
+            per_port = _per_port(bits, src, src_key, dst, dst_key)
             name = f"{operand}-refill-L{lvl}"
+            # The tile for compute window [k*P, (k+1)*P) comes out of the
+            # upper-level tile covering time k*P: job (k*P) // P_upper of the
+            # level-(l+1) refill stream.
+            upper = f"{operand}-refill-L{lvl + 1}"
+            p_upper = periods[lvl + 1] if lvl + 1 < len(periods) else 0
+            z_upper = total_cc // p_upper if p_upper else 0
             jobs: List[TransferJob] = []
             for k in range(z_total):
                 if k == 0:
@@ -184,9 +192,9 @@ def _refill_streams(accelerator: Accelerator, mapping: Mapping) -> List[JobStrea
                     gate, threshold = float((k - 1) * period), float(k * period)
                 else:
                     gate, threshold = k * period - x_req, float(k * period)
-                # Cross-level dependencies are resolved once all levels exist.
+                dep = (upper, min((k * period) // p_upper, z_upper - 1)) if z_upper else None
                 jobs.append(
-                    TransferJob(name, k, gate, threshold, bits, dep=None,
+                    TransferJob(name, k, gate, threshold, bits, dep=dep,
                                 bits_per_port=per_port)
                 )
             streams.append(
@@ -201,33 +209,21 @@ def _refill_streams(accelerator: Accelerator, mapping: Mapping) -> List[JobStrea
                     jobs=jobs,
                 )
             )
-        # Chain refills across levels now that every level's stream exists.
-        _resolve_refill_deps(streams, operand)
     return streams
 
 
-def _resolve_refill_deps(streams: List[JobStream], operand: Operand) -> None:
-    """Attach each refill job's dependency on the covering upper-level job.
-
-    The tile for compute window ``[k*P, (k+1)*P)`` at level ``l`` must come
-    out of the upper-level tile covering time ``k*P``, i.e. job
-    ``(k*P) // P_upper`` of the level-``l+1`` refill stream.
-    """
-    by_name = {s.name: s for s in streams}
-    for stream in streams:
-        if stream.kind != "refill" or stream.operand is not operand:
-            continue
-        upper = by_name.get(f"{operand}-refill-L{stream.level + 1}")
-        if upper is None or not upper.jobs:
-            continue
-        z_upper = len(upper.jobs)
-        stream.jobs = [
-            dataclasses.replace(
-                job,
-                dep=(upper.name, min((job.seq * stream.period) // upper.period, z_upper - 1)),
-            )
-            for job in stream.jobs
-        ]
+def _per_port(
+    bits: float,
+    src_level: MemoryLevel,
+    src_port: PortKey,
+    dst_level: MemoryLevel,
+    dst_port: PortKey,
+) -> Dict[PortKey, float]:
+    """Physical bits each endpoint of a link moves for a ``bits`` tile."""
+    return {
+        src_port: _pad_to_burst(bits, src_level),
+        dst_port: _pad_to_burst(bits, dst_level),
+    }
 
 
 def _output_streams(accelerator: Accelerator, mapping: Mapping) -> List[JobStream]:
@@ -260,18 +256,17 @@ def _output_streams(accelerator: Accelerator, mapping: Mapping) -> List[JobStrea
         low_th, __ = _port_key_and_bw(low, operand, EndpointKind.TH)
         high_fl, __ = _port_key_and_bw(high, operand, EndpointKind.FL)
 
-        def _per_port(bits, src_level, src_port, dst_level, dst_port):
-            return {
-                src_port: _pad_to_burst(bits, src_level),
-                dst_port: _pad_to_burst(bits, dst_level),
-            }
-
         flush_name = f"O-flush-L{lvl}"
         flush_jobs: List[TransferJob] = []
         rb_jobs: List[TransferJob] = []
         rb_name = f"O-readback-L{lvl}"
         high_tl, __ = _port_key_and_bw(high, operand, EndpointKind.TL)
         low_fh, __ = _port_key_and_bw(low, operand, EndpointKind.FH)
+        flush_ports = {
+            bits: _per_port(bits, low, low_th, high, high_fl)
+            for bits in (partial_bits, final_bits)
+        }
+        rb_ports = _per_port(partial_bits, high, high_tl, low, low_fh)
         for k in range(z_total):
             digits = _mixed_radix_digits(k, sizes)
             last_visit = all(
@@ -286,7 +281,7 @@ def _output_streams(accelerator: Accelerator, mapping: Mapping) -> List[JobStrea
                     gate_c=float((k + 1) * period),
                     threshold_c=(k + 1) * period + x_req,
                     bits=bits,
-                    bits_per_port=_per_port(bits, low, low_th, high, high_fl),
+                    bits_per_port=flush_ports[bits],
                 )
             )
             if not first_visit:
@@ -298,9 +293,7 @@ def _output_streams(accelerator: Accelerator, mapping: Mapping) -> List[JobStrea
                         threshold_c=k * period + x_req,
                         bits=partial_bits,
                         dep=(flush_name, k - 1) if k >= 1 else None,
-                        bits_per_port=_per_port(
-                            partial_bits, high, high_tl, low, low_fh
-                        ),
+                        bits_per_port=rb_ports,
                     )
                 )
         streams.append(
@@ -316,8 +309,6 @@ def _output_streams(accelerator: Accelerator, mapping: Mapping) -> List[JobStrea
             )
         )
         if rb_jobs:
-            high_tl, __ = _port_key_and_bw(high, operand, EndpointKind.TL)
-            low_fh, __ = _port_key_and_bw(low, operand, EndpointKind.FH)
             streams.append(
                 JobStream(
                     name=rb_name,

@@ -1,9 +1,9 @@
-"""Engine internals: stream cursors and port fairness."""
+"""Engine internals: stream columns and port fairness."""
 
 import pytest
 
 from repro.mapping.loop import Loop
-from repro.simulator.engine import CycleSimulator, _StreamState
+from repro.simulator.engine import CycleSimulator, _Columns
 from repro.simulator.streams import JobStream, TransferJob
 from repro.simulator.trace import TraceRecorder
 from repro.workload.dims import LoopDim
@@ -25,15 +25,29 @@ def _stream(n_jobs=3):
 
 
 def test_stream_state_cursor():
-    st = _StreamState(_stream())
-    assert not st.done
-    assert st.frontier.seq == 0
-    st.active = st.stream.jobs[0]
-    assert st.frontier is st.active
-    st.active = None
-    st.next_index = 3
-    assert st.done
-    assert st.frontier is None
+    """The engine's flat per-stream columns: cursor ``k`` of stream ``i``
+    reads job ``k``'s gate, threshold, per-port bits and dependency."""
+    up = _stream()
+    down = JobStream(
+        name="d", kind="refill", operand=Operand.I, level=0, period=1,
+        x_req=1.0, ports=(("GB", "rd"), ("I-Reg", "wr")),
+        jobs=[
+            TransferJob("d", k, gate_c=float(k), threshold_c=float(k + 1),
+                        bits=4.0, dep=("s", 2 * k),
+                        bits_per_port={("GB", "rd"): 16.0})
+            for k in range(2)
+        ],
+    )
+    cols = _Columns([up, down])
+    assert cols.port_keys == [("GB", "rd"), ("I-Reg", "wr")]
+    assert cols.length == [3, 2]
+    assert cols.gates[0] == [0.0, 1.0, 2.0]
+    assert cols.thresholds[1] == [1.0, 2.0]
+    assert cols.pids == [(0,), (0, 1)]
+    assert cols.bits[0][2] == (8.0,)
+    assert cols.bits[1][1] == (16.0, 4.0)
+    assert cols.dep_up == [-1, 0]
+    assert cols.dep_seq == [[-1, -1, -1], [0, 2]]
 
 
 def test_stream_total_bits():
