@@ -6,8 +6,11 @@ moving parts:
 
 * **One kernel worker** — every request that misses the store and is
   not already in flight goes onto one bounded :class:`asyncio.Queue`,
-  drained by one worker task through a single-thread executor. Engines
-  are built lazily per (machine, options) pair and share one
+  drained by one worker task through a single-thread executor. Each
+  pickup takes everything already queued and runs it as one
+  ``evaluate_many`` call per (machine, options) group; singletons and
+  traced requests run the scalar kernel. Engines are built lazily per
+  (machine, options) pair and share one
   :class:`~repro.engine.EvaluationCache`. The kernel never runs
   concurrently; under the GIL, two worker threads measured no faster.
 * **Backpressure** — the queue is bounded; when it is ``queue_depth``
@@ -146,9 +149,9 @@ class ServerConfig:
     (TCP; ``port=0`` binds an ephemeral port, reported by
     :attr:`EvaluationServer.url`) selects the transport.
     ``pre_evaluate_hook`` is a test seam: called in the kernel thread
-    with the work item just before the kernel, it lets integration
-    tests hold an evaluation open deterministically (to assert
-    coalescing) without sleeping.
+    once per work item, before that item's group goes to the kernel,
+    it lets integration tests hold an evaluation open deterministically
+    (to assert coalescing) without sleeping.
 
     ``admin_port`` (``None`` = off, ``0`` = ephemeral) starts the HTTP
     admin listener on ``host``; ``slow_ms`` (``None`` = off) is the
@@ -827,28 +830,47 @@ class EvaluationServer:
     # ------------------------------------------------------------------ #
 
     async def _kernel_loop(self) -> None:
-        """Drain the queue through the single-thread kernel executor."""
+        """Drain the queue in batches through the single-thread executor.
+
+        Each pickup takes the awaited item plus whatever is already
+        queued (at most ``queue_depth`` items) and hands the batch to the
+        kernel thread in one hop. A ``None`` sentinel ends the loop once
+        the batch in hand is answered.
+        """
         loop = asyncio.get_running_loop()
         while True:
-            item = await self._queue.get()
-            if item is None:
-                break
-            item.queue_wait_us = (time.perf_counter() - item.t_enqueue) * 1e6
+            batch = [await self._queue.get()]
+            while batch[-1] is not None and not self._queue.empty():
+                batch.append(self._queue.get_nowait())
+            stop = batch[-1] is None
+            if stop:
+                batch.pop()
+                if not batch:
+                    return
+            picked_up = time.perf_counter()
+            for item in batch:
+                item.queue_wait_us = (picked_up - item.t_enqueue) * 1e6
             if self._run is not None:
                 # Announce the kernel *before* it runs: if the kernel
-                # thread wedges, the stall warning names this request.
+                # thread wedges, the stall warning names this batch.
+                more = f" +{len(batch) - 1}" if len(batch) > 1 else ""
                 self._run.heartbeat(
                     worker=_WORKER,
-                    note=f"evaluating {item.label} (kernel)",
+                    note=f"evaluating {batch[0].label}{more} (kernel)",
                 )
             try:
-                outcome = await loop.run_in_executor(
-                    self._executor, self._evaluate_blocking, item
+                done = await loop.run_in_executor(
+                    self._executor, self._evaluate_batch, batch
                 )
             except BaseException as exc:
-                self._finish_item(item, error=exc)
-            else:
-                self._finish_item(item, outcome=outcome)
+                done = [(item, exc) for item in batch]
+            for item, outcome in done:
+                if isinstance(outcome, BaseException):
+                    self._finish_item(item, error=outcome)
+                else:
+                    self._finish_item(item, outcome=outcome)
+            if stop:
+                return
 
     def _finish_item(self, item: _WorkItem, outcome=None, error=None) -> None:
         """Resolve an item's future and release its in-flight slot."""
@@ -860,8 +882,70 @@ class EvaluationServer:
         else:
             item.future.set_result(outcome)
 
+    def _evaluate_batch(self, batch: List[_WorkItem]) -> List[Tuple[_WorkItem, Any]]:
+        """One pickup, in the kernel thread: each item with its outcome or error.
+
+        Untraced items sharing (machine, options, validate, with_energy)
+        run as one ``evaluate_many`` call. Singletons and traced items
+        take the scalar path: a batch of one is slower than the scalar
+        kernel, and only the scalar kernel emits spans. If a group's
+        call raises, its items re-run one at a time, so only the
+        offending request fails. ``pre_evaluate_hook`` runs once per
+        item, before that item's group.
+        """
+        groups: Dict[Tuple, List[_WorkItem]] = {}
+        for i, item in enumerate(batch):
+            key = (i,) if item.traced else (
+                item.key[:2] + (item.validate, item.with_energy)
+            )
+            groups.setdefault(key, []).append(item)
+        hook = self.config.pre_evaluate_hook
+        done: List[Tuple[_WorkItem, Any]] = []
+        for items in groups.values():
+            if hook is not None:
+                for item in items:
+                    hook(item)
+            outcomes = None
+            if len(items) > 1:
+                try:
+                    outcomes = self._evaluate_group(items)
+                except Exception:
+                    pass  # re-run one at a time below
+            if outcomes is None:
+                outcomes = [self._try_scalar(item) for item in items]
+            done.extend(zip(items, outcomes))
+        return done
+
+    def _evaluate_group(self, items: List[_WorkItem]) -> List[Any]:
+        """One ``evaluate_many`` call; each lane's ``wall_s`` is its share.
+
+        A ``None`` lane (a ``MappingError``) re-runs through the scalar
+        path, so its error keeps the exact type and message.
+        """
+        first = items[0]
+        t0 = time.perf_counter()
+        evaluations = self._engine_for(first).evaluate_many(
+            [item.mapping for item in items],
+            validate=first.validate,
+            with_energy=first.with_energy,
+        )
+        share = (time.perf_counter() - t0) / len(items)
+        return [
+            self._try_scalar(item) if evaluation is None else _Outcome(
+                report=evaluation.report, energy=evaluation.energy, wall_s=share
+            )
+            for item, evaluation in zip(items, evaluations)
+        ]
+
+    def _try_scalar(self, item: _WorkItem) -> Any:
+        """:meth:`_evaluate_blocking`, with an error returned, not raised."""
+        try:
+            return self._evaluate_blocking(item)
+        except Exception as exc:
+            return exc
+
     def _evaluate_blocking(self, item: _WorkItem) -> _Outcome:
-        """The kernel call, in the kernel thread (no ambient context here).
+        """The scalar kernel call, in the kernel thread (no ambient context).
 
         ``run_in_executor`` deliberately does not propagate contextvars,
         so a traced request installs its *own* kernel tracer here: the
@@ -870,9 +954,6 @@ class EvaluationServer:
         the wire.
         """
         engine = self._engine_for(item)
-        hook = self.config.pre_evaluate_hook
-        if hook is not None:
-            hook(item)
         kernel_records: Tuple[SpanRecord, ...] = ()
         t0 = time.perf_counter()
         if item.traced:

@@ -16,19 +16,28 @@ import time
 
 import pytest
 
+from repro.core.model import LatencyModel
 from repro.core.step1 import ModelOptions
-from repro.dse.mapper import TemporalMapper
+from repro.dse.mapper import MapperConfig, TemporalMapper
 from repro.engine import EvaluationEngine
-from repro.hardware.presets import case_study_accelerator
+from repro.hardware.presets import KB, build_accelerator, case_study_accelerator
 from repro.mapping.mapping import MappingError
 from repro.observability.ledger import RunLedger, load_snapshot
+from repro.observability.span import span_tree
+from repro.observability.tracer import Tracer, use_tracer
 from repro.serve import (
     EvaluationServer,
     RemoteEvaluationError,
     ServerConfig,
     connect,
 )
-from repro.serve.protocol import options_to_dict
+from repro.serve.protocol import (
+    ErrorResponse,
+    EvaluateResponse,
+    options_to_dict,
+    report_from_dict,
+)
+from repro.serve.server import _WorkItem
 from repro.verify.generators import sample_cases
 from repro.workload.generator import dense_layer
 
@@ -415,6 +424,308 @@ def test_requests_after_drain_are_refused(make_server):
     with pytest.raises((RemoteEvaluationError, Exception)):
         client.derive(accelerator=case.accelerator).evaluate(case.mapping)
     client.close()
+
+
+# --------------------------------------------------------------------- #
+# Batched kernel
+# --------------------------------------------------------------------- #
+
+def _mapper_mappings(preset, layer, count):
+    """The first ``count`` distinct mappings the mapper emits for ``layer``."""
+    mapper = TemporalMapper(
+        preset.accelerator, preset.spatial_unrolling,
+        MapperConfig(max_enumerated=count, samples=0),
+    )
+    mappings = list(mapper.mappings(layer))[:count]
+    assert len(mappings) == count
+    return mappings
+
+
+def _holding_hook(*holds):
+    """A pre_evaluate_hook whose k-th call sets ``holds[k][0]`` and then
+    waits for ``holds[k][1]``; every later call passes straight through."""
+    calls = []
+
+    def hook(item):
+        calls.append(item)
+        if len(calls) <= len(holds):
+            entered, release = holds[len(calls) - 1]
+            entered.set()
+            assert release.wait(timeout=30)
+
+    return hook, calls
+
+
+def _wait_for(probe, field, at_least):
+    deadline = time.time() + 30
+    while time.time() < deadline:
+        if probe.server_stats()[field] >= at_least:
+            return
+        time.sleep(0.02)
+    raise AssertionError(f"{field} never reached {at_least}")
+
+
+def test_a_queued_burst_runs_as_one_batch(make_server):
+    """N requests queued behind a held kernel run as one evaluate_many
+    call, bit-identical to in-process; a traced request picked up with
+    them stays on the scalar path and still ships its kernel spans."""
+    held, release = threading.Event(), threading.Event()
+    hook, calls = _holding_hook((held, release))
+    handle = make_server(pre_evaluate_hook=hook)
+    preset = case_study_accelerator()
+    n = 8
+    first, *burst = _mapper_mappings(preset, dense_layer(64, 128, 1200), n + 1)
+    traced_mapping = _mapper_mappings(preset, dense_layer(32, 64, 600), 1)[0]
+    results, tracers = {}, []
+
+    def run_first():
+        with connect(handle.url) as client:
+            results["first"] = client.evaluate(first)
+
+    def run_burst():
+        with connect(handle.url) as client:
+            results["burst"] = client.evaluate_many(burst)
+
+    def run_traced():
+        tracer = Tracer()
+        with use_tracer(tracer), connect(handle.url) as client:
+            results["traced"] = client.evaluate(traced_mapping)
+        tracers.append(tracer)
+
+    threads = [threading.Thread(target=run_first)]
+    threads[0].start()
+    assert held.wait(timeout=30)
+    threads += [threading.Thread(target=run_burst),
+                threading.Thread(target=run_traced)]
+    for t in threads[1:]:
+        t.start()
+    probe = connect(handle.url)
+    _wait_for(probe, "queued", n + 1)
+    release.set()
+    for t in threads:
+        t.join(timeout=30)
+    assert not any(t.is_alive() for t in threads)
+    stats = probe.server_stats()
+    probe.close()
+
+    assert len(calls) == n + 2, "the hook runs once per item"
+    assert stats["evaluations"] == n + 2 and not stats["errors"]
+    assert stats["engine_batches"] == 1
+    assert stats["engine_batched_evaluations"] >= n
+    local = EvaluationEngine(preset.accelerator)
+    _assert_parity(local.evaluate(first), results["first"])
+    assert len(results["burst"]) == n
+    for mapping, got in zip(burst, results["burst"]):
+        _assert_parity(local.evaluate(mapping), got.report)
+    _assert_parity(local.evaluate(traced_mapping), results["traced"])
+    roots = span_tree(tracers[0].records)
+    assert [r.name for r in roots] == ["remote.evaluate"]
+    kernel = roots[0].find("serve.kernel")
+    assert len(kernel) == 1
+    assert kernel[0].find("engine.evaluate") and kernel[0].find("model.evaluate")
+
+
+def test_infeasible_lanes_of_a_batch_keep_their_mapping_error(make_server):
+    """A validate=True burst mixing feasible and infeasible mappings runs
+    through one daemon batch; each infeasible lane's error frame carries
+    the exact MappingError the in-process check raises."""
+    held, release = threading.Event(), threading.Event()
+    hook, __ = _holding_hook((held, release))
+    handle = make_server(pre_evaluate_hook=hook)
+    layer = dense_layer(64, 128, 1200)
+    small = build_accelerator(
+        "small-lb", macs_k=16, macs_b=8, macs_c=2,
+        w_lb_bits=4 * KB, i_lb_bits=2 * KB,
+    )
+    model = LatencyModel(small.accelerator)
+    feasible = _mapper_mappings(small, layer, 4)
+    infeasible, expected = [], []
+    for mapping in _mapper_mappings(case_study_accelerator(), layer, 16):
+        try:
+            model.check(mapping)
+        except MappingError as exc:
+            infeasible.append(mapping)
+            expected.append(str(exc))
+    infeasible, expected = infeasible[:4], expected[:4]
+    assert len(infeasible) == 4
+    mixed = [m for pair in zip(feasible, infeasible) for m in pair]
+    responses = []
+
+    def run_first():
+        with connect(handle.url) as client:
+            client.evaluate(feasible[0], validate=False)
+
+    def run_burst():
+        with connect(handle.url) as client:
+            remote = client.derive(accelerator=small.accelerator)
+            responses.extend(remote._transport.request_many([
+                remote._request_for(m, validate=True, with_energy=False)
+                for m in mixed
+            ]))
+
+    threads = [threading.Thread(target=run_first)]
+    threads[0].start()
+    assert held.wait(timeout=30)
+    threads.append(threading.Thread(target=run_burst))
+    threads[1].start()
+    probe = connect(handle.url)
+    _wait_for(probe, "queued", len(mixed))
+    release.set()
+    for t in threads:
+        t.join(timeout=30)
+    assert not any(t.is_alive() for t in threads)
+    stats = probe.server_stats()
+    probe.close()
+
+    assert stats["engine_batches"] == 1
+    assert stats["engine_batched_evaluations"] == len(feasible)
+    local = EvaluationEngine(small.accelerator)
+    got = dict(zip(map(id, mixed), responses))
+    for mapping in feasible:
+        response = got[id(mapping)]
+        assert isinstance(response, EvaluateResponse)
+        _assert_parity(local.evaluate(mapping), report_from_dict(response.report))
+    for mapping, message in zip(infeasible, expected):
+        response = got[id(mapping)]
+        assert isinstance(response, ErrorResponse)
+        assert (response.error, response.message) == ("MappingError", message)
+
+
+def test_drain_while_a_batch_is_in_the_kernel(make_server):
+    """A drain that lands while a batched group is in the kernel answers
+    every lane of that batch, fails what queued behind it with
+    ServerDraining, and lets the worker exit."""
+    single, release_single = threading.Event(), threading.Event()
+    in_batch, release_batch = threading.Event(), threading.Event()
+    hook, __ = _holding_hook((single, release_single), (in_batch, release_batch))
+    handle = make_server(pre_evaluate_hook=hook)
+    preset = case_study_accelerator()
+    first, *mappings = _mapper_mappings(preset, dense_layer(64, 128, 1200), 9)
+    batch, behind = mappings[:5], mappings[5:]
+    results, errors = {}, []
+
+    def run_first():
+        with connect(handle.url) as client:
+            results["first"] = client.evaluate(first)
+
+    def run_batch():
+        with connect(handle.url) as client:
+            results["batch"] = client.evaluate_many(batch)
+
+    def run_behind():
+        with connect(handle.url) as client:
+            try:
+                client.evaluate_many(behind)
+            except RemoteEvaluationError as exc:
+                errors.append(exc)
+
+    threads = [threading.Thread(target=run_first)]
+    threads[0].start()
+    assert single.wait(timeout=30)
+    threads.append(threading.Thread(target=run_batch))
+    threads[1].start()
+    probe = connect(handle.url)
+    _wait_for(probe, "queued", len(batch))
+    release_single.set()
+    assert in_batch.wait(timeout=30)  # the whole batch is in the kernel
+    threads.append(threading.Thread(target=run_behind))
+    threads[2].start()
+    _wait_for(probe, "queued", len(behind))
+    probe.close()
+
+    drain = asyncio.run_coroutine_threadsafe(
+        handle.server.drain(reason="test", interrupted=False),
+        handle.server.loop,
+    )
+    threads[2].join(timeout=30)
+    assert not threads[2].is_alive()
+    assert [e.kind for e in errors] == ["ServerDraining"]
+    release_batch.set()
+    for t in threads[:2]:
+        t.join(timeout=30)
+    assert not any(t.is_alive() for t in threads)
+    drain.result(timeout=30)
+    handle.thread.join(timeout=30)
+    assert not handle.thread.is_alive()
+    assert handle.server._worker.done()
+
+    stats = handle.server.stats
+    assert stats.evaluations == 1 + len(batch)
+    assert stats.errors == len(behind)
+    local = EvaluationEngine(preset.accelerator)
+    assert [r is not None for r in results["batch"]] == [True] * len(batch)
+    for mapping, got in zip(batch, results["batch"]):
+        _assert_parity(local.evaluate(mapping), got.report)
+
+
+def _work_items(server, mappings, make_future=lambda: None):
+    """Queue-ready work items for the server's own machine and options."""
+    options, options_fp = server._resolve_options(None)
+    return [
+        _WorkItem(
+            key=(server._own_accel_fp, options_fp, mapping.fingerprint(), False),
+            accelerator=server._own_accel, options=options,
+            mapping=mapping, validate=True, with_energy=False,
+            future=make_future(), t_enqueue=time.perf_counter(),
+        )
+        for mapping in mappings
+    ]
+
+
+def test_worker_finishes_the_batch_in_hand_when_it_drains_the_sentinel():
+    """A pickup that drains the sentinel answers the items before it,
+    leaves the items behind it queued, and ends the worker."""
+    preset = case_study_accelerator()
+    server = EvaluationServer(ServerConfig(preset=preset))
+    mappings = _mapper_mappings(preset, dense_layer(64, 128, 1200), 3)
+
+    async def scenario():
+        server._queue = asyncio.Queue()
+        items = _work_items(server, mappings, asyncio.get_running_loop().create_future)
+        for entry in (items[0], items[1], None, items[2]):
+            server._queue.put_nowait(entry)
+        await asyncio.wait_for(server._kernel_loop(), timeout=30)
+        return items
+
+    try:
+        items = asyncio.run(scenario())
+    finally:
+        server._executor.shutdown(wait=True)
+    local = EvaluationEngine(preset.accelerator)
+    for item in items[:2]:
+        assert item.queue_wait_us > 0
+        _assert_parity(local.evaluate(item.mapping), item.future.result().report)
+    assert not items[2].future.done()
+    assert server._queue.qsize() == 1
+    assert server.engine_stats.batches == 1
+
+
+def test_a_failing_group_reruns_its_items_one_at_a_time(monkeypatch):
+    """When a group's evaluate_many raises, its items re-run scalar and
+    only the request that also fails on its own gets the error."""
+    preset = case_study_accelerator()
+    server = EvaluationServer(ServerConfig(preset=preset))
+    mappings = _mapper_mappings(preset, dense_layer(64, 128, 1200), 3)
+    scalar = EvaluationEngine.evaluate
+
+    def evaluate_many(self, *args, **kwargs):
+        raise RuntimeError("batch fault")
+
+    def evaluate(self, mapping, validate=True):
+        if mapping is mappings[1]:
+            raise RuntimeError("lane fault")
+        return scalar(self, mapping, validate)
+
+    monkeypatch.setattr(EvaluationEngine, "evaluate_many", evaluate_many)
+    monkeypatch.setattr(EvaluationEngine, "evaluate", evaluate)
+    items = _work_items(server, mappings)
+    outcomes = {id(item): outcome for item, outcome in server._evaluate_batch(items)}
+
+    local = EvaluationEngine(preset.accelerator)
+    for item in (items[0], items[2]):
+        _assert_parity(scalar(local, item.mapping), outcomes[id(item)].report)
+    failed = outcomes[id(items[1])]
+    assert isinstance(failed, RuntimeError) and str(failed) == "lane fault"
 
 
 # --------------------------------------------------------------------- #
