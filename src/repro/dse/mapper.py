@@ -7,10 +7,11 @@ For a layer and a fixed spatial unrolling the mapper:
 2. enumerates distinct loop orders — exhaustively when the multinomial
    count is small, otherwise a deterministic enumeration prefix plus
    uniform random samples;
-3. allocates each order onto every operand's memory chain bottom-up and
-   greedily (push each loop to the lowest level whose mapper-visible
-   capacity still holds the grown tile — maximizing low-level reuse, which
-   is how ZigZag's allocator behaves);
+3. allocates the orders, ``batch_size`` at a time as int columns, onto
+   every operand's memory chain bottom-up and greedily (push each loop to
+   the lowest level whose mapper-visible capacity still holds the grown
+   tile — maximizing low-level reuse, which is how ZigZag's allocator
+   behaves);
 4. evaluates the requested objective (latency via the uniform model,
    energy, or EDP) and returns the ranked results.
 
@@ -24,9 +25,12 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import math
 import random
-from typing import Dict, Iterator, List, Mapping as TMapping, Optional, Tuple, Union
+from typing import (
+    Dict, Iterator, List, Mapping as TMapping, Optional, Sequence, Tuple, Union,
+)
+
+import numpy as np
 
 from repro.core.report import LatencyReport
 from repro.core.step1 import ModelOptions
@@ -53,6 +57,47 @@ from repro.workload.layer import LayerSpec
 from repro.workload.operand import Operand
 
 
+#: Column code of each loop dimension in :func:`order_columns`.
+_DIM_CODE = {dim: code for code, dim in enumerate(ALL_DIMS)}
+_DIM_CODES = np.arange(len(ALL_DIMS))
+
+
+def order_columns(
+    orders: Sequence[Sequence[Tuple[LoopDim, int]]],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A block of loop orders as int64 ``(dims, sizes, lengths)`` columns.
+
+    ``dims[i, j]`` is the position of loop ``j`` of order ``i``'s dimension
+    in ``ALL_DIMS`` and ``sizes[i, j]`` its size. Shorter orders are padded
+    to the longest with dimension ``-1`` and size ``1``, which grow no
+    extent; ``lengths`` holds each order's own length.
+    """
+    lengths = np.fromiter(map(len, orders), dtype=np.int64, count=len(orders))
+    width = int(lengths.max(initial=0))
+    dims = np.full((len(orders), width), -1, dtype=np.int64)
+    sizes = np.ones((len(orders), width), dtype=np.int64)
+    real = np.arange(width) < lengths[:, None]
+    dims[real] = [_DIM_CODE[dim] for order in orders for dim, __ in order]
+    sizes[real] = [size for order in orders for __, size in order]
+    return dims, sizes, lengths
+
+
+def _canonical_columns(dims: Tuple, sizes: Tuple, cuts: Tuple) -> Tuple:
+    """``(dims, sizes, cuts)`` with the sizes of every maximal run of
+    equal dimensions that no cut splits sorted (see
+    :meth:`TemporalMapper._canonical_key`)."""
+    boundaries = {c for cut in cuts for c in cut}
+    canon: List[int] = []
+    i, n = 0, len(dims)
+    while i < n:
+        j = i + 1
+        while j < n and dims[j] == dims[i] and j not in boundaries:
+            j += 1
+        canon.extend(sorted(sizes[i:j]))
+        i = j
+    return dims, tuple(canon), cuts
+
+
 @dataclasses.dataclass(frozen=True)
 class MapperConfig:
     """Search-budget and objective knobs of the mapper."""
@@ -62,7 +107,7 @@ class MapperConfig:
     samples: int = 2_000            # sampled orders when above the cap
     seed: int = 0
     keep_top: int = 50              # results retained by search()
-    batch_size: int = 256           # mappings per engine batch
+    batch_size: int = 256           # orders per allocation block, mappings per engine batch
     sample_chunk: int = 64          # samples per RNG stream (determinism unit)
     lpf_limit: Optional[int] = None  # cap loop prime factors per dim (LOMA)
     model_options: ModelOptions = dataclasses.field(default_factory=ModelOptions)
@@ -217,63 +262,85 @@ class TemporalMapper:
     ) -> TemporalMapping:
         """Greedy bottom-up level allocation of one loop order.
 
-        Walks the order once, innermost first, keeping each dimension's
-        clamped extent up to the current loop. After every loop each
-        operand's tile is measured, and while it overflows the operand's
-        current level a cut is placed before that loop and allocation moves
-        one level up. The outermost level is the operand's data home
+        The one-order call of :meth:`allocate_block`: each operand climbs
+        its memory chain innermost first, placing a cut before the first
+        loop whose grown tile overflows the current level, i.e.
+        ``cut_l = max(cut_{l-1}, first j with elements_j > limit_l)``.
+        That block rule is exact because a tile never shrinks as the
+        prefix grows. The outermost level is the operand's data home
         (backed by off-chip memory) and accepts any footprint, so every
         order allocates.
         """
         loops = tuple(Loop(dim, size) for dim, size in order)
+        cuts = self.allocate_block(layer, *order_columns([order]))
+        return TemporalMapping(
+            loops, {op: tuple(cut[0].tolist()) for op, cut in cuts.items()}
+        )
+
+    def allocate_block(
+        self, layer: LayerSpec, dims: np.ndarray, sizes: np.ndarray,
+        lengths: np.ndarray,
+    ) -> Dict[Operand, np.ndarray]:
+        """Greedy level allocation of a block of orders, as cut columns.
+
+        ``dims``/``sizes``/``lengths`` are the block's columns from
+        :func:`order_columns`. Returns, per operand, an int64 array of one
+        row per order and one column per level boundary (``depth - 1``).
+
+        For every prefix ``0..j`` of an order, each dimension's extent is
+        its clamped product ``min(temporal x spatial, bound)``; the
+        operand's tile ``elements_j`` follows from :func:`extent_elements`.
+        The greedy walk places cut ``l`` at the first loop at or after cut
+        ``l-1`` whose tile overflows level ``l``. Extents only grow along a
+        prefix and every tile formula is monotone in them, so ``elements_j``
+        never shrinks; the first overflowing loop at or after a position
+        is therefore ``max(cut_{l-1}, first j with elements_j > limit_l)``
+        — the rule computed here as a running maximum over the levels,
+        exact also when a lane-split register level holds fewer elements
+        than the level below it. A level that never overflows cuts at the
+        order's end.
+        """
         factors, bounds, limits = self._allocation_plan(layer)
-        temporal = dict.fromkeys(factors, 1)
-        ext = {dim: min(factors[dim], bounds[dim]) for dim in factors}
-        cuts: Dict[Operand, List[int]] = {operand: [] for operand in Operand}
-        climbing = [operand for operand in Operand if len(limits[operand]) > 1]
-        for index, loop in enumerate(loops):
-            if not climbing:
-                break
-            dim = loop.dim
-            temporal[dim] *= loop.size
-            ext[dim] = min(temporal[dim] * factors[dim], bounds[dim])
-            moved = False
-            for operand in climbing:
-                cut, limit = cuts[operand], limits[operand]
-                elements = extent_elements(layer, operand, ext)
-                while elements > limit[len(cut)]:
-                    cut.append(index)
-                    moved = True
-            if moved:
-                climbing = [op for op in climbing if len(cuts[op]) < len(limits[op]) - 1]
-        for operand, cut in cuts.items():
-            cut.extend([len(loops)] * (len(limits[operand]) - 1 - len(cut)))
-        return TemporalMapping(loops, {op: tuple(cut) for op, cut in cuts.items()})
+        # Per loop and dimension: the size when the loop iterates that
+        # dimension, else 1; prefix products give the temporal extents.
+        runs = np.where(dims[:, :, None] == _DIM_CODES, sizes[:, :, None], 1)
+        ext = np.minimum(np.cumprod(runs, axis=1) * factors, bounds)
+        extents = {dim: ext[:, :, code] for code, dim in enumerate(ALL_DIMS)}
+        cuts: Dict[Operand, np.ndarray] = {}
+        for operand in Operand:
+            elements = extent_elements(layer, operand, extents)
+            # Prefixes whose tile fits each level; padding repeats a row's
+            # last tile, so the count is capped at the order's length.
+            fitting = (elements[:, :, None] <= limits[operand]).sum(axis=1)
+            first = np.minimum(fitting, lengths[:, None])
+            cuts[operand] = np.maximum.accumulate(first, axis=1)
+        return cuts
 
     def _allocation_plan(self, layer: LayerSpec):
-        """Per-layer constants of :meth:`allocate`, cached for the last layer.
+        """Per-layer constants of :meth:`allocate_block`, cached for the last layer.
 
-        Per dimension its spatial factor and layer bound; per operand, the
-        most elements each level of its chain holds. Outputs count at
-        accumulator width (conservative for in-flight partial sums); a
-        level split into per-lane instances stores one copy per broadcast
-        lane; the outermost level holds any tile.
+        Per dimension (in ``ALL_DIMS`` order) its spatial factor and layer
+        bound; per operand, the most elements each level below the
+        outermost holds (the outermost, the data home, holds any tile).
+        Outputs count at accumulator width (conservative for in-flight
+        partial sums); a level split into per-lane instances stores one
+        copy per broadcast lane.
         """
         cached = self._plan
         if cached is not None and cached[0] is layer:
             return cached[1]
-        factors = {dim: self.spatial.factor(dim) for dim in ALL_DIMS}
-        bounds = {dim: layer.size(dim) for dim in ALL_DIMS}
-        limits: Dict[Operand, Tuple[float, ...]] = {}
+        factors = np.array([self.spatial.factor(dim) for dim in ALL_DIMS])
+        bounds = np.array([layer.size(dim) for dim in ALL_DIMS])
+        limits: Dict[Operand, np.ndarray] = {}
         for operand in Operand:
             bits = layer.precision.of(operand, partial=operand is Operand.O)
             replicated = bits * spatial_replication(layer, operand, self.spatial)
             chain = self.accelerator.hierarchy.levels(operand)
-            limits[operand] = tuple(
+            limits[operand] = np.array([
                 level.capacity_for(operand)
                 // (replicated if level.instance.instances > 1 else bits)
                 for level in chain[:-1]
-            ) + (math.inf,)
+            ], dtype=np.int64)
         plan = (factors, bounds, limits)
         self._plan = (layer, plan)
         return plan
@@ -285,12 +352,16 @@ class TemporalMapper:
     def mappings(self, layer: LayerSpec) -> Iterator[Mapping]:
         """All valid mappings of ``layer`` (within the search budget).
 
-        Beyond exact duplicates, model-equivalent allocations are emitted
-        once: two mappings whose loop orders differ only by permuting
-        same-dimension loops with no memory-level boundary between them
-        produce identical reports (see :meth:`_canonical_key`), so only
-        the canonical representative reaches the engine. Skips are
-        counted in ``engine.stats.dedup_skipped``.
+        Orders are allocated ``config.batch_size`` at a time by
+        :meth:`allocate_block` and deduplicated on plain int tuples;
+        ``Loop``/``TemporalMapping``/``Mapping`` objects are built only for
+        the orders that survive. Beyond exact duplicates, model-equivalent
+        allocations are emitted once: two mappings whose loop orders differ
+        only by permuting same-dimension loops with no memory-level
+        boundary between them produce identical reports (see
+        :meth:`_canonical_key`), so only the canonical representative
+        reaches the engine. Skips are counted in
+        ``engine.stats.dedup_skipped``.
         """
         if not self.spatial.fits(self.accelerator.mac_array.size):
             return  # spatial unrolling alone exceeds the array: no mappings
@@ -298,31 +369,47 @@ class TemporalMapper:
         funnel = campaign.phase("mapper") if campaign.enabled else None
         seen = set()
         canonical_seen = set()
-        for order in self.orders(layer):
-            if funnel is not None:
-                funnel.admit()
-            temporal = self.allocate(layer, order)
-            key = (temporal.loops, tuple(sorted(
-                (op.value, temporal.cuts[op]) for op in Operand
-            )))
-            if key in seen:
+        # Every order permutes the same atoms, so blocks carry no padding
+        # and one Loop object per atom serves every order.
+        loop_of = {atom: Loop(*atom) for atom in self.loop_multiset(layer)}
+        orders = self.orders(layer)
+        while True:
+            block = list(itertools.islice(orders, self.config.batch_size))
+            if not block:
+                return
+            dims, sizes, lengths = order_columns(block)
+            cuts = self.allocate_block(layer, dims, sizes, lengths)
+            rows = zip(
+                block, map(tuple, dims.tolist()), map(tuple, sizes.tolist()),
+                zip(*(map(tuple, cuts[op].tolist()) for op in Operand)),
+            )
+            for order, dim_row, size_row, cut in rows:
                 if funnel is not None:
-                    funnel.discard("duplicate")
-                continue
-            seen.add(key)
-            canonical = self._canonical_key(temporal)
-            if canonical in canonical_seen:
-                self.engine.stats.dedup_skipped += 1
-                if funnel is not None:
-                    funnel.discard("canonical-equivalent")
-                continue
-            canonical_seen.add(canonical)
-            try:
-                yield Mapping(layer, self.spatial, temporal)
-            except MappingError:
-                if funnel is not None:
-                    funnel.discard("mapping-error")
-                continue
+                    funnel.admit()
+                key = (dim_row, size_row, cut)
+                if key in seen:
+                    if funnel is not None:
+                        funnel.discard("duplicate")
+                    continue
+                seen.add(key)
+                canonical = _canonical_columns(dim_row, size_row, cut)
+                if canonical in canonical_seen:
+                    self.engine.stats.dedup_skipped += 1
+                    if funnel is not None:
+                        funnel.discard("canonical-equivalent")
+                    continue
+                canonical_seen.add(canonical)
+                loops = tuple(map(loop_of.__getitem__, order))
+                try:
+                    mapping = Mapping(
+                        layer, self.spatial,
+                        TemporalMapping(loops, dict(zip(Operand, cut))),
+                    )
+                except MappingError:
+                    if funnel is not None:
+                        funnel.discard("mapping-error")
+                    continue
+                yield mapping
 
     @staticmethod
     def _canonical_key(temporal: TemporalMapping):
@@ -335,24 +422,15 @@ class TemporalMapper:
         crosses. Sorting the sizes within each such run therefore maps
         every member of an equivalence class to the same key; e.g.
         ``K2 K3 | ...`` and ``K3 K2 | ...`` (same cuts) are one design
-        point, not two.
+        point, not two. :meth:`mappings` applies the same rule to its int
+        columns (:func:`_canonical_columns`).
         """
         loops = temporal.loops
-        boundaries = {cut for cuts in temporal.cuts.values() for cut in cuts}
-        canon: List[Tuple[LoopDim, int]] = []
-        i, n = 0, len(loops)
-        while i < n:
-            j = i + 1
-            while j < n and loops[j].dim is loops[i].dim and j not in boundaries:
-                j += 1
-            canon.extend(
-                (loops[i].dim, size)
-                for size in sorted(loop.size for loop in loops[i:j])
-            )
-            i = j
-        return (tuple(canon), tuple(sorted(
-            (op.value, temporal.cuts[op]) for op in Operand
-        )))
+        return _canonical_columns(
+            tuple(loop.dim for loop in loops),
+            tuple(loop.size for loop in loops),
+            tuple(temporal.cuts[op] for op in Operand),
+        )
 
     @property
     def _wants_energy(self) -> bool:

@@ -1,10 +1,14 @@
-"""LRU caches for evaluation results, keyed on canonical fingerprints.
+"""LRU caches for evaluation results, keyed on structural identities.
 
 Two granularities live here:
 
 * :class:`EvaluationCache` — whole :class:`~repro.core.report.LatencyReport`
-  (or energy report) objects keyed on (kind, accelerator, options, mapping)
-  fingerprints: a mapping seen twice is never re-evaluated.
+  (or energy report) objects keyed on (kind, accelerator fingerprint,
+  options fingerprint, :attr:`~repro.mapping.mapping.Mapping.cache_key`):
+  a mapping seen twice is never re-evaluated. The mapping part is a plain
+  str/int tuple, not a SHA-256 digest; ``Mapping.fingerprint()`` is left
+  to the identities that leave the process (ledger rows, the verify
+  corpus, the daemon's result store and wire labels).
 * :class:`PartialResultCache` — *sub-evaluation* intermediates keyed on
   their own closed-form inputs, currently the multi-window MUW unions of
   Step 2. Neighboring mappings in a DSE sweep (a hill-climb swap, a
@@ -23,7 +27,7 @@ class EvaluationCache:
     """A bounded least-recently-used map from fingerprint keys to results.
 
     Keys are the tuples the engine builds from (result kind, accelerator
-    fingerprint, options fingerprint, mapping fingerprint) — see
+    fingerprint, options fingerprint, ``Mapping.cache_key``) — see
     :class:`repro.engine.EvaluationEngine`. Values are the (immutable)
     report objects, so sharing one cache across engines and machines is
     safe by construction.

@@ -7,10 +7,12 @@ evaluation, the CLI — ultimately runs the same pure 3-step kernel
 owns that kernel for one (accelerator, options) pair and adds what the
 kernel deliberately does not have:
 
-* an LRU **cache** keyed on a canonical fingerprint of (accelerator,
-  mapping, options), so repeated design points — repeated layer shapes in
-  a network, revisited loop orders in a hill climb, shared mappings across
-  a sweep — are evaluated once;
+* an LRU **cache** keyed on (accelerator fingerprint, options
+  fingerprint, :attr:`Mapping.cache_key`), so repeated design points —
+  repeated layer shapes in a network, revisited loop orders in a hill
+  climb, shared mappings across a sweep — are evaluated once. The mapping
+  part is structural (plain str/int values); the SHA-256
+  ``Mapping.fingerprint()`` is computed only for ledger rows;
 * **batch evaluation** (:meth:`evaluate_many`): cache misses run in
   chunks through the vectorized batch core, in list order and in the
   calling process;
@@ -213,11 +215,11 @@ class EvaluationEngine:
     # ------------------------------------------------------------------ #
 
     def _latency_key(self, mapping: Mapping):
-        return ("latency", self._accel_fp, self._options_fp, mapping.fingerprint())
+        return ("latency", self._accel_fp, self._options_fp, mapping.cache_key)
 
     def _energy_key(self, mapping: Mapping):
         # The energy model takes no ModelOptions; its key omits them.
-        return ("energy", self._accel_fp, mapping.fingerprint())
+        return ("energy", self._accel_fp, mapping.cache_key)
 
     # ------------------------------------------------------------------ #
     # Single evaluations

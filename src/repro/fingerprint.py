@@ -1,7 +1,10 @@
 """Stable structural fingerprints of model inputs.
 
-The evaluation engine (:mod:`repro.engine`) keys its cache on a canonical
-fingerprint of (accelerator, mapping, options). Two objects that are equal
+Ledger rows, the verify corpus and the serve daemon's result store name
+design points by canonical fingerprints of (accelerator, mapping,
+options); the evaluation caches key on the accelerator and options
+fingerprints plus the structural ``Mapping.cache_key``, which composes
+the layer and spatial fingerprints memoized here. Two objects that are equal
 by value — however they were constructed (preset builder, serde round
 trip, ``dataclasses.replace`` chain) — must produce the same fingerprint,
 and any field mutation must change it. Python's built-in ``hash`` cannot

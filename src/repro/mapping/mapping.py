@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import TYPE_CHECKING, Dict, List
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.mapping.footprint import (
     operand_footprint_bits,
@@ -93,12 +93,40 @@ class Mapping:
             lines.append(f"{operand}: {self.temporal.describe(operand)}")
         return "\n".join(lines)
 
+    @property
+    def cache_key(self) -> Tuple:
+        """Hashable structural identity of (layer, spatial, temporal).
+
+        The layer and spatial unrolling enter by their memoized
+        fingerprints (shared by every mapping of one search, so hashed
+        once); the temporal mapping by its ``(dim value, size)`` loop pairs
+        and its cuts in :class:`Operand` order. Two mappings share this key
+        exactly when they share :meth:`fingerprint`, but building it costs
+        no canonical encoding and no SHA-256: the in-process and client
+        evaluation caches key on it. Memoized (the dataclass is frozen).
+        """
+        cached = getattr(self, "_cache_key", None)
+        if cached is None:
+            from repro.fingerprint import memoized_fingerprint
+
+            temporal = self.temporal
+            cached = (
+                memoized_fingerprint(self.layer),
+                memoized_fingerprint(self.spatial),
+                tuple((loop.dim.value, loop.size) for loop in temporal.loops),
+                tuple(temporal.cuts[op] for op in Operand),
+            )
+            object.__setattr__(self, "_cache_key", cached)
+        return cached
+
     def fingerprint(self) -> str:
         """Stable content hash of (layer, spatial, temporal).
 
         Equal mappings fingerprint identically regardless of how they were
-        built; the evaluation engine combines this with the accelerator's
-        fingerprint as its cache key. Memoized (the dataclass is frozen).
+        built. This SHA-256 digest is the identity that leaves the process
+        — ledger rows, the verify corpus, the daemon's result store and
+        wire labels; in-memory caches key on the cheaper
+        :attr:`cache_key`. Memoized (the dataclass is frozen).
         """
         cached = getattr(self, "_fingerprint", None)
         if cached is None:

@@ -21,9 +21,10 @@ Design notes:
   reading any response, then collects replies by id; the server
   coalesces, so responses arrive out of order and the id-keyed
   collection is what keeps the result list parallel to the input.
-* **Local cache** — the client keeps its own fingerprint-keyed
-  :class:`~repro.engine.EvaluationCache` (same key scheme as the
-  in-process engine), so repeated design points never touch the socket;
+* **Local cache** — the client keeps its own
+  :class:`~repro.engine.EvaluationCache`, keyed on ``Mapping.cache_key``
+  like the in-process engine, so repeated design points never touch the
+  socket (the daemon's store keys on the SHA-256 fingerprint instead);
   the mapper's whole-search memoization uses the same cache object.
 * **Errors** — the server ships the exception *kind*;
   ``"MappingError"`` is re-raised as a real
@@ -419,11 +420,11 @@ class RemoteEngine:
             "latency",
             self.accelerator_fingerprint,
             self.options_fingerprint,
-            mapping.fingerprint(),
+            mapping.cache_key,
         )
 
     def _energy_key(self, mapping: Mapping) -> Tuple:
-        return ("energy", self.accelerator_fingerprint, mapping.fingerprint())
+        return ("energy", self.accelerator_fingerprint, mapping.cache_key)
 
     def evaluate(self, mapping: Mapping, validate: bool = True) -> LatencyReport:
         """Latency of ``mapping``, served from the local cache or the server.

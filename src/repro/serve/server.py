@@ -451,6 +451,7 @@ class EvaluationServer:
                 break
             if item is None:
                 continue
+            self.stats.drained += 1
             self._finish_item(
                 item, error=ServerDraining(
                     "server is draining; the request was not evaluated"

@@ -1,10 +1,12 @@
 """Greedy level allocation equals the prefix-by-prefix reference.
 
-:meth:`TemporalMapper.allocate` walks a loop order once, updating clamped
-extents incrementally. The reference below is the textbook form of the
-same greedy rule: for every growing prefix of the order, re-measure each
+:meth:`TemporalMapper.allocate_block` allocates a whole block of loop
+orders at once from int columns, and :meth:`TemporalMapper.allocate` is
+its one-order call. The reference below is the textbook form of the same
+greedy rule: for every growing prefix of the order, re-measure each
 operand's tile with :func:`tile_elements` and climb a level while it does
-not fit. The two must agree on every order, layer and machine.
+not fit. The two must agree on every order, layer and machine, row by row
+within ragged blocks.
 """
 
 from __future__ import annotations
@@ -15,7 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dse.mapper import MapperConfig, TemporalMapper
+from repro.dse.mapper import MapperConfig, TemporalMapper, order_columns
+from repro.hardware.accelerator import Accelerator, StallOverlapConfig
+from repro.hardware.hierarchy import MemoryHierarchy, auto_allocate
+from repro.hardware.mac_array import MacArray
+from repro.hardware.memory import MemoryInstance, dual_port
 from repro.hardware.pool import MemoryPool
 from repro.hardware.presets import (
     KB,
@@ -28,7 +34,7 @@ from repro.mapping.footprint import spatial_replication, tile_elements
 from repro.mapping.loop import Loop
 from repro.mapping.temporal import TemporalMapping
 from repro.testing import toy_accelerator
-from repro.workload.dims import LoopDim
+from repro.workload.dims import ALL_DIMS, LoopDim
 from repro.workload.layer import LayerSpec, LayerType
 from repro.workload.operand import Operand
 
@@ -149,3 +155,88 @@ def test_allocate_handles_orders_of_another_layer(machine, spatial, dims, order)
     mapper = TemporalMapper(machine, spatial)
     layer = LayerSpec(LayerType.DENSE, dims)
     assert mapper.allocate(layer, order) == reference_allocate(mapper, layer, order)
+
+
+# --------------------------------------------------------------------- #
+# Ragged blocks
+# --------------------------------------------------------------------- #
+
+def _chain_machine() -> Accelerator:
+    """Chains the presets lack: W has a single level (its data home), and
+    I climbs from a register into a lane-split level that holds *fewer*
+    elements than the register below it once the K unroll replicates I."""
+
+    def memory(name, bits, instances=1):
+        return MemoryInstance(
+            name, bits, dual_port(64.0, 64.0), instances=instances,
+            read_energy_pj_per_bit=0.01, write_energy_pj_per_bit=0.01,
+        )
+
+    gb = auto_allocate(memory("GB", 64 * 1024 * 8), set(Operand))
+    hierarchy = MemoryHierarchy({
+        Operand.W: (gb,),
+        Operand.I: (
+            auto_allocate(memory("I-Reg", 64), {Operand.I}),
+            auto_allocate(memory("I-Lane", 32, instances=4), {Operand.I}),
+            gb,
+        ),
+        Operand.O: (auto_allocate(memory("O-Reg", 96), {Operand.O}), gb),
+    })
+    return Accelerator(
+        name="chains",
+        mac_array=MacArray(rows=1, cols=4, macs_per_pe=1, mac_energy_pj=0.1),
+        hierarchy=hierarchy,
+        stall_overlap=StallOverlapConfig.all_concurrent(),
+    )
+
+
+BLOCK_MACHINES = [
+    (machine.accelerator, machine.spatial_unrolling) for machine in MACHINES
+] + [(_chain_machine(), {LoopDim.K: 4})]
+
+UNIT_LAYERS = st.sampled_from([
+    LayerSpec(LayerType.DENSE, {LoopDim.B: 1, LoopDim.K: 1, LoopDim.C: 1}),
+    LayerSpec(LayerType.CONV2D, dict.fromkeys(ALL_DIMS, 1)),
+])
+
+
+def test_chain_machine_has_the_chains_the_block_rule_must_handle():
+    accelerator, spatial = BLOCK_MACHINES[-1]
+    mapper = TemporalMapper(accelerator, spatial)
+    layer = LayerSpec(LayerType.DENSE, {LoopDim.B: 4, LoopDim.K: 16, LoopDim.C: 8})
+    __, __, limits = mapper._allocation_plan(layer)
+    assert len(limits[Operand.W]) == 0  # single level: no cuts
+    assert limits[Operand.I][1] < limits[Operand.I][0]  # limits not increasing
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    machine=st.sampled_from(BLOCK_MACHINES),
+    layer=st.one_of(layers(), UNIT_LAYERS),
+    lpf_limit=st.sampled_from([None, 1, 2, 3]),
+    data=st.data(),
+)
+def test_block_cuts_equal_reference_row_by_row(machine, layer, lpf_limit, data):
+    """Orders of different lengths share a block; every row allocates as
+    the reference allocates that order alone."""
+    accelerator, spatial = machine
+    mapper = TemporalMapper(accelerator, spatial, MapperConfig(lpf_limit=lpf_limit))
+    atoms = mapper.loop_multiset(layer)
+    # Sub-multisets of the layer's atoms: ragged lengths, empty orders too.
+    orders = data.draw(st.lists(
+        st.lists(st.booleans(), min_size=len(atoms), max_size=len(atoms)).flatmap(
+            lambda keep: st.permutations([a for a, k in zip(atoms, keep) if k])
+        ).map(tuple),
+        min_size=1, max_size=6,
+    ))
+    dims, sizes, lengths = order_columns(orders)
+    assert dims.shape == (len(orders), max(map(len, orders)))
+    cuts = mapper.allocate_block(layer, dims, sizes, lengths)
+    for row, order in enumerate(orders):
+        want = reference_allocate(mapper, layer, order)
+        got = {op: tuple(cuts[op][row].tolist()) for op in Operand}
+        assert got == want.cuts
+        one = mapper.allocate_block(layer, *order_columns([order]))
+        assert mapper.allocate(layer, order).cuts == {
+            op: tuple(one[op][0].tolist()) for op in Operand
+        } == got

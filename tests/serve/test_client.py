@@ -1,9 +1,12 @@
 """Client-side behavior: URL parsing, local cache, derive, error mapping."""
 
+import dataclasses
+
 import pytest
 
 from repro.engine import EvaluationEngine, Evaluator
 from repro.mapping.mapping import MappingError
+from repro.mapping.serde import mapping_from_dict, mapping_to_dict
 from repro.serve import RemoteEngine, RemoteEvaluationError, connect, parse_url
 from repro.serve.client import _raise_remote
 from repro.serve.protocol import ErrorResponse, ProtocolError
@@ -142,6 +145,27 @@ def test_evaluate_many_serves_cached_prefix_without_refetch(server):
     assert after == before  # both slots answered from the client cache
     assert all(r is not None for r in results)
     assert results[0].report.total_cycles == results[1].report.total_cycles
+    client.close()
+
+
+def test_evaluate_fills_what_evaluate_many_of_an_equal_mapping_hits(server):
+    """The client cache keys on ``Mapping.cache_key``: an equal but
+    distinct mapping (serde copy, renamed layer) never reaches the socket."""
+    client = connect(server.url)
+    case = next(iter(sample_cases(seed=11, count=1)))
+    eng = client.derive(accelerator=case.accelerator)
+    report = eng.evaluate(case.mapping)
+    twin = mapping_from_dict(
+        mapping_to_dict(case.mapping),
+        dataclasses.replace(case.mapping.layer, name="twin"),
+    )
+    assert twin is not case.mapping
+    before = client.server_stats()["requests"]
+    misses = eng.stats.cache_misses
+    [result] = eng.evaluate_many([twin])
+    assert client.server_stats()["requests"] == before
+    assert eng.stats.cache_misses == misses
+    assert result.report.total_cycles == report.total_cycles
     client.close()
 
 

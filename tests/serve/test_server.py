@@ -658,6 +658,54 @@ def test_drain_while_a_batch_is_in_the_kernel(make_server):
         _assert_parity(local.evaluate(mapping), got.report)
 
 
+def test_drain_counts_each_queued_request_it_fails(make_server):
+    """``stats.drained`` counts exactly the queued requests a drain answers
+    with ServerDraining, and not the in-flight one it lets finish."""
+    held, release = threading.Event(), threading.Event()
+    hook, __ = _holding_hook((held, release))
+    handle = make_server(pre_evaluate_hook=hook)
+    preset = case_study_accelerator()
+    first, *queued = _mapper_mappings(preset, dense_layer(64, 128, 1200), 4)
+    results, responses = {}, []
+
+    def run_first():
+        with connect(handle.url) as client:
+            results["first"] = client.evaluate(first)
+
+    def run_queued():
+        with connect(handle.url) as client:
+            responses.extend(client._transport.request_many([
+                client._request_for(m, validate=False, with_energy=False)
+                for m in queued
+            ]))
+
+    threads = [threading.Thread(target=run_first)]
+    threads[0].start()
+    assert held.wait(timeout=30)
+    threads.append(threading.Thread(target=run_queued))
+    threads[1].start()
+    probe = connect(handle.url)
+    _wait_for(probe, "queued", len(queued))
+    probe.close()
+    assert handle.server.stats.drained == 0
+
+    drain = asyncio.run_coroutine_threadsafe(
+        handle.server.drain(reason="test", interrupted=False),
+        handle.server.loop,
+    )
+    threads[1].join(timeout=30)
+    assert [r.error for r in responses] == ["ServerDraining"] * len(queued)
+    release.set()
+    threads[0].join(timeout=30)
+    assert not any(t.is_alive() for t in threads)
+    assert "first" in results
+    drain.result(timeout=30)
+    handle.thread.join(timeout=30)
+    stats = handle.server.stats
+    assert stats.drained == len(queued)
+    assert stats.evaluations == 1
+
+
 def _work_items(server, mappings, make_future=lambda: None):
     """Queue-ready work items for the server's own machine and options."""
     options, options_fp = server._resolve_options(None)
