@@ -80,9 +80,14 @@ def _parse_layer(text: str):
 
 def _preset(args: argparse.Namespace):
     if args.arch:
-        from repro.hardware.serde import load_preset
+        from repro.hardware.serde import SerdeError, load_preset
 
-        return load_preset(args.arch)
+        try:
+            return load_preset(args.arch)
+        except (SerdeError, OSError) as exc:
+            # One line and exit code 2, as argparse reports a bad argument.
+            print(f"repro-latency: error: argument --arch: {exc}", file=sys.stderr)
+            raise SystemExit(2) from None
     if args.chip == "inhouse":
         return inhouse_accelerator()
     return case_study_accelerator(gb_read_bw=args.gb_bw)

@@ -12,9 +12,14 @@ mapping) and runs the same Step 1-3 formulas across all lanes at once:
   and partial-sum read-back per level pair, the compute-edge reads), their
   port endpoints, the shared-port groups and the served-memory/overlap
   structure. All of that is mapping-independent and computed once.
-* **Lowering** (:meth:`BatchEvaluator.evaluate`): per-mapping loop dims,
-  sizes and per-operand cuts become int64 arrays; prefix products give
-  every footprint, period, ``Z`` and ir-run product as one gather each.
+* **Lowering** (:class:`_Lowered`): per-mapping loop dims, sizes and
+  per-operand cuts become int64 arrays, each filled by one ``np.array``
+  call from per-lane lists; prefix products give every period, ``Z`` and
+  ir-run product by plain indexing (``table[rows, idx]``). The seven
+  per-dimension prefix tables are one stacked ``(7, n, L + 1)`` array
+  from one ``cumprod``, so a tile's extents are one index, and footprint
+  elements are memoized per ``(operand, level)`` — refills, flushes,
+  partial-sum read-backs, pre- and off-loading share them.
 * **Steps 1-3**: Table I spans, Eq. (1)/(2) port combination and the
   served-memory max/chain rules run vectorized through the *same* kernels
   (:mod:`repro.core.kernels`) the scalar wrappers call — identical inputs
@@ -390,13 +395,11 @@ class BatchEvaluator:
         )
         x_req = kernels.x_req_span(period_f, top_ir, slot.double_buffered)
 
+        elements = low.elements(op, lvl)
         if op is Operand.O:
-            ir_above = low.gather(low.prefix_ir_o, np.full(low.n, low.L)) // (
-                low.gather(low.prefix_ir_o, hi)
-            )
+            ir_above = low.prefix_ir_o[:, low.L] // low.gather(low.prefix_ir_o, hi)
             revisit = ir_above // ext
             partial = revisit > 1
-            elements = low.footprint_elements(op, hi)
             data_bits = elements.astype(np.float64) * np.where(
                 partial,
                 low.precision(op, partial=True),
@@ -413,7 +416,6 @@ class BatchEvaluator:
                 )
                 window_start = np.zeros(low.n, dtype=np.float64)
         else:
-            elements = low.footprint_elements(op, hi)
             data_bits = (
                 elements * low.precision(op, partial=False)
             ).astype(np.float64)
@@ -767,10 +769,7 @@ class BatchEvaluator:
         p_final = low.precision(Operand.O, partial=False)
         for lvl in range(len(chain) - 1):
             src, dst = chain[lvl], chain[lvl + 1]
-            hi = low.cut(Operand.O, lvl)
-            bits = (
-                low.footprint_elements(Operand.O, hi) * p_final
-            ).astype(np.float64)
+            bits = (low.elements(Operand.O, lvl) * p_final).astype(np.float64)
             src_bw = (
                 src.port_for(Operand.O, EndpointKind.TH).bandwidth
                 * src.instance.instances
@@ -795,27 +794,41 @@ class _Lowered:
         self.layer = layer
         self.mappings = mappings
         n = self.n = len(mappings)
-        L = self.L = max(len(m.temporal.loops) for m in mappings)
+        loop_lists = [m.temporal.loops for m in mappings]
+        lengths = [len(loops) for loops in loop_lists]
+        L = self.L = max(lengths)
+        #: Row index of every lane: ``table[rows, idx]`` picks one column
+        #: per lane.
+        self.rows = np.arange(n)
 
-        dims = np.zeros((n, L), dtype=np.int64)
-        sizes = np.ones((n, L), dtype=np.int64)
-        for i, m in enumerate(mappings):
-            loops = m.temporal.loops
-            for j, loop in enumerate(loops):
-                dims[i, j] = _DIM_INDEX[loop.dim]
-                sizes[i, j] = loop.size
-        self.pad = np.zeros((n, L), dtype=bool)
-        for i, m in enumerate(mappings):
-            self.pad[i, len(m.temporal.loops):] = True
+        # Padding positions hold dim 0 with size 1: they change no product.
+        dim_pad = [0] * L
+        size_pad = [1] * L
+        dims = np.array(
+            [
+                [_DIM_INDEX[loop.dim] for loop in loops] + dim_pad[len(loops):]
+                for loops in loop_lists
+            ],
+            dtype=np.int64,
+        )
+        sizes = np.array(
+            [
+                [loop.size for loop in loops] + size_pad[len(loops):]
+                for loops in loop_lists
+            ],
+            dtype=np.int64,
+        )
+        self.pad = np.arange(L) >= np.array(lengths, dtype=np.int64)[:, None]
 
-        # Prefix products of all loops and of each dimension separately.
+        # Prefix products of all loops, and of each dimension separately as
+        # one (7, n, L + 1) table.
         self.prefix_all = np.ones((n, L + 1), dtype=np.int64)
         np.cumprod(sizes, axis=1, out=self.prefix_all[:, 1:])
-        self.prefix_dim = []
-        for di in range(len(ALL_DIMS)):
-            p = np.ones((n, L + 1), dtype=np.int64)
-            np.cumprod(np.where(dims == di, sizes, 1), axis=1, out=p[:, 1:])
-            self.prefix_dim.append(p)
+        per_dim = dims == np.arange(len(ALL_DIMS), dtype=np.int64)[:, None, None]
+        self.prefix_dim = np.ones((len(ALL_DIMS), n, L + 1), dtype=np.int64)
+        np.cumprod(
+            np.where(per_dim, sizes, 1), axis=2, out=self.prefix_dim[:, :, 1:]
+        )
         self.total_cc = self.prefix_all[:, L]
         self.horizon = self.total_cc.astype(np.float64)
 
@@ -862,7 +875,7 @@ class _Lowered:
             out=self.prefix_ir_o[:, 1:],
         )
 
-        # Cuts per operand/boundary and spatial unroll factors per dim.
+        # Cuts per operand/boundary, and spatial unroll factors as (7, n).
         self.cuts = {
             operand: np.array(
                 [m.temporal.cuts[operand] for m in mappings], dtype=np.int64
@@ -872,17 +885,17 @@ class _Lowered:
         self.spatial = np.array(
             [[m.spatial.factor(dim) for dim in ALL_DIMS] for m in mappings],
             dtype=np.int64,
-        )
-        self.size_vec = np.array(
+        ).T
+        self.size_col = np.array(
             [layer.size(dim) for dim in ALL_DIMS], dtype=np.int64
-        )
-        self._elements_cache: Dict[Tuple[Operand, int], np.ndarray] = {}
+        )[:, None]
+        self._elements: Dict[Tuple[Operand, int], np.ndarray] = {}
 
     # -- helpers -------------------------------------------------------- #
 
-    @staticmethod
-    def gather(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return np.take_along_axis(table, idx[:, None], axis=1)[:, 0]
+    def gather(self, table: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """``table[i, idx[i]]`` for every lane ``i``."""
+        return table[self.rows, idx]
 
     def cut(self, operand: Operand, boundary: int) -> np.ndarray:
         return self.cuts[operand][:, boundary]
@@ -890,40 +903,42 @@ class _Lowered:
     def precision(self, operand: Operand, partial: bool) -> int:
         return self.layer.precision.of(operand, partial=partial)
 
-    def _extents_at(self, hi: np.ndarray) -> np.ndarray:
-        """(n, 7) clamped temporal-x-spatial extents of every dim at ``hi``."""
-        ext = np.empty((self.n, len(ALL_DIMS)), dtype=np.int64)
-        for di in range(len(ALL_DIMS)):
-            ext[:, di] = self.gather(self.prefix_dim[di], hi) * self.spatial[:, di]
-        return np.minimum(ext, self.size_vec)
-
     def _elements_from_extents(self, operand: Operand, ext: np.ndarray) -> np.ndarray:
-        """Per-lane :func:`repro.mapping.footprint.extent_elements`."""
-        columns = {dim: ext[:, i] for i, dim in enumerate(ALL_DIMS)}
-        return extent_elements(self.layer, operand, columns)
+        """Per-lane :func:`repro.mapping.footprint.extent_elements` of
+        (7, n) clamped temporal-x-spatial extents."""
+        return extent_elements(self.layer, operand, dict(zip(ALL_DIMS, ext)))
 
-    def footprint_elements(self, operand: Operand, hi: np.ndarray) -> np.ndarray:
-        return self._elements_from_extents(operand, self._extents_at(hi))
+    def elements(self, operand: Operand, level: int) -> np.ndarray:
+        """``Mem_DATA`` elements of ``operand`` at memory ``level``, per lane.
 
-    def footprint_bits(self, operand: Operand, level: int) -> np.ndarray:
-        """``Mem_DATA`` bits at ``level``; O uses psum precision when partial.
-
-        Matches :meth:`repro.mapping.mapping.Mapping.footprint_bits` for
-        W/I (the only operands pre/offload and refills ask for).
+        Memoized per ``(operand, level)``: Step-1 refills, flushes and
+        partial-sum read-backs, pre-loading and off-loading all ask for the
+        same few tiles.
         """
         key = (operand, level)
-        cached = self._elements_cache.get(key)
+        cached = self._elements.get(key)
         if cached is None:
             hi = (
                 self.cut(operand, level)
                 if level < self.cuts[operand].shape[1]
                 else np.full(self.n, self.L, dtype=np.int64)
             )
-            cached = self.footprint_elements(operand, hi)
-            self._elements_cache[key] = cached
-        return cached * self.precision(operand, partial=False)
+            ext = self.prefix_dim[:, self.rows, hi] * self.spatial
+            cached = self._elements[key] = self._elements_from_extents(
+                operand, np.minimum(ext, self.size_col)
+            )
+        return cached
+
+    def footprint_bits(self, operand: Operand, level: int) -> np.ndarray:
+        """``Mem_DATA`` bits at ``level`` at final precision.
+
+        Matches :meth:`repro.mapping.mapping.Mapping.footprint_bits` for
+        W/I (the only operands pre-loading asks for).
+        """
+        return self.elements(operand, level) * self.precision(operand, partial=False)
 
     def compute_edge_elements(self, operand: Operand) -> np.ndarray:
         """Per-cycle tile elements: spatial unrolling only (no loops)."""
-        ext = np.minimum(self.spatial, self.size_vec)
-        return self._elements_from_extents(operand, ext)
+        return self._elements_from_extents(
+            operand, np.minimum(self.spatial, self.size_col)
+        )

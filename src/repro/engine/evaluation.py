@@ -96,10 +96,15 @@ class EvaluationEngine:
     stats:
         A shared :class:`EngineStats`; one is created when omitted.
     chunk_size:
-        Mappings per chunk in :meth:`evaluate_many`. Untraced chunks run
-        through the vectorized :class:`~repro.core.batch.BatchEvaluator`
-        (bit-for-bit the scalar kernel's numbers); traced chunks run the
-        scalar kernel, because the batch core emits no spans.
+        Mappings per chunk in :meth:`evaluate_many`. The default equals
+        :attr:`MapperConfig.batch_size <repro.dse.mapper.MapperConfig>`,
+        so a mapper block is one chunk and pays the batch core's fixed
+        per-call cost once. Chunks run serially in the calling process;
+        they buy no parallelism, only ledger checkpoints, progress events
+        and trace tracks. Untraced chunks run through the vectorized
+        :class:`~repro.core.batch.BatchEvaluator` (bit-for-bit the scalar
+        kernel's numbers); traced chunks run the scalar kernel, because
+        the batch core emits no spans.
 
     Examples
     --------
@@ -117,7 +122,7 @@ class EvaluationEngine:
         cache_size: int = 65536,
         use_cache: bool = True,
         stats: Optional[EngineStats] = None,
-        chunk_size: int = 32,
+        chunk_size: int = 256,
         spatial_unrolling: Optional[dict] = None,
     ) -> None:
         if chunk_size < 1:

@@ -157,7 +157,17 @@ def _memory_from_dict(data: Dict[str, Any]) -> Tuple[MemoryInstance, MemoryLevel
 
 
 def accelerator_from_dict(data: Dict[str, Any]) -> Accelerator:
-    """Deserialize an accelerator from a dict (see module docstring)."""
+    """Deserialize an accelerator from a dict (see module docstring).
+
+    Any malformed part of ``data`` — a missing field, a wrong type, an
+    unknown operand or port direction, a value that is not a number —
+    raises :class:`SerdeError`.
+    """
+    if not isinstance(data, dict):
+        raise SerdeError(
+            "accelerator description must be a JSON object, "
+            f"got {type(data).__name__}"
+        )
     try:
         array_spec = data["mac_array"]
         mac_array = MacArray(
@@ -192,15 +202,22 @@ def accelerator_from_dict(data: Dict[str, Any]) -> Accelerator:
             stall_overlap=overlap,
             offchip_bandwidth=float(offchip) if offchip is not None else None,
         )
+    except SerdeError:
+        raise
     except KeyError as exc:
         raise SerdeError(f"missing required field: {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise SerdeError(f"malformed accelerator description: {exc}") from exc
 
 
 def preset_from_dict(data: Dict[str, Any]) -> Preset:
     """Deserialize a preset (accelerator + spatial unrolling)."""
     accelerator = accelerator_from_dict(data)
     spatial_spec = data.get("spatial_unrolling", {})
-    spatial = {LoopDim(dim): int(f) for dim, f in spatial_spec.items()}
+    try:
+        spatial = {LoopDim(dim): int(f) for dim, f in spatial_spec.items()}
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise SerdeError(f"bad spatial_unrolling {spatial_spec!r}: {exc}") from exc
     return Preset(accelerator, spatial)
 
 

@@ -159,6 +159,43 @@ def test_evaluate_many_runs_chunks_through_the_module_hooks(
     assert all(outcome is not None for outcome in outcomes)
 
 
+@pytest.mark.parametrize("big", [False, True])
+def test_mapper_block_is_one_chunk_by_default(preset, layer, monkeypatch, big):
+    # The engine's default chunk equals the mapper's default block, so
+    # each evaluate_many of a search (at most one block of misses) pays
+    # the batch core's fixed cost once.
+    from repro.engine import executors
+
+    calls = {"evaluate_many": 0, "evaluate_chunk": 0, "lanes": 0}
+    original_chunk = executors.evaluate_chunk
+    original_many = EvaluationEngine.evaluate_many
+
+    def chunk(accelerator, options, mappings, *args):
+        calls["evaluate_chunk"] += 1
+        calls["lanes"] += len(mappings)
+        return original_chunk(accelerator, options, mappings, *args)
+
+    def many(self, *args, **kwargs):
+        calls["evaluate_many"] += 1
+        return original_many(self, *args, **kwargs)
+
+    monkeypatch.setattr(executors, "evaluate_chunk", chunk)
+    monkeypatch.setattr(EvaluationEngine, "evaluate_many", many)
+    engine = EvaluationEngine.from_preset(preset)
+    config = MapperConfig()
+    if big:  # several blocks: sample 700 orders of a larger layer
+        layer = dense_layer(64, 128, 1200)
+        config = MapperConfig(max_enumerated=64, samples=700)
+    mapper = TemporalMapper(
+        preset.accelerator, preset.spatial_unrolling, config, engine
+    )
+    assert mapper.search(layer)
+    assert engine.chunk_size == config.batch_size
+    assert calls["lanes"] == engine.stats.evaluations > 0
+    assert calls["evaluate_chunk"] == calls["evaluate_many"]
+    assert (calls["evaluate_many"] > 1) == big
+
+
 def test_evaluate_many_second_pass_is_all_hits(preset, mappings):
     engine = EvaluationEngine(preset.accelerator)
     engine.evaluate_many(mappings)

@@ -129,3 +129,37 @@ def test_serialized_is_valid_json():
     text = preset_to_json(case_study_accelerator())
     data = json.loads(text)
     assert data["mac_array"]["macs_per_pe"] == 2
+
+
+def _with(**changes):
+    """A valid case-study description with top-level fields replaced."""
+    data = json.loads(preset_to_json(case_study_accelerator()))
+    data.update(changes)
+    return json.dumps(data)
+
+
+def _with_chain(operand, names):
+    data = json.loads(preset_to_json(case_study_accelerator()))
+    data["chains"][operand] = names
+    return json.dumps(data)
+
+
+MALFORMED = {
+    "top-level list": "[]",
+    "top-level null": "null",
+    "top-level string": '"case-study"',
+    "null mac_array": _with(mac_array=None),
+    "memories not a list": _with(memories=5),
+    "stall_overlap not a list": _with(stall_overlap=3),
+    "spatial_unrolling a list": _with(spatial_unrolling=[1, 2]),
+    "unknown spatial dim": _with(spatial_unrolling={"Q": 2}),
+    "spatial factor not a number": _with(spatial_unrolling={"K": "abc"}),
+    "unknown chain operand": _with_chain("X", ["GB"]),
+    "offchip bandwidth not a number": _with(offchip_bandwidth="fast"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_description_raises_serde_error(case):
+    with pytest.raises(SerdeError):
+        preset_from_json(MALFORMED[case])

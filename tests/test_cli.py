@@ -95,6 +95,19 @@ def test_export_and_load_arch(capsys, tmp_path):
     assert "case-study-16x16" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("text", ['{"name": "x", "mac_array": {"rows": ', "[]", None])
+def test_bad_arch_file_is_a_one_line_usage_error(capsys, tmp_path, text):
+    path = tmp_path / "arch.json"
+    if text is not None:  # None: the file does not exist
+        path.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--layer", "8,8,8", "--arch", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro-latency: error: argument --arch: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_trace_out_reconciles_with_printed_report(capsys, tmp_path):
     import json
     import re
