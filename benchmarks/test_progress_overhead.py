@@ -7,10 +7,11 @@ default) decides whether the event stream can stay compiled-in
 everywhere. The contract, asserted here and tracked per commit via
 ``BENCH_progress.json``:
 
-* a disabled emit site costs one contextvar read plus an ``enabled``
-  attribute check (the ``current_emitter().enabled`` guard every site
-  uses), and the sites-per-evaluation the flows actually execute stay
-  under 5% of kernel time;
+* a disabled site costs what every flow now does unguarded: one
+  contextvar read, a ``start_run`` on the null emitter, the ``with``
+  enter and exit of the null run and one ``advance``; the
+  sites-per-evaluation the flows actually execute stay under 5% of
+  kernel time;
 * with an emitter *enabled* and a real search running, the slowdown is
   bounded (events are frozen dataclasses fanned to plain callables).
 """
@@ -47,15 +48,17 @@ def _time_evaluations(model, mappings, repeats: int = 3) -> float:
 def _null_site_cost_us(iterations: int = 50_000) -> float:
     """Measured cost of one disabled emit site, in µs.
 
-    A site on the default path does exactly this: one contextvar read
-    and one ``enabled`` check that short-circuits everything else.
+    A site on the default path does exactly this: one contextvar read,
+    ``start_run`` on the null emitter, the ``with`` enter and exit of
+    the shared null run, and one ``advance`` inside it.
     """
-    from repro.observability import current_emitter
+    from repro.observability import NULL_EMITTER, current_emitter
 
+    assert current_emitter() is NULL_EMITTER, "benchmark requires the null emitter"
     t0 = time.perf_counter()
     for __ in range(iterations):
-        if current_emitter().enabled:
-            raise AssertionError("benchmark requires the null emitter")
+        with current_emitter().start_run("flow", unit="evals") as run:
+            run.advance(1)
     return (time.perf_counter() - t0) / iterations * 1e6
 
 
@@ -79,10 +82,10 @@ def test_disabled_progress_overhead_under_5_percent(case_preset):
     disabled_s = _time_evaluations(model, mappings)
     disabled_us = disabled_s / len(mappings) * 1e6
 
-    # Sites per evaluation on the disabled path: the engine checks the
-    # emitter once per batch and once per chunk (chunks hold >= 1
-    # mapping), the mapper once per search plus once per incumbent
-    # candidate. Charging TWO full sites per single evaluation is a
+    # Sites per evaluation on the disabled path: the engine joins a run
+    # once per batch and advances it once per chunk (chunks hold >= 1
+    # mapping), the mapper opens one run per search and reports each
+    # incumbent. Charging TWO full sites per single evaluation is a
     # strict upper bound on what any flow executes.
     site_us = _null_site_cost_us()
     sites_per_eval = 2.0

@@ -41,7 +41,7 @@ or, driving the machinery directly::
 Every high-level flow (mapper, architecture search, sensitivity sweeps,
 network evaluation, the CLI) evaluates through an
 :class:`~repro.engine.EvaluationEngine`, which caches results by
-canonical fingerprint and can fan batches out to worker processes; the
+canonical fingerprint and evaluates batches in the calling process; the
 pure 3-step kernel remains directly usable via
 :class:`~repro.core.model.LatencyModel` for single evaluations.
 """

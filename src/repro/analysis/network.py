@@ -22,7 +22,7 @@ from repro.engine import EvaluationEngine
 from repro.hardware.presets import Preset
 from repro.mapping.mapping import Mapping, MappingError
 from repro.observability.campaign import current_campaign
-from repro.observability.ledger import current_ledger, record_interruption
+from repro.observability.ledger import checkpoint_interruption
 from repro.observability.metrics import current_metrics
 from repro.observability.progress import current_emitter
 from repro.observability.tracer import current_tracer
@@ -149,18 +149,14 @@ class NetworkEvaluator:
         """
         tracer = current_tracer()
         metrics = current_metrics()
-        emitter = current_emitter()
-        run = None
-        if emitter.enabled:
-            run = emitter.start_run(
-                "network.evaluate",
-                total_units=len(layers),
-                unit="layers",
-                accelerator=self.preset.accelerator.name,
-            )
         campaign = current_campaign()
-        funnel = campaign.phase("network") if campaign.enabled else None
-        with tracer.span(
+        funnel = campaign.phase("network")
+        with current_emitter().start_run(
+            "network.evaluate",
+            total_units=len(layers),
+            unit="layers",
+            accelerator=self.preset.accelerator.name,
+        ) as run, tracer.span(
             "network.evaluate",
             accelerator=self.preset.accelerator.name,
             layers=len(layers),
@@ -169,13 +165,11 @@ class NetworkEvaluator:
             skipped: List[str] = []
             try:
                 for index, layer in enumerate(layers):
+                    name = layer.name or str(layer.layer_type)
                     lowered = im2col(layer) if self.apply_im2col else layer
-                    if funnel is not None:
-                        funnel.admit()
+                    funnel.admit()
                     layer_t0 = time.perf_counter()
-                    with tracer.span(
-                        "network.layer", layer=layer.name or str(layer.layer_type)
-                    ) as layer_span:
+                    with tracer.span("network.layer", layer=name) as layer_span:
                         metrics.counter(
                             "repro_network_layers_total",
                             "Network layers submitted for evaluation.",
@@ -183,17 +177,14 @@ class NetworkEvaluator:
                         try:
                             best = self.mapper.best_mapping(lowered)
                         except MappingError:
-                            skipped.append(layer.name or str(layer.layer_type))
-                            if funnel is not None:
-                                funnel.discard("unmappable-layer")
+                            skipped.append(name)
+                            funnel.discard("unmappable-layer")
                             layer_span.set("mappable", False)
-                            if run is not None:
-                                run.advance(
-                                    1, errors=1,
-                                    wall_s=time.perf_counter() - layer_t0,
-                                    index=index,
-                                    note=layer.name or str(layer.layer_type),
-                                )
+                            run.advance(
+                                1, errors=1,
+                                wall_s=time.perf_counter() - layer_t0,
+                                index=index, note=name,
+                            )
                             continue
                         energy = (
                             self.engine.evaluate_energy(best.mapping)
@@ -206,39 +197,27 @@ class NetworkEvaluator:
                                 cycles=best.report.total_cycles,
                                 utilization=best.report.utilization,
                             )
-                        if funnel is not None:
-                            funnel.retain()
+                        funnel.retain()
                         results.append(
                             LayerResult(
                                 layer=lowered, mapping=best.mapping,
                                 report=best.report, energy=energy,
                             )
                         )
-                        if run is not None:
-                            run.advance(
-                                1,
-                                wall_s=time.perf_counter() - layer_t0,
-                                index=index,
-                                note=layer.name or str(layer.layer_type),
-                            )
+                        run.advance(
+                            1,
+                            wall_s=time.perf_counter() - layer_t0,
+                            index=index, note=name,
+                        )
             except KeyboardInterrupt:
-                ledger = current_ledger()
-                if ledger.enabled:
-                    ledger.append(record_interruption(
-                        flow="network.evaluate",
-                        done_units=len(results) + len(skipped),
-                        total_units=len(layers),
-                        unit="layers",
-                        reason="KeyboardInterrupt",
-                    ))
-                    # Checkpoint the campaign alongside the interrupted
-                    # row (partial: funnel counts + incumbent so far).
-                    campaign.flush_to(ledger, partial=True)
-                if run is not None:
-                    run.interrupt("KeyboardInterrupt")
+                checkpoint_interruption(
+                    "network.evaluate",
+                    done_units=len(results) + len(skipped),
+                    total_units=len(layers),
+                    unit="layers",
+                    campaign=campaign,
+                )
                 raise
-            if run is not None:
-                run.finish()
             result = NetworkResult(
                 accelerator_name=self.preset.accelerator.name,
                 layers=tuple(results),

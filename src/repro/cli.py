@@ -332,15 +332,24 @@ def _cmd_report_html(preset, args: argparse.Namespace) -> int:
 
 def _cmd_diff(args: argparse.Namespace) -> int:
     """Compare two ledger snapshots; non-zero exit on model drift."""
-    from repro.observability.ledger import diff_records, load_snapshot
+    from repro.observability.ledger import (
+        LedgerSchemaError,
+        diff_records,
+        load_snapshot,
+    )
 
     if args.candidate is None and not (args.baseline_sha or args.candidate_sha):
         print("diff: need a CANDIDATE snapshot or --baseline-sha/--candidate-sha "
               "filters to compare within one ledger", file=sys.stderr)
         return 2
-    baseline = load_snapshot(args.baseline, sha=args.baseline_sha)
     candidate_path = args.candidate or args.baseline
-    candidate = load_snapshot(candidate_path, sha=args.candidate_sha)
+    try:
+        baseline = load_snapshot(args.baseline, sha=args.baseline_sha)
+        candidate = load_snapshot(candidate_path, sha=args.candidate_sha)
+    except (LedgerSchemaError, OSError) as exc:
+        # One line and exit code 2, as argparse reports a bad argument.
+        print(f"repro-latency: error: {exc}", file=sys.stderr)
+        return 2
     print(f"baseline : {len(baseline)} record(s) from {args.baseline}"
           + (f" @ {args.baseline_sha}" if args.baseline_sha else ""))
     print(f"candidate: {len(candidate)} record(s) from {candidate_path}"
@@ -557,7 +566,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     preset = _preset(args)
     ledger = current_ledger()
-    emitter = current_emitter()
     config = ServerConfig(
         preset=preset,
         host=args.host,
@@ -566,7 +574,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         queue_depth=args.queue_depth,
         ledger=ledger if ledger.enabled else None,
         warm_start=tuple(args.warm_start or ()),
-        emitter=emitter if emitter.enabled else None,
+        emitter=current_emitter(),
         admin_port=args.admin_port,
         slow_ms=args.slow_ms,
         flight_path=args.flight_out,

@@ -20,7 +20,7 @@ from repro.hardware.pool import MemoryCandidate, MemoryPool, searched_memory_nam
 from repro.hardware.presets import Preset
 from repro.mapping.mapping import MappingError
 from repro.observability.campaign import current_campaign
-from repro.observability.ledger import current_ledger, record_interruption
+from repro.observability.ledger import checkpoint_interruption
 from repro.observability.metrics import current_metrics
 from repro.observability.progress import current_emitter
 from repro.observability.tracer import current_tracer
@@ -126,20 +126,15 @@ class ArchSearch:
         covered.
         """
         tracer = current_tracer()
-        emitter = current_emitter()
-        run = None
-        if emitter.enabled:
-            run = emitter.start_run(
-                "arch_search.sweep",
-                total_units=self.space_size(),
-                unit="points",
-                layer=layer.name or str(layer.layer_type),
-            )
         campaign = current_campaign()
-        funnel = campaign.phase("arch_search") if campaign.enabled else None
-        with tracer.span(
-            "arch_search.sweep", layer=layer.name or str(layer.layer_type)
-        ) as span:
+        funnel = campaign.phase("arch_search")
+        layer_name = layer.name or str(layer.layer_type)
+        with current_emitter().start_run(
+            "arch_search.sweep",
+            total_units=self.space_size(),
+            unit="points",
+            layer=layer_name,
+        ) as run, tracer.span("arch_search.sweep", layer=layer_name) as span:
             points: List[ArchPoint] = []
             skipped = 0
             try:
@@ -147,66 +142,51 @@ class ArchSearch:
                     self.design_points()
                 ):
                     t0 = time.perf_counter()
-                    if funnel is not None:
-                        funnel.admit()
+                    funnel.admit()
                     point = self.evaluate_one(layer, label, gb_bw, cand, preset)
                     if point is not None:
                         points.append(point)
-                        if funnel is not None:
-                            funnel.retain()
-                            # Snapshot the front at power-of-two point
-                            # counts: O(log n) snapshots over a sweep.
-                            if len(points) & (len(points) - 1) == 0:
-                                campaign.pareto_snapshot(
-                                    "arch_search",
-                                    [p.coords() for p in self.front(points)],
-                                    label=f"@{len(points)}",
-                                )
+                        funnel.retain()
+                        # Snapshot the front at power-of-two point counts:
+                        # O(log n) snapshots over a sweep.
+                        if campaign.enabled and len(points) & (len(points) - 1) == 0:
+                            campaign.pareto_snapshot(
+                                "arch_search",
+                                [p.coords() for p in self.front(points)],
+                                label=f"@{len(points)}",
+                            )
                     else:
                         skipped += 1
-                        if funnel is not None:
-                            funnel.discard("unmappable-design")
-                    if run is not None:
-                        run.advance(
-                            1,
-                            errors=0 if point is not None else 1,
-                            wall_s=time.perf_counter() - t0,
-                            index=index,
-                            note=preset.accelerator.name,
+                        funnel.discard("unmappable-design")
+                    run.advance(
+                        1,
+                        errors=0 if point is not None else 1,
+                        wall_s=time.perf_counter() - t0,
+                        index=index,
+                        note=preset.accelerator.name,
+                    )
+                    if point is not None:
+                        run.best(
+                            point.latency,
+                            total_cycles=point.latency,
+                            utilization=point.utilization,
+                            label=point.accelerator_name,
                         )
-                        if point is not None:
-                            run.best(
-                                point.latency,
-                                total_cycles=point.latency,
-                                utilization=point.utilization,
-                                label=point.accelerator_name,
-                            )
             except KeyboardInterrupt:
-                done = len(points) + skipped
-                ledger = current_ledger()
-                if ledger.enabled:
-                    ledger.append(record_interruption(
-                        flow="arch_search.sweep",
-                        done_units=done,
-                        total_units=self.space_size(),
-                        unit="points",
-                        reason="KeyboardInterrupt",
-                    ))
-                    # Checkpoint the campaign alongside the interrupted
-                    # row: funnel counts so far + incumbent-so-far, with
-                    # the partial flag set (conservation not guaranteed).
-                    campaign.flush_to(ledger, partial=True)
-                if run is not None:
-                    run.interrupt("KeyboardInterrupt")
+                checkpoint_interruption(
+                    "arch_search.sweep",
+                    done_units=len(points) + skipped,
+                    total_units=self.space_size(),
+                    unit="points",
+                    campaign=campaign,
+                )
                 raise
-            if funnel is not None and points:
+            if campaign.enabled and points:
                 campaign.pareto_snapshot(
                     "arch_search",
                     [p.coords() for p in self.front(points)],
                     label="final",
                 )
-            if run is not None:
-                run.finish()
             if tracer.enabled:
                 span.set("design_points", len(points) + skipped)
                 span.set("mappable", len(points))
@@ -278,12 +258,11 @@ class ArchSearch:
                 for mapping in mapper.mappings(layer):
                     report = baseline.evaluate(mapping)
                     scored += 1
-                    if campaign.enabled:
-                        campaign.observe(report.total_cycles)
+                    campaign.observe(report.total_cycles)
                     if report.total_cycles < latency:
                         latency = report.total_cycles
                         utilization = report.utilization
-                if campaign.enabled and scored:
+                if scored:
                     # mappings() admitted these candidates into the
                     # mapper funnel; the baseline scored them outside the
                     # engine, so classify them here: one winner, the rest

@@ -78,35 +78,29 @@ class LocalSearchMapper:
     def _evaluate_order(
         self, layer: LayerSpec, order: Order
     ) -> Optional[MappingSearchResult]:
-        campaign = current_campaign()
-        funnel = campaign.phase("local_search") if campaign.enabled else None
-        if funnel is not None:
-            funnel.admit()
+        funnel = current_campaign().phase("local_search")
+        funnel.admit()
         temporal = self.mapper.allocate(layer, order)
         try:
             mapping = Mapping(layer, self.mapper.spatial, temporal)
             return self.mapper.evaluate(mapping)
         except MappingError:
-            if funnel is not None:
-                funnel.discard("mapping-error")
+            funnel.discard("mapping-error")
             return None
 
     def _evaluate_orders(
         self, layer: LayerSpec, orders: List[Order]
     ) -> List[Optional[MappingSearchResult]]:
         """Score many orders in one engine batch; ``None`` per bad order."""
-        campaign = current_campaign()
-        funnel = campaign.phase("local_search") if campaign.enabled else None
+        funnel = current_campaign().phase("local_search")
         mappings: List[Optional[Mapping]] = []
         for order in orders:
-            if funnel is not None:
-                funnel.admit()
+            funnel.admit()
             temporal = self.mapper.allocate(layer, order)
             try:
                 mappings.append(Mapping(layer, self.mapper.spatial, temporal))
             except MappingError:
-                if funnel is not None:
-                    funnel.discard("mapping-error")
+                funnel.discard("mapping-error")
                 mappings.append(None)
         feasible = [m for m in mappings if m is not None]
         outcomes = iter(
@@ -123,8 +117,7 @@ class LocalSearchMapper:
                 continue
             outcome = next(outcomes)
             if outcome is None:
-                if funnel is not None:
-                    funnel.discard("engine-infeasible")
+                funnel.discard("engine-infeasible")
                 results.append(None)
                 continue
             results.append(MappingSearchResult(
@@ -168,8 +161,7 @@ class LocalSearchMapper:
         current = self._evaluate_order(layer, start)
         if current is None:
             return None
-        if campaign.enabled:
-            campaign.observe(current.objective)
+        campaign.observe(current.objective)
         start_objective = current.objective
         current_order = start
         evaluations = 1
@@ -188,22 +180,20 @@ class LocalSearchMapper:
                 round_orders.append(neighbor)
             candidates = self._evaluate_orders(layer, round_orders)
             evaluations += len(round_orders)
-            if campaign.enabled:
-                for candidate in candidates:
-                    if candidate is not None:
-                        scored += 1
-                        campaign.observe(candidate.objective)
+            for candidate in candidates:
+                if candidate is not None:
+                    scored += 1
+                    campaign.observe(candidate.objective)
             for neighbor, candidate in zip(round_orders, candidates):
                 if candidate is not None and candidate.objective < current.objective:
                     current, current_order = candidate, neighbor
                     improved = True
                     break
-        if campaign.enabled:
-            # The climb's final incumbent is its result; every other
-            # scored candidate lost to it along the way.
-            funnel = campaign.phase("local_search")
-            funnel.retain(cache_hit=current.cache_hit)
-            funnel.discard("worse-neighbor", scored - 1)
+        # The climb's final incumbent is its result; every other scored
+        # candidate lost to it along the way.
+        funnel = campaign.phase("local_search")
+        funnel.retain(cache_hit=current.cache_hit)
+        funnel.discard("worse-neighbor", scored - 1)
         return LocalSearchOutcome(
             best=current, start_objective=start_objective, evaluations=evaluations
         )
@@ -220,8 +210,7 @@ class LocalSearchMapper:
         for order in self.mapper.orders(layer):
             result = self._evaluate_order(layer, order)
             if result is not None:
-                if campaign.enabled:
-                    campaign.observe(result.objective)
+                campaign.observe(result.objective)
                 seeds.append((result.objective, order))
         if not seeds:
             raise MappingError(
@@ -230,52 +219,39 @@ class LocalSearchMapper:
             )
         seeds.sort(key=lambda s: s[0])
         restarts = seeds[: self.config.restarts]
-        if campaign.enabled:
-            # Seeds selected for polishing survive this stage; the rest
-            # are truncated out exactly like the mapper's keep-top cut.
-            funnel = campaign.phase("local_search")
-            funnel.retain(len(restarts))
-            funnel.discard("keep-top", len(seeds) - len(restarts))
-        emitter = current_emitter()
-        run = None
-        if emitter.enabled:
-            run = emitter.start_run(
-                "local_search",
-                total_units=len(restarts),
-                unit="climbs",
-                accelerator=self.mapper.accelerator.name,
-                layer=layer.name or str(layer.layer_type),
-            )
+        # Seeds selected for polishing survive this stage; the rest are
+        # truncated out exactly like the mapper's keep-top cut.
+        funnel = campaign.phase("local_search")
+        funnel.retain(len(restarts))
+        funnel.discard("keep-top", len(seeds) - len(restarts))
         best_outcome: Optional[LocalSearchOutcome] = None
-        try:
+        with current_emitter().start_run(
+            "local_search",
+            total_units=len(restarts),
+            unit="climbs",
+            accelerator=self.mapper.accelerator.name,
+            layer=layer.name or str(layer.layer_type),
+        ) as run:
             for index, (objective, order) in enumerate(restarts):
                 t0 = time.perf_counter()
                 outcome = self.climb(layer, order)
-                if run is not None:
-                    run.advance(
-                        1,
-                        errors=0 if outcome is not None else 1,
-                        wall_s=time.perf_counter() - t0,
-                        index=index,
-                    )
+                run.advance(
+                    1,
+                    errors=0 if outcome is not None else 1,
+                    wall_s=time.perf_counter() - t0,
+                    index=index,
+                )
                 if outcome is None:
                     continue
                 if best_outcome is None or outcome.best.objective < best_outcome.best.objective:
                     best_outcome = dataclasses.replace(
                         outcome, start_objective=seeds[0][0]
                     )
-                    if run is not None:
-                        run.best(
-                            best_outcome.best.objective,
-                            total_cycles=best_outcome.best.report.total_cycles,
-                            utilization=best_outcome.best.report.utilization,
-                            label=layer.name or str(layer.layer_type),
-                        )
-        except KeyboardInterrupt:
-            if run is not None:
-                run.interrupt("KeyboardInterrupt")
-            raise
-        if run is not None:
-            run.finish()
+                    run.best(
+                        best_outcome.best.objective,
+                        total_cycles=best_outcome.best.report.total_cycles,
+                        utilization=best_outcome.best.report.utilization,
+                        label=layer.name or str(layer.layer_type),
+                    )
         assert best_outcome is not None
         return best_outcome

@@ -365,8 +365,7 @@ class TemporalMapper:
         """
         if not self.spatial.fits(self.accelerator.mac_array.size):
             return  # spatial unrolling alone exceeds the array: no mappings
-        campaign = current_campaign()
-        funnel = campaign.phase("mapper") if campaign.enabled else None
+        funnel = current_campaign().phase("mapper")
         seen = set()
         canonical_seen = set()
         # Every order permutes the same atoms, so blocks carry no padding
@@ -384,19 +383,16 @@ class TemporalMapper:
                 zip(*(map(tuple, cuts[op].tolist()) for op in Operand)),
             )
             for order, dim_row, size_row, cut in rows:
-                if funnel is not None:
-                    funnel.admit()
+                funnel.admit()
                 key = (dim_row, size_row, cut)
                 if key in seen:
-                    if funnel is not None:
-                        funnel.discard("duplicate")
+                    funnel.discard("duplicate")
                     continue
                 seen.add(key)
                 canonical = _canonical_columns(dim_row, size_row, cut)
                 if canonical in canonical_seen:
                     self.engine.stats.dedup_skipped += 1
-                    if funnel is not None:
-                        funnel.discard("canonical-equivalent")
+                    funnel.discard("canonical-equivalent")
                     continue
                 canonical_seen.add(canonical)
                 loops = tuple(map(loop_of.__getitem__, order))
@@ -406,8 +402,7 @@ class TemporalMapper:
                         TemporalMapping(loops, dict(zip(Operand, cut))),
                     )
                 except MappingError:
-                    if funnel is not None:
-                        funnel.discard("mapping-error")
+                    funnel.discard("mapping-error")
                     continue
                 yield mapping
 
@@ -462,8 +457,7 @@ class TemporalMapper:
         Infeasible mappings (``None`` outcomes from the engine) are
         skipped, matching the old per-mapping try/except behavior.
         """
-        campaign = current_campaign()
-        funnel = campaign.phase("mapper") if campaign.enabled else None
+        funnel = current_campaign().phase("mapper")
         batch: List[Mapping] = []
 
         def flush() -> Iterator[MappingSearchResult]:
@@ -473,8 +467,7 @@ class TemporalMapper:
             batch.clear()
             for outcome in outcomes:
                 if outcome is None:
-                    if funnel is not None:
-                        funnel.discard("engine-infeasible")
+                    funnel.discard("engine-infeasible")
                     continue
                 yield MappingSearchResult(
                     outcome.mapping,
@@ -547,14 +540,10 @@ class TemporalMapper:
         (no ETA) when the mapper samples, since dedup and allocation
         failures make the evaluated count unpredictable.
         """
-        emitter = current_emitter()
-        if not emitter.enabled:
-            return None
         size = self.space_size(layer)
-        total = size if size <= self.config.max_enumerated else None
-        return emitter.start_run(
+        return current_emitter().start_run(
             flow,
-            total_units=total,
+            total_units=size if size <= self.config.max_enumerated else None,
             unit="evals",
             accelerator=self.accelerator.name,
             layer=layer.name or str(layer.layer_type),
@@ -582,32 +571,24 @@ class TemporalMapper:
                     self.engine.stats.cache_hits += 1
                     span.set("cache_hit", True)
                     campaign.note_memoized_search()
-                    if campaign.enabled and cached:
+                    if cached:
                         campaign.observe(cached[0].objective)
                     return list(cached)
-            run = self._progress_run("mapper.search", layer)
-            try:
+            with self._progress_run("mapper.search", layer) as run:
                 results = list(self._evaluated(layer))
-            except KeyboardInterrupt:
-                if run is not None:
-                    run.interrupt("KeyboardInterrupt")
-                raise
-            metrics.counter(
-                "repro_mapper_candidates_total",
-                "Feasible mapping candidates scored by the mapper.",
-            ).inc(len(results))
-            if campaign.enabled:
+                metrics.counter(
+                    "repro_mapper_candidates_total",
+                    "Feasible mapping candidates scored by the mapper.",
+                ).inc(len(results))
                 for result in results:
                     campaign.observe(result.objective)
-            scored = len(results)
-            results.sort(key=lambda r: r.objective)
-            results = results[: self.config.keep_top]
-            if campaign.enabled:
+                scored = len(results)
+                results.sort(key=lambda r: r.objective)
+                results = results[: self.config.keep_top]
                 funnel = campaign.phase("mapper")
                 for result in results:
                     funnel.retain(cache_hit=result.cache_hit)
                 funnel.discard("keep-top", scored - len(results))
-            if run is not None:
                 if results:
                     best = results[0]
                     run.best(
@@ -616,7 +597,6 @@ class TemporalMapper:
                         utilization=best.report.utilization,
                         label=layer.name or str(layer.layer_type),
                     )
-                run.finish()
             if tracer.enabled:
                 span.set("cache_hit", False)
                 span.set("candidates", len(results))
@@ -677,32 +657,22 @@ class TemporalMapper:
                     self.engine.stats.cache_hits += 1
                     span.set("cache_hit", True)
                     campaign.note_memoized_search()
-                    if campaign.enabled:
-                        campaign.observe(cached.objective)
+                    campaign.observe(cached.objective)
                     return cached
-            run = self._progress_run("mapper.best_mapping", layer)
             best: Optional[MappingSearchResult] = None
             candidates = 0
-            try:
+            with self._progress_run("mapper.best_mapping", layer) as run:
                 for result in self._evaluated(layer):
                     candidates += 1
-                    if campaign.enabled:
-                        campaign.observe(result.objective)
+                    campaign.observe(result.objective)
                     if best is None or result.objective < best.objective:
                         best = result
-                        if run is not None:
-                            run.best(
-                                best.objective,
-                                total_cycles=best.report.total_cycles,
-                                utilization=best.report.utilization,
-                                label=layer.name or str(layer.layer_type),
-                            )
-            except KeyboardInterrupt:
-                if run is not None:
-                    run.interrupt("KeyboardInterrupt")
-                raise
-            if run is not None:
-                run.finish()
+                        run.best(
+                            best.objective,
+                            total_cycles=best.report.total_cycles,
+                            utilization=best.report.utilization,
+                            label=layer.name or str(layer.layer_type),
+                        )
             metrics.counter(
                 "repro_mapper_candidates_total",
                 "Feasible mapping candidates scored by the mapper.",
@@ -712,10 +682,9 @@ class TemporalMapper:
                     f"no valid temporal mapping of {layer.describe()} on "
                     f"{self.accelerator.name} with spatial {self.spatial}"
                 )
-            if campaign.enabled:
-                funnel = campaign.phase("mapper")
-                funnel.retain(cache_hit=best.cache_hit)
-                funnel.discard("beaten-incumbent", candidates - 1)
+            funnel = campaign.phase("mapper")
+            funnel.retain(cache_hit=best.cache_hit)
+            funnel.discard("beaten-incumbent", candidates - 1)
             if tracer.enabled:
                 span.set("cache_hit", False)
                 span.set("candidates", candidates)

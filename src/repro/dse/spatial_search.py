@@ -138,22 +138,19 @@ class SpatialSearch:
         array = self.accelerator.mac_array.size
         o_reg = self.accelerator.hierarchy.innermost(Operand.O).instance
         lanes = o_reg.instances
-        campaign = current_campaign()
-        funnel = campaign.phase("spatial_search") if campaign.enabled else None
+        funnel = current_campaign().phase("spatial_search")
         out = []
         for spatial in enumerate_unrollings(layer, array, self.config):
-            if funnel is not None:
-                funnel.admit()
+            funnel.admit()
             if output_lanes_needed(spatial) <= max(lanes, 1):
                 out.append(spatial)
-            elif funnel is not None:
+            else:
                 funnel.discard("lane-overflow")
         return out
 
     def search(self, layer: LayerSpec) -> List[SpatialSearchResult]:
         """Best temporal mapping per candidate unrolling, best first."""
-        campaign = current_campaign()
-        funnel = campaign.phase("spatial_search") if campaign.enabled else None
+        funnel = current_campaign().phase("spatial_search")
         results: List[SpatialSearchResult] = []
         for spatial in self.candidates(layer):
             mapper = TemporalMapper(
@@ -165,11 +162,9 @@ class SpatialSearch:
             try:
                 best = mapper.best_mapping(layer)
             except MappingError:
-                if funnel is not None:
-                    funnel.discard("unmappable-spatial")
+                funnel.discard("unmappable-spatial")
                 continue
-            if funnel is not None:
-                funnel.retain()
+            funnel.retain()
             results.append(SpatialSearchResult(spatial, best))
         results.sort(key=lambda r: r.total_cycles)
         return results

@@ -50,9 +50,9 @@ from repro.hardware.accelerator import Accelerator
 from repro.mapping.mapping import Mapping
 from repro.observability.ledger import (
     RunRecord,
+    checkpoint_interruption,
     current_ledger,
     record_from_report,
-    record_interruption,
 )
 from repro.observability.campaign import current_campaign
 from repro.observability.metrics import current_metrics
@@ -320,9 +320,7 @@ class EvaluationEngine:
             cache_hit=cache_hit,
             wall_time_s=wall_time_s,
         )
-        campaign = current_campaign()
-        if campaign.enabled:
-            record.campaign = campaign.name
+        record.campaign = current_campaign().name
         return record
 
     def evaluate_energy(self, mapping: Mapping) -> EnergyReport:
@@ -379,21 +377,14 @@ class EvaluationEngine:
         tracer = current_tracer()
         metrics = current_metrics()
         ledger = current_ledger()
-        emitter = current_emitter()
-        run = None
-        owns_run = False
-        if emitter.enabled:
-            run = emitter.current_run("evals")
-            if run is None:
-                run = emitter.start_run(
-                    "engine.batch",
-                    total_units=len(mappings),
-                    unit="evals",
-                    accelerator=getattr(self.accelerator, "name", ""),
-                )
-                owns_run = True
         ledger_rows: List[RunRecord] = []
-        with self.stats.phase("batch"), tracer.span("engine.batch") as span:
+        with current_emitter().join_run(
+            "engine.batch",
+            total_units=len(mappings),
+            unit="evals",
+            accelerator=getattr(self.accelerator, "name", ""),
+        ) as run, self.stats.phase("batch"), \
+                tracer.span("engine.batch") as span:
             self.stats.batches += 1
             pending: List[int] = []
             if self.use_cache:
@@ -431,20 +422,17 @@ class EvaluationEngine:
                     "repro_engine_cache_hits_total",
                     "evaluations served from cache",
                 ).inc(hits)
-            if run is not None:
-                if self.use_cache:
-                    run.cache_stats(
-                        hits, len(pending),
-                        dedup_skipped=self.stats.dedup_skipped,
-                        partial_hits=self.stats.partial_hits,
-                        partial_misses=self.stats.partial_misses,
-                    )
-                if hits:
-                    run.advance(hits, note="cache")
+            if self.use_cache:
+                run.cache_stats(
+                    hits, len(pending),
+                    dedup_skipped=self.stats.dedup_skipped,
+                    partial_hits=self.stats.partial_hits,
+                    partial_misses=self.stats.partial_misses,
+                )
+            if hits:
+                run.advance(hits, note="cache")
             if not pending:
                 ledger.append_many(ledger_rows)
-                if owns_run:
-                    run.finish()
                 return results
 
             chunks = [
@@ -491,19 +479,23 @@ class EvaluationEngine:
                     self.stats.batched_evaluations += timing.batched
                     self.stats.partial_hits += timing.partial_hits
                     self.stats.partial_misses += timing.partial_misses
-                    if run is not None:
-                        run.advance(
-                            len(chunk),
-                            errors=timing.errors,
-                            wall_s=timing.wall_s,
-                            worker=timing.worker,
-                            index=chunk_index,
-                        )
+                    run.advance(
+                        len(chunk),
+                        errors=timing.errors,
+                        wall_s=timing.wall_s,
+                        worker=timing.worker,
+                        index=chunk_index,
+                    )
             except KeyboardInterrupt:
-                self._interrupt(
-                    ledger, ledger_rows, run, owns_run,
-                    done=sum(1 for r in results if r is not None),
-                    total=len(mappings),
+                # Checkpoint before the interrupt propagates: unflushed
+                # rows plus one kind="interrupted" marker. The run closes
+                # on the way out, unless an enclosing search owns it.
+                ledger.append_many(ledger_rows)
+                checkpoint_interruption(
+                    "engine.batch",
+                    done_units=sum(1 for r in results if r is not None),
+                    total_units=len(mappings),
+                    unit="evals",
                 )
                 raise
             if metrics.enabled:
@@ -520,28 +512,4 @@ class EvaluationEngine:
                         "kernel throughput of the last batch",
                     ).set(len(pending) / elapsed)
             ledger.append_many(ledger_rows)
-            if owns_run:
-                run.finish()
         return results
-
-    def _interrupt(
-        self, ledger, ledger_rows, run, owns_run: bool, *, done: int, total: int
-    ) -> None:
-        """Checkpoint a Ctrl-C'd batch before the interrupt propagates.
-
-        Flushes any unflushed evaluation rows plus one
-        ``kind="interrupted"`` marker, and closes the progress run — but only a run this batch
-        opened itself; an enclosing search owns its run's lifecycle and
-        will emit its own :class:`RunInterrupted`.
-        """
-        if ledger.enabled:
-            ledger.append_many(ledger_rows)
-            ledger.append(record_interruption(
-                flow="engine.batch",
-                done_units=done,
-                total_units=total,
-                unit="evals",
-                reason="KeyboardInterrupt",
-            ))
-        if owns_run:
-            run.interrupt("KeyboardInterrupt")

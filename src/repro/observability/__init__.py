@@ -113,7 +113,6 @@ from repro.observability.progress import (
     ConvergenceUpdate,
     FunnelSnapshot,
     Heartbeat,
-    HeartbeatMonitor,
     JsonlSink,
     MetricsSubscriber,
     NULL_EMITTER,
@@ -173,7 +172,6 @@ __all__ = [
     "FunnelSnapshot",
     "Gauge",
     "Heartbeat",
-    "HeartbeatMonitor",
     "Histogram",
     "JsonlSink",
     "LedgerDiff",

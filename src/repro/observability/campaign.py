@@ -21,9 +21,11 @@ Ambient installation mirrors the tracer/ledger/emitter pattern::
     campaign.finish()
     campaign.flush_to(ledger)
 
-Instrumentation sites fetch :func:`current_campaign` and guard on
-``campaign.enabled``; with no campaign installed the NULL singleton
-makes every hook a no-op attribute check.
+Instrumentation sites fetch :func:`current_campaign` and call its hooks
+(``phase(...)`` funnels, ``observe``) unconditionally; with no campaign
+installed the NULL singleton and its inert funnel make every hook a
+no-op. Only work done solely for the campaign (computing a Pareto front
+to snapshot) guards on ``campaign.enabled``.
 
 Funnel semantics
 ----------------

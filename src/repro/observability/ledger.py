@@ -277,6 +277,36 @@ def record_interruption(
     )
 
 
+def checkpoint_interruption(
+    flow: str,
+    *,
+    done_units: int,
+    total_units: Optional[int],
+    unit: str,
+    campaign: Any = None,
+) -> None:
+    """Leave a Ctrl-C'd flow's checkpoint in the ambient ledger.
+
+    Appends the ``kind="interrupted"`` row (:func:`record_interruption`)
+    and, given a ``campaign``, flushes its partial rows next to it. A
+    flow calls this from its ``except KeyboardInterrupt`` block, inside
+    its ``with`` progress run, so the rows land before the run's
+    ``RunInterrupted`` event. Without a ledger it does nothing.
+    """
+    ledger = current_ledger()
+    if not ledger.enabled:
+        return
+    ledger.append(record_interruption(
+        flow=flow,
+        done_units=done_units,
+        total_units=total_units,
+        unit=unit,
+        reason="KeyboardInterrupt",
+    ))
+    if campaign is not None:
+        campaign.flush_to(ledger, partial=True)
+
+
 def record_slow_request(
     *,
     accelerator_fp: str,
@@ -599,19 +629,34 @@ class RunLedger:
 
 
 def load_jsonl(path: str) -> List[RunRecord]:
-    """Read a JSONL snapshot (any schema version) into records."""
+    """Read a JSONL snapshot (any schema version) into records.
+
+    A line that is not a JSON object (undecodable, truncated, a list,
+    ``null``) or carries a newer schema version raises
+    :class:`LedgerSchemaError` naming the path and line number.
+    """
     out: List[RunRecord] = []
-    with open(path) as handle:
-        for line in handle:
+    # Undecodable bytes become U+FFFD and fail the JSON parse below.
+    with open(path, encoding="utf-8", errors="replace") as handle:
+        for number, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
-            data = json.loads(line)
-            version = int(data.pop("v", 1))
+            where = f"snapshot {path!r} line {number}"
+            try:
+                data = json.loads(line)
+            except ValueError as exc:
+                raise LedgerSchemaError(f"{where} is not JSON: {exc}") from None
+            if not isinstance(data, dict):
+                raise LedgerSchemaError(f"{where} is not a JSON object: {line[:60]}")
+            try:
+                version = int(data.pop("v", 1))
+            except (TypeError, ValueError):
+                raise LedgerSchemaError(f"{where} has a malformed schema version") from None
             if version > SCHEMA_VERSION:
                 raise LedgerSchemaError(
-                    f"snapshot {path!r} line has schema v{version}; this "
-                    f"build reads at most v{SCHEMA_VERSION}"
+                    f"{where} has schema v{version}; this build reads at "
+                    f"most v{SCHEMA_VERSION}"
                 )
             out.append(RunRecord.from_dict(data))
     return out
@@ -621,15 +666,18 @@ def load_snapshot(path: str, sha: Optional[str] = None) -> List[RunRecord]:
     """Load a ledger snapshot — SQLite database or JSONL export.
 
     Dispatches on content, not extension: SQLite files start with the
-    16-byte ``"SQLite format 3"`` magic. ``sha`` filters to records of
+    16-byte ``"SQLite format 3"`` magic. A corrupt database or a
+    malformed JSONL line raises :class:`LedgerSchemaError`. ``sha`` filters to records of
     one commit (for diffing two SHAs inside one ledger).
     """
     with open(path, "rb") as handle:
         magic = handle.read(16)
     if magic.startswith(b"SQLite format 3"):
-        with RunLedger(path) as ledger:
-            records = ledger.records(sha=sha)
-        return records
+        try:
+            with RunLedger(path) as ledger:
+                return ledger.records(sha=sha)
+        except sqlite3.DatabaseError as exc:
+            raise LedgerSchemaError(f"snapshot {path!r}: {exc}") from None
     records = load_jsonl(path)
     if sha is not None:
         records = [r for r in records if r.git_sha == sha]
@@ -875,6 +923,7 @@ __all__ = [
     "RunLedger",
     "RunRecord",
     "SCHEMA_VERSION",
+    "checkpoint_interruption",
     "current_ledger",
     "diff_records",
     "git_sha",

@@ -17,14 +17,19 @@ best design so far?" through a typed event stream:
 * :class:`BestSoFar` announces an improved incumbent objective;
 * :class:`CacheStats` snapshots the engine cache hit rate;
 * :class:`WorkerStalled` is a derived warning — a worker silent past a
-  threshold (see :class:`HeartbeatMonitor`).
+  threshold. Nothing in the package emits it today; it stays a readable
+  event type so recorded streams that carry one still render.
 
 The plumbing mirrors the tracer/metrics/ledger pattern exactly: an
 ambient :func:`current_emitter` that defaults to the allocation-free
-:data:`NULL_EMITTER`, scoped installation via :func:`use_emitter`, and
-emit sites guarded on ``emitter.enabled`` so the disabled path costs one
-contextvar read (bounded < 5% of kernel time by
-``benchmarks/test_progress_overhead.py`` / ``BENCH_progress.json``).
+:data:`NULL_EMITTER`, and scoped installation via :func:`use_emitter`.
+Flows do not test ``emitter.enabled``: they open ``with
+current_emitter().start_run(...) as run:`` and call ``run.*``
+unconditionally, and the null emitter hands back the shared
+:data:`NULL_RUN`, whose every method is a no-op. The disabled path
+(one contextvar read, a ``with`` and a few no-op calls) is bounded
+< 5% of kernel time by ``benchmarks/test_progress_overhead.py`` /
+``BENCH_progress.json``.
 
 Sinks are plain subscribers — any callable of one event. The bundled
 :class:`JsonlSink` appends one JSON object per line and flushes per
@@ -41,7 +46,7 @@ import dataclasses
 import json
 import os
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
 from typing import (
     Any,
@@ -117,9 +122,8 @@ class Heartbeat:
     """A worker proved liveness (emitted when its chunk timing arrives).
 
     ``note`` optionally names what the worker is *about to* do (e.g.
-    ``"evaluating a1b2c3/d4e5f6 (kernel)"``); the
-    :class:`HeartbeatMonitor` remembers it so a later stall warning can
-    say what the worker was last occupied with.
+    ``"evaluating a1b2c3/d4e5f6 (kernel)"``), so a recording shows what
+    the worker was last occupied with.
     """
 
     run_id: str
@@ -178,7 +182,11 @@ class WorkerStalled:
 
 @dataclasses.dataclass(frozen=True)
 class RunInterrupted:
-    """The flow was cut short (SIGINT); partial results were checkpointed."""
+    """The flow was cut short: ``reason`` names the exception.
+
+    ``"KeyboardInterrupt"`` (Ctrl-C) runs checkpointed their partial
+    results; any other reason is an error that ended the flow.
+    """
 
     run_id: str
     done_units: int = 0
@@ -432,6 +440,15 @@ class RunHandle:
     methods stamp events with the emitter's clock and keep the run's
     cumulative counters, incumbent objective and rolling ETA so emit
     sites stay one-liners.
+
+    A handle is a context manager and that is how flows use it::
+
+        with current_emitter().start_run("mapper.search", unit="evals") as run:
+            ...
+
+    A normal exit finishes the run; any exception (``KeyboardInterrupt``
+    included) interrupts it with the exception's class name as the
+    reason and propagates. So no run is ever left open on the stack.
     """
 
     enabled = True
@@ -498,8 +515,7 @@ class RunHandle:
 
         Unlike :meth:`advance` this marks the *beginning* of a unit of
         work: the server pings with the request's fingerprints before
-        handing a kernel to its worker thread, so a subsequent stall
-        warning can name the exact request that wedged the worker.
+        handing a kernel to its worker thread.
         """
         self._emitter.emit(
             Heartbeat(
@@ -559,6 +575,15 @@ class RunHandle:
         )
 
     # -- lifecycle ------------------------------------------------------- #
+
+    def __enter__(self) -> "RunHandle":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self.finish()
+        else:
+            self.interrupt(exc_type.__name__)
 
     def finish(self) -> None:
         """Close the run normally (idempotent)."""
@@ -621,6 +646,12 @@ class NullRunHandle:
         pass
 
     def interrupt(self, reason: str = "") -> None:
+        pass
+
+    def __enter__(self) -> "NullRunHandle":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
         pass
 
 
@@ -699,13 +730,22 @@ class ProgressEmitter:
         )
         return handle
 
-    def current_run(self, unit: Optional[str] = None) -> Optional[RunHandle]:
-        """The innermost open run (optionally only if its unit matches).
+    def join_run(self, flow: str, *, unit: str, **kwargs: Any):
+        """The innermost open run of ``unit``, else a new one (as a ``with``).
 
         This is how nested emit sites attach to their caller's run: the
         engine's ``evaluate_many`` accrues chunk progress into an
         enclosing mapper-search run instead of opening one run per batch.
+        A joined run stays open when the block exits, because its owner
+        closes it; a run opened here closes like :meth:`start_run`'s.
         """
+        run = self.current_run(unit)
+        if run is None:
+            return self.start_run(flow, unit=unit, **kwargs)
+        return nullcontext(run)
+
+    def current_run(self, unit: Optional[str] = None) -> Optional[RunHandle]:
+        """The innermost open run (optionally only if its unit matches)."""
         if not self._run_stack:
             return None
         top = self._run_stack[-1]
@@ -737,6 +777,9 @@ class NullProgressEmitter:
         pass
 
     def start_run(self, flow: str, **kwargs: Any) -> NullRunHandle:
+        return NULL_RUN
+
+    def join_run(self, flow: str, **kwargs: Any) -> NullRunHandle:
         return NULL_RUN
 
     def current_run(self, unit: Optional[str] = None) -> None:
@@ -841,88 +884,6 @@ def follow_events(
                 batch.append(event_from_dict(json.loads(line)))
         yield batch
         sleep(poll_s)
-
-
-# --------------------------------------------------------------------- #
-# Heartbeat-loss detection
-# --------------------------------------------------------------------- #
-
-
-class HeartbeatMonitor:
-    """Detect workers that stopped heartbeating past a threshold.
-
-    Feed it events (``emitter.subscribe(monitor.observe)`` or replay a
-    recording) and call :meth:`check` periodically: a worker whose last
-    :class:`Heartbeat`/:class:`ChunkCompleted` is older than
-    ``threshold_s`` yields one :class:`WorkerStalled` warning per stall
-    episode (re-armed when the worker revives). The clock is injectable
-    so tests can drive stalls without sleeping.
-    """
-
-    def __init__(
-        self,
-        threshold_s: float = STALL_THRESHOLD_S,
-        *,
-        emitter: Optional[ProgressEmitter] = None,
-        clock: Callable[[], float] = time.time,
-    ) -> None:
-        self.threshold_s = threshold_s
-        self.clock = clock
-        self._emitter = emitter
-        self.last_seen: Dict[str, float] = {}
-        self._last_run: Dict[str, str] = {}
-        self._warned: Dict[str, bool] = {}
-        self._busy: Dict[str, str] = {}
-
-    def observe(self, event: ProgressEvent) -> None:
-        """Update liveness from one event (usable as a subscriber)."""
-        worker = getattr(event, "worker", "")
-        if not worker or isinstance(event, WorkerStalled):
-            return
-        self.last_seen[worker] = event.ts
-        self._last_run[worker] = event.run_id
-        self._warned[worker] = False
-        # What is the worker occupied with? A Heartbeat note announces
-        # work starting; a ChunkCompleted means it came back.
-        if isinstance(event, Heartbeat) and event.note:
-            self._busy[worker] = event.note
-        elif isinstance(event, ChunkCompleted):
-            self._busy.pop(worker, None)
-
-    def busy_note(self, worker: str) -> str:
-        """What ``worker`` last announced it was doing ("" when idle)."""
-        return self._busy.get(worker, "")
-
-    def check(self, now: Optional[float] = None) -> List[WorkerStalled]:
-        """Return (and emit, when wired) new stall warnings as of ``now``."""
-        now = self.clock() if now is None else now
-        warnings: List[WorkerStalled] = []
-        for worker, seen in sorted(self.last_seen.items()):
-            silent = now - seen
-            if silent <= self.threshold_s or self._warned.get(worker):
-                continue
-            self._warned[worker] = True
-            warning = WorkerStalled(
-                run_id=self._last_run.get(worker, ""),
-                worker=worker,
-                silent_for_s=silent,
-                threshold_s=self.threshold_s,
-                note=self._busy.get(worker, ""),
-                ts=now,
-            )
-            warnings.append(warning)
-            if self._emitter is not None:
-                self._emitter.emit(warning)
-        return warnings
-
-    def stalled(self, now: Optional[float] = None) -> List[str]:
-        """Workers currently past the threshold (no one-shot arming)."""
-        now = self.clock() if now is None else now
-        return sorted(
-            worker
-            for worker, seen in self.last_seen.items()
-            if now - seen > self.threshold_s
-        )
 
 
 # --------------------------------------------------------------------- #
@@ -1067,7 +1028,6 @@ __all__ = [
     "EtaEstimator",
     "FunnelSnapshot",
     "Heartbeat",
-    "HeartbeatMonitor",
     "JsonlSink",
     "MetricsSubscriber",
     "NULL_EMITTER",

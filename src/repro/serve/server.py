@@ -86,6 +86,7 @@ from repro.observability.distributed import (
 )
 from repro.observability.ledger import record_interruption, record_slow_request
 from repro.observability.metrics import MetricsRegistry
+from repro.observability.progress import NULL_EMITTER, NULL_RUN
 from repro.observability.span import SpanRecord
 from repro.observability.stats import EngineStats
 from repro.observability.tracer import Tracer, use_tracer
@@ -279,7 +280,7 @@ class EvaluationServer:
         self._server: Optional[asyncio.AbstractServer] = None
         self._conn_writers: set = set()
         self._conn_tasks: set = set()
-        self._run = None            # progress RunHandle
+        self._run = NULL_RUN        # progress RunHandle
         self._draining = False
         self._stopped: Optional[asyncio.Event] = None
         self.started_ts = 0.0
@@ -321,16 +322,15 @@ class EvaluationServer:
             self.admin.start()
         # Last: started_ts > 0 is the "fully up" signal (readyz, tests).
         self.started_ts = time.time()
-        emitter = self.config.emitter
-        if emitter is not None and emitter.enabled:
-            self._run = emitter.start_run(
-                "serve",
-                total_units=None,
-                unit="evals",
-                accelerator=getattr(self._own_accel, "name", ""),
-            )
-            if warm:
-                self._run.cache_stats(warm, 0)
+        emitter = self.config.emitter or NULL_EMITTER
+        self._run = emitter.start_run(
+            "serve",
+            total_units=None,
+            unit="evals",
+            accelerator=getattr(self._own_accel, "name", ""),
+        )
+        if warm:
+            self._run.cache_stats(warm, 0)
 
     @property
     def url(self) -> str:
@@ -429,11 +429,10 @@ class EvaluationServer:
                 reason=reason,
                 wall_time_s=time.time() - self.started_ts,
             ))
-        if self._run is not None:
-            if interrupted:
-                self._run.interrupt(reason)
-            else:
-                self._run.finish()
+        if interrupted:
+            self._run.interrupt(reason)
+        else:
+            self._run.finish()
         if self.config.flight_path and len(self.flight):
             self.flight.dump(self.config.flight_path)
         self._stopped.set()
@@ -675,16 +674,13 @@ class EvaluationServer:
             t_store = time.perf_counter()
             self.store.put(store_key, outcome.report, wall_time_s=outcome.wall_s)
             phases.store_write_us = (time.perf_counter() - t_store) * 1e6
-        if self._run is not None:
-            self._run.advance(
-                1, wall_s=outcome.wall_s, worker=_WORKER,
+        self._run.advance(1, wall_s=outcome.wall_s, worker=_WORKER)
+        if self.stats.evaluations % 32 == 0:
+            self._run.cache_stats(
+                self.stats.warm_hits + self.stats.store_hits,
+                self.stats.evaluations,
+                dedup_skipped=self.stats.coalesced,
             )
-            if self.stats.evaluations % 32 == 0:
-                self._run.cache_stats(
-                    self.stats.warm_hits + self.stats.store_hits,
-                    self.stats.evaluations,
-                    dedup_skipped=self.stats.coalesced,
-                )
         return self._ok_response(msg, outcome, source="evaluated")
 
     def _ok_response(
@@ -791,14 +787,13 @@ class EvaluationServer:
                     queue_depth=phases.queued_at_arrival,
                     threshold_ms=slow_ms,
                 ))
-            if self._run is not None:
-                self._run.heartbeat(
-                    worker=_WORKER,
-                    note=(
-                        f"slow request {phases.mapping_fp[:12]} "
-                        f"{wall_s * 1e3:.0f}ms (> {slow_ms:g}ms)"
-                    ),
-                )
+            self._run.heartbeat(
+                worker=_WORKER,
+                note=(
+                    f"slow request {phases.mapping_fp[:12]} "
+                    f"{wall_s * 1e3:.0f}ms (> {slow_ms:g}ms)"
+                ),
+            )
 
     # -- payload resolution (memoized) ---------------------------------- #
 
@@ -851,14 +846,14 @@ class EvaluationServer:
             picked_up = time.perf_counter()
             for item in batch:
                 item.queue_wait_us = (picked_up - item.t_enqueue) * 1e6
-            if self._run is not None:
-                # Announce the kernel *before* it runs: if the kernel
-                # thread wedges, the stall warning names this batch.
-                more = f" +{len(batch) - 1}" if len(batch) > 1 else ""
-                self._run.heartbeat(
-                    worker=_WORKER,
-                    note=f"evaluating {batch[0].label}{more} (kernel)",
-                )
+            # Announce the kernel *before* it runs. The note only lands in
+            # the event stream: a recording shows what the kernel was
+            # last handed, but nothing watches for a wedged kernel.
+            more = f" +{len(batch) - 1}" if len(batch) > 1 else ""
+            self._run.heartbeat(
+                worker=_WORKER,
+                note=f"evaluating {batch[0].label}{more} (kernel)",
+            )
             try:
                 done = await loop.run_in_executor(
                     self._executor, self._evaluate_batch, batch

@@ -38,6 +38,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.core.report import LatencyReport
 from repro.core.step2 import ServedMemoryStall
 from repro.observability.ledger import (
+    LedgerSchemaError,
     RunRecord,
     load_snapshot,
     record_from_report,
@@ -112,8 +113,10 @@ class ResultStore:
         """Index every evaluation row of the given ledger snapshots.
 
         Accepts SQLite ledgers and JSONL exports alike (dispatch is by
-        content); missing files are skipped silently so a default
-        warm-start list can include not-yet-created paths. Rows without
+        content); a snapshot that cannot be read (missing, malformed, or
+        written by a newer schema) is skipped silently, so a default
+        warm-start list can include not-yet-created paths and a bad file
+        never stops the daemon's boot. Rows without
         the full fingerprint triple (bench rows, interruption markers,
         pre-fingerprint records) are not indexable and are ignored.
         Later paths win on key collisions, like a cache overwrite.
@@ -122,8 +125,8 @@ class ResultStore:
         for path in paths:
             try:
                 records = load_snapshot(str(path))
-            except (OSError, ValueError):
-                continue
+            except (OSError, LedgerSchemaError):
+                continue  # unreadable: missing, malformed or newer schema
             for record in records:
                 if record.kind != "evaluation":
                     continue

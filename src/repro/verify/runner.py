@@ -110,12 +110,18 @@ def replay_corpus(
 ) -> Tuple[List[CorpusCase], List[Violation]]:
     """Re-check every committed corpus case against the full suite."""
     cases = load_corpus(corpus_dir)
+    return cases, _check_corpus(cases, tolerance, backend)
+
+
+def _check_corpus(
+    cases: List[CorpusCase], tolerance: Tolerance, backend: str
+) -> List[Violation]:
     violations: List[Violation] = []
     for entry in cases:
         violations.extend(
             check_case(entry.case, tolerance=tolerance, backend=backend)
         )
-    return cases, violations
+    return violations
 
 
 def run_verification(
@@ -136,34 +142,25 @@ def run_verification(
     stream every search flow uses, replacing the old ad-hoc ``progress``
     print callback.
     """
-    emitter = current_emitter()
     start = time.monotonic()
-    run = None
-    if emitter.enabled:
-        total = (0 if corpus_only else max(examples, 0))
-        if corpus_dir is not None:
-            total += len(load_corpus(corpus_dir))
-        run = emitter.start_run("verify", total_units=total, unit="cases")
-
-    corpus_cases: List[CorpusCase] = []
+    corpus_cases = load_corpus(corpus_dir) if corpus_dir is not None else []
     corpus_violations: List[Violation] = []
-    if corpus_dir is not None:
-        corpus_t0 = time.perf_counter()
-        corpus_cases, corpus_violations = replay_corpus(
-            corpus_dir, tolerance, backend
-        )
-        if run is not None and corpus_cases:
+    violations: List[Violation] = []
+    failures: List[ShrunkFailure] = []
+    checked = 0
+    total = (0 if corpus_only else max(examples, 0)) + len(corpus_cases)
+    with current_emitter().start_run(
+        "verify", total_units=total, unit="cases"
+    ) as run:
+        if corpus_cases:
+            corpus_t0 = time.perf_counter()
+            corpus_violations = _check_corpus(corpus_cases, tolerance, backend)
             run.advance(
                 len(corpus_cases),
                 errors=len(corpus_violations),
                 wall_s=time.perf_counter() - corpus_t0,
                 note="corpus replay",
             )
-
-    violations: List[Violation] = []
-    failures: List[ShrunkFailure] = []
-    checked = 0
-    try:
         if not corpus_only and examples > 0:
             for case in iter_cases(seed, config):
                 if checked >= examples:
@@ -172,21 +169,19 @@ def run_verification(
                 case_t0 = time.perf_counter()
                 found = check_case(case, tolerance=tolerance, backend=backend)
                 if not found:
-                    if run is not None:
-                        run.advance(
-                            1, wall_s=time.perf_counter() - case_t0,
-                            index=checked - 1,
-                        )
+                    run.advance(
+                        1, wall_s=time.perf_counter() - case_t0,
+                        index=checked - 1,
+                    )
                     continue
                 violations.extend(found)
                 failing = tuple(sorted({v.prop for v in found}))
-                if run is not None:
-                    run.advance(
-                        1, errors=1,
-                        wall_s=time.perf_counter() - case_t0,
-                        index=checked - 1,
-                        note=f"FAIL {case.case_id}: {', '.join(failing)}",
-                    )
+                run.advance(
+                    1, errors=1,
+                    wall_s=time.perf_counter() - case_t0,
+                    index=checked - 1,
+                    note=f"FAIL {case.case_id}: {', '.join(failing)}",
+                )
                 shrunk = (
                     shrink_case(
                         case, failing, config, tolerance, backend=backend
@@ -202,12 +197,6 @@ def run_verification(
                         violations=tuple(found),
                     )
                 )
-    except KeyboardInterrupt:
-        if run is not None:
-            run.interrupt("KeyboardInterrupt")
-        raise
-    if run is not None:
-        run.finish()
 
     summary = VerificationSummary(
         seed=seed,

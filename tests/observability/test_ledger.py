@@ -314,6 +314,31 @@ def test_v1_jsonl_line_loads_with_defaults(tmp_path):
     assert rec.label == "" and rec.ss_comb == {} and rec.extra == {}
 
 
+@pytest.mark.parametrize("bad, says", [
+    ("[1,2]", "not a JSON object"),
+    ("null", "not a JSON object"),
+    ('"text"', "not a JSON object"),
+    ('{"kind": "evaluation", "ss_ov', "not JSON"),
+    ('{"v": "two", "kind": "evaluation"}', "schema version"),
+])
+def test_hostile_jsonl_line_is_a_typed_error_naming_the_line(tmp_path, bad, says):
+    snap = tmp_path / "hostile.jsonl"
+    good = json.dumps(make_record().as_dict())
+    snap.write_text(good + "\n" + bad + "\n")
+    with pytest.raises(LedgerSchemaError) as err:
+        load_jsonl(str(snap))
+    assert "hostile.jsonl" in str(err.value)
+    assert "line 2" in str(err.value)
+    assert says in str(err.value)
+
+
+def test_corrupt_sqlite_snapshot_is_a_typed_error(tmp_path):
+    path = tmp_path / "corrupt.sqlite"
+    path.write_bytes(b"SQLite format 3\x00" + b"garbage" * 64)
+    with pytest.raises(LedgerSchemaError, match="corrupt.sqlite"):
+        load_snapshot(str(path))
+
+
 # --------------------------------------------------------------------- #
 # Diff / regression gate
 # --------------------------------------------------------------------- #

@@ -1,4 +1,4 @@
-"""Progress-event stream: emitter, ETA, serde, sinks, heartbeat loss."""
+"""Progress-event stream: emitter, run lifecycle, ETA, serde, sinks."""
 
 import json
 
@@ -9,7 +9,6 @@ from repro.observability import (
     CacheStats,
     ChunkCompleted,
     Heartbeat,
-    HeartbeatMonitor,
     JsonlSink,
     MetricsRegistry,
     MetricsSubscriber,
@@ -171,6 +170,95 @@ def test_null_emitter_and_null_run_are_inert():
     assert NULL_EMITTER.current_run("evals") is None
 
 
+def test_run_as_context_manager_finishes_on_normal_exit():
+    emitter, events, _ = collecting_emitter()
+    with emitter.start_run("flow", unit="evals") as run:
+        run.advance(3, wall_s=1.0, worker="pid:1")
+    assert isinstance(events[-1], RunFinished)
+    assert events[-1].done_units == 3
+    assert emitter.current_run() is None
+
+
+@pytest.mark.parametrize("error", [KeyboardInterrupt, ValueError])
+def test_run_as_context_manager_interrupts_on_any_exception(error):
+    emitter, events, _ = collecting_emitter()
+    with pytest.raises(error):
+        with emitter.start_run("flow", unit="evals") as run:
+            run.advance(2, wall_s=1.0, worker="pid:1")
+            raise error
+    assert isinstance(events[-1], RunInterrupted)
+    assert events[-1].reason == error.__name__
+    assert events[-1].done_units == 2
+    assert not any(isinstance(e, RunFinished) for e in events)
+    assert emitter.current_run() is None
+
+
+def test_join_run_attaches_to_the_open_run_and_leaves_it_open():
+    emitter, events, _ = collecting_emitter()
+    with emitter.start_run("mapper.search", unit="evals") as outer:
+        with pytest.raises(ValueError):
+            with emitter.join_run("engine.batch", unit="evals") as run:
+                assert run is outer
+                raise ValueError
+        assert emitter.current_run("evals") is outer
+        # A run of another unit is not joined: the batch opens its own.
+        with emitter.join_run("engine.batch", unit="points") as own:
+            assert own is not outer
+    flows = [e.flow for e in events if isinstance(e, RunStarted)]
+    assert flows == ["mapper.search", "engine.batch"]
+    closed = [type(e).__name__ for e in events
+              if isinstance(e, (RunFinished, RunInterrupted))]
+    assert closed == ["RunFinished", "RunFinished"]
+
+
+def test_null_run_is_a_context_manager_that_swallows_nothing():
+    with NULL_EMITTER.join_run("engine.batch", unit="evals") as run:
+        assert run is NULL_RUN
+    with pytest.raises(ValueError):
+        with NULL_EMITTER.start_run("flow") as run:
+            raise ValueError
+
+
+def test_failed_search_closes_its_run_and_later_batches_open_their_own(
+    monkeypatch,
+):
+    """An error inside a mapper search interrupts the search's run, so a
+    later, unrelated batch does not report under it."""
+    from repro.dse.mapper import MapperConfig, TemporalMapper
+    from repro.engine import EvaluationEngine
+    from repro.hardware.presets import case_study_accelerator
+    from repro.workload.generator import dense_layer
+
+    preset = case_study_accelerator()
+    mapper = TemporalMapper(
+        preset.accelerator, preset.spatial_unrolling,
+        MapperConfig(max_enumerated=30, samples=20),
+    )
+    layer = dense_layer(16, 32, 60)
+    real = EvaluationEngine.evaluate_many
+
+    def broken(self, mappings, **kwargs):
+        raise RuntimeError("kernel failed")
+
+    emitter, events, _ = collecting_emitter()
+    with use_emitter(emitter):
+        monkeypatch.setattr(EvaluationEngine, "evaluate_many", broken)
+        with pytest.raises(RuntimeError):
+            mapper.search(layer)
+        monkeypatch.setattr(EvaluationEngine, "evaluate_many", real)
+        assert emitter.current_run() is None
+        engine = EvaluationEngine(preset.accelerator)
+        engine.evaluate_many(list(mapper.mappings(layer))[:4])
+
+    search_id = events[0].run_id
+    stops = [e for e in events if isinstance(e, RunInterrupted)]
+    assert [(e.run_id, e.reason) for e in stops] == [(search_id, "RuntimeError")]
+    batch = [e for e in events if isinstance(e, RunStarted)][1]
+    assert batch.flow == "engine.batch"
+    chunks = [e for e in events if isinstance(e, (Heartbeat, ChunkCompleted))]
+    assert chunks and all(e.run_id == batch.run_id for e in chunks)
+
+
 # --------------------------------------------------------------------- #
 # ETA estimation
 # --------------------------------------------------------------------- #
@@ -297,81 +385,12 @@ def test_follow_events_tails_a_growing_file(tmp_path):
     assert [e.ts for e in next(follower)] == [2.0]
 
 
-# --------------------------------------------------------------------- #
-# Heartbeat-loss detection (fake clock, no sleeps)
-# --------------------------------------------------------------------- #
-
-
-def test_worker_silence_past_threshold_yields_stall_warning():
-    clock = FakeClock(0.0)
-    emitter = ProgressEmitter(clock=clock)
-    events = []
-    emitter.subscribe(events.append)
-    monitor = HeartbeatMonitor(threshold_s=10.0, emitter=emitter, clock=clock)
-    emitter.subscribe(monitor.observe)
-
-    run = emitter.start_run("engine.batch", total_units=8, unit="evals")
-    run.advance(2, wall_s=0.5, worker="pid:1")
-    run.advance(2, wall_s=0.5, worker="pid:2")
-
-    clock.tick(5.0)
-    assert monitor.check() == []  # both inside the threshold
-
-    clock.tick(6.0)
-    run.advance(2, wall_s=0.5, worker="pid:2")  # pid:2 revives, pid:1 silent
-    warnings = monitor.check()
-    assert [w.worker for w in warnings] == ["pid:1"]
-    assert warnings[0].silent_for_s == pytest.approx(11.0)
-    assert warnings[0].threshold_s == 10.0
-    # the warning was emitted into the stream too
-    assert [e for e in events if isinstance(e, WorkerStalled)] == warnings
-
-    # one-shot: still silent, no duplicate warning
-    clock.tick(1.0)
-    assert monitor.check() == []
-    assert monitor.stalled() == ["pid:1"]
-
-    # revival re-arms the episode
-    run.advance(2, wall_s=0.5, worker="pid:1")
-    assert monitor.stalled() == []
-    clock.tick(11.0)
-    assert [w.worker for w in monitor.check()] == ["pid:1", "pid:2"]
-
-
-def test_stall_warning_names_the_in_flight_request():
-    """A bare heartbeat-with-note marks what the worker started; if it
-    then goes silent, the warning says what it was doing — actionable
-    straight from ``top``."""
-    clock = FakeClock(0.0)
-    emitter = ProgressEmitter(clock=clock)
-    monitor = HeartbeatMonitor(threshold_s=10.0, emitter=emitter, clock=clock)
-    emitter.subscribe(monitor.observe)
-
-    run = emitter.start_run("serve", unit="evals")
-    run.heartbeat(worker="shard:0", note="evaluating ab12cd34/9f (kernel)")
-    clock.tick(11.0)
-    warnings = monitor.check()
-    assert [w.worker for w in warnings] == ["shard:0"]
-    assert warnings[0].note == "evaluating ab12cd34/9f (kernel)"
-    assert "while evaluating ab12cd34/9f (kernel)" in format_event(warnings[0])
-    assert monitor.busy_note("shard:0") == "evaluating ab12cd34/9f (kernel)"
-
-
-def test_completion_clears_the_busy_note():
-    clock = FakeClock(0.0)
-    emitter = ProgressEmitter(clock=clock)
-    monitor = HeartbeatMonitor(threshold_s=10.0, emitter=emitter, clock=clock)
-    emitter.subscribe(monitor.observe)
-
-    run = emitter.start_run("serve", unit="evals")
-    run.heartbeat(worker="shard:0", note="evaluating deadbeef/11 (kernel)")
-    run.advance(1, wall_s=0.1, worker="shard:0")  # the kernel finished
-    assert monitor.busy_note("shard:0") == ""
-    clock.tick(11.0)
-    warnings = monitor.check()
-    assert [w.worker for w in warnings] == ["shard:0"]
-    assert warnings[0].note == ""  # idle-silent, not wedged mid-request
-    assert "while" not in format_event(warnings[0])
+def test_stall_line_names_what_the_worker_was_doing():
+    busy = WorkerStalled(run_id="r1", worker="kernel", silent_for_s=11.0,
+                         note="evaluating ab12cd34/9f (kernel)")
+    assert "while evaluating ab12cd34/9f (kernel)" in format_event(busy)
+    idle = WorkerStalled(run_id="r1", worker="kernel", silent_for_s=11.0)
+    assert "while" not in format_event(idle)
 
 
 # --------------------------------------------------------------------- #

@@ -15,12 +15,12 @@ import pathlib
 from repro.observability import (
     DashboardState,
     ProgressEmitter,
+    WorkerStalled,
     event_to_dict,
     read_events,
     render,
     run_top,
 )
-from repro.observability.progress import HeartbeatMonitor
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 FIXTURE = GOLDEN / "progress_events.jsonl"
@@ -49,8 +49,6 @@ def build_fixture_events():
     emitter = ProgressEmitter(clock=clock)
     events = []
     emitter.subscribe(events.append)
-    monitor = HeartbeatMonitor(threshold_s=10.0, emitter=emitter, clock=clock)
-    emitter.subscribe(monitor.observe)
 
     sweep = emitter.start_run(
         "arch_search.sweep", total_units=8, unit="points", accelerator="sweep"
@@ -72,7 +70,10 @@ def build_fixture_events():
     sweep.best(1200.0, label="eyeriss_like")
     clock.tick(12.0)           # pid:12 goes silent past the threshold
     sweep.advance(2, wall_s=12.0, worker="pid:11")
-    monitor.check()            # emits the WorkerStalled warning
+    emitter.emit(WorkerStalled(
+        run_id=mapper.run_id, worker="pid:12",
+        silent_for_s=12.0, threshold_s=10.0,
+    ))
     clock.tick(1.0)
     sweep.interrupt("KeyboardInterrupt")
     return events

@@ -107,6 +107,32 @@ def test_warm_start_skips_missing_files_and_unfingerprinted_rows(tmp_path):
     assert store.get(key) is None
 
 
+def test_warm_start_skips_snapshots_it_cannot_read(tmp_path):
+    """Hostile or newer-schema snapshots are skipped; a good one next to
+    them still loads, so a bad file never stops the daemon's boot."""
+    (key, report), = _evaluated_cases(count=1)
+    record = record_from_report(
+        report, accelerator_fp=key[0], options_fp=key[1], mapping_fp=key[2]
+    )
+    hostile = {
+        "list.jsonl": "[1,2]\n",
+        "null.jsonl": "null\n",
+        "truncated.jsonl": '{"kind": "evaluation", "mapping_fp\n',
+        "future.jsonl": json.dumps({"v": 99, **record.as_dict()}) + "\n",
+    }
+    paths = []
+    for name, text in hostile.items():
+        (tmp_path / name).write_text(text)
+        paths.append(str(tmp_path / name))
+    corrupt = tmp_path / "corrupt.sqlite"
+    corrupt.write_bytes(b"SQLite format 3\x00" + b"garbage" * 64)
+    good = tmp_path / "good.jsonl"
+    good.write_text(json.dumps(record.as_dict()) + "\n")
+    store = ResultStore()
+    assert store.warm_start([*paths, str(corrupt), str(good)]) == 1
+    assert store.get(key) is not None
+
+
 def test_write_through_appends_to_backing_ledger(tmp_path):
     path = str(tmp_path / "serve.sqlite")
     ledger = RunLedger(path)

@@ -220,6 +220,17 @@ def test_diff_requires_a_candidate():
     assert main(["diff", "nonexistent.sqlite"]) == 2
 
 
+@pytest.mark.parametrize("text", ["[1,2]\n", '{"kind": "evaluation", "ss_'])
+def test_diff_reports_a_malformed_snapshot_in_one_line(capsys, tmp_path, text):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(text)
+    assert main(["diff", str(bad), str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro-latency: error: snapshot ")
+    assert "bad.jsonl" in err and "line 1" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_common_flags_shared_across_subcommands():
     parser = build_parser()
     for command, extra in (
