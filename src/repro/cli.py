@@ -137,15 +137,21 @@ def _traced_report(mapper: TemporalMapper, best):
     """Re-emit the winning mapping's span tree after a search.
 
     A search traces every candidate; the *last* ``model.evaluate`` span
-    would otherwise belong to an arbitrary loser. One extra kernel run
-    (cache-bypassing, validation off) appends the winner's spans last, so
-    trace consumers — ``reconcile_ss_overall`` above all — read the same
-    numbers the report prints.
+    would otherwise belong to an arbitrary loser. Projecting the winner's
+    report appends its spans last, so trace consumers —
+    ``reconcile_ss_overall`` above all — read the same numbers the report
+    prints.
     """
-    from repro.core.model import LatencyModel
+    from repro.core.batch import BatchEvaluator
+    from repro.core.report import trace_report
 
-    model = LatencyModel(mapper.accelerator, mapper.engine.options)
-    model.evaluate(best.mapping, validate=False)
+    options = mapper.engine.options
+    report = best.report
+    if not report.dtls:  # a remote engine's reports travel slim
+        report = BatchEvaluator(mapper.accelerator, options).evaluate(
+            [best.mapping]
+        ).full_report(0)
+    trace_report(report, mapper.accelerator.stall_overlap, options)
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:

@@ -29,7 +29,7 @@ mapping) and runs the same Step 1-3 formulas across all lanes at once:
 
 Only two pieces stay per-mapping Python: multi-window MUW unions that miss
 the vectorized fast paths (delegated to
-:func:`repro.core.windows.union_length_params`, optionally memoized in a
+:func:`repro.core.windows.union_length_params` and memoized in a
 :class:`~repro.engine.cache.PartialResultCache` so neighboring mappings
 re-use each other's window unions), and the Step-3 group integration
 (:func:`repro.core.step3.integrate_stall_entries` over a handful of
@@ -38,9 +38,15 @@ entries).
 Batch reports are *slim*: ``dtls`` and ``port_combinations`` are left
 empty (the per-DTL anatomy would dominate materialization cost), while
 ``served_stalls`` and the ``integration`` — everything the run ledger,
-rankings and bottleneck lists consume — are fully populated. A single
-``engine.evaluate()`` call transparently upgrades a slim cached report to
-a full one when the anatomy is requested.
+rankings and bottleneck lists consume — are fully populated.
+:meth:`BatchResult.full_report` adds the anatomy for the lanes a caller
+asks for; the result equals the reference
+:class:`~repro.core.model.LatencyModel` report under ``==``.
+
+A mapping deeper than the machine is read with
+:meth:`~repro.mapping.temporal.TemporalMapping.level_bounds` semantics
+(its extra cuts are never asked for); a shallower one raises
+:class:`~repro.mapping.mapping.MappingError`, as the reference does.
 """
 
 from __future__ import annotations
@@ -51,15 +57,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core import kernels
-from repro.core.dtl import TrafficKind
+from repro.core.dtl import DTL, TrafficKind, Transfer
 from repro.core.report import LatencyReport
 from repro.core.step1 import ModelOptions
-from repro.core.step2 import ServedMemoryStall
+from repro.core.step2 import PortCombination, ServedMemoryStall
 from repro.core.step3 import StallIntegration, integrate_stall_entries
 from repro.core.windows import union_length_params
 from repro.hardware.accelerator import Accelerator
 from repro.hardware.port import EndpointKind
 from repro.mapping.footprint import extent_elements
+from repro.mapping.mapping import check_depth
 from repro.workload.dims import ALL_DIMS
 from repro.workload.layer import LayerSpec
 from repro.workload.operand import Operand
@@ -254,6 +261,59 @@ class BatchResult:
     total_cycles: np.ndarray
     utilization: np.ndarray
     reports: Optional[List[LatencyReport]] = None
+    #: (plan, Step-1 slot arrays, SS_comb and MUW_comb per port group):
+    #: what :meth:`full_report` rebuilds the anatomy from.
+    _anatomy: Optional[Tuple] = dataclasses.field(default=None, repr=False)
+
+    def full_report(self, lane: int) -> LatencyReport:
+        """Lane ``lane``'s report with its per-DTL and per-port anatomy.
+
+        Adds ``dtls`` and ``port_combinations`` (Python scalars
+        throughout) to the slim report of a batch evaluated with
+        ``materialize=True``; the result equals the reference
+        :class:`~repro.core.model.LatencyModel` report under ``==``.
+        """
+        plan, step1, ss_group, muw_group = self._anatomy
+        dtls: List[DTL] = []
+        members: Dict[Tuple[str, str], List[DTL]] = {}
+        for si, slot in enumerate(plan.slots):
+            arrays = step1[si]
+            if not arrays["active"][lane]:
+                continue
+            ends = slot.endpoints
+            transfer = Transfer(
+                operand=slot.operand,
+                kind=slot.kind,
+                served_memory=slot.served_memory,
+                served_level=slot.level,
+                src_memory=ends[0].memory,
+                dst_memory=ends[1].memory if len(ends) > 1 else None,
+                data_bits=float(arrays["data_bits"][lane]),
+                period=float(arrays["period"][lane]),
+                repeats=int(arrays["repeats"][lane]),
+                x_req=float(arrays["x_req"][lane]),
+                window_start=float(arrays["window_start"][lane]),
+            )
+            for ep in ends:
+                dtl = DTL(
+                    transfer, ep.memory, ep.port, ep.endpoint, ep.real_bw, ep.burst_bits
+                )
+                dtls.append(dtl)
+                members.setdefault(ep.port_key, []).append(dtl)
+        ports = {}
+        for key, group in members.items():
+            gi = plan.group_index[key]
+            ports[key] = PortCombination(
+                key[0],
+                key[1],
+                tuple(group),
+                sum(d.req_bw for d in group),
+                float(muw_group[gi][lane]),
+                float(ss_group[gi][lane]),
+            )
+        return dataclasses.replace(
+            self.reports[lane], dtls=tuple(dtls), port_combinations=ports
+        )
 
 
 # --------------------------------------------------------------------- #
@@ -272,10 +332,11 @@ class BatchEvaluator:
         The design point and model conventions (same as
         :class:`~repro.core.model.LatencyModel`).
     muw_cache:
-        Optional :class:`~repro.engine.cache.PartialResultCache` (or any
-        object with ``get_or_compute(key, fn)``) memoizing multi-window
-        MUW unions across batches — the delta-evaluation hook that lets
-        neighboring mappings skip each other's Step-2 window merges.
+        A :class:`~repro.engine.cache.PartialResultCache` (or any object
+        with ``get_or_compute(key, fn)``) memoizing multi-window MUW
+        unions across batches — the delta-evaluation hook that lets
+        neighboring mappings skip each other's Step-2 window merges. A
+        private one is created when omitted.
     """
 
     def __init__(
@@ -284,26 +345,21 @@ class BatchEvaluator:
         options: Optional[ModelOptions] = None,
         muw_cache=None,
     ) -> None:
+        from repro.engine.cache import PartialResultCache
+
         self.accelerator = accelerator
         self.options = options or ModelOptions()
         self.plan = BatchPlan(accelerator, self.options)
-        self.muw_cache = muw_cache
-        # Without an external cache, memoize window unions locally: lanes
-        # of one sweep overwhelmingly share (params, horizon) keys.
-        self._local_muw: Dict[Tuple, float] = {}
+        self.muw_cache = muw_cache if muw_cache is not None else PartialResultCache()
 
     # -- public API ----------------------------------------------------- #
 
-    def supports(self, mapping) -> bool:
-        """Whether ``mapping`` can be lowered onto this plan."""
-        cuts = mapping.temporal.cuts
-        for op, depth in self.plan.depths.items():
-            if len(cuts[op]) + 1 != depth:
-                return False
-        return True
-
     def evaluate(self, mappings: Sequence, materialize: bool = True) -> BatchResult:
-        """Run Steps 1-3 across all ``mappings`` (same layer) at once."""
+        """Run Steps 1-3 across all ``mappings`` (same layer) at once.
+
+        Raises :class:`~repro.mapping.mapping.MappingError` when a mapping
+        is shallower than the machine.
+        """
         if not mappings:
             return BatchResult(
                 mappings=mappings,
@@ -320,23 +376,19 @@ class BatchEvaluator:
         for m in mappings:
             if m.layer is not layer and m.layer != layer:
                 raise BatchLoweringError("batch mappings must share one layer")
-            if not self.supports(m):
-                raise BatchLoweringError(
-                    f"mapping assumes a different memory depth than "
-                    f"{self.accelerator.name}"
-                )
         low = _Lowered(self.plan, layer, mappings)
         step1 = self._step1(low)
-        ss_group = self._step2_ports(low, step1)
+        ss_group, muw_group = self._step2_ports(low, step1)
         served = self._step2_served(low, step1, ss_group)
-        return self._finalize(low, served, materialize)
+        result = self._finalize(low, served, materialize)
+        result._anatomy = (self.plan, step1, ss_group, muw_group)
+        return result
 
     # -- Step 1 --------------------------------------------------------- #
 
     def _step1(self, low: "_Lowered") -> Dict[int, Dict[str, np.ndarray]]:
         """Per-slot Table-I arrays: period, repeats, spans, per-endpoint SS."""
         plan = self.plan
-        opts = self.options
         out: Dict[int, Dict[str, np.ndarray]] = {}
         for si, slot in enumerate(plan.slots):
             if slot.kind is TrafficKind.COMPUTE_READ:
@@ -378,11 +430,10 @@ class BatchEvaluator:
         lvl = slot.level
         hi = low.cut(op, lvl)
         base = low.gather(low.prefix_all, hi)
+        run_end = low.gather(low.nxt[op], hi)
         if opts.residency_extension:
-            run_end = low.gather(low.nxt[op], hi)
             ext = low.gather(low.prefix_all, run_end) // base
         else:
-            run_end = low.gather(low.nxt[op], hi)
             ext = np.ones(low.n, dtype=np.int64)
         period = base * ext
         period_f = period.astype(np.float64)
@@ -434,12 +485,13 @@ class BatchEvaluator:
 
     def _step2_ports(
         self, low: "_Lowered", step1: Dict[int, Dict[str, np.ndarray]]
-    ) -> List[np.ndarray]:
-        """``SS_comb`` per port group, as one array per group."""
+    ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+        """``SS_comb`` and ``MUW_comb`` per port group, one array each."""
         plan = self.plan
         horizon = low.horizon
         refined = self.options.combine_rule == "refined"
         ss_group: List[np.ndarray] = []
+        muw_group: List[np.ndarray] = []
         for key in plan.group_keys:
             members = plan.port_groups[key]
             pos_sum = np.zeros(low.n)
@@ -497,7 +549,8 @@ class BatchEvaluator:
                     pos_sum, nonpos_demand, has_pos, muw, total_busy, refined
                 )
             )
-        return ss_group
+            muw_group.append(muw)
+        return ss_group, muw_group
 
     def _union(self, cols: List[Tuple], i: int, horizon: float) -> float:
         """Multi-window MUW union for one mapping lane (memoized)."""
@@ -506,17 +559,9 @@ class BatchEvaluator:
             for active, period, x_req, start, repeats in cols
             if active[i]
         )
-        key = ("muw", params, horizon)
-        if self.muw_cache is not None:
-            return self.muw_cache.get_or_compute(
-                key, lambda: union_length_params(params, horizon)
-            )
-        hit = self._local_muw.get(key)
-        if hit is None:
-            hit = union_length_params(params, horizon)
-            if len(self._local_muw) < 200_000:
-                self._local_muw[key] = hit
-        return hit
+        return self.muw_cache.get_or_compute(
+            ("muw", params, horizon), lambda: union_length_params(params, horizon)
+        )
 
     # -- Step 2: served-memory combination ------------------------------ #
 
@@ -875,13 +920,20 @@ class _Lowered:
             out=self.prefix_ir_o[:, 1:],
         )
 
-        # Cuts per operand/boundary, and spatial unroll factors as (7, n).
-        self.cuts = {
-            operand: np.array(
-                [m.temporal.cuts[operand] for m in mappings], dtype=np.int64
-            ).reshape(n, -1)
-            for operand in Operand
-        }
+        # Per operand, the end of each machine level's loops, read with
+        # TemporalMapping.level_bounds semantics: cut ``l``, or the whole
+        # nest for the level just past the last cut. A deeper mapping's
+        # extra cuts are never read; a shallower one lacks a level.
+        cut_maps = [m.temporal.cuts for m in mappings]
+        self.cuts = {}
+        for operand in Operand:
+            depth = plan.depths[operand]
+            rows = [(cuts[operand] + (L,))[:depth] for cuts in cut_maps]
+            if min(map(len, rows)) < depth:
+                for m in mappings:
+                    check_depth(m, plan.accelerator)
+            self.cuts[operand] = np.array(rows, dtype=np.int64).reshape(n, depth)
+        # Spatial unroll factors as (7, n).
         self.spatial = np.array(
             [[m.spatial.factor(dim) for dim in ALL_DIMS] for m in mappings],
             dtype=np.int64,
@@ -897,8 +949,9 @@ class _Lowered:
         """``table[i, idx[i]]`` for every lane ``i``."""
         return table[self.rows, idx]
 
-    def cut(self, operand: Operand, boundary: int) -> np.ndarray:
-        return self.cuts[operand][:, boundary]
+    def cut(self, operand: Operand, level: int) -> np.ndarray:
+        """End (exclusive) of ``level``'s loop range, per lane."""
+        return self.cuts[operand][:, level]
 
     def precision(self, operand: Operand, partial: bool) -> int:
         return self.layer.precision.of(operand, partial=partial)
@@ -918,12 +971,7 @@ class _Lowered:
         key = (operand, level)
         cached = self._elements.get(key)
         if cached is None:
-            hi = (
-                self.cut(operand, level)
-                if level < self.cuts[operand].shape[1]
-                else np.full(self.n, self.L, dtype=np.int64)
-            )
-            ext = self.prefix_dim[:, self.rows, hi] * self.spatial
+            ext = self.prefix_dim[:, self.rows, self.cut(operand, level)] * self.spatial
             cached = self._elements[key] = self._elements_from_extents(
                 operand, np.minimum(ext, self.size_col)
             )

@@ -13,6 +13,10 @@
 The overall latency then follows Section III-E:
 ``CC = preload + CC_spatial + SS_overall + offload`` with
 ``U = CC_ideal / CC``.
+
+This class is the readable, one-mapping-at-a-time reference. Production
+evaluation runs the vectorized :class:`~repro.core.batch.BatchEvaluator`,
+whose reports must equal this reference's (``batch_scalar_parity``).
 """
 
 from __future__ import annotations
@@ -20,13 +24,18 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.loading import offload_cycles, preload_cycles
-from repro.core.report import LatencyReport
+from repro.core.report import LatencyReport, trace_report
 from repro.core.step1 import ModelOptions, build_dtls
 from repro.core.step2 import combine_all_ports, served_memory_stalls
 from repro.core.step3 import integrate_stalls
 from repro.hardware.accelerator import Accelerator
-from repro.mapping.mapping import Mapping, MappingError, check_capacity, utilization_scenario
-from repro.observability.tracer import current_tracer
+from repro.mapping.mapping import (
+    Mapping,
+    MappingError,
+    check_capacity,
+    check_depth,
+    utilization_scenario,
+)
 
 
 class LatencyModel:
@@ -65,52 +74,37 @@ class LatencyModel:
         ``validate=True`` (default) first checks that the mapping fits the
         MAC array and every memory's mapper-visible capacity, raising
         :class:`~repro.mapping.mapping.MappingError` with the full list of
-        violations otherwise.
+        violations otherwise. A mapping shallower than the machine raises
+        :class:`~repro.mapping.mapping.MappingError` either way. Under an
+        ambient tracer the report is projected as the model's span
+        subtree (:func:`~repro.core.report.trace_report`).
         """
         if validate:
             self.check(mapping)
+        else:
+            check_depth(mapping, self.accelerator)
 
         array_size = self.accelerator.mac_array.size
         horizon = float(mapping.spatial_cycles)
-
-        tracer = current_tracer()
-        with tracer.span("model.evaluate") as span:
-            dtls = tuple(build_dtls(self.accelerator, mapping, self.options))
-            ports = combine_all_ports(dtls, horizon, self.options.combine_rule)
-            served = tuple(served_memory_stalls(dtls, ports, self.options.served_rule))
-            integration = integrate_stalls(served, self.accelerator.stall_overlap)
-
-            preload = preload_cycles(self.accelerator, mapping)
-            offload = offload_cycles(self.accelerator, mapping)
-            scenario = utilization_scenario(mapping, array_size, integration.ss_overall)
-
-            report = LatencyReport(
-                layer_name=mapping.layer.name or str(mapping.layer.layer_type),
-                accelerator_name=self.accelerator.name,
-                cc_ideal=mapping.ideal_cycles(array_size),
-                cc_spatial=mapping.spatial_cycles,
-                ss_overall=integration.ss_overall,
-                preload=preload,
-                offload=offload,
-                scenario=scenario,
-                dtls=dtls,
-                port_combinations=ports,
-                served_stalls=served,
-                integration=integration,
-            )
-            if tracer.enabled:
-                span.set_many(
-                    layer=report.layer_name,
-                    accelerator=report.accelerator_name,
-                    scenario=report.scenario,
-                    cc_ideal=report.cc_ideal,
-                    cc_spatial=report.cc_spatial,
-                    ss_overall=report.ss_overall,
-                    preload=report.preload,
-                    offload=report.offload,
-                    total_cycles=report.total_cycles,
-                    utilization=report.utilization,
-                )
+        dtls = tuple(build_dtls(self.accelerator, mapping, self.options))
+        ports = combine_all_ports(dtls, horizon, self.options.combine_rule)
+        served = tuple(served_memory_stalls(dtls, ports, self.options.served_rule))
+        integration = integrate_stalls(served, self.accelerator.stall_overlap)
+        report = LatencyReport(
+            layer_name=mapping.layer.name or str(mapping.layer.layer_type),
+            accelerator_name=self.accelerator.name,
+            cc_ideal=mapping.ideal_cycles(array_size),
+            cc_spatial=mapping.spatial_cycles,
+            ss_overall=integration.ss_overall,
+            preload=preload_cycles(self.accelerator, mapping),
+            offload=offload_cycles(self.accelerator, mapping),
+            scenario=utilization_scenario(mapping, array_size, integration.ss_overall),
+            dtls=dtls,
+            port_combinations=ports,
+            served_stalls=served,
+            integration=integration,
+        )
+        trace_report(report, self.accelerator.stall_overlap, self.options)
         return report
 
     def check(self, mapping: Mapping) -> None:

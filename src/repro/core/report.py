@@ -1,4 +1,9 @@
-"""The latency report: every quantity of Fig. 1 plus the stall anatomy."""
+"""The latency report: every quantity of Fig. 1 plus the stall anatomy.
+
+:func:`trace_report` projects a full report onto the ambient tracer as
+the model's span subtree, so a trace always shows the numbers of the
+report it was taken from.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +12,9 @@ from typing import Dict, Mapping, Optional, Tuple
 
 from repro.core.dtl import DTL
 from repro.core.step2 import PortCombination, ServedMemoryStall
-from repro.core.step3 import StallIntegration
+from repro.core.step3 import StallIntegration, integrate_stall_entries
+from repro.hardware.accelerator import StallOverlapConfig
+from repro.observability.tracer import current_tracer
 
 
 @dataclasses.dataclass(frozen=True)
@@ -142,3 +149,85 @@ class LatencyReport:
             scenario=float(self.scenario),
         )
         return data
+
+
+def trace_report(report: LatencyReport, overlap: StallOverlapConfig, options) -> None:
+    """Emit ``report``'s model span subtree on the ambient tracer.
+
+    ``model.evaluate`` with one child per step (``model.step1``,
+    ``model.step2.ports``, ``model.step2.served``, ``model.step3``) and
+    their per-DTL, per-port, per-memory and per-group events. ``report``
+    must be full (``dtls`` and ``port_combinations`` present); the
+    machine's stall-overlap groups and the
+    :class:`~repro.core.step1.ModelOptions` are not in it, so the caller
+    passes them. A no-op unless a tracer is ambient.
+    """
+    tracer = current_tracer()
+    if not tracer.enabled:
+        return
+    served = report.served_stalls
+    with tracer.span("model.evaluate") as span:
+        with tracer.span("model.step1", dtls=len(report.dtls)):
+            for dtl in report.dtls:
+                tracer.event("step1.dtl", **dtl.span_attributes())
+        ports = report.port_combinations
+        with tracer.span(
+            "model.step2.ports", ports=len(ports), combine_rule=options.combine_rule
+        ):
+            for comb in ports.values():
+                tracer.event(
+                    "step2.port",
+                    memory=comb.memory,
+                    port=comb.port,
+                    dtls=len(comb.dtls),
+                    req_bw_comb=comb.req_bw_comb,
+                    muw_comb=comb.muw_comb,
+                    ss_comb=comb.ss_comb,
+                    # Positive per-DTL stalls switch the port to Eq. (2).
+                    equation="eq2" if any(d.ss_u > 0 for d in comb.dtls) else "eq1",
+                )
+        with tracer.span("model.step2.served", rule=options.served_rule):
+            for stall in served:
+                tracer.event(
+                    "step2.served",
+                    operand=str(stall.operand),
+                    level=stall.level,
+                    memory=stall.memory,
+                    ss=stall.ss,
+                    limiting_port=f"{stall.limiting_port[0]}.{stall.limiting_port[1]}",
+                )
+        entries = [
+            (overlap.group_of(stall.memory), stall.ss, stall.limiting_port)
+            for stall in served
+        ]
+        __, per_group = integrate_stall_entries(entries)
+        with tracer.span(
+            "model.step3", groups=len(per_group), ss_overall=report.ss_overall
+        ):
+            for gid, contribution, worst_idx in per_group:
+                worst = served[worst_idx]
+                members = [
+                    stall for stall, entry in zip(served, entries) if entry[0] == gid
+                ]
+                tracer.event(
+                    "step3.group",
+                    group=gid,
+                    members=len(members),
+                    member_memories=",".join(sorted({s.memory for s in members})),
+                    dominant_memory=worst.memory,
+                    dominant_operand=str(worst.operand),
+                    ss_group_raw=worst.ss,
+                    ss_group=contribution,
+                )
+        span.set_many(
+            layer=report.layer_name,
+            accelerator=report.accelerator_name,
+            scenario=report.scenario,
+            cc_ideal=report.cc_ideal,
+            cc_spatial=report.cc_spatial,
+            ss_overall=report.ss_overall,
+            preload=report.preload,
+            offload=report.offload,
+            total_cycles=report.total_cycles,
+            utilization=report.utilization,
+        )

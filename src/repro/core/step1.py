@@ -26,7 +26,6 @@ from repro.hardware.port import EndpointKind
 from repro.mapping.footprint import operand_footprint_elements, tile_elements
 from repro.mapping.loop import loops_product
 from repro.mapping.mapping import Mapping
-from repro.observability.tracer import current_tracer
 from repro.workload.operand import Operand
 
 
@@ -152,17 +151,11 @@ def build_dtls(
 ) -> List[DTL]:
     """All DTL endpoints of ``mapping`` on ``accelerator`` (Step 1)."""
     options = options or ModelOptions()
-    tracer = current_tracer()
-    with tracer.span("model.step1") as span:
-        dtls: List[DTL] = []
-        dtls.extend(_input_weight_dtls(accelerator, mapping, options))
-        dtls.extend(_output_dtls(accelerator, mapping, options))
-        if options.compute_edges:
-            dtls.extend(_compute_edge_dtls(accelerator, mapping))
-        if tracer.enabled:
-            span.set("dtls", len(dtls))
-            for dtl in dtls:
-                tracer.event("step1.dtl", **dtl.span_attributes())
+    dtls: List[DTL] = []
+    dtls.extend(_input_weight_dtls(accelerator, mapping, options))
+    dtls.extend(_output_dtls(accelerator, mapping, options))
+    if options.compute_edges:
+        dtls.extend(_compute_edge_dtls(accelerator, mapping))
     return dtls
 
 

@@ -30,7 +30,6 @@ from typing import Dict, List, Sequence, Tuple
 from repro.core import kernels
 from repro.core.dtl import DTL
 from repro.core.windows import union_length
-from repro.observability.tracer import current_tracer
 from repro.workload.operand import Operand
 
 
@@ -114,31 +113,10 @@ def combine_all_ports(
     groups: Dict[Tuple[str, str], List[DTL]] = {}
     for dtl in dtls:
         groups.setdefault(dtl.port_key, []).append(dtl)
-    tracer = current_tracer()
-    with tracer.span("model.step2.ports") as span:
-        combined = {
-            key: combine_port(key[0], key[1], group, horizon, rule)
-            for key, group in groups.items()
-        }
-        if tracer.enabled:
-            span.set("ports", len(combined))
-            span.set("combine_rule", rule)
-            for comb in combined.values():
-                tracer.event(
-                    "step2.port",
-                    memory=comb.memory,
-                    port=comb.port,
-                    dtls=len(comb.dtls),
-                    req_bw_comb=comb.req_bw_comb,
-                    muw_comb=comb.muw_comb,
-                    ss_comb=comb.ss_comb,
-                    # The Eq. (1)/(2) decision: positive per-DTL stalls
-                    # switch the port to Eq. (2) (stalls pass through).
-                    equation=(
-                        "eq2" if any(d.ss_u > 0 for d in comb.dtls) else "eq1"
-                    ),
-                )
-    return combined
+    return {
+        key: combine_port(key[0], key[1], group, horizon, rule)
+        for key, group in groups.items()
+    }
 
 
 def served_memory_stalls(
@@ -210,18 +188,6 @@ def served_memory_stalls(
             served.items(), key=lambda kv: (str(kv[0][0]), kv[0][1])
         )
     ]
-    tracer = current_tracer()
-    if tracer.enabled:
-        with tracer.span("model.step2.served", rule=rule):
-            for stall in out:
-                tracer.event(
-                    "step2.served",
-                    operand=str(stall.operand),
-                    level=stall.level,
-                    memory=stall.memory,
-                    ss=stall.ss,
-                    limiting_port=f"{stall.limiting_port[0]}.{stall.limiting_port[1]}",
-                )
     return out
 
 

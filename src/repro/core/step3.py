@@ -33,7 +33,6 @@ from typing import Dict, Hashable, List, Sequence, Tuple
 
 from repro.core.step2 import ServedMemoryStall
 from repro.hardware.accelerator import StallOverlapConfig
-from repro.observability.tracer import current_tracer
 
 
 @dataclasses.dataclass(frozen=True)
@@ -101,37 +100,13 @@ def integrate_stalls(
         (overlap.group_of(stall.memory), stall.ss, stall.limiting_port)
         for stall in served
     ]
-
-    tracer = current_tracer()
-    with tracer.span("model.step3") as span:
-        ss_overall, per_group = integrate_stall_entries(entries)
-        group_stalls: List[Tuple[int, float]] = []
-        dominant: List[ServedMemoryStall] = []
-        for gid, contribution, worst_idx in per_group:
-            worst = served[worst_idx]
-            group_stalls.append((gid, contribution))
-            if contribution > 0:
-                dominant.append(worst)
-            if tracer.enabled:
-                members = [
-                    served[i] for i, e in enumerate(entries) if e[0] == gid
-                ]
-                tracer.event(
-                    "step3.group",
-                    group=gid,
-                    members=len(members),
-                    member_memories=",".join(
-                        sorted({s.memory for s in members})
-                    ),
-                    dominant_memory=worst.memory,
-                    dominant_operand=str(worst.operand),
-                    ss_group_raw=worst.ss,
-                    ss_group=contribution,
-                )
-        if tracer.enabled:
-            span.set("groups", len({gid for gid, __, ___ in entries}))
-            span.set("ss_overall", ss_overall)
-
+    ss_overall, per_group = integrate_stall_entries(entries)
+    group_stalls: List[Tuple[int, float]] = []
+    dominant: List[ServedMemoryStall] = []
+    for gid, contribution, worst_idx in per_group:
+        group_stalls.append((gid, contribution))
+        if contribution > 0:
+            dominant.append(served[worst_idx])
     return StallIntegration(
         ss_overall=ss_overall,
         group_stalls=tuple(group_stalls),

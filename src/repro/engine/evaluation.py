@@ -2,10 +2,13 @@
 
 Every flow in this reproduction — mapping search (Case 1), workload
 sweeps (Case 2), architecture DSE (Case 3), sensitivity what-ifs, network
-evaluation, the CLI — ultimately runs the same pure 3-step kernel
-(:class:`repro.core.model.LatencyModel`). The :class:`EvaluationEngine`
-owns that kernel for one (accelerator, options) pair and adds what the
-kernel deliberately does not have:
+evaluation, the CLI — ultimately runs the same pure 3-step kernel: the
+vectorized :class:`repro.core.batch.BatchEvaluator`, whose reports equal
+those of the reference :class:`repro.core.model.LatencyModel`. The
+:class:`EvaluationEngine` owns one batch core (one plan) for one
+(accelerator, options) pair — a single :meth:`~EvaluationEngine.evaluate`
+is a one-lane batch with its full anatomy — and adds what the kernel
+deliberately does not have:
 
 * an LRU **cache** keyed on (accelerator fingerprint, options
   fingerprint, :attr:`Mapping.cache_key`), so repeated design points —
@@ -35,15 +38,17 @@ examples and :mod:`repro.api` all use it).
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import time
 from typing import Iterable, List, Optional
 
+from repro.core.batch import BatchEvaluator
 from repro.core.model import LatencyModel
-from repro.core.report import LatencyReport
+from repro.core.report import LatencyReport, trace_report
 from repro.core.step1 import ModelOptions
 from repro.energy.energy_model import EnergyModel, EnergyReport
-from repro.engine.cache import EvaluationCache
+from repro.engine.cache import EvaluationCache, PartialResultCache
 from repro.engine import executors
 from repro.fingerprint import stable_fingerprint
 from repro.hardware.accelerator import Accelerator
@@ -85,7 +90,7 @@ class EvaluationEngine:
     accelerator:
         The hardware design point this engine evaluates on.
     options:
-        Modeling conventions forwarded to :class:`LatencyModel`.
+        Modeling conventions of the model.
     cache:
         A shared :class:`EvaluationCache`; one is created when omitted.
     cache_size:
@@ -101,10 +106,7 @@ class EvaluationEngine:
         so a mapper block is one chunk and pays the batch core's fixed
         per-call cost once. Chunks run serially in the calling process;
         they buy no parallelism, only ledger checkpoints, progress events
-        and trace tracks. Untraced chunks run through the vectorized
-        :class:`~repro.core.batch.BatchEvaluator` (bit-for-bit the scalar
-        kernel's numbers); traced chunks run the scalar kernel, because
-        the batch core emits no spans.
+        and trace tracks.
 
     Examples
     --------
@@ -137,7 +139,9 @@ class EvaluationEngine:
         self.cache = cache if cache is not None else EvaluationCache(cache_size)
         self.stats = stats if stats is not None else EngineStats()
         self.chunk_size = chunk_size
-        self._model = LatencyModel(accelerator, self.options)
+        self._model = LatencyModel(accelerator, self.options)  # check() only
+        self._batch: Optional[BatchEvaluator] = None   # evaluate_many chunks
+        self._single: Optional[BatchEvaluator] = None  # evaluate()
         self._energy_model = EnergyModel(accelerator)
         self._accel_fp = accelerator.fingerprint()
         self._options_fp = stable_fingerprint(self.options)
@@ -227,6 +231,31 @@ class EvaluationEngine:
         return ("energy", self._accel_fp, mapping.cache_key)
 
     # ------------------------------------------------------------------ #
+    # The kernel
+    # ------------------------------------------------------------------ #
+
+    def _evaluator(self) -> BatchEvaluator:
+        """This engine's batch core for chunks, built on first use; it
+        memoizes MUW unions in the process-wide sweep memo."""
+        if self._batch is None:
+            self._batch = BatchEvaluator(
+                self.accelerator, self.options, muw_cache=executors._PARTIAL_CACHE
+            )
+        return self._batch
+
+    def _full_report(self, mapping: Mapping) -> LatencyReport:
+        """``mapping`` as a one-lane batch with its anatomy, projected
+        onto the ambient tracer."""
+        if self._single is None:
+            # The same plan with a memo of its own: single evaluations
+            # leave the sweep memo as the chunks alone would.
+            self._single = copy.copy(self._evaluator())
+            self._single.muw_cache = PartialResultCache()
+        report = self._single.evaluate([mapping]).full_report(0)
+        trace_report(report, self.accelerator.stall_overlap, self.options)
+        return report
+
+    # ------------------------------------------------------------------ #
     # Single evaluations
     # ------------------------------------------------------------------ #
 
@@ -235,7 +264,11 @@ class EvaluationEngine:
         self._model.check(mapping)
 
     def evaluate(self, mapping: Mapping, validate: bool = True) -> LatencyReport:
-        """Latency of ``mapping``, served from the cache when possible."""
+        """Full latency report of ``mapping``, cached when possible.
+
+        Raises :class:`MappingError` when ``mapping`` is infeasible under
+        ``validate`` or shallower than the machine's memory hierarchy.
+        """
         if validate:
             self._model.check(mapping)
         tracer = current_tracer()
@@ -246,7 +279,7 @@ class EvaluationEngine:
             t0 = time.perf_counter() if timed else 0.0
             if not self.use_cache:
                 self.stats.evaluations += 1
-                report = self._model.evaluate(mapping, validate=False)
+                report = self._full_report(mapping)
                 self._observe_single(metrics, span, t0, cache_hit=None)
                 self._ledger_single(ledger, mapping, report, t0, cache_hit=None)
                 return report
@@ -254,11 +287,11 @@ class EvaluationEngine:
             report = self.cache.get(key)
             if report is not None:
                 if not report.dtls:
-                    # A batch-path entry: numerically identical but slim
-                    # (no per-DTL anatomy). evaluate() promises the full
-                    # report, so rebuild the anatomy and upgrade the entry
-                    # in place — still a hit, the numbers were cached.
-                    report = self._model.evaluate(mapping, validate=False)
+                    # An evaluate_many entry: slim (no per-DTL anatomy).
+                    # evaluate() promises the full report, so rebuild the
+                    # anatomy and upgrade the entry in place — still a
+                    # hit, the numbers were cached.
+                    report = self._full_report(mapping)
                     self.cache.put(key, report)
                 self.stats.cache_hits += 1
                 self._observe_single(metrics, span, t0, cache_hit=True)
@@ -266,7 +299,7 @@ class EvaluationEngine:
                 return report
             self.stats.cache_misses += 1
             self.stats.evaluations += 1
-            report = self._model.evaluate(mapping, validate=False)
+            report = self._full_report(mapping)
             self.cache.put(key, report)
             self._observe_single(metrics, span, t0, cache_hit=False)
             self._ledger_single(ledger, mapping, report, t0, cache_hit=False)
@@ -356,7 +389,7 @@ class EvaluationEngine:
         chunks of ``chunk_size``. The result list is parallel to the input:
         entry ``i`` is an :class:`Evaluation`, or ``None`` when mapping
         ``i`` raised :class:`MappingError` (infeasible under ``validate``
-        or inconsistent with the machine's memory depth).
+        or shallower than the machine's memory hierarchy).
 
         When a tracer is ambient, every chunk's spans (mapping candidates
         with their full step1/2/3 anatomy) are collected and merged under
@@ -451,6 +484,7 @@ class EvaluationEngine:
                         validate,
                         with_energy,
                         tracer.enabled,
+                        self._evaluator(),
                     )
                     tracer.merge(records, track=chunk_index + 1)
                     for i, outcome in zip(chunk, outcomes):
@@ -476,7 +510,7 @@ class EvaluationEngine:
                     if ledger_rows:
                         ledger.append_many(ledger_rows)
                         ledger_rows = []
-                    self.stats.batched_evaluations += timing.batched
+                    self.stats.batched_evaluations += timing.evaluated
                     self.stats.partial_hits += timing.partial_hits
                     self.stats.partial_misses += timing.partial_misses
                     run.advance(

@@ -41,7 +41,7 @@ from repro.workload.operand import Operand
 
 
 class SerdeError(ValueError):
-    """Malformed accelerator description."""
+    """Malformed serialized input: an accelerator, layer or mapping dict."""
 
 
 # --------------------------------------------------------------------- #

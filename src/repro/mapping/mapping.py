@@ -145,6 +145,31 @@ class Mapping:
         return cached
 
 
+def depth_violations(mapping: Mapping, accelerator: "Accelerator") -> List[str]:
+    """Operands whose level count in ``mapping`` differs from the machine's."""
+    hierarchy = accelerator.hierarchy
+    return [
+        f"{operand}: mapping assumes {mapping.temporal.num_levels(operand)} "
+        f"levels but {accelerator.name} has {hierarchy.depth(operand)}"
+        for operand in Operand
+        if mapping.temporal.num_levels(operand) != hierarchy.depth(operand)
+    ]
+
+
+def check_depth(mapping: Mapping, accelerator: "Accelerator") -> None:
+    """Raise :class:`MappingError` if ``mapping`` is shallower than the machine.
+
+    The model reads a mapping's levels with
+    :meth:`~repro.mapping.temporal.TemporalMapping.level_bounds`
+    semantics: a deeper mapping's extra cuts are never asked for, but a
+    shallower one lacks levels the machine has.
+    """
+    cuts = mapping.temporal.cuts
+    for operand, chain in accelerator.hierarchy.chains.items():
+        if len(cuts[operand]) + 1 < len(chain):
+            raise MappingError("; ".join(depth_violations(mapping, accelerator)))
+
+
 def check_capacity(mapping: Mapping, accelerator: "Accelerator") -> List[str]:
     """Capacity violations of ``mapping`` on ``accelerator`` (empty = fits).
 
@@ -153,18 +178,11 @@ def check_capacity(mapping: Mapping, accelerator: "Accelerator") -> List[str]:
     double-buffered memories, Table I), honoring per-operand capacity
     shares when the level defines them.
     """
-    violations: List[str] = []
-    hierarchy = accelerator.hierarchy
-    for operand in Operand:
-        depth = hierarchy.depth(operand)
-        if mapping.temporal.num_levels(operand) != depth:
-            violations.append(
-                f"{operand}: mapping assumes {mapping.temporal.num_levels(operand)} "
-                f"levels but {accelerator.name} has {depth}"
-            )
+    violations = depth_violations(mapping, accelerator)
     if violations:
         return violations
 
+    hierarchy = accelerator.hierarchy
     demand: Dict[str, int] = {}
     for level_obj in hierarchy.unique_levels():
         total = 0

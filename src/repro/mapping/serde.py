@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Dict
 
+from repro.hardware.serde import SerdeError
 from repro.mapping.loop import Loop
 from repro.mapping.mapping import Mapping
 from repro.mapping.spatial import SpatialMapping
@@ -41,12 +42,23 @@ def mapping_to_dict(mapping: Mapping) -> Dict:
 
 
 def mapping_from_dict(data: Dict, layer: LayerSpec) -> Mapping:
-    """Inverse of :func:`mapping_to_dict`, bound to ``layer``."""
-    temporal = TemporalMapping(
-        loops=tuple(Loop(LoopDim(d), int(s)) for d, s in data["loops"]),
-        cuts={Operand(op): tuple(cut) for op, cut in data["cuts"].items()},
-    )
-    spatial = SpatialMapping({LoopDim(d): int(f) for d, f in data["spatial"].items()})
+    """Inverse of :func:`mapping_to_dict`, bound to ``layer``.
+
+    Raises :class:`~repro.hardware.serde.SerdeError` when ``data`` does
+    not describe a mapping, and
+    :class:`~repro.mapping.mapping.MappingError` when its loops do not
+    cover ``layer``.
+    """
+    try:
+        temporal = TemporalMapping(
+            loops=tuple(Loop(LoopDim(d), int(s)) for d, s in data["loops"]),
+            cuts={Operand(op): tuple(cut) for op, cut in data["cuts"].items()},
+        )
+        spatial = SpatialMapping(
+            {LoopDim(d): int(f) for d, f in data["spatial"].items()}
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise SerdeError(f"malformed mapping: {exc}") from exc
     return Mapping(layer, spatial, temporal)
 
 

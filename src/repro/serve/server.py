@@ -9,9 +9,10 @@ moving parts:
   drained by one worker task through a single-thread executor. Each
   pickup takes everything already queued and runs it as one
   ``evaluate_many`` call per (machine, options) group; singletons and
-  traced requests run the scalar kernel. Engines are built lazily per
-  (machine, options) pair and share one
-  :class:`~repro.engine.EvaluationCache`. The kernel never runs
+  traced requests run alone through ``engine.evaluate`` (a one-lane
+  batch). Engines are built lazily per (machine, options) pair, kept
+  in a bounded :class:`~repro.engine.EvaluationCache`, and share one
+  result :class:`~repro.engine.EvaluationCache`. The kernel never runs
   concurrently; under the GIL, two worker threads measured no faster.
 * **Backpressure** — the queue is bounded; when it is ``queue_depth``
   deep, ``await queue.put`` suspends the connection handler, which
@@ -62,8 +63,9 @@ import json
 import os
 import signal
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from traceback import format_exc
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.step1 import ModelOptions
@@ -89,7 +91,7 @@ from repro.observability.metrics import MetricsRegistry
 from repro.observability.progress import NULL_EMITTER, NULL_RUN
 from repro.observability.span import SpanRecord
 from repro.observability.stats import EngineStats
-from repro.observability.tracer import Tracer, use_tracer
+from repro.observability.tracer import NULL_TRACER, Tracer, use_tracer
 from repro.serve import protocol
 from repro.serve.protocol import (
     ErrorResponse,
@@ -118,28 +120,6 @@ _WORKER = "kernel"
 
 class ServerDraining(RuntimeError):
     """The daemon is shutting down; the request was not evaluated."""
-
-
-class _LruTable:
-    """A bounded least-recently-used table of values built on a miss."""
-
-    def __init__(self, maxsize: int = _TABLE_SIZE) -> None:
-        self.maxsize = maxsize
-        self._data: "OrderedDict[Any, Any]" = OrderedDict()
-
-    def get(self, key: Any, build: Callable[[], Any]) -> Any:
-        """The value for ``key`` (refreshing its recency), built on a miss."""
-        try:
-            self._data.move_to_end(key)
-        except KeyError:
-            value = self._data[key] = build()
-            if len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-            return value
-        return self._data[key]
-
-    def __len__(self) -> int:
-        return len(self._data)
 
 
 @dataclasses.dataclass
@@ -270,13 +250,13 @@ class EvaluationServer:
             max_workers=1, thread_name_prefix="repro-kernel"
         )
         self._worker: Optional[asyncio.Task] = None
-        self._engines = _LruTable()
+        self._engines = EvaluationCache(_TABLE_SIZE)
         self._cache = EvaluationCache()
         # Coalescing: key -> the owning request's future.
         self._inflight: Dict[Tuple, asyncio.Future] = {}
         # Deserialized-payload memos: canonical JSON -> (object, fingerprint).
-        self._accel_memo = _LruTable()
-        self._options_memo = _LruTable()
+        self._accel_memo = EvaluationCache(_TABLE_SIZE)
+        self._options_memo = EvaluationCache(_TABLE_SIZE)
         self._server: Optional[asyncio.AbstractServer] = None
         self._conn_writers: set = set()
         self._conn_tasks: set = set()
@@ -492,7 +472,12 @@ class EvaluationServer:
             self._conn_tasks.discard(asyncio.current_task())
 
     async def _handle_frame(self, line: bytes, writer, write_lock) -> None:
-        """Decode one frame, dispatch it, write the (id-tagged) response."""
+        """Decode one frame, dispatch it, write the (id-tagged) response.
+
+        Every decoded frame gets a reply: an exception that escapes its
+        handler is answered as an :class:`ErrorResponse` too, so no
+        client ever waits forever.
+        """
         try:
             message = protocol.decode(line)
         except ProtocolError as exc:
@@ -503,31 +488,37 @@ class EvaluationServer:
                 ErrorResponse(id=request_id, error="ProtocolError", message=str(exc)),
             )
             return
-        if isinstance(message, HelloRequest):
-            response = HelloResponse(
-                id=message.id,
-                protocol=protocol.PROTOCOL_VERSION,
-                server=self.config.name,
-                preset=self._preset_payload,
-                options=self._options_payload,
-                admin=self.admin.url if self.admin is not None else None,
-            )
-        elif isinstance(message, StatsRequest):
-            response = StatsResponse(id=message.id, stats=self.stats_snapshot())
-        elif isinstance(message, ShutdownRequest):
-            response = ShutdownResponse(id=message.id)
-            await self._send(writer, write_lock, response)
+        if isinstance(message, ShutdownRequest):
+            await self._send(writer, write_lock, ShutdownResponse(id=message.id))
             await self.drain(reason="shutdown", interrupted=False)
             return
-        elif isinstance(message, EvaluateRequest):
-            response = await self._handle_evaluate(message)
-        else:  # a response type sent as a request
-            self.stats.protocol_errors += 1
-            response = ErrorResponse(
-                id=getattr(message, "id", -1),
-                error="ProtocolError",
-                message=f"unexpected message type {type(message).__name__}",
+        try:
+            if isinstance(message, HelloRequest):
+                response = HelloResponse(
+                    id=message.id,
+                    protocol=protocol.PROTOCOL_VERSION,
+                    server=self.config.name,
+                    preset=self._preset_payload,
+                    options=self._options_payload,
+                    admin=self.admin.url if self.admin is not None else None,
+                )
+            elif isinstance(message, StatsRequest):
+                response = StatsResponse(id=message.id, stats=self.stats_snapshot())
+            elif isinstance(message, EvaluateRequest):
+                response = await self._handle_evaluate(message)
+            else:  # a response type sent as a request
+                self.stats.protocol_errors += 1
+                response = ErrorResponse(
+                    id=getattr(message, "id", -1),
+                    error="ProtocolError",
+                    message=f"unexpected message type {type(message).__name__}",
+                )
+        except Exception as exc:  # last resort: record the fault, then answer
+            request_id = getattr(message, "id", -1)
+            self.flight.record(
+                id=request_id, outcome=type(exc).__name__, traceback=format_exc()
             )
+            response = self._error_response(request_id, exc)
         if isinstance(response, ErrorResponse):
             self.stats.errors += 1
         await self._send(writer, write_lock, response)
@@ -800,12 +791,13 @@ class EvaluationServer:
     def _resolve_accelerator(self, data) -> Tuple[Accelerator, str]:
         if data is None:
             return self._own_accel, self._own_accel_fp
-
-        def build() -> Tuple[Accelerator, str]:
+        key = json.dumps(data, sort_keys=True)
+        resolved = self._accel_memo.get(key)
+        if resolved is None:
             accelerator = accelerator_from_dict(data)
-            return accelerator, accelerator.fingerprint()
-
-        return self._accel_memo.get(json.dumps(data, sort_keys=True), build)
+            resolved = (accelerator, accelerator.fingerprint())
+            self._accel_memo.put(key, resolved)
+        return resolved
 
     def _resolve_options(self, data) -> Tuple[ModelOptions, str]:
         from repro.fingerprint import stable_fingerprint
@@ -814,12 +806,13 @@ class EvaluationServer:
             if self._own_options_fp_cache is None:
                 self._own_options_fp_cache = stable_fingerprint(self.config.options)
             return self.config.options, self._own_options_fp_cache
-
-        def build() -> Tuple[ModelOptions, str]:
+        key = json.dumps(data, sort_keys=True)
+        resolved = self._options_memo.get(key)
+        if resolved is None:
             options = protocol.options_from_dict(data)
-            return options, stable_fingerprint(options)
-
-        return self._options_memo.get(json.dumps(data, sort_keys=True), build)
+            resolved = (options, stable_fingerprint(options))
+            self._options_memo.put(key, resolved)
+        return resolved
 
     # ------------------------------------------------------------------ #
     # The kernel worker
@@ -883,11 +876,11 @@ class EvaluationServer:
 
         Untraced items sharing (machine, options, validate, with_energy)
         run as one ``evaluate_many`` call. Singletons and traced items
-        take the scalar path: a batch of one is slower than the scalar
-        kernel, and only the scalar kernel emits spans. If a group's
-        call raises, its items re-run one at a time, so only the
-        offending request fails. ``pre_evaluate_hook`` runs once per
-        item, before that item's group.
+        run alone through ``engine.evaluate``, whose full report a
+        traced item projects as spans. If a group's call raises, its
+        items re-run one at a time, so only the offending request fails.
+        ``pre_evaluate_hook`` runs once per item, before that item's
+        group.
         """
         groups: Dict[Tuple, List[_WorkItem]] = {}
         for i, item in enumerate(batch):
@@ -908,15 +901,15 @@ class EvaluationServer:
                 except Exception:
                     pass  # re-run one at a time below
             if outcomes is None:
-                outcomes = [self._try_scalar(item) for item in items]
+                outcomes = [self._try_single(item) for item in items]
             done.extend(zip(items, outcomes))
         return done
 
     def _evaluate_group(self, items: List[_WorkItem]) -> List[Any]:
         """One ``evaluate_many`` call; each lane's ``wall_s`` is its share.
 
-        A ``None`` lane (a ``MappingError``) re-runs through the scalar
-        path, so its error keeps the exact type and message.
+        A ``None`` lane (a ``MappingError``) re-runs alone, so its error
+        keeps the exact type and message.
         """
         first = items[0]
         t0 = time.perf_counter()
@@ -927,13 +920,13 @@ class EvaluationServer:
         )
         share = (time.perf_counter() - t0) / len(items)
         return [
-            self._try_scalar(item) if evaluation is None else _Outcome(
+            self._try_single(item) if evaluation is None else _Outcome(
                 report=evaluation.report, energy=evaluation.energy, wall_s=share
             )
             for item, evaluation in zip(items, evaluations)
         ]
 
-    def _try_scalar(self, item: _WorkItem) -> Any:
+    def _try_single(self, item: _WorkItem) -> Any:
         """:meth:`_evaluate_blocking`, with an error returned, not raised."""
         try:
             return self._evaluate_blocking(item)
@@ -941,7 +934,7 @@ class EvaluationServer:
             return exc
 
     def _evaluate_blocking(self, item: _WorkItem) -> _Outcome:
-        """The scalar kernel call, in the kernel thread (no ambient context).
+        """One ``engine.evaluate`` call, in the kernel thread (no ambient context).
 
         ``run_in_executor`` deliberately does not propagate contextvars,
         so a traced request installs its *own* kernel tracer here: the
@@ -950,25 +943,16 @@ class EvaluationServer:
         the wire.
         """
         engine = self._engine_for(item)
-        kernel_records: Tuple[SpanRecord, ...] = ()
+        tracer = Tracer() if item.traced else NULL_TRACER
         t0 = time.perf_counter()
-        if item.traced:
-            kernel_tracer = Tracer()
-            with use_tracer(kernel_tracer):
-                report = engine.evaluate(item.mapping, validate=item.validate)
-                energy = (
-                    engine.evaluate_energy(item.mapping)
-                    if item.with_energy else None
-                )
-            kernel_records = tuple(kernel_tracer.records)
-        else:
+        with use_tracer(tracer):
             report = engine.evaluate(item.mapping, validate=item.validate)
             energy = engine.evaluate_energy(item.mapping) if item.with_energy else None
         return _Outcome(
             report=report,
             energy=energy,
             wall_s=time.perf_counter() - t0,
-            kernel_records=kernel_records,
+            kernel_records=tuple(tracer.records) if item.traced else (),
         )
 
     def _engine_for(self, item: _WorkItem) -> EvaluationEngine:
@@ -979,12 +963,16 @@ class EvaluationServer:
         bounded table loses no results. Only the kernel thread touches
         the table, so no lock is needed.
         """
-        return self._engines.get(item.key[:2], lambda: EvaluationEngine(
-            item.accelerator,
-            item.options,
-            cache=self._cache,
-            stats=self.engine_stats,
-        ))
+        engine = self._engines.get(item.key[:2])
+        if engine is None:
+            engine = EvaluationEngine(
+                item.accelerator,
+                item.options,
+                cache=self._cache,
+                stats=self.engine_stats,
+            )
+            self._engines.put(item.key[:2], engine)
+        return engine
 
     # ------------------------------------------------------------------ #
     # Introspection

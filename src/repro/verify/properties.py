@@ -30,9 +30,10 @@ in :data:`PROPERTIES`. The oracles restate the paper's algebra as checks:
     The accelerator survives a serde round trip with an identical
     fingerprint and an identical latency report.
 ``batch_scalar_parity``
-    The vectorized batch evaluator reproduces the scalar model's numbers
-    bit-for-bit (``==``, no tolerance) — the contract that lets the
-    engine route sweeps through the SoA core without changing results.
+    The vectorized batch evaluator reproduces the scalar reference
+    model's full report, anatomy included, bit-for-bit (``==``, no
+    tolerance) — the contract that lets production run only the SoA
+    core.
 ``three_way_agreement``
     The three-way differential oracle (``backend="both"`` only): the
     event-driven simulator and the register-stage-accurate RTL backend
@@ -557,27 +558,19 @@ def serde_roundtrip(
 def batch_scalar_parity(
     case: Case, ctx: CaseContext, tol: Tolerance
 ) -> List[Violation]:
-    """The batch evaluator's numbers equal the scalar report exactly.
+    """The batch evaluator's full report equals the scalar report exactly.
 
     Both paths run the identical kernels in the identical reduction
     order (see ``repro/core/kernels.py``), so the comparison is ``==``
-    with no epsilon: any drift means one path reordered floating-point
-    work. Cases the batch core cannot lower are skipped, not failed —
-    ``supports``/``BatchLoweringError`` route them to the scalar model
-    in production too.
+    with no epsilon, over the whole report: the Fig. 1 numbers, the
+    served stalls, the integration and the per-DTL / per-port anatomy.
+    Any drift means one path reordered floating-point work.
     """
-    from repro.core.batch import BatchEvaluator, BatchLoweringError
+    from repro.core.batch import BatchEvaluator
 
-    evaluator = BatchEvaluator(case.accelerator)
-    if not evaluator.supports(case.mapping):
-        return []
-    try:
-        result = evaluator.evaluate([case.mapping], materialize=True)
-    except BatchLoweringError:
-        return []
-    out: List[Violation] = []
     scalar = ctx.report
-    batch = result.reports[0]
+    batch = BatchEvaluator(case.accelerator).evaluate([case.mapping]).full_report(0)
+    out: List[Violation] = []
     for field in (
         "cc_ideal", "cc_spatial", "ss_overall", "preload", "offload",
         "total_cycles", "utilization", "scenario",
@@ -589,13 +582,12 @@ def batch_scalar_parity(
                 f"batch {field} differs from scalar (must be bit-for-bit)",
                 scalar=float(s), batch=float(b),
             ))
-    s_served = [(str(s.operand), s.level, s.ss) for s in scalar.served_stalls]
-    b_served = [(str(s.operand), s.level, s.ss) for s in batch.served_stalls]
-    if s_served != b_served:
-        out.append(_violation(
-            "batch_scalar_parity", case,
-            "batch served-memory stalls differ from scalar",
-        ))
+    for field in ("served_stalls", "integration", "dtls", "port_combinations"):
+        if getattr(scalar, field) != getattr(batch, field):
+            out.append(_violation(
+                "batch_scalar_parity", case,
+                f"batch {field} differ from scalar",
+            ))
     return out
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Dict
 
+from repro.hardware.serde import SerdeError
 from repro.workload.dims import LoopDim
 from repro.workload.layer import LayerSpec, LayerType, Precision
 
@@ -43,17 +44,24 @@ def layer_to_dict(layer: LayerSpec) -> Dict:
 
 
 def layer_from_dict(data: Dict) -> LayerSpec:
-    """Inverse of :func:`layer_to_dict` (tolerant of omitted defaults)."""
-    return LayerSpec(
-        layer_type=LayerType(data["layer_type"]),
-        dims={LoopDim(d): int(s) for d, s in data["dims"].items()},
-        stride_x=int(data.get("stride_x", 1)),
-        stride_y=int(data.get("stride_y", 1)),
-        dilation_x=int(data.get("dilation_x", 1)),
-        dilation_y=int(data.get("dilation_y", 1)),
-        precision=Precision(**data["precision"]),
-        name=data.get("name"),
-    )
+    """Inverse of :func:`layer_to_dict` (tolerant of omitted defaults).
+
+    Raises :class:`~repro.hardware.serde.SerdeError` when ``data`` does
+    not describe a layer.
+    """
+    try:
+        return LayerSpec(
+            layer_type=LayerType(data["layer_type"]),
+            dims={LoopDim(d): int(s) for d, s in data["dims"].items()},
+            stride_x=int(data.get("stride_x", 1)),
+            stride_y=int(data.get("stride_y", 1)),
+            dilation_x=int(data.get("dilation_x", 1)),
+            dilation_y=int(data.get("dilation_y", 1)),
+            precision=Precision(**data["precision"]),
+            name=data.get("name"),
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise SerdeError(f"malformed layer: {exc}") from exc
 
 
 __all__ = ["layer_from_dict", "layer_to_dict"]

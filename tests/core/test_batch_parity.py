@@ -1,21 +1,25 @@
 """Batch-vs-scalar bit-for-bit parity of the SoA evaluation core.
 
 The batch evaluator's contract is exact equality (``==``, no tolerance)
-with the scalar 3-step model — both run the same kernels in the same
-reduction order. These tests enforce the contract over the committed
-verification corpus, a fresh generator-sampled population, and dense
-mapper sweeps on the paper's presets.
+with the scalar reference 3-step model, down to the per-DTL anatomy —
+both run the same kernels in the same reduction order. These tests
+enforce the contract over the committed verification corpus, a fresh
+generator-sampled population, and dense mapper sweeps on the paper's
+presets, both for the batch core itself and for the engine that runs it
+in production.
 """
 
 import pathlib
 
 import pytest
 
-from repro.core.batch import BatchEvaluator, BatchLoweringError
+from repro.core.batch import BatchEvaluator
 from repro.core.model import LatencyModel
 from repro.core.step1 import ModelOptions
 from repro.dse.mapper import MapperConfig, TemporalMapper
+from repro.engine import EvaluationEngine
 from repro.hardware.presets import case_study_accelerator, shared_lb_accelerator
+from repro.observability import Tracer, tree_shape, use_tracer
 from repro.verify.corpus import load_corpus
 from repro.verify.generators import sample_cases
 from repro.verify.properties import check_case
@@ -43,6 +47,11 @@ def assert_reports_identical(scalar, batch, label=""):
     assert scalar.integration.group_stalls == batch.integration.group_stalls, (
         f"{label}: integration group stalls differ"
     )
+    assert scalar.dtls == batch.dtls, f"{label}: DTLs differ"
+    assert scalar.port_combinations == batch.port_combinations, (
+        f"{label}: port combinations differ"
+    )
+    assert scalar == batch, f"{label}: reports differ"
 
 
 def test_parity_property_on_committed_corpus():
@@ -72,20 +81,15 @@ def test_parity_on_fresh_generated_cases():
     for group in groups:
         accelerator = group[0].accelerator
         model = LatencyModel(accelerator)
-        evaluator = BatchEvaluator(accelerator)
-        mappings = [c.mapping for c in group if evaluator.supports(c.mapping)]
-        if not mappings:
-            continue
-        try:
-            result = evaluator.evaluate(mappings, materialize=True)
-        except BatchLoweringError:
-            continue
-        for case_mapping, batch_report in zip(mappings, result.reports):
+        mappings = [c.mapping for c in group]
+        result = BatchEvaluator(accelerator).evaluate(mappings, materialize=True)
+        for lane, case_mapping in enumerate(mappings):
             scalar = model.evaluate(case_mapping, validate=False)
-            assert_reports_identical(scalar, batch_report, accelerator.name)
+            assert_reports_identical(
+                scalar, result.full_report(lane), accelerator.name
+            )
             checked += 1
-    # The generated space must not silently drift out of batch coverage.
-    assert checked >= FRESH_CASES * 0.9
+    assert checked == FRESH_CASES
 
 
 @pytest.mark.parametrize(
@@ -110,9 +114,9 @@ def test_parity_on_preset_mapper_sweep(preset_fn, options, small_layer):
     batch = BatchEvaluator(preset.accelerator, options).evaluate(
         mappings, materialize=True
     )
-    for i, (mapping, report) in enumerate(zip(mappings, batch.reports)):
+    for i, mapping in enumerate(mappings):
         scalar = model.evaluate(mapping, validate=False)
-        assert_reports_identical(scalar, report, f"mapping[{i}]")
+        assert_reports_identical(scalar, batch.full_report(i), f"mapping[{i}]")
 
 
 def test_slim_batch_result_skips_report_objects():
@@ -132,3 +136,64 @@ def test_slim_batch_result_skips_report_objects():
     assert full.reports is not None and len(full.reports) == len(mappings)
     assert slim.total_cycles.tolist() == full.total_cycles.tolist()
     assert slim.ss_overall.tolist() == full.ss_overall.tolist()
+
+
+def _preset_sweep(preset_fn, options, layer, count=120):
+    preset = preset_fn()
+    mapper = TemporalMapper(
+        preset.accelerator,
+        preset.spatial_unrolling,
+        MapperConfig(max_enumerated=200, samples=100, model_options=options),
+    )
+    mappings = list(mapper.mappings(layer))[:count]
+    assert mappings
+    return preset.accelerator, mappings
+
+
+def test_engine_evaluate_equals_the_reference_everywhere(small_layer):
+    """``engine.evaluate`` (a one-lane batch with its anatomy) returns
+    the reference report on the corpus, fresh cases and preset sweeps."""
+    populations = [
+        (entry.case.accelerator, ModelOptions(), [entry.case.mapping])
+        for entry in load_corpus(COMMITTED_CORPUS)
+    ]
+    populations += [
+        (case.accelerator, ModelOptions(), [case.mapping])
+        for case in sample_cases(seed=1307, count=FRESH_CASES)
+    ]
+    for preset_fn, options in (
+        (case_study_accelerator, ModelOptions()),
+        (case_study_accelerator, ModelOptions.paper_faithful()),
+        (shared_lb_accelerator, ModelOptions(served_rule="sum")),
+    ):
+        accelerator, mappings = _preset_sweep(preset_fn, options, small_layer)
+        populations.append((accelerator, options, mappings))
+    for accelerator, options, mappings in populations:
+        model = LatencyModel(accelerator, options)
+        engine = EvaluationEngine(accelerator, options)
+        for mapping in mappings:
+            expected = model.evaluate(mapping, validate=False)
+            assert engine.evaluate(mapping, validate=False) == expected
+
+
+@pytest.mark.parametrize("validate", [False, True])
+def test_traced_chunk_has_the_reference_trace_shape(small_layer, validate):
+    """A traced ``evaluate_many`` chunk records, per mapping, the same
+    span subtree as the traced reference run on that mapping."""
+    accelerator, mappings = _preset_sweep(
+        case_study_accelerator, ModelOptions(), small_layer, count=24
+    )
+    engine = EvaluationEngine(accelerator, use_cache=False, chunk_size=len(mappings))
+    chunk = Tracer()
+    with use_tracer(chunk):
+        outcomes = engine.evaluate_many(mappings, validate=validate)
+    reference = Tracer()
+    model = LatencyModel(accelerator)
+    with use_tracer(reference):
+        for mapping, outcome in zip(mappings, outcomes):
+            if outcome is not None:
+                model.evaluate(mapping, validate=False)
+    assert any(outcome is not None for outcome in outcomes)
+    (batch_span,) = tree_shape(chunk.records)
+    assert batch_span[0] == "engine.batch"
+    assert batch_span[2] == tree_shape(reference.records)
