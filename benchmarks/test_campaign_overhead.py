@@ -8,7 +8,7 @@ contract, asserted here and tracked per commit via
 ``BENCH_campaign.json``:
 
 * a disabled site costs one contextvar read plus an ``enabled``
-  attribute check (the ``current_campaign().enabled`` guard every site
+  attribute check (the ``telemetry().campaign.enabled`` guard every site
   uses), and the sites-per-evaluation the flows execute stay under 5%
   of kernel time;
 * with a campaign *recording*, a real search slows down by a bounded
@@ -20,7 +20,8 @@ import time
 
 from conftest import emit_bench_artifact, make_mapper
 from repro.core.model import LatencyModel
-from repro.observability.campaign import CampaignRecorder, use_campaign
+from repro.observability.campaign import CampaignRecorder
+from repro.observability.telemetry import telemetry, use_telemetry
 from repro.workload.generator import dense_layer
 
 
@@ -46,11 +47,10 @@ def _time_evaluations(model, mappings, repeats: int = 3) -> float:
 
 def _null_site_cost_us(iterations: int = 50_000) -> float:
     """Measured cost of one disabled campaign site, in µs."""
-    from repro.observability.campaign import current_campaign
 
     t0 = time.perf_counter()
     for __ in range(iterations):
-        if current_campaign().enabled:
+        if telemetry().campaign.enabled:
             raise AssertionError("benchmark requires the null campaign")
     return (time.perf_counter() - t0) / iterations * 1e6
 
@@ -87,7 +87,7 @@ def test_disabled_campaign_overhead_under_5_percent(case_preset):
     mapper = make_mapper(case_preset, enumerated=60, samples=40)
     base_search_s = _time_search(mapper, layer)
     campaign = CampaignRecorder("bench")
-    with use_campaign(campaign):
+    with use_telemetry(campaign=campaign):
         enabled_search_s = _time_search(mapper, layer)
     enabled_ratio = enabled_search_s / base_search_s
 
@@ -121,10 +121,10 @@ def test_disabled_campaign_overhead_under_5_percent(case_preset):
 
 def test_null_campaign_path_records_nothing(case_preset):
     """The ambient default accounts nothing while searching."""
-    from repro.observability.campaign import NULL_CAMPAIGN, current_campaign
+    from repro.observability.campaign import NULL_CAMPAIGN
 
     mapper = make_mapper(case_preset, enumerated=20, samples=10)
-    assert current_campaign() is NULL_CAMPAIGN
+    assert telemetry().campaign is NULL_CAMPAIGN
     mapper.search(dense_layer(16, 32, 60))
-    assert current_campaign() is NULL_CAMPAIGN
+    assert telemetry().campaign is NULL_CAMPAIGN
     assert NULL_CAMPAIGN.phase("mapper").enumerated == 0

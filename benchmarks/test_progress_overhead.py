@@ -20,7 +20,7 @@ import time
 
 from conftest import emit_bench_artifact, make_mapper
 from repro.core.model import LatencyModel
-from repro.observability import ProgressEmitter, use_emitter
+from repro.observability import ProgressEmitter, telemetry, use_telemetry
 from repro.workload.generator import dense_layer
 
 
@@ -52,12 +52,12 @@ def _null_site_cost_us(iterations: int = 50_000) -> float:
     ``start_run`` on the null emitter, the ``with`` enter and exit of
     the shared null run, and one ``advance`` inside it.
     """
-    from repro.observability import NULL_EMITTER, current_emitter
+    from repro.observability import NULL_EMITTER
 
-    assert current_emitter() is NULL_EMITTER, "benchmark requires the null emitter"
+    assert telemetry().progress is NULL_EMITTER, "benchmark requires the null emitter"
     t0 = time.perf_counter()
     for __ in range(iterations):
-        with current_emitter().start_run("flow", unit="evals") as run:
+        with telemetry().progress.start_run("flow", unit="evals") as run:
             run.advance(1)
     return (time.perf_counter() - t0) / iterations * 1e6
 
@@ -99,7 +99,7 @@ def test_disabled_progress_overhead_under_5_percent(case_preset):
     emitter = ProgressEmitter()
     sink_count = [0]
     emitter.subscribe(lambda _event: sink_count.__setitem__(0, sink_count[0] + 1))
-    with use_emitter(emitter):
+    with use_telemetry(progress=emitter):
         enabled_search_s = _time_search(mapper, layer)
     enabled_ratio = enabled_search_s / base_search_s
 
@@ -131,12 +131,12 @@ def test_disabled_progress_overhead_under_5_percent(case_preset):
 
 def test_null_emitter_path_emits_nothing(case_preset):
     """The ambient default streams no events while evaluating."""
-    from repro.observability import NULL_EMITTER, current_emitter
+    from repro.observability import NULL_EMITTER
 
     mappings = _mappings(case_preset, count=3)
     model = LatencyModel(case_preset.accelerator)
-    assert current_emitter() is NULL_EMITTER
+    assert telemetry().progress is NULL_EMITTER
     for mapping in mappings:
         model.evaluate(mapping, validate=False)
-    assert current_emitter() is NULL_EMITTER
+    assert telemetry().progress is NULL_EMITTER
     assert NULL_EMITTER.current_run() is None

@@ -23,6 +23,7 @@ from repro.engine import EvaluationEngine
 from repro.hardware.presets import case_study_accelerator
 from repro.mapping.mapping import MappingError
 from repro.observability.ledger import RunLedger
+from repro.observability.telemetry import use_telemetry
 from repro.serve import EvaluationServer, ServerConfig, connect
 from repro.verify.generators import sample_cases
 
@@ -90,7 +91,9 @@ def test_serve_throughput_coalescing_and_warm_start(tmp_path, capsys):
     ledger_path = str(tmp_path / "serve_bench.sqlite")
 
     # ---- cold remote pass: pipelined bursts per accelerator ----
-    with _ServerThread(ledger=RunLedger(ledger_path)) as handle:
+    with use_telemetry(ledger=RunLedger(ledger_path)):
+        server_thread = _ServerThread()
+    with server_thread as handle:
         client = connect(handle.server.url, use_cache=False)
         t0 = time.perf_counter()
         for fp, group in by_accel.items():

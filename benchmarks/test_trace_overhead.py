@@ -19,7 +19,7 @@ import time
 
 from conftest import emit_bench_artifact, make_mapper
 from repro.core.model import LatencyModel
-from repro.observability import Tracer, use_tracer
+from repro.observability import Tracer, telemetry, use_telemetry
 from repro.workload.generator import dense_layer
 
 
@@ -51,11 +51,10 @@ def _null_site_cost_us(iterations: int = 20_000) -> float:
     one no-op ``span()`` returning the shared :class:`NullSpan`, and the
     null context-manager enter/exit.
     """
-    from repro.observability import current_tracer
 
     t0 = time.perf_counter()
     for __ in range(iterations):
-        with current_tracer().span("bench"):
+        with telemetry().tracer.span("bench"):
             pass
     return (time.perf_counter() - t0) / iterations * 1e6
 
@@ -71,7 +70,7 @@ def test_disabled_tracing_overhead_under_5_percent(case_preset):
     disabled_us = disabled_s / len(mappings) * 1e6
 
     tracer = Tracer()
-    with use_tracer(tracer):
+    with use_telemetry(tracer=tracer):
         enabled_s = _time_evaluations(model, mappings)
     spans = len(tracer.records)
 
@@ -114,12 +113,12 @@ def test_disabled_tracing_overhead_under_5_percent(case_preset):
 
 def test_null_span_path_allocates_no_records(case_preset):
     """The ambient default records nothing while evaluating."""
-    from repro.observability import NULL_TRACER, current_tracer
+    from repro.observability import NULL_TRACER
 
     mappings = _mappings(case_preset, count=3)
     model = LatencyModel(case_preset.accelerator)
-    assert current_tracer() is NULL_TRACER
+    assert telemetry().tracer is NULL_TRACER
     for mapping in mappings:
         model.evaluate(mapping, validate=False)
-    assert current_tracer() is NULL_TRACER
+    assert telemetry().tracer is NULL_TRACER
     assert NULL_TRACER.roots() == []

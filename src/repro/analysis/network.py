@@ -21,11 +21,8 @@ from repro.energy.energy_model import EnergyReport
 from repro.engine import EvaluationEngine
 from repro.hardware.presets import Preset
 from repro.mapping.mapping import Mapping, MappingError
-from repro.observability.campaign import current_campaign
 from repro.observability.ledger import checkpoint_interruption
-from repro.observability.metrics import current_metrics
-from repro.observability.progress import current_emitter
-from repro.observability.tracer import current_tracer
+from repro.observability.telemetry import telemetry
 from repro.workload.im2col import im2col
 from repro.workload.layer import LayerSpec
 
@@ -147,11 +144,10 @@ class NetworkEvaluator:
         layers leaves a ``kind="interrupted"`` ledger row naming how
         many layers completed.
         """
-        tracer = current_tracer()
-        metrics = current_metrics()
-        campaign = current_campaign()
+        t = telemetry()
+        tracer, metrics, campaign = t.tracer, t.metrics, t.campaign
         funnel = campaign.phase("network")
-        with current_emitter().start_run(
+        with t.progress.start_run(
             "network.evaluate",
             total_units=len(layers),
             unit="layers",

@@ -25,7 +25,7 @@ import dataclasses
 from typing import Sequence, Tuple
 
 from repro.analysis.network import LayerResult, NetworkResult
-from repro.observability.tracer import current_tracer
+from repro.observability.telemetry import telemetry
 
 
 @dataclasses.dataclass(frozen=True)
@@ -81,7 +81,7 @@ def estimate_pipeline(results: Sequence[LayerResult]) -> PipelinedEstimate:
     if not results:
         return PipelinedEstimate(0.0, 0.0, 0.0, ())
 
-    tracer = current_tracer()
+    tracer = telemetry().tracer
     with tracer.span("pipeline.estimate") as span:
         sequential = sum(r.report.total_cycles for r in results)
         hidden_per_layer = [0.0] * len(results)

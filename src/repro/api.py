@@ -40,10 +40,10 @@ Quickstart::
 
 Observability composes through the ambient context::
 
-    from repro.observability import Tracer, use_tracer
+    from repro.observability import Tracer, use_telemetry
 
     tracer = Tracer()
-    with use_tracer(tracer):
+    with use_telemetry(tracer=tracer):
         api.evaluate("64,128,1200")
     print(len(tracer.records), "spans")
 """

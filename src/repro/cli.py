@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import nullcontext
 from typing import List, Optional
 
 from repro.dse.mapper import MapperConfig, TemporalMapper
@@ -54,13 +53,8 @@ from repro.observability import (
     ProgressEmitter,
     RunLedger,
     Tracer,
-    current_ledger,
-    current_metrics,
-    use_campaign,
-    use_emitter,
-    use_ledger,
-    use_metrics,
-    use_tracer,
+    telemetry,
+    use_telemetry,
     write_chrome_trace,
 )
 from repro.observability.progress import console_subscriber
@@ -128,7 +122,7 @@ def _mapper(preset, args: argparse.Namespace) -> TemporalMapper:
 def _finish(engine: EvaluationEngine, args: argparse.Namespace) -> int:
     if args.stats:
         print(engine.stats.summary())
-    current_metrics().ingest("repro_engine", engine.stats.snapshot())
+    telemetry().metrics.ingest("repro_engine", engine.stats.snapshot())
     engine.close()
     return 0
 
@@ -158,7 +152,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     preset = _preset(args)
     mapper = _mapper(preset, args)
     best = mapper.best_mapping(args.layer)
-    if _ambient_tracer_enabled():
+    if telemetry().tracer.enabled:
         _traced_report(mapper, best)
     print(best.mapping.describe())
     print(best.report.summary())
@@ -313,23 +307,21 @@ def _cmd_report_html(preset, args: argparse.Namespace) -> int:
     with the printed numbers, and the ambient ledger — populated by this
     very run when ``--ledger`` is given — supplies the trajectory.
     """
-    from repro.observability import current_tracer, write_report
+    from repro.observability import write_report
 
-    ambient = current_tracer()
-    tracer = ambient if ambient.enabled else Tracer()
-    scope = nullcontext() if ambient.enabled else use_tracer(tracer)
+    ambient = telemetry()
+    tracer = ambient.tracer if ambient.tracer.enabled else Tracer()
     mapper = _mapper(preset, args)
-    with scope:
+    with use_telemetry(tracer=tracer):
         best = mapper.best_mapping(args.layer)
         _traced_report(mapper, best)
         if args.with_simulator:
             CycleSimulator(preset.accelerator, best.mapping).run()
     print(best.report.summary())
-    ledger = current_ledger()
     write_report(
         args.html,
         tracer.records,
-        ledger.records(),
+        ambient.ledger.records(),
         title=f"{args.layer.describe()} on {preset.accelerator.name}",
     )
     print(f"HTML report written to {args.html}")
@@ -567,20 +559,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """
     import asyncio
 
-    from repro.observability.progress import current_emitter
     from repro.serve import EvaluationServer, ServerConfig
 
     preset = _preset(args)
-    ledger = current_ledger()
     config = ServerConfig(
         preset=preset,
         host=args.host,
         port=args.port,
         socket_path=args.socket,
         queue_depth=args.queue_depth,
-        ledger=ledger if ledger.enabled else None,
         warm_start=tuple(args.warm_start or ()),
-        emitter=current_emitter(),
         admin_port=args.admin_port,
         slow_ms=args.slow_ms,
         flight_path=args.flight_out,
@@ -966,12 +954,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _ambient_tracer_enabled() -> bool:
-    from repro.observability import current_tracer
-
-    return current_tracer().enabled
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point: parse, install observability, dispatch, export.
 
@@ -1002,8 +984,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     interrupted = False
     try:
-        with use_tracer(tracer), use_metrics(registry), use_ledger(ledger), \
-                use_emitter(emitter), use_campaign(campaign):
+        with use_telemetry(tracer=tracer, metrics=registry, ledger=ledger,
+                           progress=emitter, campaign=campaign):
             try:
                 code = args.func(args)
             except KeyboardInterrupt:

@@ -14,7 +14,7 @@ from repro.core.dtl import DTL
 from repro.core.step2 import PortCombination, ServedMemoryStall
 from repro.core.step3 import StallIntegration, integrate_stall_entries
 from repro.hardware.accelerator import StallOverlapConfig
-from repro.observability.tracer import current_tracer
+from repro.observability.telemetry import telemetry
 
 
 @dataclasses.dataclass(frozen=True)
@@ -162,7 +162,7 @@ def trace_report(report: LatencyReport, overlap: StallOverlapConfig, options) ->
     :class:`~repro.core.step1.ModelOptions` are not in it, so the caller
     passes them. A no-op unless a tracer is ambient.
     """
-    tracer = current_tracer()
+    tracer = telemetry().tracer
     if not tracer.enabled:
         return
     served = report.served_stalls

@@ -19,11 +19,8 @@ from repro.engine import EvaluationEngine
 from repro.hardware.pool import MemoryCandidate, MemoryPool, searched_memory_names
 from repro.hardware.presets import Preset
 from repro.mapping.mapping import MappingError
-from repro.observability.campaign import current_campaign
 from repro.observability.ledger import checkpoint_interruption
-from repro.observability.metrics import current_metrics
-from repro.observability.progress import current_emitter
-from repro.observability.tracer import current_tracer
+from repro.observability.telemetry import telemetry
 from repro.workload.layer import LayerSpec
 
 
@@ -125,11 +122,11 @@ class ArchSearch:
         ``kind="interrupted"`` ledger row recording how many points were
         covered.
         """
-        tracer = current_tracer()
-        campaign = current_campaign()
+        t = telemetry()
+        tracer, campaign = t.tracer, t.campaign
         funnel = campaign.phase("arch_search")
         layer_name = layer.name or str(layer.layer_type)
-        with current_emitter().start_run(
+        with t.progress.start_run(
             "arch_search.sweep",
             total_units=self.space_size(),
             unit="points",
@@ -203,8 +200,9 @@ class ArchSearch:
     ) -> Optional[ArchPoint]:
         """Best-mapping latency and area of one design point."""
         accelerator = preset.accelerator
-        tracer = current_tracer()
-        current_metrics().counter(
+        t = telemetry()
+        tracer = t.tracer
+        t.metrics.counter(
             "repro_arch_points_total", "Architecture design points evaluated."
         ).inc()
         with tracer.span(
@@ -251,7 +249,7 @@ class ArchSearch:
                 # no temporal stalls and no memory-size-dependent loading —
                 # which is why same-array designs collapse onto one latency.
                 baseline = BwUnawareModel(accelerator, include_loading=False)
-                campaign = current_campaign()
+                campaign = telemetry().campaign
                 latency = float("inf")
                 utilization = 0.0
                 scored = 0

@@ -28,8 +28,7 @@ from typing import Iterator, List, Optional, Tuple
 
 from repro.dse.mapper import MapperConfig, MappingSearchResult, TemporalMapper
 from repro.mapping.mapping import Mapping, MappingError
-from repro.observability.campaign import current_campaign
-from repro.observability.progress import current_emitter
+from repro.observability.telemetry import telemetry
 from repro.workload.dims import LoopDim
 from repro.workload.layer import LayerSpec
 
@@ -78,7 +77,7 @@ class LocalSearchMapper:
     def _evaluate_order(
         self, layer: LayerSpec, order: Order
     ) -> Optional[MappingSearchResult]:
-        funnel = current_campaign().phase("local_search")
+        funnel = telemetry().campaign.phase("local_search")
         funnel.admit()
         temporal = self.mapper.allocate(layer, order)
         try:
@@ -92,7 +91,7 @@ class LocalSearchMapper:
         self, layer: LayerSpec, orders: List[Order]
     ) -> List[Optional[MappingSearchResult]]:
         """Score many orders in one engine batch; ``None`` per bad order."""
-        funnel = current_campaign().phase("local_search")
+        funnel = telemetry().campaign.phase("local_search")
         mappings: List[Optional[Mapping]] = []
         for order in orders:
             funnel.admit()
@@ -156,7 +155,7 @@ class LocalSearchMapper:
         scored neighbors land in the engine cache, so later rounds and
         restarts revisiting them are free.
         """
-        campaign = current_campaign()
+        campaign = telemetry().campaign
         rng = random.Random(self.config.seed)
         current = self._evaluate_order(layer, start)
         if current is None:
@@ -205,7 +204,8 @@ class LocalSearchMapper:
                 f"spatial mapping {self.mapper.spatial} does not fit "
                 f"{self.mapper.accelerator.name}"
             )
-        campaign = current_campaign()
+        t = telemetry()
+        campaign = t.campaign
         seeds: List[Tuple[float, Order]] = []
         for order in self.mapper.orders(layer):
             result = self._evaluate_order(layer, order)
@@ -225,7 +225,7 @@ class LocalSearchMapper:
         funnel.retain(len(restarts))
         funnel.discard("keep-top", len(seeds) - len(restarts))
         best_outcome: Optional[LocalSearchOutcome] = None
-        with current_emitter().start_run(
+        with t.progress.start_run(
             "local_search",
             total_units=len(restarts),
             unit="climbs",

@@ -48,10 +48,7 @@ from repro.mapping.loop import Loop
 from repro.mapping.mapping import Mapping, MappingError
 from repro.mapping.spatial import SpatialMapping
 from repro.mapping.temporal import TemporalMapping
-from repro.observability.campaign import current_campaign
-from repro.observability.metrics import current_metrics
-from repro.observability.progress import current_emitter
-from repro.observability.tracer import current_tracer
+from repro.observability.telemetry import telemetry
 from repro.workload.dims import ALL_DIMS, LoopDim
 from repro.workload.layer import LayerSpec
 from repro.workload.operand import Operand
@@ -365,7 +362,7 @@ class TemporalMapper:
         """
         if not self.spatial.fits(self.accelerator.mac_array.size):
             return  # spatial unrolling alone exceeds the array: no mappings
-        funnel = current_campaign().phase("mapper")
+        funnel = telemetry().campaign.phase("mapper")
         seen = set()
         canonical_seen = set()
         # Every order permutes the same atoms, so blocks carry no padding
@@ -457,7 +454,7 @@ class TemporalMapper:
         Infeasible mappings (``None`` outcomes from the engine) are
         skipped, matching the old per-mapping try/except behavior.
         """
-        funnel = current_campaign().phase("mapper")
+        funnel = telemetry().campaign.phase("mapper")
         batch: List[Mapping] = []
 
         def flush() -> Iterator[MappingSearchResult]:
@@ -541,7 +538,7 @@ class TemporalMapper:
         failures make the evaluated count unpredictable.
         """
         size = self.space_size(layer)
-        return current_emitter().start_run(
+        return telemetry().progress.start_run(
             flow,
             total_units=size if size <= self.config.max_enumerated else None,
             unit="evals",
@@ -551,17 +548,16 @@ class TemporalMapper:
 
     def search(self, layer: LayerSpec) -> List[MappingSearchResult]:
         """Evaluate the mapping space; return the top results, best first."""
-        tracer = current_tracer()
-        metrics = current_metrics()
-        with tracer.span(
+        t = telemetry()
+        with t.tracer.span(
             "mapper.search",
             layer=layer.name or str(layer.layer_type),
             objective=self.config.objective,
         ) as span:
-            metrics.counter(
+            t.metrics.counter(
                 "repro_mapper_searches_total", "Mapper search() calls."
             ).inc()
-            campaign = current_campaign()
+            campaign = t.campaign
             if campaign.enabled:
                 self._note_campaign_context(campaign)
             key = self._search_key("search", layer)
@@ -576,7 +572,7 @@ class TemporalMapper:
                     return list(cached)
             with self._progress_run("mapper.search", layer) as run:
                 results = list(self._evaluated(layer))
-                metrics.counter(
+                t.metrics.counter(
                     "repro_mapper_candidates_total",
                     "Feasible mapping candidates scored by the mapper.",
                 ).inc(len(results))
@@ -597,7 +593,7 @@ class TemporalMapper:
                         utilization=best.report.utilization,
                         label=layer.name or str(layer.layer_type),
                     )
-            if tracer.enabled:
+            if t.tracer.enabled:
                 span.set("cache_hit", False)
                 span.set("candidates", len(results))
                 if results:
@@ -637,17 +633,16 @@ class TemporalMapper:
 
     def best_mapping(self, layer: LayerSpec) -> MappingSearchResult:
         """The best mapping found (raises if none fits)."""
-        tracer = current_tracer()
-        metrics = current_metrics()
-        with tracer.span(
+        t = telemetry()
+        with t.tracer.span(
             "mapper.best_mapping",
             layer=layer.name or str(layer.layer_type),
             objective=self.config.objective,
         ) as span:
-            metrics.counter(
+            t.metrics.counter(
                 "repro_mapper_searches_total", "Mapper search() calls."
             ).inc()
-            campaign = current_campaign()
+            campaign = t.campaign
             if campaign.enabled:
                 self._note_campaign_context(campaign)
             key = self._search_key("best_mapping", layer)
@@ -673,7 +668,7 @@ class TemporalMapper:
                             utilization=best.report.utilization,
                             label=layer.name or str(layer.layer_type),
                         )
-            metrics.counter(
+            t.metrics.counter(
                 "repro_mapper_candidates_total",
                 "Feasible mapping candidates scored by the mapper.",
             ).inc(candidates)
@@ -685,7 +680,7 @@ class TemporalMapper:
             funnel = campaign.phase("mapper")
             funnel.retain(cache_hit=best.cache_hit)
             funnel.discard("beaten-incumbent", candidates - 1)
-            if tracer.enabled:
+            if t.tracer.enabled:
                 span.set("cache_hit", False)
                 span.set("candidates", candidates)
                 span.set("best_objective", best.objective)

@@ -26,7 +26,7 @@ from repro.engine import EvaluationEngine
 from repro.hardware.accelerator import Accelerator
 from repro.mapping.mapping import MappingError
 from repro.mapping.spatial import SpatialMapping
-from repro.observability.campaign import current_campaign
+from repro.observability.telemetry import telemetry
 from repro.workload.dims import LoopDim
 from repro.workload.layer import LayerSpec
 from repro.workload.operand import Operand
@@ -138,7 +138,7 @@ class SpatialSearch:
         array = self.accelerator.mac_array.size
         o_reg = self.accelerator.hierarchy.innermost(Operand.O).instance
         lanes = o_reg.instances
-        funnel = current_campaign().phase("spatial_search")
+        funnel = telemetry().campaign.phase("spatial_search")
         out = []
         for spatial in enumerate_unrollings(layer, array, self.config):
             funnel.admit()
@@ -150,7 +150,7 @@ class SpatialSearch:
 
     def search(self, layer: LayerSpec) -> List[SpatialSearchResult]:
         """Best temporal mapping per candidate unrolling, best first."""
-        funnel = current_campaign().phase("spatial_search")
+        funnel = telemetry().campaign.phase("spatial_search")
         results: List[SpatialSearchResult] = []
         for spatial in self.candidates(layer):
             mapper = TemporalMapper(

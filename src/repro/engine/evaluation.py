@@ -56,14 +56,10 @@ from repro.mapping.mapping import Mapping
 from repro.observability.ledger import (
     RunRecord,
     checkpoint_interruption,
-    current_ledger,
     record_from_report,
 )
-from repro.observability.campaign import current_campaign
-from repro.observability.metrics import current_metrics
-from repro.observability.progress import current_emitter
 from repro.observability.stats import EngineStats
-from repro.observability.tracer import current_tracer
+from repro.observability.telemetry import telemetry
 
 
 @dataclasses.dataclass(frozen=True)
@@ -271,9 +267,8 @@ class EvaluationEngine:
         """
         if validate:
             self._model.check(mapping)
-        tracer = current_tracer()
-        metrics = current_metrics()
-        ledger = current_ledger()
+        t = telemetry()
+        tracer, metrics, ledger = t.tracer, t.metrics, t.ledger
         timed = metrics.enabled or ledger.enabled
         with self.stats.phase("evaluate"), tracer.span("engine.evaluate") as span:
             t0 = time.perf_counter() if timed else 0.0
@@ -353,12 +348,12 @@ class EvaluationEngine:
             cache_hit=cache_hit,
             wall_time_s=wall_time_s,
         )
-        record.campaign = current_campaign().name
+        record.campaign = telemetry().campaign.name
         return record
 
     def evaluate_energy(self, mapping: Mapping) -> EnergyReport:
         """Dynamic energy of ``mapping``, served from the cache when possible."""
-        with self.stats.phase("energy"), current_tracer().span("engine.energy"):
+        with self.stats.phase("energy"), telemetry().tracer.span("engine.energy"):
             if not self.use_cache:
                 self.stats.energy_evaluations += 1
                 return self._energy_model.evaluate(mapping)
@@ -407,11 +402,10 @@ class EvaluationEngine:
         """
         mappings = list(mappings)
         results: List[Optional[Evaluation]] = [None] * len(mappings)
-        tracer = current_tracer()
-        metrics = current_metrics()
-        ledger = current_ledger()
+        t = telemetry()
+        tracer, metrics, ledger = t.tracer, t.metrics, t.ledger
         ledger_rows: List[RunRecord] = []
-        with current_emitter().join_run(
+        with t.progress.join_run(
             "engine.batch",
             total_units=len(mappings),
             unit="evals",

@@ -29,7 +29,8 @@ from repro.hardware.accelerator import Accelerator
 from repro.mapping.mapping import Mapping, MappingError, check_depth
 from repro.observability.progress import worker_id
 from repro.observability.span import SpanRecord
-from repro.observability.tracer import Tracer, use_tracer
+from repro.observability.telemetry import use_telemetry
+from repro.observability.tracer import Tracer
 
 #: MUW-union memo shared by every batched chunk this process evaluates.
 #: Keys encode all inputs of the memoized computation, so one cache per
@@ -85,7 +86,7 @@ def evaluate_chunk(
     records: List[SpanRecord] = []
     if trace:
         tracer = Tracer()
-        with use_tracer(tracer):
+        with use_telemetry(tracer=tracer):
             for outcome in out:
                 if outcome is not None:
                     trace_report(outcome[0], accelerator.stall_overlap, options)

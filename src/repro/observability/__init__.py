@@ -1,7 +1,9 @@
 """repro.observability — hierarchical tracing, metrics, stall
-attribution and a persistent run ledger for the whole evaluation path.
+attribution, a persistent run ledger, live progress events and search
+campaigns for the whole evaluation path.
 
-Zero-dependency substrate with four pieces (see ``docs/OBSERVABILITY.md``):
+Zero-dependency substrate (see ``docs/OBSERVABILITY.md``) with five
+sinks, one exporter family and one ambient channel:
 
 * :class:`Tracer` — hierarchical spans over the evaluation tree
   (network -> layer -> mapping candidate -> step1/2/3 -> per-DTL) carrying
@@ -13,32 +15,35 @@ Zero-dependency substrate with four pieces (see ``docs/OBSERVABILITY.md``):
 * :class:`MetricsRegistry` — counters / gauges / histograms (cache hit
   ratio, evaluations per second, mapper samples, per-phase latency
   percentiles) with JSON and Prometheus-text exporters.
-* exporters — Chrome trace-event JSON (:func:`chrome_trace` /
-  :func:`write_chrome_trace`), span-level reconciliation
-  (:func:`reconcile_ss_overall`), and self-contained HTML run reports
-  (:func:`render_report` — stall waterfall, CC breakdown, ledger
-  trajectory).
 * :class:`RunLedger` — append-only, schema-versioned SQLite store of
   every evaluation and bench result (fingerprints, CC decomposition,
   per-unit-memory ``SS_comb``, git SHA), with JSONL snapshots and
-  :func:`diff_records` as a CI regression gate. Ambient like the
-  tracer: :func:`use_ledger` / :func:`current_ledger`, no-op default.
+  :func:`diff_records` as a CI regression gate.
 * :class:`ProgressEmitter` — the *live* side: a typed event stream
   (:class:`RunStarted`, :class:`ChunkCompleted`, :class:`Heartbeat`,
   :class:`BestSoFar`, :class:`CacheStats`, :class:`RunInterrupted`,
   :class:`RunFinished`) every long-running flow emits into while it
   runs, with a :class:`JsonlSink` the ``repro-latency top`` dashboard
-  (:func:`run_top`) follows. Ambient like the rest:
-  :func:`use_emitter` / :func:`current_emitter`, no-op default.
+  (:func:`run_top`) follows.
+* :class:`CampaignRecorder` — search coverage, discard provenance and
+  convergence of one design-space exploration, flushed as ledger rows.
+* exporters — Chrome trace-event JSON (:func:`chrome_trace` /
+  :func:`write_chrome_trace`), span-level reconciliation
+  (:func:`reconcile_ss_overall`), and self-contained HTML run reports
+  (:func:`render_report` — stall waterfall, CC breakdown, ledger
+  trajectory).
+* :class:`Telemetry` — the one ambient channel: instrumented code reads
+  :func:`telemetry` and a scope installs sinks with
+  :func:`use_telemetry`.
 
-Everything is off by default: the ambient tracer and registry are no-op
-singletons, and the disabled path allocates nothing (the tracing-overhead
+Everything is off by default: each sink of the ambient value is a no-op
+singleton, and the disabled path allocates nothing (the tracing-overhead
 benchmark holds it under 5% of kernel time). Enable per scope::
 
-    from repro.observability import Tracer, use_tracer, write_chrome_trace
+    from repro.observability import Tracer, use_telemetry, write_chrome_trace
 
     tracer = Tracer()
-    with use_tracer(tracer):
+    with use_telemetry(tracer=tracer):
         report = engine.evaluate(mapping)
     write_chrome_trace(tracer.records, "trace.json")
 
@@ -55,11 +60,9 @@ from repro.observability.campaign import (
     PhaseFunnel,
     campaign_records,
     compare_campaigns,
-    current_campaign,
     gate_campaigns,
     phase_records,
     select_campaign,
-    use_campaign,
 )
 from repro.observability.distributed import (
     FlightRecorder,
@@ -89,12 +92,10 @@ from repro.observability.ledger import (
     RunLedger,
     RunRecord,
     SCHEMA_VERSION,
-    current_ledger,
     diff_records,
     git_sha,
     load_snapshot,
     record_from_report,
-    use_ledger,
 )
 from repro.observability.metrics import (
     Counter,
@@ -103,8 +104,6 @@ from repro.observability.metrics import (
     MetricsRegistry,
     NULL_METRICS,
     NullMetricsRegistry,
-    current_metrics,
-    use_metrics,
 )
 from repro.observability.progress import (
     BestSoFar,
@@ -124,13 +123,11 @@ from repro.observability.progress import (
     RunInterrupted,
     RunStarted,
     WorkerStalled,
-    current_emitter,
     event_from_dict,
     event_to_dict,
     follow_events,
     format_event,
     read_events,
-    use_emitter,
 )
 from repro.observability.span import (
     SpanNode,
@@ -148,13 +145,12 @@ from repro.observability.report import (
     write_report,
 )
 from repro.observability.stats import EngineStats
+from repro.observability.telemetry import Telemetry, telemetry, use_telemetry
 from repro.observability.tracer import (
     NULL_TRACER,
     NullTracer,
     Span,
     Tracer,
-    current_tracer,
-    use_tracer,
 )
 
 __all__ = [
@@ -203,6 +199,7 @@ __all__ = [
     "Span",
     "SpanNode",
     "SpanRecord",
+    "Telemetry",
     "TraceContext",
     "Tracer",
     "WorkerStalled",
@@ -210,11 +207,6 @@ __all__ = [
     "chrome_trace",
     "compare_campaigns",
     "extract_trace",
-    "current_campaign",
-    "current_emitter",
-    "current_ledger",
-    "current_metrics",
-    "current_tracer",
     "diff_records",
     "event_from_dict",
     "event_to_dict",
@@ -244,12 +236,9 @@ __all__ = [
     "spans_from_wire",
     "spans_to_wire",
     "stall_waterfall",
+    "telemetry",
     "tree_shape",
-    "use_campaign",
-    "use_emitter",
-    "use_ledger",
-    "use_metrics",
-    "use_tracer",
+    "use_telemetry",
     "write_campaign_report",
     "write_chrome_trace",
     "write_report",

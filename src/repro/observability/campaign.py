@@ -13,15 +13,16 @@ per-evaluation tracer and ledger cannot:
 * **Convergence** — how did the incumbent objective evolve, at what
   rate did improvements arrive, and has the search stagnated?
 
-Ambient installation mirrors the tracer/ledger/emitter pattern::
+The campaign is ambient like the other sinks
+(:mod:`repro.observability.telemetry`)::
 
     campaign = CampaignRecorder("nightly-sweep")
-    with use_campaign(campaign):
+    with use_telemetry(campaign=campaign):
         search.evaluate(layer)
     campaign.finish()
     campaign.flush_to(ledger)
 
-Instrumentation sites fetch :func:`current_campaign` and call its hooks
+Instrumentation sites read ``telemetry().campaign`` and call its hooks
 (``phase(...)`` funnels, ``observe``) unconditionally; with no campaign
 installed the NULL singleton and its inert funnel make every hook a
 no-op. Only work done solely for the campaign (computing a Pareto front
@@ -56,15 +57,12 @@ Interrupted (SIGINT) campaigns flush a best-effort partial row flagged
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import dataclasses
 import time
 from typing import (
     Any,
     Callable,
     Dict,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -72,12 +70,10 @@ from typing import (
 )
 
 from .ledger import RunRecord, git_sha
-from .metrics import current_metrics
 from .progress import (
     ConvergenceUpdate,
     FunnelSnapshot,
     ParetoFrontSnapshot,
-    current_emitter,
 )
 
 __all__ = [
@@ -87,8 +83,6 @@ __all__ = [
     "CampaignRecorder",
     "NullCampaign",
     "NULL_CAMPAIGN",
-    "current_campaign",
-    "use_campaign",
     "CampaignGateResult",
     "campaign_records",
     "select_campaign",
@@ -101,6 +95,14 @@ __all__ = [
 FUNNEL_BUCKETS: Tuple[str, ...] = (
     "deduped", "cache_hits", "evaluated", "invalid", "dominated",
 )
+
+
+def _telemetry() -> Any:
+    """The ambient telemetry, read at call time: the channel imports this module."""
+    from repro.observability.telemetry import telemetry
+
+    return telemetry()
+
 
 #: Every discard provenance tag and the funnel bucket it drains into.
 #: ``cache_hits``/``evaluated`` are retention buckets and have no tags.
@@ -359,7 +361,7 @@ class CampaignRecorder:
             "points": [[float(x), float(y)] for x, y in points],
         }
         self.snapshots.append(snap)
-        emitter = current_emitter()
+        emitter = _telemetry().progress
         if emitter.enabled:
             emitter.emit(ParetoFrontSnapshot(
                 run_id=self._run_id(), flow=flow, label=label,
@@ -373,7 +375,7 @@ class CampaignRecorder:
         return f"campaign:{self.name}"
 
     def _emit_convergence(self) -> None:
-        emitter = current_emitter()
+        emitter = _telemetry().progress
         if not emitter.enabled:
             return
         emitter.emit(ConvergenceUpdate(
@@ -387,7 +389,7 @@ class CampaignRecorder:
         ))
 
     def _emit_funnels(self) -> None:
-        emitter = current_emitter()
+        emitter = _telemetry().progress
         if not emitter.enabled:
             return
         for funnel in self.phases.values():
@@ -396,7 +398,7 @@ class CampaignRecorder:
             ))
 
     def _sync_metrics(self) -> None:
-        registry = current_metrics()
+        registry = _telemetry().metrics
         if not registry.enabled:
             return
         if self.best is not None:
@@ -556,25 +558,6 @@ class NullCampaign:
 
 
 NULL_CAMPAIGN = NullCampaign()
-
-_current_campaign: contextvars.ContextVar[Any] = contextvars.ContextVar(
-    "repro_campaign", default=NULL_CAMPAIGN,
-)
-
-
-def current_campaign() -> Any:
-    """The ambient campaign (the NULL no-op unless one is installed)."""
-    return _current_campaign.get()
-
-
-@contextlib.contextmanager
-def use_campaign(campaign: Any) -> Iterator[Any]:
-    """Install ``campaign`` as the ambient campaign for the duration."""
-    token = _current_campaign.set(campaign)
-    try:
-        yield campaign
-    finally:
-        _current_campaign.reset(token)
 
 
 # --------------------------------------------------------------------------- #

@@ -45,7 +45,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.observability.span import SpanRecord
-from repro.observability.tracer import current_tracer
+from repro.observability.telemetry import telemetry
 
 __all__ = [
     "FlightRecorder",
@@ -94,7 +94,7 @@ def inject_trace() -> Optional[Dict[str, Any]]:
     with the ambient :class:`~repro.observability.tracer.NullTracer`
     this is one contextvar read and one attribute check.
     """
-    tracer = current_tracer()
+    tracer = telemetry().tracer
     if not tracer.enabled:
         return None
     return {

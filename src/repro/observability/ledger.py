@@ -17,13 +17,14 @@ per metric with configurable tolerances — the regression gate behind
 ``repro-latency diff``.
 
 Like the tracer and metrics registry, the ledger is ambient and off by
-default: :func:`current_ledger` returns a no-op :data:`NULL_LEDGER`
-unless :func:`use_ledger` installed a real one, and every emit site
-guards on ``ledger.enabled`` so the disabled path allocates nothing::
+default: ``telemetry().ledger`` (see :mod:`repro.observability.telemetry`)
+is a no-op :data:`NULL_LEDGER` unless ``use_telemetry(ledger=...)``
+installed a real one, and every emit site guards on ``ledger.enabled``
+so the disabled path allocates nothing::
 
-    from repro.observability import RunLedger, use_ledger
+    from repro.observability import RunLedger, use_telemetry
 
-    with RunLedger("runs.sqlite") as ledger, use_ledger(ledger):
+    with RunLedger("runs.sqlite") as ledger, use_telemetry(ledger=ledger):
         engine.evaluate(mapping)        # row appended automatically
     ledger.export_jsonl("runs.jsonl")   # committable snapshot
 
@@ -39,9 +40,7 @@ import sqlite3
 import subprocess
 import threading
 import time
-from contextlib import contextmanager
-from contextvars import ContextVar
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 #: Current on-disk schema version (``PRAGMA user_version`` in SQLite, the
 #: ``"v"`` field of each JSONL line). v1 predates the ``ss_comb`` map,
@@ -69,6 +68,24 @@ GATED_METRICS = (
 
 #: String-valued fields compared by equality in a diff.
 GATED_IDENTITY = ("mapping_fp", "options_fp", "accelerator_fp")
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+#: :class:`RunRecord` field annotation -> (value check, what it expects).
+_FIELD_CHECKS = {
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "int": (_is_number, "a number"),
+    "float": (_is_number, "a number"),
+    "Optional[bool]": (lambda v: isinstance(v, bool), "a boolean or null"),
+    "Dict[str, float]": (
+        lambda v: isinstance(v, dict) and all(map(_is_number, v.values())),
+        "an object of numbers",
+    ),
+    "Dict[str, Any]": (lambda v: isinstance(v, dict), "an object"),
+}
 
 
 @dataclasses.dataclass
@@ -113,7 +130,7 @@ class RunRecord:
     backend: str = ""
     campaign: str = ""
     ss_comb: Dict[str, float] = dataclasses.field(default_factory=dict)
-    extra: Dict[str, float] = dataclasses.field(default_factory=dict)
+    extra: Dict[str, Any] = dataclasses.field(default_factory=dict)
 
     def key(self) -> Tuple[str, str, str, str, str]:
         """The identity a diff matches baseline and candidate rows on.
@@ -136,17 +153,27 @@ class RunRecord:
     def from_dict(cls, data: Dict[str, Any]) -> "RunRecord":
         """Inverse of :meth:`as_dict`; tolerant of missing (v1/v2) fields.
 
+        A missing or ``null`` field takes its default. A present one must
+        have its field's type (strings, non-bool numbers, a boolean
+        ``cache_hit``, an object of numbers for ``ss_comb``, an object
+        for ``extra``), else :class:`LedgerSchemaError` names the field.
+
         Verification rows written before the ``backend`` column existed
         were all event-backend runs, so a ``kind="verify"`` row with no
         recorded backend normalizes to ``"event"`` — old baselines keep
         matching new event-backend candidates.
         """
-        fields = {f.name for f in dataclasses.fields(cls)}
-        kwargs = {k: v for k, v in data.items() if k in fields}
-        if kwargs.get("ss_comb") is None:
-            kwargs["ss_comb"] = {}
-        if kwargs.get("extra") is None:
-            kwargs["extra"] = {}
+        kwargs = {}
+        for field in dataclasses.fields(cls):
+            value = data.get(field.name)
+            if value is None:
+                continue
+            accepts, expected = _FIELD_CHECKS[field.type]
+            if not accepts(value):
+                raise LedgerSchemaError(
+                    f"field {field.name!r} must be {expected}, got {value!r:.40}"
+                )
+            kwargs[field.name] = value
         if not kwargs.get("backend"):
             kwargs["backend"] = (
                 "event" if kwargs.get("kind") == "verify" else ""
@@ -293,7 +320,9 @@ def checkpoint_interruption(
     its ``with`` progress run, so the rows land before the run's
     ``RunInterrupted`` event. Without a ledger it does nothing.
     """
-    ledger = current_ledger()
+    from repro.observability.telemetry import telemetry
+
+    ledger = telemetry().ledger
     if not ledger.enabled:
         return
     ledger.append(record_interruption(
@@ -468,7 +497,8 @@ def _migrate(conn: sqlite3.Connection, from_version: int) -> None:
 
 
 class LedgerSchemaError(RuntimeError):
-    """The on-disk schema is newer than this build or not migratable."""
+    """A ledger or snapshot this build cannot read: a newer or unmigratable
+    schema, or a row whose fields do not have their types."""
 
 
 class RunLedger:
@@ -632,8 +662,9 @@ def load_jsonl(path: str) -> List[RunRecord]:
     """Read a JSONL snapshot (any schema version) into records.
 
     A line that is not a JSON object (undecodable, truncated, a list,
-    ``null``) or carries a newer schema version raises
-    :class:`LedgerSchemaError` naming the path and line number.
+    ``null``), carries a newer schema version or has a field of the
+    wrong type raises :class:`LedgerSchemaError` naming the path and
+    line number.
     """
     out: List[RunRecord] = []
     # Undecodable bytes become U+FFFD and fail the JSON parse below.
@@ -658,7 +689,10 @@ def load_jsonl(path: str) -> List[RunRecord]:
                     f"{where} has schema v{version}; this build reads at "
                     f"most v{SCHEMA_VERSION}"
                 )
-            out.append(RunRecord.from_dict(data))
+            try:
+                out.append(RunRecord.from_dict(data))
+            except LedgerSchemaError as exc:
+                raise LedgerSchemaError(f"{where}: {exc}") from None
     return out
 
 
@@ -895,23 +929,6 @@ class NullLedger:
 
 NULL_LEDGER = NullLedger()
 
-_current_ledger: ContextVar = ContextVar("repro_ledger", default=NULL_LEDGER)
-
-
-def current_ledger():
-    """The ambient ledger (a :class:`NullLedger` unless one is installed)."""
-    return _current_ledger.get()
-
-
-@contextmanager
-def use_ledger(ledger) -> Iterator[None]:
-    """Install ``ledger`` as the ambient run ledger for the enclosed block."""
-    token = _current_ledger.set(ledger)
-    try:
-        yield
-    finally:
-        _current_ledger.reset(token)
-
 
 __all__ = [
     "GATED_METRICS",
@@ -924,7 +941,6 @@ __all__ = [
     "RunRecord",
     "SCHEMA_VERSION",
     "checkpoint_interruption",
-    "current_ledger",
     "diff_records",
     "git_sha",
     "load_jsonl",
@@ -933,5 +949,4 @@ __all__ = [
     "record_from_verification",
     "record_interruption",
     "record_slow_request",
-    "use_ledger",
 ]

@@ -1,10 +1,11 @@
 """The metrics registry: counters, gauges and histograms with JSON and
 Prometheus-text exporters — zero dependencies, process-local.
 
-Like the tracer, metrics have an ambient instance (:func:`current_metrics`)
-that defaults to a no-op registry, so the instrumented hot path pays one
-contextvar read and a no-op method call when metrics are off. Install a
-real registry with :func:`use_metrics` (the CLI's ``--metrics`` does).
+Like the tracer, metrics have an ambient instance (``telemetry().metrics``,
+see :mod:`repro.observability.telemetry`) that defaults to a no-op
+registry, so the instrumented hot path pays one contextvar read and a
+no-op method call when metrics are off. Install a real registry with
+``use_telemetry(metrics=registry)`` (the CLI's ``--metrics`` does).
 
 Instrument names follow Prometheus conventions (``repro_engine_
 evaluations_total``, ``repro_engine_evaluate_seconds``); the text
@@ -17,9 +18,7 @@ from __future__ import annotations
 
 import bisect
 import json
-from contextlib import contextmanager
-from contextvars import ContextVar
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 #: Default histogram bucket upper bounds, in seconds: 1 us .. 30 s.
 DEFAULT_BUCKETS: Tuple[float, ...] = (
@@ -346,20 +345,3 @@ def _fmt(value: float) -> str:
 
 
 NULL_METRICS = NullMetricsRegistry()
-
-_current_metrics: ContextVar = ContextVar("repro_metrics", default=NULL_METRICS)
-
-
-def current_metrics():
-    """The ambient registry (a no-op unless one is installed)."""
-    return _current_metrics.get()
-
-
-@contextmanager
-def use_metrics(registry) -> Iterator[None]:
-    """Install ``registry`` as the ambient metrics sink for the block."""
-    token = _current_metrics.set(registry)
-    try:
-        yield
-    finally:
-        _current_metrics.reset(token)

@@ -20,11 +20,12 @@ best design so far?" through a typed event stream:
   threshold. Nothing in the package emits it today; it stays a readable
   event type so recorded streams that carry one still render.
 
-The plumbing mirrors the tracer/metrics/ledger pattern exactly: an
-ambient :func:`current_emitter` that defaults to the allocation-free
-:data:`NULL_EMITTER`, and scoped installation via :func:`use_emitter`.
+The emitter is ambient like the tracer, metrics and ledger:
+``telemetry().progress`` (see :mod:`repro.observability.telemetry`)
+defaults to the allocation-free :data:`NULL_EMITTER`, and
+``use_telemetry(progress=emitter)`` installs one for a block.
 Flows do not test ``emitter.enabled``: they open ``with
-current_emitter().start_run(...) as run:`` and call ``run.*``
+telemetry().progress.start_run(...) as run:`` and call ``run.*``
 unconditionally, and the null emitter hands back the shared
 :data:`NULL_RUN`, whose every method is a no-op. The disabled path
 (one contextvar read, a ``with`` and a few no-op calls) is bounded
@@ -46,8 +47,7 @@ import dataclasses
 import json
 import os
 import time
-from contextlib import contextmanager, nullcontext
-from contextvars import ContextVar
+from contextlib import nullcontext
 from typing import (
     Any,
     Callable,
@@ -443,7 +443,7 @@ class RunHandle:
 
     A handle is a context manager and that is how flows use it::
 
-        with current_emitter().start_run("mapper.search", unit="evals") as run:
+        with telemetry().progress.start_run("mapper.search", unit="evals") as run:
             ...
 
     A normal exit finishes the run; any exception (``KeyboardInterrupt``
@@ -788,23 +788,6 @@ class NullProgressEmitter:
 
 NULL_EMITTER = NullProgressEmitter()
 
-_current_emitter: ContextVar = ContextVar("repro_progress", default=NULL_EMITTER)
-
-
-def current_emitter():
-    """The ambient emitter (a no-op unless one is installed)."""
-    return _current_emitter.get()
-
-
-@contextmanager
-def use_emitter(emitter) -> Iterator[None]:
-    """Install ``emitter`` as the ambient event stream for the block."""
-    token = _current_emitter.set(emitter)
-    try:
-        yield
-    finally:
-        _current_emitter.reset(token)
-
 
 # --------------------------------------------------------------------- #
 # Sinks and sources
@@ -899,7 +882,10 @@ class MetricsSubscriber:
     ``repro_progress_active_workers`` (workers heard from within the
     stall threshold of the latest event), ``repro_progress_best_objective``
     and the run/unit/error totals. Wired automatically by the CLI when
-    both ``--metrics`` and an event stream are active.
+    both ``--metrics`` and an event stream are active. Campaign events
+    are not mirrored: the ``repro_campaign_*`` gauges have one writer,
+    :class:`~repro.observability.campaign.CampaignRecorder`, which also
+    runs without an event stream.
     """
 
     def __init__(
@@ -964,38 +950,6 @@ class MetricsSubscriber:
                 "repro_progress_worker_stalls_total",
                 "Heartbeat-loss warnings emitted.",
             ).inc()
-        elif isinstance(event, ConvergenceUpdate):
-            registry.gauge(
-                "repro_campaign_best_objective",
-                "Best objective found by the active search campaign.",
-            ).set(event.objective)
-            registry.gauge(
-                "repro_campaign_observed",
-                "Scored candidates observed by the active campaign.",
-            ).set(float(event.observed))
-            registry.gauge(
-                "repro_campaign_improvements",
-                "Incumbent improvements in the active campaign.",
-            ).set(float(event.improvements))
-            registry.gauge(
-                "repro_campaign_stagnation",
-                "Candidates since the incumbent last improved.",
-            ).set(float(event.since_improvement))
-        elif isinstance(event, ParetoFrontSnapshot):
-            registry.gauge(
-                "repro_campaign_pareto_size",
-                "Size of the latest recorded Pareto front.",
-            ).set(float(event.size))
-        elif isinstance(event, FunnelSnapshot):
-            for bucket in (
-                "enumerated", "deduped", "cache_hits",
-                "evaluated", "invalid", "dominated",
-            ):
-                registry.gauge(
-                    "repro_campaign_funnel",
-                    "Campaign candidate funnel, by terminal bucket.",
-                    labels={"bucket": bucket, "flow": event.flow},
-                ).set(float(getattr(event, bucket)))
 
 
 def console_subscriber(
@@ -1045,13 +999,11 @@ __all__ = [
     "STALL_THRESHOLD_S",
     "WorkerStalled",
     "console_subscriber",
-    "current_emitter",
     "event_from_dict",
     "event_to_dict",
     "follow_events",
     "format_event",
     "format_duration",
     "read_events",
-    "use_emitter",
     "worker_id",
 ]

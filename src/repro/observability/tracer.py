@@ -6,26 +6,24 @@ Design rules:
 
 * **Disabled is the default and costs (almost) nothing.** The ambient
   tracer is a process-wide :class:`NullTracer` singleton; instrumented
-  code does ``current_tracer()`` (one contextvar read) and enters a
-  shared no-op span. No record, no dict, no timestamps are allocated.
-  Attribute-heavy instrumentation must guard on ``tracer.enabled``.
+  code reads ``telemetry().tracer`` (one contextvar read, see
+  :mod:`repro.observability.telemetry`) and enters a shared no-op span.
+  No record, no dict, no timestamps are allocated. Attribute-heavy instrumentation must guard on ``tracer.enabled``.
 * **Spans are flat records, not nested objects.** The tree lives in
   parent links (:mod:`repro.observability.span`), so chunk-local tracers
   and the serve daemon can hand their records over and
   :meth:`Tracer.merge` grafts them — in order — under the caller's
   current span.
-* **Activation is scoped.** ``with use_tracer(tracer): ...`` installs a
-  tracer for the dynamic extent of a block (and the contextvar keeps
-  concurrent asyncio/thread users isolated).
+* **Activation is scoped.** ``with use_telemetry(tracer=tracer): ...``
+  installs a tracer for the dynamic extent of a block (and the contextvar
+  keeps concurrent asyncio/thread users isolated).
 """
 
 from __future__ import annotations
 
 import time
 import uuid
-from contextlib import contextmanager
-from contextvars import ContextVar
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.observability.span import (
     SpanNode,
@@ -91,8 +89,8 @@ _NULL_SPAN = NullSpan()
 class Tracer:
     """Collects hierarchical spans for one evaluation flow.
 
-    Use :func:`use_tracer` (or the CLI's ``--trace``) to make a tracer
-    ambient; instrumented code picks it up via :func:`current_tracer`.
+    Install it with ``use_telemetry(tracer=...)`` (or the CLI's
+    ``--trace``); instrumented code picks it up via ``telemetry().tracer``.
     Finished records accumulate in :attr:`records` in *start* order,
     which keeps sibling order deterministic.
     """
@@ -226,20 +224,3 @@ class NullTracer:
 
 
 NULL_TRACER = NullTracer()
-
-_current_tracer: ContextVar = ContextVar("repro_tracer", default=NULL_TRACER)
-
-
-def current_tracer():
-    """The ambient tracer (a :class:`NullTracer` unless one is installed)."""
-    return _current_tracer.get()
-
-
-@contextmanager
-def use_tracer(tracer) -> Iterator[None]:
-    """Install ``tracer`` as the ambient tracer for the enclosed block."""
-    token = _current_tracer.set(tracer)
-    try:
-        yield
-    finally:
-        _current_tracer.reset(token)

@@ -60,7 +60,7 @@ from repro.mapping.mapping import Mapping, MappingError
 from repro.mapping.serde import mapping_to_dict
 from repro.observability.distributed import inject_trace, spans_from_wire
 from repro.observability.stats import EngineStats
-from repro.observability.tracer import current_tracer
+from repro.observability.telemetry import telemetry
 from repro.serve import protocol
 from repro.serve.protocol import (
     ErrorResponse,
@@ -395,7 +395,7 @@ class RemoteEngine:
         it — yielding one stitched cross-process tree. With the no-op
         tracer the path is byte-identical to before tracing existed.
         """
-        tracer = current_tracer()
+        tracer = telemetry().tracer
         if not tracer.enabled:
             with self.stats.phase(phase):
                 response = self._transport.request(
@@ -485,7 +485,7 @@ class RemoteEngine:
         """
         mappings = list(mappings)
         self.stats.batches += 1
-        tracer = current_tracer()
+        tracer = telemetry().tracer
         if not tracer.enabled:
             return self._evaluate_burst(mappings, validate, with_energy, tracer)
         with tracer.span("remote.batch", url=self.url,

@@ -26,8 +26,11 @@ moving parts:
   :class:`~repro.serve.store.ResultStore` (warm rows from prior
   ledgers, or rows evaluated this boot), from an in-flight future, or
   from the kernel; every kernel result is written through to the
-  configured ledger so the *next* boot warm-starts from it.
-* **Health plane** — when a progress emitter is configured the daemon
+  ledger so the *next* boot warm-starts from it. The ledger and the
+  progress emitter are those of the ambient telemetry
+  (:func:`~repro.observability.telemetry.telemetry`) when the server
+  is constructed.
+* **Health plane** — when a progress emitter is installed the daemon
   opens one ``flow="serve"`` run and advances it per evaluation under
   the worker id ``kernel``, with periodic cache stats; ``repro-latency
   top EVENTS --follow`` watches a live server exactly like any other
@@ -88,10 +91,11 @@ from repro.observability.distributed import (
 )
 from repro.observability.ledger import record_interruption, record_slow_request
 from repro.observability.metrics import MetricsRegistry
-from repro.observability.progress import NULL_EMITTER, NULL_RUN
+from repro.observability.progress import NULL_RUN
 from repro.observability.span import SpanRecord
 from repro.observability.stats import EngineStats
-from repro.observability.tracer import NULL_TRACER, Tracer, use_tracer
+from repro.observability.telemetry import telemetry, use_telemetry
+from repro.observability.tracer import NULL_TRACER, Tracer
 from repro.serve import protocol
 from repro.serve.protocol import (
     ErrorResponse,
@@ -148,9 +152,7 @@ class ServerConfig:
     socket_path: Optional[str] = None
     queue_depth: int = 128
     name: str = "repro-serve"
-    ledger: Any = None                      # RunLedger (or None)
     warm_start: Tuple[str, ...] = ()        # prior ledger snapshots to index
-    emitter: Any = None                     # ProgressEmitter (or None)
     pre_evaluate_hook: Optional[Callable] = None
     admin_port: Optional[int] = None        # HTTP admin listener (None = off)
     slow_ms: Optional[float] = None         # slow-request threshold (None = off)
@@ -233,8 +235,11 @@ class EvaluationServer:
 
     def __init__(self, config: ServerConfig) -> None:
         self.config = config
+        # The ledger and progress stream are the ambient ones at
+        # construction; the request metrics below are the daemon's own.
+        self._telemetry = telemetry()
         self.stats = ServerStats()
-        self.store = ResultStore(config.ledger)
+        self.store = ResultStore(self._telemetry.ledger)
         self.engine_stats = EngineStats()
         self._preset_payload = preset_to_dict(config.preset)
         self._options_payload = protocol.options_to_dict(config.options)
@@ -302,8 +307,7 @@ class EvaluationServer:
             self.admin.start()
         # Last: started_ts > 0 is the "fully up" signal (readyz, tests).
         self.started_ts = time.time()
-        emitter = self.config.emitter or NULL_EMITTER
-        self._run = emitter.start_run(
+        self._run = self._telemetry.progress.start_run(
             "serve",
             total_units=None,
             unit="evals",
@@ -399,8 +403,8 @@ class EvaluationServer:
         await self._queue.put(None)  # sentinel: the worker exits after current work
         await asyncio.gather(self._worker, return_exceptions=True)
         self._fail_queued()  # producers that slipped in behind the sentinel
-        ledger = self.config.ledger
-        if interrupted and ledger is not None and ledger.enabled:
+        ledger = self._telemetry.ledger
+        if interrupted and ledger.enabled:
             ledger.append(record_interruption(
                 flow="serve",
                 done_units=self.stats.evaluations,
@@ -763,8 +767,8 @@ class EvaluationServer:
                 "repro_serve_slow_requests_total",
                 "Requests over the --slow-ms threshold.",
             ).inc()
-            ledger = self.config.ledger
-            if ledger is not None and ledger.enabled:
+            ledger = self._telemetry.ledger
+            if ledger.enabled:
                 ledger.append(record_slow_request(
                     accelerator_fp=phases.accel_fp,
                     mapping_fp=phases.mapping_fp,
@@ -945,7 +949,7 @@ class EvaluationServer:
         engine = self._engine_for(item)
         tracer = Tracer() if item.traced else NULL_TRACER
         t0 = time.perf_counter()
-        with use_tracer(tracer):
+        with use_telemetry(tracer=tracer):
             report = engine.evaluate(item.mapping, validate=item.validate)
             energy = engine.evaluate_energy(item.mapping) if item.with_energy else None
         return _Outcome(
@@ -1038,11 +1042,12 @@ class EvaluationServer:
         """The last few campaign rows in the daemon's ledger.
 
         Lets an operator see which search campaigns fed (or are feeding)
-        this daemon's store straight from ``/statusz``; live campaign
-        counters are on ``/metrics`` as ``repro_campaign_*`` gauges.
+        this daemon's store straight from ``/statusz``. Live campaign
+        gauges (``repro_campaign_*``) are in the ``--metrics`` output of
+        the flow that ran the campaign, not on this daemon's ``/metrics``.
         """
-        ledger = self.config.ledger
-        if ledger is None or not getattr(ledger, "enabled", False):
+        ledger = self._telemetry.ledger
+        if not ledger.enabled:
             return []
         from repro.observability.campaign import campaign_records
 

@@ -38,6 +38,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.core.report import LatencyReport
 from repro.core.step2 import ServedMemoryStall
 from repro.observability.ledger import (
+    NULL_LEDGER,
     LedgerSchemaError,
     RunRecord,
     load_snapshot,
@@ -96,7 +97,7 @@ class ResultStore:
     hash probe, never a kernel.
     """
 
-    def __init__(self, ledger=None) -> None:
+    def __init__(self, ledger=NULL_LEDGER) -> None:
         self._ledger = ledger
         self._lock = threading.Lock()
         #: key -> (record, warm) — ``warm`` marks rows inherited from a
@@ -170,7 +171,7 @@ class ResultStore:
         )
         with self._lock:
             self._index[key] = (record, False)
-        if self._ledger is not None and self._ledger.enabled:
+        if self._ledger.enabled:
             self._ledger.append(record)
         return record
 

@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.hardware.accelerator import Accelerator
 from repro.mapping.mapping import Mapping
-from repro.observability.tracer import current_tracer
+from repro.observability.telemetry import telemetry
 from repro.simulator.result import SimulationResult
 from repro.simulator.streams import JobStream, PortKey, build_streams
 from repro.simulator.trace import TraceRecorder
@@ -177,7 +177,7 @@ class CycleSimulator:
         simulator-validated runs show up in traces and HTML reports
         alongside the analytical model's spans.
         """
-        tracer = current_tracer()
+        tracer = telemetry().tracer
         with tracer.span("simulator.run") as span:
             result, stepped = self._execute()
             if tracer.enabled:

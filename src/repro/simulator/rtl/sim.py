@@ -46,7 +46,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.hardware.accelerator import Accelerator
 from repro.mapping.mapping import Mapping
-from repro.observability.tracer import current_tracer
+from repro.observability.telemetry import telemetry
 from repro.simulator.result import SimulationResult
 from repro.simulator.rtl.components import (
     MacArrayIssueStage,
@@ -120,7 +120,7 @@ class RtlSimulator:
 
     def run(self) -> RtlSimulationResult:
         """Execute the layer tick by tick and measure the timing."""
-        tracer = current_tracer()
+        tracer = telemetry().tracer
         with tracer.span("simulator.rtl.run") as span:
             result = self._execute()
             if tracer.enabled:

@@ -39,7 +39,7 @@ from repro.hardware.port import EndpointKind
 from repro.mapping.footprint import operand_footprint_elements
 from repro.mapping.loop import Loop, loops_product
 from repro.mapping.mapping import Mapping
-from repro.observability.tracer import current_tracer
+from repro.observability.telemetry import telemetry
 from repro.workload.operand import Operand
 
 PortKey = Tuple[str, str]
@@ -134,7 +134,7 @@ def build_streams(accelerator: Accelerator, mapping: Mapping) -> List[JobStream]
     allowed window, job count, traffic), so a trace shows what the
     simulator is about to contend over before any event executes.
     """
-    tracer = current_tracer()
+    tracer = telemetry().tracer
     with tracer.span("simulator.build_streams") as span:
         streams: List[JobStream] = []
         streams.extend(_refill_streams(accelerator, mapping))

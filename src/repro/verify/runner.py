@@ -21,8 +21,8 @@ import pathlib
 import time
 from typing import Dict, List, Optional, Tuple
 
-from repro.observability.ledger import current_ledger, record_from_verification
-from repro.observability.progress import current_emitter
+from repro.observability.ledger import record_from_verification
+from repro.observability.telemetry import telemetry
 from repro.verify.corpus import CorpusCase, case_to_dict, load_corpus
 from repro.verify.generators import Case, GeneratorConfig, iter_cases
 from repro.verify.properties import Tolerance, Violation, check_case
@@ -149,7 +149,8 @@ def run_verification(
     failures: List[ShrunkFailure] = []
     checked = 0
     total = (0 if corpus_only else max(examples, 0)) + len(corpus_cases)
-    with current_emitter().start_run(
+    t = telemetry()
+    with t.progress.start_run(
         "verify", total_units=total, unit="cases"
     ) as run:
         if corpus_cases:
@@ -209,7 +210,7 @@ def run_verification(
         wall_time_s=time.monotonic() - start,
         backend=backend,
     )
-    current_ledger().append(
+    t.ledger.append(
         record_from_verification(
             seed=seed,
             examples=summary.examples,

@@ -56,39 +56,58 @@ def _layer_type(raw: str) -> LayerType:
     return _TYPE_ALIASES[key]
 
 
+def _int(where: str, key: str, value: Any) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ImportError_(
+            f"{where}: {key} must be an integer, got {value!r}"
+        ) from None
+
+
 def layer_from_dict(data: Dict[str, Any]) -> LayerSpec:
     """Build one :class:`LayerSpec` from a JSON-style dict."""
+    if not isinstance(data, dict):
+        raise ImportError_(f"layer entry must be an object, got {data!r}")
     if "type" not in data or "dims" not in data:
         raise ImportError_(f"layer entry needs 'type' and 'dims': {data!r}")
+    where = f"layer {data.get('name', '?')!r}"
     layer_type = _layer_type(data["type"])
+    raw_dims = data["dims"]
+    precision_spec = data.get("precision") or {}
+    for key, value in (("dims", raw_dims), ("precision", precision_spec)):
+        if not isinstance(value, dict):
+            raise ImportError_(f"{where}: {key!r} must be an object, got {value!r}")
     dims: Dict[LoopDim, int] = {}
-    for key, value in dict(data["dims"]).items():
+    for key, value in raw_dims.items():
         try:
-            dims[LoopDim(str(key).upper())] = int(value)
-        except ValueError as exc:
-            raise ImportError_(f"unknown loop dim {key!r}") from exc
+            dim = LoopDim(str(key).upper())
+        except ValueError:
+            raise ImportError_(f"{where}: unknown loop dim {key!r}") from None
+        dims[dim] = _int(where, f"dims.{key}", value)
 
-    stride = int(data.get("stride", 1))
-    dilation = int(data.get("dilation", 1))
-    precision_spec = data.get("precision")
-    precision = (
-        Precision(**{k: int(v) for k, v in precision_spec.items()})
-        if precision_spec
-        else Precision()
-    )
+    stride = _int(where, "stride", data.get("stride", 1))
+    dilation = _int(where, "dilation", data.get("dilation", 1))
+    geometry = {
+        key: _int(where, key, data.get(key, default))
+        for key, default in (
+            ("stride_x", stride), ("stride_y", stride),
+            ("dilation_x", dilation), ("dilation_y", dilation),
+        )
+    }
+    precision = {
+        k: _int(where, f"precision.{k}", v) for k, v in precision_spec.items()
+    }
     try:
         return LayerSpec(
             layer_type,
             dims,
-            stride_x=int(data.get("stride_x", stride)),
-            stride_y=int(data.get("stride_y", stride)),
-            dilation_x=int(data.get("dilation_x", dilation)),
-            dilation_y=int(data.get("dilation_y", dilation)),
-            precision=precision,
+            **geometry,
+            precision=Precision(**precision),
             name=data.get("name"),
         )
     except (TypeError, ValueError) as exc:
-        raise ImportError_(f"bad layer {data.get('name', '?')!r}: {exc}") from exc
+        raise ImportError_(f"bad {where}: {exc}") from exc
 
 
 def layers_from_list(entries: Sequence[Dict[str, Any]]) -> List[LayerSpec]:

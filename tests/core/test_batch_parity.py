@@ -19,7 +19,7 @@ from repro.core.step1 import ModelOptions
 from repro.dse.mapper import MapperConfig, TemporalMapper
 from repro.engine import EvaluationEngine
 from repro.hardware.presets import case_study_accelerator, shared_lb_accelerator
-from repro.observability import Tracer, tree_shape, use_tracer
+from repro.observability import Tracer, tree_shape, use_telemetry
 from repro.verify.corpus import load_corpus
 from repro.verify.generators import sample_cases
 from repro.verify.properties import check_case
@@ -185,11 +185,11 @@ def test_traced_chunk_has_the_reference_trace_shape(small_layer, validate):
     )
     engine = EvaluationEngine(accelerator, use_cache=False, chunk_size=len(mappings))
     chunk = Tracer()
-    with use_tracer(chunk):
+    with use_telemetry(tracer=chunk):
         outcomes = engine.evaluate_many(mappings, validate=validate)
     reference = Tracer()
     model = LatencyModel(accelerator)
-    with use_tracer(reference):
+    with use_telemetry(tracer=reference):
         for mapping, outcome in zip(mappings, outcomes):
             if outcome is not None:
                 model.evaluate(mapping, validate=False)

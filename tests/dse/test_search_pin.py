@@ -19,7 +19,8 @@ import pytest
 
 from repro.dse.mapper import MapperConfig, TemporalMapper
 from repro.hardware.presets import case_study_accelerator, inhouse_accelerator
-from repro.observability.campaign import CampaignRecorder, use_campaign
+from repro.observability.campaign import CampaignRecorder
+from repro.observability.telemetry import use_telemetry
 from repro.workload.dims import LoopDim
 from repro.workload.generator import dense_layer
 from repro.workload.layer import LayerSpec, LayerType
@@ -81,7 +82,7 @@ def _mapper(name):
 def test_candidate_stream_is_pinned(name):
     mapper, layer = _mapper(name)
     campaign = CampaignRecorder("pin", clock=lambda: 0.0)
-    with use_campaign(campaign):
+    with use_telemetry(campaign=campaign):
         fingerprints = [m.fingerprint() for m in mapper.mappings(layer)]
     funnel = campaign.phase("mapper")
     emitted, digest, first, enumerated, provenance, skipped = PINNED[name]

@@ -8,10 +8,16 @@ rows that the CLI gate compares across commits.
 """
 
 import pathlib
+import re
 
 import pytest
 
-from repro.observability import MetricsRegistry, ProgressEmitter, use_metrics
+from repro.observability import (
+    MetricsRegistry,
+    ProgressEmitter,
+    telemetry,
+    use_telemetry,
+)
 from repro.observability.campaign import (
     NULL_CAMPAIGN,
     PROVENANCE_BUCKETS,
@@ -19,18 +25,15 @@ from repro.observability.campaign import (
     PhaseFunnel,
     campaign_records,
     compare_campaigns,
-    current_campaign,
     gate_campaigns,
     phase_records,
     select_campaign,
-    use_campaign,
 )
 from repro.observability.ledger import RunLedger, RunRecord
 from repro.observability.progress import (
     ConvergenceUpdate,
     FunnelSnapshot,
     ParetoFrontSnapshot,
-    use_emitter,
 )
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -124,7 +127,7 @@ def test_recorder_emits_convergence_pareto_and_funnel_events():
     events = []
     emitter.subscribe(events.append)
     campaign = CampaignRecorder("evt", stagnation_after=2, clock=lambda: 0.0)
-    with use_emitter(emitter):
+    with use_telemetry(progress=emitter):
         campaign.observe(10.0)           # improvement -> event
         campaign.observe(11.0)           # no event
         campaign.observe(11.0)           # stagnation trips -> one event
@@ -149,7 +152,7 @@ def test_recorder_emits_convergence_pareto_and_funnel_events():
 def test_recorder_syncs_metrics_gauges():
     registry = MetricsRegistry()
     campaign = CampaignRecorder("m", clock=lambda: 0.0)
-    with use_metrics(registry):
+    with use_telemetry(metrics=registry):
         campaign.observe(42.0)
         campaign.phase("mapper").admit(2)
         campaign.phase("mapper").retain(1)
@@ -162,22 +165,36 @@ def test_recorder_syncs_metrics_gauges():
     assert 'repro_campaign_funnel{bucket="dominated"} 1' in text
 
 
-def test_metrics_subscriber_mirrors_campaign_events():
-    registry = MetricsRegistry()
+def test_campaign_gauges_have_one_writer_and_one_label_set():
+    """With the ambient registry and a MetricsSubscriber both active, every
+    ``repro_campaign_*`` gauge is written by the recorder alone: one label
+    set per gauge, so ``sum by (bucket)`` counts each candidate once."""
     from repro.observability import MetricsSubscriber
 
+    registry = MetricsRegistry()
     emitter = ProgressEmitter()
     emitter.subscribe(MetricsSubscriber(registry))
     campaign = CampaignRecorder("sub", clock=lambda: 0.0)
-    with use_emitter(emitter):
+    with use_telemetry(metrics=registry, progress=emitter):
         campaign.observe(7.0)
         campaign.phase("arch_search").admit(3)
         campaign.phase("arch_search").retain(3)
+        campaign.pareto_snapshot("arch_search", [(1.0, 2.0)])
         campaign.finish()
-    text = registry.to_prometheus()
-    assert "repro_campaign_best_objective 7" in text
-    assert ('repro_campaign_funnel{bucket="evaluated",flow="arch_search"} 3'
-            in text)
+    series = [line for line in registry.to_prometheus().splitlines()
+              if line.startswith("repro_campaign_")]
+    label_sets: dict = {}
+    for line in series:
+        name, labels = re.match(r"(\w+)(?:\{(.*)\})? ", line).groups()
+        keys = tuple(sorted(re.findall(r'(\w+)="', labels or "")))
+        label_sets.setdefault(name, set()).add(keys)
+    assert all(len(keys) == 1 for keys in label_sets.values()), label_sets
+    assert label_sets["repro_campaign_funnel"] == {("bucket",)}
+    funnel = [line for line in series if line.startswith("repro_campaign_funnel")]
+    assert len(funnel) == 6
+    assert 'repro_campaign_funnel{bucket="evaluated"} 3' in series
+    assert "repro_campaign_best_objective 7" in series
+    assert "repro_campaign_pareto_size 1" in series
 
 
 # --------------------------------------------------------------------- #
@@ -233,7 +250,7 @@ def test_partial_flush_marks_rows(tmp_path):
 
 
 def test_ambient_default_is_null_campaign():
-    assert current_campaign() is NULL_CAMPAIGN
+    assert telemetry().campaign is NULL_CAMPAIGN
     assert not NULL_CAMPAIGN.enabled
     # The null funnel swallows everything without accounting.
     funnel = NULL_CAMPAIGN.phase("mapper")
@@ -246,9 +263,9 @@ def test_ambient_default_is_null_campaign():
 
 def test_use_campaign_installs_and_restores():
     campaign = CampaignRecorder("scoped")
-    with use_campaign(campaign):
-        assert current_campaign() is campaign
-    assert current_campaign() is NULL_CAMPAIGN
+    with use_telemetry(campaign=campaign):
+        assert telemetry().campaign is campaign
+    assert telemetry().campaign is NULL_CAMPAIGN
 
 
 def test_summary_line_mentions_name_state_and_best():
@@ -270,7 +287,7 @@ def test_mapper_search_funnel_conserves(case_preset, small_layer):
         MapperConfig(max_enumerated=40, samples=30, keep_top=5),
     )
     campaign = CampaignRecorder("mapper-flow")
-    with use_campaign(campaign):
+    with use_telemetry(campaign=campaign):
         results = mapper.search(small_layer)
     funnel = campaign.phases["mapper"]
     assert funnel.conserved
@@ -292,7 +309,7 @@ def test_mapper_rerun_hits_cache_and_counts_memoized(case_preset, small_layer):
         MapperConfig(max_enumerated=30, samples=20),
     )
     campaign = CampaignRecorder("memo-flow")
-    with use_campaign(campaign):
+    with use_telemetry(campaign=campaign):
         mapper.best_mapping(small_layer)
         mapper.best_mapping(small_layer)   # memoized whole-search result
     assert campaign.memoized_searches == 1
@@ -312,7 +329,7 @@ def test_local_search_funnel_conserves(case_preset, small_layer):
         mapper, LocalSearchConfig(restarts=2, max_steps=20)
     )
     campaign = CampaignRecorder("local-flow")
-    with use_campaign(campaign):
+    with use_telemetry(campaign=campaign):
         outcome = search.search(small_layer)
     funnel = campaign.phases["local_search"]
     assert funnel.conserved
@@ -331,7 +348,7 @@ def test_spatial_search_funnel_conserves(case_preset, small_layer):
         ),
     )
     campaign = CampaignRecorder("spatial-flow")
-    with use_campaign(campaign):
+    with use_telemetry(campaign=campaign):
         results = search.search(small_layer)
     funnel = campaign.phases["spatial_search"]
     assert funnel.conserved
@@ -352,7 +369,7 @@ def test_arch_search_funnel_conserves_and_snapshots_front(small_layer):
         mapper_config=MapperConfig(max_enumerated=20, samples=10, keep_top=1),
     )
     campaign = CampaignRecorder("arch-flow")
-    with use_campaign(campaign):
+    with use_telemetry(campaign=campaign):
         points = ArchSearch(config).evaluate(small_layer)
     funnel = campaign.phases["arch_search"]
     assert funnel.conserved
@@ -377,7 +394,7 @@ def test_bw_unaware_arch_search_classifies_baseline_scored(small_layer):
         mapper_config=MapperConfig(max_enumerated=15, samples=8, keep_top=1),
     )
     campaign = CampaignRecorder("bw-unaware-flow")
-    with use_campaign(campaign):
+    with use_telemetry(campaign=campaign):
         ArchSearch(config).evaluate(small_layer)
     assert campaign.phases["mapper"].conserved
     assert campaign.phases["arch_search"].conserved
@@ -394,7 +411,7 @@ def test_network_funnel_conserves(case_preset):
         mapper_config=MapperConfig(max_enumerated=20, samples=10),
     )
     campaign = CampaignRecorder("net-flow")
-    with use_campaign(campaign):
+    with use_telemetry(campaign=campaign):
         result = evaluator.evaluate(hand_tracking_layers(limit=2))
     funnel = campaign.phases["network"]
     assert funnel.conserved
@@ -406,7 +423,6 @@ def test_engine_stamps_campaign_on_evaluation_rows(
     tmp_path, case_preset, small_layer
 ):
     from repro.dse.mapper import MapperConfig, TemporalMapper
-    from repro.observability.ledger import use_ledger
 
     mapper = TemporalMapper(
         case_preset.accelerator,
@@ -415,7 +431,7 @@ def test_engine_stamps_campaign_on_evaluation_rows(
     )
     campaign = CampaignRecorder("stamped")
     with RunLedger(str(tmp_path / "runs.sqlite")) as ledger:
-        with use_ledger(ledger), use_campaign(campaign):
+        with use_telemetry(ledger=ledger, campaign=campaign):
             mapper.best_mapping(small_layer)
         rows = ledger.records(kind="evaluation")
     assert rows and all(r.campaign == "stamped" for r in rows)

@@ -16,7 +16,8 @@ from repro.observability.distributed import (
     spans_to_wire,
 )
 from repro.observability.span import SpanRecord, span_tree
-from repro.observability.tracer import Tracer, current_tracer, use_tracer
+from repro.observability.telemetry import telemetry, use_telemetry
+from repro.observability.tracer import Tracer
 
 
 # --------------------------------------------------------------------- #
@@ -25,15 +26,15 @@ from repro.observability.tracer import Tracer, current_tracer, use_tracer
 
 def test_inject_is_none_without_ambient_tracer():
     """The disabled path: no dict, no wire field, nothing allocated."""
-    assert current_tracer().enabled is False
+    assert telemetry().tracer.enabled is False
     assert inject_trace() is None
-    assert current_tracer().current_span_id() is None
-    assert current_tracer().trace_id == ""
+    assert telemetry().tracer.current_span_id() is None
+    assert telemetry().tracer.trace_id == ""
 
 
 def test_inject_extract_roundtrip_carries_open_span():
     tracer = Tracer()
-    with use_tracer(tracer):
+    with use_telemetry(tracer=tracer):
         with tracer.span("remote.evaluate"):
             payload = inject_trace()
             open_id = tracer.current_span_id()
@@ -48,7 +49,7 @@ def test_inject_extract_roundtrip_carries_open_span():
 
 def test_inject_outside_any_span_uses_zero_span_id():
     tracer = Tracer(trace_id="abcd")
-    with use_tracer(tracer):
+    with use_telemetry(tracer=tracer):
         payload = inject_trace()
     assert payload == {"trace_id": "abcd", "span_id": 0, "sampled": True}
 

@@ -37,13 +37,12 @@ from repro.dse.mapper import MapperConfig, TemporalMapper
 from repro.engine import EvaluationEngine
 from repro.hardware.pool import MemoryPool
 from repro.hardware.presets import KB, case_study_accelerator
-from repro.observability.campaign import CampaignRecorder, use_campaign
-from repro.observability.ledger import use_ledger
+from repro.observability.campaign import CampaignRecorder
 from repro.observability.progress import (
     ProgressEmitter,
     event_to_dict,
-    use_emitter,
 )
+from repro.observability.telemetry import use_telemetry
 from repro.workload.generator import dense_layer
 
 CORPUS = pathlib.Path(__file__).parents[1] / "verify" / "corpus"
@@ -276,8 +275,8 @@ def record_flow(flow: str, mode: str, monkeypatch, tmp_path) -> dict:
             emitter.subscribe(events.append)
             ledger = ListLedger()
             campaign = CampaignRecorder("pin", clock=FakeClock())
-            with use_emitter(emitter), use_ledger(ledger), \
-                    use_campaign(campaign):
+            with use_telemetry(progress=emitter, ledger=ledger,
+                               campaign=campaign):
                 try:
                     outcome = run()
                 except KeyboardInterrupt:

@@ -18,12 +18,11 @@ from repro.observability.ledger import (
     RunRecord,
     SCHEMA_VERSION,
     _create_v1,
-    current_ledger,
     diff_records,
     load_jsonl,
     load_snapshot,
-    use_ledger,
 )
+from repro.observability.telemetry import telemetry, use_telemetry
 
 
 def make_record(**overrides) -> RunRecord:
@@ -314,12 +313,40 @@ def test_v1_jsonl_line_loads_with_defaults(tmp_path):
     assert rec.label == "" and rec.ss_comb == {} and rec.extra == {}
 
 
+def test_null_columns_of_a_migrated_ledger_read_as_defaults(tmp_path):
+    """A v1 row leaves most columns NULL; they read back as the field
+    defaults, so its JSONL export loads and diffs like any snapshot."""
+    path = str(tmp_path / "old.sqlite")
+    conn = sqlite3.connect(path)
+    _create_v1(conn)
+    conn.execute(
+        "INSERT INTO runs (kind, ts, accelerator, layer, ss_overall, extra_json)"
+        " VALUES ('evaluation', 1.0, 'chip', 'L', 42.0, '{}')"
+    )
+    conn.commit()
+    conn.close()
+    snap = str(tmp_path / "old.jsonl")
+    with RunLedger(path) as ledger:
+        (rec,) = ledger.records()
+        ledger.export_jsonl(snap)
+    assert rec.cc_ideal == 0.0 and rec.mapping_fp == "" and rec.cache_hit is None
+    assert load_jsonl(snap) == [rec]
+    assert diff_records([rec], load_jsonl(snap)).clean
+
+
 @pytest.mark.parametrize("bad, says", [
     ("[1,2]", "not a JSON object"),
     ("null", "not a JSON object"),
     ('"text"', "not a JSON object"),
     ('{"kind": "evaluation", "ss_ov', "not JSON"),
     ('{"v": "two", "kind": "evaluation"}', "schema version"),
+    ('{"v": 4, "kind": "evaluation", "total_cycles": "abc"}', "'total_cycles'"),
+    ('{"v": 4, "kind": "evaluation", "ss_comb": [1, 2]}', "'ss_comb'"),
+    ('{"kind": "evaluation", "ss_comb": {"W@LB": "x"}}', "'ss_comb'"),
+    ('{"kind": "evaluation", "label": 5}', "'label'"),
+    ('{"kind": "evaluation", "scenario": true}', "'scenario'"),
+    ('{"kind": "evaluation", "cache_hit": 1}', "'cache_hit'"),
+    ('{"kind": "evaluation", "extra": [1]}', "'extra'"),
 ])
 def test_hostile_jsonl_line_is_a_typed_error_naming_the_line(tmp_path, bad, says):
     snap = tmp_path / "hostile.jsonl"
@@ -422,7 +449,7 @@ def test_diff_describe_mentions_drift():
 
 
 def test_ambient_default_is_null():
-    assert current_ledger() is NULL_LEDGER
+    assert telemetry().ledger is NULL_LEDGER
     assert not NULL_LEDGER.enabled
     NULL_LEDGER.append(make_record())  # accepted and dropped
     assert len(NULL_LEDGER) == 0 and NULL_LEDGER.records() == []
@@ -430,9 +457,9 @@ def test_ambient_default_is_null():
 
 def test_use_ledger_installs_and_restores(tmp_path):
     with RunLedger(str(tmp_path / "runs.sqlite")) as ledger:
-        with use_ledger(ledger):
-            assert current_ledger() is ledger
-        assert current_ledger() is NULL_LEDGER
+        with use_telemetry(ledger=ledger):
+            assert telemetry().ledger is ledger
+        assert telemetry().ledger is NULL_LEDGER
 
 
 def test_engine_writes_evaluations_and_cache_hits(tmp_path, case_preset, small_layer):
@@ -452,7 +479,7 @@ def test_engine_writes_evaluations_and_cache_hits(tmp_path, case_preset, small_l
 
     engine = EvaluationEngine.from_preset(case_preset)
     with RunLedger(str(tmp_path / "runs.sqlite")) as ledger:
-        with use_ledger(ledger):
+        with use_telemetry(ledger=ledger):
             reports = engine.evaluate_many(mappings)
             engine.evaluate(mappings[0])          # cache hit
         rows = ledger.records()

@@ -16,8 +16,8 @@ from repro.observability import (
     RunFinished,
     RunStarted,
     WorkerStalled,
-    current_metrics,
-    use_metrics,
+    telemetry,
+    use_telemetry,
 )
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -166,7 +166,7 @@ def test_json_snapshot_roundtrips():
 
 
 def test_null_registry_is_inert_and_ambient_by_default():
-    assert current_metrics() is NULL_METRICS
+    assert telemetry().metrics is NULL_METRICS
     null = NullMetricsRegistry()
     null.counter("c").inc()
     null.gauge("g").set(1.0)
@@ -177,8 +177,8 @@ def test_null_registry_is_inert_and_ambient_by_default():
 
 def test_use_metrics_scopes_installation():
     registry = MetricsRegistry()
-    with use_metrics(registry):
-        assert current_metrics() is registry
-        current_metrics().counter("seen").inc()
-    assert current_metrics() is NULL_METRICS
+    with use_telemetry(metrics=registry):
+        assert telemetry().metrics is registry
+        telemetry().metrics.counter("seen").inc()
+    assert telemetry().metrics is NULL_METRICS
     assert registry.counter("seen").value == 1

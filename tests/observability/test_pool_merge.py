@@ -6,7 +6,7 @@ import pytest
 from repro.dse.mapper import MapperConfig, TemporalMapper
 from repro.engine import EvaluationEngine
 from repro.hardware.presets import case_study_accelerator
-from repro.observability import Tracer, find_spans, tree_shape, use_tracer
+from repro.observability import Tracer, find_spans, tree_shape, use_telemetry
 from repro.workload.generator import dense_layer
 
 
@@ -27,7 +27,7 @@ def mappings(preset):
 
 def _traced_batch(engine, mappings):
     tracer = Tracer()
-    with use_tracer(tracer):
+    with use_telemetry(tracer=tracer):
         outcomes = engine.evaluate_many(mappings, validate=False)
     return outcomes, tracer
 

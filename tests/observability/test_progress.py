@@ -18,12 +18,12 @@ from repro.observability import (
     RunInterrupted,
     RunStarted,
     WorkerStalled,
-    current_emitter,
     event_from_dict,
     event_to_dict,
     follow_events,
     read_events,
-    use_emitter,
+    telemetry,
+    use_telemetry,
 )
 from repro.observability.progress import (
     EtaEstimator,
@@ -150,12 +150,12 @@ def test_emit_stamps_ts_only_when_unset():
 
 
 def test_ambient_default_is_null_and_use_emitter_scopes():
-    assert current_emitter() is NULL_EMITTER
+    assert telemetry().progress is NULL_EMITTER
     assert not NULL_EMITTER.enabled
     emitter = ProgressEmitter()
-    with use_emitter(emitter):
-        assert current_emitter() is emitter
-    assert current_emitter() is NULL_EMITTER
+    with use_telemetry(progress=emitter):
+        assert telemetry().progress is emitter
+    assert telemetry().progress is NULL_EMITTER
 
 
 def test_null_emitter_and_null_run_are_inert():
@@ -241,7 +241,7 @@ def test_failed_search_closes_its_run_and_later_batches_open_their_own(
         raise RuntimeError("kernel failed")
 
     emitter, events, _ = collecting_emitter()
-    with use_emitter(emitter):
+    with use_telemetry(progress=emitter):
         monkeypatch.setattr(EvaluationEngine, "evaluate_many", broken)
         with pytest.raises(RuntimeError):
             mapper.search(layer)

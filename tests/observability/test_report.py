@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.model import LatencyModel
 from repro.dse.mapper import MapperConfig, TemporalMapper
-from repro.observability import Tracer, reconcile_ss_overall, use_tracer
+from repro.observability import Tracer, reconcile_ss_overall, use_telemetry
 from repro.observability.ledger import RunRecord, record_from_report
 from repro.observability.report import (
     read_report_data,
@@ -35,7 +35,7 @@ def traced():
     )
     mapping = mapper.best_mapping(layer).mapping
     tracer = Tracer()
-    with use_tracer(tracer):
+    with use_telemetry(tracer=tracer):
         report = LatencyModel(preset.accelerator).evaluate(mapping)
     return report, tracer
 
@@ -107,7 +107,7 @@ def test_report_includes_simulator_section_when_traced(case_preset, small_layer)
     )
     mapping = mapper.best_mapping(small_layer).mapping
     tracer = Tracer()
-    with use_tracer(tracer):
+    with use_telemetry(tracer=tracer):
         LatencyModel(case_preset.accelerator).evaluate(mapping)
         result = CycleSimulator(case_preset.accelerator, mapping).run()
     html = render_report(tracer.records)

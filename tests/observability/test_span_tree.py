@@ -15,7 +15,7 @@ from repro.observability import (
     find_spans,
     per_dtl_stalls,
     reconcile_ss_overall,
-    use_tracer,
+    use_telemetry,
 )
 
 
@@ -34,7 +34,7 @@ def traced():
     )
     mapping = mapper.best_mapping(layer).mapping
     tracer = Tracer()
-    with use_tracer(tracer):
+    with use_telemetry(tracer=tracer):
         report = LatencyModel(preset.accelerator).evaluate(mapping)
     return report, tracer
 
@@ -123,7 +123,7 @@ def test_noop_tracer_parity(case_preset, small_layer):
     model = LatencyModel(case_preset.accelerator)
 
     plain = model.evaluate(mapping)
-    with use_tracer(Tracer()):
+    with use_telemetry(tracer=Tracer()):
         traced = model.evaluate(mapping)
 
     assert traced.total_cycles == plain.total_cycles

@@ -7,10 +7,10 @@ from repro.observability import (
     NullTracer,
     SpanRecord,
     Tracer,
-    current_tracer,
     span_tree,
+    telemetry,
     tree_shape,
-    use_tracer,
+    use_telemetry,
 )
 
 
@@ -105,18 +105,18 @@ def test_tree_shape_ignores_timestamps():
 
 
 def test_ambient_default_is_null():
-    assert current_tracer() is NULL_TRACER
-    assert not current_tracer().enabled
+    assert telemetry().tracer is NULL_TRACER
+    assert not telemetry().tracer.enabled
 
 
 def test_use_tracer_scopes_installation():
     tracer = Tracer()
-    with use_tracer(tracer):
-        assert current_tracer() is tracer
-        with use_tracer(NULL_TRACER):
-            assert current_tracer() is NULL_TRACER
-        assert current_tracer() is tracer
-    assert current_tracer() is NULL_TRACER
+    with use_telemetry(tracer=tracer):
+        assert telemetry().tracer is tracer
+        with use_telemetry(tracer=NULL_TRACER):
+            assert telemetry().tracer is NULL_TRACER
+        assert telemetry().tracer is tracer
+    assert telemetry().tracer is NULL_TRACER
 
 
 def test_null_tracer_records_nothing():

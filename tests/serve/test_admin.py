@@ -9,6 +9,7 @@ import urllib.error
 import urllib.request
 
 from repro.observability.ledger import RunLedger, load_snapshot
+from repro.observability.telemetry import use_telemetry
 from repro.serve import connect
 from repro.verify.generators import sample_cases
 
@@ -148,9 +149,8 @@ def test_statusz_reports_identity_queue_store_and_slow_log(
     make_server, tmp_path
 ):
     ledger_path = str(tmp_path / "serve.sqlite")
-    handle = make_server(
-        admin_port=0, slow_ms=0.0, ledger=RunLedger(ledger_path)
-    )
+    with use_telemetry(ledger=RunLedger(ledger_path)):
+        handle = make_server(admin_port=0, slow_ms=0.0)
     answered = _evaluate_some(handle.url, _cases())
     status, content_type, body = _get(handle.server.admin.url, "/statusz")
     assert status == 200 and content_type.startswith("application/json")

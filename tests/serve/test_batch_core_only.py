@@ -13,7 +13,7 @@ from repro.core.model import LatencyModel
 from repro.dse.mapper import MapperConfig, TemporalMapper
 from repro.engine import EvaluationEngine
 from repro.hardware.presets import case_study_accelerator
-from repro.observability import Tracer, find_spans, use_tracer
+from repro.observability import Tracer, find_spans, use_telemetry
 from repro.serve import connect
 from repro.workload.generator import dense_layer
 
@@ -50,7 +50,7 @@ def test_engine_paths_never_run_the_scalar_kernel(mappings, reference, no_scalar
     assert [engine.evaluate(m) for m in mappings] == reference
     untraced = engine.evaluate_many(mappings)
     tracer = Tracer()
-    with use_tracer(tracer):
+    with use_telemetry(tracer=tracer):
         traced = engine.evaluate_many(mappings)
     assert [o.report.total_cycles for o in untraced] == [
         r.total_cycles for r in reference
@@ -64,7 +64,7 @@ def test_a_traced_served_request_never_runs_the_scalar_kernel(
 ):
     handle = make_server()
     tracer = Tracer()
-    with use_tracer(tracer), connect(handle.url, use_cache=False) as client:
+    with use_telemetry(tracer=tracer), connect(handle.url, use_cache=False) as client:
         report = client.evaluate(mappings[0])
     assert report.total_cycles == reference[0].total_cycles
     (span,) = find_spans(tracer.records, "model.evaluate")

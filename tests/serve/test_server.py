@@ -24,7 +24,8 @@ from repro.hardware.presets import KB, build_accelerator, case_study_accelerator
 from repro.mapping.mapping import MappingError
 from repro.observability.ledger import RunLedger, load_snapshot
 from repro.observability.span import span_tree
-from repro.observability.tracer import Tracer, use_tracer
+from repro.observability.telemetry import use_telemetry
+from repro.observability.tracer import Tracer
 from repro.serve import (
     EvaluationServer,
     RemoteEvaluationError,
@@ -303,7 +304,8 @@ def test_architecture_sweep_keeps_the_engine_table_bounded(make_server):
 
 def test_restarted_daemon_answers_from_prior_ledger(make_server, tmp_path):
     ledger_path = str(tmp_path / "serve.sqlite")
-    first = make_server(ledger=RunLedger(ledger_path))
+    with use_telemetry(ledger=RunLedger(ledger_path)):
+        first = make_server()
     client = connect(first.url)
     evaluated = []
     for case in sample_cases(seed=11, count=6):
@@ -349,9 +351,8 @@ def test_drain_fails_queued_work_cleanly_and_ledgers_interruption(
         assert gate.wait(timeout=30)
 
     ledger_path = str(tmp_path / "serve.sqlite")
-    handle = make_server(
-        pre_evaluate_hook=hook, ledger=RunLedger(ledger_path)
-    )
+    with use_telemetry(ledger=RunLedger(ledger_path)):
+        handle = make_server(pre_evaluate_hook=hook)
     cases = [
         case for case in sample_cases(seed=11, count=6)
     ]
@@ -488,7 +489,7 @@ def test_a_queued_burst_runs_as_one_batch(make_server):
 
     def run_traced():
         tracer = Tracer()
-        with use_tracer(tracer), connect(handle.url) as client:
+        with use_telemetry(tracer=tracer), connect(handle.url) as client:
             results["traced"] = client.evaluate(traced_mapping)
         tracers.append(tracer)
 
@@ -797,7 +798,8 @@ def test_health_plane_emits_a_serve_run(make_server, tmp_path):
     events_path = tmp_path / "events.jsonl"
     emitter = ProgressEmitter()
     emitter.subscribe(JsonlSink(str(events_path)))
-    handle = make_server(emitter=emitter)
+    with use_telemetry(progress=emitter):
+        handle = make_server()
     client = connect(handle.url)
     case = next(iter(sample_cases(seed=11, count=1)))
     client.derive(accelerator=case.accelerator).evaluate(case.mapping)

@@ -11,7 +11,8 @@ in-process trace of the same mapping.
 
 from repro.engine import EvaluationEngine
 from repro.observability.span import SpanNode, span_tree
-from repro.observability.tracer import Tracer, use_tracer
+from repro.observability.telemetry import telemetry, use_telemetry
+from repro.observability.tracer import Tracer
 from repro.serve import connect
 from repro.verify.generators import sample_cases
 
@@ -42,7 +43,7 @@ def _single_root(tracer):
 def test_remote_evaluate_stitches_one_cross_process_tree(server):
     case = _case()
     tracer = Tracer()
-    with use_tracer(tracer):
+    with use_telemetry(tracer=tracer):
         client = connect(server.url)
         client.derive(accelerator=case.accelerator).evaluate(case.mapping)
         client.close()
@@ -73,7 +74,7 @@ def test_stitched_kernel_subtree_matches_in_process_trace(server):
     case = _case()
 
     local_tracer = Tracer()
-    with use_tracer(local_tracer):
+    with use_telemetry(tracer=local_tracer):
         EvaluationEngine(case.accelerator).evaluate(
             case.mapping
         )
@@ -81,7 +82,7 @@ def test_stitched_kernel_subtree_matches_in_process_trace(server):
     assert [r.name for r in local_roots] == ["engine.evaluate"]
 
     remote_tracer = Tracer()
-    with use_tracer(remote_tracer):
+    with use_telemetry(tracer=remote_tracer):
         client = connect(server.url)
         client.derive(accelerator=case.accelerator).evaluate(case.mapping)
         client.close()
@@ -93,7 +94,7 @@ def test_stitched_kernel_subtree_matches_in_process_trace(server):
 def test_repeat_request_is_a_store_hit_span(server):
     case = _case()
     tracer = Tracer()
-    with use_tracer(tracer):
+    with use_telemetry(tracer=tracer):
         # No client LRU: the repeat must hit the wire and the *store*.
         client = connect(server.url, use_cache=False)
         remote = client.derive(accelerator=case.accelerator)
@@ -115,7 +116,7 @@ def test_evaluate_many_stitches_one_batch_tree(server):
     group = max(by_accel.values(), key=len)
     mappings = [case.mapping for case in group]
     tracer = Tracer()
-    with use_tracer(tracer):
+    with use_telemetry(tracer=tracer):
         client = connect(server.url)
         results = client.derive(accelerator=group[0].accelerator).evaluate_many(
             mappings, validate=True
@@ -136,7 +137,6 @@ def test_untraced_evaluation_leaves_no_records(server):
     client.close()
     # Nothing was ambient, so nothing accumulated anywhere: the no-op
     # path is the default and must stay invisible.
-    from repro.observability.tracer import current_tracer
 
-    assert current_tracer().enabled is False
-    assert current_tracer().roots() == []
+    assert telemetry().tracer.enabled is False
+    assert telemetry().tracer.roots() == []

@@ -13,7 +13,7 @@ import pytest
 from repro.dse.mapper import MapperConfig, TemporalMapper
 from repro.hardware.presets import inhouse_accelerator
 from repro.mapping.loop import Loop
-from repro.observability import Tracer, use_tracer
+from repro.observability import Tracer, use_telemetry
 from repro.simulator.engine import CycleSimulator
 from repro.simulator.trace import TraceRecorder
 from repro.verify.corpus import load_corpus
@@ -38,7 +38,7 @@ def _stepping(accelerator, mapping, **kwargs):
 def _fast(accelerator, mapping):
     """The untraced result and the ``simulator.run`` span's attributes."""
     tracer = Tracer()
-    with use_tracer(tracer):
+    with use_telemetry(tracer=tracer):
         result = CycleSimulator(accelerator, mapping).run()
     spans = [r for r in tracer.records if r.name == "simulator.run"]
     return result, spans[0].attributes

@@ -220,7 +220,12 @@ def test_diff_requires_a_candidate():
     assert main(["diff", "nonexistent.sqlite"]) == 2
 
 
-@pytest.mark.parametrize("text", ["[1,2]\n", '{"kind": "evaluation", "ss_'])
+@pytest.mark.parametrize("text", [
+    "[1,2]\n",
+    '{"kind": "evaluation", "ss_',
+    '{"v": 4, "kind": "evaluation", "label": "a", "total_cycles": "abc"}\n',
+    '{"v": 4, "kind": "evaluation", "label": "a", "ss_comb": [1, 2]}\n',
+])
 def test_diff_reports_a_malformed_snapshot_in_one_line(capsys, tmp_path, text):
     bad = tmp_path / "bad.jsonl"
     bad.write_text(text)

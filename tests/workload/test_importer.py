@@ -88,3 +88,25 @@ def test_roundtrip_hand_tracking(tmp_path):
         assert a.dims == b.dims
         assert a.stride_x == b.stride_x
         assert a.total_macs == b.total_macs
+
+
+@pytest.mark.parametrize("text, says", [
+    ("[1]", "layer entry must be an object, got 1"),
+    ('[{"type": "dense", "dims": [1]}]', "'dims' must be an object, got [1]"),
+    ('[{"name": "fc", "type": "dense", "dims": {"K": 2}, "precision": [8]}]',
+     "layer 'fc': 'precision' must be an object, got [8]"),
+    ('[{"name": "fc", "type": "dense", "dims": {"K": "x"}}]',
+     "layer 'fc': dims.K must be an integer, got 'x'"),
+    ('[{"type": "conv", "dims": {"K": 2}, "stride": "a"}]',
+     "layer '?': stride must be an integer, got 'a'"),
+    ('[{"type": "conv", "dims": {"K": 2}, "stride_y": [2]}]',
+     "layer '?': stride_y must be an integer, got [2]"),
+    ('[{"type": "dense", "dims": {"K": 2}, "precision": {"w": null}}]',
+     "precision.w must be an integer, got None"),
+    ('[{"type": "dense", "dims": {"K": 2}, "precision": {"q": 8}}]',
+     "bad layer '?'"),
+])
+def test_malformed_entry_is_a_typed_error_naming_it(text, says):
+    with pytest.raises(ImportError_) as err:
+        layers_from_json(text)
+    assert says in str(err.value)
