@@ -155,7 +155,7 @@ def test_emit_engine_bench_artifact(case_preset, tmp_path_factory):
         if len(mappings) >= 50:
             break
 
-    cold = EvaluationEngine(case_preset.accelerator, use_cache=False)
+    cold = EvaluationEngine(case_preset.accelerator)
     t0 = time.perf_counter()
     cold.evaluate_many(mappings)
     cold_s = time.perf_counter() - t0

@@ -94,7 +94,7 @@ def test_serve_throughput_coalescing_and_warm_start(tmp_path, capsys):
     with use_telemetry(ledger=RunLedger(ledger_path)):
         server_thread = _ServerThread()
     with server_thread as handle:
-        client = connect(handle.server.url, use_cache=False)
+        client = connect(handle.server.url)
         t0 = time.perf_counter()
         for fp, group in by_accel.items():
             eng = client.derive(accelerator=group[0].accelerator)
@@ -109,7 +109,7 @@ def test_serve_throughput_coalescing_and_warm_start(tmp_path, capsys):
         dup_clients = []
 
         def _dup():
-            c = connect(handle.server.url, use_cache=False)
+            c = connect(handle.server.url)
             c.derive(accelerator=dup.accelerator).evaluate(dup.mapping)
             c.close()
 
@@ -137,7 +137,7 @@ def test_serve_throughput_coalescing_and_warm_start(tmp_path, capsys):
 
     # ---- warm restart over the ledger the first daemon wrote ----
     with _ServerThread(warm_start=(ledger_path,)) as handle:
-        client = connect(handle.server.url, use_cache=False)
+        client = connect(handle.server.url)
         t0 = time.perf_counter()
         for fp, group in by_accel.items():
             eng = client.derive(accelerator=group[0].accelerator)

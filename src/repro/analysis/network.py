@@ -113,7 +113,7 @@ class NetworkEvaluator:
     Evaluations route through one :class:`EvaluationEngine`, so networks
     with repeated layer shapes (residual stacks, repeated blocks) search
     and evaluate each distinct shape once — pass a shared ``engine`` to
-    pool the cache across machines or enable the process executor.
+    pool the cache and stats across machines.
     """
 
     def __init__(

@@ -13,13 +13,12 @@ cannot see).
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.core.report import LatencyReport
 from repro.energy.access_counts import count_accesses
 from repro.hardware.accelerator import Accelerator
 from repro.mapping.mapping import Mapping
-from repro.workload.operand import Operand
 
 
 @dataclasses.dataclass(frozen=True)

@@ -607,7 +607,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
     if args.engine:
         from repro.serve.client import connect
 
-        engine = connect(args.engine, use_cache=False)
+        engine = connect(args.engine)
 
         def footer() -> str:
             try:

@@ -17,7 +17,7 @@ output chain the same way.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.hardware.accelerator import Accelerator
 from repro.hardware.port import EndpointKind

@@ -19,7 +19,6 @@ from repro.dse.mapper import MapperConfig, TemporalMapper
 from repro.engine import EvaluationEngine
 from repro.hardware.accelerator import Accelerator
 from repro.hardware.hierarchy import MemoryHierarchy, MemoryLevel
-from repro.hardware.memory import MemoryInstance
 from repro.hardware.port import Port
 from repro.mapping.mapping import Mapping, MappingError
 from repro.workload.layer import LayerSpec

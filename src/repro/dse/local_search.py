@@ -26,7 +26,7 @@ import random
 import time
 from typing import Iterator, List, Optional, Tuple
 
-from repro.dse.mapper import MapperConfig, MappingSearchResult, TemporalMapper
+from repro.dse.mapper import MappingSearchResult, TemporalMapper
 from repro.mapping.mapping import Mapping, MappingError
 from repro.observability.telemetry import telemetry
 from repro.workload.dims import LoopDim

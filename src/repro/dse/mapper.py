@@ -561,15 +561,14 @@ class TemporalMapper:
             if campaign.enabled:
                 self._note_campaign_context(campaign)
             key = self._search_key("search", layer)
-            if self.engine.use_cache:
-                cached = self.engine.cache.get(key)
-                if cached is not None:
-                    self.engine.stats.cache_hits += 1
-                    span.set("cache_hit", True)
-                    campaign.note_memoized_search()
-                    if cached:
-                        campaign.observe(cached[0].objective)
-                    return list(cached)
+            cached = self.engine.cache.get(key)
+            if cached is not None:
+                self.engine.stats.cache_hits += 1
+                span.set("cache_hit", True)
+                campaign.note_memoized_search()
+                if cached:
+                    campaign.observe(cached[0].objective)
+                return list(cached)
             with self._progress_run("mapper.search", layer) as run:
                 results = list(self._evaluated(layer))
                 t.metrics.counter(
@@ -598,8 +597,7 @@ class TemporalMapper:
                 span.set("candidates", len(results))
                 if results:
                     span.set("best_objective", results[0].objective)
-            if self.engine.use_cache:
-                self.engine.cache.put(key, tuple(results))
+            self.engine.cache.put(key, tuple(results))
             return results
 
     def best_mapping_verified(
@@ -646,14 +644,13 @@ class TemporalMapper:
             if campaign.enabled:
                 self._note_campaign_context(campaign)
             key = self._search_key("best_mapping", layer)
-            if self.engine.use_cache:
-                cached = self.engine.cache.get(key)
-                if cached is not None:
-                    self.engine.stats.cache_hits += 1
-                    span.set("cache_hit", True)
-                    campaign.note_memoized_search()
-                    campaign.observe(cached.objective)
-                    return cached
+            cached = self.engine.cache.get(key)
+            if cached is not None:
+                self.engine.stats.cache_hits += 1
+                span.set("cache_hit", True)
+                campaign.note_memoized_search()
+                campaign.observe(cached.objective)
+                return cached
             best: Optional[MappingSearchResult] = None
             candidates = 0
             with self._progress_run("mapper.best_mapping", layer) as run:
@@ -684,6 +681,5 @@ class TemporalMapper:
                 span.set("cache_hit", False)
                 span.set("candidates", candidates)
                 span.set("best_objective", best.objective)
-            if self.engine.use_cache:
-                self.engine.cache.put(key, best)
+            self.engine.cache.put(key, best)
             return best

@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.dse.factorize import prime_factors
 from repro.dse.mapper import MapperConfig, MappingSearchResult, TemporalMapper

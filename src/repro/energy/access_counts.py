@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.hardware.accelerator import Accelerator
 from repro.mapping.footprint import operand_footprint_elements, tile_elements

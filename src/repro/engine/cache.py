@@ -1,6 +1,7 @@
-"""LRU caches for evaluation results, keyed on structural identities.
+"""The LRU cache for evaluation results, keyed on structural identities.
 
-Two granularities live here:
+One bounded least-recently-used map (:class:`EvaluationCache`) serves two
+granularities:
 
 * :class:`EvaluationCache` — whole :class:`~repro.core.report.LatencyReport`
   (or energy report) objects keyed on (kind, accelerator fingerprint,
@@ -9,12 +10,14 @@ Two granularities live here:
   str/int tuple, not a SHA-256 digest; ``Mapping.fingerprint()`` is left
   to the identities that leave the process (ledger rows, the verify
   corpus, the daemon's result store and wire labels).
-* :class:`PartialResultCache` — *sub-evaluation* intermediates keyed on
-  their own closed-form inputs, currently the multi-window MUW unions of
-  Step 2. Neighboring mappings in a DSE sweep (a hill-climb swap, a
-  re-factorized loop) mostly re-derive identical window parameter sets, so
-  the batch evaluator consults this cache before merging intervals — the
-  incremental re-evaluation path that makes local search cheap.
+* :class:`PartialResultCache` — the same LRU with hit/miss counters and
+  :meth:`~PartialResultCache.get_or_compute`, for *sub-evaluation*
+  intermediates keyed on their own closed-form inputs, currently the
+  multi-window MUW unions of Step 2. Neighboring mappings in a DSE sweep
+  (a hill-climb swap, a re-factorized loop) mostly re-derive identical
+  window parameter sets, so the batch evaluator consults this cache before
+  merging intervals — the incremental re-evaluation path that makes local
+  search cheap.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ class EvaluationCache:
         self._data.clear()
 
 
-class PartialResultCache:
+class PartialResultCache(EvaluationCache):
     """Memo for sub-evaluation intermediates (MUW unions, ...) with counters.
 
     Values are pure functions of their keys, so sharing one instance
@@ -73,34 +76,24 @@ class PartialResultCache:
     encode *every* input of the computation (the batch
     evaluator uses ``("muw", window_params, horizon)``). ``hits`` and
     ``misses`` feed :class:`~repro.observability.stats.EngineStats` and
-    the ``CacheStats`` progress event.
+    the ``CacheStats`` progress event; :meth:`clear` keeps them.
     """
 
     def __init__(self, maxsize: int = 262144) -> None:
-        if maxsize < 1:
-            raise ValueError(f"cache maxsize must be >= 1, got {maxsize}")
-        self.maxsize = maxsize
+        super().__init__(maxsize)
         self.hits = 0
         self.misses = 0
-        self._data: "OrderedDict[Hashable, Any]" = OrderedDict()
 
     def get_or_compute(self, key: Hashable, compute: Callable[[], Any]) -> Any:
         """The cached value for ``key``, computing and inserting on miss."""
+        # Probes the storage directly rather than through get(), which is
+        # the engine-level lookup (profilers count its calls).
         try:
             self._data.move_to_end(key)
         except KeyError:
             self.misses += 1
             value = compute()
-            self._data[key] = value
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
+            self.put(key, value)
             return value
         self.hits += 1
         return self._data[key]
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def clear(self) -> None:
-        """Drop every entry (counters are kept)."""
-        self._data.clear()

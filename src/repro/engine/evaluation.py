@@ -10,12 +10,13 @@ those of the reference :class:`repro.core.model.LatencyModel`. The
 is a one-lane batch with its full anatomy — and adds what the kernel
 deliberately does not have:
 
-* an LRU **cache** keyed on (accelerator fingerprint, options
+* an LRU **cache**, always on, keyed on (accelerator fingerprint, options
   fingerprint, :attr:`Mapping.cache_key`), so repeated design points —
   repeated layer shapes in a network, revisited loop orders in a hill
   climb, shared mappings across a sweep — are evaluated once. The mapping
   part is structural (plain str/int values); the SHA-256
-  ``Mapping.fingerprint()`` is computed only for ledger rows;
+  ``Mapping.fingerprint()`` is computed only for ledger rows. A cold
+  run uses a fresh engine or empties :attr:`EvaluationEngine.cache`;
 * **batch evaluation** (:meth:`evaluate_many`): cache misses run in
   chunks through the vectorized batch core, in list order and in the
   calling process;
@@ -89,11 +90,6 @@ class EvaluationEngine:
         Modeling conventions of the model.
     cache:
         A shared :class:`EvaluationCache`; one is created when omitted.
-    cache_size:
-        Capacity of the created cache (ignored when ``cache`` is given).
-    use_cache:
-        Disable to force every evaluation through the kernel (benchmarks
-        and ablations; the cache object is still attached but unused).
     stats:
         A shared :class:`EngineStats`; one is created when omitted.
     chunk_size:
@@ -117,8 +113,6 @@ class EvaluationEngine:
         options: Optional[ModelOptions] = None,
         *,
         cache: Optional[EvaluationCache] = None,
-        cache_size: int = 65536,
-        use_cache: bool = True,
         stats: Optional[EngineStats] = None,
         chunk_size: int = 256,
         spatial_unrolling: Optional[dict] = None,
@@ -131,8 +125,7 @@ class EvaluationEngine:
         #: of the :class:`~repro.engine.evaluator.Evaluator` protocol so
         #: callers holding only an evaluator can still seed a mapper.
         self.spatial_unrolling = dict(spatial_unrolling or {})
-        self.use_cache = use_cache
-        self.cache = cache if cache is not None else EvaluationCache(cache_size)
+        self.cache = cache if cache is not None else EvaluationCache()
         self.stats = stats if stats is not None else EngineStats()
         self.chunk_size = chunk_size
         self._model = LatencyModel(accelerator, self.options)  # check() only
@@ -157,7 +150,7 @@ class EvaluationEngine:
 
         Carries the preset's native spatial unrolling onto the engine.
         Keyword arguments pass through to the constructor
-        (``use_cache=``, ``cache=``, ``chunk_size=``, ...).
+        (``cache=``, ``stats=``, ``chunk_size=``, ...).
 
         ``preset`` may be a :class:`~repro.hardware.presets.Preset` or a
         bare :class:`~repro.hardware.accelerator.Accelerator`.
@@ -183,7 +176,6 @@ class EvaluationEngine:
             accelerator if accelerator is not None else self.accelerator,
             options if options is not None else self.options,
             cache=self.cache,
-            use_cache=self.use_cache,
             stats=self.stats,
             chunk_size=self.chunk_size,
             # The native dataflow belongs to the machine: it travels with
@@ -272,12 +264,6 @@ class EvaluationEngine:
         timed = metrics.enabled or ledger.enabled
         with self.stats.phase("evaluate"), tracer.span("engine.evaluate") as span:
             t0 = time.perf_counter() if timed else 0.0
-            if not self.use_cache:
-                self.stats.evaluations += 1
-                report = self._full_report(mapping)
-                self._observe_single(metrics, span, t0, cache_hit=None)
-                self._ledger_single(ledger, mapping, report, t0, cache_hit=None)
-                return report
             key = self._latency_key(mapping)
             report = self.cache.get(key)
             if report is not None:
@@ -300,10 +286,9 @@ class EvaluationEngine:
             self._ledger_single(ledger, mapping, report, t0, cache_hit=False)
             return report
 
-    def _observe_single(self, metrics, span, t0: float, cache_hit) -> None:
+    def _observe_single(self, metrics, span, t0: float, cache_hit: bool) -> None:
         """Metrics/span bookkeeping of one :meth:`evaluate` call."""
-        if cache_hit is not None:
-            span.set("cache_hit", cache_hit)
+        span.set("cache_hit", cache_hit)
         if not metrics.enabled:
             return
         metrics.counter(
@@ -354,9 +339,6 @@ class EvaluationEngine:
     def evaluate_energy(self, mapping: Mapping) -> EnergyReport:
         """Dynamic energy of ``mapping``, served from the cache when possible."""
         with self.stats.phase("energy"), telemetry().tracer.span("engine.energy"):
-            if not self.use_cache:
-                self.stats.energy_evaluations += 1
-                return self._energy_model.evaluate(mapping)
             key = self._energy_key(mapping)
             energy = self.cache.get(key)
             if energy is not None:
@@ -414,29 +396,23 @@ class EvaluationEngine:
                 tracer.span("engine.batch") as span:
             self.stats.batches += 1
             pending: List[int] = []
-            if self.use_cache:
-                for i, mapping in enumerate(mappings):
-                    report = self.cache.get(self._latency_key(mapping))
-                    energy = (
-                        self.cache.get(self._energy_key(mapping))
-                        if with_energy
-                        else None
-                    )
-                    if report is not None and (not with_energy or energy is not None):
-                        self.stats.cache_hits += 1
-                        results[i] = Evaluation(
-                            mapping, report, energy, cache_hit=True
-                        )
-                        if ledger.enabled:
-                            ledger_rows.append(self._ledger_record(
-                                mapping, report,
-                                cache_hit=True, wall_time_s=0.0,
-                            ))
-                    else:
-                        self.stats.cache_misses += 1
-                        pending.append(i)
-            else:
-                pending = list(range(len(mappings)))
+            for i, mapping in enumerate(mappings):
+                report = self.cache.get(self._latency_key(mapping))
+                energy = (
+                    self.cache.get(self._energy_key(mapping))
+                    if with_energy
+                    else None
+                )
+                if report is not None and (not with_energy or energy is not None):
+                    self.stats.cache_hits += 1
+                    results[i] = Evaluation(mapping, report, energy, cache_hit=True)
+                    if ledger.enabled:
+                        ledger_rows.append(self._ledger_record(
+                            mapping, report, cache_hit=True, wall_time_s=0.0,
+                        ))
+                else:
+                    self.stats.cache_misses += 1
+                    pending.append(i)
             hits = len(mappings) - len(pending)
             if tracer.enabled:
                 span.set("mappings", len(mappings))
@@ -449,13 +425,12 @@ class EvaluationEngine:
                     "repro_engine_cache_hits_total",
                     "evaluations served from cache",
                 ).inc(hits)
-            if self.use_cache:
-                run.cache_stats(
-                    hits, len(pending),
-                    dedup_skipped=self.stats.dedup_skipped,
-                    partial_hits=self.stats.partial_hits,
-                    partial_misses=self.stats.partial_misses,
-                )
+            run.cache_stats(
+                hits, len(pending),
+                dedup_skipped=self.stats.dedup_skipped,
+                partial_hits=self.stats.partial_hits,
+                partial_misses=self.stats.partial_misses,
+            )
             if hits:
                 run.advance(hits, note="cache")
             if not pending:
@@ -489,10 +464,9 @@ class EvaluationEngine:
                         self.stats.evaluations += 1
                         if with_energy:
                             self.stats.energy_evaluations += 1
-                        if self.use_cache:
-                            self.cache.put(self._latency_key(mappings[i]), report)
-                            if with_energy and energy is not None:
-                                self.cache.put(self._energy_key(mappings[i]), energy)
+                        self.cache.put(self._latency_key(mappings[i]), report)
+                        if with_energy and energy is not None:
+                            self.cache.put(self._energy_key(mappings[i]), energy)
                         results[i] = Evaluation(mappings[i], report, energy)
                         if ledger.enabled:
                             ledger_rows.append(self._ledger_record(

@@ -14,9 +14,9 @@ The surface is exactly what those consumers already use:
   fingerprints (cache keys, search memoization);
 * the evaluation verbs — :meth:`~Evaluator.evaluate`,
   :meth:`~Evaluator.evaluate_many`, :meth:`~Evaluator.evaluate_energy`;
-* shared state — ``cache`` / ``stats`` / ``use_cache`` (the mapper
-  memoizes whole searches in the evaluator's cache and counts dedup
-  skips on its stats);
+* shared state — ``cache`` / ``stats`` (the cache is always on: the
+  mapper memoizes whole searches in it, and a cold run empties it with
+  ``cache.clear()``; the mapper counts dedup skips on the stats);
 * lineage — :meth:`~Evaluator.derive` builds a sibling for another
   machine or options sharing that state (the architecture-sweep idiom);
 * ``spatial_unrolling`` — the native dataflow the evaluator's machine
@@ -61,7 +61,6 @@ class Evaluator(Protocol):
 
     accelerator: Accelerator
     options: ModelOptions
-    use_cache: bool
     cache: EvaluationCache
     stats: EngineStats
     spatial_unrolling: Dict[LoopDim, int]

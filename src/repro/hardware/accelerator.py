@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import FrozenSet, Iterable, Optional, Tuple
 
 from repro.hardware.area import accelerator_area_mm2
 from repro.hardware.hierarchy import MemoryHierarchy, MemoryLevel

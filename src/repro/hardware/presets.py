@@ -28,7 +28,7 @@ import dataclasses
 from typing import Dict, Optional, Tuple
 
 from repro.hardware.accelerator import Accelerator, StallOverlapConfig
-from repro.hardware.hierarchy import MemoryHierarchy, MemoryLevel, auto_allocate
+from repro.hardware.hierarchy import MemoryHierarchy, auto_allocate
 from repro.hardware.mac_array import MacArray
 from repro.hardware.memory import MemoryInstance, dual_port
 from repro.workload.dims import LoopDim

@@ -28,7 +28,7 @@ presets. The schema mirrors the object model::
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.hardware.accelerator import Accelerator, StallOverlapConfig
 from repro.hardware.hierarchy import MemoryHierarchy, MemoryLevel, auto_allocate
@@ -42,6 +42,19 @@ from repro.workload.operand import Operand
 
 class SerdeError(ValueError):
     """Malformed serialized input: an accelerator, layer or mapping dict."""
+
+
+def strict_int(value: Any, field: str, key: Any = None) -> int:
+    """``value`` if it is an integer, else :class:`TypeError` naming
+    ``field`` (``field[key]`` for an entry of a collection).
+
+    Sizes must arrive as integers: ``int()`` would truncate ``16.5`` to 16
+    and coerce ``true`` or ``"16"``, answering for a problem nobody asked.
+    """
+    if type(value) is int:  # not a bool, which subclasses int
+        return value
+    name = field if key is None else f"{field}[{key}]"
+    raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 # --------------------------------------------------------------------- #

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.mapping.footprint import (

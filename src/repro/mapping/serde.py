@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.hardware.serde import SerdeError
+from repro.hardware.serde import SerdeError, strict_int
 from repro.mapping.loop import Loop
 from repro.mapping.mapping import Mapping
 from repro.mapping.spatial import SpatialMapping
@@ -51,12 +51,21 @@ def mapping_from_dict(data: Dict, layer: LayerSpec) -> Mapping:
     """
     try:
         temporal = TemporalMapping(
-            loops=tuple(Loop(LoopDim(d), int(s)) for d, s in data["loops"]),
-            cuts={Operand(op): tuple(cut) for op, cut in data["cuts"].items()},
+            loops=tuple(
+                Loop(LoopDim(d), strict_int(s, "loops", i))
+                for i, (d, s) in enumerate(data["loops"])
+            ),
+            cuts={
+                Operand(op): tuple(
+                    strict_int(c, f"cuts.{op}", j) for j, c in enumerate(cut)
+                )
+                for op, cut in data["cuts"].items()
+            },
         )
-        spatial = SpatialMapping(
-            {LoopDim(d): int(f) for d, f in data["spatial"].items()}
-        )
+        spatial = SpatialMapping({
+            LoopDim(d): strict_int(f, "spatial", d)
+            for d, f in data["spatial"].items()
+        })
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SerdeError(f"malformed mapping: {exc}") from exc
     return Mapping(layer, spatial, temporal)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional, Sequence
 
-from repro.observability.span import SpanNode, SpanRecord, span_tree
+from repro.observability.span import SpanRecord, span_tree
 
 
 def chrome_trace(records: Sequence[SpanRecord], process_name: str = "repro") -> Dict:

@@ -34,6 +34,7 @@ or from any CLI subcommand with ``--ledger runs.sqlite``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 import sqlite3
@@ -380,26 +381,21 @@ def record_slow_request(
     )
 
 
-_GIT_SHA_CACHE: Optional[str] = None
-
-
-def git_sha(short: bool = True) -> str:
-    """The repository HEAD SHA, cached per process; ``"unknown"`` off-repo."""
-    global _GIT_SHA_CACHE
-    if _GIT_SHA_CACHE is None:
-        cmd = ["git", "rev-parse"] + (["--short"] if short else []) + ["HEAD"]
-        try:
-            out = subprocess.run(
-                cmd,
-                capture_output=True,
-                text=True,
-                timeout=5,
-                cwd=os.path.dirname(os.path.abspath(__file__)),
-            )
-            _GIT_SHA_CACHE = out.stdout.strip() or "unknown"
-        except (OSError, subprocess.SubprocessError):
-            _GIT_SHA_CACHE = "unknown"
-    return _GIT_SHA_CACHE
+@functools.cache
+def git_sha() -> str:
+    """The repository HEAD's short SHA, cached per process; ``"unknown"``
+    off-repo."""
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            capture_output=True,
+            text=True,
+            timeout=5,
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+        )
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    return out.stdout.strip() or "unknown"
 
 
 # --------------------------------------------------------------------- #

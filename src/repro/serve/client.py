@@ -22,10 +22,11 @@ Design notes:
   coalesces, so responses arrive out of order and the id-keyed
   collection is what keeps the result list parallel to the input.
 * **Local cache** — the client keeps its own
-  :class:`~repro.engine.EvaluationCache`, keyed on ``Mapping.cache_key``
-  like the in-process engine, so repeated design points never touch the
-  socket (the daemon's store keys on the SHA-256 fingerprint instead);
-  the mapper's whole-search memoization uses the same cache object.
+  :class:`~repro.engine.EvaluationCache`, always on and keyed on
+  ``Mapping.cache_key`` like the in-process engine, so repeated design
+  points never touch the socket (the daemon's store keys on the SHA-256
+  fingerprint instead); the mapper's whole-search memoization uses the
+  same cache object. ``cache.clear()`` sends the next repeat to the wire.
 * **Errors** — the server ships the exception *kind*;
   ``"MappingError"`` is re-raised as a real
   :class:`~repro.mapping.mapping.MappingError` (and becomes ``None`` in
@@ -41,6 +42,7 @@ store and coalescing map are shared across all of them.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import itertools
 import socket
@@ -262,13 +264,11 @@ class RemoteEngine:
         url: str,
         *,
         timeout: Optional[float] = None,
-        use_cache: bool = True,
         cache: Optional[EvaluationCache] = None,
         stats: Optional[EngineStats] = None,
     ) -> None:
         self.url = url
         self._transport = _Transport(parse_url(url), timeout=timeout)
-        self.use_cache = use_cache
         self.cache = cache if cache is not None else EvaluationCache()
         self.stats = stats if stats is not None else EngineStats()
         hello = self._transport.request(
@@ -293,8 +293,8 @@ class RemoteEngine:
         # the common case, and cheaper for the server to resolve.
         self._accel_payload: Optional[dict] = None
         self._options_payload: Optional[dict] = None
-        self._accel_fp: Optional[str] = None
-        self._options_fp: Optional[str] = None
+        self._accel_fp = self.accelerator.fingerprint()
+        self._options_fp = stable_fingerprint(self.options)
         self._model: Optional[LatencyModel] = None
 
     # ------------------------------------------------------------------ #
@@ -305,14 +305,11 @@ class RemoteEngine:
     def accelerator_fingerprint(self) -> str:
         """Fingerprint of the engine's accelerator (serde-stable, so it
         matches the fingerprint the server computes for the same machine)."""
-        if self._accel_fp is None:
-            self._accel_fp = self.accelerator.fingerprint()
         return self._accel_fp
 
     @property
     def options_fingerprint(self) -> str:
-        if self._options_fp is None:
-            self._options_fp = stable_fingerprint(self.options)
+        """Fingerprint of the engine's model options."""
         return self._options_fp
 
     def derive(
@@ -328,30 +325,19 @@ class RemoteEngine:
         machines' entries apart). The native spatial unrolling travels
         only while the accelerator is unchanged.
         """
-        view = object.__new__(RemoteEngine)
-        view.url = self.url
-        view._transport = self._transport
-        view.use_cache = self.use_cache
-        view.cache = self.cache
-        view.stats = self.stats
-        view.server_name = self.server_name
-        view.server_protocol = self.server_protocol
-        view.admin_url = self.admin_url
-        same_machine = accelerator is None or accelerator is self.accelerator
-        view.accelerator = self.accelerator if same_machine else accelerator
-        view.spatial_unrolling = dict(self.spatial_unrolling) if same_machine else {}
-        view.options = options if options is not None else self.options
-        view._accel_payload = (
-            self._accel_payload if same_machine
-            else accelerator_to_dict(accelerator)
-        )
-        view._options_payload = (
-            self._options_payload if options is None
-            else protocol.options_to_dict(options)
-        )
-        view._accel_fp = self._accel_fp if same_machine else None
-        view._options_fp = self._options_fp if options is None else None
+        view = copy.copy(self)
         view._model = None
+        if accelerator is None or accelerator is self.accelerator:
+            view.spatial_unrolling = dict(self.spatial_unrolling)
+        else:
+            view.accelerator = accelerator
+            view.spatial_unrolling = {}
+            view._accel_payload = accelerator_to_dict(accelerator)
+            view._accel_fp = accelerator.fingerprint()
+        if options is not None:
+            view.options = options
+            view._options_payload = protocol.options_to_dict(options)
+            view._options_fp = stable_fingerprint(options)
         return view
 
     # ------------------------------------------------------------------ #
@@ -387,23 +373,15 @@ class RemoteEngine:
 
     def _round_trip(self, phase: str, mapping: Mapping, validate: bool,
                     with_energy: bool):
-        """One evaluate round trip, wrapped in a client span when tracing.
+        """One evaluate round trip inside a ``remote.evaluate`` client span.
 
-        Under an ambient tracer this opens ``remote.evaluate``, builds
-        the request *inside* it (so the injected context names that
-        span), and grafts the server's shipped span subtree back under
-        it — yielding one stitched cross-process tree. With the no-op
-        tracer the path is byte-identical to before tracing existed.
+        The request is built *inside* the span (so the injected context
+        names it), and the server's shipped span subtree is grafted back
+        under it — one stitched cross-process tree. With no tracer
+        ambient the span is the null span, no context goes on the wire
+        and the server ships no spans.
         """
         tracer = telemetry().tracer
-        if not tracer.enabled:
-            with self.stats.phase(phase):
-                response = self._transport.request(
-                    self._request_for(mapping, validate, with_energy)
-                )
-            if isinstance(response, ErrorResponse):
-                _raise_remote(response)
-            return response
         with tracer.span("remote.evaluate", url=self.url, phase=phase):
             with self.stats.phase(phase):
                 response = self._transport.request(
@@ -416,15 +394,10 @@ class RemoteEngine:
         return response
 
     def _latency_key(self, mapping: Mapping) -> Tuple:
-        return (
-            "latency",
-            self.accelerator_fingerprint,
-            self.options_fingerprint,
-            mapping.cache_key,
-        )
+        return ("latency", self._accel_fp, self._options_fp, mapping.cache_key)
 
     def _energy_key(self, mapping: Mapping) -> Tuple:
-        return ("energy", self.accelerator_fingerprint, mapping.cache_key)
+        return ("energy", self._accel_fp, mapping.cache_key)
 
     def evaluate(self, mapping: Mapping, validate: bool = True) -> LatencyReport:
         """Latency of ``mapping``, served from the local cache or the server.
@@ -433,40 +406,35 @@ class RemoteEngine:
         plus the stall anatomy; no DTL objects — same as batch-core slim
         reports).
         """
-        if self.use_cache:
-            key = self._latency_key(mapping)
-            report = self.cache.get(key)
-            if report is not None:
-                self.stats.cache_hits += 1
-                return report
-            self.stats.cache_misses += 1
+        key = self._latency_key(mapping)
+        report = self.cache.get(key)
+        if report is not None:
+            self.stats.cache_hits += 1
+            return report
+        self.stats.cache_misses += 1
         response = self._round_trip("evaluate", mapping, validate,
                                     with_energy=False)
         self.stats.evaluations += 1
         report = protocol.report_from_dict(response.report)
-        if self.use_cache:
-            self.cache.put(key, report)
+        self.cache.put(key, report)
         return report
 
     def evaluate_energy(self, mapping: Mapping) -> EnergyReport:
         """Dynamic energy of ``mapping`` (the server runs both models)."""
-        if self.use_cache:
-            key = self._energy_key(mapping)
-            energy = self.cache.get(key)
-            if energy is not None:
-                self.stats.cache_hits += 1
-                return energy
-            self.stats.cache_misses += 1
+        key = self._energy_key(mapping)
+        energy = self.cache.get(key)
+        if energy is not None:
+            self.stats.cache_hits += 1
+            return energy
+        self.stats.cache_misses += 1
         response = self._round_trip("energy", mapping, validate=False,
                                     with_energy=True)
         self.stats.energy_evaluations += 1
         energy = protocol.energy_from_dict(response.energy)
-        if self.use_cache:
-            self.cache.put(key, energy)
-            self.cache.put(
-                self._latency_key(mapping),
-                protocol.report_from_dict(response.report),
-            )
+        self.cache.put(key, energy)
+        self.cache.put(
+            self._latency_key(mapping), protocol.report_from_dict(response.report)
+        )
         return energy
 
     def evaluate_many(
@@ -485,55 +453,45 @@ class RemoteEngine:
         """
         mappings = list(mappings)
         self.stats.batches += 1
+        results: List[Optional[Evaluation]] = [None] * len(mappings)
         tracer = telemetry().tracer
-        if not tracer.enabled:
-            return self._evaluate_burst(mappings, validate, with_energy, tracer)
         with tracer.span("remote.batch", url=self.url,
                          mappings=float(len(mappings))):
-            return self._evaluate_burst(mappings, validate, with_energy, tracer)
-
-    def _evaluate_burst(
-        self,
-        mappings: List[Mapping],
-        validate: bool,
-        with_energy: bool,
-        tracer,
-    ) -> List[Optional[Evaluation]]:
-        results: List[Optional[Evaluation]] = [None] * len(mappings)
-        pending: List[Tuple[int, EvaluateRequest]] = []
-        for i, mapping in enumerate(mappings):
-            if self.use_cache and not with_energy:
-                report = self.cache.get(self._latency_key(mapping))
-                if report is not None:
-                    self.stats.cache_hits += 1
-                    results[i] = Evaluation(mapping, report, None)
-                    continue
-                self.stats.cache_misses += 1
-            pending.append((i, self._request_for(mapping, validate, with_energy)))
-        if not pending:
-            return results
-        with self.stats.phase("batch"):
-            responses = self._transport.request_many([r for _, r in pending])
-        for (i, _), response in zip(pending, responses):
-            if isinstance(response, ErrorResponse):
-                if response.error == "MappingError":
-                    self.stats.errors += 1
-                    continue  # parallel-list contract: infeasible -> None
-                _raise_remote(response)
-            self.stats.evaluations += 1
-            if tracer.enabled and response.spans:
-                # merged in request order while remote.batch is open
-                tracer.merge(spans_from_wire(response.spans))
-            report = protocol.report_from_dict(response.report)
-            energy = (
-                protocol.energy_from_dict(response.energy)
-                if response.energy is not None else None
-            )
-            if self.use_cache:
+            pending: List[Tuple[int, EvaluateRequest]] = []
+            for i, mapping in enumerate(mappings):
+                if not with_energy:
+                    report = self.cache.get(self._latency_key(mapping))
+                    if report is not None:
+                        self.stats.cache_hits += 1
+                        results[i] = Evaluation(mapping, report, None)
+                        continue
+                    self.stats.cache_misses += 1
+                pending.append(
+                    (i, self._request_for(mapping, validate, with_energy))
+                )
+            if not pending:
+                return results
+            with self.stats.phase("batch"):
+                responses = self._transport.request_many([r for _, r in pending])
+            for (i, _), response in zip(pending, responses):
+                if isinstance(response, ErrorResponse):
+                    if response.error == "MappingError":
+                        self.stats.errors += 1
+                        continue  # parallel-list contract: infeasible -> None
+                    _raise_remote(response)
+                self.stats.evaluations += 1
+                if response.spans:
+                    # merged in request order while remote.batch is open
+                    tracer.merge(spans_from_wire(response.spans))
+                report = protocol.report_from_dict(response.report)
+                energy = (
+                    protocol.energy_from_dict(response.energy)
+                    if response.energy is not None else None
+                )
                 self.cache.put(self._latency_key(mappings[i]), report)
                 if energy is not None:
                     self.cache.put(self._energy_key(mappings[i]), energy)
-            results[i] = Evaluation(mappings[i], report, energy)
+                results[i] = Evaluation(mappings[i], report, energy)
         return results
 
     # ------------------------------------------------------------------ #
@@ -589,10 +547,9 @@ def connect(
     url: str,
     *,
     timeout: Optional[float] = None,
-    use_cache: bool = True,
 ) -> RemoteEngine:
     """Open a connection to an evaluation daemon and hand back the engine."""
-    return RemoteEngine(url, timeout=timeout, use_cache=use_cache)
+    return RemoteEngine(url, timeout=timeout)
 
 
 __all__ = [

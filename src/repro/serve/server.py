@@ -73,6 +73,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.step1 import ModelOptions
 from repro.engine import EvaluationCache, EvaluationEngine
+from repro.fingerprint import stable_fingerprint
 from repro.hardware.accelerator import Accelerator
 from repro.hardware.presets import Preset
 from repro.hardware.serde import (
@@ -245,7 +246,7 @@ class EvaluationServer:
         self._options_payload = protocol.options_to_dict(config.options)
         self._own_accel = config.preset.accelerator
         self._own_accel_fp = self._own_accel.fingerprint()
-        self._own_options_fp_cache: Optional[str] = None
+        self._own_options_fp = stable_fingerprint(config.options)
         # The kernel worker: one bounded queue drained by one task through
         # one thread; engines per (accel_fp, options_fp) share one cache.
         # The queue is built in start(), inside the serving event loop.
@@ -804,12 +805,8 @@ class EvaluationServer:
         return resolved
 
     def _resolve_options(self, data) -> Tuple[ModelOptions, str]:
-        from repro.fingerprint import stable_fingerprint
-
         if data is None:
-            if self._own_options_fp_cache is None:
-                self._own_options_fp_cache = stable_fingerprint(self.config.options)
-            return self.config.options, self._own_options_fp_cache
+            return self.config.options, self._own_options_fp
         key = json.dumps(data, sort_keys=True)
         resolved = self._options_memo.get(key)
         if resolved is None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.hardware.serde import SerdeError
+from repro.hardware.serde import SerdeError, strict_int
 from repro.workload.dims import LoopDim
 from repro.workload.layer import LayerSpec, LayerType, Precision
 
@@ -52,11 +52,13 @@ def layer_from_dict(data: Dict) -> LayerSpec:
     try:
         return LayerSpec(
             layer_type=LayerType(data["layer_type"]),
-            dims={LoopDim(d): int(s) for d, s in data["dims"].items()},
-            stride_x=int(data.get("stride_x", 1)),
-            stride_y=int(data.get("stride_y", 1)),
-            dilation_x=int(data.get("dilation_x", 1)),
-            dilation_y=int(data.get("dilation_y", 1)),
+            dims={
+                LoopDim(d): strict_int(s, "dims", d) for d, s in data["dims"].items()
+            },
+            stride_x=strict_int(data.get("stride_x", 1), "stride_x"),
+            stride_y=strict_int(data.get("stride_y", 1), "stride_y"),
+            dilation_x=strict_int(data.get("dilation_x", 1), "dilation_x"),
+            dilation_y=strict_int(data.get("dilation_y", 1), "dilation_y"),
             precision=Precision(**data["precision"]),
             name=data.get("name"),
         )

@@ -8,7 +8,6 @@ from repro.analysis.roofline import (
     roofline_point,
     roofline_sweep,
 )
-from repro.core.model import LatencyModel
 from repro.dse.mapper import MapperConfig, TemporalMapper
 from repro.workload.generator import dense_layer
 

@@ -183,7 +183,7 @@ def test_traced_chunk_has_the_reference_trace_shape(small_layer, validate):
     accelerator, mappings = _preset_sweep(
         case_study_accelerator, ModelOptions(), small_layer, count=24
     )
-    engine = EvaluationEngine(accelerator, use_cache=False, chunk_size=len(mappings))
+    engine = EvaluationEngine(accelerator, chunk_size=len(mappings))
     chunk = Tracer()
     with use_telemetry(tracer=chunk):
         outcomes = engine.evaluate_many(mappings, validate=validate)

@@ -7,7 +7,6 @@ temporal loops end-to-end through mapper, model and simulator.
 
 import pytest
 
-from repro.core.model import LatencyModel
 from repro.dse.mapper import MapperConfig, TemporalMapper
 from repro.simulator.engine import CycleSimulator
 from repro.simulator.result import accuracy

@@ -6,8 +6,6 @@ intermediate output buffer and check flush/read-back traffic at BOTH
 interfaces, plus simulator agreement.
 """
 
-import pytest
-
 from repro.core.dtl import TrafficKind
 from repro.core.model import LatencyModel
 from repro.core.step1 import ModelOptions, build_dtls

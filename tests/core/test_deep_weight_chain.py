@@ -4,8 +4,6 @@ Exercises refill DTLs at three interfaces and the simulator's multi-hop
 dependency chain (a register tile needs its LB0 tile, which needs LB1,
 which needs the GB)."""
 
-import pytest
-
 from repro.core.dtl import TrafficKind
 from repro.core.model import LatencyModel
 from repro.core.step1 import ModelOptions, build_dtls

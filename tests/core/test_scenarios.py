@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.scenarios import ScenarioQuantities, classify
-from repro.mapping.loop import Loop
 from repro.mapping.spatial import SpatialMapping
 from repro.mapping.temporal import TemporalMapping, loops_from_pairs
 from repro.mapping.mapping import Mapping

@@ -1,7 +1,5 @@
 """Step 3: stall integration across memory modules."""
 
-import pytest
-
 from repro.core.step2 import ServedMemoryStall
 from repro.core.step3 import integrate_stalls
 from repro.hardware.accelerator import StallOverlapConfig

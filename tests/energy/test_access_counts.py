@@ -1,7 +1,5 @@
 """Access counting for the energy model."""
 
-import pytest
-
 from repro.energy.access_counts import count_accesses
 from repro.mapping.loop import Loop
 from repro.workload.dims import LoopDim

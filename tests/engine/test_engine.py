@@ -7,6 +7,7 @@ from repro.core.step1 import ModelOptions
 from repro.dse.mapper import MapperConfig, TemporalMapper
 from repro.energy.energy_model import EnergyModel
 from repro.engine import EvaluationCache, EvaluationEngine
+from repro.engine.cache import PartialResultCache
 from repro.hardware.presets import case_study_accelerator
 from repro.workload.generator import dense_layer
 
@@ -76,13 +77,12 @@ def test_repeat_evaluation_hits_cache(preset, mappings):
     assert engine.stats.evaluations == 1
 
 
-def test_cache_disabled_reevaluates(preset, mappings):
-    engine = EvaluationEngine(preset.accelerator, use_cache=False)
-    mapping = mappings[0]
-    engine.evaluate(mapping)
-    engine.evaluate(mapping)
-    assert engine.stats.evaluations == 2
-    assert engine.stats.cache_hits == 0
+@pytest.mark.parametrize("knob", [{"use_cache": False}, {"cache_size": 1}])
+def test_removed_cache_knobs_are_refused(preset, knob):
+    """Caching is always on: a cold run takes a fresh engine or
+    ``engine.cache.clear()``, never a constructor switch."""
+    with pytest.raises(TypeError):
+        EvaluationEngine(preset.accelerator, **knob)
 
 
 def test_different_options_do_not_share_entries(preset, mappings):
@@ -98,8 +98,9 @@ def test_different_options_do_not_share_entries(preset, mappings):
     assert b.stats.cache_hits == 0  # miss: distinct options fingerprint
 
 
-def test_lru_eviction_bounds_size():
-    cache = EvaluationCache(maxsize=2)
+@pytest.mark.parametrize("cache_type", [EvaluationCache, PartialResultCache])
+def test_lru_eviction_bounds_size(cache_type):
+    cache = cache_type(maxsize=2)
     cache.put("a", 1)
     cache.put("b", 2)
     cache.put("c", 3)

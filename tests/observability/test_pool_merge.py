@@ -6,7 +6,7 @@ import pytest
 from repro.dse.mapper import MapperConfig, TemporalMapper
 from repro.engine import EvaluationEngine
 from repro.hardware.presets import case_study_accelerator
-from repro.observability import Tracer, find_spans, tree_shape, use_telemetry
+from repro.observability import Tracer, find_spans, use_telemetry
 from repro.workload.generator import dense_layer
 
 
@@ -34,7 +34,7 @@ def _traced_batch(engine, mappings):
 
 def test_chunk_order_is_preserved(preset, mappings):
     """Merged evaluation spans appear in submission order."""
-    serial = EvaluationEngine(preset.accelerator, use_cache=False, chunk_size=8)
+    serial = EvaluationEngine(preset.accelerator, chunk_size=8)
     outcomes, tracer = _traced_batch(serial, mappings)
     evals = find_spans(tracer.records, "model.evaluate")
     assert len(evals) == len([o for o in outcomes if o is not None])
@@ -44,7 +44,7 @@ def test_chunk_order_is_preserved(preset, mappings):
 
 
 def test_worker_spans_land_on_chunk_tracks(preset, mappings):
-    serial = EvaluationEngine(preset.accelerator, use_cache=False, chunk_size=8)
+    serial = EvaluationEngine(preset.accelerator, chunk_size=8)
     _, tracer = _traced_batch(serial, mappings)
     batch = find_spans(tracer.records, "engine.batch")
     assert len(batch) == 1 and batch[0].track == 0
@@ -57,7 +57,7 @@ def test_untraced_batch_ships_no_records(preset, mappings):
     """Without an ambient tracer a chunk returns no span records."""
     from repro.engine.executors import evaluate_chunk
 
-    engine = EvaluationEngine(preset.accelerator, use_cache=False)
+    engine = EvaluationEngine(preset.accelerator)
     _, records, timing = evaluate_chunk(
         engine.accelerator, engine.options, tuple(mappings[:2]),
         False, False, False,

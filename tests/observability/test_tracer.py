@@ -7,7 +7,6 @@ from repro.observability import (
     NullTracer,
     SpanRecord,
     Tracer,
-    span_tree,
     telemetry,
     tree_shape,
     use_telemetry,

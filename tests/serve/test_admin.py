@@ -28,7 +28,7 @@ def _cases(count=4):
 
 
 def _evaluate_some(url, cases):
-    client = connect(url, use_cache=False)
+    client = connect(url)
     answered = 0
     for case in cases:
         try:
@@ -84,9 +84,10 @@ def test_metrics_serves_prometheus_text_with_request_series(make_server):
 def test_provenance_labelled_response_counters(make_server):
     handle = make_server(admin_port=0)
     case = _cases(1)[0]
-    client = connect(handle.url, use_cache=False)
+    client = connect(handle.url)
     remote = client.derive(accelerator=case.accelerator)
     remote.evaluate(case.mapping)   # evaluated
+    client.cache.clear()
     remote.evaluate(case.mapping)   # store hit
     client.close()
     _, _, body = _get(handle.server.admin.url, "/metrics")

@@ -46,9 +46,11 @@ def no_scalar_kernel(monkeypatch, reference):
 
 def test_engine_paths_never_run_the_scalar_kernel(mappings, reference, no_scalar_kernel):
     accelerator = case_study_accelerator().accelerator
-    engine = EvaluationEngine(accelerator, use_cache=False)
+    engine = EvaluationEngine(accelerator)
     assert [engine.evaluate(m) for m in mappings] == reference
+    engine.cache.clear()
     untraced = engine.evaluate_many(mappings)
+    engine.cache.clear()
     tracer = Tracer()
     with use_telemetry(tracer=tracer):
         traced = engine.evaluate_many(mappings)
@@ -64,7 +66,7 @@ def test_a_traced_served_request_never_runs_the_scalar_kernel(
 ):
     handle = make_server()
     tracer = Tracer()
-    with use_telemetry(tracer=tracer), connect(handle.url, use_cache=False) as client:
+    with use_telemetry(tracer=tracer), connect(handle.url) as client:
         report = client.evaluate(mappings[0])
     assert report.total_cycles == reference[0].total_cycles
     (span,) = find_spans(tracer.records, "model.evaluate")

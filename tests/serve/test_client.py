@@ -4,12 +4,13 @@ import dataclasses
 
 import pytest
 
+from repro.core.step1 import ModelOptions
 from repro.engine import EvaluationEngine, Evaluator
 from repro.mapping.mapping import MappingError
 from repro.mapping.serde import mapping_from_dict, mapping_to_dict
 from repro.serve import RemoteEngine, RemoteEvaluationError, connect, parse_url
 from repro.serve.client import _raise_remote
-from repro.serve.protocol import ErrorResponse, ProtocolError
+from repro.serve.protocol import ErrorResponse, ProtocolError, report_to_dict
 from repro.verify.generators import sample_cases
 
 
@@ -115,6 +116,31 @@ def test_derive_new_accelerator_ships_payload(server):
     client.close()
 
 
+def test_chained_derive_carries_both_payloads(server):
+    client = connect(server.url)
+    case = next(iter(sample_cases(seed=11, count=1)))
+    options = ModelOptions(paper_period_count=True)
+    sibling = client.derive(options=options)
+    view = sibling.derive(accelerator=case.accelerator)
+    for derived in (sibling, view):
+        assert derived._transport is client._transport
+        assert derived.cache is client.cache
+        assert derived.stats is client.stats
+    assert view._accel_payload is not None
+    assert view._options_payload is not None
+    local = EvaluationEngine(case.accelerator, options)
+    assert view.accelerator_fingerprint == local.accelerator_fingerprint
+    assert view.options_fingerprint == local.options_fingerprint
+    # Only the new machine drops the native dataflow; a copy is a copy.
+    assert sibling.spatial_unrolling == client.spatial_unrolling != {}
+    assert sibling.spatial_unrolling is not client.spatial_unrolling
+    assert view.spatial_unrolling == {}
+    assert report_to_dict(view.evaluate(case.mapping)) == report_to_dict(
+        local.evaluate(case.mapping)
+    )
+    client.close()
+
+
 def test_evaluate_many_mixed_feasibility(server):
     client = connect(server.url)
     cases = list(sample_cases(seed=11, count=6))
@@ -204,6 +230,12 @@ def test_remote_stats_combines_both_sides_of_the_connection(server):
 def test_connect_refuses_dead_endpoint():
     with pytest.raises(OSError):
         connect("serve://127.0.0.1:1")
+
+
+def test_connect_refuses_the_removed_cache_switch():
+    # Refused before any socket opens: the client cache is always on.
+    with pytest.raises(TypeError):
+        connect("serve://127.0.0.1:1", use_cache=False)
 
 
 def test_context_manager_closes_transport(server):

@@ -7,6 +7,7 @@ serving, and does not dump its flight ring as it would for a fault of
 its own. Anything else that escapes a handler is still answered.
 """
 
+import re
 import socket
 
 import pytest
@@ -67,6 +68,36 @@ def test_mapping_parser_raises_serde_error(patch):
         mapping_from_dict(data, LAYER)
 
 
+def _fractional(layer, mapping):
+    """The wire dicts of ``layer``/``mapping`` with every dim and loop
+    size 0.5 larger: no integer problem, so nothing to evaluate."""
+    layer = dict(layer, dims={d: s + 0.5 for d, s in layer["dims"].items()})
+    mapping = dict(mapping, loops=[[d, s + 0.5] for d, s in mapping["loops"]])
+    return layer, mapping
+
+
+@pytest.mark.parametrize("part, patch, field", [
+    ("layer", {"dims": {"B": 32, "K": 64, "C": 600.5}}, "dims[C]"),
+    ("layer", {"dims": {"B": True, "K": 64, "C": 600}}, "dims[B]"),
+    ("layer", {"dims": {"B": "32", "K": 64, "C": 600}}, "dims[B]"),
+    ("layer", {"stride_x": 2.0}, "stride_x"),
+    ("layer", {"dilation_y": True}, "dilation_y"),
+    ("mapping", {"loops": [["C", 16.5]]}, "loops[0]"),
+    ("mapping", {"loops": [["C", "16"]]}, "loops[0]"),
+    ("mapping", {"spatial": {"K": True}}, "spatial[K]"),
+    ("mapping", {"cuts": {"W": [0.5], "I": [], "O": []}}, "cuts.W[0]"),
+])
+def test_parsers_refuse_non_integer_sizes_by_name(part, patch, field):
+    """``16.5``, ``true`` and ``"16"`` are not sizes: the parsers raise
+    instead of truncating or coercing them with ``int()``."""
+    error = re.escape(f"{field} must be an integer")
+    with pytest.raises(SerdeError, match=error):
+        if part == "layer":
+            layer_from_dict(dict(layer_to_dict(LAYER), **patch))
+        else:
+            mapping_from_dict(dict(mapping_to_dict(_mapping()), **patch), LAYER)
+
+
 def _frame(request_id, layer, mapping):
     return protocol.encode(EvaluateRequest(
         id=request_id, layer=layer, mapping=mapping, validate=False,
@@ -93,6 +124,7 @@ def test_malformed_frames_get_error_frames_and_the_daemon_keeps_serving(
         (dict(layer, dims=[1]), mapping_to_dict(mapping), "SerdeError"),
         (dict(layer, precision=None), mapping_to_dict(mapping), "SerdeError"),
         (layer, dict(mapping_to_dict(mapping), cuts=[1]), "SerdeError"),
+        (*_fractional(layer, mapping_to_dict(mapping)), "SerdeError"),
         (layer, mapping_to_dict(_shallow(mapping)), "MappingError"),
     ]
     for request_id, (layer_data, mapping_data, error) in enumerate(cases, 1):

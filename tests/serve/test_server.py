@@ -286,7 +286,7 @@ def test_architecture_sweep_keeps_the_engine_table_bounded(make_server):
         case_study_accelerator(gb_read_bw=64.0 + i).accelerator
         for i in range(130)
     ]
-    client = connect(handle.url, use_cache=False)
+    client = connect(handle.url)
     for machine in machines:
         client.derive(accelerator=machine).evaluate(mapping)
     assert handle.server.status_payload()["queue"]["engines"] == 128
@@ -414,10 +414,11 @@ def test_drain_fails_queued_work_cleanly_and_ledgers_interruption(
 
 def test_requests_after_drain_are_refused(make_server):
     handle = make_server()
-    # No client-side cache: the repeat request must actually hit the wire.
-    client = connect(handle.url, use_cache=False)
+    client = connect(handle.url)
     case = next(iter(sample_cases(seed=11, count=1)))
     client.derive(accelerator=case.accelerator).evaluate(case.mapping)
+    # Empty the client cache: the repeat request must actually hit the wire.
+    client.cache.clear()
     asyncio.run_coroutine_threadsafe(
         handle.server.drain(reason="test", interrupted=False),
         handle.server.loop,

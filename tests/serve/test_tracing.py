@@ -95,10 +95,11 @@ def test_repeat_request_is_a_store_hit_span(server):
     case = _case()
     tracer = Tracer()
     with use_telemetry(tracer=tracer):
-        # No client LRU: the repeat must hit the wire and the *store*.
-        client = connect(server.url, use_cache=False)
+        client = connect(server.url)
         remote = client.derive(accelerator=case.accelerator)
         remote.evaluate(case.mapping)
+        # Empty the client LRU: the repeat must hit the wire and the *store*.
+        client.cache.clear()
         remote.evaluate(case.mapping)
         client.close()
     roots = span_tree(tracer.records)

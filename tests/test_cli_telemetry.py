@@ -2,8 +2,6 @@
 
 import pathlib
 
-import pytest
-
 from repro.cli import main
 from repro.observability import (
     ChunkCompleted,

@@ -1,7 +1,5 @@
 """The public testing utilities (repro.testing)."""
 
-import pytest
-
 from repro.mapping.loop import Loop
 from repro.testing import loops, make_mapping, toy_accelerator
 from repro.workload.dims import LoopDim
