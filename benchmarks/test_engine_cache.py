@@ -58,7 +58,7 @@ def test_cache_speedup_on_repeated_network():
     uncached_s, uncached = _evaluate_layers_cold()
     cached_s, cached, stats = _evaluate_network()
     speedup = uncached_s / cached_s
-    print(f"\nRepeated-layer network (24 layers, 4 distinct shapes):")
+    print("\nRepeated-layer network (24 layers, 4 distinct shapes):")
     print(f"  uncached {uncached_s * 1e3:8.1f} ms")
     print(f"  cached   {cached_s * 1e3:8.1f} ms   ({speedup:.2f}x)")
     print(f"  {stats.summary()}")

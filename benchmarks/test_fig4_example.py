@@ -10,7 +10,6 @@ table the figure tabulates.
 
 import pytest
 
-from repro.core.dtl import TrafficKind
 from repro.core.step1 import ModelOptions, build_dtls
 from repro.core.step2 import combine_all_ports, served_memory_stalls
 from repro.hardware.accelerator import Accelerator

@@ -10,8 +10,6 @@ to yield exactly the paper's 30240 orders.
 
 import itertools
 
-import pytest
-
 from repro.dse.factorize import count_permutations
 from repro.mapping.mapping import Mapping
 from repro.workload.generator import dense_layer

@@ -14,7 +14,6 @@ import pytest
 
 from repro.core.batch import BatchEvaluator
 from repro.core.model import LatencyModel
-from repro.dse.mapper import MapperConfig, TemporalMapper
 from repro.engine import EvaluationEngine
 from repro.simulator.engine import CycleSimulator
 from repro.workload.generator import dense_layer

@@ -13,11 +13,9 @@ import pytest
 
 from repro.core.dtl import TrafficKind
 from repro.core.step1 import ModelOptions, build_dtls
-from repro.mapping.loop import Loop
 from repro.mapping.mapping import Mapping
 from repro.mapping.spatial import SpatialMapping
 from repro.mapping.temporal import TemporalMapping, loops_from_pairs
-from repro.workload.dims import LoopDim
 from repro.workload.generator import dense_layer
 from repro.workload.operand import Operand
 

@@ -10,7 +10,7 @@ the stall disappearing.
 Run:  python examples/bottleneck_analysis.py
 """
 
-from repro import LatencyModel, TemporalMapper, case_study_accelerator, dense_layer
+from repro import TemporalMapper, case_study_accelerator, dense_layer
 from repro.analysis.bottleneck import diagnose
 from repro.analysis.timeline import render_timeline
 from repro.dse.mapper import MapperConfig

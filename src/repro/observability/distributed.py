@@ -20,16 +20,18 @@ kernel time invisible. This module is the bridge:
   request subtree back in the response; the client grafts it under its
   transport span with :meth:`~repro.observability.Tracer.merge`, so the
   Chrome export shows client -> daemon -> kernel in one timeline.
-* **Server span assembly** — :func:`server_span_records` builds the
-  per-request server subtree (``serve.request`` with queue-wait /
-  coalesce-wait / kernel / store-write children, the kernel's own
-  stall-attribution spans re-rooted under the kernel span) from the
-  phase timestamps the server collects anyway. Spans are assembled
-  after the fact from timings rather than opened live because the
-  request crosses the event loop, a queue, and an executor thread —
-  there is no single stack to nest them on.
+* **The per-request record** — :class:`RequestRecord` is one evaluate
+  request as the daemon saw it. Every per-request view is a projection
+  of it: :func:`server_span_records` builds the server subtree
+  (``serve.request`` with queue-wait / coalesce-wait / kernel /
+  store-write children, the kernel's own stall-attribution spans
+  re-rooted under the kernel span) after the fact from the record's
+  timings, because the request crosses the event loop, a queue, and an
+  executor thread — there is no single stack to nest live spans on;
+  the flight entry, the ``/statusz`` slow entry and the slow-request
+  ledger row are its other projections.
 * **Flight recorder** — :class:`FlightRecorder`, an always-on bounded
-  ring of compact per-request records that dumps to JSONL on SIGQUIT,
+  ring of each request's flight entry that dumps to JSONL on SIGQUIT,
   on ``/statusz?dump=1``, and automatically on drain/error, so
   post-mortems need no pre-enabled tracing.
 """
@@ -49,6 +51,7 @@ from repro.observability.telemetry import telemetry
 
 __all__ = [
     "FlightRecorder",
+    "RequestRecord",
     "TraceContext",
     "extract_trace",
     "inject_trace",
@@ -183,43 +186,93 @@ def spans_from_wire(data: Optional[Iterable[Any]]) -> List[SpanRecord]:
 
 
 # --------------------------------------------------------------------- #
-# Server-side request subtree
+# The per-request record and its projections
 # --------------------------------------------------------------------- #
 
+@dataclasses.dataclass
+class RequestRecord:
+    """One evaluate request as the daemon saw it, from arrival to answer.
+
+    The server fills it in as the request moves through store,
+    coalescing, queue and kernel, and stamps the outcome when it
+    answers; every per-request view is a projection of it. Phase times
+    are microseconds; ``start_s`` is the ``perf_counter`` at arrival and
+    ``ts`` the unix time of the answer. ``traceback`` is set only for a
+    fault caught by a last-resort handler, whose flight entry carries
+    nothing else.
+    """
+
+    id: int = -1
+    queued_at_arrival: int = 0      # kernel-queue depth on arrival
+    start_s: float = 0.0
+    accel_fp: str = ""
+    options_fp: str = ""
+    mapping_fp: str = ""
+    evaluated: bool = False         # a kernel actually ran for it
+    queue_wait_us: float = 0.0
+    coalesce_wait_us: float = 0.0
+    kernel_us: float = 0.0
+    store_write_us: float = 0.0
+    kernel_records: Sequence[SpanRecord] = ()
+    wall_s: float = 0.0
+    ts: float = dataclasses.field(default_factory=time.time)
+    outcome: str = ""               # the response's source, or error kind
+    traceback: Optional[str] = None
+
+    def flight_entry(self) -> Dict[str, Any]:
+        """The flight-ring fields (the ring adds ``seq`` and ``ts``)."""
+        if self.traceback is not None:
+            return {"id": self.id, "outcome": self.outcome,
+                    "traceback": self.traceback}
+        return {
+            "id": self.id,
+            "outcome": self.outcome,
+            "wall_ms": round(self.wall_s * 1e3, 3),
+            "queue_wait_ms": round(self.queue_wait_us / 1e3, 3),
+            "kernel_ms": round(self.kernel_us / 1e3, 3),
+            "accel_fp": self.accel_fp[:8],
+            "mapping_fp": self.mapping_fp[:12],
+            "queue_depth": self.queued_at_arrival,
+        }
+
+    def slow_entry(self, threshold_ms: float) -> Dict[str, Any]:
+        """The ``/statusz`` slow-log entry: the flight fields plus the
+        other phases and the threshold the request crossed."""
+        return dict(
+            self.flight_entry(),
+            ts=self.ts,
+            coalesce_wait_ms=round(self.coalesce_wait_us / 1e3, 3),
+            store_write_ms=round(self.store_write_us / 1e3, 3),
+            threshold_ms=float(threshold_ms),
+        )
+
+
 def server_span_records(
-    *,
-    context: TraceContext,
-    start_us: float,
-    end_us: float,
-    evaluated: bool = False,
-    queue_wait_us: float = 0.0,
-    coalesce_wait_us: float = 0.0,
-    kernel_us: float = 0.0,
-    store_write_us: float = 0.0,
-    kernel_records: Sequence[SpanRecord] = (),
-    source: str = "evaluated",
-    **attrs: Any,
+    context: TraceContext, record: RequestRecord, **attrs: Any
 ) -> List[SpanRecord]:
-    """Assemble the server-side subtree for one finished request.
+    """The server-side span subtree of one answered request.
 
     Returns a well-formed flat record list rooted at ``serve.request``
     (negative span ids, so remapping on the client side can never
     collide with the kernel records' positive ids):
 
     - ``serve.request`` — the whole server wall time, stamped with the
-      propagated ``trace_id`` / client ``span_id`` and the provenance
-      (``source``: evaluated / store / warm / coalesced).
+      propagated ``trace_id`` / client ``span_id``, the provenance
+      (``source``: evaluated / store / warm / coalesced), the mapping
+      fingerprint and ``attrs``.
     - ``serve.queue_wait`` — admission to kernel pickup (absent when the
       request never queued: store/warm hits).
     - ``serve.coalesce_wait`` — time spent attached to another
       request's in-flight evaluation.
-    - ``serve.kernel`` — kernel-thread occupancy (present when
-      ``evaluated``: a kernel ran for this request); the kernel's own
-      ``engine.evaluate`` -> ``model.step*`` stall-attribution subtree
-      is re-rooted beneath it.
+    - ``serve.kernel`` — kernel-thread occupancy (present when a kernel
+      ran for this request); the kernel's own ``engine.evaluate`` ->
+      ``model.step*`` stall-attribution subtree is re-rooted beneath it.
     - ``serve.store_write`` — result-store write-through.
     """
-    root = SpanRecord(
+    start_us = record.start_s * 1e6
+    end_us = (record.start_s + record.wall_s) * 1e6
+    attrs = {"mapping_fp": record.mapping_fp[:12] or None, **attrs}
+    spans = [SpanRecord(
         span_id=-1,
         parent_id=None,
         name="serve.request",
@@ -228,57 +281,43 @@ def server_span_records(
         attributes={
             "trace_id": context.trace_id,
             "client_span_id": context.span_id,
-            "source": source,
+            "source": record.outcome,
             **{k: v for k, v in attrs.items() if v is not None},
         },
+    )]
+    phases = (
+        ("serve.queue_wait", record.queue_wait_us, record.queue_wait_us > 0.0),
+        ("serve.coalesce_wait", record.coalesce_wait_us,
+         record.coalesce_wait_us > 0.0),
+        ("serve.kernel", record.kernel_us, record.evaluated),
+        ("serve.store_write", record.store_write_us, record.store_write_us > 0.0),
     )
-    records = [root]
-    cursor = start_us
-    next_id = -2
-
-    def child(name: str, duration_us: float, **attributes: Any) -> SpanRecord:
-        nonlocal cursor, next_id
-        record = SpanRecord(
-            span_id=next_id,
-            parent_id=-1,
-            name=name,
-            start_us=cursor,
-            duration_us=max(0.0, duration_us),
-            attributes={k: v for k, v in attributes.items() if v is not None},
+    cursor, next_id = start_us, -2
+    for name, duration_us, present in phases:
+        if not present:
+            continue
+        span = SpanRecord(
+            span_id=next_id, parent_id=-1, name=name,
+            start_us=cursor, duration_us=max(0.0, duration_us),
         )
+        spans.append(span)
+        cursor += span.duration_us
         next_id -= 1
-        cursor += record.duration_us
-        records.append(record)
-        return record
-
-    if queue_wait_us > 0.0:
-        child("serve.queue_wait", queue_wait_us)
-    if coalesce_wait_us > 0.0:
-        child("serve.coalesce_wait", coalesce_wait_us)
-    if evaluated:
-        kernel_span = child("serve.kernel", kernel_us)
-        if kernel_records:
+        if name == "serve.kernel" and record.kernel_records:
             # Re-root the kernel's stall-attribution records under the
             # kernel span, keeping their own (positive) ids and links —
             # the id spaces are disjoint by construction.
-            kernel_id = kernel_span.span_id
-            base = min(r.start_us for r in kernel_records)
-            offset = kernel_span.start_us - base
-            for r in kernel_records:
-                records.append(
-                    SpanRecord(
-                        span_id=r.span_id,
-                        parent_id=r.parent_id if r.parent_id is not None else kernel_id,
-                        name=r.name,
-                        start_us=r.start_us + offset,
-                        duration_us=r.duration_us,
-                        attributes=dict(r.attributes),
-                        track=r.track,
-                    )
+            offset = span.start_us - min(r.start_us for r in record.kernel_records)
+            spans.extend(
+                dataclasses.replace(
+                    r,
+                    parent_id=r.parent_id if r.parent_id is not None else span.span_id,
+                    start_us=r.start_us + offset,
+                    attributes=dict(r.attributes),
                 )
-    if store_write_us > 0.0:
-        child("serve.store_write", store_write_us)
-    return records
+                for r in record.kernel_records
+            )
+    return spans
 
 
 # --------------------------------------------------------------------- #
@@ -286,10 +325,10 @@ def server_span_records(
 # --------------------------------------------------------------------- #
 
 class FlightRecorder:
-    """Always-on bounded ring buffer of compact per-request records.
+    """Always-on bounded ring buffer of compact per-request entries.
 
     The black box: every request — hit, miss, coalesced, failed —
-    appends one small dict (ids, timings, outcome). The ring holds the
+    appends its :meth:`RequestRecord.flight_entry`. The ring holds the
     last ``capacity`` of them at O(1) cost per request and dumps to
     JSONL on demand (SIGQUIT, ``/statusz?dump=1``, drain, first server
     error), so a post-mortem needs no pre-enabled tracing.
@@ -309,45 +348,46 @@ class FlightRecorder:
         with self._lock:
             return len(self._ring)
 
-    def record(self, **fields: Any) -> None:
-        """Append one record, stamped with a sequence number and unix time."""
+    def record(self, request: RequestRecord) -> None:
+        """Append one request's entry, stamped with a sequence number
+        and the request's answer time."""
+        fields = request.flight_entry()
         with self._lock:
             self._seq += 1
-            entry = {"seq": self._seq, "ts": time.time()}
-            entry.update(fields)
-            self._ring.append(entry)
+            self._ring.append({"seq": self._seq, "ts": request.ts, **fields})
 
     def snapshot(self) -> List[Dict[str, Any]]:
-        """The ring's contents, oldest first (records are copied)."""
+        """The ring's contents, oldest first (entries are copied)."""
         with self._lock:
             return [dict(entry) for entry in self._ring]
 
     def last(self) -> Optional[Dict[str, Any]]:
-        """The most recent record, or ``None`` when empty."""
+        """The most recent entry, or ``None`` when empty."""
         with self._lock:
             return dict(self._ring[-1]) if self._ring else None
 
     def to_jsonl(self) -> str:
-        """The ring as JSONL text (one record per line, oldest first)."""
+        """The ring as JSONL text (one entry per line, oldest first)."""
         return "".join(
             json.dumps(entry, sort_keys=True, default=str) + "\n"
             for entry in self.snapshot()
         )
 
-    def dump(self, path) -> int:
-        """Write the ring to ``path`` as JSONL; returns the record count.
+    def dump(self, path, text: Optional[str] = None) -> int:
+        """Write ``text`` to ``path``; returns its entry count.
 
-        Each dump is a complete, self-consistent file (truncate, not
-        append) — the newest dump is the one that matters in a
-        post-mortem, and repeated SIGQUITs must not interleave.
+        ``text`` defaults to :meth:`to_jsonl` now; a caller that also
+        answers with the ring passes the text it rendered, so the answer
+        and the file are one snapshot. Each dump is a complete,
+        self-consistent file (truncate, not append) — the newest dump is
+        the one that matters in a post-mortem, and repeated SIGQUITs
+        must not interleave.
         """
-        entries = self.snapshot()
+        if text is None:
+            text = self.to_jsonl()
         target = Path(path)
-        if target.parent and not target.parent.exists():
-            target.parent.mkdir(parents=True, exist_ok=True)
-        with open(target, "w", encoding="utf-8") as fh:
-            for entry in entries:
-                fh.write(json.dumps(entry, sort_keys=True, default=str) + "\n")
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(text, encoding="utf-8")
         with self._lock:
             self.dumps += 1
-        return len(entries)
+        return text.count("\n")

@@ -337,45 +337,33 @@ def checkpoint_interruption(
         campaign.flush_to(ledger, partial=True)
 
 
-def record_slow_request(
-    *,
-    accelerator_fp: str,
-    mapping_fp: str,
-    options_fp: str = "",
-    source: str = "evaluated",
-    total_ms: float = 0.0,
-    queue_wait_ms: float = 0.0,
-    kernel_ms: float = 0.0,
-    store_write_ms: float = 0.0,
-    coalesce_wait_ms: float = 0.0,
-    queue_depth: int = 0,
-    threshold_ms: float = 0.0,
-    git_sha_value: Optional[str] = None,
-) -> RunRecord:
-    """Build the ``kind="slow_request"`` row the evaluation daemon writes
-    for a request whose server-side wall time exceeded ``--slow-ms``.
+def record_slow_request(record, threshold_ms: float) -> RunRecord:
+    """The ``kind="slow_request"`` row of a daemon request
+    (a :class:`~repro.observability.distributed.RequestRecord`) whose
+    server-side wall time reached ``threshold_ms`` (``--slow-ms``).
 
     The row carries the request's fingerprints (enough to replay it
     against the store or a fresh engine) and the per-phase breakdown of
     where the time went, so a post-mortem can tell queue pressure from a
     genuinely expensive kernel without re-running anything.
     """
+    total_ms = record.wall_s * 1e3
     return RunRecord(
         kind="slow_request",
-        label=source,
-        ts=time.time(),
-        git_sha=git_sha_value if git_sha_value is not None else git_sha(),
-        accelerator_fp=accelerator_fp,
-        mapping_fp=mapping_fp,
-        options_fp=options_fp,
+        label=record.outcome,
+        ts=record.ts,
+        git_sha=git_sha(),
+        accelerator_fp=record.accel_fp,
+        mapping_fp=record.mapping_fp,
+        options_fp=record.options_fp,
         wall_time_s=total_ms / 1e3,
         extra={
-            "total_ms": float(total_ms),
-            "queue_wait_ms": float(queue_wait_ms),
-            "kernel_ms": float(kernel_ms),
-            "store_write_ms": float(store_write_ms),
-            "coalesce_wait_ms": float(coalesce_wait_ms),
-            "queue_depth": float(queue_depth),
+            "total_ms": total_ms,
+            "queue_wait_ms": record.queue_wait_us / 1e3,
+            "kernel_ms": record.kernel_us / 1e3,
+            "store_write_ms": record.store_write_us / 1e3,
+            "coalesce_wait_ms": record.coalesce_wait_us / 1e3,
+            "queue_depth": float(record.queued_at_arrival),
             "threshold_ms": float(threshold_ms),
         },
     )

@@ -19,8 +19,9 @@ from the outside with nothing but ``curl`` or a Prometheus scraper:
 * ``GET /statusz`` — one JSON document: identity, uptime, protocol
   revision, kernel queue (queued / high-water / engines), store
   occupancy, the last-N slow requests, and flight-recorder state.
-  ``/statusz?dump=1`` returns the flight ring itself as JSONL (and
-  writes it to the configured ``--flight-out`` path, if any).
+  ``/statusz?dump=1`` returns the flight ring itself as JSONL and
+  writes the same snapshot to the configured ``--flight-out`` path, if
+  any.
 
 The handler only reads counters and GIL-atomic containers, so it never
 touches the asyncio loop — a scrape can't slow a kernel down, and a
@@ -110,7 +111,7 @@ def _make_handler(server):
                 if query.get("dump", ["0"])[0] not in ("", "0", "false"):
                     body = server.flight.to_jsonl()
                     if server.config.flight_path:
-                        server.flight.dump(server.config.flight_path)
+                        server.flight.dump(server.config.flight_path, body)
                     self._reply(200, body, "application/jsonl")
                 else:
                     self._reply(

@@ -448,8 +448,9 @@ class RemoteEngine:
         Exactly the in-process contract: entry ``i`` is an
         :class:`~repro.engine.evaluation.Evaluation`, or ``None`` when
         mapping ``i`` was infeasible (:class:`MappingError` server-side).
-        Local cache hits never touch the socket; the rest is written as
-        one burst and collected out of order by request id.
+        Local cache hits never touch the socket (with ``with_energy`` a
+        hit needs both the latency and the energy entry); the rest is
+        written as one burst and collected out of order by request id.
         """
         mappings = list(mappings)
         self.stats.batches += 1
@@ -459,13 +460,15 @@ class RemoteEngine:
                          mappings=float(len(mappings))):
             pending: List[Tuple[int, EvaluateRequest]] = []
             for i, mapping in enumerate(mappings):
-                if not with_energy:
-                    report = self.cache.get(self._latency_key(mapping))
-                    if report is not None:
-                        self.stats.cache_hits += 1
-                        results[i] = Evaluation(mapping, report, None)
-                        continue
-                    self.stats.cache_misses += 1
+                report = self.cache.get(self._latency_key(mapping))
+                energy = (
+                    self.cache.get(self._energy_key(mapping)) if with_energy else None
+                )
+                if report is not None and (not with_energy or energy is not None):
+                    self.stats.cache_hits += 1
+                    results[i] = Evaluation(mapping, report, energy)
+                    continue
+                self.stats.cache_misses += 1
                 pending.append(
                     (i, self._request_for(mapping, validate, with_energy))
                 )

@@ -333,14 +333,15 @@ def decode(line) -> Any:
     """Parse one frame into its message dataclass.
 
     Raises :class:`ProtocolError` on malformed JSON, a missing/unknown
-    type, or a frame stamped with a *newer* protocol version — the
-    version gate every peer applies before touching the payload.
+    type, a missing or non-integer version, or a frame stamped with a
+    *newer* protocol version — the version gate every peer applies
+    before touching the payload.
     """
     if isinstance(line, bytes):
         line = line.decode("utf-8", errors="replace")
     try:
         data = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise ProtocolError(f"invalid JSON frame: {exc}") from exc
     if not isinstance(data, dict):
         raise ProtocolError(f"frame must be a JSON object, got {type(data).__name__}")
@@ -348,7 +349,9 @@ def decode(line) -> Any:
     data.pop("minor", None)  # additive revision — informational only
     if version is None:
         raise ProtocolError("frame has no protocol version field 'v'")
-    if int(version) > PROTOCOL_VERSION:
+    if not isinstance(version, int) or isinstance(version, bool):
+        raise ProtocolError(f"protocol version 'v' must be an integer, got {version!r}")
+    if version > PROTOCOL_VERSION:
         raise ProtocolError(
             f"peer speaks protocol v{version}; this build speaks at most "
             f"v{PROTOCOL_VERSION} — upgrade this side or downgrade the peer"

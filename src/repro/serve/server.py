@@ -40,17 +40,19 @@ moving parts:
   error, lets the in-flight kernel finish, writes one
   ``kind="interrupted"`` ledger row recording how far the daemon got,
   and closes the progress run.
-* **Observability plane** — every request is timed per phase
-  (queue-wait, coalesce-wait, kernel, store-write). Requests carrying a
-  ``trace`` context get the server-side span subtree shipped back in
-  the response (:mod:`repro.observability.distributed`); every request
-  lands in the always-on :class:`FlightRecorder` ring (dumped on
-  SIGQUIT, drain, internal error, or ``/statusz?dump=1``); requests
-  over ``--slow-ms`` write a ``kind="slow_request"`` ledger row and a
-  progress-stream note; and ``--admin-port`` starts the HTTP admin
-  listener (:mod:`repro.serve.admin`) serving ``/metrics`` (Prometheus
-  text with request histograms), ``/healthz``, ``/readyz`` and
-  ``/statusz``.
+* **Observability plane** — every evaluate request is described once,
+  by a :class:`~repro.observability.distributed.RequestRecord` (ids,
+  fingerprints, arrival queue depth, per-phase µs, kernel spans,
+  outcome, wall time), and every per-request view is a projection of
+  it: the request metrics; the entry in the always-on
+  :class:`FlightRecorder` ring (dumped on SIGQUIT, drain, internal
+  error, or ``/statusz?dump=1``); for requests over ``--slow-ms``, the
+  ``/statusz`` slow entry, a ``kind="slow_request"`` ledger row and a
+  progress-stream note; and, for requests carrying a ``trace``
+  context, the server-side span subtree shipped back in the response.
+  ``--admin-port`` starts the HTTP admin listener
+  (:mod:`repro.serve.admin`) serving ``/metrics`` (Prometheus text with
+  request histograms), ``/healthz``, ``/readyz`` and ``/statusz``.
 
 The daemon is single-loop asyncio; kernels run in the worker thread via
 ``run_in_executor``, which deliberately does *not* propagate context
@@ -85,6 +87,7 @@ from repro.mapping.mapping import Mapping
 from repro.mapping.serde import mapping_from_dict
 from repro.observability.distributed import (
     FlightRecorder,
+    RequestRecord,
     TraceContext,
     extract_trace,
     server_span_records,
@@ -212,23 +215,6 @@ class _Outcome:
     energy: Any
     wall_s: float
     kernel_records: Tuple[SpanRecord, ...] = ()
-
-
-@dataclasses.dataclass
-class _Phases:
-    """Per-request phase bookkeeping the response wrapper folds into
-    metrics, the flight recorder, the slow log, and the span subtree."""
-
-    queue_wait_us: float = 0.0
-    coalesce_wait_us: float = 0.0
-    kernel_us: float = 0.0
-    store_write_us: float = 0.0
-    kernel_records: Tuple[SpanRecord, ...] = ()
-    accel_fp: str = ""
-    mapping_fp: str = ""
-    options_fp: str = ""
-    queued_at_arrival: int = 0
-    evaluated: bool = False     # a kernel actually ran for this request
 
 
 class EvaluationServer:
@@ -485,12 +471,15 @@ class EvaluationServer:
         """
         try:
             message = protocol.decode(line)
-        except ProtocolError as exc:
+        except Exception as exc:  # a ProtocolError, or a fault of decode's own
             self.stats.protocol_errors += 1
             request_id = self._best_effort_id(line)
+            if not isinstance(exc, ProtocolError):
+                self.flight.record(RequestRecord(
+                    id=request_id, outcome=type(exc).__name__, traceback=format_exc(),
+                ))
             await self._send(
-                writer, write_lock,
-                ErrorResponse(id=request_id, error="ProtocolError", message=str(exc)),
+                writer, write_lock, self._error_response(request_id, exc)
             )
             return
         if isinstance(message, ShutdownRequest):
@@ -520,9 +509,9 @@ class EvaluationServer:
                 )
         except Exception as exc:  # last resort: record the fault, then answer
             request_id = getattr(message, "id", -1)
-            self.flight.record(
-                id=request_id, outcome=type(exc).__name__, traceback=format_exc()
-            )
+            self.flight.record(RequestRecord(
+                id=request_id, outcome=type(exc).__name__, traceback=format_exc(),
+            ))
             response = self._error_response(request_id, exc)
         if isinstance(response, ErrorResponse):
             self.stats.errors += 1
@@ -530,12 +519,13 @@ class EvaluationServer:
 
     @staticmethod
     def _best_effort_id(line: bytes) -> int:
-        """Recover a request id from an undecodable frame when possible."""
+        """The integer id of an undecodable frame, else -1."""
         try:
-            data = json.loads(line.decode("utf-8", errors="replace"))
-            return int(data.get("id", -1))
-        except (ValueError, AttributeError):
+            request_id = json.loads(line.decode("utf-8", errors="replace"))["id"]
+        except (ValueError, TypeError, KeyError, RecursionError):
             return -1
+        valid = isinstance(request_id, int) and not isinstance(request_id, bool)
+        return request_id if valid else -1
 
     @staticmethod
     async def _send(writer, write_lock, message) -> None:
@@ -551,43 +541,31 @@ class EvaluationServer:
     # ------------------------------------------------------------------ #
 
     async def _handle_evaluate(self, msg: EvaluateRequest):
-        """Time + dispatch one evaluate request, then fold the result into
-        the observability plane (metrics, flight recorder, slow log, spans)."""
+        """Dispatch one evaluate request, filling in its
+        :class:`RequestRecord`, then project the record into the
+        observability plane (metrics, flight ring, slow log, spans)."""
         self.stats.requests += 1
         context = extract_trace(msg.trace)
-        phases = _Phases(queued_at_arrival=self._queued())
-        t0 = time.perf_counter()
-        response = await self._evaluate_request(msg, phases, context)
-        wall_s = time.perf_counter() - t0
-        self._record_request(msg, response, phases, wall_s)
+        record = RequestRecord(
+            id=msg.id, queued_at_arrival=self._queued(),
+            start_s=time.perf_counter(),
+        )
+        response = await self._evaluate_request(msg, record, context)
+        wall_s = time.perf_counter() - record.start_s
+        self._record_request(msg, response, record, wall_s)
         if (
             context is not None
             and context.sampled
             and not isinstance(response, ErrorResponse)
         ):
-            records = server_span_records(
-                context=context,
-                start_us=t0 * 1e6,
-                end_us=(t0 + wall_s) * 1e6,
-                evaluated=phases.evaluated,
-                queue_wait_us=phases.queue_wait_us,
-                coalesce_wait_us=phases.coalesce_wait_us,
-                kernel_us=phases.kernel_us,
-                store_write_us=phases.store_write_us,
-                kernel_records=phases.kernel_records,
-                source=response.source,
-                mapping_fp=phases.mapping_fp[:12] or None,
-                server=self.config.name,
-            )
-            response = dataclasses.replace(
-                response, spans=spans_to_wire(records)
-            )
+            spans = server_span_records(context, record, server=self.config.name)
+            response = dataclasses.replace(response, spans=spans_to_wire(spans))
         return response
 
     async def _evaluate_request(
         self,
         msg: EvaluateRequest,
-        phases: _Phases,
+        record: RequestRecord,
         context: Optional[TraceContext],
     ):
         """The dispatch itself: store -> coalesce -> queue -> kernel."""
@@ -606,9 +584,9 @@ class EvaluationServer:
             return ErrorResponse(
                 id=msg.id, error=type(exc).__name__, message=str(exc)
             )
-        phases.accel_fp = accel_fp
-        phases.options_fp = options_fp
-        phases.mapping_fp = mapping_fp
+        record.accel_fp = accel_fp
+        record.options_fp = options_fp
+        record.mapping_fp = mapping_fp
         store_key = (accel_fp, options_fp, mapping_fp)
         if not msg.with_energy:
             hit = self.store.get(store_key)
@@ -632,7 +610,7 @@ class EvaluationServer:
                 outcome = await asyncio.shield(owner)
             except BaseException as exc:
                 return self._error_response(msg.id, exc)
-            phases.coalesce_wait_us = (time.perf_counter() - t_wait) * 1e6
+            record.coalesce_wait_us = (time.perf_counter() - t_wait) * 1e6
             return self._ok_response(msg, outcome, source="coalesced")
         loop = asyncio.get_running_loop()
         future = loop.create_future()
@@ -659,17 +637,17 @@ class EvaluationServer:
             outcome = await asyncio.shield(future)
         except BaseException as exc:
             return self._error_response(msg.id, exc)
-        phases.evaluated = True
-        phases.queue_wait_us = item.queue_wait_us
-        phases.kernel_us = outcome.wall_s * 1e6
-        phases.kernel_records = outcome.kernel_records
+        record.evaluated = True
+        record.queue_wait_us = item.queue_wait_us
+        record.kernel_us = outcome.wall_s * 1e6
+        record.kernel_records = outcome.kernel_records
         self.stats.evaluations += 1
         if msg.with_energy:
             self.stats.energy_evaluations += 1
         if not msg.with_energy:
             t_store = time.perf_counter()
             self.store.put(store_key, outcome.report, wall_time_s=outcome.wall_s)
-            phases.store_write_us = (time.perf_counter() - t_store) * 1e6
+            record.store_write_us = (time.perf_counter() - t_store) * 1e6
         self._run.advance(1, wall_s=outcome.wall_s, worker=_WORKER)
         if self.stats.evaluations % 32 == 0:
             self._run.cache_stats(
@@ -706,90 +684,67 @@ class EvaluationServer:
     })
 
     def _record_request(
-        self, msg: EvaluateRequest, response, phases: _Phases, wall_s: float
+        self, msg: EvaluateRequest, response, record: RequestRecord, wall_s: float
     ) -> None:
-        """Fold one finished request into metrics / flight ring / slow log."""
+        """Stamp the answer on ``record``, then project it into the request
+        metrics and the flight ring and, when slow, into the slow log, the
+        ledger and the progress stream."""
+        failed = isinstance(response, ErrorResponse)
+        record.wall_s = wall_s
+        record.ts = time.time()
+        record.outcome = response.error if failed else response.source
         metrics = self.metrics
         metrics.counter(
             "repro_serve_requests_total", "Evaluate requests received."
         ).inc()
-        failed = isinstance(response, ErrorResponse)
         if failed:
             metrics.counter(
                 "repro_serve_request_errors_total",
                 "Evaluate requests answered with an error frame.",
-                labels={"error": response.error},
+                labels={"error": record.outcome},
             ).inc()
         else:
             metrics.counter(
                 "repro_serve_responses_total",
                 "Evaluate responses by provenance.",
-                labels={"source": response.source},
+                labels={"source": record.outcome},
             ).inc()
         metrics.histogram(
             "repro_serve_request_seconds", "Server-side evaluate wall time.",
         ).observe(wall_s)
-        if phases.evaluated:
+        if record.evaluated:
             metrics.histogram(
                 "repro_serve_queue_wait_seconds",
                 "Admission-to-kernel-pickup wait.",
-            ).observe(phases.queue_wait_us / 1e6)
-        entry: Dict[str, Any] = {
-            "id": msg.id,
-            "outcome": response.error if failed else response.source,
-            "wall_ms": round(wall_s * 1e3, 3),
-            "queue_wait_ms": round(phases.queue_wait_us / 1e3, 3),
-            "kernel_ms": round(phases.kernel_us / 1e3, 3),
-            "accel_fp": phases.accel_fp[:8],
-            "mapping_fp": phases.mapping_fp[:12],
-            "queue_depth": phases.queued_at_arrival,
-        }
-        self.flight.record(**entry)
+            ).observe(record.queue_wait_us / 1e6)
+        self.flight.record(record)
         if (
             failed
-            and response.error not in self._CLIENT_ERRORS
+            and record.outcome not in self._CLIENT_ERRORS
             and self.config.flight_path
             and not self._error_dumped
         ):
             self._error_dumped = True
             self.flight.dump(self.config.flight_path)
         slow_ms = self.config.slow_ms
-        if slow_ms is not None and not failed and wall_s * 1e3 >= slow_ms:
-            self.stats.slow_requests += 1
-            slow = dict(entry)
-            slow.update(
-                ts=time.time(),
-                coalesce_wait_ms=round(phases.coalesce_wait_us / 1e3, 3),
-                store_write_ms=round(phases.store_write_us / 1e3, 3),
-                threshold_ms=float(slow_ms),
-            )
-            self._slow_log.append(slow)
-            metrics.counter(
-                "repro_serve_slow_requests_total",
-                "Requests over the --slow-ms threshold.",
-            ).inc()
-            ledger = self._telemetry.ledger
-            if ledger.enabled:
-                ledger.append(record_slow_request(
-                    accelerator_fp=phases.accel_fp,
-                    mapping_fp=phases.mapping_fp,
-                    options_fp=phases.options_fp,
-                    source=response.source,
-                    total_ms=wall_s * 1e3,
-                    queue_wait_ms=phases.queue_wait_us / 1e3,
-                    kernel_ms=phases.kernel_us / 1e3,
-                    store_write_ms=phases.store_write_us / 1e3,
-                    coalesce_wait_ms=phases.coalesce_wait_us / 1e3,
-                    queue_depth=phases.queued_at_arrival,
-                    threshold_ms=slow_ms,
-                ))
-            self._run.heartbeat(
-                worker=_WORKER,
-                note=(
-                    f"slow request {phases.mapping_fp[:12]} "
-                    f"{wall_s * 1e3:.0f}ms (> {slow_ms:g}ms)"
-                ),
-            )
+        if slow_ms is None or failed or wall_s * 1e3 < slow_ms:
+            return
+        self.stats.slow_requests += 1
+        self._slow_log.append(record.slow_entry(slow_ms))
+        metrics.counter(
+            "repro_serve_slow_requests_total",
+            "Requests over the --slow-ms threshold.",
+        ).inc()
+        ledger = self._telemetry.ledger
+        if ledger.enabled:
+            ledger.append(record_slow_request(record, slow_ms))
+        self._run.heartbeat(
+            worker=_WORKER,
+            note=(
+                f"slow request {record.mapping_fp[:12]} "
+                f"{wall_s * 1e3:.0f}ms (> {slow_ms:g}ms)"
+            ),
+        )
 
     # -- payload resolution (memoized) ---------------------------------- #
 

@@ -6,6 +6,7 @@ import json
 
 from repro.observability.distributed import (
     FlightRecorder,
+    RequestRecord,
     TraceContext,
     extract_trace,
     inject_trace,
@@ -111,11 +112,11 @@ def test_server_span_records_full_request_layout():
         SpanRecord(span_id=2, parent_id=1, name="model.evaluate",
                    start_us=510.0, duration_us=60.0),
     ]
-    records = server_span_records(
-        context=_context(), start_us=1000.0, end_us=1200.0,
+    records = server_span_records(_context(), RequestRecord(
+        start_s=1000.0e-6, wall_s=200.0e-6,
         evaluated=True, queue_wait_us=50.0, kernel_us=80.0, store_write_us=10.0,
-        kernel_records=kernel, source="evaluated", server="daemon-a",
-    )
+        kernel_records=kernel, outcome="evaluated",
+    ), server="daemon-a")
     roots = span_tree(records)
     assert len(roots) == 1
     root = roots[0]
@@ -141,29 +142,29 @@ def test_server_span_records_full_request_layout():
 
 
 def test_server_span_records_store_hit_is_just_the_root():
-    records = server_span_records(
-        context=_context(), start_us=0.0, end_us=90.0, source="store",
-    )
+    records = server_span_records(_context(), RequestRecord(
+        start_s=0.0, wall_s=90.0e-6, outcome="store",
+    ))
     roots = span_tree(records)
     assert len(roots) == 1 and not roots[0].children
     assert roots[0].attributes["source"] == "store"
 
 
 def test_server_span_records_coalesced_follower():
-    records = server_span_records(
-        context=_context(), start_us=0.0, end_us=100.0,
-        coalesce_wait_us=95.0, source="coalesced",
-    )
+    records = server_span_records(_context(), RequestRecord(
+        start_s=0.0, wall_s=100.0e-6,
+        coalesce_wait_us=95.0, outcome="coalesced",
+    ))
     root = span_tree(records)[0]
     assert [c.name for c in root.children] == ["serve.coalesce_wait"]
     assert root.children[0].record.duration_us == 95.0
 
 
 def test_server_span_records_survive_wire_roundtrip():
-    records = server_span_records(
-        context=_context(), start_us=0.0, end_us=10.0,
-        evaluated=True, kernel_us=5.0,
-    )
+    records = server_span_records(_context(), RequestRecord(
+        start_s=0.0, wall_s=10.0e-6, evaluated=True, kernel_us=5.0,
+        outcome="evaluated",
+    ))
     back = spans_from_wire(json.loads(json.dumps(spans_to_wire(records))))
     assert back == records
 
@@ -175,7 +176,7 @@ def test_server_span_records_survive_wire_roundtrip():
 def test_flight_recorder_ring_bounds_and_sequence():
     flight = FlightRecorder(capacity=3)
     for i in range(5):
-        flight.record(id=i)
+        flight.record(RequestRecord(id=i))
     assert len(flight) == 3
     snapshot = flight.snapshot()
     assert [e["id"] for e in snapshot] == [2, 3, 4]
@@ -187,8 +188,8 @@ def test_flight_recorder_ring_bounds_and_sequence():
 
 def test_flight_recorder_dump_writes_complete_jsonl(tmp_path):
     flight = FlightRecorder(capacity=8)
-    flight.record(id=1, outcome="evaluated")
-    flight.record(id=2, outcome="store")
+    flight.record(RequestRecord(id=1, outcome="evaluated"))
+    flight.record(RequestRecord(id=2, outcome="store"))
     path = tmp_path / "deep" / "flight.jsonl"
     assert flight.dump(path) == 2
     rows = [json.loads(line) for line in path.read_text().splitlines()]
@@ -196,7 +197,7 @@ def test_flight_recorder_dump_writes_complete_jsonl(tmp_path):
     assert rows[-1]["outcome"] == "store"
     assert flight.dumps == 1
     # A second dump truncates: one complete, self-consistent file.
-    flight.record(id=3, outcome="error")
+    flight.record(RequestRecord(id=3, outcome="error"))
     assert flight.dump(path) == 3
     rows = [json.loads(line) for line in path.read_text().splitlines()]
     assert [r["id"] for r in rows] == [1, 2, 3]

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro.core.step1 import ModelOptions
+from repro.dse.mapper import MapperConfig, TemporalMapper
 from repro.engine import EvaluationEngine, Evaluator
 from repro.mapping.mapping import MappingError
 from repro.mapping.serde import mapping_from_dict, mapping_to_dict
@@ -12,6 +13,7 @@ from repro.serve import RemoteEngine, RemoteEvaluationError, connect, parse_url
 from repro.serve.client import _raise_remote
 from repro.serve.protocol import ErrorResponse, ProtocolError, report_to_dict
 from repro.verify.generators import sample_cases
+from repro.workload.generator import dense_layer
 
 
 # --------------------------------------------------------------------- #
@@ -171,6 +173,26 @@ def test_evaluate_many_serves_cached_prefix_without_refetch(server):
     assert after == before  # both slots answered from the client cache
     assert all(r is not None for r in results)
     assert results[0].report.total_cycles == results[1].report.total_cycles
+    client.close()
+
+
+def test_energy_burst_repeat_is_served_from_the_client_cache(server):
+    """A repeated ``with_energy=True`` burst probes both cache keys, as
+    the in-process engine does, and sends nothing over the wire."""
+    client = connect(server.url)
+    mapper = TemporalMapper(
+        client.accelerator, client.spatial_unrolling,
+        MapperConfig(max_enumerated=4, samples=0),
+    )
+    mappings = list(mapper.mappings(dense_layer(32, 64, 600)))[:4]
+    assert len(mappings) == 4
+    first = client.evaluate_many(mappings, with_energy=True)
+    before = client.server_stats()["requests"]
+    again = client.evaluate_many(mappings, with_energy=True)
+    assert client.server_stats()["requests"] == before
+    for a, b in zip(first, again):
+        assert report_to_dict(a.report) == report_to_dict(b.report)
+        assert a.energy == b.energy
     client.close()
 
 

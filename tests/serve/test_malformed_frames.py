@@ -7,6 +7,7 @@ serving, and does not dump its flight ring as it would for a fault of
 its own. Anything else that escapes a handler is still answered.
 """
 
+import json
 import re
 import socket
 
@@ -19,7 +20,13 @@ from repro.mapping.mapping import Mapping
 from repro.mapping.serde import mapping_from_dict, mapping_to_dict
 from repro.mapping.temporal import TemporalMapping
 from repro.serve import protocol
-from repro.serve.protocol import ErrorResponse, EvaluateRequest, StatsRequest, StatsResponse
+from repro.serve.protocol import (
+    ErrorResponse,
+    EvaluateRequest,
+    ProtocolError,
+    StatsRequest,
+    StatsResponse,
+)
 from repro.workload.generator import dense_layer
 from repro.workload.operand import Operand
 from repro.workload.serde import layer_from_dict, layer_to_dict
@@ -158,3 +165,46 @@ def test_an_exception_escaping_a_handler_is_still_answered(make_server):
     fault = handle.server.flight.last()
     assert fault["outcome"] == "RuntimeError"
     assert "handler fault" in fault["traceback"]
+
+
+@pytest.mark.parametrize("version", ["x", [1], {"major": 1}, 1.5, True])
+def test_decode_refuses_a_non_integer_version(version):
+    frame = json.dumps({"v": version, "type": "hello", "id": 1})
+    with pytest.raises(ProtocolError, match="'v' must be an integer"):
+        protocol.decode(frame)
+
+
+@pytest.mark.parametrize("frame, request_id", [
+    (b'{"v": "x", "type": "hello", "id": 1}\n', 1),
+    (b'{"v": [1], "type": "hello", "id": 2}\n', 2),
+    (b'{"id": null}\n', -1),
+    (b'{"id": [3]}\n', -1),
+    (b"[" * 50_000 + b"\n", -1),
+], ids=["v-string", "v-list", "id-null", "id-list", "deep-nesting"])
+def test_hostile_frames_get_a_protocol_error(server, frame, request_id):
+    """Frames whose version or id is not an integer, or whose JSON nests
+    too deeply to parse, are answered with a ``ProtocolError`` frame, and
+    the daemon keeps serving."""
+    response = _round_trip(server.url, frame)
+    assert isinstance(response, ErrorResponse)
+    assert (response.id, response.error) == (request_id, "ProtocolError")
+    stats = _round_trip(server.url, protocol.encode(StatsRequest(id=5)))
+    assert isinstance(stats, StatsResponse)
+    assert stats.stats["protocol_errors"] == 1
+
+
+def test_a_fault_in_decode_is_answered_and_recorded(server, monkeypatch):
+    real_decode = protocol.decode
+
+    def decode(line):
+        if b"boom" in line:
+            raise RuntimeError("decoder fault")
+        return real_decode(line)
+
+    monkeypatch.setattr(protocol, "decode", decode)
+    response = _round_trip(server.url, b'{"v": 1, "type": "stats", "id": 8, "boom": 1}\n')
+    assert isinstance(response, ErrorResponse)
+    assert (response.id, response.error) == (8, "RuntimeError")
+    fault = server.server.flight.last()
+    assert fault["outcome"] == "RuntimeError"
+    assert "decoder fault" in fault["traceback"]
