@@ -23,14 +23,15 @@ def evaluate(gb_bw: float, layer):
         MapperConfig(max_enumerated=200, samples=150),
     )
     best = mapper.best_mapping(layer)
-    return preset, best
+    # The search returns a slim report; the diagnosis and the timeline
+    # need the full per-DTL anatomy.
+    return mapper.engine.evaluate(best.mapping, validate=False)
 
 
 def main() -> None:
     layer = dense_layer(512, 512, 8)  # the Output-dominant Fig. 7 corner
 
-    preset, best = evaluate(128.0, layer)
-    report = best.report
+    report = evaluate(128.0, layer)
     print(f"GB at 128 b/cyc: {report.summary()}\n")
 
     findings = diagnose(report)
@@ -49,8 +50,7 @@ def main() -> None:
 
     # Apply the advice: scale the GB port bandwidth.
     for bw in (256.0, 512.0, 1024.0):
-        __, better = evaluate(bw, layer)
-        r = better.report
+        r = evaluate(bw, layer)
         print(f"\nGB at {bw:5.0f} b/cyc: total {r.total_cycles:9.0f} cc, "
               f"temporal stall {r.ss_overall:9.0f} cc, "
               f"utilization {r.utilization:6.1%}")

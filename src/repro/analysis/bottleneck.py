@@ -38,9 +38,20 @@ class BottleneckFinding:
 
 
 def diagnose(report: LatencyReport, top: int = 5) -> List[BottleneckFinding]:
-    """Rank the stalling ports of ``report`` and attach remedies."""
+    """Rank the stalling ports of ``report`` and attach remedies.
+
+    Needs a full report: the slim ones a search or a remote engine
+    returns carry no per-port anatomy, so a stalling slim report raises
+    ``ValueError`` rather than reading as stall-free.
+    """
     if report.ss_overall <= 0:
         return []
+    if not report.port_combinations:
+        raise ValueError(
+            "diagnose needs a full report with per-port anatomy, got a slim "
+            "one (as a search returns); re-evaluate the mapping with a local "
+            "engine: engine.evaluate(mapping, validate=False)"
+        )
     stalling = [
         combo for combo in report.port_combinations.values() if combo.ss_comb > 0
     ]

@@ -31,10 +31,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import List, NoReturn, Optional, Tuple
 
 from repro.dse.mapper import MapperConfig, TemporalMapper
-from repro.engine import EvaluationEngine
+from repro.engine import EvaluationEngine, Evaluator
 from repro.hardware.presets import (
     Preset,
     case_study_accelerator,
@@ -72,6 +72,12 @@ def _parse_layer(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _bad_argument(option: str, message: object) -> NoReturn:
+    # One line and exit code 2, as argparse reports a bad argument.
+    print(f"repro-latency: error: argument {option}: {message}", file=sys.stderr)
+    raise SystemExit(2) from None
+
+
 def _preset(args: argparse.Namespace):
     if args.arch:
         from repro.hardware.serde import SerdeError, load_preset
@@ -79,9 +85,7 @@ def _preset(args: argparse.Namespace):
         try:
             return load_preset(args.arch)
         except (SerdeError, OSError) as exc:
-            # One line and exit code 2, as argparse reports a bad argument.
-            print(f"repro-latency: error: argument --arch: {exc}", file=sys.stderr)
-            raise SystemExit(2) from None
+            _bad_argument("--arch", exc)
     if args.chip == "inhouse":
         return inhouse_accelerator()
     return case_study_accelerator(gb_read_bw=args.gb_bw)
@@ -93,29 +97,47 @@ def build_engine_from_args(preset, args: argparse.Namespace):
     Honors ``--engine URL`` (a :class:`~repro.serve.RemoteEngine`
     connected to a running ``repro-latency serve`` daemon).
     Subcommand handlers must route all evaluations through the returned
-    engine so ``--stats``/``--metrics`` see the whole run.
+    engine so ``--stats``/``--metrics`` see the whole run. A malformed or
+    unreachable URL ends the run like any bad argument: one line on
+    stderr and exit code 2.
     """
     url = getattr(args, "engine", None)
     if url:
-        from repro.serve.client import RemoteEngine
+        from repro.serve.client import RemoteEngine, RemoteEvaluationError
 
-        return RemoteEngine(url)
+        try:
+            return RemoteEngine(url)
+        except ValueError as exc:  # a bad URL, or a ProtocolError handshake
+            _bad_argument("--engine", exc)
+        except (OSError, RemoteEvaluationError) as exc:
+            _bad_argument("--engine", f"cannot reach {url}: {exc}")
     return EvaluationEngine.from_preset(preset)
 
 
-def _mapper(preset, args: argparse.Namespace) -> TemporalMapper:
-    config = MapperConfig(max_enumerated=args.enumerate, samples=args.samples)
+def _machine(args: argparse.Namespace) -> Tuple[Preset, Evaluator]:
+    """Which machine, which engine: the one rule every flow follows.
+
+    Locally the machine is ``--chip``/``--arch`` and the engine runs
+    in-process. With ``--engine URL`` the flow runs on the *served*
+    machine (the daemon's preset), so the mapper's geometry always
+    matches the machine the engine evaluates.
+    """
+    preset = _preset(args)
     engine = build_engine_from_args(preset, args)
     if getattr(args, "engine", None):
-        # Remote engine: search the served machine, not the local --chip.
         preset = Preset(
             accelerator=engine.accelerator,
             spatial_unrolling=dict(engine.spatial_unrolling),
         )
+    return preset, engine
+
+
+def _mapper(args: argparse.Namespace) -> TemporalMapper:
+    preset, engine = _machine(args)
     return TemporalMapper(
         preset.accelerator,
         preset.spatial_unrolling,
-        config,
+        MapperConfig(max_enumerated=args.enumerate, samples=args.samples),
         engine=engine,
     )
 
@@ -149,8 +171,7 @@ def _traced_report(mapper: TemporalMapper, best):
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    preset = _preset(args)
-    mapper = _mapper(preset, args)
+    mapper = _mapper(args)
     best = mapper.best_mapping(args.layer)
     if telemetry().tracer.enabled:
         _traced_report(mapper, best)
@@ -162,19 +183,17 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    preset = _preset(args)
-    mapper = _mapper(preset, args)
+    mapper = _mapper(args)
     best = mapper.best_mapping(args.layer)
     print(best.report.summary())
-    sim = CycleSimulator(preset.accelerator, best.mapping).run()
+    sim = CycleSimulator(mapper.accelerator, best.mapping).run()
     print(sim.summary())
     print(f"model-vs-simulator accuracy: {accuracy(best.report.total_cycles, sim.total_cycles):.1%}")
     return _finish(mapper.engine, args)
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    preset = _preset(args)
-    mapper = _mapper(preset, args)
+    mapper = _mapper(args)
     results = mapper.search(args.layer)
     print(f"mapping space: {mapper.space_size(args.layer)} orders; showing top {args.top}")
     for result in results[: args.top]:
@@ -183,14 +202,13 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    preset = _preset(args)
-    mapper = _mapper(preset, args)
+    mapper = _mapper(args)
     layers = validation_layers()[: args.limit]
     accs: List[float] = []
     for layer in layers:
         lowered = im2col(layer)
         best = mapper.best_mapping(lowered)
-        sim = CycleSimulator(preset.accelerator, best.mapping).run()
+        sim = CycleSimulator(mapper.accelerator, best.mapping).run()
         acc = accuracy(best.report.total_cycles, sim.total_cycles)
         accs.append(acc)
         print(
@@ -211,7 +229,7 @@ def _cmd_network(args: argparse.Namespace) -> int:
         transformer_gemm_layers,
     )
 
-    preset = _preset(args)
+    preset, engine = _machine(args)
     zoo = {
         "handtracking": lambda: hand_tracking_layers(limit=args.limit),
         "resnet18": lambda: resnet18_layers()[: args.limit],
@@ -222,7 +240,7 @@ def _cmd_network(args: argparse.Namespace) -> int:
         preset,
         mapper_config=_MC(max_enumerated=args.enumerate, samples=args.samples),
         with_energy=True,
-        engine=build_engine_from_args(preset, args),
+        engine=engine,
     )
     result = evaluator.evaluate(layers)
     print(result.summary())
@@ -235,11 +253,9 @@ def _cmd_network(args: argparse.Namespace) -> int:
 def _cmd_sensitivity(args: argparse.Namespace) -> int:
     from repro.core.sensitivity import SensitivityAnalyzer
 
-    preset = _preset(args)
+    preset, engine = _machine(args)
     analyzer = SensitivityAnalyzer(
-        preset.accelerator,
-        preset.spatial_unrolling,
-        engine=build_engine_from_args(preset, args),
+        preset.accelerator, preset.spatial_unrolling, engine=engine
     )
     bandwidths = [float(b) for b in args.bandwidths.split(",")]
     curve = analyzer.bandwidth_sweep(args.layer, args.memory, bandwidths)
@@ -253,36 +269,37 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
     bound = curve.compute_bound_from()
     if bound is not None:
         print(f"compute-bound from: {bound:.0f} b/cyc")
-    return _finish(analyzer.engine, args)
+    return _finish(engine, args)
 
 
 def _cmd_advise(args: argparse.Namespace) -> int:
     from repro.core.advisor import UpgradeAdvisor
     from repro.dse.mapper import MapperConfig as _MC
 
-    preset = _preset(args)
+    preset, engine = _machine(args)
     advisor = UpgradeAdvisor(
         preset.accelerator, preset.spatial_unrolling,
         _MC(max_enumerated=args.enumerate, samples=args.samples),
+        engine=engine,
     )
     options = advisor.advise(args.layer)
-    if not options:
+    if options:
+        print(f"ranked single-knob upgrades for {args.layer.describe()}:")
+        for option in options[: args.top]:
+            print("  " + option.describe())
+    else:
         print("no single-knob upgrade saves >= 1% latency — the design is "
               "balanced for this layer.")
-        return 0
-    print(f"ranked single-knob upgrades for {args.layer.describe()}:")
-    for option in options[: args.top]:
-        print("  " + option.describe())
-    return 0
+    return _finish(engine, args)
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.analysis.summary import ReportConfig, generate_report
     from repro.dse.mapper import MapperConfig as _MC
 
-    preset = _preset(args)
     if args.html:
-        return _cmd_report_html(preset, args)
+        return _cmd_report_html(args)
+    preset = _preset(args)
     config = ReportConfig(
         mapper_config=_MC(max_enumerated=args.enumerate, samples=args.samples),
         simulate=args.with_simulator,
@@ -297,7 +314,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_report_html(preset, args: argparse.Namespace) -> int:
+def _cmd_report_html(args: argparse.Namespace) -> int:
     """`report --html`: traced evaluation -> self-contained HTML file.
 
     Reuses the ambient tracer when ``--trace`` installed one (so
@@ -311,18 +328,18 @@ def _cmd_report_html(preset, args: argparse.Namespace) -> int:
 
     ambient = telemetry()
     tracer = ambient.tracer if ambient.tracer.enabled else Tracer()
-    mapper = _mapper(preset, args)
+    mapper = _mapper(args)
     with use_telemetry(tracer=tracer):
         best = mapper.best_mapping(args.layer)
         _traced_report(mapper, best)
         if args.with_simulator:
-            CycleSimulator(preset.accelerator, best.mapping).run()
+            CycleSimulator(mapper.accelerator, best.mapping).run()
     print(best.report.summary())
     write_report(
         args.html,
         tracer.records,
         ambient.ledger.records(),
-        title=f"{args.layer.describe()} on {preset.accelerator.name}",
+        title=f"{args.layer.describe()} on {mapper.accelerator.name}",
     )
     print(f"HTML report written to {args.html}")
     return _finish(mapper.engine, args)
@@ -433,7 +450,8 @@ def _cmd_arch_search(args: argparse.Namespace) -> int:
             max_enumerated=args.enumerate, samples=args.samples, keep_top=1
         ),
     )
-    search = ArchSearch(config)
+    __, engine = _machine(args)
+    search = ArchSearch(config, engine=engine)
     print(f"arch-search: {search.space_size()} design point(s) "
           f"({len(scales)} array(s) x {len(pool)} memory config(s) x "
           f"{len(config.gb_bandwidths)} bandwidth(s))")
@@ -448,9 +466,7 @@ def _cmd_arch_search(args: argparse.Namespace) -> int:
     for p in front[: args.top]:
         print(f"  {p.array_label:6s} {p.candidate.label():32s} "
               f"{p.area_mm2:7.3f} mm^2 -> {p.latency:9.0f} cc")
-    if search.engine is None:
-        return 0
-    return _finish(search.engine, args)
+    return _finish(engine, args)
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:

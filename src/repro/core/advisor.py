@@ -14,10 +14,10 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional
 
-from repro.core.sensitivity import scale_memory_bandwidth, swap_level
+from repro.core.sensitivity import scale_memory_bandwidth
 from repro.dse.mapper import MapperConfig, TemporalMapper
+from repro.engine import EvaluationEngine
 from repro.hardware.accelerator import Accelerator
-from repro.hardware.hierarchy import MemoryLevel
 from repro.mapping.mapping import MappingError
 from repro.workload.layer import LayerSpec
 
@@ -47,32 +47,6 @@ class UpgradeOption:
         )
 
 
-def _double_buffer(accelerator: Accelerator, name: str) -> Optional[Accelerator]:
-    level = accelerator.memory_by_name(name)
-    if level.instance.double_buffered:
-        return None
-    upgraded = dataclasses.replace(
-        level.instance,
-        double_buffered=True,
-        size_bits=level.instance.size_bits * 2,  # add the shadow copy
-    )
-    return swap_level(
-        accelerator, level,
-        MemoryLevel(upgraded, level.serves, level.allocation, level.capacity_share),
-    )
-
-
-def _double_capacity(accelerator: Accelerator, name: str) -> Accelerator:
-    level = accelerator.memory_by_name(name)
-    upgraded = dataclasses.replace(
-        level.instance, size_bits=level.instance.size_bits * 2
-    )
-    return swap_level(
-        accelerator, level,
-        MemoryLevel(upgraded, level.serves, level.allocation, level.capacity_share),
-    )
-
-
 class UpgradeAdvisor:
     """Rank single-knob hardware upgrades for one layer."""
 
@@ -81,15 +55,23 @@ class UpgradeAdvisor:
         accelerator: Accelerator,
         spatial_unrolling,
         mapper_config: Optional[MapperConfig] = None,
+        engine: Optional[EvaluationEngine] = None,
     ) -> None:
         self.accelerator = accelerator
         self.spatial_unrolling = spatial_unrolling
         self.mapper_config = mapper_config or MapperConfig(
             max_enumerated=80, samples=60
         )
+        #: Root of the engine lineage shared by the baseline and every
+        #: variant: the mapper derives each machine's engine from it.
+        self.engine = engine or EvaluationEngine(
+            accelerator, self.mapper_config.model_options
+        )
 
     def _best_cycles(self, machine: Accelerator, layer: LayerSpec) -> Optional[float]:
-        mapper = TemporalMapper(machine, self.spatial_unrolling, self.mapper_config)
+        mapper = TemporalMapper(
+            machine, self.spatial_unrolling, self.mapper_config, engine=self.engine
+        )
         try:
             return mapper.best_mapping(layer).report.total_cycles
         except MappingError:
@@ -105,7 +87,8 @@ class UpgradeAdvisor:
         options: List[UpgradeOption] = []
         for level in self.accelerator.hierarchy.unique_levels():
             name = level.name
-            current_bw = max(p.bandwidth for p in level.instance.ports)
+            inst = level.instance
+            current_bw = max(p.bandwidth for p in inst.ports)
 
             candidates = [
                 (
@@ -116,14 +99,18 @@ class UpgradeAdvisor:
                 (
                     f"2x {name} capacity",
                     "capacity",
-                    _double_capacity(self.accelerator, name),
+                    self.accelerator.replace_memory(name, size_bits=inst.size_bits * 2),
                 ),
             ]
-            db_variant = _double_buffer(self.accelerator, name)
-            if db_variant is not None:
-                candidates.append(
-                    (f"double-buffer {name}", "double_buffer", db_variant)
-                )
+            if not inst.double_buffered:
+                candidates.append((
+                    f"double-buffer {name}",
+                    "double_buffer",
+                    # The doubled size is the shadow copy.
+                    self.accelerator.replace_memory(
+                        name, double_buffered=True, size_bits=inst.size_bits * 2
+                    ),
+                ))
             for description, kind, machine in candidates:
                 upgraded = self._best_cycles(machine, layer)
                 if upgraded is None:

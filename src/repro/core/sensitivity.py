@@ -18,11 +18,8 @@ from repro.core.step1 import ModelOptions
 from repro.dse.mapper import MapperConfig, TemporalMapper
 from repro.engine import EvaluationEngine
 from repro.hardware.accelerator import Accelerator
-from repro.hardware.hierarchy import MemoryHierarchy, MemoryLevel
-from repro.hardware.port import Port
 from repro.mapping.mapping import Mapping, MappingError
 from repro.workload.layer import LayerSpec
-from repro.workload.operand import Operand
 
 
 @dataclasses.dataclass(frozen=True)
@@ -76,54 +73,22 @@ class SensitivityCurve:
         ]
 
 
-def _scale_memory_bandwidth(
+def scale_memory_bandwidth(
     accelerator: Accelerator, memory_name: str, bandwidth: float
 ) -> Accelerator:
     """Copy of ``accelerator`` with every port of ``memory_name`` set to
     ``bandwidth`` bits/cycle."""
-    old_level = accelerator.memory_by_name(memory_name)
-    old_inst = old_level.instance
-    new_ports = tuple(
-        Port(p.name, p.direction, bandwidth) for p in old_inst.ports
+    ports = accelerator.memory_by_name(memory_name).instance.ports
+    return accelerator.replace_memory(
+        memory_name, ports=tuple(dataclasses.replace(p, bandwidth=bandwidth) for p in ports)
     )
-    new_inst = dataclasses.replace(old_inst, ports=new_ports)
-    new_level = MemoryLevel(
-        new_inst, old_level.serves, old_level.allocation, old_level.capacity_share
-    )
-    return _swap_level(accelerator, old_level, new_level)
 
 
-def _scale_memory_capacity(
+def scale_memory_capacity(
     accelerator: Accelerator, memory_name: str, size_bits: int
 ) -> Accelerator:
     """Copy of ``accelerator`` with ``memory_name`` resized."""
-    old_level = accelerator.memory_by_name(memory_name)
-    new_inst = dataclasses.replace(old_level.instance, size_bits=size_bits)
-    new_level = MemoryLevel(
-        new_inst, old_level.serves, old_level.allocation, old_level.capacity_share
-    )
-    return _swap_level(accelerator, old_level, new_level)
-
-
-def _swap_level(
-    accelerator: Accelerator, old: MemoryLevel, new: MemoryLevel
-) -> Accelerator:
-    chains = {}
-    for op in Operand:
-        chains[op] = tuple(
-            new if lvl is old else lvl
-            for lvl in accelerator.hierarchy.levels(op)
-        )
-    return dataclasses.replace(
-        accelerator, hierarchy=MemoryHierarchy(chains)
-    )
-
-
-# Public aliases for the machine-variant builders (used by the advisor
-# and by user scripts constructing what-if variants).
-scale_memory_bandwidth = _scale_memory_bandwidth
-scale_memory_capacity = _scale_memory_capacity
-swap_level = _swap_level
+    return accelerator.replace_memory(memory_name, size_bits=size_bits)
 
 
 class SensitivityAnalyzer:
@@ -148,19 +113,12 @@ class SensitivityAnalyzer:
         #: the best mapping changes with the hardware); False keeps the
         #: baseline machine's mapping fixed.
         self.remap_per_point = remap_per_point
-        #: Engine lineage shared across every swept machine: per-machine
-        #: engines are derived from it, pooling the cache, stats and
-        #: executor for the whole sweep.
-        self.engine = engine
-
-    def _engine_for(self, machine: Accelerator) -> EvaluationEngine:
-        if self.engine is None:
-            self.engine = EvaluationEngine(
-                machine, self.mapper_config.model_options
-            )
-        elif self.engine.accelerator is not machine:
-            self.engine = self.engine.derive(accelerator=machine)
-        return self.engine
+        #: Root of the engine lineage shared across every swept machine:
+        #: the mapper derives each machine's engine from it, pooling the
+        #: cache and stats for the whole sweep.
+        self.engine = engine or EvaluationEngine(
+            accelerator, self.mapper_config.model_options
+        )
 
     # ------------------------------------------------------------------ #
 
@@ -175,7 +133,7 @@ class SensitivityAnalyzer:
             layer,
             "bandwidth",
             bandwidths,
-            lambda value: _scale_memory_bandwidth(
+            lambda value: scale_memory_bandwidth(
                 self.accelerator, memory_name, value
             ),
         )
@@ -191,7 +149,7 @@ class SensitivityAnalyzer:
             layer,
             "size_bits",
             sizes_bits,
-            lambda value: _scale_memory_capacity(
+            lambda value: scale_memory_capacity(
                 self.accelerator, memory_name, int(value)
             ),
         )
@@ -207,14 +165,13 @@ class SensitivityAnalyzer:
         points: List[SensitivityPoint] = []
         for value in values:
             machine = build(value)
-            engine = self._engine_for(machine)
             try:
                 if self.remap_per_point or baseline_mapping is None:
                     mapper = TemporalMapper(
                         machine,
                         self.spatial_unrolling,
                         self.mapper_config,
-                        engine=engine,
+                        engine=self.engine,
                     )
                     best = mapper.best_mapping(layer)
                     mapping = best.mapping
@@ -224,9 +181,9 @@ class SensitivityAnalyzer:
                     mapping = baseline_mapping
                 # The reported curve uses the analyzer's own ModelOptions,
                 # which may differ from the mapper's search options.
-                report = engine.derive(options=self.options).evaluate(
-                    mapping, validate=False
-                )
+                report = self.engine.derive(
+                    accelerator=machine, options=self.options
+                ).evaluate(mapping, validate=False)
             except MappingError:
                 continue
             points.append(

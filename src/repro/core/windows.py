@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -84,14 +84,6 @@ class PeriodicWindow:
         for k in range(self.repeats):
             base = k * self.period
             yield (base + self.start, base + self.start + self.active)
-
-
-def _merged_length(intervals: List[Tuple[float, float]]) -> float:
-    """Total length of the union of (begin, end) intervals."""
-    if not intervals:
-        return 0.0
-    arr = np.asarray(intervals, dtype=np.float64)
-    return kernels.merged_interval_length(arr[:, 0], arr[:, 1])
 
 
 def union_length(windows: Sequence[PeriodicWindow], horizon: float) -> float:

@@ -75,10 +75,12 @@ class ArchSearch:
     """Run the Case-study-3 sweep for one layer.
 
     All design points evaluate through one :class:`EvaluationEngine`
-    lineage (per-machine engines derived from a shared cache and stats),
-    so revisited (machine, mapping) pairs are free and
+    lineage: ``search.engine`` is its root, and the mapper derives each
+    design point's engine from it, sharing its cache and stats. So
+    revisited (machine, mapping) pairs are free and
     ``search.engine.stats`` summarizes the whole sweep. Pass ``engine``
-    to pool evaluations with an outer flow.
+    to pool evaluations with an outer flow; otherwise the root is built
+    for the first design point evaluated.
     """
 
     def __init__(
@@ -86,15 +88,6 @@ class ArchSearch:
     ) -> None:
         self.config = config
         self.engine = engine
-
-    def _engine_for(self, accelerator) -> EvaluationEngine:
-        if self.engine is None:
-            self.engine = EvaluationEngine(
-                accelerator, self.config.mapper_config.model_options
-            )
-        elif self.engine.accelerator is not accelerator:
-            self.engine = self.engine.derive(accelerator=accelerator)
-        return self.engine
 
     def design_points(self) -> Iterator[Tuple[str, float, MemoryCandidate, Preset]]:
         """Every (array label, GB BW, candidate, preset) in the sweep."""
@@ -228,11 +221,15 @@ class ArchSearch:
         preset: Preset,
     ) -> Optional[ArchPoint]:
         accelerator = preset.accelerator
+        if self.engine is None:  # the lineage's root: the first design point
+            self.engine = EvaluationEngine(
+                accelerator, self.config.mapper_config.model_options
+            )
         mapper = TemporalMapper(
             accelerator,
             preset.spatial_unrolling,
             self.config.mapper_config,
-            engine=self._engine_for(accelerator),
+            engine=self.engine,
         )
         energy_pj: Optional[float] = None
         try:

@@ -8,6 +8,7 @@ from typing import FrozenSet, Iterable, Optional, Tuple
 from repro.hardware.area import accelerator_area_mm2
 from repro.hardware.hierarchy import MemoryHierarchy, MemoryLevel
 from repro.hardware.mac_array import MacArray
+from repro.workload.operand import Operand
 
 
 @dataclasses.dataclass(frozen=True)
@@ -133,6 +134,32 @@ class Accelerator:
     def replace_stall_overlap(self, config: StallOverlapConfig) -> "Accelerator":
         """Copy of this accelerator with a different Step-3 policy."""
         return dataclasses.replace(self, stall_overlap=config)
+
+    def replace_level(self, name: str, level: MemoryLevel) -> "Accelerator":
+        """Copy with memory ``name``'s level swapped for ``level``.
+
+        The old level is replaced by identity in every operand chain that
+        holds it, so a shared level stays shared.
+        """
+        old = self.memory_by_name(name)
+        chains = {
+            op: tuple(level if lvl is old else lvl for lvl in self.hierarchy.levels(op))
+            for op in Operand
+        }
+        return dataclasses.replace(self, hierarchy=MemoryHierarchy(chains))
+
+    def replace_memory(self, name: str, **instance_changes) -> "Accelerator":
+        """Copy with fields of memory ``name``'s instance changed.
+
+        The what-if step of design-space exploration: raise one memory's
+        bandwidth, resize or double-buffer it. The level keeps its
+        ``serves``, ``allocation`` and ``capacity_share``; a change that
+        renames ports needs a new allocation, so build the level and use
+        :meth:`replace_level` instead.
+        """
+        level = self.memory_by_name(name)
+        instance = dataclasses.replace(level.instance, **instance_changes)
+        return self.replace_level(name, dataclasses.replace(level, instance=instance))
 
     def fingerprint(self) -> str:
         """Stable content hash of this design point.

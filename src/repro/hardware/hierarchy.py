@@ -80,11 +80,6 @@ class MemoryLevel:
         """The underlying memory's name."""
         return self.instance.name
 
-    @property
-    def is_shared(self) -> bool:
-        """Whether more than one operand lives in this physical memory."""
-        return len(self.serves) > 1
-
     def port_for(self, operand: Operand, kind: EndpointKind) -> Port:
         """The physical port carrying ``operand``'s ``kind`` endpoint."""
         try:
@@ -99,11 +94,6 @@ class MemoryLevel:
     def has_endpoint(self, operand: Operand, kind: EndpointKind) -> bool:
         """Whether an allocation entry exists for (operand, kind)."""
         return (operand, kind) in self.allocation
-
-    def bandwidth_for(self, operand: Operand, kind: EndpointKind) -> float:
-        """Aggregate bits/cycle available to (operand, kind) on this level."""
-        port = self.port_for(operand, kind)
-        return port.bandwidth * self.instance.instances
 
     def capacity_for(self, operand: Operand) -> int:
         """Mapper-visible bits available to ``operand`` at this level."""

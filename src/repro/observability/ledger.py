@@ -624,12 +624,6 @@ class RunLedger:
                 handle.write(json.dumps(line, sort_keys=True) + "\n")
         return len(records)
 
-    def import_jsonl(self, path: str) -> int:
-        """Append every line of a JSONL snapshot; returns the count."""
-        records = load_jsonl(path)
-        self.append_many(records)
-        return len(records)
-
     # -- lifecycle ------------------------------------------------------ #
 
     def close(self) -> None:

@@ -124,6 +124,8 @@ _TABLE_SIZE = 128
 _SLOW_LOG_SIZE = 32
 #: The progress-stream worker id of the kernel.
 _WORKER = "kernel"
+#: Longest frame a connection reads (bytes); asyncio's stream default.
+_FRAME_LIMIT = 2 ** 16
 
 
 class ServerDraining(RuntimeError):
@@ -279,11 +281,13 @@ class EvaluationServer:
         self._worker = loop.create_task(self._kernel_loop(), name="kernel")
         if self.config.socket_path:
             self._server = await asyncio.start_unix_server(
-                self._on_connection, path=self.config.socket_path
+                self._on_connection, path=self.config.socket_path,
+                limit=_FRAME_LIMIT,
             )
         else:
             self._server = await asyncio.start_server(
-                self._on_connection, host=self.config.host, port=self.config.port
+                self._on_connection, host=self.config.host, port=self.config.port,
+                limit=_FRAME_LIMIT,
             )
         if self.config.admin_port is not None:
             from repro.serve.admin import AdminServer
@@ -440,7 +444,17 @@ class EvaluationServer:
         tasks: set = set()
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:  # a frame over the limit: answer, then hang up
+                    self.stats.protocol_errors += 1
+                    await self._send(writer, write_lock, ErrorResponse(
+                        id=-1,
+                        error="ProtocolError",
+                        message=f"frame exceeds the {_FRAME_LIMIT}-byte limit; "
+                        "closing the connection",
+                    ))
+                    break
                 if not line:
                     break
                 task = asyncio.get_running_loop().create_task(
@@ -869,7 +883,7 @@ class EvaluationServer:
         """
         first = items[0]
         t0 = time.perf_counter()
-        evaluations = self._engine_for(first).evaluate_many(
+        evaluations = self._kernel_engine(first).evaluate_many(
             [item.mapping for item in items],
             validate=first.validate,
             with_energy=first.with_energy,
@@ -898,7 +912,7 @@ class EvaluationServer:
         that travels back through the outcome and — remapped — across
         the wire.
         """
-        engine = self._engine_for(item)
+        engine = self._kernel_engine(item)
         tracer = Tracer() if item.traced else NULL_TRACER
         t0 = time.perf_counter()
         with use_telemetry(tracer=tracer):
@@ -911,7 +925,7 @@ class EvaluationServer:
             kernel_records=tuple(tracer.records) if item.traced else (),
         )
 
-    def _engine_for(self, item: _WorkItem) -> EvaluationEngine:
+    def _kernel_engine(self, item: _WorkItem) -> EvaluationEngine:
         """The engine for the item's (machine, options) pair.
 
         Engines are created lazily per pair and share the daemon's cache

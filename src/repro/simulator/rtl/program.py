@@ -71,12 +71,6 @@ class TransferStep:
     legs: Tuple[Tuple[PortKey, float], ...]
     dep: Optional[Tuple[str, int]] = None
 
-    def leg_bits(self, port: PortKey) -> float:
-        for key, bits in self.legs:
-            if key == port:
-                return bits
-        return 0.0
-
 
 @dataclasses.dataclass(frozen=True)
 class EnginePlan:
@@ -112,10 +106,6 @@ class MachineProgram:
     total_cycles: int
     port_bandwidth: Dict[PortKey, float]
     integral: bool
-
-    @property
-    def total_steps(self) -> int:
-        return sum(len(p) for p in self.plans)
 
 
 # --------------------------------------------------------------------------- #

@@ -54,7 +54,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.core.model import LatencyModel
 from repro.core.report import LatencyReport
 from repro.core.step2 import combine_port
-from repro.hardware.accelerator import Accelerator
 from repro.hardware.serde import accelerator_from_dict, accelerator_to_dict
 from repro.simulator.engine import CycleSimulator
 from repro.simulator.result import SimulationResult, within_band
@@ -466,22 +465,6 @@ def integration_consistency(
     return out
 
 
-def _scale_ports(accelerator: Accelerator, memory_name: str, factor: float) -> Accelerator:
-    """Copy with every port of ``memory_name`` scaled by ``factor``."""
-    from repro.core.sensitivity import swap_level
-
-    level = accelerator.memory_by_name(memory_name)
-    inst = level.instance
-    ports = tuple(
-        dataclasses.replace(p, bandwidth=p.bandwidth * factor)
-        for p in inst.ports
-    )
-    new_level = dataclasses.replace(
-        level, instance=dataclasses.replace(inst, ports=ports)
-    )
-    return swap_level(accelerator, level, new_level)
-
-
 def bandwidth_monotonicity(
     case: Case, ctx: CaseContext, tol: Tolerance
 ) -> List[Violation]:
@@ -503,7 +486,10 @@ def bandwidth_monotonicity(
 
     base_ss = {dtl_key(d): d.ss_u for d in base.dtls}
     for name in case.accelerator.memory_names():
-        boosted = _scale_ports(case.accelerator, name, 2.0)
+        ports = case.accelerator.memory_by_name(name).instance.ports
+        boosted = case.accelerator.replace_memory(name, ports=tuple(
+            dataclasses.replace(p, bandwidth=p.bandwidth * 2.0) for p in ports
+        ))
         faster = LatencyModel(boosted).evaluate(case.mapping, validate=False)
         scale = max(1.0, base.total_cycles)
         if faster.ss_overall > base.ss_overall + eps * scale:

@@ -21,7 +21,7 @@ import dataclasses
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.hardware.accelerator import Accelerator, StallOverlapConfig
-from repro.hardware.hierarchy import MemoryHierarchy
+from repro.hardware.hierarchy import MemoryHierarchy, auto_allocate
 from repro.hardware.memory import single_rw_port
 from repro.verify.generators import Case, GeneratorConfig, case_mappings
 from repro.verify.properties import Tolerance, check_case
@@ -82,20 +82,6 @@ def _drop_level(accelerator: Accelerator, name: str) -> Optional[Accelerator]:
     )
 
 
-def _replace_instance(accelerator: Accelerator, name: str, **changes) -> Accelerator:
-    from repro.core.sensitivity import swap_level
-    from repro.hardware.hierarchy import auto_allocate
-
-    level = accelerator.memory_by_name(name)
-    new_inst = dataclasses.replace(level.instance, **changes)
-    if "ports" in changes:
-        # The endpoint allocation names ports; re-derive it for the new set.
-        new_level = auto_allocate(new_inst, level.serves, level.capacity_share)
-    else:
-        new_level = dataclasses.replace(level, instance=new_inst)
-    return swap_level(accelerator, level, new_level)
-
-
 def _mutants(case: Case) -> Iterator[Mutant]:
     """All one-step simplifications, in fixed (deterministic) order."""
     acc = case.accelerator
@@ -125,15 +111,20 @@ def _mutants(case: Case) -> Iterator[Mutant]:
 
     # 4. Per-memory simplifications.
     for name in sorted(acc.memory_names()):
-        inst = acc.memory_by_name(name).instance
+        level = acc.memory_by_name(name)
+        inst = level.instance
         if inst.double_buffered:
-            yield _replace_instance(acc, name, double_buffered=False), spatial, layer
+            yield acc.replace_memory(name, double_buffered=False), spatial, layer
         if inst.instances > 1:
-            yield _replace_instance(acc, name, instances=1), spatial, layer
+            yield acc.replace_memory(name, instances=1), spatial, layer
         if len(inst.ports) > 1:
             bw = max(p.bandwidth for p in inst.ports)
+            # The endpoint allocation names ports; re-derive it for the new set.
+            single = dataclasses.replace(inst, ports=single_rw_port(bw))
             yield (
-                _replace_instance(acc, name, ports=single_rw_port(bw)),
+                acc.replace_level(
+                    name, auto_allocate(single, level.serves, level.capacity_share)
+                ),
                 spatial,
                 layer,
             )

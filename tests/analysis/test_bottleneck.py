@@ -1,5 +1,9 @@
 """Bottleneck diagnosis."""
 
+import dataclasses
+
+import pytest
+
 from repro.analysis.bottleneck import diagnose
 from repro.core.model import LatencyModel
 from repro.mapping.loop import Loop
@@ -54,3 +58,20 @@ def test_top_limits_results():
     acc = toy_accelerator(reg_bits=8, o_reg_bits=24 * 32, gb_read_bw=1, gb_write_bw=1)
     report = LatencyModel(acc).evaluate(_mapping())
     assert len(diagnose(report, top=1)) == 1
+
+
+def test_slim_report_with_stall_is_refused():
+    """A stalling slim report (no port anatomy, as a search returns) is an
+    error that says what to do; a stall-free one still has no findings."""
+    stalling = LatencyModel(
+        toy_accelerator(reg_bits=8, o_reg_bits=24 * 32, gb_read_bw=1, gb_write_bw=1)
+    ).evaluate(_mapping())
+    assert stalling.ss_overall > 0
+    slim = dataclasses.replace(stalling, dtls=(), port_combinations={})
+    with pytest.raises(ValueError, match=r"engine\.evaluate\(mapping, validate=False\)"):
+        diagnose(slim)
+    free = LatencyModel(
+        toy_accelerator(reg_bits=8, o_reg_bits=24 * 32, gb_read_bw=1024,
+                        gb_write_bw=1024, reg_bw=64)
+    ).evaluate(_mapping())
+    assert diagnose(dataclasses.replace(free, dtls=(), port_combinations={})) == []

@@ -41,17 +41,8 @@ def test_dtl_rejects_bad_burst():
 
 
 def _wide_word_machine(burst: int):
-    import dataclasses
-
     acc = toy_accelerator(reg_bits=8, o_reg_bits=24 * 8, gb_read_bw=64, gb_write_bw=64)
-    gb = acc.memory_by_name("GB")
-    wide = dataclasses.replace(gb.instance, min_burst_bits=burst)
-    from repro.core.sensitivity import swap_level
-    from repro.hardware.hierarchy import MemoryLevel
-
-    return swap_level(
-        acc, gb, MemoryLevel(wide, gb.serves, gb.allocation, gb.capacity_share)
-    )
+    return acc.replace_memory("GB", min_burst_bits=burst)
 
 
 def _small_tile_mapping():

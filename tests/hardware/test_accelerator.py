@@ -1,9 +1,15 @@
 """Accelerator assembly and the stall-overlap configuration."""
 
+import dataclasses
+
 import pytest
 
 from repro.hardware.accelerator import StallOverlapConfig
+from repro.hardware.hierarchy import auto_allocate
 from repro.hardware.mac_array import MacArray
+from repro.hardware.memory import single_rw_port
+from repro.hardware.presets import KB, shared_lb_accelerator
+from repro.workload.operand import Operand
 
 from tests.conftest import toy_accelerator
 
@@ -66,3 +72,33 @@ def test_area_positive_and_selective():
     full = acc.area_mm2()
     partial = acc.area_mm2(include=["W-Reg"])
     assert 0 < partial < full
+
+
+def test_replace_memory_swaps_one_shared_level_in_every_chain():
+    shares = {Operand.W: 16 * KB, Operand.I: 16 * KB, Operand.O: 32 * KB}
+    acc = shared_lb_accelerator(lb_shares=shares).accelerator
+    old = acc.memory_by_name("LB")
+    bigger = acc.replace_memory("LB", size_bits=2 * old.instance.size_bits)
+    new = bigger.memory_by_name("LB")
+    assert new.instance == dataclasses.replace(
+        old.instance, size_bits=2 * old.instance.size_bits
+    )
+    assert new.serves == old.serves
+    assert new.allocation == old.allocation
+    assert new.capacity_share == old.capacity_share
+    for op in Operand:  # LB sits in all three chains: one object in each
+        for before, after in zip(acc.hierarchy.levels(op), bigger.hierarchy.levels(op)):
+            assert after is (new if before is old else before)
+    assert len(bigger.hierarchy.unique_levels()) == len(acc.hierarchy.unique_levels())
+    assert acc.memory_by_name("LB") is old  # the original is untouched
+
+
+def test_replace_level_takes_a_level_with_new_ports():
+    acc = toy_accelerator()
+    gb = acc.memory_by_name("GB")
+    single = dataclasses.replace(gb.instance, ports=single_rw_port(32.0))
+    level = auto_allocate(single, gb.serves)
+    swapped = acc.replace_level("GB", level)
+    assert swapped.memory_by_name("GB") is level
+    for op in Operand:
+        assert swapped.hierarchy.outermost(op) is level

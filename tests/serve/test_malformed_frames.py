@@ -208,3 +208,22 @@ def test_a_fault_in_decode_is_answered_and_recorded(server, monkeypatch):
     fault = server.server.flight.last()
     assert fault["outcome"] == "RuntimeError"
     assert "decoder fault" in fault["traceback"]
+
+
+def test_an_oversized_frame_is_answered_then_its_connection_closed(server):
+    """A frame past the 64 KiB stream limit gets one ``ProtocolError``
+    frame naming the limit, then the daemon hangs up that connection
+    and goes on serving fresh ones."""
+    host, port = server.url[len("serve://"):].rsplit(":", 1)
+    frame = b'{"v": 1, "type": "stats", "id": 7, "pad": "' + b"x" * 70_000 + b'"}\n'
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        sock.sendall(frame)
+        with sock.makefile("rb") as replies:
+            response = protocol.decode(replies.readline())
+            assert replies.readline() == b""  # closed after the answer
+    assert isinstance(response, ErrorResponse)
+    assert (response.id, response.error) == (-1, "ProtocolError")
+    assert "65536-byte limit" in response.message
+    stats = _round_trip(server.url, protocol.encode(StatsRequest(id=8)))
+    assert isinstance(stats, StatsResponse)
+    assert stats.stats["protocol_errors"] == 1

@@ -86,6 +86,13 @@ def test_advise_command_runs(capsys):
     assert "upgrade" in out
 
 
+def test_advise_stats_prints_the_engine_line(capsys):
+    rc = main(["advise", "--layer", "128,128,8", "--enumerate", "30",
+               "--samples", "20", "--top", "3", "--stats"])
+    assert rc == 0
+    assert "engine:" in capsys.readouterr().out
+
+
 def test_export_and_load_arch(capsys, tmp_path):
     path = str(tmp_path / "arch.json")
     assert main(["export-arch", "--out", path]) == 0
@@ -105,6 +112,20 @@ def test_bad_arch_file_is_a_one_line_usage_error(capsys, tmp_path, text):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("repro-latency: error: argument --arch: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("url", [
+    "serve://127.0.0.1:1",   # nothing listens there
+    "serve://no-port",
+    "http://127.0.0.1:80",
+])
+def test_bad_engine_url_is_a_one_line_usage_error(capsys, url):
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", "--layer", "8,8,8", "--engine", url])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro-latency: error: argument --engine: ")
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
