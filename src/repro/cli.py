@@ -132,12 +132,17 @@ def _machine(args: argparse.Namespace) -> Tuple[Preset, Evaluator]:
     return preset, engine
 
 
+def _mapper_config(args: argparse.Namespace, **overrides) -> MapperConfig:
+    """The mapper budget of ``--enumerate``/``--samples``."""
+    return MapperConfig(
+        max_enumerated=args.enumerate, samples=args.samples, **overrides
+    )
+
+
 def _mapper(args: argparse.Namespace) -> TemporalMapper:
     preset, engine = _machine(args)
     return TemporalMapper(
-        preset.accelerator,
-        preset.spatial_unrolling,
-        MapperConfig(max_enumerated=args.enumerate, samples=args.samples),
+        preset.accelerator, preset.spatial_unrolling, _mapper_config(args),
         engine=engine,
     )
 
@@ -222,7 +227,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_network(args: argparse.Namespace) -> int:
     from repro.analysis.export import to_csv
     from repro.analysis.network import NetworkEvaluator
-    from repro.dse.mapper import MapperConfig as _MC
     from repro.workload.networks import (
         hand_tracking_layers,
         resnet18_layers,
@@ -238,7 +242,7 @@ def _cmd_network(args: argparse.Namespace) -> int:
     layers = zoo[args.network]()
     evaluator = NetworkEvaluator(
         preset,
-        mapper_config=_MC(max_enumerated=args.enumerate, samples=args.samples),
+        mapper_config=_mapper_config(args),
         with_energy=True,
         engine=engine,
     )
@@ -255,7 +259,8 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
 
     preset, engine = _machine(args)
     analyzer = SensitivityAnalyzer(
-        preset.accelerator, preset.spatial_unrolling, engine=engine
+        preset.accelerator, preset.spatial_unrolling, _mapper_config(args),
+        engine=engine,
     )
     bandwidths = [float(b) for b in args.bandwidths.split(",")]
     curve = analyzer.bandwidth_sweep(args.layer, args.memory, bandwidths)
@@ -274,12 +279,10 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
 
 def _cmd_advise(args: argparse.Namespace) -> int:
     from repro.core.advisor import UpgradeAdvisor
-    from repro.dse.mapper import MapperConfig as _MC
 
     preset, engine = _machine(args)
     advisor = UpgradeAdvisor(
-        preset.accelerator, preset.spatial_unrolling,
-        _MC(max_enumerated=args.enumerate, samples=args.samples),
+        preset.accelerator, preset.spatial_unrolling, _mapper_config(args),
         engine=engine,
     )
     options = advisor.advise(args.layer)
@@ -295,13 +298,12 @@ def _cmd_advise(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.analysis.summary import ReportConfig, generate_report
-    from repro.dse.mapper import MapperConfig as _MC
 
     if args.html:
         return _cmd_report_html(args)
     preset = _preset(args)
     config = ReportConfig(
-        mapper_config=_MC(max_enumerated=args.enumerate, samples=args.samples),
+        mapper_config=_mapper_config(args),
         simulate=args.with_simulator,
     )
     text = generate_report(preset, args.layer, config)
@@ -425,7 +427,6 @@ def _cmd_arch_search(args: argparse.Namespace) -> int:
     """Case-study-3 sweep from the command line (the long-running flow
     the live event stream exists for — pair with ``--events`` + ``top``)."""
     from repro.dse.arch_search import ArchSearch, ArchSearchConfig
-    from repro.dse.mapper import MapperConfig as _MC
     from repro.hardware.pool import MemoryPool
     from repro.hardware.presets import array_scales
 
@@ -446,9 +447,7 @@ def _cmd_arch_search(args: argparse.Namespace) -> int:
         array_scales=scales,
         pool=pool,
         gb_bandwidths=tuple(float(b) for b in args.gb_bandwidths.split(",")),
-        mapper_config=_MC(
-            max_enumerated=args.enumerate, samples=args.samples, keep_top=1
-        ),
+        mapper_config=_mapper_config(args, keep_top=1),
     )
     __, engine = _machine(args)
     search = ArchSearch(config, engine=engine)

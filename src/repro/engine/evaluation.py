@@ -53,7 +53,7 @@ from repro.engine.cache import EvaluationCache, PartialResultCache
 from repro.engine import executors
 from repro.fingerprint import stable_fingerprint
 from repro.hardware.accelerator import Accelerator
-from repro.mapping.mapping import Mapping
+from repro.mapping.mapping import Mapping, MappingError
 from repro.observability.ledger import (
     RunRecord,
     checkpoint_interruption,
@@ -362,11 +362,13 @@ class EvaluationEngine:
     ) -> List[Optional[Evaluation]]:
         """Evaluate a batch of mappings, preserving order.
 
-        Cache hits are answered immediately; misses are evaluated in
-        chunks of ``chunk_size``. The result list is parallel to the input:
-        entry ``i`` is an :class:`Evaluation`, or ``None`` when mapping
-        ``i`` raised :class:`MappingError` (infeasible under ``validate``
-        or shallower than the machine's memory hierarchy).
+        Under ``validate`` every mapping is checked first, so an
+        infeasible one is refused even when its report is cached. Cache
+        hits are answered immediately; misses are evaluated in chunks of
+        ``chunk_size``. The result list is parallel to the input: entry
+        ``i`` is an :class:`Evaluation`, or ``None`` when mapping ``i``
+        raised :class:`MappingError` (infeasible under ``validate`` or
+        shallower than the machine's memory hierarchy).
 
         When a tracer is ambient, every chunk's spans (mapping candidates
         with their full step1/2/3 anatomy) are collected and merged under
@@ -396,7 +398,14 @@ class EvaluationEngine:
                 tracer.span("engine.batch") as span:
             self.stats.batches += 1
             pending: List[int] = []
+            hits = invalid = 0
             for i, mapping in enumerate(mappings):
+                if validate:
+                    try:
+                        self._model.check(mapping)
+                    except MappingError:
+                        invalid += 1
+                        continue
                 report = self.cache.get(self._latency_key(mapping))
                 energy = (
                     self.cache.get(self._energy_key(mapping))
@@ -404,7 +413,7 @@ class EvaluationEngine:
                     else None
                 )
                 if report is not None and (not with_energy or energy is not None):
-                    self.stats.cache_hits += 1
+                    hits += 1
                     results[i] = Evaluation(mapping, report, energy, cache_hit=True)
                     if ledger.enabled:
                         ledger_rows.append(self._ledger_record(
@@ -413,7 +422,8 @@ class EvaluationEngine:
                 else:
                     self.stats.cache_misses += 1
                     pending.append(i)
-            hits = len(mappings) - len(pending)
+            self.stats.cache_hits += hits
+            self.stats.errors += invalid
             if tracer.enabled:
                 span.set("mappings", len(mappings))
                 span.set("cache_hits", hits)
@@ -433,6 +443,8 @@ class EvaluationEngine:
             )
             if hits:
                 run.advance(hits, note="cache")
+            if invalid:
+                run.advance(invalid, errors=invalid, note="invalid")
             if not pending:
                 ledger.append_many(ledger_rows)
                 return results
@@ -450,7 +462,6 @@ class EvaluationEngine:
                         self.accelerator,
                         self.options,
                         tuple(mappings[i] for i in chunk),
-                        validate,
                         with_energy,
                         tracer.enabled,
                         self._evaluator(),

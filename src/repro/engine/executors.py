@@ -20,7 +20,6 @@ import time
 from typing import List, Optional, Tuple
 
 from repro.core.batch import BatchEvaluator
-from repro.core.model import LatencyModel
 from repro.core.report import LatencyReport, trace_report
 from repro.core.step1 import ModelOptions
 from repro.energy.energy_model import EnergyModel, EnergyReport
@@ -67,7 +66,6 @@ def evaluate_chunk(
     accelerator: Accelerator,
     options: ModelOptions,
     mappings: Tuple[Mapping, ...],
-    validate: bool,
     with_energy: bool,
     trace: bool,
     evaluator: Optional[BatchEvaluator] = None,
@@ -82,7 +80,7 @@ def evaluate_chunk(
     energy_model = EnergyModel(accelerator) if with_energy else None
     chunk_t0 = time.perf_counter()
     hits0, misses0 = _PARTIAL_CACHE.hits, _PARTIAL_CACHE.misses
-    out = _run_batched(evaluator, mappings, validate, energy_model, trace)
+    out = _run_batched(evaluator, mappings, energy_model, trace)
     records: List[SpanRecord] = []
     if trace:
         tracer = Tracer()
@@ -106,28 +104,23 @@ def evaluate_chunk(
 def _run_batched(
     evaluator: BatchEvaluator,
     mappings: Tuple[Mapping, ...],
-    validate: bool,
     energy_model: Optional[EnergyModel],
     full: bool,
 ) -> ChunkOutcomes:
     """Chunk body: group by layer, one batch-core call per group.
 
-    Validation and energy stay per-mapping (they are cheap relative to the
-    latency kernels and have no vectorized form). A mapping that is
-    invalid under ``validate``, or shallower than the machine, becomes a
-    ``None`` outcome. ``full`` gives every report its per-DTL anatomy
+    Energy stays per-mapping (it is cheap relative to the latency kernels
+    and has no vectorized form). A mapping shallower than the machine
+    becomes a ``None`` outcome; the engine checks feasibility before its
+    cache. ``full`` gives every report its per-DTL anatomy
     (:meth:`~repro.core.batch.BatchResult.full_report`).
     """
     accelerator = evaluator.accelerator
-    model = LatencyModel(accelerator, evaluator.options)
     out: ChunkOutcomes = [None] * len(mappings)
     groups: List[Tuple[object, List[int]]] = []  # (layer, mapping indices)
     for i, mapping in enumerate(mappings):
         try:
-            if validate:
-                model.check(mapping)
-            else:
-                check_depth(mapping, accelerator)
+            check_depth(mapping, accelerator)
         except MappingError:
             continue  # outcome stays None, counted as an error
         for layer, idxs in groups:

@@ -141,17 +141,19 @@ def _memory_from_dict(data: Dict[str, Any]) -> Tuple[MemoryInstance, MemoryLevel
         )
         instance = MemoryInstance(
             name=data["name"],
-            size_bits=int(data["size_bits"]),
+            size_bits=strict_int(data["size_bits"], "size_bits"),
             ports=ports,
             double_buffered=bool(data.get("double_buffered", False)),
-            instances=int(data.get("instances", 1)),
+            instances=strict_int(data.get("instances", 1), "instances"),
             read_energy_pj_per_bit=float(data.get("read_energy_pj_per_bit", 0.0)),
             write_energy_pj_per_bit=float(data.get("write_energy_pj_per_bit", 0.0)),
             link_energy_pj_per_bit=float(data.get("link_energy_pj_per_bit", 0.0)),
-            min_burst_bits=int(data.get("min_burst_bits", 1)),
+            min_burst_bits=strict_int(
+                data.get("min_burst_bits", 1), "min_burst_bits"
+            ),
         )
         serves = frozenset(Operand(s) for s in data["serves"])
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise SerdeError(f"bad memory entry {data.get('name', '?')!r}: {exc}") from exc
 
     allocation_spec = data.get("allocation", "auto")
@@ -184,9 +186,11 @@ def accelerator_from_dict(data: Dict[str, Any]) -> Accelerator:
     try:
         array_spec = data["mac_array"]
         mac_array = MacArray(
-            rows=int(array_spec["rows"]),
-            cols=int(array_spec["cols"]),
-            macs_per_pe=int(array_spec.get("macs_per_pe", 1)),
+            rows=strict_int(array_spec["rows"], "mac_array.rows"),
+            cols=strict_int(array_spec["cols"], "mac_array.cols"),
+            macs_per_pe=strict_int(
+                array_spec.get("macs_per_pe", 1), "mac_array.macs_per_pe"
+            ),
             mac_energy_pj=float(array_spec.get("mac_energy_pj", 0.0)),
         )
         levels: Dict[str, MemoryLevel] = {}
@@ -228,7 +232,10 @@ def preset_from_dict(data: Dict[str, Any]) -> Preset:
     accelerator = accelerator_from_dict(data)
     spatial_spec = data.get("spatial_unrolling", {})
     try:
-        spatial = {LoopDim(dim): int(f) for dim, f in spatial_spec.items()}
+        spatial = {
+            LoopDim(dim): strict_int(f, "spatial_unrolling", dim)
+            for dim, f in spatial_spec.items()
+        }
     except (AttributeError, TypeError, ValueError) as exc:
         raise SerdeError(f"bad spatial_unrolling {spatial_spec!r}: {exc}") from exc
     return Preset(accelerator, spatial)

@@ -355,8 +355,11 @@ class RemoteEngine:
         self._model.check(mapping)
 
     def _request_for(
-        self, mapping: Mapping, validate: bool, with_energy: bool
+        self, mapping: Mapping, with_energy: bool, validate: bool = False
     ) -> EvaluateRequest:
+        # The client validates locally (check() runs before its cache
+        # probe), so its own frames leave validate off and the daemon may
+        # answer them from its store.
         # inject_trace() is None (no allocation, no wire field) unless a
         # tracer is ambient — call it inside the open transport span so
         # the propagated span_id names that span.
@@ -371,8 +374,7 @@ class RemoteEngine:
             trace=inject_trace(),
         )
 
-    def _round_trip(self, phase: str, mapping: Mapping, validate: bool,
-                    with_energy: bool):
+    def _round_trip(self, phase: str, mapping: Mapping, with_energy: bool):
         """One evaluate round trip inside a ``remote.evaluate`` client span.
 
         The request is built *inside* the span (so the injected context
@@ -385,7 +387,7 @@ class RemoteEngine:
         with tracer.span("remote.evaluate", url=self.url, phase=phase):
             with self.stats.phase(phase):
                 response = self._transport.request(
-                    self._request_for(mapping, validate, with_energy)
+                    self._request_for(mapping, with_energy)
                 )
             if isinstance(response, ErrorResponse):
                 _raise_remote(response)
@@ -404,16 +406,18 @@ class RemoteEngine:
 
         Cache hits return the slim wire-form report (all gated metrics
         plus the stall anatomy; no DTL objects — same as batch-core slim
-        reports).
+        reports). Under ``validate`` the mapping is checked locally
+        first, so an infeasible one raises even when its report is cached.
         """
+        if validate:
+            self.check(mapping)
         key = self._latency_key(mapping)
         report = self.cache.get(key)
         if report is not None:
             self.stats.cache_hits += 1
             return report
         self.stats.cache_misses += 1
-        response = self._round_trip("evaluate", mapping, validate,
-                                    with_energy=False)
+        response = self._round_trip("evaluate", mapping, with_energy=False)
         self.stats.evaluations += 1
         report = protocol.report_from_dict(response.report)
         self.cache.put(key, report)
@@ -427,8 +431,7 @@ class RemoteEngine:
             self.stats.cache_hits += 1
             return energy
         self.stats.cache_misses += 1
-        response = self._round_trip("energy", mapping, validate=False,
-                                    with_energy=True)
+        response = self._round_trip("energy", mapping, with_energy=True)
         self.stats.energy_evaluations += 1
         energy = protocol.energy_from_dict(response.energy)
         self.cache.put(key, energy)
@@ -447,7 +450,8 @@ class RemoteEngine:
 
         Exactly the in-process contract: entry ``i`` is an
         :class:`~repro.engine.evaluation.Evaluation`, or ``None`` when
-        mapping ``i`` was infeasible (:class:`MappingError` server-side).
+        mapping ``i`` was infeasible (under ``validate``, checked locally
+        before the cache probe; else :class:`MappingError` server-side).
         Local cache hits never touch the socket (with ``with_energy`` a
         hit needs both the latency and the energy entry); the rest is
         written as one burst and collected out of order by request id.
@@ -460,6 +464,12 @@ class RemoteEngine:
                          mappings=float(len(mappings))):
             pending: List[Tuple[int, EvaluateRequest]] = []
             for i, mapping in enumerate(mappings):
+                if validate:
+                    try:
+                        self.check(mapping)
+                    except MappingError:
+                        self.stats.errors += 1
+                        continue
                 report = self.cache.get(self._latency_key(mapping))
                 energy = (
                     self.cache.get(self._energy_key(mapping)) if with_energy else None
@@ -470,7 +480,7 @@ class RemoteEngine:
                     continue
                 self.stats.cache_misses += 1
                 pending.append(
-                    (i, self._request_for(mapping, validate, with_energy))
+                    (i, self._request_for(mapping, with_energy))
                 )
             if not pending:
                 return results

@@ -602,7 +602,9 @@ class EvaluationServer:
         record.options_fp = options_fp
         record.mapping_fp = mapping_fp
         store_key = (accel_fp, options_fp, mapping_fp)
-        if not msg.with_energy:
+        # The store holds reports, not feasibility verdicts: a validated
+        # request, like one asking for energy, runs through the engine.
+        if not (msg.validate or msg.with_energy):
             hit = self.store.get(store_key)
             if hit is not None:
                 report, warm = hit
@@ -615,7 +617,7 @@ class EvaluationServer:
                     report=protocol.report_to_dict(report),
                     source="warm" if warm else "store",
                 )
-        inflight_key = store_key + (msg.with_energy,)
+        inflight_key = store_key + (msg.validate, msg.with_energy)
         owner = self._inflight.get(inflight_key)
         if owner is not None:
             self.stats.coalesced += 1

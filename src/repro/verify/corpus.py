@@ -1,11 +1,12 @@
 """The persisted regression corpus of shrunk verification failures.
 
 Every counterexample the harness shrinks is serialized to one JSON file —
-accelerator via :mod:`repro.hardware.serde`, layer and mapping via the
-schemas here, plus the content fingerprints at save time — and committed
-under ``tests/verify/corpus/``. CI replays the whole directory on every
-run: a corpus case that starts violating again is a regression, caught
-deterministically and without any random search.
+accelerator, layer and mapping in the schemas of
+:mod:`repro.hardware.serde`, :mod:`repro.workload.serde` and
+:mod:`repro.mapping.serde`, plus the content fingerprints at save time —
+and committed under ``tests/verify/corpus/``. CI replays the whole
+directory on every run: a corpus case that starts violating again is a
+regression, caught deterministically and without any random search.
 
 A corpus file carries a mandatory ``comment`` explaining *why* the case is
 interesting (what it once broke, or what tolerance edge it sits on), so
@@ -49,16 +50,6 @@ class CorpusCase:
 
 
 # --------------------------------------------------------------------------- #
-# Layer / mapping schemas live in repro.workload.serde / repro.mapping.serde
-# since PR 7 (the serve wire protocol shares them); the corpus delegates.
-
-_layer_to_dict = layer_to_dict
-_layer_from_dict = layer_from_dict
-_mapping_to_dict = mapping_to_dict
-_mapping_from_dict = mapping_from_dict
-
-
-# --------------------------------------------------------------------------- #
 # Case files
 
 
@@ -76,8 +67,8 @@ def case_to_dict(
         "properties": list(properties),
         "pairs": list(pairs),
         "accelerator": accelerator_to_dict(case.accelerator),
-        "layer": _layer_to_dict(case.layer),
-        "mapping": _mapping_to_dict(case.mapping),
+        "layer": layer_to_dict(case.layer),
+        "mapping": mapping_to_dict(case.mapping),
         "fingerprints": {
             "accelerator": case.accelerator.fingerprint(),
             "mapping": case.mapping.fingerprint(),
@@ -97,8 +88,8 @@ def case_from_dict(data: Dict, path: Optional[pathlib.Path] = None) -> CorpusCas
             f"corpus case {path or '?'}: unsupported schema {data.get('schema')!r}"
         )
     accelerator = accelerator_from_dict(data["accelerator"])
-    layer = _layer_from_dict(data["layer"])
-    mapping = _mapping_from_dict(data["mapping"], layer)
+    layer = layer_from_dict(data["layer"])
+    mapping = mapping_from_dict(data["mapping"], layer)
     case = Case(
         accelerator=accelerator,
         spatial=tuple(sorted(mapping.spatial.unrolling.items())),

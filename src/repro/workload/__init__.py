@@ -29,12 +29,6 @@ from repro.workload.dims import (
 from repro.workload.layer import LayerSpec, LayerType, Precision
 from repro.workload.operand import Operand
 from repro.workload.im2col import im2col, im2col_tiled
-from repro.workload.importer import (
-    layer_from_dict,
-    layers_from_json,
-    layers_to_json,
-    load_layers,
-)
 from repro.workload.generator import (
     bkc_sweep,
     dense_layer,
@@ -57,10 +51,6 @@ __all__ = [
     "dense_layer",
     "im2col",
     "im2col_tiled",
-    "layer_from_dict",
-    "layers_from_json",
-    "layers_to_json",
-    "load_layers",
     "networks",
     "random_dense_layer",
     "relevance_of",

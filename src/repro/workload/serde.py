@@ -1,14 +1,23 @@
-"""JSON (de)serialization of layer specifications.
+"""JSON (de)serialization of layer specifications: the one layer schema.
 
-Promoted out of the verify corpus in PR 7 so the wire protocol of
-:mod:`repro.serve`, the regression corpus and any future config surface
-share one schema (the corpus delegates here). The shape mirrors
-:class:`~repro.workload.layer.LayerSpec`::
+The wire protocol of :mod:`repro.serve`, the regression corpus and the
+layer-table importer (:mod:`repro.workload.importer`, which only
+resolves its aliases first) all parse layers here. A layer is one
+object mirroring :class:`~repro.workload.layer.LayerSpec`::
 
-    {"layer_type": "fc", "dims": {"B": 64, "K": 128, "C": 1200},
+    {"layer_type": "Dense", "dims": {"B": 64, "K": 128, "C": 1200},
      "stride_x": 1, "stride_y": 1, "dilation_x": 1, "dilation_y": 1,
      "precision": {"w": 8, "i": 8, "o_final": 24, "o_partial": 24},
      "name": "fc1"}
+
+- ``layer_type`` is one of ``Conv2D``, ``Depthwise``, ``Pointwise``,
+  ``Dense``; ``layer_type`` and ``dims`` are required.
+- ``dims`` maps loop names (``B``, ``K``, ``C``, ``OX``, ``OY``, ``FX``,
+  ``FY``) to sizes; a dimension left out is 1.
+- ``stride_*`` and ``dilation_*`` default to 1; ``precision`` and each of
+  its fields default to :class:`~repro.workload.layer.Precision`.
+- Every size, stride, dilation and precision is a JSON integer:
+  ``16.5``, ``true`` and ``"16"`` are refused, not truncated or coerced.
 
 Size-1 dimensions are elided on write and default on read, so the dict
 is minimal and the round trip preserves :func:`stable_fingerprint`
@@ -17,11 +26,17 @@ identity (``LayerSpec.name`` is carried but excluded from fingerprints).
 
 from __future__ import annotations
 
-from typing import Dict
+import dataclasses
+from typing import Any, Dict, Iterable, Sequence
 
 from repro.hardware.serde import SerdeError, strict_int
 from repro.workload.dims import LoopDim
 from repro.workload.layer import LayerSpec, LayerType, Precision
+
+_LAYER_TYPES = [t.value for t in LayerType]
+_DIMS = [d.value for d in LoopDim]
+_PRECISIONS = [f.name for f in dataclasses.fields(Precision)]
+_GEOMETRY = ("stride_x", "stride_y", "dilation_x", "dilation_y")
 
 
 def layer_to_dict(layer: LayerSpec) -> Dict:
@@ -43,27 +58,47 @@ def layer_to_dict(layer: LayerSpec) -> Dict:
     }
 
 
-def layer_from_dict(data: Dict) -> LayerSpec:
+def layer_from_dict(data: Any) -> LayerSpec:
     """Inverse of :func:`layer_to_dict` (tolerant of omitted defaults).
 
-    Raises :class:`~repro.hardware.serde.SerdeError` when ``data`` does
-    not describe a layer.
+    Raises :class:`~repro.hardware.serde.SerdeError`, naming the layer
+    and the field, when ``data`` does not describe a layer.
     """
+    if not isinstance(data, dict):
+        raise SerdeError(f"layer entry must be an object, got {data!r}")
     try:
-        return LayerSpec(
-            layer_type=LayerType(data["layer_type"]),
-            dims={
-                LoopDim(d): strict_int(s, "dims", d) for d, s in data["dims"].items()
-            },
-            stride_x=strict_int(data.get("stride_x", 1), "stride_x"),
-            stride_y=strict_int(data.get("stride_y", 1), "stride_y"),
-            dilation_x=strict_int(data.get("dilation_x", 1), "dilation_x"),
-            dilation_y=strict_int(data.get("dilation_y", 1), "dilation_y"),
-            precision=Precision(**data["precision"]),
-            name=data.get("name"),
-        )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise SerdeError(f"malformed layer: {exc}") from exc
+        return _layer(data)
+    except (TypeError, ValueError) as exc:
+        raise SerdeError(
+            f"malformed layer {data.get('name') or '?'!r}: {exc}"
+        ) from exc
+
+
+def _layer(data: Dict) -> LayerSpec:
+    if "layer_type" not in data or "dims" not in data:
+        raise ValueError("needs 'layer_type' and 'dims'")
+    dims, precision = data["dims"], data.get("precision", {})
+    for key, value in (("dims", dims), ("precision", precision)):
+        if not isinstance(value, dict):
+            raise TypeError(f"{key!r} must be an object, got {value!r}")
+    _known("layer type", [data["layer_type"]], _LAYER_TYPES)
+    _known("loop dim", dims, _DIMS)
+    _known("precision field", precision, _PRECISIONS)
+    return LayerSpec(
+        layer_type=LayerType(data["layer_type"]),
+        dims={LoopDim(d): strict_int(s, "dims", d) for d, s in dims.items()},
+        **{key: strict_int(data.get(key, 1), key) for key in _GEOMETRY},
+        precision=Precision(**{
+            k: strict_int(v, "precision", k) for k, v in precision.items()
+        }),
+        name=data.get("name"),
+    )
+
+
+def _known(what: str, keys: Iterable, allowed: Sequence[str]) -> None:
+    for key in keys:
+        if key not in allowed:
+            raise ValueError(f"unknown {what} {key!r}; expected one of {allowed}")
 
 
 __all__ = ["layer_from_dict", "layer_to_dict"]

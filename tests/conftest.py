@@ -11,7 +11,8 @@ from typing import Mapping as TMapping, Sequence
 
 import pytest
 
-from repro.hardware.presets import Preset, case_study_accelerator
+from repro.dse.mapper import MapperConfig, TemporalMapper
+from repro.hardware.presets import KB, Preset, build_accelerator, case_study_accelerator
 from repro.mapping.loop import Loop
 from repro.mapping.mapping import Mapping
 from repro.mapping.spatial import SpatialMapping
@@ -50,3 +51,18 @@ def uniform_levels(
     """Mapping from a single global order plus explicit per-operand cuts."""
     temporal = TemporalMapping(tuple(order), {op: tuple(c) for op, c in cuts.items()})
     return Mapping(layer, SpatialMapping(spatial), temporal)
+
+
+def infeasible_mapping() -> tuple:
+    """A machine with 4 KB/2 KB local buffers and a case-study mapping
+    that overflows them: deep enough to evaluate, refused by ``check``."""
+    small = build_accelerator(
+        "small-lb", macs_k=16, macs_b=8, macs_c=2,
+        w_lb_bits=4 * KB, i_lb_bits=2 * KB,
+    )
+    preset = case_study_accelerator()
+    mapper = TemporalMapper(
+        preset.accelerator, preset.spatial_unrolling,
+        MapperConfig(max_enumerated=4, samples=0),
+    )
+    return small, next(iter(mapper.mappings(dense_layer(64, 128, 1200))))

@@ -10,6 +10,7 @@ from repro.engine import EvaluationCache, EvaluationEngine
 from repro.engine.cache import PartialResultCache
 from repro.hardware.presets import case_study_accelerator
 from repro.workload.generator import dense_layer
+from tests.conftest import infeasible_mapping
 
 
 @pytest.fixture
@@ -204,6 +205,16 @@ def test_evaluate_many_second_pass_is_all_hits(preset, mappings):
     engine.evaluate_many(mappings)
     assert engine.stats.cache_misses == misses_before
     assert engine.stats.cache_hits >= len(mappings)
+
+
+def test_validate_refuses_an_infeasible_mapping_on_a_cache_hit():
+    small, mapping = infeasible_mapping()
+    engine = EvaluationEngine(small.accelerator)
+    [unchecked] = engine.evaluate_many([mapping], validate=False)
+    assert unchecked is not None
+    errors = engine.stats.errors
+    assert engine.evaluate_many([mapping], validate=True) == [None]
+    assert engine.stats.errors == errors + 1
 
 
 def test_evaluate_many_with_energy(preset, mappings):

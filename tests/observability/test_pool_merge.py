@@ -59,8 +59,7 @@ def test_untraced_batch_ships_no_records(preset, mappings):
 
     engine = EvaluationEngine(preset.accelerator)
     _, records, timing = evaluate_chunk(
-        engine.accelerator, engine.options, tuple(mappings[:2]),
-        False, False, False,
+        engine.accelerator, engine.options, tuple(mappings[:2]), False, False,
     )
     assert records == []
     assert timing.evaluated + timing.errors == 2

@@ -14,6 +14,7 @@ from repro.serve.client import _raise_remote
 from repro.serve.protocol import ErrorResponse, ProtocolError, report_to_dict
 from repro.verify.generators import sample_cases
 from repro.workload.generator import dense_layer
+from tests.conftest import infeasible_mapping
 
 
 # --------------------------------------------------------------------- #
@@ -215,6 +216,17 @@ def test_evaluate_fills_what_evaluate_many_of_an_equal_mapping_hits(server):
     assert eng.stats.cache_misses == misses
     assert result.report.total_cycles == report.total_cycles
     client.close()
+
+
+def test_validate_refuses_an_infeasible_mapping_on_a_client_cache_hit(
+    make_server,
+):
+    small, mapping = infeasible_mapping()
+    with connect(make_server(preset=small).url) as client:
+        client.evaluate(mapping, validate=False)
+        with pytest.raises(MappingError):
+            client.evaluate(mapping, validate=True)
+        assert client.evaluate_many([mapping], validate=True) == [None]
 
 
 def test_check_runs_locally(server):

@@ -41,6 +41,7 @@ from repro.serve.protocol import (
 from repro.serve.server import _WorkItem
 from repro.verify.generators import sample_cases
 from repro.workload.generator import dense_layer
+from tests.conftest import infeasible_mapping
 
 PARITY_FIELDS = (
     "cc_ideal", "cc_spatial", "ss_overall", "preload", "offload",
@@ -591,6 +592,23 @@ def test_infeasible_lanes_of_a_batch_keep_their_mapping_error(make_server):
         response = got[id(mapping)]
         assert isinstance(response, ErrorResponse)
         assert (response.error, response.message) == ("MappingError", message)
+
+
+def test_a_validate_frame_is_never_answered_from_the_store(make_server):
+    """The store holds reports, not feasibility verdicts: once an
+    unvalidated frame stored a mapping's report, a validate frame for the
+    same mapping still gets the MappingError."""
+    small, mapping = infeasible_mapping()
+    with connect(make_server(preset=small).url) as client:
+        frames = [
+            client._request_for(mapping, validate=validate, with_energy=False)
+            for validate in (False, True)
+        ]
+        stored = client._transport.request(frames[0])
+        checked = client._transport.request(frames[1])
+    assert isinstance(stored, EvaluateResponse)
+    assert isinstance(checked, ErrorResponse)
+    assert checked.error == "MappingError"
 
 
 def test_drain_while_a_batch_is_in_the_kernel(make_server):

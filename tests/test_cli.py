@@ -1,8 +1,19 @@
 """CLI smoke tests (fast paths only)."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.hardware.presets import case_study_accelerator
+from repro.hardware.serde import preset_to_dict
+
+
+def _case_study_json(patch):
+    """The case-study preset as JSON, after ``patch`` edits its dict."""
+    data = preset_to_dict(case_study_accelerator())
+    patch(data)
+    return json.dumps(data)
 
 
 def test_parser_subcommands():
@@ -69,6 +80,20 @@ def test_sensitivity_command_runs(capsys):
     assert "bandwidth sweep" in out
 
 
+def test_sensitivity_honours_the_mapper_budget(capsys):
+    """32x64x60 has 1260 loop orders: ``--enumerate 5000`` enumerates them
+    all, ``--enumerate 5`` samples three."""
+    counts = []
+    for budget in ("5", "5000"):
+        rc = main(["sensitivity", "--layer", "32,64,60", "--memory", "GB",
+                   "--bandwidths", "128,512", "--stats",
+                   "--enumerate", budget, "--samples", "3"])
+        assert rc == 0
+        engine_line = capsys.readouterr().out.splitlines()[-1]
+        counts.append(engine_line.split(" evaluations")[0])
+    assert counts[0] != counts[1]
+
+
 def test_report_command_runs(capsys, tmp_path):
     out = str(tmp_path / "report.md")
     rc = main(["report", "--layer", "128,128,8", "--enumerate", "40",
@@ -102,7 +127,15 @@ def test_export_and_load_arch(capsys, tmp_path):
     assert "case-study-16x16" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("text", ['{"name": "x", "mac_array": {"rows": ', "[]", None])
+@pytest.mark.parametrize("text", [
+    '{"name": "x", "mac_array": {"rows": ', "[]", None,
+    pytest.param(_case_study_json(
+        lambda d: d["memories"][2].update(size_bits=8388608.7)
+    ), id="fractional-size_bits"),
+    pytest.param(_case_study_json(
+        lambda d: d["spatial_unrolling"].update(K=16.5)
+    ), id="fractional-spatial_unrolling"),
+])
 def test_bad_arch_file_is_a_one_line_usage_error(capsys, tmp_path, text):
     path = tmp_path / "arch.json"
     if text is not None:  # None: the file does not exist

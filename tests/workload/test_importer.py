@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.hardware.serde import SerdeError
 from repro.workload.dims import LoopDim
 from repro.workload.importer import (
-    ImportError_,
     layer_from_dict,
     layers_from_json,
     layers_to_json,
@@ -62,17 +62,17 @@ def test_asymmetric_strides():
 
 
 def test_errors():
-    with pytest.raises(ImportError_, match="needs 'type'"):
+    with pytest.raises(SerdeError, match="needs 'layer_type'"):
         layer_from_dict({"dims": {}})
-    with pytest.raises(ImportError_, match="unknown layer type"):
+    with pytest.raises(SerdeError, match="unknown layer type"):
         layer_from_dict({"type": "pooling", "dims": {}})
-    with pytest.raises(ImportError_, match="unknown loop dim"):
+    with pytest.raises(SerdeError, match="unknown loop dim"):
         layer_from_dict({"type": "dense", "dims": {"Z": 4}})
-    with pytest.raises(ImportError_, match="bad layer"):
+    with pytest.raises(SerdeError, match="malformed layer"):
         layer_from_dict({"type": "dense", "dims": {"B": 2, "OX": 4}})
-    with pytest.raises(ImportError_, match="invalid JSON"):
+    with pytest.raises(SerdeError, match="invalid JSON"):
         layers_from_json("{")
-    with pytest.raises(ImportError_, match="must be a JSON list"):
+    with pytest.raises(SerdeError, match="must be a JSON list"):
         layers_from_json("{}")
 
 
@@ -96,17 +96,19 @@ def test_roundtrip_hand_tracking(tmp_path):
     ('[{"name": "fc", "type": "dense", "dims": {"K": 2}, "precision": [8]}]',
      "layer 'fc': 'precision' must be an object, got [8]"),
     ('[{"name": "fc", "type": "dense", "dims": {"K": "x"}}]',
-     "layer 'fc': dims.K must be an integer, got 'x'"),
+     "layer 'fc': dims[K] must be an integer, got 'x'"),
+    ('[{"type": "dense", "dims": {"B": 2.7, "K": 2}}]',
+     "layer '?': dims[B] must be an integer, got 2.7"),
     ('[{"type": "conv", "dims": {"K": 2}, "stride": "a"}]',
-     "layer '?': stride must be an integer, got 'a'"),
+     "layer '?': stride_x must be an integer, got 'a'"),
     ('[{"type": "conv", "dims": {"K": 2}, "stride_y": [2]}]',
      "layer '?': stride_y must be an integer, got [2]"),
     ('[{"type": "dense", "dims": {"K": 2}, "precision": {"w": null}}]',
-     "precision.w must be an integer, got None"),
+     "precision[w] must be an integer, got None"),
     ('[{"type": "dense", "dims": {"K": 2}, "precision": {"q": 8}}]',
-     "bad layer '?'"),
+     "layer '?': unknown precision field 'q'"),
 ])
 def test_malformed_entry_is_a_typed_error_naming_it(text, says):
-    with pytest.raises(ImportError_) as err:
+    with pytest.raises(SerdeError) as err:
         layers_from_json(text)
     assert says in str(err.value)
