@@ -27,13 +27,15 @@ mapping) and runs the same Step 1-3 formulas across all lanes at once:
   bit-for-bit equal (the ``batch_scalar_parity`` property of
   :mod:`repro.verify` enforces this forever).
 
-Only two pieces stay per-mapping Python: multi-window MUW unions that miss
-the vectorized fast paths (delegated to
+Step 3 runs over lane columns too (:func:`repro.core.step3.integrate_stall_entries`).
+Only multi-window MUW unions that miss the vectorized fast paths stay
+per-mapping Python (delegated to
 :func:`repro.core.windows.union_length_params` and memoized in a
 :class:`~repro.engine.cache.PartialResultCache` so neighboring mappings
-re-use each other's window unions), and the Step-3 group integration
-(:func:`repro.core.step3.integrate_stall_entries` over a handful of
-entries).
+re-use each other's window unions), and a latency search mostly avoids
+them: :meth:`BatchEvaluator.best` brackets every lane's latency without
+unions (:meth:`BatchEvaluator.bracket`) and computes them only for the
+lanes that can still beat the incumbent.
 
 Batch reports are *slim*: ``dtls`` and ``port_combinations`` are left
 empty (the per-DTL anatomy would dominate materialization cost), while
@@ -52,6 +54,7 @@ A mapping deeper than the machine is read with
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -212,6 +215,16 @@ class BatchPlan:
             for key in self.served_keys
         }
         self.depths = {op: hierarchy.depth(op) for op in Operand}
+        # Whether a port can limit unit memories of two overlap groups;
+        # only then does Step 3's port charging couple the groups.
+        groups_of_port: Dict[Tuple[str, str], set] = {}
+        for key, streams in self.served_streams.items():
+            for si in streams:
+                for ep in self.slots[si].endpoints:
+                    groups_of_port.setdefault(ep.port_key, set()).add(
+                        self.served_gid[key]
+                    )
+        self.cross_group_ports = any(len(g) > 1 for g in groups_of_port.values())
 
         # Flush/psum slot pairs per served key, for the chained rule.
         self.chain_pairs: Dict[Tuple[Operand, int, str], Tuple[int, int]] = {}
@@ -247,8 +260,9 @@ class BatchResult:
     """SoA view of one evaluated batch (one lane per mapping).
 
     ``reports`` is populated only when the batch was evaluated with
-    ``materialize=True``; the arrays are always present and are what the
-    speed-critical sweeps consume.
+    ``materialize=True`` (by :meth:`BatchEvaluator.best`: the winner's
+    entry only, the others None); the arrays are always present and are
+    what the speed-critical sweeps consume.
     """
 
     mappings: Sequence
@@ -260,7 +274,7 @@ class BatchResult:
     scenario: np.ndarray
     total_cycles: np.ndarray
     utilization: np.ndarray
-    reports: Optional[List[LatencyReport]] = None
+    reports: Optional[List[Optional[LatencyReport]]] = None
     #: (plan, Step-1 slot arrays, SS_comb and MUW_comb per port group):
     #: what :meth:`full_report` rebuilds the anatomy from.
     _anatomy: Optional[Tuple] = dataclasses.field(default=None, repr=False)
@@ -314,6 +328,48 @@ class BatchResult:
         return dataclasses.replace(
             self.reports[lane], dtls=tuple(dtls), port_combinations=ports
         )
+
+
+@dataclasses.dataclass(frozen=True)
+class BatchBest:
+    """What :meth:`BatchEvaluator.best` found in one batch."""
+
+    #: The winning lane, None when no lane beats the incumbent.
+    lane: Optional[int]
+    #: Exact on the scored lanes; ``reports`` holds only the winner's
+    #: (and :meth:`BatchResult.full_report` works for it).
+    result: Optional[BatchResult]
+    #: Lanes whose exact latency was computed.
+    scored: int
+    #: Lanes whose latency bracket ruled them out.
+    pruned: int
+
+
+@dataclasses.dataclass
+class _Ports:
+    """Step-2 state of one batch, per port group (``plan.group_keys`` order).
+
+    ``open[g]`` lists the lanes whose ``MUW_comb`` still needs a union;
+    there ``muw`` holds the bracket's ceiling and ``floor`` its floor, so
+    ``ss`` is the least ``SS_comb`` the union can give and ``ss_hi`` the
+    most. Everywhere else both pairs are exact (and the same arrays).
+    """
+
+    terms: List[Tuple[np.ndarray, ...]] = dataclasses.field(default_factory=list)
+    muw: List[np.ndarray] = dataclasses.field(default_factory=list)
+    floor: List[np.ndarray] = dataclasses.field(default_factory=list)
+    open: List[np.ndarray] = dataclasses.field(default_factory=list)
+    cols: List[Optional[List[Tuple]]] = dataclasses.field(default_factory=list)
+    ss: List[Optional[np.ndarray]] = dataclasses.field(default_factory=list)
+    ss_hi: List[Optional[np.ndarray]] = dataclasses.field(default_factory=list)
+
+    def is_open(self, lane: int) -> bool:
+        return any(lane in idx for idx in self.open)
+
+
+#: Relative room :meth:`BatchEvaluator._muw_bracket` leaves for the
+#: rounding of a union's interval sums.
+_UNION_SLACK = 1e-9
 
 
 # --------------------------------------------------------------------- #
@@ -372,17 +428,97 @@ class BatchEvaluator:
                 },
                 reports=[] if materialize else None,
             )
+        low = self._lower(mappings)
+        step1 = self._step1(low)
+        ports = self._step2_ports(low, step1)
+        served = self._step2_served(low, step1, ports.ss)
+        result = self._finalize(low, served, range(low.n) if materialize else None)
+        result._anatomy = (self.plan, step1, ports.ss, ports.muw)
+        return result
+
+    def best(self, mappings: Sequence, incumbent: float = math.inf) -> BatchBest:
+        """The first lane of ``mappings`` (same layer) with the least
+        latency below ``incumbent``, its report from the exact path.
+
+        Lowering and Step 1 run once. Every lane's latency is bracketed
+        in NumPy (:meth:`bracket`); a lane whose floor shows it cannot be
+        that winner (no lower than the incumbent, than the ceiling of an
+        earlier lane, or above the ceiling of a later one) is pruned. Exact
+        MUW unions run only for surviving lanes whose bracket is open,
+        and for the winner. Ties go to the first lane, as with a strict
+        ``<`` scan in lane order.
+        """
+        if not mappings:
+            return BatchBest(None, None, 0, 0)
+        low = self._lower(mappings)
+        n = low.n
+        step1 = self._step1(low)
+        ports = self._step2_ports(low, step1, resolve=np.zeros(n, dtype=bool))
+        lo, hi, served = self._bracket(low, step1, ports)
+        before = np.full(n, math.inf)   # least ceiling of the earlier lanes
+        after = np.full(n, math.inf)    # least ceiling of the later lanes
+        before[1:] = np.minimum.accumulate(hi[:-1])
+        after[:-1] = np.minimum.accumulate(hi[:0:-1])[::-1]
+        scored = (lo < incumbent) & (lo < before) & (lo <= after)
+        # A scored lane's latency is exact once its bracket is closed.
+        total_cycles = lo
+        if np.any(scored & (lo < hi)):
+            self._step2_ports(low, step1, resolve=scored & (lo < hi), ports=ports)
+            served = self._step2_served(low, step1, ports.ss)
+            total_cycles = self._totals(low, self._step3(low, served)[0])
+        count = int(scored.sum())
+        lanes = np.flatnonzero(scored)
+        lane = lanes[np.argmin(total_cycles[lanes])] if count else None
+        if lane is None or not total_cycles[lane] < incumbent:
+            return BatchBest(None, None, count, n - count)
+        lane = int(lane)
+        if ports.is_open(lane):
+            winner = np.zeros(n, dtype=bool)
+            winner[lane] = True
+            self._step2_ports(low, step1, resolve=winner, ports=ports)
+            served = self._step2_served(low, step1, ports.ss)
+        result = self._finalize(low, served, [lane])
+        result._anatomy = (self.plan, step1, ports.ss, ports.muw)
+        return BatchBest(lane, result, count, n - count)
+
+    def bracket(self, mappings: Sequence) -> Tuple[np.ndarray, np.ndarray]:
+        """``(CC_lo, CC_hi)`` per lane: bounds on total latency that need
+        no multi-window MUW union.
+
+        Eqs. (1)-(2) are non-increasing in ``MUW_comb``, the served-memory
+        rules non-decreasing in ``SS_comb``, so a lane's latency lies
+        between its value at the largest and at the smallest ``MUW_comb``
+        :func:`~repro.core.windows.union_length_params` can return (see
+        :meth:`_muw_bracket`). Step 3 is bounded without its cross-group
+        port credit: the sum of each group's clamped worst stall above,
+        and below either the same (when no port can limit memories of two
+        groups, so the credit never applies) or the single worst stall.
+        Lanes that need no union get ``CC_lo == CC_hi == CC``.
+        """
+        low = self._lower(mappings)
+        step1 = self._step1(low)
+        ports = self._step2_ports(low, step1, resolve=np.zeros(low.n, dtype=bool))
+        return self._bracket(low, step1, ports)[:2]
+
+    def _lower(self, mappings: Sequence) -> "_Lowered":
         layer = mappings[0].layer
         for m in mappings:
             if m.layer is not layer and m.layer != layer:
                 raise BatchLoweringError("batch mappings must share one layer")
-        low = _Lowered(self.plan, layer, mappings)
-        step1 = self._step1(low)
-        ss_group, muw_group = self._step2_ports(low, step1)
-        served = self._step2_served(low, step1, ss_group)
-        result = self._finalize(low, served, materialize)
-        result._anatomy = (self.plan, step1, ss_group, muw_group)
-        return result
+        return _Lowered(self.plan, layer, mappings)
+
+    def _bracket(
+        self, low: "_Lowered", step1: Dict[int, Dict[str, np.ndarray]], ports: "_Ports"
+    ) -> Tuple[np.ndarray, np.ndarray, Dict]:
+        """``(CC_lo, CC_hi, served)``; ``served`` (from ``ports.ss``) is
+        exact on every lane that is not open."""
+        served = self._step2_served(low, step1, ports.ss)
+        served_hi = self._step2_served(low, step1, ports.ss_hi)
+        return (
+            self._totals(low, self._step3(low, served, "lower")[0]),
+            self._totals(low, self._step3(low, served_hi, "upper")[0]),
+            served,
+        )
 
     # -- Step 1 --------------------------------------------------------- #
 
@@ -484,14 +620,71 @@ class BatchEvaluator:
     # -- Step 2: shared-port combination -------------------------------- #
 
     def _step2_ports(
-        self, low: "_Lowered", step1: Dict[int, Dict[str, np.ndarray]]
-    ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-        """``SS_comb`` and ``MUW_comb`` per port group, one array each."""
+        self,
+        low: "_Lowered",
+        step1: Dict[int, Dict[str, np.ndarray]],
+        resolve: Optional[np.ndarray] = None,
+        ports: Optional["_Ports"] = None,
+    ) -> "_Ports":
+        """``SS_comb`` and ``MUW_comb`` per port group, one array each.
+
+        ``MUW_comb`` is closed-form on every lane but where a group needs
+        a multi-window union (:meth:`_union`). Unions run for the lanes of
+        the bool mask ``resolve`` (all lanes when it is None); the other
+        lanes stay open, bracketed by :meth:`_muw_bracket`. Passing back
+        the ``ports`` of an earlier call resolves more of its open lanes.
+        """
+        if ports is None:
+            ports = self._port_terms(low, step1, bracket=resolve is not None)
+        refined = self.options.combine_rule == "refined"
+        horizon_list = None
+        for g, idx in enumerate(ports.open):
+            pick = idx if resolve is None else idx[resolve[idx]]
+            if pick.size:
+                ports.open[g] = idx[:0] if resolve is None else idx[~resolve[idx]]
+                if ports.cols[g] is None:
+                    # Per-lane Python work: pull the member columns out of
+                    # NumPy once (scalar indexing into lists is ~10x cheaper).
+                    ports.cols[g] = [
+                        (
+                            step1[si]["active"].tolist(),
+                            step1[si]["period"].tolist(),
+                            step1[si]["x_req"].tolist(),
+                            step1[si]["window_start"].tolist(),
+                            step1[si]["repeats"].tolist(),
+                        )
+                        for si, __ in self.plan.port_groups[self.plan.group_keys[g]]
+                    ]
+                if horizon_list is None:
+                    horizon_list = low.horizon.tolist()
+                muw, floor = ports.muw[g], ports.floor[g]
+                for i in pick.tolist():
+                    muw[i] = floor[i] = self._union(ports.cols[g], i, horizon_list[i])
+                if not ports.open[g].size:
+                    ports.floor[g] = muw
+                ports.ss[g] = None
+            if ports.ss[g] is None:
+                pos_sum, nonpos_demand, has_pos, total_busy = ports.terms[g]
+                ports.ss[g] = kernels.combine_ss(
+                    pos_sum, nonpos_demand, has_pos, ports.muw[g], total_busy, refined
+                )
+                ports.ss_hi[g] = ports.ss[g] if not ports.open[g].size else (
+                    kernels.combine_ss(
+                        pos_sum, nonpos_demand, has_pos, ports.floor[g], total_busy,
+                        refined,
+                    )
+                )
+        return ports
+
+    def _port_terms(
+        self, low: "_Lowered", step1: Dict[int, Dict[str, np.ndarray]], bracket: bool
+    ) -> "_Ports":
+        """Eq. (1)/(2) member aggregates and closed-form ``MUW_comb`` per
+        port group; lanes needing a union are open (at their bracket
+        under ``bracket``)."""
         plan = self.plan
         horizon = low.horizon
-        refined = self.options.combine_rule == "refined"
-        ss_group: List[np.ndarray] = []
-        muw_group: List[np.ndarray] = []
+        ports = _Ports()
         for key in plan.group_keys:
             members = plan.port_groups[key]
             pos_sum = np.zeros(low.n)
@@ -528,29 +721,52 @@ class BatchEvaluator:
                 ),
             )
             fallback = np.flatnonzero((active_count >= 2) & ~full_cover)
-            if fallback.size:
-                # Per-lane Python work: pull the member columns out of
-                # NumPy once (scalar indexing into lists is ~10x cheaper).
-                cols = [
-                    (
-                        step1[si]["active"].tolist(),
-                        step1[si]["period"].tolist(),
-                        step1[si]["x_req"].tolist(),
-                        step1[si]["window_start"].tolist(),
-                        step1[si]["repeats"].tolist(),
-                    )
-                    for si, __ in members
-                ]
-                horizon_list = horizon.tolist()
-                for i in fallback.tolist():
-                    muw[i] = self._union(cols, i, horizon_list[i])
-            ss_group.append(
-                kernels.combine_ss(
-                    pos_sum, nonpos_demand, has_pos, muw, total_busy, refined
+            floor = muw
+            if bracket and fallback.size:
+                floor = muw.copy()
+                muw[fallback], floor[fallback] = self._muw_bracket(
+                    step1, members, fallback, horizon[fallback]
                 )
-            )
-            muw_group.append(muw)
-        return ss_group, muw_group
+            ports.terms.append((pos_sum, nonpos_demand, has_pos, total_busy))
+            ports.muw.append(muw)
+            ports.floor.append(floor)
+            ports.open.append(fallback)
+            ports.cols.append(None)
+            ports.ss.append(None)
+            ports.ss_hi.append(None)
+        return ports
+
+    @staticmethod
+    def _muw_bracket(
+        step1: Dict[int, Dict[str, np.ndarray]],
+        members: List[Tuple[int, int]],
+        lanes: np.ndarray,
+        horizon: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Ceiling and floor of what :meth:`_union` can return on ``lanes``.
+
+        The floor is the largest single window, ``max_u min(MUW_u,
+        horizon)``: a union covers each of its windows. The ceiling counts
+        every window span that starts inside the horizon,
+        ``min(sum_u X_REQ_u * ceil(horizon / period_u), horizon)``, not
+        ``sum_u MUW_u``: the hyperperiod path of
+        :func:`~repro.core.windows.union_length_params` repeats each window
+        across the whole horizon, so with truncated ``repeats`` it can
+        return more than ``sum_u MUW_u``. Both leave :data:`_UNION_SLACK`
+        of relative room for the union's own rounding.
+        """
+        ceiling = np.zeros(lanes.size)
+        floor = np.zeros(lanes.size)
+        for si, __ in members:
+            a = step1[si]
+            active = a["active"][lanes]
+            spans = np.ceil(horizon / a["period"][lanes])
+            ceiling += np.where(active, a["x_req"][lanes] * spans, 0.0)
+            floor = np.maximum(floor, np.where(active, a["muw_u"][lanes], 0.0))
+        return (
+            np.minimum(ceiling, horizon) * (1.0 + _UNION_SLACK),
+            np.minimum(floor, horizon) * (1.0 - _UNION_SLACK),
+        )
 
     def _union(self, cols: List[Tuple], i: int, horizon: float) -> float:
         """Multi-window MUW union for one mapping lane (memoized)."""
@@ -648,72 +864,64 @@ class BatchEvaluator:
 
     # -- Step 3 + assembly ---------------------------------------------- #
 
+    def _step3(
+        self,
+        low: "_Lowered",
+        served: Dict[
+            Tuple[Operand, int, str], Tuple[np.ndarray, np.ndarray, np.ndarray]
+        ],
+        bound: Optional[str] = None,
+    ) -> Tuple[np.ndarray, List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]]]:
+        """``SS_overall`` per lane over the served entries in report order.
+
+        With ``bound`` (``"lower"`` or ``"upper"``), the bound of
+        :meth:`bracket`: every entry on a port of its own (no cross-group
+        credit), and for the lower bound on a machine whose ports can
+        limit two groups, all entries in one group.
+        """
+        plan = self.plan
+        keys = plan.sorted_served
+        gids = [plan.served_gid[key] for key in keys]
+        ports = [served[key][1] for key in keys]
+        n_ports = len(plan.group_keys)
+        if bound is not None:
+            if bound == "lower" and plan.cross_group_ports:
+                gids = [0] * len(keys)
+            ports = [np.full(low.n, e) for e in range(len(keys))]
+            n_ports = len(keys)
+        return integrate_stall_entries(
+            gids,
+            [served[key][0] for key in keys],
+            ports,
+            [served[key][2] for key in keys],
+            n_ports,
+        )
+
+    def _totals(self, low: "_Lowered", ss_overall: np.ndarray) -> np.ndarray:
+        """Total latency per lane: the association order of
+        ``LatencyReport.total_cycles``, ``(cc_spatial + ss_overall) +
+        preload + offload``."""
+        if low.phases is None:
+            low.phases = (self._preload(low), self._offload(low))
+        preload, offload = low.phases
+        return ((low.total_cc + ss_overall) + preload) + offload
+
     def _finalize(
         self,
         low: "_Lowered",
         served: Dict[
             Tuple[Operand, int, str], Tuple[np.ndarray, np.ndarray, np.ndarray]
         ],
-        materialize: bool,
+        lanes: Optional[Sequence[int]],
     ) -> BatchResult:
+        """Step 3 and the Fig. 1 numbers of every lane; reports for
+        ``lanes`` (``reports`` is None without them)."""
         plan = self.plan
         n = low.n
         layer = low.layer
-
-        preload = self._preload(low)
-        offload = self._offload(low)
-
-        # Per-mapping Step 3 over the (few) present served entries. Columns
-        # leave NumPy once; the per-lane loop then touches plain lists.
-        group_key_list = plan.group_keys
-        sorted_cols = [
-            (
-                key,
-                plan.served_gid[key],
-                served[key][0].tolist(),
-                served[key][1].tolist(),
-                served[key][2].tolist(),
-            )
-            for key in plan.sorted_served
-        ]
-        ss_overall_list: List[float] = []
-        served_out: List[Tuple[ServedMemoryStall, ...]] = []
-        integrations: List[StallIntegration] = []
-        for i in range(n):
-            entries = []
-            stalls: List[ServedMemoryStall] = []
-            for key, gid, ss_col, port_col, present in sorted_cols:
-                if not present[i]:
-                    continue
-                port_key = group_key_list[port_col[i]]
-                ss = ss_col[i]
-                entries.append((gid, ss, port_key))
-                if materialize:
-                    stalls.append(
-                        ServedMemoryStall(key[0], key[1], key[2], ss, port_key)
-                    )
-            total, per_group = integrate_stall_entries(entries)
-            ss_overall_list.append(total)
-            if materialize:
-                dominant = [
-                    stalls[worst]
-                    for __, contribution, worst in per_group
-                    if contribution > 0
-                ]
-                integrations.append(
-                    StallIntegration(
-                        ss_overall=total,
-                        group_stalls=tuple(
-                            (gid, c) for gid, c, __ in per_group
-                        ),
-                        dominant=tuple(
-                            sorted(dominant, key=lambda s: -s.ss)
-                        ),
-                    )
-                )
-                served_out.append(tuple(stalls))
-        ss_overall = np.asarray(ss_overall_list, dtype=np.float64)
-
+        ss_overall, per_group = self._step3(low, served)
+        total_cycles = self._totals(low, ss_overall)
+        preload, offload = low.phases
         array_size = self.accelerator.mac_array.size
         cc_ideal_val = layer.total_macs / array_size
         cc_ideal = np.full(n, cc_ideal_val)
@@ -721,19 +929,43 @@ class BatchEvaluator:
         scenario = kernels.scenario_code(
             cc_ideal, cc_spatial.astype(np.float64), ss_overall
         )
-        # Same association order as LatencyReport.total_cycles:
-        # (cc_spatial + ss_overall) + preload + offload.
-        total_cycles = (
-            (cc_spatial + ss_overall) + preload
-        ) + offload
         utilization = cc_ideal / total_cycles
 
-        reports: Optional[List[LatencyReport]] = None
-        if materialize:
+        reports: Optional[List[Optional[LatencyReport]]] = None
+        if lanes is not None:
+            # Columns leave NumPy once; the per-lane loop touches lists.
+            reports = [None] * n
+            group_keys = plan.group_keys
+            entries = [
+                (key, served[key][0].tolist(), served[key][1].tolist(),
+                 served[key][2].tolist())
+                for key in plan.sorted_served
+            ]
+            groups = [
+                (gid, contribution.tolist(), worst.tolist(), has.tolist())
+                for gid, contribution, worst, has in per_group
+            ]
             layer_name = layer.name or str(layer.layer_type)
             accel_name = self.accelerator.name
-            reports = [
-                LatencyReport(
+            columns = [
+                x.tolist()
+                for x in (ss_overall, cc_spatial, preload, offload, scenario)
+            ]
+            for i in lanes:
+                stalls = {
+                    e: ServedMemoryStall(
+                        key[0], key[1], key[2], ss_col[i], group_keys[port_col[i]]
+                    )
+                    for e, (key, ss_col, port_col, present) in enumerate(entries)
+                    if present[i]
+                }
+                dominant = [
+                    stalls[worst[i]]
+                    for __, contribution, worst, has in groups
+                    if has[i] and contribution[i] > 0
+                ]
+                ss_i, spatial_i, pre_i, off_i, scen_i = (c[i] for c in columns)
+                reports[i] = LatencyReport(
                     layer_name=layer_name,
                     accelerator_name=accel_name,
                     cc_ideal=cc_ideal_val,
@@ -744,19 +976,17 @@ class BatchEvaluator:
                     scenario=scen_i,
                     dtls=(),
                     port_combinations={},
-                    served_stalls=stalls_i,
-                    integration=integ_i,
+                    served_stalls=tuple(stalls.values()),
+                    integration=StallIntegration(
+                        ss_overall=ss_i,
+                        group_stalls=tuple(
+                            (gid, contribution[i])
+                            for gid, contribution, __, has in groups
+                            if has[i]
+                        ),
+                        dominant=tuple(sorted(dominant, key=lambda s: -s.ss)),
+                    ),
                 )
-                for spatial_i, ss_i, pre_i, off_i, scen_i, stalls_i, integ_i in zip(
-                    cc_spatial.tolist(),
-                    ss_overall_list,
-                    preload.tolist(),
-                    offload.tolist(),
-                    scenario.tolist(),
-                    served_out,
-                    integrations,
-                )
-            ]
         return BatchResult(
             mappings=low.mappings,
             cc_ideal=cc_ideal,
@@ -942,6 +1172,8 @@ class _Lowered:
             [layer.size(dim) for dim in ALL_DIMS], dtype=np.int64
         )[:, None]
         self._elements: Dict[Tuple[Operand, int], np.ndarray] = {}
+        #: ``(preload, offload)`` per lane, set by the evaluator once.
+        self.phases: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # -- helpers -------------------------------------------------------- #
 

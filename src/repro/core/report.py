@@ -12,7 +12,7 @@ from typing import Dict, Mapping, Optional, Tuple
 
 from repro.core.dtl import DTL
 from repro.core.step2 import PortCombination, ServedMemoryStall
-from repro.core.step3 import StallIntegration, integrate_stall_entries
+from repro.core.step3 import StallIntegration, integrate_lane
 from repro.hardware.accelerator import StallOverlapConfig
 from repro.observability.telemetry import telemetry
 
@@ -200,7 +200,7 @@ def trace_report(report: LatencyReport, overlap: StallOverlapConfig, options) ->
             (overlap.group_of(stall.memory), stall.ss, stall.limiting_port)
             for stall in served
         ]
-        __, per_group = integrate_stall_entries(entries)
+        __, per_group = integrate_lane(entries)
         with tracer.span(
             "model.step3", groups=len(per_group), ss_overall=report.ss_overall
         ):

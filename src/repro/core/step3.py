@@ -31,6 +31,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Hashable, List, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.step2 import ServedMemoryStall
 from repro.hardware.accelerator import StallOverlapConfig
 
@@ -50,40 +52,76 @@ class StallIntegration:
 
 
 def integrate_stall_entries(
+    gids: Sequence[int],
+    ss: Sequence[np.ndarray],
+    ports: Sequence[np.ndarray],
+    present: Sequence[np.ndarray],
+    n_ports: int,
+) -> Tuple[np.ndarray, List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]]]:
+    """The Step-3 integration over lane columns: the one copy of the
+    overlap-group/port-charge arithmetic.
+
+    Entry ``e`` belongs to overlap group ``gids[e]`` in every lane; per
+    lane it has stall ``ss[e]``, limiting port index ``ports[e]`` (below
+    ``n_ports``) and is there where ``present[e]`` is set. Groups are
+    integrated in ascending order; a group's worst member is the first
+    present one with the largest effective stall, as Python's ``max``
+    picks it (stalls are finite). Returns ``(ss_overall, per_group)``
+    with one ``(gid, contribution, worst, has)`` per group:
+    ``contribution`` is 0.0 and ``has`` unset in a lane without a present
+    member, ``worst`` indexes the entries. :func:`integrate_lane` runs it
+    on one lane.
+    """
+    n = present[0].shape[0] if present else 0
+    rows = np.arange(n)
+    members: Dict[int, List[int]] = {}
+    for e, gid in enumerate(gids):
+        members.setdefault(gid, []).append(e)
+    charged = np.zeros((n_ports, n))
+    total = np.zeros(n)
+    per_group = []
+    order = sorted(members)
+    for position, gid in enumerate(order):
+        entries = np.array(members[gid])
+        stall = np.array([ss[e] for e in entries], dtype=np.float64)
+        port = np.array([ports[e] for e in entries])
+        there = np.array([present[e] for e in entries], dtype=bool)
+        # A member's effective stall discounts what earlier groups already
+        # billed to its limiting physical port (nothing before the first).
+        if position:
+            stall = stall - charged[port, rows]
+        # argmax takes the first of equal maxima, as ``max`` does.
+        pick = np.where(there, stall, -np.inf).argmax(axis=0)
+        eff = stall[pick, rows]
+        has = there.any(axis=0)
+        contribution = np.where(has & (eff > 0), eff, 0.0)
+        if position < len(order) - 1:
+            charged[port[pick, rows], rows] += contribution
+        total = total + contribution
+        per_group.append((gid, contribution, entries[pick], has))
+    return np.where(total > 0, total, 0.0), per_group
+
+
+def integrate_lane(
     entries: Sequence[Tuple[int, float, Hashable]],
 ) -> Tuple[float, List[Tuple[int, float, int]]]:
-    """The Step-3 integration over plain ``(group, ss, port)`` entries.
-
-    This is the single source of truth for the overlap-group/port-charge
-    arithmetic; :func:`integrate_stalls` wraps it over
-    :class:`~repro.core.step2.ServedMemoryStall` objects and the batch
-    evaluator calls it directly on array-extracted tuples. Returns
-    ``(ss_overall, per_group)`` with one ``(gid, contribution, worst_index)``
-    triple per overlap group in ascending group order; ``worst_index``
-    points into ``entries``.
-    """
-    groups: Dict[int, List[int]] = {}
-    for idx, (gid, __, ___) in enumerate(entries):
-        groups.setdefault(gid, []).append(idx)
-
-    per_group: List[Tuple[int, float, int]] = []
-    charged: Dict[Hashable, float] = {}
-    total = 0.0
-    for gid in sorted(groups):
-        members = groups[gid]
-        # A member's effective stall discounts what earlier groups
-        # already billed to its limiting physical port.
-        worst = max(
-            members,
-            key=lambda i: entries[i][1] - charged.get(entries[i][2], 0.0),
-        )
-        __, ss, port = entries[worst]
-        contribution = max(0.0, ss - charged.get(port, 0.0))
-        if contribution > 0:
-            charged[port] = charged.get(port, 0.0) + contribution
-        per_group.append((gid, contribution, worst))
-        total += contribution
-    return max(0.0, total), per_group
+    """:func:`integrate_stall_entries` on one lane of ``(group, ss, port)``
+    entries: ``(ss_overall, per_group)`` with one ``(gid, contribution,
+    worst_index)`` per overlap group that has an entry."""
+    port_index: Dict[Hashable, int] = {}
+    for __, ___, port in entries:
+        port_index.setdefault(port, len(port_index))
+    total, per_group = integrate_stall_entries(
+        [gid for gid, __, ___ in entries],
+        [np.array([ss]) for __, ss, ___ in entries],
+        [np.array([port_index[port]]) for __, ___, port in entries],
+        [np.ones(1, dtype=bool)] * len(entries),
+        len(port_index),
+    )
+    return float(total[0]) if entries else 0.0, [
+        (gid, float(contribution[0]), int(worst[0]))
+        for gid, contribution, worst, __ in per_group
+    ]
 
 
 def integrate_stalls(
@@ -100,7 +138,7 @@ def integrate_stalls(
         (overlap.group_of(stall.memory), stall.ss, stall.limiting_port)
         for stall in served
     ]
-    ss_overall, per_group = integrate_stall_entries(entries)
+    ss_overall, per_group = integrate_lane(entries)
     group_stalls: List[Tuple[int, float]] = []
     dominant: List[ServedMemoryStall] = []
     for gid, contribution, worst_idx in per_group:

@@ -8,11 +8,12 @@ story and ``docs/API.md`` ("Evaluation engine") for usage.
 """
 
 from repro.engine.cache import EvaluationCache
-from repro.engine.evaluation import Evaluation, EvaluationEngine
+from repro.engine.evaluation import BestOf, Evaluation, EvaluationEngine
 from repro.engine.evaluator import Evaluator
 from repro.observability.stats import EngineStats
 
 __all__ = [
+    "BestOf",
     "Evaluation",
     "EvaluationCache",
     "EvaluationEngine",

@@ -13,7 +13,8 @@ The surface is exactly what those consumers already use:
 * identity — ``accelerator`` / ``options`` plus their canonical
   fingerprints (cache keys, search memoization);
 * the evaluation verbs — :meth:`~Evaluator.evaluate`,
-  :meth:`~Evaluator.evaluate_many`, :meth:`~Evaluator.evaluate_energy`;
+  :meth:`~Evaluator.evaluate_many`, :meth:`~Evaluator.best_of` (one block
+  of a latency search), :meth:`~Evaluator.evaluate_energy`;
 * shared state — ``cache`` / ``stats`` (the cache is always on: the
   mapper memoizes whole searches in it, and a cold run empties it with
   ``cache.clear()``; the mapper counts dedup skips on the stats);
@@ -31,6 +32,7 @@ coercion from a preset name / URL.
 
 from __future__ import annotations
 
+import math
 from typing import (
     Dict,
     Iterable,
@@ -44,6 +46,7 @@ from repro.core.report import LatencyReport
 from repro.core.step1 import ModelOptions
 from repro.energy.energy_model import EnergyReport
 from repro.engine.cache import EvaluationCache
+from repro.engine.evaluation import BestOf
 from repro.hardware.accelerator import Accelerator
 from repro.mapping.mapping import Mapping
 from repro.observability.stats import EngineStats
@@ -86,6 +89,13 @@ class Evaluator(Protocol):
         with_energy: bool = False,
     ) -> List[Optional[object]]:
         """Batch evaluation; entry ``i`` is an ``Evaluation`` or ``None``."""
+        ...
+
+    def best_of(
+        self, mappings: Iterable[Mapping], incumbent: float = math.inf
+    ) -> BestOf:
+        """The first of ``mappings`` with the least latency below
+        ``incumbent`` (a :class:`~repro.engine.evaluation.BestOf`)."""
         ...
 
     def evaluate_energy(self, mapping: Mapping) -> EnergyReport:

@@ -1,9 +1,11 @@
-"""Chunk evaluation: the unit of work behind ``EvaluationEngine.evaluate_many``.
+"""Chunk evaluation: the unit of work behind ``EvaluationEngine.evaluate_many``
+and ``EvaluationEngine.best_of``.
 
 The engine splits a batch of mappings into chunks and runs each chunk, in
 list order and in the calling process, through :func:`evaluate_chunk`:
 one call of the vectorized :class:`~repro.core.batch.BatchEvaluator` per
-layer in the chunk.
+layer in the chunk, or in a latency search one call of its bound-first
+``best``.
 
 A traced chunk gives every lane its full report and projects it
 (:func:`~repro.core.report.trace_report`) under a chunk-local
@@ -55,6 +57,7 @@ class ChunkTiming:
     errors: int          # mappings that raised MappingError
     partial_hits: int = 0    # MUW-memo hits this chunk
     partial_misses: int = 0  # MUW-memo misses this chunk
+    pruned: int = 0          # lanes a latency bound ruled out (best mode)
 
 
 #: What :func:`evaluate_chunk` returns: the outcomes, the chunk-local span
@@ -69,18 +72,32 @@ def evaluate_chunk(
     with_energy: bool,
     trace: bool,
     evaluator: Optional[BatchEvaluator] = None,
+    incumbent: Optional[float] = None,
 ) -> ChunkResult:
     """Evaluate one chunk of mappings through the batch core.
 
     ``evaluator`` is the calling engine's batch core, so its plan is
     built once per engine; one is built here when it is omitted.
+
+    With ``incumbent`` (a latency in cycles; the mappings share one
+    layer) the chunk is one step of a latency search: only its first
+    mapping with the least latency below ``incumbent`` gets an outcome
+    (:meth:`~repro.core.batch.BatchEvaluator.best`). The timing counts
+    the lanes scored, pruned by their latency bound, and infeasible.
     """
     if evaluator is None:
         evaluator = BatchEvaluator(accelerator, options, muw_cache=_PARTIAL_CACHE)
     energy_model = EnergyModel(accelerator) if with_energy else None
     chunk_t0 = time.perf_counter()
     hits0, misses0 = _PARTIAL_CACHE.hits, _PARTIAL_CACHE.misses
-    out = _run_batched(evaluator, mappings, energy_model, trace)
+    pruned = 0
+    if incumbent is None:
+        out = _run_batched(evaluator, mappings, energy_model, trace)
+        errors = sum(1 for outcome in out if outcome is None)
+        evaluated = len(out) - errors
+    else:
+        out, evaluated, pruned = _run_best(evaluator, mappings, incumbent, trace)
+        errors = len(out) - evaluated - pruned
     records: List[SpanRecord] = []
     if trace:
         tracer = Tracer()
@@ -89,16 +106,44 @@ def evaluate_chunk(
                 if outcome is not None:
                     trace_report(outcome[0], accelerator.stall_overlap, options)
         records = tracer.records
-    errors = sum(1 for outcome in out if outcome is None)
     timing = ChunkTiming(
         worker=worker_id(),
         wall_s=time.perf_counter() - chunk_t0,
-        evaluated=len(out) - errors,
+        evaluated=evaluated,
         errors=errors,
         partial_hits=_PARTIAL_CACHE.hits - hits0,
         partial_misses=_PARTIAL_CACHE.misses - misses0,
+        pruned=pruned,
     )
     return out, records, timing
+
+
+def _run_best(
+    evaluator: BatchEvaluator,
+    mappings: Tuple[Mapping, ...],
+    incumbent: float,
+    full: bool,
+) -> Tuple[ChunkOutcomes, int, int]:
+    """Best-mode chunk body: ``(outcomes, scored, pruned)``, the outcome
+    set only for the winner; a mapping shallower than the machine is
+    neither scored nor pruned."""
+    out: ChunkOutcomes = [None] * len(mappings)
+    feasible = []
+    for i, mapping in enumerate(mappings):
+        try:
+            check_depth(mapping, evaluator.accelerator)
+        except MappingError:
+            continue
+        feasible.append(i)
+    t0 = time.perf_counter()
+    found = evaluator.best([mappings[i] for i in feasible], incumbent)
+    if found.lane is not None:
+        lane = found.lane
+        report = (
+            found.result.full_report(lane) if full else found.result.reports[lane]
+        )
+        out[feasible[lane]] = (report, None, time.perf_counter() - t0)
+    return out, found.scored, found.pruned
 
 
 def _run_batched(

@@ -23,12 +23,16 @@ presets. The schema mirrors the object model::
     }
 
 ``allocation`` may be omitted ("auto") to use first-fitting-port rules.
+Integers, numbers and booleans must have their JSON type (``16.5``,
+``"128"`` and ``"false"`` are refused, not coerced), and a key the schema
+does not know is an error, so a misspelled field never reads as its
+default.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 from repro.hardware.accelerator import Accelerator, StallOverlapConfig
 from repro.hardware.hierarchy import MemoryHierarchy, MemoryLevel, auto_allocate
@@ -53,8 +57,49 @@ def strict_int(value: Any, field: str, key: Any = None) -> int:
     """
     if type(value) is int:  # not a bool, which subclasses int
         return value
+    raise _refused(value, "an integer", field, key)
+
+
+def strict_float(value: Any, field: str, key: Any = None) -> float:
+    """``value`` as a float if it is a JSON number (int or float), else
+    :class:`TypeError` naming the field: ``float()`` would read ``"128"``
+    and ``true``."""
+    if type(value) in (int, float):
+        return float(value)
+    raise _refused(value, "a number", field, key)
+
+
+def strict_bool(value: Any, field: str, key: Any = None) -> bool:
+    """``value`` if it is a boolean, else :class:`TypeError` naming the
+    field: ``bool()`` reads the string ``"false"`` as true."""
+    if type(value) is bool:
+        return value
+    raise _refused(value, "a boolean", field, key)
+
+
+def _refused(value: Any, kind: str, field: str, key: Any) -> TypeError:
     name = field if key is None else f"{field}[{key}]"
-    raise TypeError(f"{name} must be an integer, got {value!r}")
+    return TypeError(f"{name} must be {kind}, got {value!r}")
+
+
+def check_known(what: str, keys: Iterable, allowed: Sequence[str]) -> None:
+    """:class:`ValueError` naming the first of ``keys`` not in ``allowed``:
+    a misspelled field must not read as its default."""
+    for key in keys:
+        if key not in allowed:
+            raise ValueError(f"unknown {what} {key!r}; expected one of {list(allowed)}")
+
+
+_ACCELERATOR_KEYS = (
+    "name", "mac_array", "memories", "chains", "stall_overlap", "offchip_bandwidth",
+)
+_MAC_ARRAY_KEYS = ("rows", "cols", "macs_per_pe", "mac_energy_pj")
+_MEMORY_KEYS = (
+    "name", "size_bits", "ports", "double_buffered", "instances",
+    "read_energy_pj_per_bit", "write_energy_pj_per_bit", "link_energy_pj_per_bit",
+    "min_burst_bits", "serves", "allocation",
+)
+_PORT_KEYS = ("name", "direction", "bandwidth")
 
 
 # --------------------------------------------------------------------- #
@@ -133,27 +178,40 @@ def preset_to_json(preset: Preset, indent: int = 2) -> str:
 # Deserialization
 # --------------------------------------------------------------------- #
 
+def _port_from_dict(data: Dict[str, Any]) -> Port:
+    check_known("port field", data, _PORT_KEYS)
+    return Port(
+        data["name"],
+        PortDirection(data["direction"]),
+        strict_float(data["bandwidth"], "bandwidth"),
+    )
+
+
 def _memory_from_dict(data: Dict[str, Any]) -> Tuple[MemoryInstance, MemoryLevel]:
     try:
-        ports = tuple(
-            Port(p["name"], PortDirection(p["direction"]), float(p["bandwidth"]))
-            for p in data["ports"]
-        )
+        check_known("memory field", data, _MEMORY_KEYS)
+        energies = {
+            key: strict_float(data.get(key, 0.0), key)
+            for key in (
+                "read_energy_pj_per_bit", "write_energy_pj_per_bit",
+                "link_energy_pj_per_bit",
+            )
+        }
         instance = MemoryInstance(
             name=data["name"],
             size_bits=strict_int(data["size_bits"], "size_bits"),
-            ports=ports,
-            double_buffered=bool(data.get("double_buffered", False)),
+            ports=tuple(_port_from_dict(p) for p in data["ports"]),
+            double_buffered=strict_bool(
+                data.get("double_buffered", False), "double_buffered"
+            ),
             instances=strict_int(data.get("instances", 1), "instances"),
-            read_energy_pj_per_bit=float(data.get("read_energy_pj_per_bit", 0.0)),
-            write_energy_pj_per_bit=float(data.get("write_energy_pj_per_bit", 0.0)),
-            link_energy_pj_per_bit=float(data.get("link_energy_pj_per_bit", 0.0)),
             min_burst_bits=strict_int(
                 data.get("min_burst_bits", 1), "min_burst_bits"
             ),
+            **energies,
         )
         serves = frozenset(Operand(s) for s in data["serves"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SerdeError(f"bad memory entry {data.get('name', '?')!r}: {exc}") from exc
 
     allocation_spec = data.get("allocation", "auto")
@@ -184,14 +242,18 @@ def accelerator_from_dict(data: Dict[str, Any]) -> Accelerator:
             f"got {type(data).__name__}"
         )
     try:
+        check_known("accelerator field", data, _ACCELERATOR_KEYS)
         array_spec = data["mac_array"]
+        check_known("mac_array field", array_spec, _MAC_ARRAY_KEYS)
         mac_array = MacArray(
             rows=strict_int(array_spec["rows"], "mac_array.rows"),
             cols=strict_int(array_spec["cols"], "mac_array.cols"),
             macs_per_pe=strict_int(
                 array_spec.get("macs_per_pe", 1), "mac_array.macs_per_pe"
             ),
-            mac_energy_pj=float(array_spec.get("mac_energy_pj", 0.0)),
+            mac_energy_pj=strict_float(
+                array_spec.get("mac_energy_pj", 0.0), "mac_array.mac_energy_pj"
+            ),
         )
         levels: Dict[str, MemoryLevel] = {}
         for mem_data in data["memories"]:
@@ -201,12 +263,13 @@ def accelerator_from_dict(data: Dict[str, Any]) -> Accelerator:
             levels[level.name] = level
         chains = {}
         for op_str, names in data["chains"].items():
+            operand = Operand(op_str)
             chain = []
             for name in names:
                 if name not in levels:
                     raise SerdeError(f"chain references unknown memory {name!r}")
                 chain.append(levels[name])
-            chains[Operand(op_str)] = tuple(chain)
+            chains[operand] = tuple(chain)
         hierarchy = MemoryHierarchy(chains)
         overlap = StallOverlapConfig(
             tuple(frozenset(group) for group in data.get("stall_overlap", []))
@@ -217,7 +280,10 @@ def accelerator_from_dict(data: Dict[str, Any]) -> Accelerator:
             mac_array=mac_array,
             hierarchy=hierarchy,
             stall_overlap=overlap,
-            offchip_bandwidth=float(offchip) if offchip is not None else None,
+            offchip_bandwidth=(
+                strict_float(offchip, "offchip_bandwidth")
+                if offchip is not None else None
+            ),
         )
     except SerdeError:
         raise
@@ -229,8 +295,14 @@ def accelerator_from_dict(data: Dict[str, Any]) -> Accelerator:
 
 def preset_from_dict(data: Dict[str, Any]) -> Preset:
     """Deserialize a preset (accelerator + spatial unrolling)."""
-    accelerator = accelerator_from_dict(data)
+    if not isinstance(data, dict):
+        raise SerdeError(
+            f"preset description must be a JSON object, got {type(data).__name__}"
+        )
     spatial_spec = data.get("spatial_unrolling", {})
+    accelerator = accelerator_from_dict(
+        {key: value for key, value in data.items() if key != "spatial_unrolling"}
+    )
     try:
         spatial = {
             LoopDim(dim): strict_int(f, "spatial_unrolling", dim)

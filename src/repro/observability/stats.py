@@ -33,6 +33,7 @@ class EngineStats:
     dedup_skipped: int = 0        # mapper candidates dropped as model-equivalent
     partial_hits: int = 0         # partial-result (MUW memo) cache hits
     partial_misses: int = 0       # partial-result (MUW memo) cache misses
+    bound_pruned: int = 0         # best_of lanes whose latency bound ruled them out
     phase_seconds: Dict[str, float] = dataclasses.field(default_factory=dict)
 
     # ------------------------------------------------------------------ #
@@ -69,6 +70,7 @@ class EngineStats:
         self.dedup_skipped = 0
         self.partial_hits = 0
         self.partial_misses = 0
+        self.bound_pruned = 0
         self.phase_seconds = {}
 
     def snapshot(self) -> Dict[str, float]:
@@ -85,6 +87,7 @@ class EngineStats:
             "dedup_skipped": float(self.dedup_skipped),
             "partial_hits": float(self.partial_hits),
             "partial_misses": float(self.partial_misses),
+            "bound_pruned": float(self.bound_pruned),
         }
         for name, seconds in sorted(self.phase_seconds.items()):
             data[f"seconds_{name}"] = seconds

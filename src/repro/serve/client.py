@@ -45,6 +45,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import itertools
+import math
 import socket
 import threading
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -54,7 +55,7 @@ from repro.core.report import LatencyReport
 from repro.core.step1 import ModelOptions
 from repro.energy.energy_model import EnergyReport
 from repro.engine import EvaluationCache
-from repro.engine.evaluation import Evaluation
+from repro.engine.evaluation import BestOf, Evaluation
 from repro.fingerprint import stable_fingerprint
 from repro.hardware.accelerator import Accelerator
 from repro.hardware.serde import accelerator_to_dict, preset_from_dict
@@ -506,6 +507,14 @@ class RemoteEngine:
                     self.cache.put(self._energy_key(mappings[i]), energy)
                 results[i] = Evaluation(mappings[i], report, energy)
         return results
+
+    def best_of(
+        self, mappings: Iterable[Mapping], incumbent: float = math.inf
+    ) -> BestOf:
+        """The first of ``mappings`` with the least latency below
+        ``incumbent``: :meth:`evaluate_many`, then a strict ``<`` scan
+        (the daemon answers every mapping; nothing is pruned)."""
+        return BestOf.scan(self.evaluate_many(mappings), incumbent)
 
     # ------------------------------------------------------------------ #
     # Service controls

@@ -34,6 +34,10 @@ in :data:`PROPERTIES`. The oracles restate the paper's algebra as checks:
     model's full report, anatomy included, bit-for-bit (``==``, no
     tolerance) — the contract that lets production run only the SoA
     core.
+``latency_bracket``
+    The union-free latency bracket of the batch core holds,
+    ``CC_lo <= CC <= CC_hi``, with truncated and with full ``repeats`` —
+    what makes bound-first mapping search exact.
 ``three_way_agreement``
     The three-way differential oracle (``backend="both"`` only): the
     event-driven simulator and the register-stage-accurate RTL backend
@@ -53,6 +57,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.model import LatencyModel
 from repro.core.report import LatencyReport
+from repro.core.step1 import ModelOptions
 from repro.core.step2 import combine_port
 from repro.hardware.serde import accelerator_from_dict, accelerator_to_dict
 from repro.simulator.engine import CycleSimulator
@@ -577,6 +582,34 @@ def batch_scalar_parity(
     return out
 
 
+def latency_bracket(
+    case: Case, ctx: CaseContext, tol: Tolerance
+) -> List[Violation]:
+    """The batch core's union-free latency bracket holds:
+    ``CC_lo <= CC <= CC_hi`` (no tolerance).
+
+    A latency search prunes every mapping whose ``CC_lo`` cannot beat the
+    incumbent, so a ``CC_lo`` above ``CC`` would silently drop a winner.
+    Checked under the default conventions, whose steady-state ``repeats``
+    stop one period short of the horizon (the case the MUW ceiling must
+    survive), and under the paper's full period count.
+    """
+    from repro.core.batch import BatchEvaluator
+
+    out: List[Violation] = []
+    for options in (ModelOptions(), ModelOptions.paper_faithful()):
+        evaluator = BatchEvaluator(case.accelerator, options)
+        lo, hi = evaluator.bracket([case.mapping])
+        cc = evaluator.evaluate([case.mapping], materialize=False).total_cycles
+        if not lo[0] <= cc[0] <= hi[0]:
+            out.append(_violation(
+                "latency_bracket", case, "latency outside its bracket",
+                cc_lo=float(lo[0]), cc=float(cc[0]), cc_hi=float(hi[0]),
+                paper_period_count=float(options.paper_period_count),
+            ))
+    return out
+
+
 PROPERTIES: Dict[str, PropertyFn] = {
     "hard_lower_bounds": hard_lower_bounds,
     "model_tracks_simulator": model_tracks_simulator,
@@ -587,6 +620,7 @@ PROPERTIES: Dict[str, PropertyFn] = {
     "bandwidth_monotonicity": bandwidth_monotonicity,
     "serde_roundtrip": serde_roundtrip,
     "batch_scalar_parity": batch_scalar_parity,
+    "latency_bracket": latency_bracket,
 }
 
 

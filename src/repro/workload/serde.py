@@ -18,6 +18,7 @@ object mirroring :class:`~repro.workload.layer.LayerSpec`::
   its fields default to :class:`~repro.workload.layer.Precision`.
 - Every size, stride, dilation and precision is a JSON integer:
   ``16.5``, ``true`` and ``"16"`` are refused, not truncated or coerced.
+- A key outside this schema (``"strides"``) is refused, not ignored.
 
 Size-1 dimensions are elided on write and default on read, so the dict
 is minimal and the round trip preserves :func:`stable_fingerprint`
@@ -27,9 +28,9 @@ identity (``LayerSpec.name`` is carried but excluded from fingerprints).
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Iterable, Sequence
+from typing import Any, Dict
 
-from repro.hardware.serde import SerdeError, strict_int
+from repro.hardware.serde import SerdeError, check_known, strict_int
 from repro.workload.dims import LoopDim
 from repro.workload.layer import LayerSpec, LayerType, Precision
 
@@ -37,6 +38,7 @@ _LAYER_TYPES = [t.value for t in LayerType]
 _DIMS = [d.value for d in LoopDim]
 _PRECISIONS = [f.name for f in dataclasses.fields(Precision)]
 _GEOMETRY = ("stride_x", "stride_y", "dilation_x", "dilation_y")
+_FIELDS = ["layer_type", "dims", *_GEOMETRY, "precision", "name"]
 
 
 def layer_to_dict(layer: LayerSpec) -> Dict:
@@ -81,9 +83,10 @@ def _layer(data: Dict) -> LayerSpec:
     for key, value in (("dims", dims), ("precision", precision)):
         if not isinstance(value, dict):
             raise TypeError(f"{key!r} must be an object, got {value!r}")
-    _known("layer type", [data["layer_type"]], _LAYER_TYPES)
-    _known("loop dim", dims, _DIMS)
-    _known("precision field", precision, _PRECISIONS)
+    check_known("layer field", data, _FIELDS)
+    check_known("layer type", [data["layer_type"]], _LAYER_TYPES)
+    check_known("loop dim", dims, _DIMS)
+    check_known("precision field", precision, _PRECISIONS)
     return LayerSpec(
         layer_type=LayerType(data["layer_type"]),
         dims={LoopDim(d): strict_int(s, "dims", d) for d, s in dims.items()},
@@ -93,12 +96,6 @@ def _layer(data: Dict) -> LayerSpec:
         }),
         name=data.get("name"),
     )
-
-
-def _known(what: str, keys: Iterable, allowed: Sequence[str]) -> None:
-    for key in keys:
-        if key not in allowed:
-            raise ValueError(f"unknown {what} {key!r}; expected one of {allowed}")
 
 
 __all__ = ["layer_from_dict", "layer_to_dict"]

@@ -163,6 +163,23 @@ def test_evaluate_many_mixed_feasibility(server):
     client.close()
 
 
+def test_best_of_picks_the_local_winner_from_every_answer(server):
+    client = connect(server.url)
+    mapper = TemporalMapper(
+        client.accelerator, client.spatial_unrolling,
+        MapperConfig(max_enumerated=40, samples=0),
+    )
+    mappings = list(mapper.mappings(dense_layer(16, 32, 64)))
+    local = EvaluationEngine(client.accelerator).best_of(mappings)
+    remote = client.best_of(mappings)
+    assert remote.best.mapping is local.best.mapping
+    assert remote.best.report.total_cycles == local.best.report.total_cycles
+    assert (remote.scored, remote.pruned) == (len(mappings), 0)
+    assert local.scored + local.pruned == len(mappings)
+    assert client.best_of(mappings, local.best.report.total_cycles).best is None
+    client.close()
+
+
 def test_evaluate_many_serves_cached_prefix_without_refetch(server):
     client = connect(server.url)
     case = next(iter(sample_cases(seed=11, count=1)))

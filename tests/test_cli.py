@@ -82,7 +82,8 @@ def test_sensitivity_command_runs(capsys):
 
 def test_sensitivity_honours_the_mapper_budget(capsys):
     """32x64x60 has 1260 loop orders: ``--enumerate 5000`` enumerates them
-    all, ``--enumerate 5`` samples three."""
+    all, ``--enumerate 5`` samples three. The cache requests count the
+    candidates (a latency search scores only those its bounds keep)."""
     counts = []
     for budget in ("5", "5000"):
         rc = main(["sensitivity", "--layer", "32,64,60", "--memory", "GB",
@@ -90,8 +91,8 @@ def test_sensitivity_honours_the_mapper_budget(capsys):
                    "--enumerate", budget, "--samples", "3"])
         assert rc == 0
         engine_line = capsys.readouterr().out.splitlines()[-1]
-        counts.append(engine_line.split(" evaluations")[0])
-    assert counts[0] != counts[1]
+        counts.append(int(engine_line.split(" cache hits")[0].split("/")[-1]))
+    assert counts[0] < counts[1]
 
 
 def test_report_command_runs(capsys, tmp_path):
@@ -135,6 +136,15 @@ def test_export_and_load_arch(capsys, tmp_path):
     pytest.param(_case_study_json(
         lambda d: d["spatial_unrolling"].update(K=16.5)
     ), id="fractional-spatial_unrolling"),
+    pytest.param(_case_study_json(
+        lambda d: d["memories"][2].update(double_buffered="false")
+    ), id="string-double_buffered"),
+    pytest.param(_case_study_json(
+        lambda d: d["memories"][2]["ports"][0].update(bandwidth="128")
+    ), id="string-bandwidth"),
+    pytest.param(_case_study_json(
+        lambda d: d["memories"][2].update(double_bufered=True)
+    ), id="misspelled-key"),
 ])
 def test_bad_arch_file_is_a_one_line_usage_error(capsys, tmp_path, text):
     path = tmp_path / "arch.json"
