@@ -166,7 +166,7 @@ class TemporalMapper:
             engine.accelerator is not accelerator
             or engine.options != self.config.model_options
         ):
-            # Share the caller's cache/stats/executor but evaluate on this
+            # Share the caller's cache and stats but evaluate on this
             # mapper's machine under this mapper's model options.
             engine = engine.derive(
                 accelerator=accelerator, options=self.config.model_options
@@ -482,11 +482,6 @@ class TemporalMapper:
                 cache_hit=outcome.cache_hit,
             )
 
-    def _evaluated(self, layer: LayerSpec) -> Iterator[MappingSearchResult]:
-        """Stream scored mappings, batch-evaluating through the engine."""
-        for block in self._blocks(layer):
-            yield from self._score(block)
-
     def _block_best(
         self, block: List[Mapping], incumbent: float
     ) -> Tuple[Optional[MappingSearchResult], int, int]:
@@ -588,13 +583,16 @@ class TemporalMapper:
             layer=layer.name or str(layer.layer_type),
         )
 
-    def search(self, layer: LayerSpec) -> List[MappingSearchResult]:
-        """Evaluate the mapping space; return the top results, best first."""
+    def _memoized_search(self, kind: str, layer: LayerSpec, body):
+        """The ``mapper.<kind>`` span, progress run and memo around
+        ``body(layer, run)``, which returns ``(outcome, best or None,
+        candidates)``; ``outcome`` is None when no mapping fits.
+        ``(outcome, best)`` is memoized, so a hit observes ``best`` on the
+        campaign as the search did; ``outcome`` is returned."""
         t = telemetry()
+        label = layer.name or str(layer.layer_type)
         with t.tracer.span(
-            "mapper.search",
-            layer=layer.name or str(layer.layer_type),
-            objective=self.config.objective,
+            f"mapper.{kind}", layer=label, objective=self.config.objective
         ) as span:
             t.metrics.counter(
                 "repro_mapper_searches_total", "Mapper search() calls."
@@ -602,45 +600,60 @@ class TemporalMapper:
             campaign = t.campaign
             if campaign.enabled:
                 self._note_campaign_context(campaign)
-            key = self._search_key("search", layer)
+            key = self._search_key(kind, layer)
             cached = self.engine.cache.get(key)
             if cached is not None:
                 self.engine.stats.cache_hits += 1
                 span.set("cache_hit", True)
                 campaign.note_memoized_search()
-                if cached:
-                    campaign.observe(cached[0].objective)
-                return list(cached)
-            with self._progress_run("mapper.search", layer) as run:
-                results = list(self._evaluated(layer))
-                t.metrics.counter(
-                    "repro_mapper_candidates_total",
-                    "Feasible mapping candidates scored by the mapper.",
-                ).inc(len(results))
-                for result in results:
-                    campaign.observe(result.objective)
-                scored = len(results)
-                results.sort(key=lambda r: r.objective)
-                results = results[: self.config.keep_top]
-                funnel = campaign.phase("mapper")
-                for result in results:
-                    funnel.retain(cache_hit=result.cache_hit)
-                funnel.discard("keep-top", scored - len(results))
-                if results:
-                    best = results[0]
+                outcome, best = cached
+                if best is not None:
+                    campaign.observe(best.objective)
+                return outcome
+            with self._progress_run(f"mapper.{kind}", layer) as run:
+                outcome, best, candidates = body(layer, run)
+                if best is not None:
                     run.best(
                         best.objective,
                         total_cycles=best.report.total_cycles,
                         utilization=best.report.utilization,
-                        label=layer.name or str(layer.layer_type),
+                        label=label,
                     )
+            if outcome is None:  # nothing fits: no memo, no span report
+                return None
             if t.tracer.enabled:
                 span.set("cache_hit", False)
-                span.set("candidates", len(results))
-                if results:
-                    span.set("best_objective", results[0].objective)
-            self.engine.cache.put(key, tuple(results))
-            return results
+                span.set("candidates", candidates)
+                if best is not None:
+                    span.set("best_objective", best.objective)
+            self.engine.cache.put(key, (outcome, best))
+            return outcome
+
+    def search(self, layer: LayerSpec) -> List[MappingSearchResult]:
+        """Evaluate the mapping space; return the top results, best first."""
+        return list(self._memoized_search("search", layer, self._rank))
+
+    def _rank(self, layer: LayerSpec, run):
+        """:meth:`search` body: score every mapping, keep the best."""
+        t = telemetry()
+        results = [
+            result for block in self._blocks(layer) for result in self._score(block)
+        ]
+        t.metrics.counter(
+            "repro_mapper_candidates_total",
+            "Feasible mapping candidates scored by the mapper.",
+        ).inc(len(results))
+        campaign = t.campaign
+        for result in results:
+            campaign.observe(result.objective)
+        scored = len(results)
+        results.sort(key=lambda r: r.objective)
+        kept = tuple(results[: self.config.keep_top])
+        funnel = campaign.phase("mapper")
+        for result in kept:
+            funnel.retain(cache_hit=result.cache_hit)
+        funnel.discard("keep-top", scored - len(kept))
+        return kept, (kept[0] if kept else None), len(kept)
 
     def best_mapping_verified(
         self, layer: LayerSpec, shortlist: int = 5
@@ -657,10 +670,7 @@ class TemporalMapper:
 
         candidates = self.search(layer)[:shortlist]
         if not candidates:
-            raise MappingError(
-                f"no valid temporal mapping of {layer.describe()} on "
-                f"{self.accelerator.name} with spatial {self.spatial}"
-            )
+            raise self._unmappable(layer)
         best: Optional[Tuple[MappingSearchResult, float]] = None
         for candidate in candidates:
             simulated = CycleSimulator(
@@ -673,59 +683,43 @@ class TemporalMapper:
 
     def best_mapping(self, layer: LayerSpec) -> MappingSearchResult:
         """The best mapping found (raises if none fits)."""
+        best = self._memoized_search("best_mapping", layer, self._descend)
+        if best is None:
+            raise self._unmappable(layer)
+        return best
+
+    def _unmappable(self, layer: LayerSpec) -> MappingError:
+        return MappingError(
+            f"no valid temporal mapping of {layer.describe()} on "
+            f"{self.accelerator.name} with spatial {self.spatial}"
+        )
+
+    def _descend(self, layer: LayerSpec, run):
+        """:meth:`best_mapping` body: each block against the best so far."""
         t = telemetry()
-        with t.tracer.span(
-            "mapper.best_mapping",
-            layer=layer.name or str(layer.layer_type),
-            objective=self.config.objective,
-        ) as span:
-            t.metrics.counter(
-                "repro_mapper_searches_total", "Mapper search() calls."
-            ).inc()
-            campaign = t.campaign
-            if campaign.enabled:
-                self._note_campaign_context(campaign)
-            key = self._search_key("best_mapping", layer)
-            cached = self.engine.cache.get(key)
-            if cached is not None:
-                self.engine.stats.cache_hits += 1
-                span.set("cache_hit", True)
-                campaign.note_memoized_search()
-                campaign.observe(cached.objective)
-                return cached
-            best: Optional[MappingSearchResult] = None
-            candidates = pruned = 0
-            with self._progress_run("mapper.best_mapping", layer) as run:
-                for block in self._blocks(layer):
-                    winner, scored, bounded = self._block_best(
-                        block, math.inf if best is None else best.objective
-                    )
-                    candidates += scored + bounded
-                    pruned += bounded
-                    if winner is not None:
-                        best = winner
-                        run.best(
-                            best.objective,
-                            total_cycles=best.report.total_cycles,
-                            utilization=best.report.utilization,
-                            label=layer.name or str(layer.layer_type),
-                        )
-            t.metrics.counter(
-                "repro_mapper_candidates_total",
-                "Feasible mapping candidates scored by the mapper.",
-            ).inc(candidates)
-            if best is None:
-                raise MappingError(
-                    f"no valid temporal mapping of {layer.describe()} on "
-                    f"{self.accelerator.name} with spatial {self.spatial}"
+        best: Optional[MappingSearchResult] = None
+        candidates = pruned = 0
+        for block in self._blocks(layer):
+            winner, scored, bounded = self._block_best(
+                block, math.inf if best is None else best.objective
+            )
+            candidates += scored + bounded
+            pruned += bounded
+            if winner is not None:
+                best = winner
+                run.best(
+                    best.objective,
+                    total_cycles=best.report.total_cycles,
+                    utilization=best.report.utilization,
+                    label=layer.name or str(layer.layer_type),
                 )
-            funnel = campaign.phase("mapper")
+        t.metrics.counter(
+            "repro_mapper_candidates_total",
+            "Feasible mapping candidates scored by the mapper.",
+        ).inc(candidates)
+        if best is not None:
+            funnel = t.campaign.phase("mapper")
             funnel.retain(cache_hit=best.cache_hit)
             funnel.discard("beaten-incumbent", candidates - pruned - 1)
             funnel.discard("bound-pruned", pruned)
-            if t.tracer.enabled:
-                span.set("cache_hit", False)
-                span.set("candidates", candidates)
-                span.set("best_objective", best.objective)
-            self.engine.cache.put(key, best)
-            return best
+        return best, best, candidates

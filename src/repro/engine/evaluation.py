@@ -23,11 +23,11 @@ deliberately does not have:
 * an :class:`~repro.observability.stats.EngineStats` **instrumentation
   surface** (evaluations run, hits/misses, wall time per phase), plus
   **observability hooks**: spans on the ambient
-  :class:`~repro.observability.Tracer` (each chunk's span records are
-  merged in chunk order, one export track per chunk), counters /
-  histograms on the ambient :class:`~repro.observability.MetricsRegistry`,
-  and one durable :class:`~repro.observability.RunRecord` per evaluation
-  on the ambient :class:`~repro.observability.RunLedger`.
+  :class:`~repro.observability.Tracer` (every chunk projects its reports
+  under the batch span, in chunk order), counters / histograms on the
+  ambient :class:`~repro.observability.MetricsRegistry`, and one durable
+  :class:`~repro.observability.RunRecord` per evaluation on the ambient
+  :class:`~repro.observability.RunLedger`.
   All default to no-ops and cost nothing when disabled.
 
 Engines are cheap; :meth:`derive` builds one for another machine or
@@ -54,7 +54,7 @@ from repro.engine.cache import EvaluationCache, PartialResultCache
 from repro.engine import executors
 from repro.fingerprint import stable_fingerprint
 from repro.hardware.accelerator import Accelerator
-from repro.mapping.mapping import Mapping, MappingError, check_depth
+from repro.mapping.mapping import Mapping, MappingError
 from repro.observability.ledger import (
     RunRecord,
     checkpoint_interruption,
@@ -62,6 +62,15 @@ from repro.observability.ledger import (
 )
 from repro.observability.stats import EngineStats
 from repro.observability.telemetry import telemetry
+
+#: Mappings per chunk in :meth:`EvaluationEngine.evaluate_many` and
+#: :meth:`EvaluationEngine.best_of`. It equals
+#: :attr:`MapperConfig.batch_size <repro.dse.mapper.MapperConfig>`, so a
+#: mapper block is one chunk and pays the batch core's fixed per-call cost
+#: once. Chunks run serially in the calling process; they buy no
+#: parallelism, only ledger checkpoints and progress events, and bound
+#: the work a Ctrl-C loses.
+CHUNK_SIZE = 256
 
 
 @dataclasses.dataclass(frozen=True)
@@ -140,13 +149,6 @@ class EvaluationEngine:
         A shared :class:`EvaluationCache`; one is created when omitted.
     stats:
         A shared :class:`EngineStats`; one is created when omitted.
-    chunk_size:
-        Mappings per chunk in :meth:`evaluate_many`. The default equals
-        :attr:`MapperConfig.batch_size <repro.dse.mapper.MapperConfig>`,
-        so a mapper block is one chunk and pays the batch core's fixed
-        per-call cost once. Chunks run serially in the calling process;
-        they buy no parallelism, only ledger checkpoints, progress events
-        and trace tracks.
 
     Examples
     --------
@@ -162,11 +164,8 @@ class EvaluationEngine:
         *,
         cache: Optional[EvaluationCache] = None,
         stats: Optional[EngineStats] = None,
-        chunk_size: int = 256,
         spatial_unrolling: Optional[dict] = None,
     ) -> None:
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         self.accelerator = accelerator
         self.options = options or ModelOptions()
         #: The machine's native dataflow (empty = purely temporal). Part
@@ -175,7 +174,6 @@ class EvaluationEngine:
         self.spatial_unrolling = dict(spatial_unrolling or {})
         self.cache = cache if cache is not None else EvaluationCache()
         self.stats = stats if stats is not None else EngineStats()
-        self.chunk_size = chunk_size
         self._model = LatencyModel(accelerator, self.options)  # check() only
         self._batch: Optional[BatchEvaluator] = None   # evaluate_many chunks
         self._single: Optional[BatchEvaluator] = None  # evaluate()
@@ -198,7 +196,7 @@ class EvaluationEngine:
 
         Carries the preset's native spatial unrolling onto the engine.
         Keyword arguments pass through to the constructor
-        (``cache=``, ``stats=``, ``chunk_size=``, ...).
+        (``cache=``, ``stats=``, ``spatial_unrolling=``).
 
         ``preset`` may be a :class:`~repro.hardware.presets.Preset` or a
         bare :class:`~repro.hardware.accelerator.Accelerator`.
@@ -225,7 +223,6 @@ class EvaluationEngine:
             options if options is not None else self.options,
             cache=self.cache,
             stats=self.stats,
-            chunk_size=self.chunk_size,
             # The native dataflow belongs to the machine: it travels with
             # an unchanged accelerator but not onto a different one.
             spatial_unrolling=(
@@ -413,15 +410,14 @@ class EvaluationEngine:
         Under ``validate`` every mapping is checked first, so an
         infeasible one is refused even when its report is cached. Cache
         hits are answered immediately; misses are evaluated in chunks of
-        ``chunk_size``. The result list is parallel to the input: entry
+        :data:`CHUNK_SIZE`. The result list is parallel to the input: entry
         ``i`` is an :class:`Evaluation`, or ``None`` when mapping ``i``
         raised :class:`MappingError` (infeasible under ``validate`` or
         shallower than the machine's memory hierarchy).
 
-        When a tracer is ambient, every chunk's spans (mapping candidates
-        with their full step1/2/3 anatomy) are collected and merged under
-        this batch's span in chunk order, each chunk on its own export
-        track.
+        When a tracer is ambient, every evaluated mapping's spans (its
+        full step1/2/3 anatomy) are recorded under this batch's span, in
+        list order within a chunk and chunk by chunk.
 
         When a progress emitter is ambient, the batch accrues into the
         caller's open ``unit="evals"`` run (a mapper search) or opens its
@@ -446,25 +442,23 @@ class EvaluationEngine:
         the best found so far. A lane whose latency bound rules it out
         gets no report, cache entry, ledger row or span (counted in
         :attr:`BestOf.pruned` and ``stats.bound_pruned``); only the winner
-        is cached. Chunks are ``chunk_size`` lanes as in
+        is cached. Chunks are :data:`CHUNK_SIZE` lanes as in
         :meth:`evaluate_many`, because they are the unit of ledger
-        checkpoints, progress events, trace tracks and of the work a
-        Ctrl-C loses: a search with a smaller ``chunk_size`` than its
-        block keeps them. Each chunk's winner is its only row and span.
+        checkpoints, progress events and of the work a Ctrl-C loses: a
+        block larger than a chunk keeps them. Each chunk's winner is its
+        only row and span.
         """
-        mappings = list(mappings)
-        results, scored, pruned = self._run_batch(mappings, False, False, incumbent)
-        infeasible = len(mappings) - scored - pruned
+        results, scored, pruned, shallow = self._run_batch(
+            list(mappings), False, False, incumbent
+        )
         at, __ = _first_least(results, incumbent)
         if at < 0:
-            return BestOf(None, scored, pruned, infeasible, scored + pruned)
+            return BestOf(None, scored, pruned, len(shallow), scored + pruned)
         best = results[at]
         if not best.cache_hit:
             self.cache.put(self._latency_key(best.mapping), best.report)
-        ahead = at
-        if infeasible:
-            ahead -= sum(1 for m in mappings[:at] if _too_shallow(m, self.accelerator))
-        return BestOf(best, scored, pruned, infeasible, ahead)
+        ahead = at - sum(1 for i in shallow if i < at)
+        return BestOf(best, scored, pruned, len(shallow), ahead)
 
     def _run_batch(
         self,
@@ -472,12 +466,15 @@ class EvaluationEngine:
         validate: bool,
         with_energy: bool,
         incumbent: Optional[float],
-    ) -> Tuple[List[Optional[Evaluation]], int, int]:
+    ) -> Tuple[List[Optional[Evaluation]], int, int, List[int]]:
         """The body of :meth:`evaluate_many` and, given ``incumbent``, of
-        :meth:`best_of`: ``(outcomes, scored, pruned)``. In a search only
-        cache hits and each chunk's winner have an outcome."""
+        :meth:`best_of`: ``(outcomes, scored, pruned, shallow)``, where
+        ``shallow`` lists the positions of the mappings shallower than the
+        machine. In a search only cache hits and each chunk's winner have
+        an outcome."""
         results: List[Optional[Evaluation]] = [None] * len(mappings)
         pruned = 0
+        shallow: List[int] = []
         t = telemetry()
         tracer, metrics, ledger = t.tracer, t.metrics, t.ledger
         ledger_rows: List[RunRecord] = []
@@ -540,8 +537,8 @@ class EvaluationEngine:
                 run.advance(invalid, errors=invalid, note="invalid")
 
             chunks = [
-                pending[at : at + self.chunk_size]
-                for at in range(0, len(pending), self.chunk_size)
+                pending[at : at + CHUNK_SIZE]
+                for at in range(0, len(pending), CHUNK_SIZE)
             ]
             t0 = time.perf_counter() if metrics.enabled else 0.0
             try:
@@ -554,7 +551,7 @@ class EvaluationEngine:
                             limit = math.nextafter(limit, math.inf)
                     # Looked up on the module at call time, so wrappers
                     # installed on executors.evaluate_chunk see every chunk.
-                    outcomes, records, timing = executors.evaluate_chunk(
+                    outcomes, timing = executors.evaluate_chunk(
                         self.accelerator,
                         self.options,
                         tuple(mappings[i] for i in chunk),
@@ -563,7 +560,7 @@ class EvaluationEngine:
                         self._evaluator(),
                         limit,
                     )
-                    tracer.merge(records, track=chunk_index + 1)
+                    shallow.extend(chunk[j] for j in timing.shallow)
                     for i, outcome in zip(chunk, outcomes):
                         if outcome is None:
                             continue
@@ -588,16 +585,15 @@ class EvaluationEngine:
                     scored += timing.evaluated
                     pruned += timing.pruned
                     self.stats.evaluations += timing.evaluated
-                    self.stats.errors += timing.errors
+                    self.stats.errors += len(timing.shallow)
                     self.stats.bound_pruned += timing.pruned
                     self.stats.batched_evaluations += timing.evaluated
                     self.stats.partial_hits += timing.partial_hits
                     self.stats.partial_misses += timing.partial_misses
                     run.advance(
                         len(chunk),
-                        errors=timing.errors,
+                        errors=len(timing.shallow),
                         wall_s=timing.wall_s,
-                        worker=timing.worker,
                         index=chunk_index,
                     )
             except KeyboardInterrupt:
@@ -626,12 +622,4 @@ class EvaluationEngine:
                         "kernel throughput of the last batch",
                     ).set(len(pending) / elapsed)
             ledger.append_many(ledger_rows)
-        return results, scored, pruned
-
-
-def _too_shallow(mapping: Mapping, accelerator: Accelerator) -> bool:
-    try:
-        check_depth(mapping, accelerator)
-    except MappingError:
-        return True
-    return False
+        return results, scored, pruned, shallow

@@ -7,12 +7,9 @@ one call of the vectorized :class:`~repro.core.batch.BatchEvaluator` per
 layer in the chunk, or in a latency search one call of its bound-first
 ``best``.
 
-A traced chunk gives every lane its full report and projects it
-(:func:`~repro.core.report.trace_report`) under a chunk-local
-:class:`~repro.observability.Tracer`: :func:`evaluate_chunk` returns
-those span records alongside the results and the engine merges them
-back, in chunk order, under its batch span, each chunk on its own
-export track.
+A traced chunk gives every lane with an outcome its full report and
+projects it (:func:`~repro.core.report.trace_report`) onto the ambient
+tracer, under the engine's open ``engine.batch`` span.
 """
 
 from __future__ import annotations
@@ -28,10 +25,6 @@ from repro.energy.energy_model import EnergyModel, EnergyReport
 from repro.engine.cache import PartialResultCache
 from repro.hardware.accelerator import Accelerator
 from repro.mapping.mapping import Mapping, MappingError, check_depth
-from repro.observability.progress import worker_id
-from repro.observability.span import SpanRecord
-from repro.observability.telemetry import use_telemetry
-from repro.observability.tracer import Tracer
 
 #: MUW-union memo shared by every batched chunk this process evaluates.
 #: Keys encode all inputs of the memoized computation, so one cache per
@@ -40,7 +33,7 @@ from repro.observability.tracer import Tracer
 #: hill-climb neighbor reuses most of its parent's window unions.
 _PARTIAL_CACHE = PartialResultCache()
 #: Per-mapping outcome: (latency report, optional energy report, kernel
-#: wall seconds), or None when the mapping raised MappingError.
+#: wall seconds), or None when the mapping has no report.
 ChunkOutcomes = List[
     Optional[Tuple[LatencyReport, Optional[EnergyReport], float]]
 ]
@@ -51,18 +44,12 @@ class ChunkTiming:
     """Per-chunk liveness/timing returned with the chunk's results; the
     engine turns it into progress events and engine stats."""
 
-    worker: str          # "pid:<pid>" of the process that ran the chunk
     wall_s: float        # chunk wall time
     evaluated: int       # mappings that produced a report
-    errors: int          # mappings that raised MappingError
+    shallow: Tuple[int, ...]  # positions of mappings shallower than the machine
     partial_hits: int = 0    # MUW-memo hits this chunk
     partial_misses: int = 0  # MUW-memo misses this chunk
     pruned: int = 0          # lanes a latency bound ruled out (best mode)
-
-
-#: What :func:`evaluate_chunk` returns: the outcomes, the chunk-local span
-#: records (empty unless tracing was requested), and the chunk's timing.
-ChunkResult = Tuple[ChunkOutcomes, List[SpanRecord], ChunkTiming]
 
 
 def evaluate_chunk(
@@ -71,109 +58,83 @@ def evaluate_chunk(
     mappings: Tuple[Mapping, ...],
     with_energy: bool,
     trace: bool,
-    evaluator: Optional[BatchEvaluator] = None,
+    evaluator: BatchEvaluator,
     incumbent: Optional[float] = None,
-) -> ChunkResult:
-    """Evaluate one chunk of mappings through the batch core.
+) -> Tuple[ChunkOutcomes, ChunkTiming]:
+    """Evaluate one chunk of mappings through ``evaluator``, the calling
+    engine's batch core (built once per engine).
 
-    ``evaluator`` is the calling engine's batch core, so its plan is
-    built once per engine; one is built here when it is omitted.
-
-    With ``incumbent`` (a latency in cycles; the mappings share one
-    layer) the chunk is one step of a latency search: only its first
-    mapping with the least latency below ``incumbent`` gets an outcome
-    (:meth:`~repro.core.batch.BatchEvaluator.best`). The timing counts
-    the lanes scored, pruned by their latency bound, and infeasible.
+    A mapping shallower than the machine's memory hierarchy gets no
+    outcome; its position is in ``timing.shallow``. With ``incumbent`` (a
+    latency in cycles; the mappings share one layer) the chunk is one
+    step of a latency search: only its first mapping with the least
+    latency below ``incumbent`` gets an outcome
+    (:meth:`~repro.core.batch.BatchEvaluator.best`), and the timing
+    counts the lanes scored and those pruned by their latency bound.
     """
-    if evaluator is None:
-        evaluator = BatchEvaluator(accelerator, options, muw_cache=_PARTIAL_CACHE)
-    energy_model = EnergyModel(accelerator) if with_energy else None
     chunk_t0 = time.perf_counter()
     hits0, misses0 = _PARTIAL_CACHE.hits, _PARTIAL_CACHE.misses
-    pruned = 0
+    feasible: List[int] = []
+    shallow: List[int] = []
+    for i, mapping in enumerate(mappings):
+        try:
+            check_depth(mapping, accelerator)
+        except MappingError:
+            shallow.append(i)
+            continue
+        feasible.append(i)
     if incumbent is None:
-        out = _run_batched(evaluator, mappings, energy_model, trace)
-        errors = sum(1 for outcome in out if outcome is None)
-        evaluated = len(out) - errors
+        energy_model = EnergyModel(accelerator) if with_energy else None
+        out = _run_batched(evaluator, mappings, feasible, energy_model, trace)
+        evaluated, pruned = len(feasible), 0
     else:
-        out, evaluated, pruned = _run_best(evaluator, mappings, incumbent, trace)
-        errors = len(out) - evaluated - pruned
-    records: List[SpanRecord] = []
+        out = [None] * len(mappings)
+        t0 = time.perf_counter()
+        found = evaluator.best([mappings[i] for i in feasible], incumbent)
+        if found.lane is not None:
+            lane, result = found.lane, found.result
+            report = result.full_report(lane) if trace else result.reports[lane]
+            out[feasible[lane]] = (report, None, time.perf_counter() - t0)
+        evaluated, pruned = found.scored, found.pruned
     if trace:
-        tracer = Tracer()
-        with use_telemetry(tracer=tracer):
-            for outcome in out:
-                if outcome is not None:
-                    trace_report(outcome[0], accelerator.stall_overlap, options)
-        records = tracer.records
+        for outcome in out:
+            if outcome is not None:
+                trace_report(outcome[0], accelerator.stall_overlap, options)
     timing = ChunkTiming(
-        worker=worker_id(),
         wall_s=time.perf_counter() - chunk_t0,
         evaluated=evaluated,
-        errors=errors,
+        shallow=tuple(shallow),
         partial_hits=_PARTIAL_CACHE.hits - hits0,
         partial_misses=_PARTIAL_CACHE.misses - misses0,
         pruned=pruned,
     )
-    return out, records, timing
-
-
-def _run_best(
-    evaluator: BatchEvaluator,
-    mappings: Tuple[Mapping, ...],
-    incumbent: float,
-    full: bool,
-) -> Tuple[ChunkOutcomes, int, int]:
-    """Best-mode chunk body: ``(outcomes, scored, pruned)``, the outcome
-    set only for the winner; a mapping shallower than the machine is
-    neither scored nor pruned."""
-    out: ChunkOutcomes = [None] * len(mappings)
-    feasible = []
-    for i, mapping in enumerate(mappings):
-        try:
-            check_depth(mapping, evaluator.accelerator)
-        except MappingError:
-            continue
-        feasible.append(i)
-    t0 = time.perf_counter()
-    found = evaluator.best([mappings[i] for i in feasible], incumbent)
-    if found.lane is not None:
-        lane = found.lane
-        report = (
-            found.result.full_report(lane) if full else found.result.reports[lane]
-        )
-        out[feasible[lane]] = (report, None, time.perf_counter() - t0)
-    return out, found.scored, found.pruned
+    return out, timing
 
 
 def _run_batched(
     evaluator: BatchEvaluator,
     mappings: Tuple[Mapping, ...],
+    feasible: List[int],
     energy_model: Optional[EnergyModel],
     full: bool,
 ) -> ChunkOutcomes:
-    """Chunk body: group by layer, one batch-core call per group.
+    """Chunk body over the ``feasible`` positions: group by layer, one
+    batch-core call per group.
 
     Energy stays per-mapping (it is cheap relative to the latency kernels
-    and has no vectorized form). A mapping shallower than the machine
-    becomes a ``None`` outcome; the engine checks feasibility before its
-    cache. ``full`` gives every report its per-DTL anatomy
-    (:meth:`~repro.core.batch.BatchResult.full_report`).
+    and has no vectorized form). ``full`` gives every report its per-DTL
+    anatomy (:meth:`~repro.core.batch.BatchResult.full_report`).
     """
-    accelerator = evaluator.accelerator
     out: ChunkOutcomes = [None] * len(mappings)
     groups: List[Tuple[object, List[int]]] = []  # (layer, mapping indices)
-    for i, mapping in enumerate(mappings):
-        try:
-            check_depth(mapping, accelerator)
-        except MappingError:
-            continue  # outcome stays None, counted as an error
-        for layer, idxs in groups:
-            if mapping.layer is layer or mapping.layer == layer:
+    for i in feasible:
+        layer = mappings[i].layer
+        for group_layer, idxs in groups:
+            if layer is group_layer or layer == group_layer:
                 idxs.append(i)
                 break
         else:
-            groups.append((mapping.layer, [i]))
+            groups.append((layer, [i]))
 
     for __, idxs in groups:
         t0 = time.perf_counter()

@@ -23,10 +23,11 @@ presets. The schema mirrors the object model::
     }
 
 ``allocation`` may be omitted ("auto") to use first-fitting-port rules.
-Integers, numbers and booleans must have their JSON type (``16.5``,
-``"128"`` and ``"false"`` are refused, not coerced), and a key the schema
-does not know is an error, so a misspelled field never reads as its
-default.
+Every field must have its JSON type: ``16.5``, ``"128"`` and ``"false"``
+are refused, not coerced, and so are a string where a list belongs
+(``"serves": "IOW"``) or a list where an object belongs. A key the
+schema does not know is an error, so a misspelled field never reads as
+its default, and every ``stall_overlap`` name must be a memory.
 """
 
 from __future__ import annotations
@@ -75,6 +76,21 @@ def strict_bool(value: Any, field: str, key: Any = None) -> bool:
     if type(value) is bool:
         return value
     raise _refused(value, "a boolean", field, key)
+
+
+#: How :func:`strict_type` names each JSON type it checks.
+_JSON_TYPES = {str: "a string", list: "a list", dict: "an object"}
+
+
+def strict_type(value: Any, json_type: type, field: str, key: Any = None) -> Any:
+    """``value`` if it is a ``json_type`` (``str``, ``list`` or ``dict``),
+    else :class:`TypeError` naming the field: ``str()`` would read ``5``
+    as ``"5"``, iterating ``"IOW"`` would read three operands, and a list
+    where an object belongs would fail with ``'list' object has no
+    attribute 'items'``."""
+    if type(value) is json_type:
+        return value
+    raise _refused(value, _JSON_TYPES[json_type], field, key)
 
 
 def _refused(value: Any, kind: str, field: str, key: Any) -> TypeError:
@@ -178,10 +194,10 @@ def preset_to_json(preset: Preset, indent: int = 2) -> str:
 # Deserialization
 # --------------------------------------------------------------------- #
 
-def _port_from_dict(data: Dict[str, Any]) -> Port:
-    check_known("port field", data, _PORT_KEYS)
+def _port_from_dict(data: Any, index: int) -> Port:
+    check_known("port field", strict_type(data, dict, "ports", index), _PORT_KEYS)
     return Port(
-        data["name"],
+        strict_type(data["name"], str, f"ports[{index}].name"),
         PortDirection(data["direction"]),
         strict_float(data["bandwidth"], "bandwidth"),
     )
@@ -190,6 +206,9 @@ def _port_from_dict(data: Dict[str, Any]) -> Port:
 def _memory_from_dict(data: Dict[str, Any]) -> Tuple[MemoryInstance, MemoryLevel]:
     try:
         check_known("memory field", data, _MEMORY_KEYS)
+        allocation_spec = data.get("allocation", "auto")
+        if allocation_spec != "auto" and allocation_spec is not None:
+            strict_type(allocation_spec, dict, "allocation")
         energies = {
             key: strict_float(data.get(key, 0.0), key)
             for key in (
@@ -198,9 +217,12 @@ def _memory_from_dict(data: Dict[str, Any]) -> Tuple[MemoryInstance, MemoryLevel
             )
         }
         instance = MemoryInstance(
-            name=data["name"],
+            name=strict_type(data["name"], str, "name"),
             size_bits=strict_int(data["size_bits"], "size_bits"),
-            ports=tuple(_port_from_dict(p) for p in data["ports"]),
+            ports=tuple(
+                _port_from_dict(p, i)
+                for i, p in enumerate(strict_type(data["ports"], list, "ports"))
+            ),
             double_buffered=strict_bool(
                 data.get("double_buffered", False), "double_buffered"
             ),
@@ -210,11 +232,11 @@ def _memory_from_dict(data: Dict[str, Any]) -> Tuple[MemoryInstance, MemoryLevel
             ),
             **energies,
         )
-        serves = frozenset(Operand(s) for s in data["serves"])
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        serves = strict_type(data["serves"], list, "serves")
+        serves = frozenset(Operand(s) for s in serves)
+    except (KeyError, TypeError, ValueError) as exc:
         raise SerdeError(f"bad memory entry {data.get('name', '?')!r}: {exc}") from exc
 
-    allocation_spec = data.get("allocation", "auto")
     if allocation_spec == "auto" or allocation_spec is None:
         level = auto_allocate(instance, serves)
     else:
@@ -243,7 +265,7 @@ def accelerator_from_dict(data: Dict[str, Any]) -> Accelerator:
         )
     try:
         check_known("accelerator field", data, _ACCELERATOR_KEYS)
-        array_spec = data["mac_array"]
+        array_spec = strict_type(data["mac_array"], dict, "mac_array")
         check_known("mac_array field", array_spec, _MAC_ARRAY_KEYS)
         mac_array = MacArray(
             rows=strict_int(array_spec["rows"], "mac_array.rows"),
@@ -256,27 +278,32 @@ def accelerator_from_dict(data: Dict[str, Any]) -> Accelerator:
             ),
         )
         levels: Dict[str, MemoryLevel] = {}
-        for mem_data in data["memories"]:
-            __, level = _memory_from_dict(mem_data)
+        for i, mem_data in enumerate(strict_type(data["memories"], list, "memories")):
+            __, level = _memory_from_dict(strict_type(mem_data, dict, "memories", i))
             if level.name in levels:
                 raise SerdeError(f"duplicate memory name {level.name!r}")
             levels[level.name] = level
         chains = {}
-        for op_str, names in data["chains"].items():
+        for op_str, names in strict_type(data["chains"], dict, "chains").items():
             operand = Operand(op_str)
             chain = []
-            for name in names:
+            for name in strict_type(names, list, "chains", op_str):
                 if name not in levels:
                     raise SerdeError(f"chain references unknown memory {name!r}")
                 chain.append(levels[name])
             chains[operand] = tuple(chain)
         hierarchy = MemoryHierarchy(chains)
-        overlap = StallOverlapConfig(
-            tuple(frozenset(group) for group in data.get("stall_overlap", []))
-        )
+        groups = strict_type(data.get("stall_overlap", []), list, "stall_overlap")
+        for i, group in enumerate(groups):
+            for name in strict_type(group, list, "stall_overlap", i):
+                if name not in levels:
+                    raise SerdeError(
+                        f"stall_overlap[{i}] names unknown memory {name!r}"
+                    )
+        overlap = StallOverlapConfig(tuple(frozenset(group) for group in groups))
         offchip = data.get("offchip_bandwidth")
         return Accelerator(
-            name=str(data["name"]),
+            name=strict_type(data["name"], str, "name"),
             mac_array=mac_array,
             hierarchy=hierarchy,
             stall_overlap=overlap,
@@ -306,9 +333,9 @@ def preset_from_dict(data: Dict[str, Any]) -> Preset:
     try:
         spatial = {
             LoopDim(dim): strict_int(f, "spatial_unrolling", dim)
-            for dim, f in spatial_spec.items()
+            for dim, f in strict_type(spatial_spec, dict, "spatial_unrolling").items()
         }
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise SerdeError(f"bad spatial_unrolling {spatial_spec!r}: {exc}") from exc
     return Preset(accelerator, spatial)
 

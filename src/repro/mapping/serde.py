@@ -18,9 +18,9 @@ a layer reference. Round trips preserve ``mapping.fingerprint()``.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Any, Dict
 
-from repro.hardware.serde import SerdeError, strict_int
+from repro.hardware.serde import SerdeError, check_known, strict_int, strict_type
 from repro.mapping.loop import Loop
 from repro.mapping.mapping import Mapping
 from repro.mapping.spatial import SpatialMapping
@@ -28,6 +28,9 @@ from repro.mapping.temporal import TemporalMapping
 from repro.workload.dims import LoopDim
 from repro.workload.layer import LayerSpec
 from repro.workload.operand import Operand
+
+
+_FIELDS = ("spatial", "loops", "cuts")
 
 
 def mapping_to_dict(mapping: Mapping) -> Dict:
@@ -41,34 +44,41 @@ def mapping_to_dict(mapping: Mapping) -> Dict:
     }
 
 
-def mapping_from_dict(data: Dict, layer: LayerSpec) -> Mapping:
+def mapping_from_dict(data: Any, layer: LayerSpec) -> Mapping:
     """Inverse of :func:`mapping_to_dict`, bound to ``layer``.
 
     Raises :class:`~repro.hardware.serde.SerdeError` when ``data`` does
-    not describe a mapping, and
+    not describe a mapping (a key outside the schema included), and
     :class:`~repro.mapping.mapping.MappingError` when its loops do not
     cover ``layer``.
     """
     try:
+        check_known("mapping field", strict_type(data, dict, "mapping"), _FIELDS)
         temporal = TemporalMapping(
             loops=tuple(
-                Loop(LoopDim(d), strict_int(s, "loops", i))
-                for i, (d, s) in enumerate(data["loops"])
+                _loop(entry, i)
+                for i, entry in enumerate(strict_type(data["loops"], list, "loops"))
             ),
             cuts={
                 Operand(op): tuple(
-                    strict_int(c, f"cuts.{op}", j) for j, c in enumerate(cut)
+                    strict_int(c, f"cuts.{op}", j)
+                    for j, c in enumerate(strict_type(cut, list, f"cuts.{op}"))
                 )
-                for op, cut in data["cuts"].items()
+                for op, cut in strict_type(data["cuts"], dict, "cuts").items()
             },
         )
         spatial = SpatialMapping({
             LoopDim(d): strict_int(f, "spatial", d)
-            for d, f in data["spatial"].items()
+            for d, f in strict_type(data["spatial"], dict, "spatial").items()
         })
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise SerdeError(f"malformed mapping: {exc}") from exc
     return Mapping(layer, spatial, temporal)
+
+
+def _loop(entry: Any, index: int) -> Loop:
+    dim, size = strict_type(entry, list, "loops", index)
+    return Loop(LoopDim(dim), strict_int(size, "loops", index))
 
 
 __all__ = ["mapping_from_dict", "mapping_to_dict"]

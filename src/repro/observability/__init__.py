@@ -8,10 +8,10 @@ sinks, one exporter family and one ambient channel:
 * :class:`Tracer` — hierarchical spans over the evaluation tree
   (network -> layer -> mapping candidate -> step1/2/3 -> per-DTL) carrying
   wall time *and* model-domain attributes (SS_u, MUW parameters, the
-  Eq. (1)/(2) combine decision, scenario classification). Each batch
-  chunk records into a chunk-local tracer whose serializable
-  :class:`~repro.observability.span.SpanRecord` list the engine merges
-  order-preserving, one export track per chunk.
+  Eq. (1)/(2) combine decision, scenario classification), recorded as
+  flat, serializable :class:`~repro.observability.span.SpanRecord` lists
+  (the serve daemon ships its subtree back and the client merges it
+  order-preserving).
 * :class:`MetricsRegistry` — counters / gauges / histograms (cache hit
   ratio, evaluations per second, mapper samples, per-phase latency
   percentiles) with JSON and Prometheus-text exporters.

@@ -142,12 +142,12 @@ def span_to_dict(record: SpanRecord) -> Dict[str, Any]:
         "start_us": record.start_us,
         "duration_us": record.duration_us,
         "attributes": record.attributes,
-        "track": record.track,
     }
 
 
 def span_from_dict(data: Dict[str, Any]) -> SpanRecord:
-    """Inverse of :func:`span_to_dict`; unknown keys are ignored."""
+    """Inverse of :func:`span_to_dict`; unknown keys (such as the
+    ``track`` an older daemon sends) are ignored."""
     parent = data.get("parent_id")
     return SpanRecord(
         span_id=int(data["span_id"]),
@@ -156,7 +156,6 @@ def span_from_dict(data: Dict[str, Any]) -> SpanRecord:
         start_us=float(data.get("start_us", 0.0)),
         duration_us=float(data.get("duration_us", 0.0)),
         attributes=dict(data.get("attributes") or {}),
-        track=int(data.get("track", 0)),
     )
 
 

@@ -2,8 +2,8 @@
 
 :func:`chrome_trace` turns span records into the Chrome trace-event JSON
 format (``chrome://tracing`` / Perfetto's legacy loader): one complete
-(``"ph": "X"``) event per span, model-domain attributes in ``args``,
-worker-chunk subtrees on their own ``tid`` lane.
+(``"ph": "X"``) event per span on one lane (``tid`` 0), model-domain
+attributes in ``args``.
 
 :func:`reconcile_ss_overall` re-derives ``SS_overall`` purely from span
 attributes — the per-group stalls emitted by Step 3 — so a trace file can
@@ -40,7 +40,7 @@ def chrome_trace(records: Sequence[SpanRecord], process_name: str = "repro") -> 
                 "ts": record.start_us,
                 "dur": max(record.duration_us, 0.0),
                 "pid": 0,
-                "tid": record.track,
+                "tid": 0,
                 "args": record.attributes,
             }
         )
@@ -76,7 +76,6 @@ def load_chrome_trace(path: str) -> List[SpanRecord]:
                 start_us=float(event.get("ts", 0.0)),
                 duration_us=float(event.get("dur", 0.0)),
                 attributes=dict(event.get("args", {})),
-                track=int(event.get("tid", 0)),
             )
         )
     return records
@@ -109,7 +108,7 @@ def _groups_of(records: Sequence[SpanRecord], step3: SpanRecord) -> List[float]:
     Uses parent links when present (native tracer records); falls back to
     record-order adjacency for flat records re-read from a Chrome trace
     file. Records are written in append order — children directly follow
-    their span, merged worker subtrees stay contiguous — so adjacency is
+    their span, merged daemon subtrees stay contiguous — so adjacency is
     reliable where timestamps are not (merged subtrees are time-shifted).
     """
     if any(r.parent_id is not None for r in records):

@@ -48,10 +48,6 @@ class SpanRecord:
         Wall-clock placement, microseconds, process-local.
     attributes:
         Model-domain payload (primitives only — see :func:`clean_attribute`).
-    track:
-        Export lane: 0 for the main process; merged worker-chunk subtrees
-        get the 1-based chunk index so Chrome's viewer shows fan-out on
-        separate rows without fabricating cross-process timestamps.
     """
 
     span_id: int
@@ -60,7 +56,6 @@ class SpanRecord:
     start_us: float
     duration_us: float = 0.0
     attributes: Dict[str, Any] = dataclasses.field(default_factory=dict)
-    track: int = 0
 
 
 @dataclasses.dataclass

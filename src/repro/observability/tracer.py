@@ -10,10 +10,9 @@ Design rules:
   :mod:`repro.observability.telemetry`) and enters a shared no-op span.
   No record, no dict, no timestamps are allocated. Attribute-heavy instrumentation must guard on ``tracer.enabled``.
 * **Spans are flat records, not nested objects.** The tree lives in
-  parent links (:mod:`repro.observability.span`), so chunk-local tracers
-  and the serve daemon can hand their records over and
-  :meth:`Tracer.merge` grafts them — in order — under the caller's
-  current span.
+  parent links (:mod:`repro.observability.span`), so the serve daemon
+  can hand its records over and :meth:`Tracer.merge` grafts them — in
+  order — under the caller's current span.
 * **Activation is scoped.** ``with use_telemetry(tracer=tracer): ...``
   installs a tracer for the dynamic extent of a block (and the contextvar
   keeps concurrent asyncio/thread users isolated).
@@ -144,17 +143,15 @@ class Tracer:
 
     # -- cross-process merge -------------------------------------------- #
 
-    def merge(self, records: Sequence[SpanRecord], track: int = 0) -> None:
-        """Graft foreign (chunk- or daemon-produced) records under the
-        current span.
+    def merge(self, records: Sequence[SpanRecord]) -> None:
+        """Graft foreign (daemon-produced) records under the current span.
 
         Ids are remapped into this tracer's sequence and the subtree is
         re-rooted at the currently open span; record order — and with it
-        sibling order — is preserved, so merging chunk results in chunk
-        order yields the same tree as recording them in place.
-        Timestamps are shifted so the grafted subtree starts where the
-        merge happens (foreign clocks are not comparable to ours);
-        ``track`` labels the subtree's export lane.
+        sibling order — is preserved, so the grafted tree is the one the
+        foreign tracer recorded. Timestamps are shifted so the grafted
+        subtree starts where the merge happens (foreign clocks are not
+        comparable to ours).
         """
         if not records:
             return
@@ -175,7 +172,6 @@ class Tracer:
                     start_us=record.start_us + offset,
                     duration_us=record.duration_us,
                     attributes=dict(record.attributes),
-                    track=track if track else record.track,
                 )
             )
             self._next_id += 1
@@ -210,7 +206,7 @@ class NullTracer:
     def event(self, name: str, **attributes: Any) -> None:
         pass
 
-    def merge(self, records: Sequence[SpanRecord], track: int = 0) -> None:
+    def merge(self, records: Sequence[SpanRecord]) -> None:
         pass
 
     def roots(self) -> List[SpanNode]:

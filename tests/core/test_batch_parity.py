@@ -17,7 +17,7 @@ from repro.core.batch import BatchEvaluator
 from repro.core.model import LatencyModel
 from repro.core.step1 import ModelOptions
 from repro.dse.mapper import MapperConfig, TemporalMapper
-from repro.engine import EvaluationEngine
+from repro.engine import EvaluationEngine, evaluation
 from repro.hardware.presets import case_study_accelerator, shared_lb_accelerator
 from repro.observability import Tracer, tree_shape, use_telemetry
 from repro.verify.corpus import load_corpus
@@ -177,13 +177,14 @@ def test_engine_evaluate_equals_the_reference_everywhere(small_layer):
 
 
 @pytest.mark.parametrize("validate", [False, True])
-def test_traced_chunk_has_the_reference_trace_shape(small_layer, validate):
+def test_traced_chunk_has_the_reference_trace_shape(small_layer, validate, monkeypatch):
     """A traced ``evaluate_many`` chunk records, per mapping, the same
     span subtree as the traced reference run on that mapping."""
     accelerator, mappings = _preset_sweep(
         case_study_accelerator, ModelOptions(), small_layer, count=24
     )
-    engine = EvaluationEngine(accelerator, chunk_size=len(mappings))
+    monkeypatch.setattr(evaluation, "CHUNK_SIZE", len(mappings))
+    engine = EvaluationEngine(accelerator)
     chunk = Tracer()
     with use_telemetry(tracer=chunk):
         outcomes = engine.evaluate_many(mappings, validate=validate)

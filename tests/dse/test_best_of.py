@@ -18,7 +18,7 @@ import pytest
 from repro.core.batch import BatchEvaluator
 from repro.core.step1 import ModelOptions
 from repro.dse.mapper import MapperConfig, TemporalMapper
-from repro.engine import BestOf, EvaluationEngine
+from repro.engine import BestOf, EvaluationEngine, evaluation
 from repro.engine.cache import PartialResultCache
 from repro.hardware.presets import case_study_accelerator, inhouse_accelerator
 from repro.mapping.mapping import Mapping
@@ -88,12 +88,13 @@ def test_batch_best_is_the_first_least_latency(name, accelerator, mappings, opti
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_engine_best_of_with_cache_hits_and_chunks(seed):
+def test_engine_best_of_with_cache_hits_and_chunks(seed, monkeypatch):
     rng = random.Random(seed)
     name, accelerator, mappings = BATCHES[seed % 2]
     mappings = rng.sample(mappings, 40)
     cc = [e.report.total_cycles for e in EvaluationEngine(accelerator).evaluate_many(mappings)]
-    engine = EvaluationEngine(accelerator, chunk_size=rng.choice((1, 5, 16, 256)))
+    monkeypatch.setattr(evaluation, "CHUNK_SIZE", rng.choice((1, 5, 16, 256)))
+    engine = EvaluationEngine(accelerator)
     engine.evaluate_many(rng.sample(mappings, rng.randrange(0, 20)))  # warm hits
     incumbent = rng.choice((math.inf, min(cc), sorted(cc)[10]))
     found = engine.best_of(mappings, incumbent)
@@ -117,13 +118,14 @@ def _shallow(mapping):
 
 
 @pytest.mark.parametrize("chunk_size", [7, 256])
-def test_best_of_counts_the_candidates_ahead_of_its_winner(chunk_size):
+def test_best_of_counts_the_candidates_ahead_of_its_winner(chunk_size, monkeypatch):
+    monkeypatch.setattr(evaluation, "CHUNK_SIZE", chunk_size)
     name, accelerator, mappings = BATCHES[0]
     block = [_shallow(m) if i % 4 == 1 else m for i, m in enumerate(mappings[:30])]
     want = BestOf.scan(EvaluationEngine(accelerator).evaluate_many(block), math.inf)
     assert want.infeasible and want.ahead
     for incumbent in (math.inf, want.best.report.total_cycles):
-        found = EvaluationEngine(accelerator, chunk_size=chunk_size).best_of(block, incumbent)
+        found = EvaluationEngine(accelerator).best_of(block, incumbent)
         scan = BestOf.scan(EvaluationEngine(accelerator).evaluate_many(block), incumbent)
         assert (found.best and found.best.mapping) is (scan.best and scan.best.mapping)
         assert found.scored + found.pruned == scan.scored

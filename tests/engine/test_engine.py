@@ -6,7 +6,7 @@ from repro.core.model import LatencyModel
 from repro.core.step1 import ModelOptions
 from repro.dse.mapper import MapperConfig, TemporalMapper
 from repro.energy.energy_model import EnergyModel
-from repro.engine import EvaluationCache, EvaluationEngine
+from repro.engine import EvaluationCache, EvaluationEngine, evaluation
 from repro.engine.cache import PartialResultCache
 from repro.hardware.presets import case_study_accelerator
 from repro.workload.generator import dense_layer
@@ -122,8 +122,9 @@ def test_lru_get_refreshes_recency():
 # Batch evaluation
 # --------------------------------------------------------------------- #
 
-def test_evaluate_many_preserves_order_and_values(preset, mappings):
-    engine = EvaluationEngine(preset.accelerator, chunk_size=2)
+def test_evaluate_many_preserves_order_and_values(preset, mappings, monkeypatch):
+    monkeypatch.setattr(evaluation, "CHUNK_SIZE", 2)
+    engine = EvaluationEngine(preset.accelerator)
     model = LatencyModel(preset.accelerator)
     outcomes = engine.evaluate_many(mappings)
     assert len(outcomes) == len(mappings)
@@ -153,7 +154,8 @@ def test_evaluate_many_runs_chunks_through_the_module_hooks(
 
     counting("evaluate_chunk")
     counting("_run_batched")
-    engine = EvaluationEngine(preset.accelerator, chunk_size=2)
+    monkeypatch.setattr(evaluation, "CHUNK_SIZE", 2)
+    engine = EvaluationEngine(preset.accelerator)
     outcomes = engine.evaluate_many(mappings)
     chunks = -(-len(mappings) // 2)
     assert chunks > 1
@@ -192,7 +194,7 @@ def test_mapper_block_is_one_chunk_by_default(preset, layer, monkeypatch, big):
         preset.accelerator, preset.spatial_unrolling, config, engine
     )
     assert mapper.search(layer)
-    assert engine.chunk_size == config.batch_size
+    assert evaluation.CHUNK_SIZE == config.batch_size
     assert calls["lanes"] == engine.stats.evaluations > 0
     assert calls["evaluate_chunk"] == calls["evaluate_many"]
     assert (calls["evaluate_many"] > 1) == big

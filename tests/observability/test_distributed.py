@@ -78,7 +78,7 @@ def test_span_serde_roundtrip_and_unknown_keys():
     record = SpanRecord(
         span_id=4, parent_id=2, name="model.step1",
         start_us=10.0, duration_us=3.5,
-        attributes={"ss": 1.25, "rule": "paper"}, track=2,
+        attributes={"ss": 1.25, "rule": "paper"},
     )
     data = json.loads(json.dumps(span_to_dict(record)))
     assert span_from_dict(data) == record

@@ -28,6 +28,7 @@ import shutil
 
 import pytest
 
+import repro.engine.evaluation as evaluation
 import repro.engine.executors as executors
 import repro.verify.runner as runner
 from repro.analysis.network import NetworkEvaluator
@@ -103,9 +104,10 @@ def _interrupt_after(monkeypatch, owner, name: str, calls: int) -> dict:
 # --------------------------------------------------------------------- #
 
 
-def _mapper():
+def _mapper(monkeypatch):
     preset = case_study_accelerator()
-    engine = EvaluationEngine(preset.accelerator, chunk_size=8)
+    monkeypatch.setattr(evaluation, "CHUNK_SIZE", 8)
+    engine = EvaluationEngine(preset.accelerator)
     return TemporalMapper(
         preset.accelerator, preset.spatial_unrolling,
         MapperConfig(max_enumerated=30, samples=20, batch_size=16),
@@ -114,7 +116,7 @@ def _mapper():
 
 
 def _flow_search(monkeypatch, tmp_path):
-    mapper = _mapper()
+    mapper = _mapper(monkeypatch)
     layer = dense_layer(16, 32, 60, name="pin")
     return (
         lambda: [r.objective for r in mapper.search(layer)],
@@ -124,7 +126,7 @@ def _flow_search(monkeypatch, tmp_path):
 
 
 def _flow_best_mapping(monkeypatch, tmp_path):
-    mapper = _mapper()
+    mapper = _mapper(monkeypatch)
     layer = dense_layer(32, 64, 120, name="pin")
     return (
         lambda: mapper.best_mapping(layer).objective,
@@ -160,10 +162,11 @@ def _flow_arch_search(monkeypatch, tmp_path):
 
 def _flow_network(monkeypatch, tmp_path):
     preset = case_study_accelerator()
+    monkeypatch.setattr(evaluation, "CHUNK_SIZE", 8)
     evaluator = NetworkEvaluator(
         preset,
         mapper_config=MapperConfig(max_enumerated=30, samples=20, batch_size=16),
-        engine=EvaluationEngine(preset.accelerator, chunk_size=8),
+        engine=EvaluationEngine(preset.accelerator),
     )
     layers = [
         dense_layer(16, 32, 60, name="a"),
@@ -181,10 +184,11 @@ def _flow_network(monkeypatch, tmp_path):
 
 def _flow_local_search(monkeypatch, tmp_path):
     preset = case_study_accelerator()
+    monkeypatch.setattr(evaluation, "CHUNK_SIZE", 8)
     mapper = TemporalMapper(
         preset.accelerator, preset.spatial_unrolling,
         MapperConfig(max_enumerated=0, samples=12, seed=1),
-        engine=EvaluationEngine(preset.accelerator, chunk_size=8),
+        engine=EvaluationEngine(preset.accelerator),
     )
     search = LocalSearchMapper(
         mapper, LocalSearchConfig(restarts=3, max_steps=12)

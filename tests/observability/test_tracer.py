@@ -65,13 +65,12 @@ def test_merge_re_roots_and_remaps_ids():
         worker.event("step1.dtl", ss_u=1.0)
     host = Tracer()
     with host.span("engine.batch"):
-        host.merge(worker.records, track=3)
+        host.merge(worker.records)
     roots = host.roots()
     assert len(roots) == 1 and roots[0].name == "engine.batch"
     grafted = roots[0].children[0]
     assert grafted.name == "model.evaluate"
     assert grafted.children[0].name == "step1.dtl"
-    assert all(r.track == 3 for r in host.records if r.name != "engine.batch")
     # ids are unique after remapping
     ids = [r.span_id for r in host.records]
     assert len(ids) == len(set(ids))
