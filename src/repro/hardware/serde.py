@@ -198,7 +198,7 @@ def _port_from_dict(data: Any, index: int) -> Port:
     check_known("port field", strict_type(data, dict, "ports", index), _PORT_KEYS)
     return Port(
         strict_type(data["name"], str, f"ports[{index}].name"),
-        PortDirection(data["direction"]),
+        PortDirection(strict_type(data["direction"], str, f"ports[{index}].direction")),
         strict_float(data["bandwidth"], "bandwidth"),
     )
 
@@ -232,8 +232,10 @@ def _memory_from_dict(data: Dict[str, Any]) -> Tuple[MemoryInstance, MemoryLevel
             ),
             **energies,
         )
-        serves = strict_type(data["serves"], list, "serves")
-        serves = frozenset(Operand(s) for s in serves)
+        serves = frozenset(
+            Operand(strict_type(s, str, "serves", i))
+            for i, s in enumerate(strict_type(data["serves"], list, "serves"))
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise SerdeError(f"bad memory entry {data.get('name', '?')!r}: {exc}") from exc
 
@@ -241,12 +243,19 @@ def _memory_from_dict(data: Dict[str, Any]) -> Tuple[MemoryInstance, MemoryLevel
         level = auto_allocate(instance, serves)
     else:
         allocation = {}
+        ports = {port.name for port in instance.ports}
         for key, port_name in allocation_spec.items():
             op_str, __, kind_str = key.partition(".")
             try:
-                allocation[(Operand(op_str), EndpointKind(kind_str))] = port_name
+                endpoint = (Operand(op_str), EndpointKind(kind_str))
             except ValueError as exc:
                 raise SerdeError(f"bad allocation key {key!r}") from exc
+            if strict_type(port_name, str, "allocation", key) not in ports:
+                raise SerdeError(
+                    f"memory {instance.name!r} has no port {port_name!r} "
+                    f"for allocation[{key}]"
+                )
+            allocation[endpoint] = port_name
         level = MemoryLevel(instance, serves, allocation)
     return instance, level
 
@@ -287,16 +296,16 @@ def accelerator_from_dict(data: Dict[str, Any]) -> Accelerator:
         for op_str, names in strict_type(data["chains"], dict, "chains").items():
             operand = Operand(op_str)
             chain = []
-            for name in strict_type(names, list, "chains", op_str):
-                if name not in levels:
+            for j, name in enumerate(strict_type(names, list, "chains", op_str)):
+                if strict_type(name, str, f"chains[{op_str}]", j) not in levels:
                     raise SerdeError(f"chain references unknown memory {name!r}")
                 chain.append(levels[name])
             chains[operand] = tuple(chain)
         hierarchy = MemoryHierarchy(chains)
         groups = strict_type(data.get("stall_overlap", []), list, "stall_overlap")
         for i, group in enumerate(groups):
-            for name in strict_type(group, list, "stall_overlap", i):
-                if name not in levels:
+            for j, name in enumerate(strict_type(group, list, "stall_overlap", i)):
+                if strict_type(name, str, f"stall_overlap[{i}]", j) not in levels:
                     raise SerdeError(
                         f"stall_overlap[{i}] names unknown memory {name!r}"
                     )

@@ -78,7 +78,7 @@ def mapping_from_dict(data: Any, layer: LayerSpec) -> Mapping:
 
 def _loop(entry: Any, index: int) -> Loop:
     dim, size = strict_type(entry, list, "loops", index)
-    return Loop(LoopDim(dim), strict_int(size, "loops", index))
+    return Loop(LoopDim(strict_type(dim, str, "loops", index)), strict_int(size, "loops", index))
 
 
 __all__ = ["mapping_from_dict", "mapping_to_dict"]

@@ -75,18 +75,46 @@ def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-#: :class:`RunRecord` field annotation -> (value check, what it expects).
+#: Field annotation of a :class:`RunRecord` or a progress event ->
+#: (value check, what it expects).
 _FIELD_CHECKS = {
     "str": (lambda v: isinstance(v, str), "a string"),
     "int": (_is_number, "a number"),
     "float": (_is_number, "a number"),
+    "Optional[int]": (_is_number, "a number or null"),
+    "Optional[float]": (_is_number, "a number or null"),
+    "bool": (lambda v: isinstance(v, bool), "a boolean"),
     "Optional[bool]": (lambda v: isinstance(v, bool), "a boolean or null"),
     "Dict[str, float]": (
         lambda v: isinstance(v, dict) and all(map(_is_number, v.values())),
         "an object of numbers",
     ),
     "Dict[str, Any]": (lambda v: isinstance(v, dict), "an object"),
+    "List[List[float]]": (
+        lambda v: isinstance(v, list)
+        and all(isinstance(row, list) and all(map(_is_number, row)) for row in v),
+        "a list of lists of numbers",
+    ),
 }
+
+
+def typed_fields(cls: type, data: Dict[str, Any], error: type) -> Dict[str, Any]:
+    """The fields of dataclass ``cls`` present in ``data``, checked.
+
+    A missing or ``null`` field is left out, so it takes its default; a
+    key that is not a field is ignored. A present field whose value does
+    not match its annotation raises ``error`` naming the field.
+    """
+    kwargs = {}
+    for field in dataclasses.fields(cls):
+        value = data.get(field.name)
+        if value is None:
+            continue
+        accepts, expected = _FIELD_CHECKS[field.type]
+        if not accepts(value):
+            raise error(f"field {field.name!r} must be {expected}, got {value!r:.40}")
+        kwargs[field.name] = value
+    return kwargs
 
 
 @dataclasses.dataclass
@@ -164,17 +192,7 @@ class RunRecord:
         recorded backend normalizes to ``"event"`` — old baselines keep
         matching new event-backend candidates.
         """
-        kwargs = {}
-        for field in dataclasses.fields(cls):
-            value = data.get(field.name)
-            if value is None:
-                continue
-            accepts, expected = _FIELD_CHECKS[field.type]
-            if not accepts(value):
-                raise LedgerSchemaError(
-                    f"field {field.name!r} must be {expected}, got {value!r:.40}"
-                )
-            kwargs[field.name] = value
+        kwargs = typed_fields(cls, data, LedgerSchemaError)
         if not kwargs.get("backend"):
             kwargs["backend"] = (
                 "event" if kwargs.get("kind") == "verify" else ""

@@ -59,7 +59,10 @@ from typing import (
     Tuple,
     Type,
     Union,
+    get_args,
 )
+
+from repro.observability.ledger import typed_fields
 
 #: Rolling-throughput window, in seconds of event time.
 RATE_WINDOW_S = 30.0
@@ -269,22 +272,7 @@ ProgressEvent = Union[
 ]
 
 #: Serialization registry: JSONL ``"type"`` field -> event class.
-EVENT_TYPES: Dict[str, Type] = {
-    cls.__name__: cls
-    for cls in (
-        RunStarted,
-        ChunkCompleted,
-        Heartbeat,
-        BestSoFar,
-        CacheStats,
-        WorkerStalled,
-        RunInterrupted,
-        RunFinished,
-        ConvergenceUpdate,
-        ParetoFrontSnapshot,
-        FunnelSnapshot,
-    )
-}
+EVENT_TYPES: Dict[str, Type] = {cls.__name__: cls for cls in get_args(ProgressEvent)}
 
 
 def event_to_dict(event: ProgressEvent) -> Dict[str, Any]:
@@ -294,14 +282,29 @@ def event_to_dict(event: ProgressEvent) -> Dict[str, Any]:
     return data
 
 
-def event_from_dict(data: Dict[str, Any]) -> ProgressEvent:
-    """Inverse of :func:`event_to_dict`; tolerant of unknown fields."""
+class ProgressFormatError(ValueError):
+    """A recorded progress event this build cannot read."""
+
+
+def event_from_dict(data: Any) -> ProgressEvent:
+    """Inverse of :func:`event_to_dict`; tolerant of unknown fields.
+
+    Raises :class:`ProgressFormatError` for a value that is not an
+    object, an unknown ``type``, a missing required field or a present
+    field whose value does not match its annotation (the ledger's
+    checks: ``"done_units": "abc"`` is refused, not rendered).
+    """
+    if not isinstance(data, dict):
+        raise ProgressFormatError(f"event must be a JSON object, got {data!r:.40}")
     kind = data.get("type")
-    cls = EVENT_TYPES.get(kind or "")
+    cls = EVENT_TYPES.get(kind) if isinstance(kind, str) else None
     if cls is None:
-        raise ValueError(f"unknown progress event type {kind!r}")
-    fields = {f.name for f in dataclasses.fields(cls)}
-    return cls(**{k: v for k, v in data.items() if k in fields})
+        raise ProgressFormatError(f"unknown progress event type {kind!r:.40}")
+    kwargs = typed_fields(cls, data, ProgressFormatError)
+    try:
+        return cls(**kwargs)
+    except TypeError as exc:  # a required field is missing
+        raise ProgressFormatError(f"{kind}: {exc}") from None
 
 
 def format_event(event: ProgressEvent) -> str:
@@ -819,19 +822,32 @@ class JsonlSink:
             self._handle = None
 
 
+def _parse_line(line: str, path: str, number: int) -> ProgressEvent:
+    try:
+        return event_from_dict(json.loads(line))
+    except ValueError as exc:  # JSONDecodeError or ProgressFormatError
+        raise ProgressFormatError(f"{path} line {number}: {exc}") from None
+
+
 def read_events(path: str) -> List[ProgressEvent]:
-    """Load a recorded events.jsonl (skipping blank/truncated last lines)."""
+    """Load a recorded events.jsonl, skipping blank lines.
+
+    A line that does not hold an event raises
+    :class:`ProgressFormatError` naming the path and line number, except
+    an unterminated last line that is not JSON: a writer is mid-line.
+    """
     out: List[ProgressEvent] = []
     with open(path) as handle:
-        for line in handle:
-            line = line.strip()
+        for number, raw in enumerate(handle, start=1):
+            line = raw.strip()
             if not line:
                 continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # a writer mid-line; the tail will be re-read
-            out.append(event_from_dict(data))
+            if not raw.endswith("\n"):
+                try:
+                    json.loads(line)
+                except ValueError:
+                    break  # the last line, still being written
+            out.append(_parse_line(line, path, number))
     return out
 
 
@@ -845,10 +861,14 @@ def follow_events(
 
     Yields one (possibly empty) batch per poll, forever — the consumer
     decides when to stop (all runs closed, or Ctrl-C). A missing file is
-    treated as not-yet-created: the generator waits for it to appear.
+    treated as not-yet-created: the generator waits for it to appear,
+    and so is an unterminated last line. A complete line that does not
+    hold an event raises :class:`ProgressFormatError` naming the path
+    and line number.
     """
     offset = 0
     buffer = ""
+    number = 0
     while True:
         batch: List[ProgressEvent] = []
         try:
@@ -861,9 +881,10 @@ def follow_events(
         buffer += chunk
         while "\n" in buffer:
             line, buffer = buffer.split("\n", 1)
+            number += 1
             line = line.strip()
             if line:
-                batch.append(event_from_dict(json.loads(line)))
+                batch.append(_parse_line(line, path, number))
         yield batch
         sleep(poll_s)
 
@@ -990,6 +1011,7 @@ __all__ = [
     "ParetoFrontSnapshot",
     "ProgressEmitter",
     "ProgressEvent",
+    "ProgressFormatError",
     "RATE_WINDOW_S",
     "RunFinished",
     "RunHandle",

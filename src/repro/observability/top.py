@@ -28,6 +28,7 @@ from repro.observability.progress import (
     ChunkCompleted,
     Heartbeat,
     ProgressEvent,
+    ProgressFormatError,
     RunFinished,
     RunInterrupted,
     RunStarted,
@@ -212,8 +213,9 @@ def run_top(
     ``max_polls`` bounds the tail for tests and smoke runs. ``footer``
     (e.g. a live :meth:`RemoteEngine.remote_stats` summary, via ``top
     --engine URL``) is re-queried for each redraw and appended as the
-    last line. Returns a shell exit code (2 when the recording is
-    missing/empty and not followed).
+    last line. Returns a shell exit code: 2, with one ``top:`` line, when
+    a line of the recording does not hold an event, or when the recording
+    is missing/empty and not followed.
     """
     state = DashboardState()
     if not follow:
@@ -221,6 +223,9 @@ def run_top(
             events = read_events(events_path)
         except FileNotFoundError:
             write(f"top: no events file at {events_path}")
+            return 2
+        except ProgressFormatError as exc:
+            write(f"top: {exc}")
             return 2
         if not events:
             write(f"top: {events_path} holds no events yet")
@@ -245,6 +250,9 @@ def run_top(
                 break
     except KeyboardInterrupt:
         pass  # detaching from a live run is not an error
+    except ProgressFormatError as exc:
+        write(f"top: {exc}")
+        return 2
     if state.events_seen == 0:
         write(f"top: {events_path} holds no events yet")
         return 2

@@ -11,9 +11,12 @@ is what makes the model-vs-simulator comparison meaningful.
 * :mod:`~repro.simulator.streams` — lowers a mapping onto periodic
   transfer-job streams (refills, flushes, partial-sum read-backs) with
   precise first/last-visit decoding for the output reduction pattern;
-* :mod:`~repro.simulator.engine` — the discrete-event executor: a compute
-  clock gated by job thresholds, processor-sharing port arbitration, and
-  dependency-chained multi-hop refills;
+  each :class:`JobStream` holds its jobs as columns (gates, thresholds,
+  bits, per-port bits, upstream job numbers);
+* :mod:`~repro.simulator.engine` — the discrete-event executor, reading
+  those columns directly: a compute clock gated by job thresholds,
+  processor-sharing port arbitration, and dependency-chained multi-hop
+  refills;
 * :class:`~repro.simulator.result.SimulationResult` — measured cycles,
   stall anatomy and per-port busy statistics;
 * :mod:`~repro.simulator.rtl` — a register-stage-accurate *second* oracle
@@ -25,7 +28,7 @@ is what makes the model-vs-simulator comparison meaningful.
 from repro.simulator.engine import CycleSimulator
 from repro.simulator.result import SimulationResult, accuracy
 from repro.simulator.rtl import RtlSimulationResult, RtlSimulator
-from repro.simulator.streams import JobStream, TransferJob, build_streams
+from repro.simulator.streams import JobStream, build_streams
 from repro.simulator.trace import JobEvent, StallInterval, TraceRecorder
 
 __all__ = [
@@ -37,7 +40,6 @@ __all__ = [
     "SimulationResult",
     "StallInterval",
     "TraceRecorder",
-    "TransferJob",
     "accuracy",
     "build_streams",
 ]

@@ -15,6 +15,10 @@ across levels, refill jobs wait for the covering upper-level tile
 (cut-through is not modeled — a tile must land before it is forwarded,
 which is how the validation chip's DMA chain behaves).
 
+The event loop reads each :class:`~repro.simulator.streams.JobStream`'s
+columns (gates, thresholds, per-port bits, upstream job numbers) as the
+builders wrote them, through one cursor per stream.
+
 The engine advances in variable-length segments bounded by the next event:
 a job finishing, the compute clock hitting a blocking threshold or a job's
 start gate, or computation completing. All stall behaviour *emerges* from
@@ -85,55 +89,6 @@ def _first_mismatch(column: Sequence, lo: int, hi: int, d: int, shift) -> int:
     return hi
 
 
-class _Columns:
-    """Flat per-stream columns of a run's job streams, built once.
-
-    Job ``k`` of stream ``i`` starts once ``c >= gates[i][k]`` and stream
-    ``dep_up[i]`` has completed more than ``dep_seq[i][k]`` jobs (-1 means
-    no dependency), blocks the compute clock at ``thresholds[i][k]``, and
-    moves ``bits[i][k][j]`` bits through port ``pids[i][j]``, which is
-    ``port_keys[pids[i][j]]``.
-    """
-
-    def __init__(self, streams: List[JobStream]) -> None:
-        index = {s.name: i for i, s in enumerate(streams)}
-        port_ids: Dict[PortKey, int] = {}
-        for stream in streams:
-            for key in stream.ports:
-                port_ids.setdefault(key, len(port_ids))
-        self.port_keys = list(port_ids)
-        self.names = [s.name for s in streams]
-        self.length = [len(s.jobs) for s in streams]
-        self.gates: List[List[float]] = []
-        self.thresholds: List[List[float]] = []
-        self.bits: List[List[Tuple[float, ...]]] = []
-        self.pids: List[Tuple[int, ...]] = []
-        self.dep_up: List[int] = []
-        self.dep_seq: List[List[int]] = []
-        for stream in streams:
-            keys = tuple(dict.fromkeys(stream.ports))
-            self.pids.append(tuple(port_ids[key] for key in keys))
-            self.gates.append([job.gate_c for job in stream.jobs])
-            self.thresholds.append([job.threshold_c for job in stream.jobs])
-            rows: Dict[Tuple[int, float], Tuple[float, ...]] = {}
-            column = []
-            for job in stream.jobs:
-                # Jobs of a stream share a few per-port dicts: one row each.
-                row_key = (id(job.bits_per_port), job.bits)
-                row = rows.get(row_key)
-                if row is None:
-                    row = rows[row_key] = tuple(job.port_bits(key) for key in keys)
-                column.append(row)
-            self.bits.append(column)
-            ups = {job.dep[0] for job in stream.jobs if job.dep is not None}
-            if len(ups) > 1:
-                raise ValueError(f"stream {stream.name} depends on {sorted(ups)}")
-            self.dep_up.append(index[ups.pop()] if ups else -1)
-            self.dep_seq.append([
-                -1 if job.dep is None else job.dep[1] for job in stream.jobs
-            ])
-
-
 class CycleSimulator:
     """Cycle-level reference simulator for one mapping on one accelerator.
 
@@ -160,12 +115,6 @@ class CycleSimulator:
         self.mapping = mapping
         self.max_events = max_events
         self.trace = trace
-        self._port_bw: Dict[PortKey, float] = {}
-        for level in accelerator.hierarchy.unique_levels():
-            for port in level.instance.ports:
-                self._port_bw[(level.name, port.name)] = (
-                    port.bandwidth * level.instance.instances
-                )
 
     # ------------------------------------------------------------------ #
 
@@ -203,11 +152,26 @@ class CycleSimulator:
         trace = self.trace
         max_events = self.max_events
         streams = build_streams(self.accelerator, self.mapping)
-        cols = _Columns(streams)
-        port_keys = cols.port_keys
-        port_bw = [self._port_bw[key] for key in port_keys]
-        gates, thresholds, bits = cols.gates, cols.thresholds, cols.bits
-        pids, dep_up, dep_seq, length = cols.pids, cols.dep_up, cols.dep_seq, cols.length
+        # Job ``k`` of stream ``i`` moves ``bits[i][k][j]`` bits through port
+        # ``pids[i][j]`` (``port_keys[pids[i][j]]``) and waits on stream
+        # ``dep_up[i]`` (-1: none).
+        port_ids: Dict[PortKey, int] = {}
+        pids = [
+            tuple(port_ids.setdefault(key, len(port_ids)) for key in dict.fromkeys(s.ports))
+            for s in streams
+        ]
+        port_keys = list(port_ids)
+        port_bw = [
+            self.accelerator.memory_by_name(memory).instance.aggregate_bandwidth(port)
+            for memory, port in port_keys
+        ]
+        index = {s.name: i for i, s in enumerate(streams)}
+        dep_up = [-1 if s.upstream is None else index[s.upstream] for s in streams]
+        gates = [s.gates for s in streams]
+        thresholds = [s.thresholds for s in streams]
+        bits = [s.port_bits for s in streams]
+        dep_seq = [s.dep_seq for s in streams]
+        length = [len(s) for s in streams]
         n = len(streams)
         n_ports = len(port_keys)
 
@@ -269,7 +233,7 @@ class CycleSimulator:
                 active[i] = True
                 remaining[i] = list(bits[i][k])
                 if trace is not None:
-                    trace.job_started(cols.names[i], k, t)
+                    trace.job_started(streams[i].name, k, t)
 
             computing = c < total_lo and c < limit - _EPS
             if trace is not None:
@@ -311,7 +275,7 @@ class CycleSimulator:
             if dt == _INF:
                 if c >= total_lo and n_done == n:
                     break
-                blocked = [cols.names[i] for i in range(n) if cursor[i] < length[i]]
+                blocked = [streams[i].name for i in range(n) if cursor[i] < length[i]]
                 raise RuntimeError(
                     f"simulation deadlock at t={t:.0f}, c={c:.0f}; "
                     f"pending streams: {blocked}"
@@ -353,9 +317,7 @@ class CycleSimulator:
                     if i == anchor:
                         anchored = True
                     if trace is not None:
-                        trace.job_finished(
-                            cols.names[i], k, t, streams[i].jobs[k].bits
-                        )
+                        trace.job_finished(streams[i].name, k, t, streams[i].bits[k])
 
             if c >= total_lo and n_done == n:
                 break
@@ -390,7 +352,9 @@ class CycleSimulator:
             before = memo.get(state)
             reps = 0
             if before is not None and inexact <= before[0]:
-                reps = _periods(before, now, cols, active, total_cc, max_events)
+                reps = _periods(
+                    before, now, streams, dep_up, active, total_cc, max_events
+                )
             if reps:
                 e0, t0, c0, s0, j0, busy0, cur0 = before
                 skipped += reps * (events - e0)
@@ -437,7 +401,8 @@ class CycleSimulator:
 def _periods(
     before: _Snapshot,
     now: _Snapshot,
-    cols: _Columns,
+    streams: List[JobStream],
+    dep_up: List[int],
     active: List[bool],
     total_cc: int,
     max_events: int,
@@ -484,17 +449,17 @@ def _periods(
     shifts = [b - a for a, b in zip(cur0, cur1)]
     moving = []
     for i, d in enumerate(shifts):
-        k = cur1[i]
-        if k == cols.length[i]:
+        k, length = cur1[i], len(streams[i])
+        if k == length:
             if d:
                 return 0
             continue
         if d:
             # Every replay ends with job ``k + r*d`` as the frontier.
-            reps = min(reps, (cols.length[i] - k - 1) // d)
+            reps = min(reps, (length - k - 1) // d)
             moving.append(i)
             continue
-        gate, threshold = cols.gates[i][k], cols.thresholds[i][k]
+        gate, threshold = streams[i].gates[k], streams[i].thresholds[k]
         if active[i] or not (_on_grid(gate) and _on_grid(threshold)):
             return 0
         reps = min(reps, _reps_below(c1, dc, gate), _reps_below(c1, dc, threshold))
@@ -504,18 +469,18 @@ def _periods(
         # The recorded period reads jobs ``cur0[i]`` to ``lo`` (the frontier
         # once job ``lo - 1`` is done); replay ``r`` reads them shifted by
         # ``r*d``.
-        d, lo = shifts[i], cur1[i]
-        period = cols.gates[i][cur0[i]:lo + 1] + cols.thresholds[i][cur0[i]:lo + 1]
+        d, lo, stream = shifts[i], cur1[i], streams[i]
+        period = stream.gates[cur0[i]:lo + 1] + stream.thresholds[cur0[i]:lo + 1]
         if not all(_on_grid(x) for x in period):
             return 0
         reps = min(reps, _reps_below(max(period), dc, _BOUND))
         hi = lo + reps * d + 1
-        up = cols.dep_up[i]
+        up = dep_up[i]
         for column, shift in (
-            (cols.gates[i], dc),
-            (cols.thresholds[i], dc),
-            (cols.bits[i], None),
-            (cols.dep_seq[i], shifts[up] if up >= 0 else None),
+            (stream.gates, dc),
+            (stream.thresholds, dc),
+            (stream.port_bits, None),
+            (stream.dep_seq, shifts[up] if up >= 0 else None),  # empty if up < 0
         ):
             hi = _first_mismatch(column, lo, hi, d, shift)
         reps = (hi - lo - 1) // d

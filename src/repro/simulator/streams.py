@@ -1,7 +1,8 @@
 """Lower a mapping onto periodic transfer-job streams for the simulator.
 
 Each stream is one unit memory's periodic traffic (refill, flush or
-partial-sum read-back) lowered into an ordered list of jobs. The schedule
+partial-sum read-back), lowered into per-job columns (gate, threshold,
+bits, per-port bits, upstream dependency) that the engine reads. The schedule
 parameters — period, keep-out window, bits per tile — restate the machine's
 *semantics* (the same Table-I rules the analytical model uses, because the
 keep-out zone is a property of the hardware, not of the model); what the
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.hardware.accelerator import Accelerator
 from repro.hardware.hierarchy import MemoryLevel
@@ -45,39 +46,23 @@ from repro.workload.operand import Operand
 PortKey = Tuple[str, str]
 
 
-class TransferJob(NamedTuple):
-    """One tile transfer: gate, compute-blocking threshold, size, ports.
-
-    ``bits`` is the logical tile size; ``bits_per_port`` optionally gives
-    the *physical* bytes each endpoint port must move when word-size
-    padding differs between source and destination (a wide-word memory
-    reads whole bursts even for a narrow tile). When omitted, every port
-    moves ``bits``.
-
-    ``seq`` is the job's index in its stream, and ``dep`` names the job
-    ``(stream, seq)`` that must complete before this one may start. A
-    named tuple: a layer lowers to thousands of jobs, and a tuple is
-    several times cheaper to build than a frozen dataclass.
-    """
-
-    stream: str
-    seq: int
-    gate_c: float
-    threshold_c: float
-    bits: float
-    dep: Optional[Tuple[str, int]] = None
-    bits_per_port: Optional[Dict[PortKey, float]] = None
-
-    def port_bits(self, key: PortKey) -> float:
-        """Physical bits the given port moves for this job."""
-        if self.bits_per_port is None:
-            return self.bits
-        return self.bits_per_port.get(key, self.bits)
-
-
 @dataclasses.dataclass
 class JobStream:
-    """A periodic sequence of :class:`TransferJob` on fixed ports."""
+    """One unit memory's periodic transfer jobs on fixed ports, as columns.
+
+    Job ``k`` may start once the compute clock reaches ``gates[k]`` and,
+    when ``upstream`` names a stream, once that stream has completed more
+    than ``dep_seq[k]`` jobs; it blocks the compute clock from passing
+    ``thresholds[k]``. It moves ``bits[k]`` logical bits, and
+    ``port_bits[k]`` gives the physical bits for each distinct port of
+    ``ports``, in order: word-size padding can differ between source and
+    destination (a wide-word memory reads whole bursts even for a narrow
+    tile). Jobs of one stream share a few ``port_bits`` rows.
+
+    A layer lowers to thousands of jobs, so each is one entry per column,
+    appended by the builders and read as they are by the engine;
+    ``dep_seq`` is empty when ``upstream`` is None.
+    """
 
     name: str
     kind: str                      # "refill" | "flush" | "readback"
@@ -86,15 +71,20 @@ class JobStream:
     period: int
     x_req: float
     ports: Tuple[PortKey, ...]
-    jobs: List[TransferJob]
+    gates: List[float] = dataclasses.field(default_factory=list)
+    thresholds: List[float] = dataclasses.field(default_factory=list)
+    bits: List[float] = dataclasses.field(default_factory=list)
+    port_bits: List[Tuple[float, ...]] = dataclasses.field(default_factory=list)
+    upstream: Optional[str] = None
+    dep_seq: List[int] = dataclasses.field(default_factory=list)
 
     def __len__(self) -> int:
-        return len(self.jobs)
+        return len(self.gates)
 
     @property
     def total_bits(self) -> float:
         """Bits the stream moves across the whole layer."""
-        return sum(job.bits for job in self.jobs)
+        return sum(self.bits)
 
 
 def _x_req_of(level: MemoryLevel, period: int, top_ir: int) -> float:
@@ -104,9 +94,8 @@ def _x_req_of(level: MemoryLevel, period: int, top_ir: int) -> float:
     return period / top_ir
 
 
-def _port_key_and_bw(level: MemoryLevel, operand: Operand, kind: EndpointKind) -> Tuple[PortKey, float]:
-    port = level.port_for(operand, kind)
-    return (level.name, port.name), port.bandwidth * level.instance.instances
+def _port_key(level: MemoryLevel, operand: Operand, kind: EndpointKind) -> PortKey:
+    return level.name, level.port_for(operand, kind).name
 
 
 def _pad_to_burst(bits: float, *levels: MemoryLevel) -> float:
@@ -174,41 +163,30 @@ def _refill_streams(accelerator: Accelerator, mapping: Mapping) -> List[JobStrea
             bits = float(mapping.footprint_bits(operand, lvl))
             top_ir = loops_product(temporal.top_ir_run(operand, lvl, layer))
             x_req = _x_req_of(dst, period, top_ir)
-            src_key, __ = _port_key_and_bw(src, operand, EndpointKind.TL)
-            dst_key, __ = _port_key_and_bw(dst, operand, EndpointKind.FH)
-            per_port = _per_port(bits, src, src_key, dst, dst_key)
-            name = f"{operand}-refill-L{lvl}"
+            src_key = _port_key(src, operand, EndpointKind.TL)
+            dst_key = _port_key(dst, operand, EndpointKind.FH)
             # The tile for compute window [k*P, (k+1)*P) comes out of the
             # upper-level tile covering time k*P: job (k*P) // P_upper of the
             # level-(l+1) refill stream.
-            upper = f"{operand}-refill-L{lvl + 1}"
             p_upper = periods[lvl + 1] if lvl + 1 < len(periods) else 0
             z_upper = total_cc // p_upper if p_upper else 0
-            jobs: List[TransferJob] = []
-            for k in range(z_total):
-                if k == 0:
-                    gate, threshold = float("-inf"), 0.0
-                elif dst.instance.double_buffered:
-                    gate, threshold = float((k - 1) * period), float(k * period)
-                else:
-                    gate, threshold = k * period - x_req, float(k * period)
-                dep = (upper, min((k * period) // p_upper, z_upper - 1)) if z_upper else None
-                jobs.append(
-                    TransferJob(name, k, gate, threshold, bits, dep=dep,
-                                bits_per_port=per_port)
-                )
-            streams.append(
-                JobStream(
-                    name=name,
-                    kind="refill",
-                    operand=operand,
-                    level=lvl,
-                    period=period,
-                    x_req=x_req,
-                    ports=(src_key, dst_key),
-                    jobs=jobs,
-                )
-            )
+            # Tile 0 is the preload: it may start at once.
+            if dst.instance.double_buffered:
+                gates = [float((k - 1) * period) for k in range(1, z_total)]
+            else:
+                gates = [k * period - x_req for k in range(1, z_total)]
+            streams.append(JobStream(
+                f"{operand}-refill-L{lvl}", "refill", operand, lvl, period, x_req,
+                (src_key, dst_key),
+                gates=[float("-inf"), *gates],
+                thresholds=[float(k * period) for k in range(z_total)],
+                bits=[bits] * z_total,
+                port_bits=[_per_port(bits, src, src_key, dst, dst_key)] * z_total,
+                upstream=f"{operand}-refill-L{lvl + 1}" if z_upper else None,
+                dep_seq=[
+                    min((k * period) // p_upper, z_upper - 1) for k in range(z_total)
+                ] if z_upper else [],
+            ))
     return streams
 
 
@@ -218,12 +196,14 @@ def _per_port(
     src_port: PortKey,
     dst_level: MemoryLevel,
     dst_port: PortKey,
-) -> Dict[PortKey, float]:
-    """Physical bits each endpoint of a link moves for a ``bits`` tile."""
-    return {
+) -> Tuple[float, ...]:
+    """Physical bits each distinct endpoint port of a link moves for a
+    ``bits`` tile, in ``(src_port, dst_port)`` order."""
+    row = {
         src_port: _pad_to_burst(bits, src_level),
         dst_port: _pad_to_burst(bits, dst_level),
     }
+    return tuple(row.values())
 
 
 def _output_streams(accelerator: Accelerator, mapping: Mapping) -> List[JobStream]:
@@ -253,20 +233,22 @@ def _output_streams(accelerator: Accelerator, mapping: Mapping) -> List[JobStrea
         top_ir = loops_product(temporal.top_ir_run(operand, lvl, layer))
         x_req = _x_req_of(low, period, top_ir)
 
-        low_th, __ = _port_key_and_bw(low, operand, EndpointKind.TH)
-        high_fl, __ = _port_key_and_bw(high, operand, EndpointKind.FL)
-
-        flush_name = f"O-flush-L{lvl}"
-        flush_jobs: List[TransferJob] = []
-        rb_jobs: List[TransferJob] = []
-        rb_name = f"O-readback-L{lvl}"
-        high_tl, __ = _port_key_and_bw(high, operand, EndpointKind.TL)
-        low_fh, __ = _port_key_and_bw(low, operand, EndpointKind.FH)
-        flush_ports = {
+        low_th = _port_key(low, operand, EndpointKind.TH)
+        high_fl = _port_key(high, operand, EndpointKind.FL)
+        high_tl = _port_key(high, operand, EndpointKind.TL)
+        low_fh = _port_key(low, operand, EndpointKind.FH)
+        flush = JobStream(
+            f"O-flush-L{lvl}", "flush", operand, lvl, period, x_req, (low_th, high_fl)
+        )
+        readback = JobStream(
+            f"O-readback-L{lvl}", "readback", operand, lvl, period, x_req,
+            (high_tl, low_fh), upstream=flush.name,
+        )
+        flush_rows = {
             bits: _per_port(bits, low, low_th, high, high_fl)
             for bits in (partial_bits, final_bits)
         }
-        rb_ports = _per_port(partial_bits, high, high_tl, low, low_fh)
+        rb_row = _per_port(partial_bits, high, high_tl, low, low_fh)
         for k in range(z_total):
             digits = _mixed_radix_digits(k, sizes)
             last_visit = all(
@@ -274,51 +256,18 @@ def _output_streams(accelerator: Accelerator, mapping: Mapping) -> List[JobStrea
             )
             first_visit = all(d == 0 for d, __, ir in zip(digits, sizes, is_ir) if ir)
             bits = final_bits if last_visit else partial_bits
-            flush_jobs.append(
-                TransferJob(
-                    flush_name,
-                    k,
-                    gate_c=float((k + 1) * period),
-                    threshold_c=(k + 1) * period + x_req,
-                    bits=bits,
-                    bits_per_port=flush_ports[bits],
-                )
-            )
+            flush.gates.append(float((k + 1) * period))
+            flush.thresholds.append((k + 1) * period + x_req)
+            flush.bits.append(bits)
+            flush.port_bits.append(flush_rows[bits])
             if not first_visit:
-                rb_jobs.append(
-                    TransferJob(
-                        rb_name,
-                        len(rb_jobs),
-                        gate_c=k * period - x_req,
-                        threshold_c=k * period + x_req,
-                        bits=partial_bits,
-                        dep=(flush_name, k - 1) if k >= 1 else None,
-                        bits_per_port=rb_ports,
-                    )
-                )
-        streams.append(
-            JobStream(
-                name=flush_name,
-                kind="flush",
-                operand=operand,
-                level=lvl,
-                period=period,
-                x_req=x_req,
-                ports=(low_th, high_fl),
-                jobs=flush_jobs,
-            )
-        )
-        if rb_jobs:
-            streams.append(
-                JobStream(
-                    name=rb_name,
-                    kind="readback",
-                    operand=operand,
-                    level=lvl,
-                    period=period,
-                    x_req=x_req,
-                    ports=(high_tl, low_fh),
-                    jobs=rb_jobs,
-                )
-            )
+                # Period 0 is every tile's first visit, so ``k >= 1`` here.
+                readback.gates.append(k * period - x_req)
+                readback.thresholds.append(k * period + x_req)
+                readback.bits.append(partial_bits)
+                readback.port_bits.append(rb_row)
+                readback.dep_seq.append(k - 1)
+        streams.append(flush)
+        if readback.gates:
+            streams.append(readback)
     return streams

@@ -18,6 +18,7 @@ object mirroring :class:`~repro.workload.layer.LayerSpec`::
   its fields default to :class:`~repro.workload.layer.Precision`.
 - Every size, stride, dilation and precision is a JSON integer:
   ``16.5``, ``true`` and ``"16"`` are refused, not truncated or coerced.
+- ``name`` is a string or null, and ``layer_type`` a string.
 - A key outside this schema (``"strides"``) is refused, not ignored.
 
 Size-1 dimensions are elided on write and default on read, so the dict
@@ -30,7 +31,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Dict
 
-from repro.hardware.serde import SerdeError, check_known, strict_int
+from repro.hardware.serde import SerdeError, check_known, strict_int, strict_type
 from repro.workload.dims import LoopDim
 from repro.workload.layer import LayerSpec, LayerType, Precision
 
@@ -84,7 +85,9 @@ def _layer(data: Dict) -> LayerSpec:
         if not isinstance(value, dict):
             raise TypeError(f"{key!r} must be an object, got {value!r}")
     check_known("layer field", data, _FIELDS)
-    check_known("layer type", [data["layer_type"]], _LAYER_TYPES)
+    check_known(
+        "layer type", [strict_type(data["layer_type"], str, "layer_type")], _LAYER_TYPES
+    )
     check_known("loop dim", dims, _DIMS)
     check_known("precision field", precision, _PRECISIONS)
     return LayerSpec(
@@ -94,7 +97,7 @@ def _layer(data: Dict) -> LayerSpec:
         precision=Precision(**{
             k: strict_int(v, "precision", k) for k, v in precision.items()
         }),
-        name=data.get("name"),
+        name=None if data.get("name") is None else strict_type(data["name"], str, "name"),
     )
 
 

@@ -100,8 +100,10 @@ def test_simulator_dependency_chain_depth():
     streams = build_streams(acc, _mapping())
     reg_stream = next(s for s in streams if s.name == "W-refill-L0")
     lb0_stream = next(s for s in streams if s.name == "W-refill-L1")
-    assert all(j.dep is not None and j.dep[0] == "W-refill-L1" for j in reg_stream.jobs)
-    assert all(j.dep is not None and j.dep[0] == "W-refill-L2" for j in lb0_stream.jobs)
+    assert reg_stream.upstream == "W-refill-L1"
+    assert len(reg_stream.dep_seq) == len(reg_stream)
+    assert lb0_stream.upstream == "W-refill-L2"
+    assert len(lb0_stream.dep_seq) == len(lb0_stream)
 
 
 def test_starved_top_level_backpressures_whole_chain():

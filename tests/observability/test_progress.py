@@ -28,6 +28,7 @@ from repro.observability import (
 from repro.observability.progress import (
     EtaEstimator,
     NULL_RUN,
+    ProgressFormatError,
     format_duration,
     format_event,
 )
@@ -364,6 +365,15 @@ def test_read_events_skips_blank_and_truncated_lines(tmp_path):
     path.write_text(good + "\n\n" + '{"type": "Heartbeat", "run')
     events = read_events(str(path))
     assert len(events) == 1
+
+
+def test_read_events_refuses_a_complete_line_that_is_not_an_event(tmp_path):
+    path = tmp_path / "events.jsonl"
+    good = json.dumps(event_to_dict(Heartbeat(run_id="r1", worker="w", ts=1.0)))
+    for bad in ('{"type": "Heartbeat", "run', '{"type": "Heartbeat", "worker": "w"}'):
+        path.write_text(good + "\n" + bad + "\n")
+        with pytest.raises(ProgressFormatError, match=f"{path} line 2: "):
+            read_events(str(path))
 
 
 def test_follow_events_tails_a_growing_file(tmp_path):

@@ -12,6 +12,8 @@ format change with::
 import json
 import pathlib
 
+import pytest
+
 from repro.observability import (
     DashboardState,
     ProgressEmitter,
@@ -211,6 +213,31 @@ def test_run_top_follow_max_polls_bounds_an_idle_tail(tmp_path):
     )
     assert code == 2  # saw nothing at all
     assert frames == [f"top: {path} holds no events yet"]
+
+
+MALFORMED = {
+    "unknown-type": '{"type": "NoSuchEvent", "run_id": "r1"}',
+    "not-an-object": "[1, 2]",
+    "not-json": '{"type": "Heartbeat", "run',
+    "mistyped-field": '{"type": "ChunkCompleted", "run_id": "r1", "done_units": "abc"}',
+}
+
+
+@pytest.mark.parametrize("follow", [False, True], ids=["replay", "follow"])
+@pytest.mark.parametrize("line", MALFORMED.values(), ids=list(MALFORMED))
+def test_run_top_malformed_line_exits_two_with_one_line(tmp_path, line, follow):
+    """A complete line that does not hold an event is one ``top:`` line
+    naming the file and line, and exit 2: not a traceback, and not a
+    dashboard that renders ``abc/? units``."""
+    path = tmp_path / "events.jsonl"
+    path.write_text(FIXTURE.read_text().splitlines()[0] + "\n" + line + "\n")
+    lines = []
+    code = run_top(
+        str(path), follow=follow, poll_s=0.0, max_polls=2,
+        write=lines.append, sleep=lambda _s: None,
+    )
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith(f"top: {path} line 2: ")
 
 
 if __name__ == "__main__":

@@ -1,10 +1,11 @@
-"""Engine internals: stream columns and port fairness."""
+"""Engine internals: reading stream columns and port fairness."""
 
 import pytest
 
 from repro.mapping.loop import Loop
-from repro.simulator.engine import CycleSimulator, _Columns
-from repro.simulator.streams import JobStream, TransferJob
+from repro.simulator import engine
+from repro.simulator.engine import CycleSimulator
+from repro.simulator.streams import JobStream
 from repro.simulator.trace import TraceRecorder
 from repro.workload.dims import LoopDim
 from repro.workload.generator import dense_layer
@@ -14,40 +15,42 @@ from tests.conftest import make_mapping, toy_accelerator
 
 
 def _stream(n_jobs=3):
-    jobs = [
-        TransferJob("s", k, gate_c=float(k), threshold_c=float(k + 1), bits=8.0)
-        for k in range(n_jobs)
-    ]
     return JobStream(
         name="s", kind="refill", operand=Operand.W, level=0,
-        period=1, x_req=1.0, ports=(("GB", "rd"),), jobs=jobs,
+        period=1, x_req=1.0, ports=(("GB", "rd"),),
+        gates=[float(k) for k in range(n_jobs)],
+        thresholds=[float(k + 1) for k in range(n_jobs)],
+        bits=[8.0] * n_jobs, port_bits=[(8.0,)] * n_jobs,
     )
 
 
-def test_stream_state_cursor():
-    """The engine's flat per-stream columns: cursor ``k`` of stream ``i``
-    reads job ``k``'s gate, threshold, per-port bits and dependency."""
+def test_stream_state_cursor(monkeypatch):
+    """Cursor ``k`` of stream ``i`` reads job ``k``'s gate, threshold,
+    per-port bits and dependency: each job moves its physical bits on its
+    own ports, is traced with its logical bits, and starts only after the
+    upstream job it waits on."""
     up = _stream()
     down = JobStream(
         name="d", kind="refill", operand=Operand.I, level=0, period=1,
         x_req=1.0, ports=(("GB", "rd"), ("I-Reg", "wr")),
-        jobs=[
-            TransferJob("d", k, gate_c=float(k), threshold_c=float(k + 1),
-                        bits=4.0, dep=("s", 2 * k),
-                        bits_per_port={("GB", "rd"): 16.0})
-            for k in range(2)
-        ],
+        gates=[0.0, 1.0], thresholds=[1.0, 2.0], bits=[4.0, 4.0],
+        port_bits=[(16.0, 4.0)] * 2, upstream="s", dep_seq=[0, 2],
     )
-    cols = _Columns([up, down])
-    assert cols.port_keys == [("GB", "rd"), ("I-Reg", "wr")]
-    assert cols.length == [3, 2]
-    assert cols.gates[0] == [0.0, 1.0, 2.0]
-    assert cols.thresholds[1] == [1.0, 2.0]
-    assert cols.pids == [(0,), (0, 1)]
-    assert cols.bits[0][2] == (8.0,)
-    assert cols.bits[1][1] == (16.0, 4.0)
-    assert cols.dep_up == [-1, 0]
-    assert cols.dep_seq == [[-1, -1, -1], [0, 2]]
+    monkeypatch.setattr(engine, "build_streams", lambda acc, mapping: [up, down])
+    mapping = make_mapping(
+        dense_layer(2, 2, 2), {},
+        {op: [[], [Loop(LoopDim.B, 2), Loop(LoopDim.K, 2), Loop(LoopDim.C, 2)]]
+         for op in Operand},
+    )
+    trace = TraceRecorder()
+    result = CycleSimulator(toy_accelerator(), mapping, trace=trace).run()
+    assert result.jobs_completed == 5
+    assert result.port_busy == {("GB", "rd"): 3 * 8.0 + 2 * 16.0, ("I-Reg", "wr"): 2 * 4.0}
+    jobs = {(job.stream, job.seq): job for job in trace.jobs}
+    assert [jobs["d", k].bits for k in range(2)] == [4.0, 4.0]
+    assert jobs["d", 0].start >= jobs["s", 0].end
+    assert jobs["d", 1].start >= jobs["s", 2].end
+    assert jobs["s", 2].start >= 2.0          # gated until c reaches 2
 
 
 def test_stream_total_bits():

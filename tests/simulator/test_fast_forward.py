@@ -145,7 +145,7 @@ def test_idle_stream_bounds_the_jump(monkeypatch):
     gate where it is: the jump must stop before the compute clock reaches
     it, or the stream would start late."""
     from repro.simulator import engine
-    from repro.simulator.streams import JobStream, TransferJob
+    from repro.simulator.streams import JobStream
 
     accelerator = toy_accelerator(reg_bw=128.0, gb_read_bw=16.0)
     mapping = make_mapping(
@@ -155,18 +155,20 @@ def test_idle_stream_bounds_the_jump(monkeypatch):
     )
     assert mapping.temporal.total_cycles == 1000
     gb, w_reg, i_reg = ("GB", "rd"), ("W-Reg", "wr"), ("I-Reg", "wr")
-    inner = [
-        TransferJob("inner", k, float(10 * k - 10) if k else float("-inf"),
-                    float(10 * k), 64.0)
-        for k in range(100)
-    ]
-    outer = [TransferJob("outer", 0, 600.0, 1000.0, 4096.0)]
 
     def streams(accelerator, mapping):
-        return [
-            JobStream("inner", "refill", Operand.W, 0, 10, 10.0, (gb, w_reg), inner),
-            JobStream("outer", "refill", Operand.I, 0, 1000, 400.0, (gb, i_reg), outer),
-        ]
+        inner = JobStream(
+            "inner", "refill", Operand.W, 0, 10, 10.0, (gb, w_reg),
+            gates=[float(10 * k - 10) if k else float("-inf") for k in range(100)],
+            thresholds=[float(10 * k) for k in range(100)],
+            bits=[64.0] * 100, port_bits=[(64.0, 64.0)] * 100,
+        )
+        outer = JobStream(
+            "outer", "refill", Operand.I, 0, 1000, 400.0, (gb, i_reg),
+            gates=[600.0], thresholds=[1000.0],
+            bits=[4096.0], port_bits=[(4096.0, 4096.0)],
+        )
+        return [inner, outer]
 
     monkeypatch.setattr(engine, "build_streams", streams)
     fast, span = _fast(accelerator, mapping)

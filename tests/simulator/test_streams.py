@@ -34,28 +34,27 @@ def test_refill_stream_jobs():
     streams = build_streams(acc, _ws_mapping())
     w = _streams_by(streams, "refill", Operand.W)[0]
     assert w.period == 8
-    assert len(w.jobs) == 16            # all Z tiles, incl. the preload tile
-    first, second = w.jobs[0], w.jobs[1]
-    assert first.gate_c == float("-inf") and first.threshold_c == 0.0
+    assert len(w) == 16                 # all Z tiles, incl. the preload tile
+    assert w.gates[0] == float("-inf") and w.thresholds[0] == 0.0
     # Non-DB keep-out: tile k may start x_req before its period.
-    assert second.gate_c == pytest.approx(8 - w.x_req)
-    assert second.threshold_c == pytest.approx(8)
+    assert w.gates[1] == pytest.approx(8 - w.x_req)
+    assert w.thresholds[1] == pytest.approx(8)
 
 
 def test_db_refill_gets_full_period_window():
     acc = toy_accelerator(reg_bits=16, o_reg_bits=24 * 8, reg_double_buffered=True)
     streams = build_streams(acc, _ws_mapping())
     w = _streams_by(streams, "refill", Operand.W)[0]
-    assert w.jobs[1].gate_c == pytest.approx(0.0)
-    assert w.jobs[2].gate_c == pytest.approx(8.0)
+    assert w.gates[1] == pytest.approx(0.0)
+    assert w.gates[2] == pytest.approx(8.0)
 
 
 def test_flush_jobs_after_period_end():
     acc = toy_accelerator(reg_bits=8, o_reg_bits=24 * 8)
     streams = build_streams(acc, _ws_mapping())
     fl = _streams_by(streams, "flush")[0]
-    assert fl.jobs[0].gate_c == pytest.approx(fl.period)
-    assert fl.jobs[0].threshold_c == pytest.approx(fl.period + fl.x_req)
+    assert fl.gates[0] == pytest.approx(fl.period)
+    assert fl.thresholds[0] == pytest.approx(fl.period + fl.x_req)
 
 
 def test_output_stationary_all_final_no_readback():
@@ -64,7 +63,7 @@ def test_output_stationary_all_final_no_readback():
     assert _streams_by(streams, "readback") == []
     fl = _streams_by(streams, "flush")[0]
     layer_final_bits = 8 * 24
-    assert all(j.bits == layer_final_bits for j in fl.jobs)
+    assert all(bits == layer_final_bits for bits in fl.bits)
 
 
 def test_interrupted_accumulation_readbacks_and_precisions():
@@ -85,13 +84,13 @@ def test_interrupted_accumulation_readbacks_and_precisions():
     fl = _streams_by(streams, "flush")[0]
     rb = _streams_by(streams, "readback")[0]
     # 16 flush periods; last C4 digit maxed in the final 4 -> 4 final flushes.
-    finals = [j for j in fl.jobs if j.bits == layer.precision.o_final]
-    partials = [j for j in fl.jobs if j.bits == layer.precision.o_partial]
-    assert len(fl.jobs) == 16 and len(finals) == 4 and len(partials) == 12
+    finals = [bits for bits in fl.bits if bits == layer.precision.o_final]
+    partials = [bits for bits in fl.bits if bits == layer.precision.o_partial]
+    assert len(fl) == 16 and len(finals) == 4 and len(partials) == 12
     # 12 revisit periods need read-backs.
-    assert len(rb.jobs) == 12
+    assert len(rb) == 12
     # Read-backs depend on the preceding flush.
-    assert all(j.dep is not None and j.dep[0] == fl.name for j in rb.jobs)
+    assert rb.upstream == fl.name and len(rb.dep_seq) == len(rb)
 
 
 def test_first_visit_pattern_decoding():
@@ -107,7 +106,7 @@ def test_first_visit_pattern_decoding():
     mapping = make_mapping(layer, {}, levels)
     rb = _streams_by(build_streams(acc, mapping), "readback")[0]
     # Periods 0..3 (first C4 round) are first visits: no readback for them.
-    gates = sorted(j.gate_c for j in rb.jobs)
+    gates = sorted(rb.gates)
     assert gates[0] >= 4 * rb.period - rb.x_req - 1e-9
 
 
@@ -127,7 +126,7 @@ def test_multi_level_refill_dependencies():
     for s in lb_refills:
         upper_name = f"{s.operand}-refill-L1"
         if any(t.name == upper_name for t in streams):
-            assert all(j.dep is not None and j.dep[0] == upper_name for j in s.jobs)
+            assert s.upstream == upper_name and len(s.dep_seq) == len(s)
 
 
 def test_total_bits_accounting():

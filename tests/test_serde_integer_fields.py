@@ -7,8 +7,9 @@ a serialized layer, mapping and preset is replaced in turn by ``16.5``,
 parser must raise a ``SerdeError`` that names the field instead of
 truncating or coercing the value. Every object and list node of both
 presets and of a mapping is replaced by the other container type, with
-the same demand. Every object of the layer, mapping and preset schemas
-also refuses a key it does not know.
+the same demand, and so is every string leaf of the layer, the mapping
+and both presets by ``5`` and by ``["x"]``. Every object of the layer,
+mapping and preset schemas also refuses a key it does not know.
 """
 
 import copy
@@ -58,8 +59,8 @@ def _objects(node, path=()):
             yield from _objects(value, path + (key,))
 
 
-def _replaced(schema, path, bad):
-    data, parse = SCHEMAS[schema]
+def _replaced(schema, path, bad, schemas=SCHEMAS):
+    data, parse = schemas[schema]
     data = copy.deepcopy(data)
     node = data
     for step in path[:-1]:
@@ -203,6 +204,39 @@ def test_a_wrong_container_type_is_refused_by_name(schema, path):
     ), message
 
 
+STRING_SCHEMAS = {
+    "layer": SCHEMAS["layer"],
+    "mapping": SCHEMAS["mapping"],
+    "case-study": CONTAINER_SCHEMAS["case-study"],
+    "in-house": CONTAINER_SCHEMAS["in-house"],
+}
+STRINGS = [
+    pytest.param(schema, path, bad, id=f"{schema}-{'.'.join(map(str, path))}-{bad!r}")
+    for schema, (data, _) in STRING_SCHEMAS.items()
+    for path in _leaves(data, str)
+    for bad in (5, ["x"])
+]
+
+
+def test_every_schema_has_string_fields():
+    assert {case.values[0] for case in STRINGS} == set(STRING_SCHEMAS)
+
+
+@pytest.mark.parametrize("schema, path, bad", STRINGS)
+def test_a_non_string_in_a_string_field_is_refused_by_name(schema, path, bad):
+    data, parse = _replaced(schema, path, bad, STRING_SCHEMAS)
+    field = [step for step in path if isinstance(step, str)][-1]
+    with pytest.raises(SerdeError) as err:
+        parse(data)
+    message = str(err.value)
+    assert "missing required field" not in message
+    assert "unhashable" not in message
+    assert re.search(
+        rf"\b{re.escape(field)}\]?(\[\d+\])? must be a string, got {re.escape(repr(bad))}",
+        message,
+    ), message
+
+
 @pytest.mark.parametrize("patch, message", [
     ({"name": 5}, "name must be a string, got 5"),
     ({"memories": [[1]]}, "memories[0] must be an object, got [1]"),
@@ -211,9 +245,21 @@ def test_a_wrong_container_type_is_refused_by_name(schema, path):
     ({"stall_overlap": ["GB"]}, "stall_overlap[0] must be a list, got 'GB'"),
     ({"stall_overlap": [["GB"], ["NOPE"]]},
      "stall_overlap[1] names unknown memory 'NOPE'"),
-], ids=["name", "memory", "chains", "chain", "overlap-flat", "overlap-unknown"])
+    ({"stall_overlap": [[["GB"]]]},
+     "stall_overlap[0][0] must be a string, got ['GB']"),
+], ids=["name", "memory", "chains", "chain", "overlap-flat", "overlap-unknown",
+        "overlap-entry"])
 def test_a_coerced_or_misleading_accelerator_field_is_refused(patch, message):
     data = dict(copy.deepcopy(PRESET_DATA), **patch)
+    with pytest.raises(SerdeError, match=re.escape(message)):
+        preset_from_dict(data)
+
+
+def test_an_allocation_to_a_missing_port_names_the_memory_and_key():
+    data = copy.deepcopy(PRESET_DATA)
+    memory = next(m for m in data["memories"] if "O.tl" in m["allocation"])
+    memory["allocation"]["O.tl"] = "nope"
+    message = f"memory {memory['name']!r} has no port 'nope' for allocation[O.tl]"
     with pytest.raises(SerdeError, match=re.escape(message)):
         preset_from_dict(data)
 
