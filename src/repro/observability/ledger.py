@@ -16,6 +16,14 @@ ledger is a committed ``.jsonl`` file. Both forms load back through
 per metric with configurable tolerances — the regression gate behind
 ``repro-latency diff``.
 
+:class:`RunRecord`'s fields are the schema: the SQLite ``runs`` table's
+columns, the rows written and the records read back are all derived
+from them. A writer (:class:`RunLedger`) adds the columns an older file
+lacks; a reader (:func:`load_snapshot`) opens the file read-only and
+never writes, reading an absent column or a NULL as the field's
+default. Adding a field means giving it a default in :class:`RunRecord`
+and bumping :data:`SCHEMA_VERSION`.
+
 Like the tracer and metrics registry, the ledger is ambient and off by
 default: ``telemetry().ledger`` (see :mod:`repro.observability.telemetry`)
 is a no-op :data:`NULL_LEDGER` unless ``use_telemetry(ledger=...)``
@@ -33,22 +41,24 @@ or from any CLI subcommand with ``--ledger runs.sqlite``.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import json
 import os
+import pathlib
 import sqlite3
 import subprocess
 import threading
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 #: Current on-disk schema version (``PRAGMA user_version`` in SQLite, the
 #: ``"v"`` field of each JSONL line). v1 predates the ``ss_comb`` map,
 #: ``git_sha`` and ``label`` columns; v2 predates the ``backend`` column
 #: (which simulator backed a ``kind="verify"`` row); v3 predates the
-#: ``campaign`` column (which search campaign a row belongs to).
-#: :class:`RunLedger` migrates older files in place on open.
+#: ``campaign`` column (which search campaign a row belongs to). Adding a
+#: :class:`RunRecord` field (with a default) bumps it.
 SCHEMA_VERSION = 4
 
 #: Record fields gated by ``repro-latency diff`` (deterministic model
@@ -75,13 +85,17 @@ def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_int(value: Any) -> bool:
+    return type(value) is int  # not a bool, which subclasses int
+
+
 #: Field annotation of a :class:`RunRecord` or a progress event ->
 #: (value check, what it expects).
 _FIELD_CHECKS = {
     "str": (lambda v: isinstance(v, str), "a string"),
-    "int": (_is_number, "a number"),
+    "int": (_is_int, "an integer"),
     "float": (_is_number, "a number"),
-    "Optional[int]": (_is_number, "a number or null"),
+    "Optional[int]": (_is_int, "an integer or null"),
     "Optional[float]": (_is_number, "a number or null"),
     "bool": (lambda v: isinstance(v, bool), "a boolean"),
     "Optional[bool]": (lambda v: isinstance(v, bool), "a boolean or null"),
@@ -408,109 +422,79 @@ def git_sha() -> str:
 # SQLite store
 # --------------------------------------------------------------------- #
 
-_SCALAR_COLUMNS_V1 = (
-    # name, SQL type  — the v1 schema (no ss_comb_json / git_sha / label).
-    ("kind", "TEXT"),
-    ("ts", "REAL"),
-    ("accelerator", "TEXT"),
-    ("layer", "TEXT"),
-    ("accelerator_fp", "TEXT"),
-    ("mapping_fp", "TEXT"),
-    ("options_fp", "TEXT"),
-    ("scenario", "INTEGER"),
-    ("cc_ideal", "REAL"),
-    ("cc_spatial", "REAL"),
-    ("spatial_stall", "REAL"),
-    ("ss_overall", "REAL"),
-    ("preload", "REAL"),
-    ("offload", "REAL"),
-    ("total_cycles", "REAL"),
-    ("utilization", "REAL"),
-    ("cache_hit", "INTEGER"),
-    ("wall_time_s", "REAL"),
-    ("extra_json", "TEXT"),
-)
-
-#: Columns v2 added on top of v1. Migration = ALTER TABLE ADD COLUMN for
-#: each, so a v1 file opens in place with defaults for old rows.
-_V2_ADDED_COLUMNS = (
-    ("label", "TEXT", "''"),
-    ("git_sha", "TEXT", "'unknown'"),
-    ("ss_comb_json", "TEXT", "'{}'"),
-)
-
-#: Columns v3 added on top of v2 (same ALTER TABLE migration pattern).
-#: The empty default is what :meth:`RunRecord.from_dict` normalizes to
-#: ``"event"`` for pre-v3 verification rows.
-_V3_ADDED_COLUMNS = (
-    ("backend", "TEXT", "''"),
-)
-
-#: Columns v4 added on top of v3: which search campaign a row belongs
-#: to. Pre-v4 rows read back with the empty string (no campaign).
-_V4_ADDED_COLUMNS = (
-    ("campaign", "TEXT", "''"),
-)
-
-_ALL_COLUMNS = (
-    tuple(n for n, _ in _SCALAR_COLUMNS_V1)
-    + tuple(n for n, _, _ in _V2_ADDED_COLUMNS)
-    + tuple(n for n, _, _ in _V3_ADDED_COLUMNS)
-    + tuple(n for n, _, _ in _V4_ADDED_COLUMNS)
+#: The ``runs`` table, derived from :class:`RunRecord`: one ``(column,
+#: SQL type, field)`` per field. A ``Dict`` field is JSON text (sorted
+#: keys) in a ``<name>_json`` column; ``cache_hit`` is INTEGER 0/1/NULL.
+_COLUMNS = tuple(
+    (f"{f.name}_json", "TEXT", f) if f.type.startswith("Dict")
+    else (f.name, {"str": "TEXT", "float": "REAL", "int": "INTEGER",
+                   "Optional[bool]": "INTEGER"}[f.type], f)
+    for f in dataclasses.fields(RunRecord)
 )
 
 
-def _create_v1(conn: sqlite3.Connection) -> None:
-    """Create the historical v1 schema (kept for migration tests)."""
-    cols = ", ".join(f"{name} {typ}" for name, typ in _SCALAR_COLUMNS_V1)
-    conn.execute(f"CREATE TABLE runs (id INTEGER PRIMARY KEY AUTOINCREMENT, {cols})")
-    conn.execute("PRAGMA user_version = 1")
-    conn.commit()
+def _row_of(record: RunRecord) -> List[Any]:
+    """The ``runs`` row of ``record``, in :data:`_COLUMNS` order."""
+    return [
+        json.dumps(getattr(record, f.name), sort_keys=True)
+        if column != f.name else getattr(record, f.name)
+        for column, _, f in _COLUMNS
+    ]
 
 
-_MIGRATION_COLUMNS = {
-    # target version -> columns its migration step adds
-    2: _V2_ADDED_COLUMNS,
-    3: _V3_ADDED_COLUMNS,
-    4: _V4_ADDED_COLUMNS,
-}
+def _record_of(row: Dict[str, Any]) -> RunRecord:
+    """Decode a ``runs`` row keyed by column name; a column the row lacks
+    (an older file) or a NULL takes the field's default."""
+    data = {}
+    for column, _, f in _COLUMNS:
+        value = row.get(column)
+        if value is not None and column != f.name:
+            try:
+                value = json.loads(value)
+            except ValueError:
+                raise LedgerSchemaError(f"column {column!r} is not JSON") from None
+        elif f.type == "Optional[bool]" and value in (0, 1):
+            value = bool(value)
+        data[f.name] = value
+    return RunRecord.from_dict(data)
 
 
-def _migrate(conn: sqlite3.Connection, from_version: int) -> None:
-    """Bring an older on-disk schema up to :data:`SCHEMA_VERSION`.
+def _read_records(
+    conn: sqlite3.Connection, kind: Optional[str] = None, sha: Optional[str] = None
+) -> List[RunRecord]:
+    """Every row of ``conn``'s ``runs`` table in insertion order, filtered
+    after decoding (a v1 file has no ``git_sha`` column to filter on)."""
+    cursor = conn.execute("SELECT * FROM runs ORDER BY id")
+    names = [d[0] for d in cursor.description]
+    records = [_record_of(dict(zip(names, row))) for row in cursor]
+    return [r for r in records if kind in (None, r.kind) and sha in (None, r.git_sha)]
 
-    Migrations chain: a v1 file gets the v2 columns, then the v3
-    columns, then the v4 columns — each step a pure ``ALTER TABLE ADD
-    COLUMN`` with a default, so old rows read back with the documented
-    absent-value semantics.
-    """
-    if not 1 <= from_version < SCHEMA_VERSION:
+
+def _schema_version(conn: sqlite3.Connection, where: str) -> int:
+    """``conn``'s ``PRAGMA user_version``, refusing a newer one."""
+    version = int(conn.execute("PRAGMA user_version").fetchone()[0])
+    if version > SCHEMA_VERSION:
         raise LedgerSchemaError(
-            f"cannot migrate ledger schema v{from_version} "
-            f"(this build reads v1..v{SCHEMA_VERSION})"
+            f"{where} has schema v{version}; this build reads at most v{SCHEMA_VERSION}"
         )
-    for target in range(from_version + 1, SCHEMA_VERSION + 1):
-        for name, typ, default in _MIGRATION_COLUMNS[target]:
-            conn.execute(
-                f"ALTER TABLE runs ADD COLUMN {name} {typ} DEFAULT {default}"
-            )
-    conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
-    conn.commit()
+    return version
 
 
 class LedgerSchemaError(RuntimeError):
-    """A ledger or snapshot this build cannot read: a newer or unmigratable
-    schema, or a row whose fields do not have their types."""
+    """A ledger or snapshot this build cannot read: a newer schema, a
+    file that is not a ledger, or a row whose fields do not have their
+    types."""
 
 
 class RunLedger:
     """Append-only SQLite ledger of :class:`RunRecord` rows.
 
     Opening a path creates the database (schema v\\ :data:`SCHEMA_VERSION`)
-    or migrates an older one in place; a file written by a *newer* build
-    raises :class:`LedgerSchemaError` instead of guessing. The public
-    surface is insert-and-read only — there is deliberately no update or
-    delete, so a ledger can serve as an audit trail.
+    or adds the columns an older one lacks; a current file is opened
+    without a write, and one written by a *newer* build raises
+    :class:`LedgerSchemaError` instead of guessing. The public surface
+    is insert-and-read only — there is deliberately no update or delete,
+    so a ledger can serve as an audit trail.
     """
 
     enabled = True
@@ -528,22 +512,22 @@ class RunLedger:
         return int(self._conn.execute("PRAGMA user_version").fetchone()[0])
 
     def _ensure_schema(self) -> None:
-        version = self.schema_version
-        has_table = self._conn.execute(
-            "SELECT name FROM sqlite_master WHERE type='table' AND name='runs'"
-        ).fetchone()
-        if not has_table:
-            _create_v1(self._conn)
-            _migrate(self._conn, 1)
-            return
-        if version == SCHEMA_VERSION:
-            return
-        if version > SCHEMA_VERSION:
-            raise LedgerSchemaError(
-                f"ledger {self.path!r} has schema v{version}; this build "
-                f"reads at most v{SCHEMA_VERSION} — refusing to write"
+        version = _schema_version(self._conn, f"ledger {self.path!r}")
+        present = {row[1] for row in self._conn.execute("PRAGMA table_info(runs)")}
+        missing = [(name, typ) for name, typ, _ in _COLUMNS if name not in present]
+        if not present:
+            columns = ", ".join(f"{name} {typ}" for name, typ in missing)
+            self._conn.execute(
+                f"CREATE TABLE runs (id INTEGER PRIMARY KEY AUTOINCREMENT, {columns})"
             )
-        _migrate(self._conn, version)
+        elif version < 1:  # another program's table: leave it alone
+            raise LedgerSchemaError(f"{self.path!r} has a runs table but is not a ledger")
+        else:
+            for name, typ in missing:
+                self._conn.execute(f"ALTER TABLE runs ADD COLUMN {name} {typ}")
+        if version != SCHEMA_VERSION:
+            self._conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
+        self._conn.commit()
 
     # -- writes --------------------------------------------------------- #
 
@@ -555,45 +539,12 @@ class RunLedger:
         """Insert a batch of rows in one transaction."""
         if not records:
             return
-        rows = [self._row_of(r) for r in records]
-        placeholders = ", ".join("?" for _ in _ALL_COLUMNS)
-        sql = (
-            f"INSERT INTO runs ({', '.join(_ALL_COLUMNS)}) "
-            f"VALUES ({placeholders})"
-        )
+        names = ", ".join(column for column, _, _ in _COLUMNS)
+        placeholders = ", ".join("?" for _ in _COLUMNS)
+        sql = f"INSERT INTO runs ({names}) VALUES ({placeholders})"
         with self._lock:
-            self._conn.executemany(sql, rows)
+            self._conn.executemany(sql, [_row_of(r) for r in records])
             self._conn.commit()
-
-    @staticmethod
-    def _row_of(record: RunRecord) -> Tuple:
-        cache_hit = None if record.cache_hit is None else int(record.cache_hit)
-        return (
-            record.kind,
-            record.ts,
-            record.accelerator,
-            record.layer,
-            record.accelerator_fp,
-            record.mapping_fp,
-            record.options_fp,
-            record.scenario,
-            record.cc_ideal,
-            record.cc_spatial,
-            record.spatial_stall,
-            record.ss_overall,
-            record.preload,
-            record.offload,
-            record.total_cycles,
-            record.utilization,
-            cache_hit,
-            record.wall_time_s,
-            json.dumps(record.extra, sort_keys=True),
-            record.label,
-            record.git_sha,
-            json.dumps(record.ss_comb, sort_keys=True),
-            record.backend,
-            record.campaign,
-        )
 
     # -- reads ---------------------------------------------------------- #
 
@@ -604,26 +555,7 @@ class RunLedger:
         self, kind: Optional[str] = None, sha: Optional[str] = None
     ) -> List[RunRecord]:
         """All rows in insertion order, optionally filtered."""
-        sql = f"SELECT {', '.join(_ALL_COLUMNS)} FROM runs"
-        clauses, params = [], []
-        if kind is not None:
-            clauses.append("kind = ?")
-            params.append(kind)
-        if sha is not None:
-            clauses.append("git_sha = ?")
-            params.append(sha)
-        if clauses:
-            sql += " WHERE " + " AND ".join(clauses)
-        sql += " ORDER BY id"
-        out: List[RunRecord] = []
-        for row in self._conn.execute(sql, params):
-            data = dict(zip(_ALL_COLUMNS, row))
-            data["extra"] = json.loads(data.pop("extra_json") or "{}")
-            data["ss_comb"] = json.loads(data.pop("ss_comb_json") or "{}")
-            hit = data.get("cache_hit")
-            data["cache_hit"] = None if hit is None else bool(hit)
-            out.append(RunRecord.from_dict(data))
-        return out
+        return _read_records(self._conn, kind, sha)
 
     # -- snapshots ------------------------------------------------------ #
 
@@ -631,8 +563,8 @@ class RunLedger:
         """Write every row as one JSON object per line; returns the count.
 
         Each line carries ``"v": SCHEMA_VERSION`` so older snapshots stay
-        loadable (missing fields default, exactly like the SQLite
-        migration).
+        loadable (missing fields default, exactly like absent SQLite
+        columns).
         """
         records = self.records()
         with open(path, "w") as handle:
@@ -676,10 +608,9 @@ def load_jsonl(path: str) -> List[RunRecord]:
                 raise LedgerSchemaError(f"{where} is not JSON: {exc}") from None
             if not isinstance(data, dict):
                 raise LedgerSchemaError(f"{where} is not a JSON object: {line[:60]}")
-            try:
-                version = int(data.pop("v", 1))
-            except (TypeError, ValueError):
-                raise LedgerSchemaError(f"{where} has a malformed schema version") from None
+            version = data.pop("v", 1)
+            if type(version) is not int:  # a JSON integer, not a bool
+                raise LedgerSchemaError(f"{where} has a malformed schema version")
             if version > SCHEMA_VERSION:
                 raise LedgerSchemaError(
                     f"{where} has schema v{version}; this build reads at "
@@ -696,17 +627,24 @@ def load_snapshot(path: str, sha: Optional[str] = None) -> List[RunRecord]:
     """Load a ledger snapshot — SQLite database or JSONL export.
 
     Dispatches on content, not extension: SQLite files start with the
-    16-byte ``"SQLite format 3"`` magic. A corrupt database or a
-    malformed JSONL line raises :class:`LedgerSchemaError`. ``sha`` filters to records of
-    one commit (for diffing two SHAs inside one ledger).
+    16-byte ``"SQLite format 3"`` magic. A database is opened read-only
+    and never changed, whatever its schema version. A file with no
+    ``runs`` table, a newer schema, corrupt pages, an interrupted write
+    still to roll back, or a malformed JSONL line raises
+    :class:`LedgerSchemaError` naming the path. ``sha`` filters to
+    records of one commit (for diffing two SHAs inside one ledger).
     """
     with open(path, "rb") as handle:
         magic = handle.read(16)
     if magic.startswith(b"SQLite format 3"):
+        uri = pathlib.Path(path).resolve().as_uri() + "?mode=ro"
         try:
-            with RunLedger(path) as ledger:
-                return ledger.records(sha=sha)
-        except sqlite3.DatabaseError as exc:
+            with contextlib.closing(sqlite3.connect(uri, uri=True)) as conn:
+                _schema_version(conn, "the file")
+                return _read_records(conn, sha=sha)
+        except (sqlite3.Error, LedgerSchemaError) as exc:
+            if getattr(exc, "sqlite_errorname", "") == "SQLITE_READONLY_ROLLBACK":
+                exc = "an interrupted write left a hot journal; a RunLedger rolls it back"
             raise LedgerSchemaError(f"snapshot {path!r}: {exc}") from None
     records = load_jsonl(path)
     if sha is not None:
@@ -722,18 +660,18 @@ def load_snapshot(path: str, sha: Optional[str] = None) -> List[RunRecord]:
 @dataclasses.dataclass(frozen=True)
 class MetricDelta:
     """One compared metric of one (kind, label, accelerator, layer,
-    backend) key."""
+    backend) key; a drifted fingerprint carries the two fingerprints."""
 
     key: Tuple[str, str, str, str, str]
     metric: str
-    baseline: Optional[float]
-    candidate: Optional[float]
+    baseline: Union[float, str, None]
+    candidate: Union[float, str, None]
     drifted: bool
     gated: bool
 
     @property
     def delta(self) -> Optional[float]:
-        if self.baseline is None or self.candidate is None:
+        if not (_is_number(self.baseline) and _is_number(self.candidate)):
             return None
         return self.candidate - self.baseline
 
@@ -749,6 +687,10 @@ class MetricDelta:
         """One aligned line for the diff table."""
         kind, label, accelerator, layer, backend = self.key
         where = "/".join(p for p in (kind, label, layer, backend) if p)
+        if self.drifted and self.candidate is None:  # --strict-keys
+            return f"  - {where} {self.metric}: missing from candidate DRIFT"
+        if isinstance(self.baseline, str):  # a fingerprint
+            return f"  {where} {self.metric}: {self.baseline} -> {self.candidate} DRIFT"
         if self.baseline is None:
             return f"  + {where} {self.metric}: added ({self.candidate})"
         if self.candidate is None:
@@ -891,7 +833,7 @@ def diff_records(
             value_b, value_c = getattr(b_rec, field), getattr(c_rec, field)
             if value_b and value_c and value_b != value_c:
                 deltas.append(
-                    MetricDelta(key, field, None, None, drifted=True, gated=True)
+                    MetricDelta(key, field, value_b, value_c, drifted=True, gated=True)
                 )
     return LedgerDiff(tuple(deltas), missing, added)
 

@@ -6,7 +6,10 @@ and diffable with tolerances so CI can gate on model drift without
 tripping on wall-clock noise.
 """
 
+import dataclasses
+import hashlib
 import json
+import shutil
 import sqlite3
 
 import pytest
@@ -17,12 +20,37 @@ from repro.observability.ledger import (
     RunLedger,
     RunRecord,
     SCHEMA_VERSION,
-    _create_v1,
     diff_records,
     load_jsonl,
     load_snapshot,
 )
+from repro.observability.progress import EVENT_TYPES, ProgressFormatError, event_from_dict
 from repro.observability.telemetry import telemetry, use_telemetry
+
+# The historical on-disk schemas, as the builds of each version wrote
+# them: v1 created the table, each later version added its columns.
+_SCALAR_COLUMNS_V1 = (
+    ("kind", "TEXT"), ("ts", "REAL"), ("accelerator", "TEXT"), ("layer", "TEXT"),
+    ("accelerator_fp", "TEXT"), ("mapping_fp", "TEXT"), ("options_fp", "TEXT"),
+    ("scenario", "INTEGER"), ("cc_ideal", "REAL"), ("cc_spatial", "REAL"),
+    ("spatial_stall", "REAL"), ("ss_overall", "REAL"), ("preload", "REAL"),
+    ("offload", "REAL"), ("total_cycles", "REAL"), ("utilization", "REAL"),
+    ("cache_hit", "INTEGER"), ("wall_time_s", "REAL"), ("extra_json", "TEXT"),
+)
+_V2_ADDED_COLUMNS = (
+    ("label", "TEXT", "''"),
+    ("git_sha", "TEXT", "'unknown'"),
+    ("ss_comb_json", "TEXT", "'{}'"),
+)
+_V3_ADDED_COLUMNS = (("backend", "TEXT", "''"),)
+_V4_ADDED_COLUMNS = (("campaign", "TEXT", "''"),)
+
+
+def _create_v1(conn: sqlite3.Connection) -> None:
+    cols = ", ".join(f"{name} {typ}" for name, typ in _SCALAR_COLUMNS_V1)
+    conn.execute(f"CREATE TABLE runs (id INTEGER PRIMARY KEY AUTOINCREMENT, {cols})")
+    conn.execute("PRAGMA user_version = 1")
+    conn.commit()
 
 
 def make_record(**overrides) -> RunRecord:
@@ -146,8 +174,6 @@ def test_v1_file_migrates_in_place(tmp_path):
 def test_v2_file_migrates_and_normalizes_verify_backend(tmp_path):
     """A v2 ledger (pre backend) migrates in place; its verify rows — all
     event-backend by construction — read back as ``backend="event"``."""
-    from repro.observability.ledger import _V2_ADDED_COLUMNS
-
     path = str(tmp_path / "v2.sqlite")
     conn = sqlite3.connect(path)
     _create_v1(conn)
@@ -222,8 +248,6 @@ def test_backend_is_part_of_the_diff_key():
 def test_v3_file_migrates_adding_campaign_column(tmp_path):
     """A v3 ledger (pre campaign) opens in place: its rows read back with
     ``campaign=""`` and the migrated file accepts campaign-stamped rows."""
-    from repro.observability.ledger import _V2_ADDED_COLUMNS, _V3_ADDED_COLUMNS
-
     path = str(tmp_path / "v3.sqlite")
     conn = sqlite3.connect(path)
     _create_v1(conn)
@@ -334,12 +358,152 @@ def test_null_columns_of_a_migrated_ledger_read_as_defaults(tmp_path):
     assert diff_records([rec], load_jsonl(snap)).clean
 
 
+def _historical_ledger(path, version: int) -> None:
+    """A ledger as the build of schema ``version`` left it: one verify
+    row and one evaluation row, written with that version's columns."""
+    conn = sqlite3.connect(path)
+    _create_v1(conn)
+    added = {2: _V2_ADDED_COLUMNS, 3: _V3_ADDED_COLUMNS, 4: _V4_ADDED_COLUMNS}
+    for step in range(2, version + 1):
+        for name, typ, default in added[step]:
+            conn.execute(f"ALTER TABLE runs ADD COLUMN {name} {typ} DEFAULT {default}")
+    conn.execute(f"PRAGMA user_version = {version}")
+    conn.execute(
+        "INSERT INTO runs (kind, ts, accelerator, layer, cache_hit, extra_json)"
+        " VALUES ('verify', 1.0, 'generated', '8 examples', 1, '{\"seed\": 0.0}')"
+    )
+    conn.execute(
+        "INSERT INTO runs (kind, ts, accelerator, layer, scenario, ss_overall, extra_json)"
+        " VALUES ('evaluation', 2.0, 'chip', 'L', 3, 42.0, '{}')"
+    )
+    conn.commit()
+    conn.close()
+
+
+def _sha256(path) -> str:
+    with open(path, "rb") as handle:
+        return hashlib.sha256(handle.read()).hexdigest()
+
+
+#: ``PRAGMA table_info(runs)`` names and SQL types of a v4 ledger.
+_V4_TABLE = dict(
+    [("id", "INTEGER")]
+    + [(name, typ) for name, typ in _SCALAR_COLUMNS_V1]
+    + [(name, typ) for name, typ, _ in _V2_ADDED_COLUMNS + _V3_ADDED_COLUMNS + _V4_ADDED_COLUMNS]
+)
+
+
+def _table(path) -> dict:
+    conn = sqlite3.connect(path)
+    try:
+        return {row[1]: row[2] for row in conn.execute("PRAGMA table_info(runs)")}
+    finally:
+        conn.close()
+
+
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
+def test_loading_a_sqlite_snapshot_leaves_it_byte_identical(tmp_path, version):
+    """A reader never writes: an older snapshot is read, not upgraded,
+    and reads the same records a writer reads after upgrading a copy."""
+    path = str(tmp_path / f"v{version}.sqlite")
+    _historical_ledger(path, version)
+    before = _sha256(path)
+    verify, evaluation = load_snapshot(path)
+    assert _sha256(path) == before
+    assert verify.backend == "event" and verify.cache_hit is True
+    assert verify.extra == {"seed": 0.0} and verify.git_sha == "unknown"
+    assert evaluation.scenario == 3 and evaluation.ss_overall == 42.0
+    assert evaluation.backend == "" and evaluation.campaign == ""
+    assert load_snapshot(path, sha="unknown") == [verify, evaluation]
+    copy = str(tmp_path / "copy.sqlite")
+    shutil.copyfile(path, copy)
+    with RunLedger(copy) as ledger:
+        assert ledger.records() == [verify, evaluation]
+
+
+def test_a_sqlite_file_without_runs_is_a_typed_error(tmp_path, capsys):
+    from repro.cli import main
+
+    path = str(tmp_path / "other.db")
+    conn = sqlite3.connect(path)
+    conn.execute("CREATE TABLE users (name TEXT)")
+    conn.commit()
+    conn.close()
+    before = _sha256(path)
+    with pytest.raises(LedgerSchemaError, match="other.db.*no such table: runs"):
+        load_snapshot(path)
+    assert main(["diff", path, path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro-latency: error: snapshot ") and "other.db" in err
+    assert len(err.strip().splitlines()) == 1
+    assert _sha256(path) == before
+
+
+def test_newer_sqlite_snapshot_is_refused_unchanged(tmp_path):
+    path = str(tmp_path / "future.sqlite")
+    _historical_ledger(path, 4)
+    conn = sqlite3.connect(path)
+    conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION + 1}")
+    conn.commit()
+    conn.close()
+    before = _sha256(path)
+    with pytest.raises(LedgerSchemaError, match=f"future.sqlite.*v{SCHEMA_VERSION + 1}"):
+        load_snapshot(path)
+    assert _sha256(path) == before
+
+
+def test_opening_a_current_ledger_writes_nothing(tmp_path):
+    path = str(tmp_path / "runs.sqlite")
+    with RunLedger(path) as ledger:
+        ledger.append(make_record())
+    before = _sha256(path)
+    with RunLedger(path) as ledger:
+        assert ledger.records() == [make_record()]
+    assert _sha256(path) == before
+
+
+def test_fresh_ledger_has_the_v4_columns(tmp_path):
+    path = str(tmp_path / "runs.sqlite")
+    RunLedger(path).close()
+    assert _table(path) == _V4_TABLE
+
+
+@pytest.mark.parametrize("version", [1, 2, 3])
+def test_writer_upgrades_an_older_ledger_to_v4(tmp_path, version):
+    path = str(tmp_path / f"v{version}.sqlite")
+    _historical_ledger(path, version)
+    old = load_snapshot(path)
+    with RunLedger(path) as ledger:
+        assert ledger.schema_version == SCHEMA_VERSION
+        assert ledger.records() == old
+        ledger.append(make_record(campaign="sweep"))
+        assert ledger.records() == old + [make_record(campaign="sweep")]
+    assert _table(path) == _V4_TABLE
+
+
+def test_ledger_refuses_an_unversioned_runs_table(tmp_path):
+    """A runs table with no ledger schema version belongs to another
+    program; the writer refuses it rather than adding columns."""
+    path = str(tmp_path / "other.db")
+    conn = sqlite3.connect(path)
+    conn.execute("CREATE TABLE runs (id INTEGER PRIMARY KEY, name TEXT)")
+    conn.commit()
+    conn.close()
+    before = _sha256(path)
+    with pytest.raises(LedgerSchemaError, match="not a ledger"):
+        RunLedger(path)
+    assert _sha256(path) == before
+
+
 @pytest.mark.parametrize("bad, says", [
     ("[1,2]", "not a JSON object"),
     ("null", "not a JSON object"),
     ('"text"', "not a JSON object"),
     ('{"kind": "evaluation", "ss_ov', "not JSON"),
     ('{"v": "two", "kind": "evaluation"}', "schema version"),
+    ('{"v": "1", "kind": "evaluation"}', "schema version"),
+    ('{"v": 1.9, "kind": "evaluation"}', "schema version"),
+    ('{"v": true, "kind": "evaluation"}', "schema version"),
     ('{"v": 4, "kind": "evaluation", "total_cycles": "abc"}', "'total_cycles'"),
     ('{"v": 4, "kind": "evaluation", "ss_comb": [1, 2]}', "'ss_comb'"),
     ('{"kind": "evaluation", "ss_comb": {"W@LB": "x"}}', "'ss_comb'"),
@@ -357,6 +521,64 @@ def test_hostile_jsonl_line_is_a_typed_error_naming_the_line(tmp_path, bad, says
     assert "hostile.jsonl" in str(err.value)
     assert "line 2" in str(err.value)
     assert says in str(err.value)
+
+
+#: Values of the wrong type for each field annotation of a ledger row or
+#: a progress event.
+_WRONG_VALUES = {
+    "int": (2.5, True, "x"),
+    "Optional[int]": (2.5, True, "x"),
+    "float": ("x", True),
+    "Optional[float]": ("x", True),
+    "str": (5,),
+    "bool": (1,),
+    "Optional[bool]": (1,),
+    "Dict[str, float]": ([1],),
+    "Dict[str, Any]": ([1],),
+    "List[List[float]]": ([1],),
+}
+
+
+def _schema_walk():
+    for cls in (RunRecord, *EVENT_TYPES.values()):
+        for field in dataclasses.fields(cls):
+            for value in _WRONG_VALUES[field.type]:
+                yield pytest.param(cls, field.name, value, id=f"{cls.__name__}.{field.name}={value!r}")
+
+
+@pytest.mark.parametrize("cls, name, value", list(_schema_walk()))
+def test_every_field_refuses_a_value_of_the_wrong_type(cls, name, value):
+    if cls is RunRecord:
+        with pytest.raises(LedgerSchemaError, match=f"'{name}'"):
+            RunRecord.from_dict({name: value})
+        return
+    good = {"str": "r1", "float": 1.0, "int": 1}
+    data = {"type": cls.__name__}
+    for field in dataclasses.fields(cls):
+        if dataclasses.MISSING is field.default is field.default_factory:  # required
+            data[field.name] = good[field.type]
+    data[name] = value
+    with pytest.raises(ProgressFormatError, match=f"'{name}'"):
+        event_from_dict(data)
+
+
+@pytest.mark.parametrize("column, value", [
+    ("extra_json", "'oops'"),
+    ("ss_comb_json", "'[1]'"),
+    ("scenario", "2.5"),
+    ("cache_hit", "'yes'"),
+    ("label", "X'6869'"),  # a blob
+])
+def test_hostile_sqlite_row_is_a_typed_error_naming_the_path(tmp_path, column, value):
+    path = str(tmp_path / "hostile.sqlite")
+    with RunLedger(path) as ledger:
+        ledger.append(make_record())
+    conn = sqlite3.connect(path)
+    conn.execute(f"UPDATE runs SET {column} = {value}")
+    conn.commit()
+    conn.close()
+    with pytest.raises(LedgerSchemaError, match=f"hostile.sqlite.*'{column.replace('_json', '')}"):
+        load_snapshot(path)
 
 
 def test_corrupt_sqlite_snapshot_is_a_typed_error(tmp_path):
@@ -409,6 +631,7 @@ def test_tolerances_are_configurable():
 def test_fingerprint_mismatch_drifts():
     diff = diff_records([make_record()], [make_record(mapping_fp="fp-other")])
     assert {d.metric for d in diff.drifted} == {"mapping_fp"}
+    assert "mapping_fp: fp-map -> fp-other DRIFT" in diff.describe()
 
 
 def test_missing_key_informational_unless_strict():
@@ -421,6 +644,9 @@ def test_missing_key_informational_unless_strict():
     )
     strict = diff_records(base, cand, strict_keys=True)
     assert not strict.clean
+    assert "  - evaluation/other-layer <record>: missing from candidate DRIFT" in (
+        strict.describe().splitlines()
+    )
 
 
 def test_missing_metric_on_one_side_never_drifts():
