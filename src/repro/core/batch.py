@@ -12,9 +12,12 @@ mapping) and runs the same Step 1-3 formulas across all lanes at once:
   and partial-sum read-back per level pair, the compute-edge reads), their
   port endpoints, the shared-port groups and the served-memory/overlap
   structure. All of that is mapping-independent and computed once.
-* **Lowering** (:class:`_Lowered`): per-mapping loop dims, sizes and
-  per-operand cuts become int64 arrays, each filled by one ``np.array``
-  call from per-lane lists; prefix products give every period, ``Z`` and
+* **Lowering** (:class:`_Lowered`): reads the int64 columns of a
+  :class:`~repro.mapping.block.MappingBlock` — per-lane loop dims, sizes,
+  per-operand cuts and spatial factors. A mapper search hands its
+  candidates over as such a block; any other sequence of mappings is
+  packed into one first (:func:`~repro.mapping.block.pack`). Prefix
+  products give every period, ``Z`` and
   ir-run product by plain indexing (``table[rows, idx]``). The seven
   per-dimension prefix tables are one stacked ``(7, n, L + 1)`` array
   from one ``cumprod``, so a tile's extents are one index, and footprint
@@ -69,14 +72,11 @@ from repro.core.windows import union_length_params
 from repro.hardware.accelerator import Accelerator
 from repro.hardware.port import EndpointKind
 from repro.mapping.footprint import extent_elements
+from repro.mapping.block import pack
 from repro.mapping.mapping import check_depth
 from repro.workload.dims import ALL_DIMS
 from repro.workload.layer import LayerSpec
 from repro.workload.operand import Operand
-
-
-class BatchLoweringError(ValueError):
-    """A mapping set that cannot be lowered into one SoA batch."""
 
 
 # --------------------------------------------------------------------- #
@@ -376,9 +376,6 @@ _UNION_SLACK = 1e-9
 # The evaluator
 # --------------------------------------------------------------------- #
 
-_DIM_INDEX = {dim: i for i, dim in enumerate(ALL_DIMS)}
-
-
 class BatchEvaluator:
     """Evaluate many mappings of one layer on one accelerator at once.
 
@@ -501,11 +498,8 @@ class BatchEvaluator:
         return self._bracket(low, step1, ports)[:2]
 
     def _lower(self, mappings: Sequence) -> "_Lowered":
-        layer = mappings[0].layer
-        for m in mappings:
-            if m.layer is not layer and m.layer != layer:
-                raise BatchLoweringError("batch mappings must share one layer")
-        return _Lowered(self.plan, layer, mappings)
+        block = pack(mappings)
+        return _Lowered(self.plan, block.layer, block)
 
     def _bracket(
         self, low: "_Lowered", step1: Dict[int, Dict[str, np.ndarray]], ports: "_Ports"
@@ -1062,38 +1056,25 @@ class BatchEvaluator:
 # --------------------------------------------------------------------- #
 
 class _Lowered:
-    """Int64 SoA view of one batch: loops, cuts, prefix products, masks."""
+    """Int64 SoA view of one batch: loops, cuts, prefix products, masks.
+
+    Built from the columns of a :class:`~repro.mapping.block.MappingBlock`;
+    a plain sequence of mappings is packed into them first.
+    """
 
     def __init__(self, plan: BatchPlan, layer: LayerSpec, mappings: Sequence) -> None:
+        block = pack(mappings)
         self.plan = plan
         self.layer = layer
-        self.mappings = mappings
-        n = self.n = len(mappings)
-        loop_lists = [m.temporal.loops for m in mappings]
-        lengths = [len(loops) for loops in loop_lists]
-        L = self.L = max(lengths)
+        self.mappings = block
+        n = self.n = len(block)
+        dims, sizes = block.dims, block.sizes
+        L = self.L = dims.shape[1]
         #: Row index of every lane: ``table[rows, idx]`` picks one column
         #: per lane.
         self.rows = np.arange(n)
-
-        # Padding positions hold dim 0 with size 1: they change no product.
-        dim_pad = [0] * L
-        size_pad = [1] * L
-        dims = np.array(
-            [
-                [_DIM_INDEX[loop.dim] for loop in loops] + dim_pad[len(loops):]
-                for loops in loop_lists
-            ],
-            dtype=np.int64,
-        )
-        sizes = np.array(
-            [
-                [loop.size for loop in loops] + size_pad[len(loops):]
-                for loops in loop_lists
-            ],
-            dtype=np.int64,
-        )
-        self.pad = np.arange(L) >= np.array(lengths, dtype=np.int64)[:, None]
+        # Padding positions (dim -1, size 1) change no product.
+        self.pad = dims < 0
 
         # Prefix products of all loops, and of each dimension separately as
         # one (7, n, L + 1) table.
@@ -1152,22 +1133,19 @@ class _Lowered:
 
         # Per operand, the end of each machine level's loops, read with
         # TemporalMapping.level_bounds semantics: cut ``l``, or the whole
-        # nest for the level just past the last cut. A deeper mapping's
-        # extra cuts are never read; a shallower one lacks a level.
-        cut_maps = [m.temporal.cuts for m in mappings]
+        # nest (``L``) for the level just past the last cut. A deeper
+        # mapping's extra cuts are never read; a shallower one lacks a
+        # level.
+        for row in np.flatnonzero(block.shallow(plan.depths)).tolist():
+            check_depth(block[row], plan.accelerator)
         self.cuts = {}
         for operand in Operand:
             depth = plan.depths[operand]
-            rows = [(cuts[operand] + (L,))[:depth] for cuts in cut_maps]
-            if min(map(len, rows)) < depth:
-                for m in mappings:
-                    check_depth(m, plan.accelerator)
-            self.cuts[operand] = np.array(rows, dtype=np.int64).reshape(n, depth)
+            cut = block.cuts[operand][:, :depth]
+            ends = self.cuts[operand] = np.full((n, depth), L, dtype=np.int64)
+            ends[:, : cut.shape[1]] = np.where(cut < 0, L, cut)
         # Spatial unroll factors as (7, n).
-        self.spatial = np.array(
-            [[m.spatial.factor(dim) for dim in ALL_DIMS] for m in mappings],
-            dtype=np.int64,
-        ).T
+        self.spatial = block.spatial
         self.size_col = np.array(
             [layer.size(dim) for dim in ALL_DIMS], dtype=np.int64
         )[:, None]

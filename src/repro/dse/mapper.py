@@ -11,12 +11,18 @@ For a layer and a fixed spatial unrolling the mapper:
    every operand's memory chain bottom-up and greedily (push each loop to
    the lowest level whose mapper-visible capacity still holds the grown
    tile — maximizing low-level reuse, which is how ZigZag's allocator
-   behaves);
+   behaves), drops duplicate and model-equivalent rows, checks the rest
+   as columns, and keeps the survivors as column candidate blocks
+   (:class:`~repro.mapping.block.MappingBlock`, :meth:`TemporalMapper.blocks`);
 4. evaluates the requested objective (latency via the uniform model,
    energy, or EDP) and returns the ranked results; :meth:`best_mapping`
    under the latency objective asks the engine per block for the first
    mapping below the incumbent (``Evaluator.best_of``), which scores only
-   the mappings whose latency bound can still win.
+   the mappings whose latency bound can still win. The in-process engine
+   lowers, keys and bounds a block from its columns, so only each block's
+   winner is built as a :class:`Mapping` (plus the rows that get a
+   ledger row, which needs the mapping's fingerprint); a remote engine
+   builds every row for the wire.
 
 Case study 1's Mapping A and B are two points of this space; Case study 3
 runs :meth:`TemporalMapper.best_mapping` for every architecture candidate
@@ -48,18 +54,17 @@ from repro.energy.energy_model import EnergyReport
 from repro.engine import EvaluationEngine
 from repro.hardware.accelerator import Accelerator
 from repro.mapping.footprint import extent_elements, spatial_replication
+from repro.mapping.block import MappingBlock, build_row
 from repro.mapping.loop import Loop
 from repro.mapping.mapping import Mapping, MappingError
 from repro.mapping.spatial import SpatialMapping
 from repro.mapping.temporal import TemporalMapping
 from repro.observability.telemetry import telemetry
-from repro.workload.dims import ALL_DIMS, LoopDim
+from repro.workload.dims import ALL_DIMS, DIM_CODE, LoopDim
 from repro.workload.layer import LayerSpec
 from repro.workload.operand import Operand
 
 
-#: Column code of each loop dimension in :func:`order_columns`.
-_DIM_CODE = {dim: code for code, dim in enumerate(ALL_DIMS)}
 _DIM_CODES = np.arange(len(ALL_DIMS))
 
 
@@ -68,8 +73,8 @@ def order_columns(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A block of loop orders as int64 ``(dims, sizes, lengths)`` columns.
 
-    ``dims[i, j]`` is the position of loop ``j`` of order ``i``'s dimension
-    in ``ALL_DIMS`` and ``sizes[i, j]`` its size. Shorter orders are padded
+    ``dims[i, j]`` is the :data:`~repro.workload.dims.DIM_CODE` of loop
+    ``j`` of order ``i`` and ``sizes[i, j]`` its size. Shorter orders are padded
     to the longest with dimension ``-1`` and size ``1``, which grow no
     extent; ``lengths`` holds each order's own length.
     """
@@ -78,25 +83,35 @@ def order_columns(
     dims = np.full((len(orders), width), -1, dtype=np.int64)
     sizes = np.ones((len(orders), width), dtype=np.int64)
     real = np.arange(width) < lengths[:, None]
-    dims[real] = [_DIM_CODE[dim] for order in orders for dim, __ in order]
+    dims[real] = [DIM_CODE[dim] for order in orders for dim, __ in order]
     sizes[real] = [size for order in orders for __, size in order]
     return dims, sizes, lengths
 
 
-def _canonical_columns(dims: Tuple, sizes: Tuple, cuts: Tuple) -> Tuple:
-    """``(dims, sizes, cuts)`` with the sizes of every maximal run of
-    equal dimensions that no cut splits sorted (see
-    :meth:`TemporalMapper._canonical_key`)."""
-    boundaries = {c for cut in cuts for c in cut}
-    canon: List[int] = []
-    i, n = 0, len(dims)
-    while i < n:
-        j = i + 1
-        while j < n and dims[j] == dims[i] and j not in boundaries:
-            j += 1
-        canon.extend(sorted(sizes[i:j]))
-        i = j
-    return dims, tuple(canon), cuts
+def _canonical_sizes(
+    dims: np.ndarray, sizes: np.ndarray, cuts: Dict[Operand, np.ndarray]
+) -> np.ndarray:
+    """``sizes`` of a block of orders with the sizes of every maximal run
+    of equal dimensions that no cut splits sorted (see
+    :meth:`TemporalMapper._canonical_key`).
+
+    A run starts where the dimension changes or at a cut position; runs
+    are numbered along each row, so sorting ``run * M + size`` (``M``
+    above every size) sorts the sizes within each run and keeps the runs
+    in place.
+    """
+    n, width = dims.shape
+    start = np.ones((n, width), dtype=bool)
+    start[:, 1:] = dims[:, 1:] != dims[:, :-1]
+    for cut in cuts.values():
+        rows = np.repeat(np.arange(n), cut.shape[1])
+        at = cut.ravel()
+        inside = at < width
+        start[rows[inside], at[inside]] = True
+    span = int(sizes.max(initial=0)) + 1
+    keyed = np.cumsum(start, axis=1) * span + sizes
+    keyed.sort(axis=1)
+    return keyed % span
 
 
 @dataclasses.dataclass(frozen=True)
@@ -350,28 +365,81 @@ class TemporalMapper:
     # Search
     # ------------------------------------------------------------------ #
 
+    def blocks(self, layer: LayerSpec) -> Iterator[MappingBlock]:
+        """All valid mappings of ``layer`` (within the search budget), as
+        column blocks of ``config.batch_size`` rows (the last may be
+        shorter).
+
+        The rows of :meth:`_rows` stay int columns in a
+        :class:`~repro.mapping.block.MappingBlock`, which builds a
+        :class:`Mapping` only for a row that is indexed. A block is
+        yielded as soon as its last row is found, so the campaign funnel
+        counts only the orders the search has reached.
+        """
+        rows = self._rows(layer)
+        loops = self._loops(layer)
+        while True:
+            chunk = list(itertools.islice(rows, self.config.batch_size))
+            if not chunk:
+                return
+            picked: Dict[int, Tuple[Tuple, List[int]]] = {}
+            for columns, row, __ in chunk:
+                picked.setdefault(id(columns), (columns, []))[1].append(row)
+            dims, sizes, *cuts = (
+                np.concatenate([columns[k][kept] for columns, kept in picked.values()])
+                for k in range(2 + len(Operand))
+            )
+            yield MappingBlock.from_columns(
+                layer, self.spatial, dims, sizes, dict(zip(Operand, cuts)),
+                [key for __, __, key in chunk], loops,
+            )
+
     def mappings(self, layer: LayerSpec) -> Iterator[Mapping]:
-        """All valid mappings of ``layer`` (within the search budget).
+        """All valid mappings of ``layer``: the rows of :meth:`blocks`,
+        each built as a :class:`Mapping` as it is found. For callers that
+        consume mapping objects (the BW-unaware baseline of the
+        architecture search, verify case generation); a search passes the
+        blocks to its engine instead."""
+        loops = self._loops(layer)
+        for __, __, key in self._rows(layer):
+            yield build_row(layer, self.spatial, loops, key)
+
+    def _loops(self, layer: LayerSpec) -> Dict[Tuple[int, int], Loop]:
+        """One :class:`Loop` per ``(dim code, size)`` atom of ``layer``:
+        every order permutes the same atoms, so these serve every row."""
+        return {
+            (DIM_CODE[dim], factor): Loop(dim, factor)
+            for dim, factor in self.loop_multiset(layer)
+        }
+
+    def _rows(self, layer: LayerSpec) -> Iterator[Tuple[Tuple, int, Tuple]]:
+        """Every valid row: ``(columns, row, cache key)``, where
+        ``columns`` is its order block's ``(dims, sizes, *cuts)`` (cuts
+        in :class:`Operand` order) and ``row`` its index there.
 
         Orders are allocated ``config.batch_size`` at a time by
-        :meth:`allocate_block` and deduplicated on plain int tuples;
-        ``Loop``/``TemporalMapping``/``Mapping`` objects are built only for
-        the orders that survive. Beyond exact duplicates, model-equivalent
-        allocations are emitted once: two mappings whose loop orders differ
-        only by permuting same-dimension loops with no memory-level
-        boundary between them produce identical reports (see
-        :meth:`_canonical_key`), so only the canonical representative
-        reaches the engine. Skips are counted in
-        ``engine.stats.dedup_skipped``.
+        :meth:`allocate_block` (all orders permute the same atoms, so the
+        columns carry no padding) and deduplicated on plain int tuples.
+        Beyond exact duplicates, model-equivalent allocations are emitted
+        once: two mappings whose loop orders differ only by permuting
+        same-dimension loops with no memory-level boundary between them
+        produce identical reports (see :meth:`_canonical_key`), so only
+        the canonical representative reaches the engine. Skips are counted
+        in ``engine.stats.dedup_skipped``. Each order block is checked as
+        columns (:meth:`_valid_rows`) for what the ``Mapping`` and
+        ``TemporalMapping`` constructors would refuse; a refused row is
+        discarded as ``mapping-error``. The cache key is the row's
+        :attr:`Mapping.cache_key`, built from the dedup key.
         """
         if not self.spatial.fits(self.accelerator.mac_array.size):
             return  # spatial unrolling alone exceeds the array: no mappings
+        from repro.fingerprint import memoized_fingerprint
+
         funnel = telemetry().campaign.phase("mapper")
         seen = set()
         canonical_seen = set()
-        # Every order permutes the same atoms, so blocks carry no padding
-        # and one Loop object per atom serves every order.
-        loop_of = {atom: Loop(*atom) for atom in self.loop_multiset(layer)}
+        bounds = np.array([self.spatial.temporal_bound(dim, layer) for dim in ALL_DIMS])
+        prefix = (memoized_fingerprint(layer), memoized_fingerprint(self.spatial))
         orders = self.orders(layer)
         while True:
             block = list(itertools.islice(orders, self.config.batch_size))
@@ -379,33 +447,48 @@ class TemporalMapper:
                 return
             dims, sizes, lengths = order_columns(block)
             cuts = self.allocate_block(layer, dims, sizes, lengths)
+            valid = self._valid_rows(dims, sizes, lengths, cuts, bounds)
+            columns = (dims, sizes, *(cuts[op] for op in Operand))
             rows = zip(
-                block, map(tuple, dims.tolist()), map(tuple, sizes.tolist()),
+                map(tuple, dims.tolist()), map(tuple, sizes.tolist()),
                 zip(*(map(tuple, cuts[op].tolist()) for op in Operand)),
+                map(tuple, _canonical_sizes(dims, sizes, cuts).tolist()),
+                valid.tolist(),
             )
-            for order, dim_row, size_row, cut in rows:
+            for row, (dim_row, size_row, cut, canon_row, ok) in enumerate(rows):
                 funnel.admit()
                 key = (dim_row, size_row, cut)
                 if key in seen:
                     funnel.discard("duplicate")
                     continue
                 seen.add(key)
-                canonical = _canonical_columns(dim_row, size_row, cut)
+                canonical = (dim_row, canon_row, cut)
                 if canonical in canonical_seen:
                     self.engine.stats.dedup_skipped += 1
                     funnel.discard("canonical-equivalent")
                     continue
                 canonical_seen.add(canonical)
-                loops = tuple(map(loop_of.__getitem__, order))
-                try:
-                    mapping = Mapping(
-                        layer, self.spatial,
-                        TemporalMapping(loops, dict(zip(Operand, cut))),
-                    )
-                except MappingError:
+                if not ok:
                     funnel.discard("mapping-error")
                     continue
-                yield mapping
+                yield columns, row, prefix + key
+
+    @staticmethod
+    def _valid_rows(
+        dims: np.ndarray, sizes: np.ndarray, lengths: np.ndarray,
+        cuts: Dict[Operand, np.ndarray], bounds: np.ndarray,
+    ) -> np.ndarray:
+        """Bool mask of the rows the ``Mapping`` and ``TemporalMapping``
+        constructors accept: per dimension the loop sizes multiply to its
+        temporal bound (``bounds``, in ``ALL_DIMS`` order), and every cut
+        lies in ``[0, length]`` and never decreases. (Atoms are prime
+        factors, never 1, so no loop is dropped when a row is built.)"""
+        runs = np.where(dims[:, :, None] == _DIM_CODES, sizes[:, :, None], 1)
+        ok = np.all(runs.prod(axis=1) == bounds, axis=1)
+        for cut in cuts.values():
+            ok &= np.all((cut >= 0) & (cut <= lengths[:, None]), axis=1)
+            ok &= np.all(np.diff(cut, axis=1) >= 0, axis=1)
+        return ok
 
     @staticmethod
     def _canonical_key(temporal: TemporalMapping):
@@ -418,13 +501,17 @@ class TemporalMapper:
         crosses. Sorting the sizes within each such run therefore maps
         every member of an equivalence class to the same key; e.g.
         ``K2 K3 | ...`` and ``K3 K2 | ...`` (same cuts) are one design
-        point, not two. :meth:`mappings` applies the same rule to its int
-        columns (:func:`_canonical_columns`).
+        point, not two. :meth:`_rows` applies the same rule to a block's
+        columns (:func:`_canonical_sizes`).
         """
-        loops = temporal.loops
-        return _canonical_columns(
-            tuple(loop.dim for loop in loops),
-            tuple(loop.size for loop in loops),
+        dims, sizes, __ = order_columns([[(l.dim, l.size) for l in temporal.loops]])
+        cuts = {
+            op: np.array(temporal.cuts[op], dtype=np.int64).reshape(1, -1)
+            for op in Operand
+        }
+        return (
+            tuple(dims[0].tolist()),
+            tuple(_canonical_sizes(dims, sizes, cuts)[0].tolist()),
             tuple(temporal.cuts[op] for op in Operand),
         )
 
@@ -452,16 +539,7 @@ class TemporalMapper:
             mapping, report, energy, self._objective(report, energy)
         )
 
-    def _blocks(self, layer: LayerSpec) -> Iterator[List[Mapping]]:
-        """:meth:`mappings` in blocks of ``config.batch_size``."""
-        stream = self.mappings(layer)
-        while True:
-            block = list(itertools.islice(stream, self.config.batch_size))
-            if not block:
-                return
-            yield block
-
-    def _score(self, block: List[Mapping]) -> Iterator[MappingSearchResult]:
+    def _score(self, block: MappingBlock) -> Iterator[MappingSearchResult]:
         """Score one block through ``evaluate_many``.
 
         Infeasible mappings (``None`` outcomes from the engine) are
@@ -483,7 +561,7 @@ class TemporalMapper:
             )
 
     def _block_best(
-        self, block: List[Mapping], incumbent: float
+        self, block: MappingBlock, incumbent: float
     ) -> Tuple[Optional[MappingSearchResult], int, int]:
         """The first mapping of ``block`` with an objective below
         ``incumbent``: ``(winner or None, scored, bound-pruned)``.
@@ -637,7 +715,7 @@ class TemporalMapper:
         """:meth:`search` body: score every mapping, keep the best."""
         t = telemetry()
         results = [
-            result for block in self._blocks(layer) for result in self._score(block)
+            result for block in self.blocks(layer) for result in self._score(block)
         ]
         t.metrics.counter(
             "repro_mapper_candidates_total",
@@ -699,7 +777,7 @@ class TemporalMapper:
         t = telemetry()
         best: Optional[MappingSearchResult] = None
         candidates = pruned = 0
-        for block in self._blocks(layer):
+        for block in self.blocks(layer):
             winner, scored, bounded = self._block_best(
                 block, math.inf if best is None else best.objective
             )

@@ -43,7 +43,7 @@ import copy
 import dataclasses
 import math
 import time
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.batch import BatchEvaluator
 from repro.core.model import LatencyModel
@@ -54,6 +54,7 @@ from repro.engine.cache import EvaluationCache, PartialResultCache
 from repro.engine import executors
 from repro.fingerprint import stable_fingerprint
 from repro.hardware.accelerator import Accelerator
+from repro.mapping.block import MappingBlock
 from repro.mapping.mapping import Mapping, MappingError
 from repro.observability.ledger import (
     RunRecord,
@@ -112,7 +113,10 @@ class BestOf:
     ) -> "BestOf":
         """The result over :meth:`EvaluationEngine.evaluate_many`
         outcomes: a strict ``<`` scan, so the first of equals wins."""
-        at, __ = _first_least(outcomes, incumbent)
+        at, __ = _first_least(
+            [None if outcome is None else outcome.report for outcome in outcomes],
+            incumbent,
+        )
         scored = sum(1 for outcome in outcomes if outcome is not None)
         ahead = (
             scored if at < 0
@@ -125,15 +129,31 @@ class BestOf:
 
 
 def _first_least(
-    outcomes: List[Optional[Evaluation]], incumbent: float
+    reports: List[Optional[LatencyReport]], incumbent: float
 ) -> Tuple[int, float]:
     """Position and latency of the first least latency below
-    ``incumbent`` among ``outcomes``; ``(-1, incumbent)`` when none."""
+    ``incumbent`` among ``reports``; ``(-1, incumbent)`` when none."""
     at, least = -1, incumbent
-    for i, outcome in enumerate(outcomes):
-        if outcome is not None and outcome.report.total_cycles < least:
-            at, least = i, outcome.report.total_cycles
+    for i, report in enumerate(reports):
+        if report is not None and report.total_cycles < least:
+            at, least = i, report.total_cycles
     return at, least
+
+
+@dataclasses.dataclass
+class _Batch:
+    """What :meth:`EvaluationEngine._run_batch` found, parallel to its
+    input rows: a report (or None), an energy and a cache-hit flag per
+    row, and the rows' cache keys."""
+
+    keys: List[Tuple]
+    reports: List[Optional[LatencyReport]]
+    energies: List[Optional[EnergyReport]]
+    hits: List[bool]
+    scored: int = 0
+    pruned: int = 0
+    #: Positions of the rows shallower than the machine.
+    shallow: List[int] = dataclasses.field(default_factory=list)
 
 
 class EvaluationEngine:
@@ -257,11 +277,19 @@ class EvaluationEngine:
     # ------------------------------------------------------------------ #
 
     def _latency_key(self, mapping: Mapping):
-        return ("latency", self._accel_fp, self._options_fp, mapping.cache_key)
+        return self._row_latency_key(mapping.cache_key)
 
     def _energy_key(self, mapping: Mapping):
+        return self._row_energy_key(mapping.cache_key)
+
+    def _row_latency_key(self, cache_key: Tuple):
+        """The latency key of the row whose :attr:`Mapping.cache_key` is
+        ``cache_key`` (a block row need not be built as a mapping)."""
+        return ("latency", self._accel_fp, self._options_fp, cache_key)
+
+    def _row_energy_key(self, cache_key: Tuple):
         # The energy model takes no ModelOptions; its key omits them.
-        return ("energy", self._accel_fp, mapping.cache_key)
+        return ("energy", self._accel_fp, cache_key)
 
     # ------------------------------------------------------------------ #
     # The kernel
@@ -428,7 +456,14 @@ class EvaluationEngine:
         ``kind="interrupted"`` checkpoint row before the interrupt
         propagates to the caller.
         """
-        return self._run_batch(list(mappings), validate, with_energy, None)[0]
+        rows = _rows(mappings)
+        batch = self._run_batch(rows, validate, with_energy, None)
+        return [
+            None if report is None else Evaluation(rows[i], report, energy, hit)
+            for i, (report, energy, hit) in enumerate(
+                zip(batch.reports, batch.energies, batch.hits)
+            )
+        ]
 
     def best_of(
         self, mappings: Iterable[Mapping], incumbent: float = math.inf
@@ -447,40 +482,46 @@ class EvaluationEngine:
         checkpoints, progress events and of the work a Ctrl-C loses: a
         block larger than a chunk keeps them. Each chunk's winner is its
         only row and span.
+
+        Given a :class:`~repro.mapping.block.MappingBlock`, keys, the
+        depth check and the bound read its columns, and only the winner
+        (and, with a ledger, each row that gets a ledger row) is built as
+        a :class:`Mapping`.
         """
-        results, scored, pruned, shallow = self._run_batch(
-            list(mappings), False, False, incumbent
-        )
-        at, __ = _first_least(results, incumbent)
+        rows = _rows(mappings)
+        batch = self._run_batch(rows, False, False, incumbent)
+        scored, pruned, shallow = batch.scored, batch.pruned, batch.shallow
+        at, __ = _first_least(batch.reports, incumbent)
         if at < 0:
             return BestOf(None, scored, pruned, len(shallow), scored + pruned)
-        best = results[at]
+        best = Evaluation(rows[at], batch.reports[at], None, batch.hits[at])
         if not best.cache_hit:
-            self.cache.put(self._latency_key(best.mapping), best.report)
+            self.cache.put(self._row_latency_key(batch.keys[at]), best.report)
         ahead = at - sum(1 for i in shallow if i < at)
         return BestOf(best, scored, pruned, len(shallow), ahead)
 
     def _run_batch(
         self,
-        mappings: List[Mapping],
+        rows: Sequence[Mapping],
         validate: bool,
         with_energy: bool,
         incumbent: Optional[float],
-    ) -> Tuple[List[Optional[Evaluation]], int, int, List[int]]:
+    ) -> _Batch:
         """The body of :meth:`evaluate_many` and, given ``incumbent``, of
-        :meth:`best_of`: ``(outcomes, scored, pruned, shallow)``, where
-        ``shallow`` lists the positions of the mappings shallower than the
-        machine. In a search only cache hits and each chunk's winner have
-        an outcome."""
-        results: List[Optional[Evaluation]] = [None] * len(mappings)
-        pruned = 0
-        shallow: List[int] = []
+        :meth:`best_of`. In a search only cache hits and each chunk's
+        winner get a report."""
+        keys = rows.cache_keys() if isinstance(rows, MappingBlock) else [
+            mapping.cache_key for mapping in rows
+        ]
+        n = len(rows)
+        batch = _Batch(keys, [None] * n, [None] * n, [False] * n)
+        reports, energies = batch.reports, batch.energies
         t = telemetry()
         tracer, metrics, ledger = t.tracer, t.metrics, t.ledger
         ledger_rows: List[RunRecord] = []
         with t.progress.join_run(
             "engine.batch",
-            total_units=len(mappings),
+            total_units=n,
             unit="evals",
             accelerator=getattr(self.accelerator, "name", ""),
         ) as run, self.stats.phase("batch"), \
@@ -488,34 +529,34 @@ class EvaluationEngine:
             self.stats.batches += 1
             pending: List[int] = []
             hits = invalid = 0
-            for i, mapping in enumerate(mappings):
+            for i, key in enumerate(keys):
                 if validate:
                     try:
-                        self._model.check(mapping)
+                        self._model.check(rows[i])
                     except MappingError:
                         invalid += 1
                         continue
-                report = self.cache.get(self._latency_key(mapping))
+                report = self.cache.get(self._row_latency_key(key))
                 energy = (
-                    self.cache.get(self._energy_key(mapping))
+                    self.cache.get(self._row_energy_key(key))
                     if with_energy
                     else None
                 )
                 if report is not None and (not with_energy or energy is not None):
                     hits += 1
-                    results[i] = Evaluation(mapping, report, energy, cache_hit=True)
+                    reports[i], energies[i], batch.hits[i] = report, energy, True
                     if ledger.enabled:
                         ledger_rows.append(self._ledger_record(
-                            mapping, report, cache_hit=True, wall_time_s=0.0,
+                            rows[i], report, cache_hit=True, wall_time_s=0.0,
                         ))
                 else:
                     self.stats.cache_misses += 1
                     pending.append(i)
             self.stats.cache_hits += hits
             self.stats.errors += invalid
-            scored = hits
+            batch.scored = hits
             if tracer.enabled:
-                span.set("mappings", len(mappings))
+                span.set("mappings", n)
                 span.set("cache_hits", hits)
             if metrics.enabled:
                 metrics.counter(
@@ -546,7 +587,7 @@ class EvaluationEngine:
                     limit = incumbent
                     if incumbent is not None:
                         # A lane ahead of the best so far wins a tie with it.
-                        best_at, limit = _first_least(results, incumbent)
+                        best_at, limit = _first_least(reports, incumbent)
                         if best_at > chunk[0]:
                             limit = math.nextafter(limit, math.inf)
                     # Looked up on the module at call time, so wrappers
@@ -554,27 +595,27 @@ class EvaluationEngine:
                     outcomes, timing = executors.evaluate_chunk(
                         self.accelerator,
                         self.options,
-                        tuple(mappings[i] for i in chunk),
+                        _take(rows, chunk),
                         with_energy,
                         tracer.enabled,
                         self._evaluator(),
                         limit,
                     )
-                    shallow.extend(chunk[j] for j in timing.shallow)
+                    batch.shallow.extend(chunk[j] for j in timing.shallow)
                     for i, outcome in zip(chunk, outcomes):
                         if outcome is None:
                             continue
                         report, energy, wall_s = outcome
-                        results[i] = Evaluation(mappings[i], report, energy)
+                        reports[i], energies[i] = report, energy
                         if incumbent is None:  # a search caches its winner only
                             if with_energy:
                                 self.stats.energy_evaluations += 1
-                            self.cache.put(self._latency_key(mappings[i]), report)
+                            self.cache.put(self._row_latency_key(keys[i]), report)
                             if with_energy and energy is not None:
-                                self.cache.put(self._energy_key(mappings[i]), energy)
+                                self.cache.put(self._row_energy_key(keys[i]), energy)
                         if ledger.enabled:
                             ledger_rows.append(self._ledger_record(
-                                mappings[i], report,
+                                rows[i], report,
                                 cache_hit=False, wall_time_s=wall_s,
                             ))
                     # Checkpoint: flush this chunk's rows so an interrupt
@@ -582,8 +623,8 @@ class EvaluationEngine:
                     if ledger_rows:
                         ledger.append_many(ledger_rows)
                         ledger_rows = []
-                    scored += timing.evaluated
-                    pruned += timing.pruned
+                    batch.scored += timing.evaluated
+                    batch.pruned += timing.pruned
                     self.stats.evaluations += timing.evaluated
                     self.stats.errors += len(timing.shallow)
                     self.stats.bound_pruned += timing.pruned
@@ -603,8 +644,8 @@ class EvaluationEngine:
                 ledger.append_many(ledger_rows)
                 checkpoint_interruption(
                     "engine.batch",
-                    done_units=scored + pruned,
-                    total_units=len(mappings),
+                    done_units=batch.scored + batch.pruned,
+                    total_units=n,
                     unit="evals",
                 )
                 raise
@@ -622,4 +663,16 @@ class EvaluationEngine:
                         "kernel throughput of the last batch",
                     ).set(len(pending) / elapsed)
             ledger.append_many(ledger_rows)
-        return results, scored, pruned, shallow
+        return batch
+
+
+def _rows(mappings: Iterable[Mapping]) -> Sequence[Mapping]:
+    """``mappings`` as a sequence: a block stays columns."""
+    return mappings if isinstance(mappings, MappingBlock) else list(mappings)
+
+
+def _take(rows: Sequence[Mapping], positions: List[int]) -> Sequence[Mapping]:
+    """The rows at ``positions`` (increasing): a block's as a block."""
+    if not isinstance(rows, MappingBlock):
+        return tuple(rows[i] for i in positions)
+    return rows if len(positions) == len(rows) else rows.take(positions)

@@ -5,7 +5,8 @@ The engine splits a batch of mappings into chunks and runs each chunk, in
 list order and in the calling process, through :func:`evaluate_chunk`:
 one call of the vectorized :class:`~repro.core.batch.BatchEvaluator` per
 layer in the chunk, or in a latency search one call of its bound-first
-``best``.
+``best``. A mapper's candidates arrive as a
+:class:`~repro.mapping.block.MappingBlock` and stay columns here.
 
 A traced chunk gives every lane with an outcome its full report and
 projects it (:func:`~repro.core.report.trace_report`) onto the ambient
@@ -16,7 +17,9 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.batch import BatchEvaluator
 from repro.core.report import LatencyReport, trace_report
@@ -24,7 +27,9 @@ from repro.core.step1 import ModelOptions
 from repro.energy.energy_model import EnergyModel, EnergyReport
 from repro.engine.cache import PartialResultCache
 from repro.hardware.accelerator import Accelerator
-from repro.mapping.mapping import Mapping, MappingError, check_depth
+from repro.mapping.block import BatchLoweringError, MappingBlock, pack
+from repro.mapping.mapping import Mapping
+from repro.workload.operand import Operand
 
 #: MUW-union memo shared by every batched chunk this process evaluates.
 #: Keys encode all inputs of the memoized computation, so one cache per
@@ -55,7 +60,7 @@ class ChunkTiming:
 def evaluate_chunk(
     accelerator: Accelerator,
     options: ModelOptions,
-    mappings: Tuple[Mapping, ...],
+    mappings: Sequence[Mapping],
     with_energy: bool,
     trace: bool,
     evaluator: BatchEvaluator,
@@ -64,38 +69,48 @@ def evaluate_chunk(
     """Evaluate one chunk of mappings through ``evaluator``, the calling
     engine's batch core (built once per engine).
 
-    A mapping shallower than the machine's memory hierarchy gets no
-    outcome; its position is in ``timing.shallow``. With ``incumbent`` (a
-    latency in cycles; the mappings share one layer) the chunk is one
-    step of a latency search: only its first mapping with the least
-    latency below ``incumbent`` gets an outcome
-    (:meth:`~repro.core.batch.BatchEvaluator.best`), and the timing
-    counts the lanes scored and those pruned by their latency bound.
+    ``mappings`` is a :class:`~repro.mapping.block.MappingBlock` or a
+    sequence of mappings, which is packed into one block per layer. A
+    mapping shallower than the machine's memory hierarchy (read from the
+    block's cut columns) gets no outcome; its position is in
+    ``timing.shallow``. With ``incumbent`` (a latency in cycles; the
+    mappings share one layer) the chunk is one step of a latency search:
+    only its first mapping with the least latency below ``incumbent`` gets
+    an outcome (:meth:`~repro.core.batch.BatchEvaluator.best`), and the
+    timing counts the lanes scored and those pruned by their latency
+    bound.
     """
     chunk_t0 = time.perf_counter()
     hits0, misses0 = _PARTIAL_CACHE.hits, _PARTIAL_CACHE.misses
-    feasible: List[int] = []
+    depths = {op: accelerator.hierarchy.depth(op) for op in Operand}
+    groups: List[Tuple[np.ndarray, MappingBlock]] = []
     shallow: List[int] = []
-    for i, mapping in enumerate(mappings):
-        try:
-            check_depth(mapping, accelerator)
-        except MappingError:
-            shallow.append(i)
-            continue
-        feasible.append(i)
+    for positions, block in _by_layer(mappings):
+        short = block.shallow(depths)
+        if short.any():
+            shallow.extend(positions[short].tolist())
+            keep = np.flatnonzero(~short)
+            positions, block = positions[keep], block.take(keep)
+        if len(block):
+            groups.append((positions, block))
+    shallow.sort()
     if incumbent is None:
         energy_model = EnergyModel(accelerator) if with_energy else None
-        out = _run_batched(evaluator, mappings, feasible, energy_model, trace)
-        evaluated, pruned = len(feasible), 0
+        out = _run_batched(evaluator, len(mappings), groups, energy_model, trace)
+        evaluated, pruned = sum(len(block) for __, block in groups), 0
     else:
+        if len(groups) > 1:
+            raise BatchLoweringError("batch mappings must share one layer")
         out = [None] * len(mappings)
-        t0 = time.perf_counter()
-        found = evaluator.best([mappings[i] for i in feasible], incumbent)
-        if found.lane is not None:
-            lane, result = found.lane, found.result
-            report = result.full_report(lane) if trace else result.reports[lane]
-            out[feasible[lane]] = (report, None, time.perf_counter() - t0)
-        evaluated, pruned = found.scored, found.pruned
+        evaluated = pruned = 0
+        for positions, block in groups:  # one layer: at most one group
+            t0 = time.perf_counter()
+            found = evaluator.best(block, incumbent)
+            if found.lane is not None:
+                lane, result = found.lane, found.result
+                report = result.full_report(lane) if trace else result.reports[lane]
+                out[positions[lane]] = (report, None, time.perf_counter() - t0)
+            evaluated, pruned = found.scored, found.pruned
     if trace:
         for outcome in out:
             if outcome is not None:
@@ -111,41 +126,50 @@ def evaluate_chunk(
     return out, timing
 
 
-def _run_batched(
-    evaluator: BatchEvaluator,
-    mappings: Tuple[Mapping, ...],
-    feasible: List[int],
-    energy_model: Optional[EnergyModel],
-    full: bool,
-) -> ChunkOutcomes:
-    """Chunk body over the ``feasible`` positions: group by layer, one
-    batch-core call per group.
-
-    Energy stays per-mapping (it is cheap relative to the latency kernels
-    and has no vectorized form). ``full`` gives every report its per-DTL
-    anatomy (:meth:`~repro.core.batch.BatchResult.full_report`).
-    """
-    out: ChunkOutcomes = [None] * len(mappings)
+def _by_layer(mappings: Sequence[Mapping]) -> List[Tuple[np.ndarray, MappingBlock]]:
+    """``(positions, block)`` per layer of ``mappings``, in order of first
+    appearance; a block is its own single group."""
+    if isinstance(mappings, MappingBlock):
+        return [(np.arange(len(mappings)), mappings)]
     groups: List[Tuple[object, List[int]]] = []  # (layer, mapping indices)
-    for i in feasible:
-        layer = mappings[i].layer
+    for i, mapping in enumerate(mappings):
+        layer = mapping.layer
         for group_layer, idxs in groups:
             if layer is group_layer or layer == group_layer:
                 idxs.append(i)
                 break
         else:
             groups.append((layer, [i]))
+    return [
+        (np.array(idxs), pack([mappings[i] for i in idxs])) for __, idxs in groups
+    ]
 
-    for __, idxs in groups:
+
+def _run_batched(
+    evaluator: BatchEvaluator,
+    n: int,
+    groups: List[Tuple[np.ndarray, MappingBlock]],
+    energy_model: Optional[EnergyModel],
+    full: bool,
+) -> ChunkOutcomes:
+    """Chunk body over ``n`` mappings: one batch-core call per layer
+    block in ``groups``, whose rows sit at their ``positions``.
+
+    Energy stays per-mapping (it is cheap relative to the latency kernels
+    and has no vectorized form). ``full`` gives every report its per-DTL
+    anatomy (:meth:`~repro.core.batch.BatchResult.full_report`).
+    """
+    out: ChunkOutcomes = [None] * n
+    for positions, block in groups:
         t0 = time.perf_counter()
-        result = evaluator.evaluate([mappings[i] for i in idxs], materialize=True)
+        result = evaluator.evaluate(block, materialize=True)
         reports = (
-            [result.full_report(lane) for lane in range(len(idxs))]
+            [result.full_report(lane) for lane in range(len(block))]
             if full else result.reports
         )
-        per_map = (time.perf_counter() - t0) / len(idxs)
-        for i, report in zip(idxs, reports):
+        per_map = (time.perf_counter() - t0) / len(block)
+        for lane, (i, report) in enumerate(zip(positions.tolist(), reports)):
             t1 = time.perf_counter()
-            energy = energy_model.evaluate(mappings[i]) if energy_model else None
+            energy = energy_model.evaluate(block[lane]) if energy_model else None
             out[i] = (report, energy, per_map + (time.perf_counter() - t1))
     return out

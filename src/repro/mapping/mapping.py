@@ -13,7 +13,7 @@ from repro.mapping.footprint import (
 from repro.mapping.loop import dim_product
 from repro.mapping.spatial import SpatialMapping
 from repro.mapping.temporal import TemporalMapping
-from repro.workload.dims import ALL_DIMS
+from repro.workload.dims import ALL_DIMS, DIM_CODE
 from repro.workload.layer import LayerSpec
 from repro.workload.operand import Operand
 
@@ -96,24 +96,30 @@ class Mapping:
     def cache_key(self) -> Tuple:
         """Hashable structural identity of (layer, spatial, temporal).
 
-        The layer and spatial unrolling enter by their memoized
+        The plain-int row ``(layer fp, spatial fp, dim codes, sizes,
+        cuts)``: the layer and spatial unrolling by their memoized
         fingerprints (shared by every mapping of one search, so hashed
-        once); the temporal mapping by its ``(dim value, size)`` loop pairs
-        and its cuts in :class:`Operand` order. Two mappings share this key
-        exactly when they share :meth:`fingerprint`, but building it costs
-        no canonical encoding and no SHA-256: the in-process and client
-        evaluation caches key on it. Memoized (the dataclass is frozen).
+        once), the loops innermost first by their :data:`DIM_CODE` and
+        size, and the cuts in :class:`Operand` order. A row of a
+        :class:`~repro.mapping.block.MappingBlock` has the same key
+        without being built as a mapping, so an engine caches a search's
+        candidates and the mapping it returns under one key. Two mappings
+        share this key exactly when they share :meth:`fingerprint`, but
+        building it costs no canonical encoding and no SHA-256: the
+        in-process and client evaluation caches key on it. Memoized (the
+        dataclass is frozen).
         """
         cached = getattr(self, "_cache_key", None)
         if cached is None:
             from repro.fingerprint import memoized_fingerprint
 
-            temporal = self.temporal
+            loops = self.temporal.loops
             cached = (
                 memoized_fingerprint(self.layer),
                 memoized_fingerprint(self.spatial),
-                tuple((loop.dim.value, loop.size) for loop in temporal.loops),
-                tuple(temporal.cuts[op] for op in Operand),
+                tuple(DIM_CODE[loop.dim] for loop in loops),
+                tuple(loop.size for loop in loops),
+                tuple(self.temporal.cuts[op] for op in Operand),
             )
             object.__setattr__(self, "_cache_key", cached)
         return cached

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from typing import Any, Dict, List, Optional, Tuple, Type
 
 from repro.core.report import LatencyReport
@@ -305,6 +306,18 @@ _TYPES: Dict[str, Type] = {
 }
 _TYPE_OF = {cls: name for name, cls in _TYPES.items()}
 
+#: Per message class, the fields whose annotation fixes one JSON type:
+#: ``bool`` fields take a JSON boolean, ``Dict`` fields a JSON object.
+#: (``Optional`` payloads such as ``trace`` stay tolerant.)
+_STRICT_FIELDS: Dict[Type, Dict[str, type]] = {
+    cls: {
+        name: bool if hint is bool else dict
+        for name, hint in typing.get_type_hints(cls).items()
+        if hint is bool or typing.get_origin(hint) is dict
+    }
+    for cls in _TYPES.values()
+}
+
 #: Message classes a server accepts (everything else is a client-bound
 #: response; receiving one as a request is a protocol error).
 REQUEST_TYPES: Tuple[Type, ...] = (
@@ -333,9 +346,10 @@ def decode(line) -> Any:
     """Parse one frame into its message dataclass.
 
     Raises :class:`ProtocolError` on malformed JSON, a missing/unknown
-    type, a missing or non-integer version, or a frame stamped with a
+    type, a missing or non-integer version, a frame stamped with a
     *newer* protocol version — the version gate every peer applies
-    before touching the payload.
+    before touching the payload — or a field whose value is not of its
+    annotated type (a ``bool`` or a ``Dict``), naming the field.
     """
     if isinstance(line, bytes):
         line = line.decode("utf-8", errors="replace")
@@ -362,6 +376,13 @@ def decode(line) -> Any:
         raise ProtocolError(f"unknown message type {type_name!r}")
     known = {f.name for f in dataclasses.fields(cls)}
     kwargs = {k: v for k, v in data.items() if k in known}
+    for name, kind in _STRICT_FIELDS[cls].items():
+        if name in kwargs and not isinstance(kwargs[name], kind):
+            raise ProtocolError(
+                f"bad {type_name!r} frame: field {name!r} must be a JSON "
+                f"{'boolean' if kind is bool else 'object'}, "
+                f"got {type(kwargs[name]).__name__}"
+            )
     try:
         return cls(**kwargs)
     except TypeError as exc:

@@ -65,6 +65,9 @@ ALL_DIMS = (
     LoopDim.FY,
 )
 
+#: Integer code of every dimension: its position in :data:`ALL_DIMS`.
+DIM_CODE: Dict[LoopDim, int] = {dim: code for code, dim in enumerate(ALL_DIMS)}
+
 #: Relevant (r) loops per operand — these multiply into the data footprint.
 R_DIMS: Dict[Operand, FrozenSet[LoopDim]] = {
     Operand.W: frozenset({LoopDim.K, LoopDim.C, LoopDim.FX, LoopDim.FY}),
