@@ -18,7 +18,7 @@ a layer reference. Round trips preserve ``mapping.fingerprint()``.
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 from repro.hardware.serde import SerdeError, check_known, strict_int, strict_type
 from repro.mapping.loop import Loop
@@ -44,8 +44,15 @@ def mapping_to_dict(mapping: Mapping) -> Dict:
     }
 
 
-def mapping_from_dict(data: Any, layer: LayerSpec) -> Mapping:
+def mapping_from_dict(
+    data: Any, layer: LayerSpec, spatial: Optional[SpatialMapping] = None
+) -> Mapping:
     """Inverse of :func:`mapping_to_dict`, bound to ``layer``.
+
+    ``spatial``, when given, is the mapping already parsed from a
+    ``data["spatial"]`` identical to this one, and is used instead of
+    parsing it again (the daemon passes the previous request's, so its
+    memoized fingerprint is reused).
 
     Raises :class:`~repro.hardware.serde.SerdeError` when ``data`` does
     not describe a mapping (a key outside the schema included), and
@@ -67,10 +74,11 @@ def mapping_from_dict(data: Any, layer: LayerSpec) -> Mapping:
                 for op, cut in strict_type(data["cuts"], dict, "cuts").items()
             },
         )
-        spatial = SpatialMapping({
-            LoopDim(d): strict_int(f, "spatial", d)
-            for d, f in strict_type(data["spatial"], dict, "spatial").items()
-        })
+        if spatial is None:
+            spatial = SpatialMapping({
+                LoopDim(d): strict_int(f, "spatial", d)
+                for d, f in strict_type(data["spatial"], dict, "spatial").items()
+            })
     except (KeyError, TypeError, ValueError) as exc:
         raise SerdeError(f"malformed mapping: {exc}") from exc
     return Mapping(layer, spatial, temporal)

@@ -62,15 +62,17 @@ class ProtocolError(ValueError):
 # Payload serde: options / reports
 # --------------------------------------------------------------------- #
 
+_OPTION_FIELDS = tuple(f.name for f in dataclasses.fields(ModelOptions))
+
+
 def options_to_dict(options: ModelOptions) -> Dict[str, Any]:
     """Serialize model options (a flat dataclass of scalars)."""
-    return dataclasses.asdict(options)
+    return {name: getattr(options, name) for name in _OPTION_FIELDS}
 
 
 def options_from_dict(data: Dict[str, Any]) -> ModelOptions:
     """Inverse of :func:`options_to_dict`; unknown keys are rejected."""
-    known = {f.name for f in dataclasses.fields(ModelOptions)}
-    extra = set(data) - known
+    extra = set(data).difference(_OPTION_FIELDS)
     if extra:
         raise ProtocolError(f"unknown ModelOptions field(s): {sorted(extra)}")
     return ModelOptions(**data)
@@ -306,14 +308,26 @@ _TYPES: Dict[str, Type] = {
 }
 _TYPE_OF = {cls: name for name, cls in _TYPES.items()}
 
-#: Per message class, the fields whose annotation fixes one JSON type:
-#: ``bool`` fields take a JSON boolean, ``Dict`` fields a JSON object.
-#: (``Optional`` payloads such as ``trace`` stay tolerant.)
-_STRICT_FIELDS: Dict[Type, Dict[str, type]] = {
+#: The annotations read strictly, by JSON type name: a ``bool``, ``int``
+#: (never a boolean), ``str`` or ``Dict`` field must arrive as that JSON
+#: type; an ``Optional`` payload (``trace``, ``spans``, ``admin``, ...)
+#: stays tolerant.
+_JSON_NAMES = {bool: "boolean", int: "integer", str: "string", dict: "object"}
+
+
+def _json_type(hint) -> Optional[type]:
+    if hint in _JSON_NAMES:
+        return hint
+    return dict if typing.get_origin(hint) is dict else None
+
+
+#: Per message class, its fields, each with the JSON type it must arrive
+#: as (``None``: any). ``encode`` reads exactly these fields off the
+#: message, ``decode`` keeps exactly these keys of a frame and checks
+#: their types.
+_FIELDS: Dict[Type, Dict[str, Optional[type]]] = {
     cls: {
-        name: bool if hint is bool else dict
-        for name, hint in typing.get_type_hints(cls).items()
-        if hint is bool or typing.get_origin(hint) is dict
+        name: _json_type(hint) for name, hint in typing.get_type_hints(cls).items()
     }
     for cls in _TYPES.values()
 }
@@ -326,7 +340,14 @@ REQUEST_TYPES: Tuple[Type, ...] = (
 
 
 def encode(message) -> bytes:
-    """One wire frame: the message as a ``\\n``-terminated JSON line."""
+    """One wire frame: the message as a ``\\n``-terminated JSON line.
+
+    The frame is built by reading the message's fields, not by
+    :func:`dataclasses.asdict`, so nothing is copied: every field must
+    hold plain JSON values (dicts, lists, strings, numbers, booleans) —
+    never a nested dataclass. ``tests/serve/test_protocol.py`` pins the
+    frames byte-identical to the ``asdict`` form.
+    """
     cls = type(message)
     name = _TYPE_OF.get(cls)
     if name is None:
@@ -336,9 +357,10 @@ def encode(message) -> bytes:
     # message defaults to None, so decode restores them, frames shrink,
     # and additive fields (trace/spans/admin) are genuinely *absent* —
     # not null — when unused, which is what forward-compat tests pin.
-    data.update({
-        k: v for k, v in dataclasses.asdict(message).items() if v is not None
-    })
+    for field in _FIELDS[cls]:
+        value = getattr(message, field)
+        if value is not None:
+            data[field] = value
     return (json.dumps(data, sort_keys=True) + "\n").encode("utf-8")
 
 
@@ -349,7 +371,8 @@ def decode(line) -> Any:
     type, a missing or non-integer version, a frame stamped with a
     *newer* protocol version — the version gate every peer applies
     before touching the payload — or a field whose value is not of its
-    annotated type (a ``bool`` or a ``Dict``), naming the field.
+    annotated type (a ``bool``, an ``int`` such as ``id``, a ``str`` or
+    a ``Dict``), naming the field.
     """
     if isinstance(line, bytes):
         line = line.decode("utf-8", errors="replace")
@@ -374,14 +397,15 @@ def decode(line) -> Any:
     cls = _TYPES.get(type_name)
     if cls is None:
         raise ProtocolError(f"unknown message type {type_name!r}")
-    known = {f.name for f in dataclasses.fields(cls)}
-    kwargs = {k: v for k, v in data.items() if k in known}
-    for name, kind in _STRICT_FIELDS[cls].items():
-        if name in kwargs and not isinstance(kwargs[name], kind):
+    fields = _FIELDS[cls]
+    kwargs = {k: v for k, v in data.items() if k in fields}
+    for name, value in kwargs.items():
+        kind = fields[name]
+        # JSON values decode to exact types: a boolean is no integer here.
+        if kind is not None and type(value) is not kind:
             raise ProtocolError(
                 f"bad {type_name!r} frame: field {name!r} must be a JSON "
-                f"{'boolean' if kind is bool else 'object'}, "
-                f"got {type(kwargs[name]).__name__}"
+                f"{_JSON_NAMES[kind]}, got {type(value).__name__}"
             )
     try:
         return cls(**kwargs)

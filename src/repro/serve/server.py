@@ -251,6 +251,10 @@ class EvaluationServer:
         # Deserialized-payload memos: canonical JSON -> (object, fingerprint).
         self._accel_memo = EvaluationCache(_TABLE_SIZE)
         self._options_memo = EvaluationCache(_TABLE_SIZE)
+        # One-entry memos of the last request's layer and spatial: the
+        # ``repr`` of the wire dict -> the object parsed from it.
+        self._last_layer: Tuple[Optional[str], Any] = (None, None)
+        self._last_spatial: Tuple[Optional[str], Any] = (None, None)
         self._server: Optional[asyncio.AbstractServer] = None
         self._conn_writers: set = set()
         self._conn_tasks: set = set()
@@ -591,8 +595,7 @@ class EvaluationServer:
         try:
             accelerator, accel_fp = self._resolve_accelerator(msg.accelerator)
             options, options_fp = self._resolve_options(msg.options)
-            layer = layer_from_dict(msg.layer)
-            mapping = mapping_from_dict(msg.mapping, layer)
+            mapping = self._parse_mapping(msg)
             mapping_fp = mapping.fingerprint()
         except (ProtocolError, SerdeError, KeyError, ValueError, TypeError) as exc:
             return ErrorResponse(
@@ -763,6 +766,29 @@ class EvaluationServer:
         )
 
     # -- payload resolution (memoized) ---------------------------------- #
+
+    def _parse_mapping(self, msg: EvaluateRequest) -> Mapping:
+        """The request's mapping, reusing the previous request's
+        layer and spatial objects (and so their memoized fingerprints)
+        when its wire dicts are the same.
+
+        A burst sends one layer and spatial unrolling many times over. The
+        memos key on ``repr``, not ``==``: ``{"K": 16}`` equals
+        ``{"K": 16.0}`` and ``{"K": True}``, which the strict serde
+        refuses, while two JSON values with one ``repr`` are one value.
+        The name is part of the dict, so reports keep their own names.
+        """
+        key = repr(msg.layer)
+        if key != self._last_layer[0]:
+            self._last_layer = (key, layer_from_dict(msg.layer))
+        layer = self._last_layer[1]
+        key = repr(msg.mapping.get("spatial"))
+        last_key, last_spatial = self._last_spatial
+        mapping = mapping_from_dict(
+            msg.mapping, layer, last_spatial if key == last_key else None
+        )
+        self._last_spatial = (key, mapping.spatial)
+        return mapping
 
     def _resolve_accelerator(self, data) -> Tuple[Accelerator, str]:
         if data is None:

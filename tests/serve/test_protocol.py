@@ -1,11 +1,19 @@
 """The wire protocol: frame serde, version gating, payload fidelity."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.core.step1 import ModelOptions
 from repro.engine import EvaluationEngine
+from repro.hardware.presets import case_study_accelerator
+from repro.hardware.serde import accelerator_to_dict, preset_to_dict
+from repro.mapping.serde import mapping_to_dict
+from repro.observability.distributed import spans_to_wire
+from repro.observability.stats import EngineStats
+from repro.observability.telemetry import use_telemetry
+from repro.observability.tracer import Tracer
 from repro.serve import protocol
 from repro.serve.protocol import (
     ErrorResponse,
@@ -19,7 +27,9 @@ from repro.serve.protocol import (
     StatsRequest,
     StatsResponse,
 )
+from repro.serve.server import ServerStats
 from repro.verify.generators import sample_cases
+from repro.workload.serde import layer_to_dict
 
 
 def _feasible_case():
@@ -92,6 +102,62 @@ def test_unknown_fields_tolerated_within_version():
         "some_future_field": True,
     })
     assert protocol.decode(line) == HelloRequest(id=1)
+
+
+def _realistic_messages():
+    """One message of every type, each built the way its sender builds it."""
+    tracer = Tracer()
+    with use_telemetry(tracer=tracer):
+        engine = EvaluationEngine(CASE.accelerator)
+        energy = engine.evaluate_energy(CASE.mapping)
+    spans = spans_to_wire(tracer.records)
+    assert spans and energy is not None
+    stats = ServerStats(requests=3).snapshot()
+    stats.update(EngineStats().snapshot())
+    return [
+        HelloRequest(id=1),
+        HelloResponse(
+            id=1, protocol=protocol.PROTOCOL_VERSION, server="daemon",
+            preset=preset_to_dict(case_study_accelerator()),
+            options=protocol.options_to_dict(ModelOptions()),
+            admin="http://127.0.0.1:9100",
+        ),
+        EvaluateRequest(
+            id=2, layer=layer_to_dict(CASE.mapping.layer),
+            mapping=mapping_to_dict(CASE.mapping),
+            accelerator=accelerator_to_dict(CASE.accelerator),
+            options=protocol.options_to_dict(ModelOptions(combine_rule="paper")),
+            validate=False, with_energy=True,
+            trace={"trace_id": "abc", "span_id": 4, "sampled": True},
+        ),
+        EvaluateResponse(
+            id=2, report=protocol.report_to_dict(REPORT),
+            energy=protocol.energy_to_dict(energy), source="evaluated",
+            spans=spans,
+        ),
+        EvaluateResponse(id=3, report=protocol.report_to_dict(REPORT), source="store"),
+        StatsRequest(id=4),
+        StatsResponse(id=4, stats=stats),
+        ShutdownRequest(id=5),
+        ShutdownResponse(id=5),
+        ErrorResponse(id=-1, error="ProtocolError", message="bad 'stats' frame"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "message", _realistic_messages(), ids=lambda m: type(m).__name__
+)
+def test_frames_are_byte_identical_to_the_asdict_form(message):
+    """``encode`` reads fields without copying them; its frames must be
+    exactly the ``dataclasses.asdict`` frames it replaced."""
+    name = {cls: name for name, cls in protocol._TYPES.items()}[type(message)]
+    reference = json.dumps({
+        "v": protocol.PROTOCOL_VERSION, "minor": protocol.PROTOCOL_MINOR,
+        "type": name,
+        **{k: v for k, v in dataclasses.asdict(message).items() if v is not None},
+    }, sort_keys=True)
+    assert protocol.encode(message) == (reference + "\n").encode("utf-8")
+    assert protocol.decode(protocol.encode(message)) == message
 
 
 def test_encode_rejects_non_protocol_objects():
