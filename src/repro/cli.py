@@ -388,20 +388,28 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    """Property-based differential verification (model vs simulator)."""
+    """Property-based differential verification (model vs simulator).
+
+    A corpus file that is not a corpus case ends the run like any bad
+    argument: one line on stderr and exit code 2.
+    """
     import pathlib
 
+    from repro.hardware.serde import SerdeError
     from repro.verify import run_verification
     from repro.verify.runner import write_artifacts
 
-    summary = run_verification(
-        examples=args.examples,
-        seed=args.seed,
-        corpus_dir=pathlib.Path(args.corpus) if args.corpus else None,
-        corpus_only=args.corpus_only,
-        shrink=not args.no_shrink,
-        backend=args.backend,
-    )
+    try:
+        summary = run_verification(
+            examples=args.examples,
+            seed=args.seed,
+            corpus_dir=pathlib.Path(args.corpus) if args.corpus else None,
+            corpus_only=args.corpus_only,
+            shrink=not args.no_shrink,
+            backend=args.backend,
+        )
+    except SerdeError as exc:  # only corpus files are read as JSON here
+        _bad_argument("--corpus", exc)
     total = len(summary.violations) + len(summary.corpus_violations)
     print(
         f"verify: seed={summary.seed} backend={summary.backend} "

@@ -52,6 +52,7 @@ from repro.dse.factorize import (
 )
 from repro.energy.energy_model import EnergyReport
 from repro.engine import EvaluationEngine
+from repro.engine.evaluation import for_layer
 from repro.hardware.accelerator import Accelerator
 from repro.mapping.footprint import extent_elements, spatial_replication
 from repro.mapping.block import MappingBlock, build_row
@@ -150,6 +151,20 @@ class MappingSearchResult:
     energy: Optional[EnergyReport]
     objective: float
     cache_hit: bool = False
+
+    def for_layer(self, layer: LayerSpec) -> "MappingSearchResult":
+        """This result as the answer for ``layer``, a layer of the same
+        shape: a memoized search is keyed by the layer's fingerprint,
+        which leaves its name out, so the mapping and reports are
+        re-bound to ``layer`` when the names differ."""
+        if self.mapping.layer.name == layer.name:
+            return self
+        return dataclasses.replace(
+            self,
+            mapping=dataclasses.replace(self.mapping, layer=layer),
+            report=for_layer(self.report, layer),
+            energy=for_layer(self.energy, layer),
+        )
 
     def describe(self) -> str:
         """One-line summary for ranking printouts."""
@@ -687,7 +702,9 @@ class TemporalMapper:
                 outcome, best = cached
                 if best is not None:
                     campaign.observe(best.objective)
-                return outcome
+                if isinstance(outcome, tuple):  # search(): ranked results
+                    return tuple(result.for_layer(layer) for result in outcome)
+                return outcome.for_layer(layer)
             with self._progress_run(f"mapper.{kind}", layer) as run:
                 outcome, best, candidates = body(layer, run)
                 if best is not None:

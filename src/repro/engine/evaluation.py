@@ -63,6 +63,7 @@ from repro.observability.ledger import (
 )
 from repro.observability.stats import EngineStats
 from repro.observability.telemetry import telemetry
+from repro.workload.layer import LayerSpec
 
 #: Mappings per chunk in :meth:`EvaluationEngine.evaluate_many` and
 #: :meth:`EvaluationEngine.best_of`. It equals
@@ -72,6 +73,21 @@ from repro.observability.telemetry import telemetry
 #: parallelism, only ledger checkpoints and progress events, and bound
 #: the work a Ctrl-C loses.
 CHUNK_SIZE = 256
+
+
+def for_layer(report, layer: LayerSpec):
+    """``report`` (a latency or energy report, or None) as the answer for
+    ``layer``.
+
+    Cache and store keys hold the layer's fingerprint, which leaves its
+    name out, so a hit can carry the name of another layer with the same
+    shape. The name is stamped the way the model names a report; the
+    report is copied only when the names differ.
+    """
+    name = layer.name or str(layer.layer_type)
+    if report is None or report.layer_name == name:
+        return report
+    return dataclasses.replace(report, layer_name=name)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -347,6 +363,7 @@ class EvaluationEngine:
                     # hit, the numbers were cached.
                     report = self._full_report(mapping)
                     self.cache.put(key, report)
+                report = for_layer(report, mapping.layer)
                 self.stats.cache_hits += 1
                 self._observe_single(metrics, span, t0, cache_hit=True)
                 self._ledger_single(ledger, mapping, report, t0, cache_hit=True)
@@ -416,7 +433,7 @@ class EvaluationEngine:
             energy = self.cache.get(key)
             if energy is not None:
                 self.stats.cache_hits += 1
-                return energy
+                return for_layer(energy, mapping.layer)
             self.stats.cache_misses += 1
             self.stats.energy_evaluations += 1
             energy = self._energy_model.evaluate(mapping)
@@ -510,9 +527,8 @@ class EvaluationEngine:
         """The body of :meth:`evaluate_many` and, given ``incumbent``, of
         :meth:`best_of`. In a search only cache hits and each chunk's
         winner get a report."""
-        keys = rows.cache_keys() if isinstance(rows, MappingBlock) else [
-            mapping.cache_key for mapping in rows
-        ]
+        block = isinstance(rows, MappingBlock)
+        keys = rows.cache_keys() if block else [mapping.cache_key for mapping in rows]
         n = len(rows)
         batch = _Batch(keys, [None] * n, [None] * n, [False] * n)
         reports, energies = batch.reports, batch.energies
@@ -543,6 +559,8 @@ class EvaluationEngine:
                     else None
                 )
                 if report is not None and (not with_energy or energy is not None):
+                    layer = rows.layer if block else rows[i].layer
+                    report, energy = for_layer(report, layer), for_layer(energy, layer)
                     hits += 1
                     reports[i], energies[i], batch.hits[i] = report, energy, True
                     if ledger.enabled:

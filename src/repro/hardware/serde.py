@@ -23,18 +23,20 @@ presets. The schema mirrors the object model::
     }
 
 ``allocation`` may be omitted ("auto") to use first-fitting-port rules.
-Every field must have its JSON type: ``16.5``, ``"128"`` and ``"false"``
-are refused, not coerced, and so are a string where a list belongs
-(``"serves": "IOW"``) or a list where an object belongs. A key the
-schema does not know is an error, so a misspelled field never reads as
-its default, and every ``stall_overlap`` name must be a memory.
+Every field is read by :func:`repro.fields.expect`, as in the layer and
+mapping schemas, and must have its JSON type: ``16.5``, ``"128"`` and
+``"false"`` are refused, not coerced, and so are a string where a list
+belongs (``"serves": "IOW"``) or a list where an object belongs. A key
+the schema does not know is an error, so a misspelled field never reads
+as its default, and every ``stall_overlap`` name must be a memory.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Sequence, Tuple
+from typing import Any, Dict, List, Tuple
 
+from repro.fields import check_known, expect
 from repro.hardware.accelerator import Accelerator, StallOverlapConfig
 from repro.hardware.hierarchy import MemoryHierarchy, MemoryLevel, auto_allocate
 from repro.hardware.mac_array import MacArray
@@ -47,63 +49,6 @@ from repro.workload.operand import Operand
 
 class SerdeError(ValueError):
     """Malformed serialized input: an accelerator, layer or mapping dict."""
-
-
-def strict_int(value: Any, field: str, key: Any = None) -> int:
-    """``value`` if it is an integer, else :class:`TypeError` naming
-    ``field`` (``field[key]`` for an entry of a collection).
-
-    Sizes must arrive as integers: ``int()`` would truncate ``16.5`` to 16
-    and coerce ``true`` or ``"16"``, answering for a problem nobody asked.
-    """
-    if type(value) is int:  # not a bool, which subclasses int
-        return value
-    raise _refused(value, "an integer", field, key)
-
-
-def strict_float(value: Any, field: str, key: Any = None) -> float:
-    """``value`` as a float if it is a JSON number (int or float), else
-    :class:`TypeError` naming the field: ``float()`` would read ``"128"``
-    and ``true``."""
-    if type(value) in (int, float):
-        return float(value)
-    raise _refused(value, "a number", field, key)
-
-
-def strict_bool(value: Any, field: str, key: Any = None) -> bool:
-    """``value`` if it is a boolean, else :class:`TypeError` naming the
-    field: ``bool()`` reads the string ``"false"`` as true."""
-    if type(value) is bool:
-        return value
-    raise _refused(value, "a boolean", field, key)
-
-
-#: How :func:`strict_type` names each JSON type it checks.
-_JSON_TYPES = {str: "a string", list: "a list", dict: "an object"}
-
-
-def strict_type(value: Any, json_type: type, field: str, key: Any = None) -> Any:
-    """``value`` if it is a ``json_type`` (``str``, ``list`` or ``dict``),
-    else :class:`TypeError` naming the field: ``str()`` would read ``5``
-    as ``"5"``, iterating ``"IOW"`` would read three operands, and a list
-    where an object belongs would fail with ``'list' object has no
-    attribute 'items'``."""
-    if type(value) is json_type:
-        return value
-    raise _refused(value, _JSON_TYPES[json_type], field, key)
-
-
-def _refused(value: Any, kind: str, field: str, key: Any) -> TypeError:
-    name = field if key is None else f"{field}[{key}]"
-    return TypeError(f"{name} must be {kind}, got {value!r}")
-
-
-def check_known(what: str, keys: Iterable, allowed: Sequence[str]) -> None:
-    """:class:`ValueError` naming the first of ``keys`` not in ``allowed``:
-    a misspelled field must not read as its default."""
-    for key in keys:
-        if key not in allowed:
-            raise ValueError(f"unknown {what} {key!r}; expected one of {list(allowed)}")
 
 
 _ACCELERATOR_KEYS = (
@@ -195,11 +140,11 @@ def preset_to_json(preset: Preset, indent: int = 2) -> str:
 # --------------------------------------------------------------------- #
 
 def _port_from_dict(data: Any, index: int) -> Port:
-    check_known("port field", strict_type(data, dict, "ports", index), _PORT_KEYS)
+    check_known("port field", expect(data, dict, "ports", index), _PORT_KEYS)
     return Port(
-        strict_type(data["name"], str, f"ports[{index}].name"),
-        PortDirection(strict_type(data["direction"], str, f"ports[{index}].direction")),
-        strict_float(data["bandwidth"], "bandwidth"),
+        expect(data["name"], str, f"ports[{index}].name"),
+        PortDirection(expect(data["direction"], str, f"ports[{index}].direction")),
+        expect(data["bandwidth"], float, "bandwidth"),
     )
 
 
@@ -208,33 +153,33 @@ def _memory_from_dict(data: Dict[str, Any]) -> Tuple[MemoryInstance, MemoryLevel
         check_known("memory field", data, _MEMORY_KEYS)
         allocation_spec = data.get("allocation", "auto")
         if allocation_spec != "auto" and allocation_spec is not None:
-            strict_type(allocation_spec, dict, "allocation")
+            expect(allocation_spec, dict, "allocation")
         energies = {
-            key: strict_float(data.get(key, 0.0), key)
+            key: expect(data.get(key, 0.0), float, key)
             for key in (
                 "read_energy_pj_per_bit", "write_energy_pj_per_bit",
                 "link_energy_pj_per_bit",
             )
         }
         instance = MemoryInstance(
-            name=strict_type(data["name"], str, "name"),
-            size_bits=strict_int(data["size_bits"], "size_bits"),
+            name=expect(data["name"], str, "name"),
+            size_bits=expect(data["size_bits"], int, "size_bits"),
             ports=tuple(
                 _port_from_dict(p, i)
-                for i, p in enumerate(strict_type(data["ports"], list, "ports"))
+                for i, p in enumerate(expect(data["ports"], list, "ports"))
             ),
-            double_buffered=strict_bool(
-                data.get("double_buffered", False), "double_buffered"
+            double_buffered=expect(
+                data.get("double_buffered", False), bool, "double_buffered"
             ),
-            instances=strict_int(data.get("instances", 1), "instances"),
-            min_burst_bits=strict_int(
-                data.get("min_burst_bits", 1), "min_burst_bits"
+            instances=expect(data.get("instances", 1), int, "instances"),
+            min_burst_bits=expect(
+                data.get("min_burst_bits", 1), int, "min_burst_bits"
             ),
             **energies,
         )
         serves = frozenset(
-            Operand(strict_type(s, str, "serves", i))
-            for i, s in enumerate(strict_type(data["serves"], list, "serves"))
+            Operand(expect(s, str, "serves", i))
+            for i, s in enumerate(expect(data["serves"], list, "serves"))
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise SerdeError(f"bad memory entry {data.get('name', '?')!r}: {exc}") from exc
@@ -250,7 +195,7 @@ def _memory_from_dict(data: Dict[str, Any]) -> Tuple[MemoryInstance, MemoryLevel
                 endpoint = (Operand(op_str), EndpointKind(kind_str))
             except ValueError as exc:
                 raise SerdeError(f"bad allocation key {key!r}") from exc
-            if strict_type(port_name, str, "allocation", key) not in ports:
+            if expect(port_name, str, "allocation", key) not in ports:
                 raise SerdeError(
                     f"memory {instance.name!r} has no port {port_name!r} "
                     f"for allocation[{key}]"
@@ -274,50 +219,50 @@ def accelerator_from_dict(data: Dict[str, Any]) -> Accelerator:
         )
     try:
         check_known("accelerator field", data, _ACCELERATOR_KEYS)
-        array_spec = strict_type(data["mac_array"], dict, "mac_array")
+        array_spec = expect(data["mac_array"], dict, "mac_array")
         check_known("mac_array field", array_spec, _MAC_ARRAY_KEYS)
         mac_array = MacArray(
-            rows=strict_int(array_spec["rows"], "mac_array.rows"),
-            cols=strict_int(array_spec["cols"], "mac_array.cols"),
-            macs_per_pe=strict_int(
-                array_spec.get("macs_per_pe", 1), "mac_array.macs_per_pe"
+            rows=expect(array_spec["rows"], int, "mac_array.rows"),
+            cols=expect(array_spec["cols"], int, "mac_array.cols"),
+            macs_per_pe=expect(
+                array_spec.get("macs_per_pe", 1), int, "mac_array.macs_per_pe"
             ),
-            mac_energy_pj=strict_float(
-                array_spec.get("mac_energy_pj", 0.0), "mac_array.mac_energy_pj"
+            mac_energy_pj=expect(
+                array_spec.get("mac_energy_pj", 0.0), float, "mac_array.mac_energy_pj"
             ),
         )
         levels: Dict[str, MemoryLevel] = {}
-        for i, mem_data in enumerate(strict_type(data["memories"], list, "memories")):
-            __, level = _memory_from_dict(strict_type(mem_data, dict, "memories", i))
+        for i, mem_data in enumerate(expect(data["memories"], list, "memories")):
+            __, level = _memory_from_dict(expect(mem_data, dict, "memories", i))
             if level.name in levels:
                 raise SerdeError(f"duplicate memory name {level.name!r}")
             levels[level.name] = level
         chains = {}
-        for op_str, names in strict_type(data["chains"], dict, "chains").items():
+        for op_str, names in expect(data["chains"], dict, "chains").items():
             operand = Operand(op_str)
             chain = []
-            for j, name in enumerate(strict_type(names, list, "chains", op_str)):
-                if strict_type(name, str, f"chains[{op_str}]", j) not in levels:
+            for j, name in enumerate(expect(names, list, "chains", op_str)):
+                if expect(name, str, f"chains[{op_str}]", j) not in levels:
                     raise SerdeError(f"chain references unknown memory {name!r}")
                 chain.append(levels[name])
             chains[operand] = tuple(chain)
         hierarchy = MemoryHierarchy(chains)
-        groups = strict_type(data.get("stall_overlap", []), list, "stall_overlap")
+        groups = expect(data.get("stall_overlap", []), list, "stall_overlap")
         for i, group in enumerate(groups):
-            for j, name in enumerate(strict_type(group, list, "stall_overlap", i)):
-                if strict_type(name, str, f"stall_overlap[{i}]", j) not in levels:
+            for j, name in enumerate(expect(group, list, "stall_overlap", i)):
+                if expect(name, str, f"stall_overlap[{i}]", j) not in levels:
                     raise SerdeError(
                         f"stall_overlap[{i}] names unknown memory {name!r}"
                     )
         overlap = StallOverlapConfig(tuple(frozenset(group) for group in groups))
         offchip = data.get("offchip_bandwidth")
         return Accelerator(
-            name=strict_type(data["name"], str, "name"),
+            name=expect(data["name"], str, "name"),
             mac_array=mac_array,
             hierarchy=hierarchy,
             stall_overlap=overlap,
             offchip_bandwidth=(
-                strict_float(offchip, "offchip_bandwidth")
+                expect(offchip, float, "offchip_bandwidth")
                 if offchip is not None else None
             ),
         )
@@ -341,8 +286,8 @@ def preset_from_dict(data: Dict[str, Any]) -> Preset:
     )
     try:
         spatial = {
-            LoopDim(dim): strict_int(f, "spatial_unrolling", dim)
-            for dim, f in strict_type(spatial_spec, dict, "spatial_unrolling").items()
+            LoopDim(dim): expect(f, int, "spatial_unrolling", dim)
+            for dim, f in expect(spatial_spec, dict, "spatial_unrolling").items()
         }
     except (TypeError, ValueError) as exc:
         raise SerdeError(f"bad spatial_unrolling {spatial_spec!r}: {exc}") from exc

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from repro.hardware.serde import SerdeError, check_known, strict_int, strict_type
+from repro.fields import check_known, expect
+from repro.hardware.serde import SerdeError
 from repro.mapping.loop import Loop
 from repro.mapping.mapping import Mapping
 from repro.mapping.spatial import SpatialMapping
@@ -60,24 +61,24 @@ def mapping_from_dict(
     cover ``layer``.
     """
     try:
-        check_known("mapping field", strict_type(data, dict, "mapping"), _FIELDS)
+        check_known("mapping field", expect(data, dict, "mapping"), _FIELDS)
         temporal = TemporalMapping(
             loops=tuple(
                 _loop(entry, i)
-                for i, entry in enumerate(strict_type(data["loops"], list, "loops"))
+                for i, entry in enumerate(expect(data["loops"], list, "loops"))
             ),
             cuts={
                 Operand(op): tuple(
-                    strict_int(c, f"cuts.{op}", j)
-                    for j, c in enumerate(strict_type(cut, list, f"cuts.{op}"))
+                    expect(c, int, f"cuts.{op}", j)
+                    for j, c in enumerate(expect(cut, list, f"cuts.{op}"))
                 )
-                for op, cut in strict_type(data["cuts"], dict, "cuts").items()
+                for op, cut in expect(data["cuts"], dict, "cuts").items()
             },
         )
         if spatial is None:
             spatial = SpatialMapping({
-                LoopDim(d): strict_int(f, "spatial", d)
-                for d, f in strict_type(data["spatial"], dict, "spatial").items()
+                LoopDim(d): expect(f, int, "spatial", d)
+                for d, f in expect(data["spatial"], dict, "spatial").items()
             })
     except (KeyError, TypeError, ValueError) as exc:
         raise SerdeError(f"malformed mapping: {exc}") from exc
@@ -85,8 +86,8 @@ def mapping_from_dict(
 
 
 def _loop(entry: Any, index: int) -> Loop:
-    dim, size = strict_type(entry, list, "loops", index)
-    return Loop(LoopDim(strict_type(dim, str, "loops", index)), strict_int(size, "loops", index))
+    dim, size = expect(entry, list, "loops", index)
+    return Loop(LoopDim(expect(dim, str, "loops", index)), expect(size, int, "loops", index))
 
 
 __all__ = ["mapping_from_dict", "mapping_to_dict"]

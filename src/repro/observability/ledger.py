@@ -53,6 +53,8 @@ import threading
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.fields import read_fields
+
 #: Current on-disk schema version (``PRAGMA user_version`` in SQLite, the
 #: ``"v"`` field of each JSONL line). v1 predates the ``ss_comb`` map,
 #: ``git_sha`` and ``label`` columns; v2 predates the ``backend`` column
@@ -83,52 +85,6 @@ GATED_IDENTITY = ("mapping_fp", "options_fp", "accelerator_fp")
 
 def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_int(value: Any) -> bool:
-    return type(value) is int  # not a bool, which subclasses int
-
-
-#: Field annotation of a :class:`RunRecord` or a progress event ->
-#: (value check, what it expects).
-_FIELD_CHECKS = {
-    "str": (lambda v: isinstance(v, str), "a string"),
-    "int": (_is_int, "an integer"),
-    "float": (_is_number, "a number"),
-    "Optional[int]": (_is_int, "an integer or null"),
-    "Optional[float]": (_is_number, "a number or null"),
-    "bool": (lambda v: isinstance(v, bool), "a boolean"),
-    "Optional[bool]": (lambda v: isinstance(v, bool), "a boolean or null"),
-    "Dict[str, float]": (
-        lambda v: isinstance(v, dict) and all(map(_is_number, v.values())),
-        "an object of numbers",
-    ),
-    "Dict[str, Any]": (lambda v: isinstance(v, dict), "an object"),
-    "List[List[float]]": (
-        lambda v: isinstance(v, list)
-        and all(isinstance(row, list) and all(map(_is_number, row)) for row in v),
-        "a list of lists of numbers",
-    ),
-}
-
-
-def typed_fields(cls: type, data: Dict[str, Any], error: type) -> Dict[str, Any]:
-    """The fields of dataclass ``cls`` present in ``data``, checked.
-
-    A missing or ``null`` field is left out, so it takes its default; a
-    key that is not a field is ignored. A present field whose value does
-    not match its annotation raises ``error`` naming the field.
-    """
-    kwargs = {}
-    for field in dataclasses.fields(cls):
-        value = data.get(field.name)
-        if value is None:
-            continue
-        accepts, expected = _FIELD_CHECKS[field.type]
-        if not accepts(value):
-            raise error(f"field {field.name!r} must be {expected}, got {value!r:.40}")
-        kwargs[field.name] = value
-    return kwargs
 
 
 @dataclasses.dataclass
@@ -196,8 +152,9 @@ class RunRecord:
     def from_dict(cls, data: Dict[str, Any]) -> "RunRecord":
         """Inverse of :meth:`as_dict`; tolerant of missing (v1/v2) fields.
 
-        A missing or ``null`` field takes its default. A present one must
-        have its field's type (strings, non-bool numbers, a boolean
+        Read by :func:`repro.fields.read_fields`: a missing or ``null``
+        field takes its default; a present one keeps its JSON value and
+        must read as its annotation (strings, non-bool numbers, a boolean
         ``cache_hit``, an object of numbers for ``ss_comb``, an object
         for ``extra``), else :class:`LedgerSchemaError` names the field.
 
@@ -206,12 +163,10 @@ class RunRecord:
         recorded backend normalizes to ``"event"`` — old baselines keep
         matching new event-backend candidates.
         """
-        kwargs = typed_fields(cls, data, LedgerSchemaError)
-        if not kwargs.get("backend"):
-            kwargs["backend"] = (
-                "event" if kwargs.get("kind") == "verify" else ""
-            )
-        return cls(**kwargs)
+        record = read_fields(cls, data, LedgerSchemaError)
+        if not record.backend and record.kind == "verify":
+            record.backend = "event"
+        return record
 
 
 def record_from_report(

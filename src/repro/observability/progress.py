@@ -62,7 +62,7 @@ from typing import (
     get_args,
 )
 
-from repro.observability.ledger import typed_fields
+from repro.fields import read_fields
 
 #: Rolling-throughput window, in seconds of event time.
 RATE_WINDOW_S = 30.0
@@ -290,9 +290,9 @@ def event_from_dict(data: Any) -> ProgressEvent:
     """Inverse of :func:`event_to_dict`; tolerant of unknown fields.
 
     Raises :class:`ProgressFormatError` for a value that is not an
-    object, an unknown ``type``, a missing required field or a present
-    field whose value does not match its annotation (the ledger's
-    checks: ``"done_units": "abc"`` is refused, not rendered).
+    object, an unknown ``type``, or a field that
+    :func:`repro.fields.read_fields` refuses, as for ledger rows
+    (``"done_units": "abc"`` is refused, not rendered).
     """
     if not isinstance(data, dict):
         raise ProgressFormatError(f"event must be a JSON object, got {data!r:.40}")
@@ -300,11 +300,7 @@ def event_from_dict(data: Any) -> ProgressEvent:
     cls = EVENT_TYPES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ProgressFormatError(f"unknown progress event type {kind!r:.40}")
-    kwargs = typed_fields(cls, data, ProgressFormatError)
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:  # a required field is missing
-        raise ProgressFormatError(f"{kind}: {exc}") from None
+    return read_fields(cls, data, ProgressFormatError)
 
 
 def format_event(event: ProgressEvent) -> str:

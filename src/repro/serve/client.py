@@ -55,7 +55,7 @@ from repro.core.report import LatencyReport
 from repro.core.step1 import ModelOptions
 from repro.energy.energy_model import EnergyReport
 from repro.engine import EvaluationCache
-from repro.engine.evaluation import BestOf, Evaluation
+from repro.engine.evaluation import BestOf, Evaluation, for_layer
 from repro.fingerprint import stable_fingerprint
 from repro.hardware.accelerator import Accelerator
 from repro.hardware.serde import accelerator_to_dict, preset_from_dict
@@ -416,7 +416,7 @@ class RemoteEngine:
         report = self.cache.get(key)
         if report is not None:
             self.stats.cache_hits += 1
-            return report
+            return for_layer(report, mapping.layer)
         self.stats.cache_misses += 1
         response = self._round_trip("evaluate", mapping, with_energy=False)
         self.stats.evaluations += 1
@@ -430,7 +430,7 @@ class RemoteEngine:
         energy = self.cache.get(key)
         if energy is not None:
             self.stats.cache_hits += 1
-            return energy
+            return for_layer(energy, mapping.layer)
         self.stats.cache_misses += 1
         response = self._round_trip("energy", mapping, with_energy=True)
         self.stats.energy_evaluations += 1
@@ -477,7 +477,10 @@ class RemoteEngine:
                 )
                 if report is not None and (not with_energy or energy is not None):
                     self.stats.cache_hits += 1
-                    results[i] = Evaluation(mapping, report, energy)
+                    results[i] = Evaluation(
+                        mapping, for_layer(report, mapping.layer),
+                        for_layer(energy, mapping.layer),
+                    )
                     continue
                 self.stats.cache_misses += 1
                 pending.append(

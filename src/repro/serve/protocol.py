@@ -31,14 +31,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import typing
-from typing import Any, Dict, List, Optional, Tuple, Type
+from typing import Any, Dict, Optional, Tuple, Type
 
 from repro.core.report import LatencyReport
 from repro.core.step1 import ModelOptions
 from repro.core.step2 import ServedMemoryStall
 from repro.energy.access_counts import AccessCounts
 from repro.energy.energy_model import EnergyReport
+from repro.fields import fields_of, read_fields
 from repro.workload.operand import Operand
 
 #: Version of the message schema this build speaks. Bump on any change
@@ -71,11 +71,12 @@ def options_to_dict(options: ModelOptions) -> Dict[str, Any]:
 
 
 def options_from_dict(data: Dict[str, Any]) -> ModelOptions:
-    """Inverse of :func:`options_to_dict`; unknown keys are rejected."""
+    """Inverse of :func:`options_to_dict`; an unknown key or a mistyped
+    field (``"compute_edges": "false"``) is a :class:`ProtocolError`."""
     extra = set(data).difference(_OPTION_FIELDS)
     if extra:
         raise ProtocolError(f"unknown ModelOptions field(s): {sorted(extra)}")
-    return ModelOptions(**data)
+    return read_fields(ModelOptions, data, ProtocolError)
 
 
 def report_to_dict(report: LatencyReport) -> Dict[str, Any]:
@@ -218,7 +219,7 @@ class EvaluateRequest:
 
     ``trace`` (v1.1, optional) carries the caller's trace context —
     see :func:`repro.observability.distributed.inject_trace`. Both
-    sides tolerate its absence and ignore malformed payloads.
+    sides tolerate its absence and ignore malformed payloads (``Any``).
     """
 
     id: int
@@ -228,7 +229,7 @@ class EvaluateRequest:
     options: Optional[Dict[str, Any]] = None
     validate: bool = True
     with_energy: bool = False
-    trace: Optional[Dict[str, Any]] = None
+    trace: Any = None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -243,13 +244,14 @@ class EvaluateResponse:
     ``spans`` (v1.1, optional) is the server-side span subtree for this
     request — present only when the request carried a sampled ``trace``
     context; see :func:`repro.observability.distributed.spans_to_wire`.
+    A client drops malformed spans rather than fail (``Any``).
     """
 
     id: int
     report: Dict[str, Any]
     energy: Optional[Dict[str, Any]] = None
     source: str = "evaluated"
-    spans: Optional[List[Dict[str, Any]]] = None
+    spans: Any = None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -308,29 +310,9 @@ _TYPES: Dict[str, Type] = {
 }
 _TYPE_OF = {cls: name for name, cls in _TYPES.items()}
 
-#: The annotations read strictly, by JSON type name: a ``bool``, ``int``
-#: (never a boolean), ``str`` or ``Dict`` field must arrive as that JSON
-#: type; an ``Optional`` payload (``trace``, ``spans``, ``admin``, ...)
-#: stays tolerant.
-_JSON_NAMES = {bool: "boolean", int: "integer", str: "string", dict: "object"}
-
-
-def _json_type(hint) -> Optional[type]:
-    if hint in _JSON_NAMES:
-        return hint
-    return dict if typing.get_origin(hint) is dict else None
-
-
-#: Per message class, its fields, each with the JSON type it must arrive
-#: as (``None``: any). ``encode`` reads exactly these fields off the
-#: message, ``decode`` keeps exactly these keys of a frame and checks
-#: their types.
-_FIELDS: Dict[Type, Dict[str, Optional[type]]] = {
-    cls: {
-        name: _json_type(hint) for name, hint in typing.get_type_hints(cls).items()
-    }
-    for cls in _TYPES.values()
-}
+#: Each message's field names, which ``encode`` reads; building it
+#: resolves every message's field checks at import.
+_NAMES = {cls: tuple(name for name, *__ in fields_of(cls)) for cls in _TYPES.values()}
 
 #: Message classes a server accepts (everything else is a client-bound
 #: response; receiving one as a request is a protocol error).
@@ -357,10 +339,10 @@ def encode(message) -> bytes:
     # message defaults to None, so decode restores them, frames shrink,
     # and additive fields (trace/spans/admin) are genuinely *absent* —
     # not null — when unused, which is what forward-compat tests pin.
-    for field in _FIELDS[cls]:
-        value = getattr(message, field)
+    for name in _NAMES[cls]:
+        value = getattr(message, name)
         if value is not None:
-            data[field] = value
+            data[name] = value
     return (json.dumps(data, sort_keys=True) + "\n").encode("utf-8")
 
 
@@ -370,9 +352,10 @@ def decode(line) -> Any:
     Raises :class:`ProtocolError` on malformed JSON, a missing/unknown
     type, a missing or non-integer version, a frame stamped with a
     *newer* protocol version — the version gate every peer applies
-    before touching the payload — or a field whose value is not of its
-    annotated type (a ``bool``, an ``int`` such as ``id``, a ``str`` or
-    a ``Dict``), naming the field.
+    before touching the payload — or a field that
+    :func:`repro.fields.read_fields` refuses (a boolean ``id``, a string
+    ``validate``, a null ``layer``; ``Any`` fields are unchecked), naming
+    the field.
     """
     if isinstance(line, bytes):
         line = line.decode("utf-8", errors="replace")
@@ -394,23 +377,13 @@ def decode(line) -> Any:
             f"v{PROTOCOL_VERSION} — upgrade this side or downgrade the peer"
         )
     type_name = data.pop("type", None)
-    cls = _TYPES.get(type_name)
+    cls = _TYPES.get(type_name) if isinstance(type_name, str) else None
     if cls is None:
         raise ProtocolError(f"unknown message type {type_name!r}")
-    fields = _FIELDS[cls]
-    kwargs = {k: v for k, v in data.items() if k in fields}
-    for name, value in kwargs.items():
-        kind = fields[name]
-        # JSON values decode to exact types: a boolean is no integer here.
-        if kind is not None and type(value) is not kind:
-            raise ProtocolError(
-                f"bad {type_name!r} frame: field {name!r} must be a JSON "
-                f"{_JSON_NAMES[kind]}, got {type(value).__name__}"
-            )
     try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ProtocolError(f"bad {type_name!r} frame: {exc}") from exc
+        return read_fields(cls, data, ProtocolError)
+    except ProtocolError as exc:
+        raise ProtocolError(f"bad {type_name!r} frame: {exc}") from None
 
 
 __all__ = [

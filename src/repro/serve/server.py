@@ -75,6 +75,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.step1 import ModelOptions
 from repro.engine import EvaluationCache, EvaluationEngine
+from repro.engine.evaluation import for_layer
 from repro.fingerprint import stable_fingerprint
 from repro.hardware.accelerator import Accelerator
 from repro.hardware.presets import Preset
@@ -114,6 +115,7 @@ from repro.serve.protocol import (
     StatsResponse,
 )
 from repro.serve.store import ResultStore
+from repro.workload.layer import LayerSpec
 from repro.workload.serde import layer_from_dict
 
 
@@ -617,7 +619,7 @@ class EvaluationServer:
                     self.stats.store_hits += 1
                 return EvaluateResponse(
                     id=msg.id,
-                    report=protocol.report_to_dict(report),
+                    report=protocol.report_to_dict(for_layer(report, mapping.layer)),
                     source="warm" if warm else "store",
                 )
         inflight_key = store_key + (msg.validate, msg.with_energy)
@@ -630,7 +632,7 @@ class EvaluationServer:
             except BaseException as exc:
                 return self._error_response(msg.id, exc)
             record.coalesce_wait_us = (time.perf_counter() - t_wait) * 1e6
-            return self._ok_response(msg, outcome, source="coalesced")
+            return self._ok_response(msg, outcome, "coalesced", mapping.layer)
         loop = asyncio.get_running_loop()
         future = loop.create_future()
         self._inflight[inflight_key] = future
@@ -674,18 +676,18 @@ class EvaluationServer:
                 self.stats.evaluations,
                 dedup_skipped=self.stats.coalesced,
             )
-        return self._ok_response(msg, outcome, source="evaluated")
+        return self._ok_response(msg, outcome, "evaluated", mapping.layer)
 
     def _ok_response(
-        self, msg: EvaluateRequest, outcome: _Outcome, source: str
+        self, msg: EvaluateRequest, outcome: _Outcome, source: str, layer: LayerSpec
     ) -> EvaluateResponse:
+        """The answer for ``msg``, named for its ``layer``: a coalesced
+        outcome may be another request's, for a layer of another name."""
+        energy = for_layer(outcome.energy, layer)
         return EvaluateResponse(
             id=msg.id,
-            report=protocol.report_to_dict(outcome.report),
-            energy=(
-                protocol.energy_to_dict(outcome.energy)
-                if outcome.energy is not None else None
-            ),
+            report=protocol.report_to_dict(for_layer(outcome.report, layer)),
+            energy=protocol.energy_to_dict(energy) if energy is not None else None,
             source=source,
         )
 

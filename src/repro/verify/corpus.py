@@ -18,13 +18,15 @@ from __future__ import annotations
 import dataclasses
 import json
 import pathlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.fields import read_fields
 from repro.hardware.serde import (
     SerdeError,
     accelerator_from_dict,
     accelerator_to_dict,
 )
+from repro.mapping.mapping import MappingError
 from repro.mapping.serde import mapping_from_dict, mapping_to_dict
 from repro.verify.generators import Case
 from repro.workload.serde import layer_from_dict, layer_to_dict
@@ -76,33 +78,59 @@ def case_to_dict(
     }
 
 
-def case_from_dict(data: Dict, path: Optional[pathlib.Path] = None) -> CorpusCase:
+@dataclasses.dataclass(frozen=True)
+class CaseFile:
+    """The fields of a corpus file, as :func:`case_from_dict` reads them."""
+
+    schema: int
+    case_id: str
+    accelerator: Dict[str, Any]
+    layer: Dict[str, Any]
+    mapping: Dict[str, Any]
+    comment: str = ""
+    properties: List[str] = ()
+    pairs: List[str] = ()
+    fingerprints: Dict[str, str] = dataclasses.field(default_factory=dict)
+
+
+def case_from_dict(data: Any, path: Optional[pathlib.Path] = None) -> CorpusCase:
     """Restore a corpus case, verifying the recorded fingerprints.
+
+    A corpus file is outside input, read by
+    :func:`repro.fields.read_fields` against :class:`CaseFile` (unknown
+    keys are ignored). A value that is not an object, another schema, a
+    field of the wrong JSON type, a malformed accelerator, layer or
+    mapping, and a drifted fingerprint each raise :class:`SerdeError`
+    naming the file and the field.
 
     A fingerprint mismatch means the serde schemas (or the fingerprint
     inputs) drifted since the case was saved — the corpus file must be
     regenerated, not silently reinterpreted.
     """
+    where = f"corpus case {path or '?'}"
+    if not isinstance(data, dict):
+        raise SerdeError(f"{where}: must be a JSON object, got {data!r:.40}")
     if data.get("schema") != SCHEMA_VERSION:
-        raise SerdeError(
-            f"corpus case {path or '?'}: unsupported schema {data.get('schema')!r}"
-        )
-    accelerator = accelerator_from_dict(data["accelerator"])
-    layer = layer_from_dict(data["layer"])
-    mapping = mapping_from_dict(data["mapping"], layer)
+        raise SerdeError(f"{where}: unsupported schema {data.get('schema')!r:.40}")
+    try:
+        fields = read_fields(CaseFile, data, SerdeError)
+        accelerator = accelerator_from_dict(fields.accelerator)
+        layer = layer_from_dict(fields.layer)
+        mapping = mapping_from_dict(fields.mapping, layer)
+    except (SerdeError, MappingError) as exc:
+        raise SerdeError(f"{where}: {exc}") from None
     case = Case(
         accelerator=accelerator,
         spatial=tuple(sorted(mapping.spatial.unrolling.items())),
         layer=layer,
         mapping=mapping,
-        case_id=str(data["case_id"]),
+        case_id=fields.case_id,
     )
-    recorded = data.get("fingerprints", {})
     actual = {
         "accelerator": accelerator.fingerprint(),
         "mapping": mapping.fingerprint(),
     }
-    for key, want in recorded.items():
+    for key, want in fields.fingerprints.items():
         if actual.get(key) != want:
             raise SerdeError(
                 f"corpus case {path or case.case_id}: {key} fingerprint drifted "
@@ -111,9 +139,9 @@ def case_from_dict(data: Dict, path: Optional[pathlib.Path] = None) -> CorpusCas
             )
     return CorpusCase(
         case=case,
-        comment=str(data.get("comment", "")),
-        properties=tuple(data.get("properties", ())),
-        pairs=tuple(data.get("pairs", ())),
+        comment=fields.comment,
+        properties=tuple(fields.properties),
+        pairs=tuple(fields.pairs),
         path=path,
     )
 
@@ -138,11 +166,19 @@ def save_case(
 
 
 def load_corpus(directory: pathlib.Path) -> List[CorpusCase]:
-    """All corpus cases in ``directory`` (sorted by filename; [] if absent)."""
+    """All corpus cases in ``directory`` (sorted by filename; [] if absent).
+
+    A file that is not JSON, or not a corpus case, raises
+    :class:`SerdeError` naming it (see :func:`case_from_dict`).
+    """
     directory = pathlib.Path(directory)
     if not directory.is_dir():
         return []
     out: List[CorpusCase] = []
     for path in sorted(directory.glob("*.json")):
-        out.append(case_from_dict(json.loads(path.read_text()), path=path))
+        try:
+            data = json.loads(path.read_text())
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise SerdeError(f"corpus case {path}: invalid JSON: {exc}") from None
+        out.append(case_from_dict(data, path=path))
     return out

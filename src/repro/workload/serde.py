@@ -31,7 +31,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Dict
 
-from repro.hardware.serde import SerdeError, check_known, strict_int, strict_type
+from repro.fields import check_known, expect
+from repro.hardware.serde import SerdeError
 from repro.workload.dims import LoopDim
 from repro.workload.layer import LayerSpec, LayerType, Precision
 
@@ -80,24 +81,22 @@ def layer_from_dict(data: Any) -> LayerSpec:
 def _layer(data: Dict) -> LayerSpec:
     if "layer_type" not in data or "dims" not in data:
         raise ValueError("needs 'layer_type' and 'dims'")
-    dims, precision = data["dims"], data.get("precision", {})
-    for key, value in (("dims", dims), ("precision", precision)):
-        if not isinstance(value, dict):
-            raise TypeError(f"{key!r} must be an object, got {value!r}")
+    dims = expect(data["dims"], dict, "'dims'")
+    precision = expect(data.get("precision", {}), dict, "'precision'")
     check_known("layer field", data, _FIELDS)
     check_known(
-        "layer type", [strict_type(data["layer_type"], str, "layer_type")], _LAYER_TYPES
+        "layer type", [expect(data["layer_type"], str, "layer_type")], _LAYER_TYPES
     )
     check_known("loop dim", dims, _DIMS)
     check_known("precision field", precision, _PRECISIONS)
     return LayerSpec(
         layer_type=LayerType(data["layer_type"]),
-        dims={LoopDim(d): strict_int(s, "dims", d) for d, s in dims.items()},
-        **{key: strict_int(data.get(key, 1), key) for key in _GEOMETRY},
+        dims={LoopDim(d): expect(s, int, "dims", d) for d, s in dims.items()},
+        **{key: expect(data.get(key, 1), int, key) for key in _GEOMETRY},
         precision=Precision(**{
-            k: strict_int(v, "precision", k) for k, v in precision.items()
+            k: expect(v, int, "precision", k) for k, v in precision.items()
         }),
-        name=None if data.get("name") is None else strict_type(data["name"], str, "name"),
+        name=None if data.get("name") is None else expect(data["name"], str, "name"),
     )
 
 

@@ -6,7 +6,9 @@ JSON object, an ``int`` field (every ``id``) only a JSON integer and a
 decode as a truthy string, ``"layer": 5`` would reach the handler, and
 ``"id": true`` would be answered as id 1. Each is refused by ``decode``
 with a ``ProtocolError`` that names the field, and the daemon answers
-such a frame with an error frame and keeps serving.
+such a frame with an error frame and keeps serving. A request's model
+``options`` are read the same way: ``"compute_edges": "false"`` is
+refused, not evaluated with compute edges on.
 """
 
 import json
@@ -14,6 +16,7 @@ import socket
 
 import pytest
 
+from repro.core.step1 import ModelOptions
 from repro.serve import protocol
 from repro.serve.protocol import (
     ErrorResponse,
@@ -39,11 +42,11 @@ def _evaluate_frame(request_id, **fields):
 
 
 @pytest.mark.parametrize("fields, named", [
-    (STRING_BOOLEANS, "'validate' must be a JSON boolean"),
-    ({"with_energy": 1}, "'with_energy' must be a JSON boolean"),
-    (NON_OBJECTS, "'layer' must be a JSON object"),
-    ({"mapping": [1]}, "'mapping' must be a JSON object"),
-    ({"layer": None}, "'layer' must be a JSON object"),
+    (STRING_BOOLEANS, "'validate' must be a boolean"),
+    ({"with_energy": 1}, "'with_energy' must be a boolean"),
+    (NON_OBJECTS, "'layer' must be an object"),
+    ({"mapping": [1]}, "'mapping' must be an object"),
+    ({"layer": None}, "'layer' must be an object"),
 ], ids=["string-booleans", "int-boolean", "non-objects", "list-mapping", "null-layer"])
 def test_decode_refuses_a_mistyped_field_by_name(fields, named):
     with pytest.raises(ProtocolError, match=named):
@@ -86,9 +89,9 @@ def test_the_daemon_answers_mistyped_frames_and_keeps_serving(server):
 
 
 BAD_IDS = [
-    (b'{"v": 1, "type": "stats", "id": "x"}\n', "must be a JSON integer, got str"),
-    (b'{"v": 1, "type": "stats", "id": true}\n', "must be a JSON integer, got bool"),
-    (b'{"v": 1, "type": "stats", "id": 2.5}\n', "must be a JSON integer, got float"),
+    (b'{"v": 1, "type": "stats", "id": "x"}\n', "must be an integer, got 'x'"),
+    (b'{"v": 1, "type": "stats", "id": true}\n', "must be an integer, got True"),
+    (b'{"v": 1, "type": "stats", "id": 2.5}\n', "must be an integer, got 2.5"),
 ]
 
 
@@ -99,22 +102,22 @@ def test_decode_refuses_an_id_that_is_not_an_integer(frame, named):
 
 
 @pytest.mark.parametrize("data, field, named", [
-    ({"type": "hello", "id": 1, "client": 7}, "client", "string"),
+    ({"type": "hello", "id": 1, "client": 7}, "client", "a string"),
     ({"type": "hello_ok", "id": 1, "protocol": "1", "server": "s",
-      "preset": {}, "options": {}}, "protocol", "integer"),
+      "preset": {}, "options": {}}, "protocol", "an integer"),
     ({"type": "hello_ok", "id": 1, "protocol": True, "server": "s",
-      "preset": {}, "options": {}}, "protocol", "integer"),
+      "preset": {}, "options": {}}, "protocol", "an integer"),
     ({"type": "hello_ok", "id": 1, "protocol": 1, "server": None,
-      "preset": {}, "options": {}}, "server", "string"),
+      "preset": {}, "options": {}}, "server", "a string"),
     ({"type": "evaluate_ok", "id": 1, "report": {}, "source": 1},
-     "source", "string"),
-    ({"type": "error", "id": 1, "error": ["E"], "message": "m"}, "error", "string"),
-    ({"type": "error", "id": 1, "error": "E", "message": 5}, "message", "string"),
+     "source", "a string"),
+    ({"type": "error", "id": 1, "error": ["E"], "message": "m"}, "error", "a string"),
+    ({"type": "error", "id": 1, "error": "E", "message": 5}, "message", "a string"),
 ], ids=["client", "protocol-str", "protocol-bool", "server", "source", "error",
         "message"])
 def test_decode_refuses_mistyped_integer_and_string_fields(data, field, named):
     line = json.dumps({"v": protocol.PROTOCOL_VERSION, **data})
-    with pytest.raises(ProtocolError, match=f"field {field!r} must be a JSON {named}"):
+    with pytest.raises(ProtocolError, match=f"field {field!r} must be {named}"):
         protocol.decode(line)
 
 
@@ -128,3 +131,34 @@ def test_the_daemon_answers_frames_with_a_bad_id_and_keeps_serving(server):
     assert isinstance(stats, StatsResponse)
     assert stats.id == 4
     assert stats.stats["protocol_errors"] == len(BAD_IDS)
+
+
+@pytest.mark.parametrize("data, field, kind", [
+    ({"compute_edges": "false", "paper_period_count": 1}, "compute_edges", "a boolean"),
+    ({"paper_period_count": 1}, "paper_period_count", "a boolean"),
+    ({"combine_rule": 5}, "combine_rule", "a string"),
+], ids=["string-boolean", "int-boolean", "int-string"])
+def test_served_options_are_read_typed(data, field, kind):
+    """``"compute_edges": "false"`` is a truthy string: read as sent, it
+    would evaluate with compute edges on under a fingerprint of its own."""
+    with pytest.raises(ProtocolError, match=f"field {field!r} must be {kind}"):
+        protocol.options_from_dict(data)
+    assert protocol.options_from_dict({"compute_edges": None}) == ModelOptions()
+
+
+def test_the_daemon_answers_mistyped_options_and_keeps_serving(server):
+    response = _round_trip(
+        server.url, _evaluate_frame(1, options={"compute_edges": "false"})
+    )
+    assert isinstance(response, ErrorResponse)
+    assert (response.id, response.error) == (1, "ProtocolError")
+    assert "'compute_edges' must be a boolean" in response.message
+    stats = _round_trip(server.url, protocol.encode(StatsRequest(id=2)))
+    assert isinstance(stats, StatsResponse)
+    assert stats.stats["evaluations"] == 0
+
+
+def test_decode_refuses_a_message_type_that_is_not_a_string():
+    """An unhashable ``type`` was a ``TypeError`` from the type lookup."""
+    with pytest.raises(ProtocolError, match=r"unknown message type \[1\]"):
+        protocol.decode(b'{"v": 1, "type": [1], "id": 1}\n')

@@ -1,10 +1,18 @@
-"""Corpus serialization: serde round trip plus fingerprint drift detection."""
+"""Corpus serialization: serde round trip plus fingerprint drift detection.
+
+A corpus file is outside input: a file that is not JSON, not an object,
+of another schema or with a field of the wrong JSON type is a
+``SerdeError`` naming the file and the field, and ``verify`` reports it
+in one line with exit code 2.
+"""
 
 import json
 import pathlib
+import re
 
 import pytest
 
+from repro.cli import main
 from repro.core.model import LatencyModel
 from repro.hardware.serde import SerdeError
 from repro.verify.corpus import (
@@ -91,3 +99,56 @@ def test_committed_corpus_replays_clean():
         assert entry.comment, entry.path
         # ...and passes the suite at the production tolerance.
         assert not check_case(entry.case), entry.path
+
+
+COMMITTED_CASE = sorted(COMMITTED_CORPUS.glob("*.json"))[0]
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("properties", "abc", "field 'properties' must be a list of strings, got 'abc'"),
+    ("fingerprints", {"mapping": 5},
+     "field 'fingerprints' must be an object of strings, got {'mapping': 5}"),
+    ("case_id", 5, "field 'case_id' must be a string, got 5"),
+    ("comment", ["x"], "field 'comment' must be a string, got ['x']"),
+    ("layer", [1], "field 'layer' must be an object, got [1]"),
+    ("schema", 2, "unsupported schema 2"),
+    ("schema", True, "field 'schema' must be an integer, got True"),
+], ids=["properties", "fingerprints", "case-id", "comment", "layer", "schema",
+        "schema-bool"])
+def test_a_mistyped_corpus_field_is_a_serde_error_naming_file_and_field(
+    tmp_path, field, value, message
+):
+    data = json.loads(COMMITTED_CASE.read_text())
+    data[field] = value
+    path = tmp_path / COMMITTED_CASE.name
+    path.write_text(json.dumps(data))
+    with pytest.raises(SerdeError) as err:
+        load_corpus(tmp_path)
+    assert str(err.value) == f"corpus case {path}: {message}"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1]", "must be a JSON object, got [1]"),
+    ('{"schema": 1, "case', "invalid JSON: "),
+], ids=["list", "truncated"])
+def test_a_corpus_file_that_is_no_case_object_is_a_serde_error(tmp_path, text, message):
+    path = tmp_path / "case.json"
+    path.write_text(text)
+    with pytest.raises(SerdeError, match=re.escape(f"corpus case {path}: {message}")):
+        load_corpus(tmp_path)
+
+
+def test_verify_reports_a_corrupted_corpus_file_in_one_line(tmp_path, capsys):
+    data = json.loads(COMMITTED_CASE.read_text())
+    data["properties"] = "abc"
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / COMMITTED_CASE.name).write_text(json.dumps(data))
+    with pytest.raises(SystemExit) as exit_:
+        main(["verify", "--corpus", str(corpus), "--corpus-only",
+              "--ledger", str(tmp_path / "verify.sqlite")])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert "field 'properties' must be a list of strings" in err
