@@ -30,6 +30,7 @@ latency-model output drifts beyond tolerance — the CI regression gate.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, NoReturn, Optional, Tuple
 
@@ -992,6 +993,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     tracer = Tracer() if want_trace else NULL_TRACER
     registry = MetricsRegistry() if getattr(args, "metrics", False) else NULL_METRICS
     ledger_path = getattr(args, "ledger", None)
+    fresh_ledger = bool(ledger_path) and not os.path.exists(ledger_path)
     ledger = RunLedger(ledger_path) if ledger_path else NULL_LEDGER
     events_path = getattr(args, "events", None)
     emitter = NULL_EMITTER
@@ -1005,12 +1007,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     campaign = CampaignRecorder(campaign_name) if campaign_name \
         else NULL_CAMPAIGN
 
-    interrupted = False
+    interrupted = refused = False
     try:
         with use_telemetry(tracer=tracer, metrics=registry, ledger=ledger,
                            progress=emitter, campaign=campaign):
             try:
                 code = args.func(args)
+            except SystemExit as exc:
+                refused = exc.code == 2  # a bad argument (_bad_argument)
+                raise
             except KeyboardInterrupt:
                 # Caught inside the ambient scopes so the campaign can
                 # finish (convergence/funnel events) and flush its partial
@@ -1025,7 +1030,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                     campaign.flush_to(ledger, partial=interrupted)
                     print(campaign.summary_line())
     finally:
-        if ledger.enabled:
+        if refused and not len(ledger):
+            # A refused run leaves no ledger behind: it recorded nothing.
+            ledger.close()
+            if fresh_ledger:
+                os.remove(ledger_path)
+        elif ledger.enabled:
             print(f"ledger: {len(ledger)} record(s) in {ledger_path}")
         ledger.close()
         emitter.close()

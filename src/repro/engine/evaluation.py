@@ -4,37 +4,35 @@ Every flow in this reproduction — mapping search (Case 1), workload
 sweeps (Case 2), architecture DSE (Case 3), sensitivity what-ifs, network
 evaluation, the CLI — ultimately runs the same pure 3-step kernel: the
 vectorized :class:`repro.core.batch.BatchEvaluator`, whose reports equal
-those of the reference :class:`repro.core.model.LatencyModel`. The
-:class:`EvaluationEngine` owns one batch core (one plan) for one
-(accelerator, options) pair — a single :meth:`~EvaluationEngine.evaluate`
-is a one-lane batch with its full anatomy — and adds what the kernel
-deliberately does not have:
+those of the reference :class:`repro.core.model.LatencyModel`.
 
-* an LRU **cache**, always on, keyed on (accelerator fingerprint, options
-  fingerprint, :attr:`Mapping.cache_key`), so repeated design points —
-  repeated layer shapes in a network, revisited loop orders in a hill
-  climb, shared mappings across a sweep — are evaluated once. The mapping
-  part is structural (plain str/int values); the SHA-256
-  ``Mapping.fingerprint()`` is computed only for ledger rows. A cold
-  run uses a fresh engine or empties :attr:`EvaluationEngine.cache`;
-* **batch evaluation** (:meth:`evaluate_many`): cache misses run in
-  chunks through the vectorized batch core, in list order and in the
-  calling process;
-* an :class:`~repro.observability.stats.EngineStats` **instrumentation
-  surface** (evaluations run, hits/misses, wall time per phase), plus
-  **observability hooks**: spans on the ambient
-  :class:`~repro.observability.Tracer` (every chunk projects its reports
-  under the batch span, in chunk order), counters / histograms on the
-  ambient :class:`~repro.observability.MetricsRegistry`, and one durable
-  :class:`~repro.observability.RunRecord` per evaluation on the ambient
-  :class:`~repro.observability.RunLedger`.
-  All default to no-ops and cost nothing when disabled.
+``_FrontEnd`` is what the in-process engine and the served client
+(:class:`~repro.serve.RemoteEngine`) share: identity and the local
+``check``; an LRU **cache**, always on, keyed on (accelerator
+fingerprint, options fingerprint, :attr:`Mapping.cache_key`), so
+repeated design points — repeated layer shapes in a network, revisited
+loop orders in a hill climb, shared mappings across a sweep — are
+evaluated once (the SHA-256 ``Mapping.fingerprint()`` is computed only
+for ledger rows; a hit is named for the asked layer and flagged
+``cache_hit``); the :class:`~repro.observability.stats.EngineStats`
+counters; the energy flow; the bookkeeping of ``evaluate_many`` around
+its kernel; and ``derive``, which builds a sibling for another machine
+or options *sharing* the cache and stats — the idiom for architecture
+sweeps where every design point is a different accelerator.
 
-Engines are cheap; :meth:`derive` builds one for another machine or
-options while *sharing* the cache and stats — the idiom for
-architecture sweeps where every design point is a different accelerator.
-:meth:`from_preset` is the one canonical constructor shorthand (CLI,
-examples and :mod:`repro.api` all use it).
+:class:`EvaluationEngine` adds its kernel: one batch core (one plan) for
+one (accelerator, options) pair, through which cache misses run in
+chunks, in list order and in the calling process; the bound-first
+``best_of``; full reports (a single ``evaluate`` is a one-lane batch
+with its full anatomy); and **observability hooks**: spans on the
+ambient :class:`~repro.observability.Tracer` (every chunk projects its
+reports under the batch span, in chunk order), counters / histograms on
+the ambient :class:`~repro.observability.MetricsRegistry`, progress
+events and one durable :class:`~repro.observability.RunRecord` per
+evaluation on the ambient :class:`~repro.observability.RunLedger`. All
+default to no-ops and cost nothing when disabled. :meth:`from_preset`
+is the one canonical constructor shorthand (CLI, examples and
+:mod:`repro.api` all use it).
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ import copy
 import dataclasses
 import math
 import time
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.batch import BatchEvaluator
 from repro.core.model import LatencyModel
@@ -158,21 +156,247 @@ def _first_least(
 
 @dataclasses.dataclass
 class _Batch:
-    """What :meth:`EvaluationEngine._run_batch` found, parallel to its
-    input rows: a report (or None), an energy and a cache-hit flag per
-    row, and the rows' cache keys."""
+    """One batch, parallel to its input ``rows``: a report (or None), an
+    energy and a cache-hit flag per row, the rows' ``keys`` and the two
+    functions that turn a key into the row's latency and energy cache
+    keys. :meth:`_FrontEnd._probe` fills it before the kernel runs."""
 
-    keys: List[Tuple]
+    rows: Sequence[Mapping]
+    keys: Sequence
+    latency_key: Callable[..., Tuple]
+    energy_key: Callable[..., Tuple]
     reports: List[Optional[LatencyReport]]
     energies: List[Optional[EnergyReport]]
     hits: List[bool]
+    #: Positions of the rows the cache did not answer, in order.
+    pending: List[int] = dataclasses.field(default_factory=list)
+    #: Rows refused by the local feasibility check.
+    invalid: int = 0
     scored: int = 0
     pruned: int = 0
     #: Positions of the rows shallower than the machine.
     shallow: List[int] = dataclasses.field(default_factory=list)
 
 
-class EvaluationEngine:
+class _FrontEnd:
+    """What every evaluator shares (see the module docstring). A
+    subclass adds its kernel: ``evaluate``, ``best_of``, ``_run_batch``
+    (:meth:`_probe`, evaluate ``pending``, :meth:`_keep`) and
+    ``_energy_miss``."""
+
+    def __init__(
+        self,
+        accelerator: Accelerator,
+        options: Optional[ModelOptions] = None,
+        *,
+        cache: Optional[EvaluationCache] = None,
+        stats: Optional[EngineStats] = None,
+        spatial_unrolling: Optional[dict] = None,
+    ) -> None:
+        self.accelerator = accelerator
+        self.options = options or ModelOptions()
+        #: The machine's native dataflow (empty = purely temporal). Part
+        #: of the :class:`~repro.engine.evaluator.Evaluator` protocol so
+        #: callers holding only an evaluator can still seed a mapper.
+        self.spatial_unrolling = dict(spatial_unrolling or {})
+        self.cache = cache if cache is not None else EvaluationCache()
+        self.stats = stats if stats is not None else EngineStats()
+        self._model = LatencyModel(accelerator, self.options)  # check() only
+        self._accel_fp = accelerator.fingerprint()
+        self._options_fp = stable_fingerprint(self.options)
+
+    # ------------------------------------------------------------------ #
+    # Identity, lineage, lifecycle
+    # ------------------------------------------------------------------ #
+
+    @property
+    def accelerator_fingerprint(self) -> str:
+        """Canonical fingerprint of the evaluated machine."""
+        return self._accel_fp
+
+    @property
+    def options_fingerprint(self) -> str:
+        """Canonical fingerprint of the model options."""
+        return self._options_fp
+
+    def derive(
+        self,
+        accelerator: Optional[Accelerator] = None,
+        options: Optional[ModelOptions] = None,
+    ):
+        """An evaluator for another machine/options sharing this one's
+        cache and stats.
+
+        Fingerprinted cache keys keep entries from different machines
+        apart, so a whole architecture or sensitivity sweep can pool its
+        evaluations in one cache and report one stats surface. The
+        native dataflow belongs to the machine: it travels with an
+        unchanged accelerator but not onto a different one.
+        """
+        same = accelerator is None or accelerator is self.accelerator
+        return self._sibling(
+            self.accelerator if same else accelerator,
+            self.options if options is None else options,
+            self.spatial_unrolling if same else None,
+        )
+
+    def _sibling(self, accelerator, options, spatial_unrolling):
+        return type(self)(
+            accelerator, options,
+            cache=self.cache, stats=self.stats, spatial_unrolling=spatial_unrolling,
+        )
+
+    def close(self) -> None:
+        """Release what the evaluator holds (the engine holds nothing)."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    # ------------------------------------------------------------------ #
+    # Cache keys and probes
+    # ------------------------------------------------------------------ #
+
+    # Each key is built in one call: a batch probe calls one of these per
+    # row (the client's per mapping, the engine's per block row).
+
+    def _latency_key(self, mapping: Mapping):
+        return ("latency", self._accel_fp, self._options_fp, mapping.cache_key)
+
+    def _energy_key(self, mapping: Mapping):
+        return ("energy", self._accel_fp, mapping.cache_key)
+
+    def _row_latency_key(self, cache_key: Tuple):
+        """The latency key of the row whose :attr:`Mapping.cache_key` is
+        ``cache_key`` (a block row need not be built as a mapping)."""
+        return ("latency", self._accel_fp, self._options_fp, cache_key)
+
+    def _row_energy_key(self, cache_key: Tuple):
+        # The energy model takes no ModelOptions; its key omits them.
+        return ("energy", self._accel_fp, cache_key)
+
+    def _cached(self, key: Tuple, layer: LayerSpec):
+        """The entry under ``key`` named for ``layer``, counted as a hit,
+        or None, counted as a miss."""
+        entry = self.cache.get(key)
+        if entry is None:
+            self.stats.cache_misses += 1
+            return None
+        self.stats.cache_hits += 1
+        return for_layer(entry, layer)
+
+    def check(self, mapping: Mapping) -> None:
+        """Raise :class:`MappingError` if ``mapping`` is infeasible here.
+
+        Validation is model arithmetic on the local machine description,
+        so a client of a daemon runs it without a round trip.
+        """
+        self._model.check(mapping)
+
+    # ------------------------------------------------------------------ #
+    # The evaluation verbs
+    # ------------------------------------------------------------------ #
+
+    def evaluate_energy(self, mapping: Mapping) -> EnergyReport:
+        """Dynamic energy of ``mapping``, served from the cache when possible."""
+        key = self._energy_key(mapping)
+        energy = self._cached(key, mapping.layer)
+        if energy is None:
+            energy = self._energy_miss(mapping)
+            self.stats.energy_evaluations += 1
+            self.cache.put(key, energy)
+        return energy
+
+    def evaluate_many(
+        self,
+        mappings: Iterable[Mapping],
+        validate: bool = False,
+        with_energy: bool = False,
+    ) -> List[Optional[Evaluation]]:
+        """Evaluate a batch of mappings, preserving order.
+
+        Under ``validate`` every mapping is checked first, so an
+        infeasible one is refused even when its report is cached. Cache
+        hits (with ``with_energy``, both entries) are answered at once
+        and flagged ``cache_hit``; the misses go to the kernel. Entry
+        ``i`` is an :class:`Evaluation`, or ``None`` when mapping ``i``
+        raised :class:`MappingError` (infeasible under ``validate`` or
+        shallower than the machine's memory hierarchy).
+        """
+        batch = self._run_batch(_rows(mappings), validate, with_energy)
+        rows = batch.rows
+        return [
+            None if report is None else Evaluation(rows[i], report, energy, hit)
+            for i, (report, energy, hit) in enumerate(
+                zip(batch.reports, batch.energies, batch.hits)
+            )
+        ]
+
+    # ------------------------------------------------------------------ #
+    # Batch bookkeeping around the kernel
+    # ------------------------------------------------------------------ #
+
+    def _probe(
+        self,
+        rows: Sequence[Mapping],
+        keys: Sequence,
+        latency_key: Callable[..., Tuple],
+        energy_key: Callable[..., Tuple],
+        validate: bool,
+        with_energy: bool,
+    ) -> _Batch:
+        """The batch before the kernel runs: each row checked under
+        ``validate``, then answered from the cache (its keys are
+        ``latency_key(keys[i])`` and ``energy_key(keys[i])``) or queued
+        in ``pending``."""
+        n = len(keys)
+        batch = _Batch(
+            rows, keys, latency_key, energy_key, [None] * n, [None] * n, [False] * n
+        )
+        reports, energies, hits, pending = (
+            batch.reports, batch.energies, batch.hits, batch.pending
+        )
+        block = isinstance(rows, MappingBlock)
+        self.stats.batches += 1
+        for i, key in enumerate(keys):
+            if validate:
+                try:
+                    self._model.check(rows[i])
+                except MappingError:
+                    batch.invalid += 1
+                    continue
+            report = self.cache.get(latency_key(key))
+            energy = self.cache.get(energy_key(key)) if with_energy else None
+            if report is not None and (not with_energy or energy is not None):
+                layer = rows.layer if block else rows[i].layer
+                reports[i], energies[i] = for_layer(report, layer), for_layer(energy, layer)
+                hits[i] = True
+            else:
+                pending.append(i)
+        batch.scored = n - batch.invalid - len(pending)
+        self.stats.cache_hits += batch.scored
+        self.stats.cache_misses += len(pending)
+        self.stats.errors += batch.invalid
+        return batch
+
+    def _keep(self, batch: _Batch, positions: Iterable[int]) -> None:
+        """The batch after the kernel answered the rows at ``positions``:
+        cache each report and energy, counting the energies."""
+        for i in positions:
+            report = batch.reports[i]
+            if report is None:
+                continue
+            key = batch.keys[i]
+            self.cache.put(batch.latency_key(key), report)
+            energy = batch.energies[i]
+            if energy is not None:
+                self.stats.energy_evaluations += 1
+                self.cache.put(batch.energy_key(key), energy)
+
+
+class EvaluationEngine(_FrontEnd):
     """Cached, instrumented, batchable evaluation of mappings on one machine.
 
     Parameters
@@ -193,33 +417,16 @@ class EvaluationEngine:
     >>> engine.stats.hit_rate                             # doctest: +SKIP
     """
 
-    def __init__(
-        self,
-        accelerator: Accelerator,
-        options: Optional[ModelOptions] = None,
-        *,
-        cache: Optional[EvaluationCache] = None,
-        stats: Optional[EngineStats] = None,
-        spatial_unrolling: Optional[dict] = None,
-    ) -> None:
-        self.accelerator = accelerator
-        self.options = options or ModelOptions()
-        #: The machine's native dataflow (empty = purely temporal). Part
-        #: of the :class:`~repro.engine.evaluator.Evaluator` protocol so
-        #: callers holding only an evaluator can still seed a mapper.
-        self.spatial_unrolling = dict(spatial_unrolling or {})
-        self.cache = cache if cache is not None else EvaluationCache()
-        self.stats = stats if stats is not None else EngineStats()
-        self._model = LatencyModel(accelerator, self.options)  # check() only
-        self._batch: Optional[BatchEvaluator] = None   # evaluate_many chunks
-        self._single: Optional[BatchEvaluator] = None  # evaluate()
-        self._energy_model = EnergyModel(accelerator)
-        self._accel_fp = accelerator.fingerprint()
-        self._options_fp = stable_fingerprint(self.options)
+    # Bound on the class itself: perfbench/layers.py times them through
+    # this class's __dict__.
+    _latency_key = _FrontEnd._latency_key
+    _energy_key = _FrontEnd._energy_key
 
-    # ------------------------------------------------------------------ #
-    # Construction / derivation / lifecycle
-    # ------------------------------------------------------------------ #
+    #: The kernels, built on first use: the batch core of the chunks, its
+    #: one-lane copy for evaluate() and the energy model.
+    _batch: Optional[BatchEvaluator] = None
+    _single: Optional[BatchEvaluator] = None
+    _energy_model: Optional[EnergyModel] = None
 
     @classmethod
     def from_preset(
@@ -241,71 +448,6 @@ class EvaluationEngine:
         if "spatial_unrolling" not in kwargs:
             kwargs["spatial_unrolling"] = getattr(preset, "spatial_unrolling", None)
         return cls(accelerator, options, **kwargs)
-
-    def derive(
-        self,
-        accelerator: Optional[Accelerator] = None,
-        options: Optional[ModelOptions] = None,
-    ) -> "EvaluationEngine":
-        """An engine for another machine/options sharing this engine's
-        cache and stats.
-
-        Fingerprinted cache keys keep entries from different machines
-        apart, so a whole architecture or sensitivity sweep can pool its
-        evaluations in one cache and report one stats surface.
-        """
-        return EvaluationEngine(
-            accelerator if accelerator is not None else self.accelerator,
-            options if options is not None else self.options,
-            cache=self.cache,
-            stats=self.stats,
-            # The native dataflow belongs to the machine: it travels with
-            # an unchanged accelerator but not onto a different one.
-            spatial_unrolling=(
-                self.spatial_unrolling
-                if accelerator is None or accelerator is self.accelerator
-                else None
-            ),
-        )
-
-    def close(self) -> None:
-        """No-op: the engine holds no resources; the ``Evaluator``
-        protocol requires ``close``."""
-
-    def __enter__(self) -> "EvaluationEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    @property
-    def accelerator_fingerprint(self) -> str:
-        """Canonical fingerprint of this engine's accelerator."""
-        return self._accel_fp
-
-    @property
-    def options_fingerprint(self) -> str:
-        """Canonical fingerprint of this engine's model options."""
-        return self._options_fp
-
-    # ------------------------------------------------------------------ #
-    # Cache keys
-    # ------------------------------------------------------------------ #
-
-    def _latency_key(self, mapping: Mapping):
-        return self._row_latency_key(mapping.cache_key)
-
-    def _energy_key(self, mapping: Mapping):
-        return self._row_energy_key(mapping.cache_key)
-
-    def _row_latency_key(self, cache_key: Tuple):
-        """The latency key of the row whose :attr:`Mapping.cache_key` is
-        ``cache_key`` (a block row need not be built as a mapping)."""
-        return ("latency", self._accel_fp, self._options_fp, cache_key)
-
-    def _row_energy_key(self, cache_key: Tuple):
-        # The energy model takes no ModelOptions; its key omits them.
-        return ("energy", self._accel_fp, cache_key)
 
     # ------------------------------------------------------------------ #
     # The kernel
@@ -332,13 +474,14 @@ class EvaluationEngine:
         trace_report(report, self.accelerator.stall_overlap, self.options)
         return report
 
+    def _energy_miss(self, mapping: Mapping) -> EnergyReport:
+        if self._energy_model is None:
+            self._energy_model = EnergyModel(self.accelerator)
+        return self._energy_model.evaluate(mapping)
+
     # ------------------------------------------------------------------ #
     # Single evaluations
     # ------------------------------------------------------------------ #
-
-    def check(self, mapping: Mapping) -> None:
-        """Raise :class:`MappingError` if ``mapping`` is infeasible here."""
-        self._model.check(mapping)
 
     def evaluate(self, mapping: Mapping, validate: bool = True) -> LatencyReport:
         """Full latency report of ``mapping``, cached when possible.
@@ -354,26 +497,19 @@ class EvaluationEngine:
         with self.stats.phase("evaluate"), tracer.span("engine.evaluate") as span:
             t0 = time.perf_counter() if timed else 0.0
             key = self._latency_key(mapping)
-            report = self.cache.get(key)
-            if report is not None:
-                if not report.dtls:
-                    # An evaluate_many entry: slim (no per-DTL anatomy).
-                    # evaluate() promises the full report, so rebuild the
-                    # anatomy and upgrade the entry in place — still a
-                    # hit, the numbers were cached.
-                    report = self._full_report(mapping)
-                    self.cache.put(key, report)
-                report = for_layer(report, mapping.layer)
-                self.stats.cache_hits += 1
-                self._observe_single(metrics, span, t0, cache_hit=True)
-                self._ledger_single(ledger, mapping, report, t0, cache_hit=True)
-                return report
-            self.stats.cache_misses += 1
-            self.stats.evaluations += 1
-            report = self._full_report(mapping)
-            self.cache.put(key, report)
-            self._observe_single(metrics, span, t0, cache_hit=False)
-            self._ledger_single(ledger, mapping, report, t0, cache_hit=False)
+            report = self._cached(key, mapping.layer)
+            hit = report is not None
+            if not hit:
+                self.stats.evaluations += 1
+            if not hit or not report.dtls:
+                # A miss, or an evaluate_many entry: slim (no per-DTL
+                # anatomy). evaluate() promises the full report, so the
+                # anatomy is rebuilt and the entry upgraded in place — a
+                # slim entry is still a hit, its numbers were cached.
+                report = self._full_report(mapping)
+                self.cache.put(key, report)
+            self._observe_single(metrics, span, t0, cache_hit=hit)
+            self._ledger_single(ledger, mapping, report, t0, cache_hit=hit)
             return report
 
     def _observe_single(self, metrics, span, t0: float, cache_hit: bool) -> None:
@@ -429,58 +565,11 @@ class EvaluationEngine:
     def evaluate_energy(self, mapping: Mapping) -> EnergyReport:
         """Dynamic energy of ``mapping``, served from the cache when possible."""
         with self.stats.phase("energy"), telemetry().tracer.span("engine.energy"):
-            key = self._energy_key(mapping)
-            energy = self.cache.get(key)
-            if energy is not None:
-                self.stats.cache_hits += 1
-                return for_layer(energy, mapping.layer)
-            self.stats.cache_misses += 1
-            self.stats.energy_evaluations += 1
-            energy = self._energy_model.evaluate(mapping)
-            self.cache.put(key, energy)
-            return energy
+            return super().evaluate_energy(mapping)
 
     # ------------------------------------------------------------------ #
     # Batch evaluation
     # ------------------------------------------------------------------ #
-
-    def evaluate_many(
-        self,
-        mappings: Iterable[Mapping],
-        validate: bool = False,
-        with_energy: bool = False,
-    ) -> List[Optional[Evaluation]]:
-        """Evaluate a batch of mappings, preserving order.
-
-        Under ``validate`` every mapping is checked first, so an
-        infeasible one is refused even when its report is cached. Cache
-        hits are answered immediately; misses are evaluated in chunks of
-        :data:`CHUNK_SIZE`. The result list is parallel to the input: entry
-        ``i`` is an :class:`Evaluation`, or ``None`` when mapping ``i``
-        raised :class:`MappingError` (infeasible under ``validate`` or
-        shallower than the machine's memory hierarchy).
-
-        When a tracer is ambient, every evaluated mapping's spans (its
-        full step1/2/3 anatomy) are recorded under this batch's span, in
-        list order within a chunk and chunk by chunk.
-
-        When a progress emitter is ambient, the batch accrues into the
-        caller's open ``unit="evals"`` run (a mapper search) or opens its
-        own ``engine.batch`` run, emitting a heartbeat + chunk event as
-        each chunk's :class:`~repro.engine.executors.ChunkTiming` arrives.
-        Ledger rows are flushed **per chunk** — so a
-        Ctrl-C mid-batch still leaves every completed evaluation plus one
-        ``kind="interrupted"`` checkpoint row before the interrupt
-        propagates to the caller.
-        """
-        rows = _rows(mappings)
-        batch = self._run_batch(rows, validate, with_energy, None)
-        return [
-            None if report is None else Evaluation(rows[i], report, energy, hit)
-            for i, (report, energy, hit) in enumerate(
-                zip(batch.reports, batch.energies, batch.hits)
-            )
-        ]
 
     def best_of(
         self, mappings: Iterable[Mapping], incumbent: float = math.inf
@@ -522,19 +611,32 @@ class EvaluationEngine:
         rows: Sequence[Mapping],
         validate: bool,
         with_energy: bool,
-        incumbent: Optional[float],
+        incumbent: Optional[float] = None,
     ) -> _Batch:
         """The body of :meth:`evaluate_many` and, given ``incumbent``, of
         :meth:`best_of`. In a search only cache hits and each chunk's
-        winner get a report."""
-        block = isinstance(rows, MappingBlock)
-        keys = rows.cache_keys() if block else [mapping.cache_key for mapping in rows]
+        winner get a report.
+
+        When a tracer is ambient, every evaluated mapping's spans (its
+        full step1/2/3 anatomy) are recorded under this batch's span, in
+        list order within a chunk and chunk by chunk.
+
+        When a progress emitter is ambient, the batch accrues into the
+        caller's open ``unit="evals"`` run (a mapper search) or opens its
+        own ``engine.batch`` run, emitting a heartbeat + chunk event as
+        each chunk's :class:`~repro.engine.executors.ChunkTiming` arrives.
+        Ledger rows are flushed **per chunk** — so a Ctrl-C mid-batch
+        still leaves every completed evaluation plus one
+        ``kind="interrupted"`` checkpoint row before the interrupt
+        propagates to the caller.
+        """
+        keys = (
+            rows.cache_keys() if isinstance(rows, MappingBlock)
+            else [mapping.cache_key for mapping in rows]
+        )
         n = len(rows)
-        batch = _Batch(keys, [None] * n, [None] * n, [False] * n)
-        reports, energies = batch.reports, batch.energies
         t = telemetry()
         tracer, metrics, ledger = t.tracer, t.metrics, t.ledger
-        ledger_rows: List[RunRecord] = []
         with t.progress.join_run(
             "engine.batch",
             total_units=n,
@@ -542,37 +644,16 @@ class EvaluationEngine:
             accelerator=getattr(self.accelerator, "name", ""),
         ) as run, self.stats.phase("batch"), \
                 tracer.span("engine.batch") as span:
-            self.stats.batches += 1
-            pending: List[int] = []
-            hits = invalid = 0
-            for i, key in enumerate(keys):
-                if validate:
-                    try:
-                        self._model.check(rows[i])
-                    except MappingError:
-                        invalid += 1
-                        continue
-                report = self.cache.get(self._row_latency_key(key))
-                energy = (
-                    self.cache.get(self._row_energy_key(key))
-                    if with_energy
-                    else None
-                )
-                if report is not None and (not with_energy or energy is not None):
-                    layer = rows.layer if block else rows[i].layer
-                    report, energy = for_layer(report, layer), for_layer(energy, layer)
-                    hits += 1
-                    reports[i], energies[i], batch.hits[i] = report, energy, True
-                    if ledger.enabled:
-                        ledger_rows.append(self._ledger_record(
-                            rows[i], report, cache_hit=True, wall_time_s=0.0,
-                        ))
-                else:
-                    self.stats.cache_misses += 1
-                    pending.append(i)
-            self.stats.cache_hits += hits
-            self.stats.errors += invalid
-            batch.scored = hits
+            batch = self._probe(
+                rows, keys, self._row_latency_key, self._row_energy_key,
+                validate, with_energy,
+            )
+            reports, energies, pending = batch.reports, batch.energies, batch.pending
+            hits, invalid = batch.scored, batch.invalid
+            ledger_rows: List[RunRecord] = [
+                self._ledger_record(rows[i], reports[i], cache_hit=True, wall_time_s=0.0)
+                for i in range(n) if batch.hits[i]
+            ] if ledger.enabled else []
             if tracer.enabled:
                 span.set("mappings", n)
                 span.set("cache_hits", hits)
@@ -625,17 +706,13 @@ class EvaluationEngine:
                             continue
                         report, energy, wall_s = outcome
                         reports[i], energies[i] = report, energy
-                        if incumbent is None:  # a search caches its winner only
-                            if with_energy:
-                                self.stats.energy_evaluations += 1
-                            self.cache.put(self._row_latency_key(keys[i]), report)
-                            if with_energy and energy is not None:
-                                self.cache.put(self._row_energy_key(keys[i]), energy)
                         if ledger.enabled:
                             ledger_rows.append(self._ledger_record(
                                 rows[i], report,
                                 cache_hit=False, wall_time_s=wall_s,
                             ))
+                    if incumbent is None:  # a search caches its winner only
+                        self._keep(batch, chunk)
                     # Checkpoint: flush this chunk's rows so an interrupt
                     # never loses completed evaluations.
                     if ledger_rows:
@@ -668,10 +745,13 @@ class EvaluationEngine:
                 )
                 raise
             if metrics.enabled and pending:
+                # Lanes the kernel evaluated: a search's bound-pruned
+                # lanes ran none.
+                evaluated = batch.scored - hits
                 elapsed = time.perf_counter() - t0
                 metrics.counter(
                     "repro_engine_evaluations_total", "latency kernels run"
-                ).inc(len(pending))
+                ).inc(evaluated)
                 metrics.histogram(
                     "repro_engine_batch_seconds", "evaluate_many miss latency"
                 ).observe(elapsed)
@@ -679,7 +759,7 @@ class EvaluationEngine:
                     metrics.gauge(
                         "repro_engine_evaluations_per_second",
                         "kernel throughput of the last batch",
-                    ).set(len(pending) / elapsed)
+                    ).set(evaluated / elapsed)
             ledger.append_many(ledger_rows)
         return batch
 

@@ -1,10 +1,10 @@
 """The ``Evaluator`` protocol: what every evaluation backend looks like.
 
-PR 7 turns the engine into a *capability* rather than a concrete class:
-anything that can answer "what is the latency of this mapping on this
-machine" — the in-process :class:`~repro.engine.EvaluationEngine`, the
-blocking :class:`~repro.serve.RemoteEngine` client of a ``repro-latency
-serve`` daemon, or a test double — satisfies :class:`Evaluator`, and all
+The engine is a *capability* rather than a concrete class: anything
+that can answer "what is the latency of this mapping on this machine" —
+the in-process :class:`~repro.engine.EvaluationEngine`, the blocking
+:class:`~repro.serve.RemoteEngine` client of a ``repro-latency serve``
+daemon, or a test double — satisfies :class:`Evaluator`, and all
 downstream consumers (:mod:`repro.api`, the DSE drivers, network
 analysis, the CLI) are written against the protocol, not the class.
 
@@ -27,7 +27,12 @@ The surface is exactly what those consumers already use:
 The protocol is ``runtime_checkable``; ``isinstance(x, Evaluator)``
 checks method presence (not signatures), which is how :mod:`repro.api`
 decides whether an ``engine=`` argument is already an evaluator or needs
-coercion from a preset name / URL.
+coercion from a preset name / URL. It is structural, so a duck-typed
+evaluator satisfies it. The two evaluators of this repo also share one
+implementation of everything but their kernels — identity, the cache
+keys and probe, hit/miss/evaluation accounting, the energy flow and
+``derive`` — in :class:`repro.engine.evaluation._FrontEnd`, so they
+answer and count the same calls alike.
 """
 
 from __future__ import annotations

@@ -9,6 +9,10 @@ stats, ``evaluate`` / ``evaluate_many`` / ``evaluate_energy`` /
 mapper, the architecture search, ``analysis/network``) runs against a
 daemon unchanged.
 
+Everything but the transport is the in-process engine's front end
+(:class:`repro.engine.evaluation._FrontEnd`), so the same calls give the
+same answers, ``cache_hit`` flags and stats counters on either.
+
 The handshake downloads the server's preset (accelerator + native
 spatial unrolling) and model options, so ``connect(url)`` alone yields a
 fully configured engine; ``derive()`` returns views that carry their own
@@ -27,6 +31,8 @@ Design notes:
   points never touch the socket (the daemon's store keys on the SHA-256
   fingerprint instead); the mapper's whole-search memoization uses the
   same cache object. ``cache.clear()`` sends the next repeat to the wire.
+* **Typed answers** — a malformed report or energy raises
+  :class:`~repro.serve.protocol.ProtocolError` naming the field.
 * **Errors** — the server ships the exception *kind*;
   ``"MappingError"`` is re-raised as a real
   :class:`~repro.mapping.mapping.MappingError` (and becomes ``None`` in
@@ -48,16 +54,12 @@ import itertools
 import math
 import socket
 import threading
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.model import LatencyModel
 from repro.core.report import LatencyReport
-from repro.core.step1 import ModelOptions
 from repro.energy.energy_model import EnergyReport
 from repro.engine import EvaluationCache
-from repro.engine.evaluation import BestOf, Evaluation, for_layer
-from repro.fingerprint import stable_fingerprint
-from repro.hardware.accelerator import Accelerator
+from repro.engine.evaluation import BestOf, _FrontEnd
 from repro.hardware.serde import accelerator_to_dict, preset_from_dict
 from repro.mapping.mapping import Mapping, MappingError
 from repro.mapping.serde import mapping_to_dict
@@ -250,7 +252,7 @@ def _raise_remote(error: ErrorResponse) -> None:
     raise RemoteEvaluationError(error.error, error.message)
 
 
-class RemoteEngine:
+class RemoteEngine(_FrontEnd):
     """A server-backed engine with the in-process engine's exact surface.
 
     Build one with :func:`connect` (or ``repro.evaluate(...,
@@ -259,6 +261,10 @@ class RemoteEngine:
     :meth:`derive` returns views onto other machines that ship their
     accelerator per request over the same connection.
     """
+
+    # Bound on the class itself: perfbench/layers.py times it through
+    # this class's __dict__.
+    _latency_key = _FrontEnd._latency_key
 
     def __init__(
         self,
@@ -270,8 +276,6 @@ class RemoteEngine:
     ) -> None:
         self.url = url
         self._transport = _Transport(parse_url(url), timeout=timeout)
-        self.cache = cache if cache is not None else EvaluationCache()
-        self.stats = stats if stats is not None else EngineStats()
         hello = self._transport.request(
             HelloRequest(id=self._transport.next_id())
         )
@@ -285,75 +289,35 @@ class RemoteEngine:
         self.server_protocol = hello.protocol
         self.admin_url: Optional[str] = hello.admin
         preset = preset_from_dict(hello.preset)
-        self.accelerator: Accelerator = preset.accelerator
-        self.spatial_unrolling = dict(
-            getattr(preset, "spatial_unrolling", None) or {}
+        super().__init__(
+            preset.accelerator,
+            protocol.options_from_dict(hello.options),
+            cache=cache,
+            stats=stats,
+            spatial_unrolling=getattr(preset, "spatial_unrolling", None),
         )
-        self.options: ModelOptions = protocol.options_from_dict(hello.options)
         # None payloads mean "the server's own machine" on the wire —
         # the common case, and cheaper for the server to resolve.
         self._accel_payload: Optional[dict] = None
         self._options_payload: Optional[dict] = None
-        self._accel_fp = self.accelerator.fingerprint()
-        self._options_fp = stable_fingerprint(self.options)
-        self._model: Optional[LatencyModel] = None
 
-    # ------------------------------------------------------------------ #
-    # Evaluator surface: identity
-    # ------------------------------------------------------------------ #
-
-    @property
-    def accelerator_fingerprint(self) -> str:
-        """Fingerprint of the engine's accelerator (serde-stable, so it
-        matches the fingerprint the server computes for the same machine)."""
-        return self._accel_fp
-
-    @property
-    def options_fingerprint(self) -> str:
-        """Fingerprint of the engine's model options."""
-        return self._options_fp
-
-    def derive(
-        self,
-        accelerator: Optional[Accelerator] = None,
-        options: Optional[ModelOptions] = None,
-    ) -> "RemoteEngine":
-        """A view for another machine/options over the same connection.
-
-        Mirrors :meth:`EvaluationEngine.derive`: the view shares this
-        engine's transport, cache and stats, and ships its accelerator
-        and options with each request (fingerprinted cache keys keep the
-        machines' entries apart). The native spatial unrolling travels
-        only while the accelerator is unchanged.
-        """
+    def _sibling(self, accelerator, options, spatial_unrolling) -> "RemoteEngine":
+        """A view for another machine/options over the same connection:
+        it ships its accelerator and options with each request."""
         view = copy.copy(self)
-        view._model = None
-        if accelerator is None or accelerator is self.accelerator:
-            view.spatial_unrolling = dict(self.spatial_unrolling)
-        else:
-            view.accelerator = accelerator
-            view.spatial_unrolling = {}
+        _FrontEnd.__init__(
+            view, accelerator, options,
+            cache=self.cache, stats=self.stats, spatial_unrolling=spatial_unrolling,
+        )
+        if accelerator is not self.accelerator:
             view._accel_payload = accelerator_to_dict(accelerator)
-            view._accel_fp = accelerator.fingerprint()
-        if options is not None:
-            view.options = options
+        if options is not self.options:
             view._options_payload = protocol.options_to_dict(options)
-            view._options_fp = stable_fingerprint(options)
         return view
 
     # ------------------------------------------------------------------ #
-    # Evaluator surface: evaluation
+    # Transport
     # ------------------------------------------------------------------ #
-
-    def check(self, mapping: Mapping) -> None:
-        """Raise :class:`MappingError` if ``mapping`` is infeasible here.
-
-        Validation is pure model arithmetic, so it runs locally — no
-        round trip for the mapper's feasibility probes.
-        """
-        if self._model is None:
-            self._model = LatencyModel(self.accelerator, self.options)
-        self._model.check(mapping)
 
     def _request_for(
         self, mapping: Mapping, with_energy: bool, validate: bool = False
@@ -396,12 +360,6 @@ class RemoteEngine:
                 tracer.merge(spans_from_wire(response.spans))
         return response
 
-    def _latency_key(self, mapping: Mapping) -> Tuple:
-        return ("latency", self._accel_fp, self._options_fp, mapping.cache_key)
-
-    def _energy_key(self, mapping: Mapping) -> Tuple:
-        return ("energy", self._accel_fp, mapping.cache_key)
-
     def evaluate(self, mapping: Mapping, validate: bool = True) -> LatencyReport:
         """Latency of ``mapping``, served from the local cache or the server.
 
@@ -413,84 +371,42 @@ class RemoteEngine:
         if validate:
             self.check(mapping)
         key = self._latency_key(mapping)
-        report = self.cache.get(key)
-        if report is not None:
-            self.stats.cache_hits += 1
-            return for_layer(report, mapping.layer)
-        self.stats.cache_misses += 1
-        response = self._round_trip("evaluate", mapping, with_energy=False)
-        self.stats.evaluations += 1
-        report = protocol.report_from_dict(response.report)
-        self.cache.put(key, report)
+        report = self._cached(key, mapping.layer)
+        if report is None:
+            response = self._round_trip("evaluate", mapping, with_energy=False)
+            report = protocol.report_from_dict(response.report)
+            self.stats.evaluations += 1
+            self.cache.put(key, report)
         return report
 
-    def evaluate_energy(self, mapping: Mapping) -> EnergyReport:
-        """Dynamic energy of ``mapping`` (the server runs both models)."""
-        key = self._energy_key(mapping)
-        energy = self.cache.get(key)
-        if energy is not None:
-            self.stats.cache_hits += 1
-            return for_layer(energy, mapping.layer)
-        self.stats.cache_misses += 1
+    def _energy_miss(self, mapping: Mapping) -> EnergyReport:
+        # The server runs both models; the latency answer is kept too.
         response = self._round_trip("energy", mapping, with_energy=True)
-        self.stats.energy_evaluations += 1
         energy = protocol.energy_from_dict(response.energy)
-        self.cache.put(key, energy)
         self.cache.put(
             self._latency_key(mapping), protocol.report_from_dict(response.report)
         )
         return energy
 
-    def evaluate_many(
-        self,
-        mappings: Iterable[Mapping],
-        validate: bool = False,
-        with_energy: bool = False,
-    ) -> List[Optional[Evaluation]]:
-        """Evaluate a batch in one pipelined burst, preserving order.
-
-        Exactly the in-process contract: entry ``i`` is an
-        :class:`~repro.engine.evaluation.Evaluation`, or ``None`` when
-        mapping ``i`` was infeasible (under ``validate``, checked locally
-        before the cache probe; else :class:`MappingError` server-side).
-        Local cache hits never touch the socket (with ``with_energy`` a
-        hit needs both the latency and the energy entry); the rest is
-        written as one burst and collected out of order by request id.
-        """
-        mappings = list(mappings)
-        self.stats.batches += 1
-        results: List[Optional[Evaluation]] = [None] * len(mappings)
+    def _run_batch(
+        self, rows: Sequence[Mapping], validate: bool, with_energy: bool
+    ):
+        """The misses of a batch in one pipelined burst: every request
+        is written before any reply is read, and the replies are
+        collected out of order by request id. A ``MappingError`` reply
+        leaves its row ``None``."""
+        rows = list(rows)
         tracer = telemetry().tracer
-        with tracer.span("remote.batch", url=self.url,
-                         mappings=float(len(mappings))):
-            pending: List[Tuple[int, EvaluateRequest]] = []
-            for i, mapping in enumerate(mappings):
-                if validate:
-                    try:
-                        self.check(mapping)
-                    except MappingError:
-                        self.stats.errors += 1
-                        continue
-                report = self.cache.get(self._latency_key(mapping))
-                energy = (
-                    self.cache.get(self._energy_key(mapping)) if with_energy else None
-                )
-                if report is not None and (not with_energy or energy is not None):
-                    self.stats.cache_hits += 1
-                    results[i] = Evaluation(
-                        mapping, for_layer(report, mapping.layer),
-                        for_layer(energy, mapping.layer),
-                    )
-                    continue
-                self.stats.cache_misses += 1
-                pending.append(
-                    (i, self._request_for(mapping, with_energy))
-                )
-            if not pending:
-                return results
+        with tracer.span("remote.batch", url=self.url, mappings=float(len(rows))):
+            batch = self._probe(
+                rows, rows, self._latency_key, self._energy_key, validate, with_energy
+            )
+            if not batch.pending:
+                return batch
+            requests = [self._request_for(rows[i], with_energy) for i in batch.pending]
             with self.stats.phase("batch"):
-                responses = self._transport.request_many([r for _, r in pending])
-            for (i, _), response in zip(pending, responses):
+                responses = self._transport.request_many(requests)
+            for i, response in zip(batch.pending, responses):
                 if isinstance(response, ErrorResponse):
                     if response.error == "MappingError":
                         self.stats.errors += 1
@@ -500,16 +416,11 @@ class RemoteEngine:
                 if response.spans:
                     # merged in request order while remote.batch is open
                     tracer.merge(spans_from_wire(response.spans))
-                report = protocol.report_from_dict(response.report)
-                energy = (
-                    protocol.energy_from_dict(response.energy)
-                    if response.energy is not None else None
-                )
-                self.cache.put(self._latency_key(mappings[i]), report)
-                if energy is not None:
-                    self.cache.put(self._energy_key(mappings[i]), energy)
-                results[i] = Evaluation(mappings[i], report, energy)
-        return results
+                batch.reports[i] = protocol.report_from_dict(response.report)
+                if response.energy is not None:
+                    batch.energies[i] = protocol.energy_from_dict(response.energy)
+            self._keep(batch, batch.pending)
+        return batch
 
     def best_of(
         self, mappings: Iterable[Mapping], incumbent: float = math.inf
@@ -554,12 +465,6 @@ class RemoteEngine:
     def close(self) -> None:
         """Close this engine's connection (shared with any derived views)."""
         self._transport.close()
-
-    def __enter__(self) -> "RemoteEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     def __repr__(self) -> str:
         return (

@@ -38,7 +38,7 @@ from repro.core.step1 import ModelOptions
 from repro.core.step2 import ServedMemoryStall
 from repro.energy.access_counts import AccessCounts
 from repro.energy.energy_model import EnergyReport
-from repro.fields import fields_of, read_fields
+from repro.fields import expect, fields_of, read_fields
 from repro.workload.operand import Operand
 
 #: Version of the message schema this build speaks. Bump on any change
@@ -104,30 +104,72 @@ def report_to_dict(report: LatencyReport) -> Dict[str, Any]:
 
 
 def report_from_dict(data: Dict[str, Any]) -> LatencyReport:
-    """Inverse of :func:`report_to_dict` (a slim report, like the batch core's)."""
-    return LatencyReport(
-        layer_name=str(data["layer_name"]),
-        accelerator_name=str(data["accelerator_name"]),
-        cc_ideal=float(data["cc_ideal"]),
-        cc_spatial=int(data["cc_spatial"]),
-        ss_overall=float(data["ss_overall"]),
-        preload=float(data["preload"]),
-        offload=float(data["offload"]),
-        scenario=int(data["scenario"]),
-        dtls=(),
-        port_combinations={},
-        served_stalls=tuple(
-            ServedMemoryStall(
-                operand=Operand(op),
-                level=int(level),
-                memory=str(memory),
-                ss=float(ss),
-                limiting_port=(str(port_mem), str(port_name)),
-            )
-            for op, level, memory, ss, port_mem, port_name
-            in data.get("served_stalls", [])
+    """Inverse of :func:`report_to_dict` (a slim report, like the batch core's).
+
+    Every field is read by :func:`repro.fields.expect`, so a value of
+    the wrong JSON kind (``"cc_spatial": 16.7``, ``"cc_ideal": "12"``) or
+    a missing field is a :class:`ProtocolError` naming it, never a
+    coerced answer.
+    """
+    try:
+        stalls = expect(data.get("served_stalls", []), list, "report.served_stalls")
+        return LatencyReport(
+            layer_name=expect(data["layer_name"], str, "report.layer_name"),
+            accelerator_name=expect(
+                data["accelerator_name"], str, "report.accelerator_name"
+            ),
+            cc_ideal=expect(data["cc_ideal"], float, "report.cc_ideal"),
+            cc_spatial=expect(data["cc_spatial"], int, "report.cc_spatial"),
+            ss_overall=expect(data["ss_overall"], float, "report.ss_overall"),
+            preload=expect(data["preload"], float, "report.preload"),
+            offload=expect(data["offload"], float, "report.offload"),
+            scenario=expect(data["scenario"], int, "report.scenario"),
+            dtls=(),
+            port_combinations={},
+            served_stalls=tuple(
+                _row(_stall, 6, row, "report.served_stalls", i)
+                for i, row in enumerate(stalls)
+            ),
+            integration=None,
+        )
+    except KeyError as exc:
+        raise ProtocolError(f"report.{exc.args[0]} is missing") from None
+    except TypeError as exc:
+        raise ProtocolError(str(exc)) from None
+
+
+def _row(read, width: int, row: Any, field: str, i: int):
+    """``read(*row)`` for entry ``i`` of the list ``field``, a list of
+    ``width`` values; a refusal names the entry and its column."""
+    values = expect(row, list, field, i)
+    if len(values) != width:
+        raise TypeError(f"{field}[{i}] must be a list of {width} values, got {row!r:.40}")
+    try:
+        return read(*values)
+    except TypeError as exc:
+        raise TypeError(f"{field}[{i}].{exc}") from None
+
+
+def _operand(value: Any) -> Operand:
+    if type(value) is str and value in _OPERANDS:
+        return _OPERANDS[value]
+    raise TypeError(f"operand must be one of {sorted(_OPERANDS)}, got {value!r:.40}")
+
+
+_OPERANDS = {operand.value: operand for operand in Operand}
+
+
+def _stall(operand, level, memory, ss, port_memory, port_name) -> ServedMemoryStall:
+    """One ``served_stalls`` row of :func:`report_to_dict`."""
+    return ServedMemoryStall(
+        operand=_operand(operand),
+        level=expect(level, int, "level"),
+        memory=expect(memory, str, "memory"),
+        ss=expect(ss, float, "ss"),
+        limiting_port=(
+            expect(port_memory, str, "limiting_port[0]"),
+            expect(port_name, str, "limiting_port[1]"),
         ),
-        integration=None,
     )
 
 
@@ -157,26 +199,49 @@ def energy_to_dict(energy: EnergyReport) -> Dict[str, Any]:
 
 
 def energy_from_dict(data: Dict[str, Any]) -> EnergyReport:
-    """Inverse of :func:`energy_to_dict`."""
-    counts = data["counts"]
-    return EnergyReport(
-        accelerator_name=str(data["accelerator_name"]),
-        layer_name=str(data["layer_name"]),
-        counts=AccessCounts(
-            reads_bits={
-                (str(m), Operand(op)): float(bits)
-                for m, op, bits in counts.get("reads_bits", [])
-            },
-            writes_bits={
-                (str(m), Operand(op)): float(bits)
-                for m, op, bits in counts.get("writes_bits", [])
-            },
-            link_bits={str(m): float(b) for m, b in counts.get("link_bits", {}).items()},
-            mac_ops=int(counts.get("mac_ops", 0)),
-        ),
-        memory_pj={str(m): float(pj) for m, pj in data.get("memory_pj", {}).items()},
-        mac_pj=float(data["mac_pj"]),
+    """Inverse of :func:`energy_to_dict`, read field by field like
+    :func:`report_from_dict`."""
+    try:
+        counts = expect(data["counts"], dict, "energy.counts")
+        return EnergyReport(
+            accelerator_name=expect(
+                data["accelerator_name"], str, "energy.accelerator_name"
+            ),
+            layer_name=expect(data["layer_name"], str, "energy.layer_name"),
+            counts=AccessCounts(
+                reads_bits=_bits(counts.get("reads_bits", []), "energy.counts.reads_bits"),
+                writes_bits=_bits(
+                    counts.get("writes_bits", []), "energy.counts.writes_bits"
+                ),
+                link_bits=_numbers(counts.get("link_bits", {}), "energy.counts.link_bits"),
+                mac_ops=expect(counts.get("mac_ops", 0), int, "energy.counts.mac_ops"),
+            ),
+            memory_pj=_numbers(data.get("memory_pj", {}), "energy.memory_pj"),
+            mac_pj=expect(data["mac_pj"], float, "energy.mac_pj"),
+        )
+    except KeyError as exc:
+        raise ProtocolError(f"energy.{exc.args[0]} is missing") from None
+    except TypeError as exc:
+        raise ProtocolError(str(exc)) from None
+
+
+def _bits(rows: Any, field: str) -> Dict[Tuple[str, Operand], float]:
+    """``[[memory, operand, bits], ...]`` as the access-count map."""
+    return dict(
+        _row(_access, 3, row, field, i) for i, row in enumerate(expect(rows, list, field))
     )
+
+
+def _access(memory, operand, bits) -> Tuple[Tuple[str, Operand], float]:
+    return (expect(memory, str, "memory"), _operand(operand)), expect(bits, float, "bits")
+
+
+def _numbers(data: Any, field: str) -> Dict[str, float]:
+    """A JSON object of numbers, each read as a float."""
+    return {
+        name: expect(value, float, field, name)
+        for name, value in expect(data, dict, field).items()
+    }
 
 
 # --------------------------------------------------------------------- #

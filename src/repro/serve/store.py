@@ -7,7 +7,7 @@ PR 3 run ledger:
 
 * **warm start** — on boot, any number of prior ledger snapshots
   (SQLite databases *or* committed JSONL exports such as
-  ``benchmarks/baseline_ledger.jsonl``) are loaded through
+  ``benchmarks/baseline_pinned.jsonl``) are loaded through
   :func:`~repro.observability.ledger.load_snapshot` and indexed. A
   request whose fingerprints match a warm row is answered without
   running the kernel — a restarted daemon keeps yesterday's work.
@@ -15,15 +15,16 @@ PR 3 run ledger:
   its own :class:`~repro.observability.RunLedger` (when configured) *and*
   indexed live, so the next boot warm-starts from it.
 
-Ledger rows store the full CC decomposition plus the per-unit-memory
-``SS_comb`` map, which is exactly the slim-report surface the wire
-protocol ships — so a warm hit reconstructs a
+A hit on a result evaluated this boot answers with the kernel's own
+report, so it equals the evaluated answer field for field. A warm row
+is rebuilt from the ledger: rows store the full CC decomposition plus
+the per-unit-memory ``SS_comb`` map, which is the slim-report surface
+the wire protocol ships — so a warm hit reconstructs a
 :class:`~repro.core.report.LatencyReport` that is bit-identical on every
 gated metric to the one the kernel produced (floats round-trip exactly
 through both SQLite and JSON). What a row does **not** keep is the
 limiting-port attribution inside ``ss_comb`` keys, so warm reports carry
-``("", "")`` there — outside the parity surface, and absent from slim
-batch-core reports too.
+``("", "")`` there — outside the parity surface.
 
 Only latency results are stored; energy requests carry full access-count
 anatomy and always go through the kernel's engines (whose cache keeps
@@ -32,8 +33,9 @@ them for the lifetime of the daemon).
 
 from __future__ import annotations
 
+import dataclasses
 import threading
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.core.report import LatencyReport
 from repro.core.step2 import ServedMemoryStall
@@ -100,9 +102,9 @@ class ResultStore:
     def __init__(self, ledger=NULL_LEDGER) -> None:
         self._ledger = ledger
         self._lock = threading.Lock()
-        #: key -> (record, warm) — ``warm`` marks rows inherited from a
-        #: prior ledger rather than evaluated this boot.
-        self._index: Dict[StoreKey, Tuple[RunRecord, bool]] = {}
+        #: key -> the kernel's report of a result evaluated this boot, or
+        #: the ledger row of a warm one (inherited from a prior ledger).
+        self._index: Dict[StoreKey, Union[LatencyReport, RunRecord]] = {}
         self.warm_rows = 0      # indexable rows loaded at boot
 
     def __len__(self) -> int:
@@ -136,7 +138,7 @@ class ResultStore:
                     continue
                 key = (record.accelerator_fp, record.options_fp, record.mapping_fp)
                 with self._lock:
-                    self._index[key] = (record, True)
+                    self._index[key] = record
                 loaded += 1
         self.warm_rows = loaded
         return loaded
@@ -149,8 +151,9 @@ class ResultStore:
             entry = self._index.get(key)
         if entry is None:
             return None
-        record, warm = entry
-        return record_to_report(record), warm
+        if isinstance(entry, RunRecord):
+            return record_to_report(entry), True
+        return entry, False
 
     def put(
         self,
@@ -158,22 +161,27 @@ class ResultStore:
         report: LatencyReport,
         *,
         wall_time_s: float = 0.0,
-    ) -> RunRecord:
-        """Index an evaluated report and append it to the backing ledger."""
-        accelerator_fp, options_fp, mapping_fp = key
-        record = record_from_report(
-            report,
-            accelerator_fp=accelerator_fp,
-            mapping_fp=mapping_fp,
-            options_fp=options_fp,
-            cache_hit=False,
-            wall_time_s=wall_time_s,
+    ) -> None:
+        """Index an evaluated report and append it to the backing ledger.
+
+        The index keeps the report slim: a served answer ships no DTL or
+        port anatomy, and the store lives as long as the daemon.
+        """
+        slim = dataclasses.replace(
+            report, dtls=(), port_combinations={}, integration=None
         )
         with self._lock:
-            self._index[key] = (record, False)
+            self._index[key] = slim
         if self._ledger.enabled:
-            self._ledger.append(record)
-        return record
+            accelerator_fp, options_fp, mapping_fp = key
+            self._ledger.append(record_from_report(
+                report,
+                accelerator_fp=accelerator_fp,
+                mapping_fp=mapping_fp,
+                options_fp=options_fp,
+                cache_hit=False,
+                wall_time_s=wall_time_s,
+            ))
 
 
 __all__ = ["ResultStore", "StoreKey", "record_to_report"]

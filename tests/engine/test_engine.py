@@ -282,3 +282,24 @@ def test_mapper_reuses_shared_engine(preset, layer):
     assert mapper.engine is engine
     mapper.best_mapping(layer)
     assert engine.stats.evaluations > 0
+
+
+def test_evaluations_metric_counts_the_lanes_a_kernel_ran():
+    """A search's bound-pruned lanes run no kernel, so
+    ``repro_engine_evaluations_total`` agrees with ``stats.evaluations``
+    and the throughput gauge divides those lanes only."""
+    from repro.observability.metrics import MetricsRegistry
+    from repro.observability.telemetry import use_telemetry
+
+    preset = case_study_accelerator()
+    engine = EvaluationEngine.from_preset(preset)
+    mapper = TemporalMapper(
+        preset.accelerator, preset.spatial_unrolling,
+        MapperConfig(max_enumerated=500, samples=400), engine=engine,
+    )
+    registry = MetricsRegistry()
+    with use_telemetry(metrics=registry):
+        mapper.best_mapping(dense_layer(64, 128, 1200))
+    assert engine.stats.bound_pruned > 0
+    counted = registry.counter("repro_engine_evaluations_total").value
+    assert counted == engine.stats.evaluations

@@ -144,7 +144,7 @@ def test_fingerprint_is_memoized(preset):
 # Pinned digests
 # --------------------------------------------------------------------- #
 # The engine cache, the ledger's identity columns, ResultStore warm starts
-# and benchmarks/baseline_ledger.jsonl all key on these digests, so a
+# and benchmarks/baseline_pinned.jsonl all key on these digests, so a
 # change to the canonical encoding must be deliberate and show up here.
 
 CASE_STUDY_FP = "aa1e2f5c128a79124ca6bafbb9a1580a2e0e49d35b9ceeb77335f2da801b8c69"
@@ -152,7 +152,7 @@ CASE_STUDY_PRESET_FP = "de4e188e56ddf8ce72251d9403c6713019477544d69169b2e9a9ca1e
 DEFAULT_OPTIONS_FP = "56df8463148583c1d14dd9b81fa4c55c2cf1bd47f5d6e594104a508d7e07f85a"
 CASE1_MAPPING_B_FP = "abbf77bd0009c4154a94375cd8e536e562e1bd9c90562100922ff82d9aa9e306"
 
-BASELINE_LEDGER = Path(__file__).resolve().parents[2] / "benchmarks" / "baseline_ledger.jsonl"
+BASELINE_LEDGER = Path(__file__).resolve().parents[2] / "benchmarks" / "baseline_pinned.jsonl"
 
 
 def test_pinned_machine_and_options_digests(preset):
@@ -179,10 +179,16 @@ def test_pinned_case1_mapping_digest(preset):
 
 
 def test_baseline_ledger_identity_matches_preset(preset):
-    """The committed regression baseline still names this machine."""
-    (row,) = [json.loads(line) for line in BASELINE_LEDGER.read_text().splitlines()]
-    assert row["accelerator_fp"] == preset.accelerator.fingerprint()
-    assert row["options_fp"] == stable_fingerprint(ModelOptions())
+    """The committed regression baseline still names this machine, and
+    its Case 1 Mapping B row this mapping."""
+    rows = {
+        row["label"]: row
+        for row in map(json.loads, BASELINE_LEDGER.read_text().splitlines())
+    }
+    for label in ("case1-mapping-a", "case1-mapping-b"):
+        assert rows[label]["accelerator_fp"] == preset.accelerator.fingerprint()
+        assert rows[label]["options_fp"] == stable_fingerprint(ModelOptions())
+    assert rows["case1-mapping-b"]["mapping_fp"] == CASE1_MAPPING_B_FP
 
 
 # --------------------------------------------------------------------- #

@@ -145,3 +145,26 @@ def test_write_through_appends_to_backing_ledger(tmp_path):
     assert restarted.warm_start([path]) == 1
     got, warm = restarted.get(key)
     assert warm and got.total_cycles == report.total_cycles
+
+
+def test_a_store_hit_answers_what_the_kernel_answered(server):
+    """A result evaluated this boot is kept as the kernel's report, so a
+    second client's store hit equals the first client's evaluated answer,
+    limiting ports included."""
+    from repro import connect
+    from repro.dse.mapper import MapperConfig, TemporalMapper
+    from repro.hardware.presets import case_study_accelerator
+    from repro.workload.generator import dense_layer
+
+    preset = case_study_accelerator()
+    mapping = next(iter(TemporalMapper(
+        preset.accelerator, preset.spatial_unrolling,
+        MapperConfig(max_enumerated=4, samples=0),
+    ).mappings(dense_layer(64, 128, 1200))))
+    with connect(server.url) as first:
+        evaluated = first.evaluate(mapping)
+    with connect(server.url) as second:
+        stored = second.evaluate(mapping)
+        assert second.server_stats()["store_hits"] == 1
+    assert any(s.limiting_port != ("", "") for s in evaluated.served_stalls)
+    assert stored == evaluated

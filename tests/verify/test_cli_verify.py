@@ -1,6 +1,9 @@
 """End-to-end exit codes and ledger rows for ``repro-latency verify``."""
 
 import json
+from pathlib import Path
+
+import pytest
 
 from repro.cli import main
 from repro.observability.ledger import RunLedger
@@ -71,3 +74,30 @@ def test_corpus_only_skips_generation(tmp_path, capsys):
     ])
     assert code == 0
     assert "0 generated" in capsys.readouterr().out
+
+
+def test_a_refused_run_leaves_no_ledger_behind(tmp_path, capsys):
+    """A malformed corpus file ends the run with exit code 2, before it
+    recorded anything: no ledger file is created and no ``ledger:`` line
+    is printed. The well-formed corpus still gets its verify row."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    good = next(iter(sorted((Path(__file__).parent / "corpus").glob("*.json"))))
+    data = json.loads(good.read_text())
+    ledger_path = tmp_path / "verify.sqlite"
+    args = ["verify", "--corpus", str(corpus), "--corpus-only",
+            "--ledger", str(ledger_path)]
+
+    (corpus / "case.json").write_text(json.dumps(dict(data, properties="abc")))
+    with pytest.raises(SystemExit) as refused:
+        main(args)
+    assert refused.value.code == 2
+    assert not ledger_path.exists()
+    assert "ledger:" not in capsys.readouterr().out
+
+    (corpus / "case.json").write_text(json.dumps(data))
+    assert main(args) == 0
+    assert "ledger: 1 record(s)" in capsys.readouterr().out
+    ledger = RunLedger(str(ledger_path))
+    assert [r.kind for r in ledger.records()] == ["verify"]
+    ledger.close()
