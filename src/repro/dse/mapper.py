@@ -127,6 +127,8 @@ class MapperConfig:
     batch_size: int = 256           # orders per allocation block, mappings per engine batch
     sample_chunk: int = 64          # samples per RNG stream (determinism unit)
     lpf_limit: Optional[int] = None  # cap loop prime factors per dim (LOMA)
+    #: The options of the engine a mapper builds when it is given none; a
+    #: given engine keeps its own options.
     model_options: ModelOptions = dataclasses.field(default_factory=ModelOptions)
 
     def __post_init__(self) -> None:
@@ -192,15 +194,10 @@ class TemporalMapper:
         self.config = config or MapperConfig()
         if engine is None:
             engine = EvaluationEngine(accelerator, self.config.model_options)
-        elif (
-            engine.accelerator is not accelerator
-            or engine.options != self.config.model_options
-        ):
-            # Share the caller's cache and stats but evaluate on this
-            # mapper's machine under this mapper's model options.
-            engine = engine.derive(
-                accelerator=accelerator, options=self.config.model_options
-            )
+        elif engine.accelerator is not accelerator:
+            # Share the caller's cache, stats and model options, but
+            # evaluate on this mapper's machine.
+            engine = engine.derive(accelerator=accelerator)
         self.engine = engine
         self._plan = None
 

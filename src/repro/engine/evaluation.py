@@ -26,9 +26,11 @@ chunks, in list order and in the calling process; the bound-first
 ``best_of``; full reports (a single ``evaluate`` is a one-lane batch
 with its full anatomy); and **observability hooks**: spans on the
 ambient :class:`~repro.observability.Tracer` (every chunk projects its
-reports under the batch span, in chunk order), counters / histograms on
-the ambient :class:`~repro.observability.MetricsRegistry`, progress
-events and one durable :class:`~repro.observability.RunRecord` per
+reports under the batch span, in chunk order), latency histograms and a
+throughput gauge on the ambient
+:class:`~repro.observability.MetricsRegistry` (its counts are the
+:class:`EngineStats` fields, which ``MetricsRegistry.ingest`` exports),
+progress events and one durable :class:`~repro.observability.RunRecord` per
 evaluation on the ambient :class:`~repro.observability.RunLedger`. All
 default to no-ops and cost nothing when disabled. :meth:`from_preset`
 is the one canonical constructor shorthand (CLI, examples and
@@ -508,29 +510,13 @@ class EvaluationEngine(_FrontEnd):
                 # slim entry is still a hit, its numbers were cached.
                 report = self._full_report(mapping)
                 self.cache.put(key, report)
-            self._observe_single(metrics, span, t0, cache_hit=hit)
+            span.set("cache_hit", hit)
+            if metrics.enabled:
+                metrics.histogram(
+                    "repro_engine_evaluate_seconds", "engine.evaluate latency"
+                ).observe(time.perf_counter() - t0)
             self._ledger_single(ledger, mapping, report, t0, cache_hit=hit)
             return report
-
-    def _observe_single(self, metrics, span, t0: float, cache_hit: bool) -> None:
-        """Metrics/span bookkeeping of one :meth:`evaluate` call."""
-        span.set("cache_hit", cache_hit)
-        if not metrics.enabled:
-            return
-        metrics.counter(
-            "repro_engine_requests_total", "engine.evaluate calls"
-        ).inc()
-        if cache_hit:
-            metrics.counter(
-                "repro_engine_cache_hits_total", "evaluations served from cache"
-            ).inc()
-        else:
-            metrics.counter(
-                "repro_engine_evaluations_total", "latency kernels run"
-            ).inc()
-        metrics.histogram(
-            "repro_engine_evaluate_seconds", "engine.evaluate latency"
-        ).observe(time.perf_counter() - t0)
 
     def _ledger_single(self, ledger, mapping, report, t0: float, cache_hit) -> None:
         """Ledger row of one :meth:`evaluate` call (no-op when disabled)."""
@@ -657,14 +643,6 @@ class EvaluationEngine(_FrontEnd):
             if tracer.enabled:
                 span.set("mappings", n)
                 span.set("cache_hits", hits)
-            if metrics.enabled:
-                metrics.counter(
-                    "repro_engine_batches_total", "evaluate_many calls"
-                ).inc()
-                metrics.counter(
-                    "repro_engine_cache_hits_total",
-                    "evaluations served from cache",
-                ).inc(hits)
             run.cache_stats(
                 hits, len(pending),
                 dedup_skipped=self.stats.dedup_skipped,
@@ -749,9 +727,6 @@ class EvaluationEngine(_FrontEnd):
                 # lanes ran none.
                 evaluated = batch.scored - hits
                 elapsed = time.perf_counter() - t0
-                metrics.counter(
-                    "repro_engine_evaluations_total", "latency kernels run"
-                ).inc(evaluated)
                 metrics.histogram(
                     "repro_engine_batch_seconds", "evaluate_many miss latency"
                 ).observe(elapsed)

@@ -3,7 +3,9 @@
 :func:`chrome_trace` turns span records into the Chrome trace-event JSON
 format (``chrome://tracing`` / Perfetto's legacy loader): one complete
 (``"ph": "X"``) event per span on one lane (``tid`` 0), model-domain
-attributes in ``args``.
+attributes in ``args``, and the span tree in each event's ``span_id`` and
+``parent_id`` keys, so :func:`load_chrome_trace` gives back the tree the
+tracer recorded.
 
 :func:`reconcile_ss_overall` re-derives ``SS_overall`` purely from span
 attributes — the per-group stalls emitted by Step 3 — so a trace file can
@@ -15,13 +17,34 @@ and the span-taxonomy tests both do).
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.observability.span import SpanRecord, span_tree
+from repro.fields import read_fields
+from repro.observability.span import SpanNode, SpanRecord, span_tree
+
+
+class TraceFormatError(ValueError):
+    """A trace file :func:`load_chrome_trace` cannot read as a span tree."""
+
+
+#: :class:`SpanRecord` field -> the key of a Chrome trace event holding it.
+_EVENT_KEYS = {
+    "span_id": "span_id",
+    "parent_id": "parent_id",
+    "name": "name",
+    "start_us": "ts",
+    "duration_us": "dur",
+    "attributes": "args",
+}
 
 
 def chrome_trace(records: Sequence[SpanRecord], process_name: str = "repro") -> Dict:
-    """Span records as a Chrome trace-event JSON document (as a dict)."""
+    """Span records as a Chrome trace-event JSON document (as a dict).
+
+    A parent that is not among the earlier records is written as
+    ``null``: :func:`~repro.observability.span.span_tree` makes such a
+    span a root either way.
+    """
     events: List[Dict] = [
         {
             "name": "process_name",
@@ -31,7 +54,9 @@ def chrome_trace(records: Sequence[SpanRecord], process_name: str = "repro") -> 
             "args": {"name": process_name},
         }
     ]
+    written = set()
     for record in records:
+        written.add(record.span_id)
         events.append(
             {
                 "name": record.name,
@@ -41,6 +66,8 @@ def chrome_trace(records: Sequence[SpanRecord], process_name: str = "repro") -> 
                 "dur": max(record.duration_us, 0.0),
                 "pid": 0,
                 "tid": 0,
+                "span_id": record.span_id,
+                "parent_id": record.parent_id if record.parent_id in written else None,
                 "args": record.attributes,
             }
         )
@@ -58,26 +85,40 @@ def write_chrome_trace(
 def load_chrome_trace(path: str) -> List[SpanRecord]:
     """Read a file written by :func:`write_chrome_trace` back into records.
 
-    Parent links cannot be recovered from the event list (Chrome's format
-    encodes nesting by time), so the records come back flat — enough for
-    attribute-level checks like :func:`reconcile_ss_overall`.
+    The records keep their ``span_id`` and ``parent_id``, so
+    :func:`~repro.observability.span.tree_shape` of the result equals that
+    of the records written. A file that is not a JSON trace document, a
+    span event without a ``span_id`` or ``parent_id`` key (a file written
+    before they were recorded), a field of the wrong JSON type, a repeated
+    span id and a parent id naming no earlier span each raise
+    :class:`TraceFormatError`.
     """
     with open(path) as handle:
-        doc = json.load(handle)
+        try:
+            doc = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise TraceFormatError(f"{path}: not JSON: {exc}") from None
+    events = doc.get("traceEvents") if isinstance(doc, dict) else None
+    if not isinstance(events, list):
+        raise TraceFormatError(f"{path}: no traceEvents list")
     records: List[SpanRecord] = []
-    for index, event in enumerate(doc["traceEvents"]):
-        if event.get("ph") != "X":
+    seen = set()
+    for index, event in enumerate(events):
+        if not isinstance(event, dict) or event.get("ph") != "X":
             continue
-        records.append(
-            SpanRecord(
-                span_id=index + 1,
-                parent_id=None,
-                name=event["name"],
-                start_us=float(event.get("ts", 0.0)),
-                duration_us=float(event.get("dur", 0.0)),
-                attributes=dict(event.get("args", {})),
+        where = f"{path}: event {index}"
+        if "span_id" not in event or "parent_id" not in event:
+            raise TraceFormatError(f"{where} has no span_id/parent_id: no span tree")
+        data = {field: event[key] for field, key in _EVENT_KEYS.items() if key in event}
+        record = read_fields(SpanRecord, data, TraceFormatError)
+        if record.span_id in seen:
+            raise TraceFormatError(f"{where}: span_id {record.span_id} repeats")
+        if record.parent_id is not None and record.parent_id not in seen:
+            raise TraceFormatError(
+                f"{where}: parent_id {record.parent_id} names no earlier span"
             )
-        )
+        seen.add(record.span_id)
+        records.append(record)
     return records
 
 
@@ -85,53 +126,47 @@ def load_chrome_trace(path: str) -> List[SpanRecord]:
 # Reconciliation
 # --------------------------------------------------------------------- #
 
+def _last_step3(
+    records: Sequence[SpanRecord],
+) -> Tuple[Optional[SpanNode], Optional[SpanNode]]:
+    """The last ``model.step3`` node of the span forest and its nearest
+    enclosing ``model.evaluate`` node (None outside one), in one walk;
+    ``(None, None)`` when the records hold no ``model.step3`` span.
+
+    Records are in start order, so the last node of the walk is the last
+    record: the CLI traces its final report evaluation last.
+    """
+    found: Tuple[Optional[SpanNode], Optional[SpanNode]] = (None, None)
+    stack = [(root, None) for root in reversed(span_tree(records))]
+    while stack:
+        node, evaluate = stack.pop()
+        if node.name == "model.evaluate":
+            evaluate = node
+        elif node.name == "model.step3":
+            found = (node, evaluate)
+        stack.extend((child, evaluate) for child in reversed(node.children))
+    return found
+
+
+def _step3_groups(step3: SpanNode) -> List[SpanRecord]:
+    """The ``step3.group`` children of one ``model.step3`` node."""
+    return [child.record for child in step3.children if child.name == "step3.group"]
+
+
 def reconcile_ss_overall(records: Sequence[SpanRecord]) -> Optional[float]:
     """Recompute ``SS_overall`` from Step-3 group spans.
 
     Step 3 sums the clamped per-group stalls (``ss_group`` attributes on
     ``step3.group`` spans) and clamps the total at zero; this helper
     replays exactly that from the trace. Returns ``None`` when the trace
-    holds no ``model.step3`` span. With several ``model.evaluate`` spans
-    in the trace, the *last* one's integration is used (the CLI traces
-    its final report evaluation last).
+    holds no ``model.step3`` span. With several ``model.step3`` spans in
+    the trace, the *last* one's groups are used (see :func:`_last_step3`).
     """
-    step3 = [r for r in records if r.name == "model.step3"]
-    if not step3:
+    step3, __ = _last_step3(records)
+    if step3 is None:
         return None
-    groups = _groups_of(records, step3[-1])
-    return max(0.0, sum(max(0.0, ss) for ss in groups))
-
-
-def _groups_of(records: Sequence[SpanRecord], step3: SpanRecord) -> List[float]:
-    """The ``ss_group_raw`` values belonging to one ``model.step3`` span.
-
-    Uses parent links when present (native tracer records); falls back to
-    record-order adjacency for flat records re-read from a Chrome trace
-    file. Records are written in append order — children directly follow
-    their span, merged daemon subtrees stay contiguous — so adjacency is
-    reliable where timestamps are not (merged subtrees are time-shifted).
-    """
-    if any(r.parent_id is not None for r in records):
-        for root in span_tree(records):
-            for node in root.find("model.step3"):
-                if node.record is step3:
-                    return [
-                        float(child.record.attributes["ss_group_raw"])
-                        for child in node.children
-                        if child.record.name == "step3.group"
-                    ]
-        return []
-    ordered = list(records)
-    at = ordered.index(step3)
-    groups: List[float] = []
-    for record in ordered[at + 1:]:
-        if record.name == "step3.group":
-            groups.append(float(record.attributes["ss_group_raw"]))
-        elif record.name in ("model.step3", "model.evaluate"):
-            break
-        elif not record.name.startswith("step3."):
-            break
-    return groups
+    raw = (float(group.attributes["ss_group_raw"]) for group in _step3_groups(step3))
+    return max(0.0, sum(max(0.0, ss) for ss in raw))
 
 
 def per_dtl_stalls(records: Sequence[SpanRecord]) -> List[float]:
@@ -149,6 +184,7 @@ def find_spans(records: Sequence[SpanRecord], name: str) -> List[SpanRecord]:
 
 
 __all__ = [
+    "TraceFormatError",
     "chrome_trace",
     "write_chrome_trace",
     "load_chrome_trace",

@@ -7,11 +7,13 @@ registry, so the instrumented hot path pays one contextvar read and a
 no-op method call when metrics are off. Install a real registry with
 ``use_telemetry(metrics=registry)`` (the CLI's ``--metrics`` does).
 
-Instrument names follow Prometheus conventions (``repro_engine_
-evaluations_total``, ``repro_engine_evaluate_seconds``); the text
-exporter emits standard ``# HELP``/``# TYPE`` framing with cumulative
-histogram buckets, and the JSON exporter adds the percentile view
-(p50/p90/p99) a dashboard wants.
+Instrument names follow Prometheus conventions (``repro_progress_
+units_total``, ``repro_engine_evaluate_seconds``); the text exporter
+emits standard ``# HELP``/``# TYPE`` framing with cumulative histogram
+buckets, and the JSON exporter adds the percentile view (p50/p90/p99) a
+dashboard wants. A count an object already keeps, such as an
+:class:`~repro.observability.stats.EngineStats` field, is not counted a
+second time: :meth:`MetricsRegistry.ingest` exports it as a gauge.
 """
 
 from __future__ import annotations
@@ -190,10 +192,10 @@ class MetricsRegistry:
     def ingest(self, prefix: str, values: Mapping[str, float]) -> None:
         """Set one gauge per entry of a flat numeric snapshot.
 
-        The bridge from legacy snapshot surfaces —
         ``registry.ingest("repro_engine", engine.stats.snapshot())`` turns
         every :class:`~repro.observability.stats.EngineStats` field into a
-        ``<prefix>_<field>`` gauge.
+        ``<prefix>_<field>`` gauge: the only export of an engine's counts,
+        whichever evaluator kept them.
         """
         for key, value in values.items():
             self.gauge(f"{prefix}_{key}").set(float(value))

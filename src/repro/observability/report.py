@@ -5,8 +5,8 @@ into a single dependency-free HTML file (inline CSS bars and inline SVG
 sparklines — nothing to fetch, nothing to install):
 
 * **stall waterfall** — per-unit-memory ``SS_comb`` bars grouped by
-  Step-3 overlap group, derived from the *last* ``model.evaluate`` span's
-  subtree exactly like :func:`~repro.observability.export.
+  Step-3 overlap group, read from the *last* ``model.step3`` span by the
+  same span-tree walk as :func:`~repro.observability.export.
   reconcile_ss_overall`, so the waterfall total always reconciles with
   the printed ``SS_overall``;
 * **CC breakdown** — the Fig. 7(b)-style preload / ideal / spatial /
@@ -30,9 +30,14 @@ import html
 import json
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.observability.export import find_spans, reconcile_ss_overall
+from repro.observability.export import (
+    _last_step3,
+    _step3_groups,
+    find_spans,
+    reconcile_ss_overall,
+)
 from repro.observability.ledger import RunRecord
-from repro.observability.span import SpanRecord, span_tree
+from repro.observability.span import SpanRecord
 
 #: The HTML id of the embedded JSON payload.
 DATA_ELEMENT_ID = "repro-report-data"
@@ -75,22 +80,21 @@ class Waterfall:
 
 
 def stall_waterfall(records: Sequence[SpanRecord]) -> Optional[Waterfall]:
-    """Build the waterfall from the last ``model.evaluate`` span's subtree.
+    """Build the waterfall from the last ``model.step3`` span's groups and
+    the ``step2.served`` spans of its ``model.evaluate`` subtree.
 
-    Uses parent links when present (live tracer records) and falls back
-    to record-order adjacency for flat records re-read from a Chrome
-    trace file — the same dual path as ``reconcile_ss_overall``, and the
-    two agree by construction: both read the last ``model.step3`` span's
-    groups.
+    The span is found by :func:`~repro.observability.export._last_step3`,
+    the walk ``reconcile_ss_overall`` reads too, so the two agree by
+    construction. A ``model.step3`` outside any ``model.evaluate`` takes
+    every ``step2.served`` span of the trace.
     """
-    step3_spans = find_spans(records, "model.step3")
-    if not step3_spans:
+    step3, evaluate = _last_step3(records)
+    if step3 is None:
         return None
-    step3 = step3_spans[-1]
     groups: List[Tuple[int, float]] = []
     dominant_of: Dict[int, str] = {}
     group_of_memory: Dict[str, int] = {}
-    for record in _children_of(records, step3, "step3.group"):
+    for record in _step3_groups(step3):
         gid = int(record.attributes["group"])
         groups.append((gid, float(record.attributes["ss_group"])))
         dominant_of[gid] = str(record.attributes.get("dominant_memory", ""))
@@ -98,7 +102,10 @@ def stall_waterfall(records: Sequence[SpanRecord]) -> Optional[Waterfall]:
             if memory:
                 group_of_memory[memory] = gid
         group_of_memory.setdefault(dominant_of[gid], gid)
-    served = _served_spans_of(records, step3)
+    served = (
+        [node.record for node in evaluate.find("step2.served")] if evaluate
+        else find_spans(records, "step2.served")
+    )
     rows: List[WaterfallRow] = []
     for record in served:
         memory = str(record.attributes["memory"])
@@ -115,58 +122,6 @@ def stall_waterfall(records: Sequence[SpanRecord]) -> Optional[Waterfall]:
         )
     ss_overall = float(step3.attributes.get("ss_overall", sum(s for _, s in groups)))
     return Waterfall(tuple(rows), tuple(groups), ss_overall)
-
-
-def _children_of(
-    records: Sequence[SpanRecord], parent: SpanRecord, name: str
-) -> List[SpanRecord]:
-    """``name``-children of ``parent``: parent links or flat adjacency."""
-    if any(r.parent_id is not None for r in records):
-        return [
-            r
-            for r in records
-            if r.name == name and r.parent_id == parent.span_id
-        ]
-    ordered = list(records)
-    at = ordered.index(parent)
-    out: List[SpanRecord] = []
-    for record in ordered[at + 1 :]:
-        if record.name == name:
-            out.append(record)
-        elif not record.name.startswith(name.split(".")[0] + "."):
-            break
-    return out
-
-
-def _served_spans_of(
-    records: Sequence[SpanRecord], step3: SpanRecord
-) -> List[SpanRecord]:
-    """The ``step2.served`` spans of the same evaluation as ``step3``.
-
-    With parent links, walk up to the enclosing ``model.evaluate`` and
-    collect its subtree; flat records scan backwards from the step3 span
-    to the previous ``model.evaluate`` boundary.
-    """
-    if any(r.parent_id is not None for r in records):
-        by_id = {r.span_id: r for r in records}
-        node = step3
-        while node.parent_id is not None and node.name != "model.evaluate":
-            node = by_id[node.parent_id]
-        for root in span_tree(records):
-            for candidate in root.find("model.evaluate"):
-                if candidate.record is node:
-                    return [
-                        n.record for n in candidate.find("step2.served")
-                    ]
-        return [r for r in records if r.name == "step2.served"]
-    ordered = list(records)
-    at = ordered.index(step3)
-    start = 0
-    for i in range(at, -1, -1):
-        if ordered[i].name == "model.evaluate":
-            start = i
-            break
-    return [r for r in ordered[start:at] if r.name == "step2.served"]
 
 
 # --------------------------------------------------------------------- #

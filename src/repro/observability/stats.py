@@ -1,5 +1,4 @@
-"""Engine instrumentation counters (canonical home since the
-observability redesign; also re-exported by ``repro.engine``)."""
+"""Engine instrumentation counters (also re-exported by ``repro.engine``)."""
 
 from __future__ import annotations
 
@@ -18,9 +17,10 @@ class EngineStats:
     budget: evaluations actually run, hits and misses on the shared cache,
     and wall time per phase (``"evaluate"``, ``"energy"``, ``"batch"``).
 
-    For counters with history, percentiles, and Prometheus export, feed a
-    :class:`~repro.observability.metrics.MetricsRegistry` with
-    ``registry.ingest("repro_engine", stats.snapshot())``.
+    Every evaluator (the in-process engine, the served client, a
+    daemon's kernels) counts here and nowhere else;
+    ``registry.ingest("repro_engine", stats.snapshot())`` exports the
+    fields as ``repro_engine_<field>`` gauges.
     """
 
     evaluations: int = 0          # latency-model kernels actually run

@@ -382,11 +382,27 @@ class RemoteEngine(_FrontEnd):
     def _energy_miss(self, mapping: Mapping) -> EnergyReport:
         # The server runs both models; the latency answer is kept too.
         response = self._round_trip("energy", mapping, with_energy=True)
-        energy = protocol.energy_from_dict(response.energy)
+        energy = self._energy(response.energy)
         self.cache.put(
             self._latency_key(mapping), protocol.report_from_dict(response.report)
         )
         return energy
+
+    def _energy(self, data) -> EnergyReport:
+        """An energy answer with ``memory_pj`` in the order
+        :class:`~repro.energy.energy_model.EnergyModel` inserts it, the
+        machine's ``unique_levels``: the frame sorted its keys, and
+        ``total_pj`` sums in this order, so it equals the in-process sum
+        bit for bit."""
+        energy = protocol.energy_from_dict(data)
+        pj = energy.memory_pj
+        ordered = {
+            level.instance.name: pj[level.instance.name]
+            for level in self.accelerator.hierarchy.unique_levels()
+            if level.instance.name in pj
+        }
+        ordered.update(pj)  # a name the machine lacks keeps its place last
+        return dataclasses.replace(energy, memory_pj=ordered)
 
     def _run_batch(
         self, rows: Sequence[Mapping], validate: bool, with_energy: bool
@@ -418,7 +434,7 @@ class RemoteEngine(_FrontEnd):
                     tracer.merge(spans_from_wire(response.spans))
                 batch.reports[i] = protocol.report_from_dict(response.report)
                 if response.energy is not None:
-                    batch.energies[i] = protocol.energy_from_dict(response.energy)
+                    batch.energies[i] = self._energy(response.energy)
             self._keep(batch, batch.pending)
         return batch
 

@@ -672,9 +672,7 @@ class EvaluationServer:
         self._run.advance(1, wall_s=outcome.wall_s, worker=_WORKER)
         if self.stats.evaluations % 32 == 0:
             self._run.cache_stats(
-                self.stats.warm_hits + self.stats.store_hits,
-                self.stats.evaluations,
-                dedup_skipped=self.stats.coalesced,
+                self.stats.warm_hits + self.stats.store_hits, self.stats.evaluations
             )
         return self._ok_response(msg, outcome, "evaluated", mapping.layer)
 

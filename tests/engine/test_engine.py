@@ -284,10 +284,36 @@ def test_mapper_reuses_shared_engine(preset, layer):
     assert engine.stats.evaluations > 0
 
 
+def test_mapper_keeps_the_options_of_the_engine_it_is_given(preset, layer):
+    """``MapperConfig.model_options`` only seeds an engine the mapper
+    builds itself: a given engine keeps its options, also when the
+    mapper derives it onto another machine."""
+    paper = ModelOptions.paper_faithful()
+    engine = EvaluationEngine.from_preset(preset, paper)
+    mapper = TemporalMapper(
+        preset.accelerator, preset.spatial_unrolling, MapperConfig(), engine=engine
+    )
+    assert mapper.engine is engine
+    other = case_study_accelerator(gb_read_bw=64.0)
+    derived = TemporalMapper(
+        other.accelerator, other.spatial_unrolling, MapperConfig(), engine=engine
+    ).engine
+    assert derived.accelerator is other.accelerator
+    assert derived.options == paper and derived.stats is engine.stats
+    best = mapper.best_mapping(layer)
+    expected = EvaluationEngine.from_preset(preset, paper).evaluate(best.mapping)
+    assert best.report.total_cycles == expected.total_cycles
+    assert best.report.ss_overall == expected.ss_overall
+    built = TemporalMapper(
+        preset.accelerator, preset.spatial_unrolling, MapperConfig(model_options=paper)
+    )
+    assert built.engine.options == paper
+
+
 def test_evaluations_metric_counts_the_lanes_a_kernel_ran():
-    """A search's bound-pruned lanes run no kernel, so
-    ``repro_engine_evaluations_total`` agrees with ``stats.evaluations``
-    and the throughput gauge divides those lanes only."""
+    """A search's bound-pruned lanes run no kernel and count in no
+    evaluation: the engine's counts reach a registry only as the
+    ``EngineStats`` fields ``ingest`` exports, never as a counter."""
     from repro.observability.metrics import MetricsRegistry
     from repro.observability.telemetry import use_telemetry
 
@@ -301,5 +327,9 @@ def test_evaluations_metric_counts_the_lanes_a_kernel_ran():
     with use_telemetry(metrics=registry):
         mapper.best_mapping(dense_layer(64, 128, 1200))
     assert engine.stats.bound_pruned > 0
-    counted = registry.counter("repro_engine_evaluations_total").value
-    assert counted == engine.stats.evaluations
+    assert not [name for name in registry.snapshot()["counters"]
+                if name.startswith("repro_engine_")]
+    registry.ingest("repro_engine", engine.stats.snapshot())
+    gauges = registry.snapshot()["gauges"]
+    assert gauges["repro_engine_evaluations"] == engine.stats.evaluations
+    assert gauges["repro_engine_bound_pruned"] == engine.stats.bound_pruned

@@ -191,6 +191,23 @@ def test_baseline_ledger_identity_matches_preset(preset):
     assert rows["case1-mapping-b"]["mapping_fp"] == CASE1_MAPPING_B_FP
 
 
+def test_baseline_paper_row_names_the_generated_case():
+    """CI builds the ``s0i14m0~paper`` input by seed and id; its baseline
+    row still names that case's machine and mapping, under the paper's
+    options."""
+    from repro.verify.generators import generate_case
+
+    case = generate_case(0, 14)[0]
+    row = next(
+        row for row in map(json.loads, BASELINE_LEDGER.read_text().splitlines())
+        if row["label"] == "s0i14m0~paper"
+    )
+    assert case.case_id == "s0i14m0"
+    assert row["accelerator_fp"] == case.accelerator.fingerprint()
+    assert row["mapping_fp"] == case.mapping.fingerprint()
+    assert row["options_fp"] == stable_fingerprint(ModelOptions.paper_faithful())
+
+
 # --------------------------------------------------------------------- #
 # Property tests over generated machines (repro.verify.generators)
 # --------------------------------------------------------------------- #

@@ -44,8 +44,10 @@ def _report(report):
 def _energy(energy):
     if energy is None:
         return None
-    # Not total_pj: the wire sorts memory_pj, and the sum follows its order.
-    return (energy.layer_name, energy.mac_pj, dict(energy.memory_pj), energy.counts)
+    return (
+        energy.layer_name, energy.mac_pj, list(energy.memory_pj.items()),
+        energy.total_pj, energy.counts,
+    )
 
 
 def _outcomes(results):

@@ -831,3 +831,42 @@ def test_health_plane_emits_a_serve_run(make_server, tmp_path):
     started = [e for e in events if e["type"] == "RunStarted"]
     assert started and started[0]["flow"] == "serve"
     assert any(e["type"] == "RunFinished" for e in events)
+
+
+def test_cache_stats_events_carry_no_coalesced_requests(make_server):
+    """A coalesced request is a served request, not a mapper candidate
+    dropped as model-equivalent: the daemon's ``CacheStats`` events keep
+    ``dedup_skipped`` at 0 while ``coalesced`` counts it."""
+    from repro.observability import ProgressEmitter
+    from repro.observability.progress import CacheStats
+
+    gate = threading.Event()
+    events = []
+    emitter = ProgressEmitter()
+    emitter.subscribe(events.append)
+    with use_telemetry(progress=emitter):
+        handle = make_server(pre_evaluate_hook=lambda item: gate.wait(timeout=30))
+    preset = case_study_accelerator()
+    mappings = list(TemporalMapper(
+        preset.accelerator, preset.spatial_unrolling,
+        MapperConfig(max_enumerated=100, samples=100),
+    ).mappings(dense_layer(64, 128, 1200)))[:33]
+    assert len(mappings) == 33
+    client = connect(handle.url)
+    burst = threading.Thread(
+        target=client.evaluate_many, args=(mappings + mappings[:1],)
+    )
+    burst.start()
+    probe = connect(handle.url)
+    deadline = time.time() + 30
+    while probe.server_stats()["coalesced"] < 1 and time.time() < deadline:
+        time.sleep(0.02)
+    gate.set()
+    burst.join(timeout=30)
+    stats = probe.server_stats()
+    probe.close()
+    client.close()
+    assert stats["coalesced"] == 1 and stats["evaluations"] == 33
+    cache_stats = [e for e in events if isinstance(e, CacheStats)]
+    assert cache_stats
+    assert all(e.dedup_skipped == 0 for e in cache_stats)

@@ -208,9 +208,25 @@ def test_metrics_flag_prints_prometheus_text(capsys):
                "--samples", "20", "--metrics"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "# TYPE repro_engine_evaluations_total counter" in out
     assert "# TYPE repro_engine_evaluations gauge" in out
     assert "repro_mapper_searches_total 1" in out
+
+
+def test_metrics_engine_counts_come_from_engine_stats(capsys):
+    """Every repro_engine count is an EngineStats field: a network run's
+    memoized searches and energy hits show in the scrape, and no hand
+    counter beside it disagrees."""
+    import re
+
+    rc = main(["network", "--network", "transformer", "--enumerate", "40",
+               "--samples", "30", "--limit", "6", "--metrics", "--stats"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert not re.search(r"^repro_engine_\w*_total", out, re.M)
+    hits, requests = map(int, re.search(r"(\d+)/(\d+) cache hits", out).groups())
+    assert hits > 0
+    assert f"repro_engine_cache_hits {hits}\n" in out
+    assert f"repro_engine_cache_misses {requests - hits}\n" in out
 
 
 def test_ledger_flag_appends_records(capsys, tmp_path):
